@@ -5,6 +5,10 @@ The graph of a color function alpha on a group G has adjacency
 lists the out-edges of vertex i.  For split extensions the vertex order is
 the transversal order ``h_a k^b -> a*m + b`` and the matrix splits into
 m-by-m circulant-like blocks indexed by coset pairs.
+
+The adjacency and the connection-set checks run on the group's integer
+kernel (``mul_idx``/``inv_idx``), in row blocks whose index temporaries
+stay within the kernel's block budget; they never touch irreps.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     Transversal,
+    _block_len,
     is_generating_set,
     left_transversal_ordering,
 )
@@ -125,30 +130,48 @@ class ConnectionSet:
 
 
 def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionSet:
-    members = sorted(set(subset), key=group.index)
+    """Structural flags of a connection set, with the first failure witnesses.
+
+    Witnesses follow index order: the first member whose inverse is
+    missing, and for conjugation the first member, then the first
+    conjugator ``x`` in element order, with ``x s x^{-1}`` outside the set.
+    """
+    indices = sorted({group.index(g) for g in subset})
+    elems = group.elements()
+    members = [elems[i] for i in indices]
     witnesses = {}
-    inverse_closed = True
-    member_set = set(members)
-    for s in members:
-        if group.inv(s) not in member_set:
-            inverse_closed = False
-            witnesses["inverse_closed"] = (s, group.inv(s))
-            break
+    member_idx = np.array(indices, dtype=np.int64)
+    in_set = np.zeros(group.order, dtype=bool)
+    in_set[member_idx] = True
+    inv_idx = group.inv_idx
+    inverses = inv_idx[member_idx]
+    missing = np.flatnonzero(~in_set[inverses])
+    inverse_closed = missing.size == 0
+    if not inverse_closed:
+        first = missing[0]
+        witnesses["inverse_closed"] = (members[first], elems[inverses[first]])
+    conjugators = np.arange(group.order, dtype=np.int64)
     conjugation_closed = True
-    for s in members:
-        if not conjugation_closed:
+    step = _block_len(group.order)
+    for lo in range(0, member_idx.size, step):
+        block = member_idx[lo:lo + step, None]
+        conj = group.mul_idx(group.mul_idx(conjugators[None, :], block),
+                             inv_idx[None, :])
+        escapes = ~in_set[conj]
+        rows = np.flatnonzero(escapes.any(axis=1))
+        if rows.size:
+            row = rows[0]
+            x = int(np.argmax(escapes[row]))
+            conjugation_closed = False
+            witnesses["conjugation_closed"] = (
+                elems[x], members[lo + row], elems[conj[row, x]]
+            )
             break
-        for x in group.elements():
-            conj = group.conjugate(s, x)
-            if conj not in member_set:
-                conjugation_closed = False
-                witnesses["conjugation_closed"] = (x, s, conj)
-                break
     generates, closure_size = is_generating_set(group, members)
     return ConnectionSet(
         elements=tuple(members),
         inverse_closed=inverse_closed,
-        contains_identity=group.identity in member_set,
+        contains_identity=bool(in_set[group.index(group.identity)]),
         generates=generates,
         closure_size=closure_size,
         conjugation_closed=conjugation_closed,
@@ -174,18 +197,21 @@ class AdjacencyMatrix:
 
 def adjacency_matrix(group: FiniteGroup, color: ColorFunction,
                      ordering: Optional[Sequence] = None) -> AdjacencyMatrix:
-    """A[i, j] = alpha(g_j * g_i^{-1})."""
+    """A[i, j] = alpha(g_j * g_i^{-1}), gathered from the integer kernel.
+
+    Rows are filled in blocks, each one gather of alpha at
+    ``mul_idx(j, inv_idx[i])``; ``ordering`` maps through ``group.index``.
+    """
     elems = list(ordering) if ordering is not None else group.elements()
     n = len(elems)
+    positions = np.array([group.index(g) for g in elems], dtype=np.int64)
+    row_inverses = group.inv_idx[positions]
+    alpha = color.as_vector(group.elements())
     out = np.zeros((n, n), dtype=complex)
-    inverses = [group.inv(g) for g in elems]
-    for i in range(n):
-        gi_inv = inverses[i]
-        row = out[i]
-        for j in range(n):
-            value = color(group.mul(elems[j], gi_inv))
-            if value != 0:
-                row[j] = value
+    step = _block_len(n)
+    for lo in range(0, n, step):
+        products = group.mul_idx(positions[None, :], row_inverses[lo:lo + step, None])
+        out[lo:lo + step] = alpha[products]
     out.flags.writeable = False
     return AdjacencyMatrix(matrix=out, ordering=tuple(elems))
 

@@ -434,6 +434,7 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
         )
     spectrum = _compute_spectrum(job, method, eigenvectors)
     verification = None
+    built = None  # the adjacency built from the group, shared with the export
     if do_verify:
         tol = job.options["tolerance"]
         if getattr(args, "edges", None):
@@ -442,12 +443,13 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
                 matrix=matrix, ordering=tuple(job.group.elements())
             )
         else:
-            adjacency = cayley.adjacency_matrix(job.group, job.color)
+            adjacency = built = cayley.adjacency_matrix(job.group, job.color)
         verification = verify.certify(adjacency, spectrum, job.color, tol=tol)
     export_path = job.options["export_graph"]
     if export_path:
-        adjacency = cayley.adjacency_matrix(job.group, job.color)
-        cayley.export_edge_list(adjacency, export_path)
+        if built is None:
+            built = cayley.adjacency_matrix(job.group, job.color)
+        cayley.export_edge_list(built, export_path)
     fmt = job.options["format"]
     if getattr(args, "format", None):
         fmt = args.format

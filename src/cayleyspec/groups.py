@@ -14,6 +14,16 @@ Supported kinds and their encodings:
 
 All encodings are canonical: two equal group elements are equal Python
 objects, so elements can key dictionaries directly.
+
+Every kind also carries an integer kernel over canonical indices (the
+positions in ``elements()``): ``inv_idx`` maps each index to the index of
+the inverse, and ``mul_idx(I, J)`` multiplies whole index arrays at once,
+with numpy broadcasting.  The kernel is built lazily, per instance, from
+arithmetic on the encoding (mixed-radix digits, an l x l table of the
+complement plus the unit arrays, composed image arrays); no kind ever
+stores an n x n multiplication table.  Bulk work (adjacency, closure and
+conjugation sweeps) runs on the kernel in blocks whose index temporaries
+stay within ``_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -23,11 +33,20 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityExceeded, ConfigError, InvalidAction
 
 Element = Hashable
 
 DEFAULT_CAPACITY = 10_000
+# bytes of int64 index temporaries one blocked kernel sweep allocates per array
+_BLOCK_BYTES = 1 << 23
+
+
+def _block_len(item_count: int) -> int:
+    """Rows per block when each row holds ``item_count`` int64 indices."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, item_count)))
 
 
 @dataclass(frozen=True)
@@ -68,8 +87,9 @@ class Transversal:
 class FiniteGroup:
     """Immutable finite group over hashable normal-form encodings.
 
-    Subclasses fix the element encoding and implement ``mul``/``inv``;
-    enumeration, indexing and conjugacy machinery are shared.
+    Subclasses fix the element encoding and implement ``mul``/``inv`` on
+    elements and ``mul_idx``/``_inverse_indices`` on canonical indices;
+    enumeration, indexing, ``inv_idx`` and conjugacy machinery are shared.
     """
 
     kind = "abstract"
@@ -82,6 +102,7 @@ class FiniteGroup:
         self._elements: Optional[list] = None
         self._element_index: Optional[dict] = None
         self._classes: Optional[list] = None
+        self._inv_idx: Optional[np.ndarray] = None
 
     # -- operations every subclass provides --------------------------------
 
@@ -105,7 +126,27 @@ class FiniteGroup:
     def signature(self) -> tuple:
         raise NotImplementedError
 
+    def mul_idx(self, left, right) -> np.ndarray:
+        """Canonical indices of the products ``g_left * g_right``.
+
+        ``left`` and ``right`` are index arrays (or ints) that broadcast
+        against each other; the result has the broadcast shape.
+        """
+        raise NotImplementedError
+
+    def _inverse_indices(self) -> np.ndarray:
+        raise NotImplementedError
+
     # -- shared machinery ---------------------------------------------------
+
+    @property
+    def inv_idx(self) -> np.ndarray:
+        """``inv_idx[i]`` is the canonical index of ``g_i^{-1}`` (read-only)."""
+        if self._inv_idx is None:
+            table = np.asarray(self._inverse_indices(), dtype=np.int64)
+            table.flags.writeable = False
+            self._inv_idx = table
+        return self._inv_idx
 
     def elements(self) -> list:
         if self._elements is None:
@@ -191,6 +232,12 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a):
         return -a % self.m
 
+    def mul_idx(self, left, right):
+        return np.add(left, right, dtype=np.int64) % self.m
+
+    def _inverse_indices(self):
+        return -np.arange(self.m, dtype=np.int64) % self.m
+
     def _enumerate(self):
         return list(range(self.m))
 
@@ -233,6 +280,11 @@ class AbelianProductGroup(FiniteGroup):
                 )
         super().__init__(total)
         self.orders = orders
+        # mixed-radix place values of the lexicographic enumeration
+        strides = [1] * len(orders)
+        for t in range(len(orders) - 2, -1, -1):
+            strides[t] = strides[t + 1] * orders[t + 1]
+        self._strides = tuple(strides)
 
     @property
     def identity(self):
@@ -243,6 +295,21 @@ class AbelianProductGroup(FiniteGroup):
 
     def inv(self, a):
         return tuple(-x % o for x, o in zip(a, self.orders))
+
+    def mul_idx(self, left, right):
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(left.shape, right.shape), dtype=np.int64)
+        for o, s in zip(self.orders, self._strides):
+            out += (left // s + right // s) % o * s
+        return out
+
+    def _inverse_indices(self):
+        idx = np.arange(self.order, dtype=np.int64)
+        out = np.zeros(self.order, dtype=np.int64)
+        for o, s in zip(self.orders, self._strides):
+            out += -(idx // s) % o * s
+        return out
 
     def _enumerate(self):
         return list(itertools.product(*(range(o) for o in self.orders)))
@@ -301,6 +368,7 @@ class SplitExtensionGroup(FiniteGroup):
         self._h_inv_index = tuple(
             h_group.index(h_group.inv(h)) for h in self._h_elts
         )
+        self._kernel_arrays: Optional[tuple] = None
 
     @property
     def identity(self):
@@ -317,6 +385,28 @@ class SplitExtensionGroup(FiniteGroup):
     def inv(self, x):
         a, b = x
         return (self._h_inv_index[a], (-b * self.units[a]) % self.m)
+
+    def _kernel(self) -> tuple:
+        """H's l x l index table and the unit arrays, built on first use."""
+        if self._kernel_arrays is None:
+            a = np.arange(self.l, dtype=np.int64)
+            self._kernel_arrays = (
+                self.h_group.mul_idx(a[:, None], a[None, :]),
+                np.array(self.units, dtype=np.int64),
+                np.array(self._inv_units, dtype=np.int64),
+            )
+        return self._kernel_arrays
+
+    def mul_idx(self, left, right):
+        h_table, _, inv_units = self._kernel()
+        a1, b1 = np.divmod(np.asarray(left, dtype=np.int64), self.m)
+        a2, b2 = np.divmod(np.asarray(right, dtype=np.int64), self.m)
+        return h_table[a1, a2] * self.m + (b1 * inv_units[a2] + b2) % self.m
+
+    def _inverse_indices(self):
+        _, units, _ = self._kernel()
+        a, b = np.divmod(np.arange(self.order, dtype=np.int64), self.m)
+        return self.h_group.inv_idx[a] * self.m + (-b * units[a]) % self.m
 
     def _enumerate(self):
         return [(a, b) for a in range(self.l) for b in range(self.m)]
@@ -510,6 +600,7 @@ class PermutationGroup(FiniteGroup):
         self.degree = degree
         self.generators = tuple(gens)
         self._elements = sorted(members)
+        self._kernel_arrays: Optional[tuple] = None
         self.normal_members: Optional[tuple] = None
         self.complement_members: Optional[tuple] = None
         if (normal_generators is None) != (complement_generators is None):
@@ -551,6 +642,42 @@ class PermutationGroup(FiniteGroup):
         for i, image in enumerate(a):
             out[image] = i
         return tuple(out)
+
+    def _kernel(self) -> tuple:
+        """Image rows of the sorted elements, and the same rows as byte keys.
+
+        Big-endian rows compare bytewise in lexicographic order, so the keys
+        are sorted like the elements and ``searchsorted`` finds indices.
+        """
+        if self._kernel_arrays is None:
+            images = np.array(self._elements, dtype=np.int64)
+            self._kernel_arrays = (images, self._as_keys(images))
+        return self._kernel_arrays
+
+    def _as_keys(self, rows: np.ndarray) -> np.ndarray:
+        wide = np.ascontiguousarray(rows, dtype=">u4")
+        return wide.view(np.dtype((np.void, 4 * self.degree))).reshape(len(rows))
+
+    def mul_idx(self, left, right):
+        images, keys = self._kernel()
+        left, right = np.broadcast_arrays(
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        )
+        flat_l, flat_r = left.ravel(), right.ravel()
+        out = np.empty(flat_l.size, dtype=np.int64)
+        step = _block_len(self.degree)
+        for lo in range(0, flat_l.size, step):
+            hi = lo + step
+            # (p*q)(x) = p(q(x)): index p's images by q's
+            composed = np.take_along_axis(
+                images[flat_l[lo:hi]], images[flat_r[lo:hi]], axis=1
+            )
+            out[lo:hi] = np.searchsorted(keys, self._as_keys(composed))
+        return out.reshape(left.shape)
+
+    def _inverse_indices(self):
+        images, keys = self._kernel()
+        return np.searchsorted(keys, self._as_keys(np.argsort(images, axis=1)))
 
     def _enumerate(self):
         return self._elements
@@ -710,20 +837,27 @@ def left_transversal_ordering(group: FiniteGroup) -> Transversal:
 def is_generating_set(group: FiniteGroup, subset: Iterable) -> tuple:
     """Whether the multiplicative closure of ``subset`` is the whole group.
 
-    Returns ``(generates, closure_size)``.
+    Returns ``(generates, closure_size)``.  The closure of a non-empty
+    subset of a finite group is the subgroup it generates, found by a
+    breadth-first search from the identity under right multiplication by
+    the subset, O(n |subset|) kernel products; an empty subset closes to
+    nothing, ``(False, 0)``.
     """
-    closed = set(subset)
-    for g in closed:
-        group.index(g)
-    frontier = list(closed)
-    while frontier:
-        fresh = set()
-        snapshot = list(closed)
-        for x in frontier:
-            for y in snapshot:
-                for p in (group.mul(x, y), group.mul(y, x)):
-                    if p not in closed and p not in fresh:
-                        fresh.add(p)
-        closed |= fresh
-        frontier = list(fresh)
-    return len(closed) == group.order, len(closed)
+    gens = np.unique(np.array([group.index(g) for g in subset], dtype=np.int64))
+    if gens.size == 0:
+        return False, 0
+    reached = np.zeros(group.order, dtype=bool)
+    frontier = np.array([group.index(group.identity)], dtype=np.int64)
+    reached[frontier] = True
+    size = 1
+    step = _block_len(gens.size)
+    while frontier.size:
+        fresh = []
+        for lo in range(0, frontier.size, step):
+            products = group.mul_idx(frontier[lo:lo + step, None], gens[None, :])
+            products = np.unique(products[~reached[products]])
+            reached[products] = True
+            fresh.append(products)
+        frontier = np.concatenate(fresh)
+        size += frontier.size
+    return size == group.order, size

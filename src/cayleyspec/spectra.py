@@ -23,6 +23,7 @@ every claim:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Optional, Sequence
@@ -109,8 +110,33 @@ class Spectrum:
 
 
 def chain_groups(values: Sequence[complex], tol: float) -> list:
-    """Partition indices of ``values`` by chaining pairs within ``tol``."""
-    parent = list(range(len(values)))
+    """Partition indices of ``values`` by chaining pairs within ``tol``.
+
+    Two indices chain when ``abs(a - b) <= tol``; groups are the connected
+    components, listed by smallest index, each in ascending order.  Exactly
+    equal finite values are merged first; the distinct ones are binned on a
+    grid and compared, by that same predicate, only with values in their own
+    and the eight neighbouring cells.  Cells are ``2 * tol`` wide, so even
+    after rounding in the cell coordinates every chaining partner lies in
+    one of those cells.  Non-finite values chain with nothing (their
+    differences are never <= a finite ``tol``).
+    """
+    if not abs(tol) < math.inf:
+        raise ValueError(f"chaining distance must be finite, got {tol!r}")
+    reps = []      # first index of each distinct value
+    slot = []      # index -> position of its value in ``reps``
+    distinct = {}  # mergeable value -> position in ``reps``
+    for idx, value in enumerate(values):
+        mergeable = (tol >= 0 and math.isfinite(value.real)
+                     and math.isfinite(value.imag))
+        if mergeable and value in distinct:
+            slot.append(distinct[value])
+            continue
+        if mergeable:
+            distinct[value] = len(reps)
+        slot.append(len(reps))
+        reps.append(idx)
+    parent = list(range(len(reps)))
 
     def find(i):
         while parent[i] != i:
@@ -118,13 +144,21 @@ def chain_groups(values: Sequence[complex], tol: float) -> list:
             i = parent[i]
         return i
 
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
+    if tol > 0:
+        width = 2 * tol
+        cells = {}
+        for pos in distinct.values():
+            value = values[reps[pos]]
+            cx, cy = math.floor(value.real / width), math.floor(value.imag / width)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for other in cells.get((cx + dx, cy + dy), ()):
+                        if abs(values[reps[other]] - value) <= tol:
+                            parent[find(other)] = find(pos)
+            cells.setdefault((cx, cy), []).append(pos)
     groups = {}
     for idx in range(len(values)):
-        groups.setdefault(find(idx), []).append(idx)
+        groups.setdefault(find(slot[idx]), []).append(idx)
     return list(groups.values())
 
 

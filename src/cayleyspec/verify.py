@@ -1,11 +1,17 @@
 """Independent certification of claimed spectra.
 
 Nothing here re-derives a spectrum: the adjacency matrix is rebuilt
-directly from the group operation and the color function, and every
-claimed eigenpair is checked by residual, the claimed basis by its Gram
-matrix, and the eigenvalue multiset by trace identities.  No general
-eigensolver is involved, so a certified result never relies on the code
-paths that produced it.
+directly from the group's integer multiplication kernel and the color
+function, and every claimed eigenpair is checked by residual, the claimed
+basis by its Gram matrix, and the eigenvalue multiset by trace identities.
+No general eigensolver is involved, so a certified result never relies on
+the code paths that produced it.
+
+The checks are dense GEMMs over blocks of stacked eigenvectors.  Beyond
+the n x n adjacency, the claimed vectors and one stacked copy of them,
+certification holds one block at a time: ``_BLOCK_BYTES`` of vectors (or
+of Gram rows) plus about twice that in GEMM output and residual
+temporaries, whatever n and the number of lines.
 """
 
 from __future__ import annotations
@@ -15,13 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cayley import AdjacencyMatrix, ColorFunction
+from .cayley import AdjacencyMatrix, ColorFunction, adjacency_matrix
 from .errors import CapacityExceeded, DimensionMismatch
 from .groups import FiniteGroup
 from .irreps import IrrepSet, build_p_matrix, fourier_transform
 from .spectra import Spectrum, chain_groups
 
 RECONSTRUCTION_CAPACITY = 500
+# bytes of stacked complex vectors (or Gram rows) one certification block holds
+_BLOCK_BYTES = 1 << 23
 
 
 @dataclass
@@ -66,9 +74,19 @@ def _as_matrix(adjacency) -> np.ndarray:
     return np.asarray(adjacency, dtype=complex)
 
 
+def _block_columns(n: int) -> int:
+    """Complex length-n vectors that fit one certification block."""
+    return max(1, _BLOCK_BYTES // (16 * max(1, n)))
+
+
 def verify_eigenpairs(adjacency, spectrum: Spectrum,
                       tol: float = 1e-9) -> VerificationReport:
-    """Residual-check every claimed eigenpair against the adjacency."""
+    """Residual-check every claimed eigenpair against the adjacency.
+
+    Consecutive lines' vectors are stacked into column blocks of bounded
+    size (a line may straddle two blocks); each block is one GEMM
+    ``A @ B - B * lam``, and per-line maxima come from its column maxima.
+    """
     matrix = _as_matrix(adjacency)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
@@ -78,7 +96,6 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
         )
     scale = max(1.0, float(np.max(np.sum(np.abs(matrix), axis=1), initial=0.0)))
-    residuals = []
     for line in spectrum.lines:
         if line.eigenvectors is None:
             raise ValueError(
@@ -90,32 +107,76 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
                 f"line ({line.u}, {line.v}) vectors have length "
                 f"{vectors.shape[1]}, expected {n}"
             )
-        residual_block = matrix @ vectors.T - line.eigenvalue * vectors.T
-        residuals.append(float(np.max(np.abs(residual_block), initial=0.0)))
-    max_residual = max(residuals, default=0.0)
+    lines = spectrum.lines
+    counts = [len(line.eigenvectors) for line in lines]
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    total = int(offsets[-1])
+    column_eigenvalues = np.repeat(
+        np.array([line.eigenvalue for line in lines], dtype=complex), counts
+    )
+    column_max = np.zeros(total)
+    width = _block_columns(n)
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        first = int(np.searchsorted(offsets, lo, side="right")) - 1
+        last = int(np.searchsorted(offsets, hi))
+        rows = [
+            lines[k].eigenvectors[max(lo - offsets[k], 0):hi - offsets[k]]
+            for k in range(first, last)
+        ]
+        column_max[lo:hi] = _residual_block(matrix, rows, column_eigenvalues[lo:hi])
+    residuals = np.zeros(len(lines))
+    nonempty = np.array(counts) > 0
+    if nonempty.any():
+        residuals[nonempty] = np.maximum.reduceat(column_max, offsets[:-1][nonempty])
+    per_line = tuple(float(r) for r in residuals)
     return VerificationReport(
         n=n,
         tolerance=tol,
         scale=scale,
-        max_residual=max_residual,
-        per_line_residuals=tuple(residuals),
+        max_residual=max(per_line, default=0.0),
+        per_line_residuals=per_line,
     )
 
 
-def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> tuple:
+def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
+    """Max-abs residual of each stacked vector: one GEMM for the block."""
+    vectors = np.vstack(rows).T
+    residual = matrix @ vectors
+    residual -= vectors * eigenvalues
+    return np.abs(residual).max(axis=0)
+
+
+class BasisCheck(tuple):
+    """``(gram_deviation, complete)``, plus the number of vectors checked."""
+
+    def __new__(cls, gram_deviation: float, complete: bool, vector_count: int):
+        check = super().__new__(cls, (gram_deviation, complete))
+        check.vector_count = vector_count
+        return check
+
+
+def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
     """Gram deviation of the stacked eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
-    claimed multiplicities sum to n and one vector backs each of them.
+    claimed multiplicities sum to n and one vector backs each of them; the
+    result's ``vector_count`` is the number of stacked vectors.  The Gram
+    matrix is formed in row blocks, never whole.
     """
-    stacked = spectrum.eigenvector_matrix()
-    count = stacked.shape[1]
-    gram = stacked.conj().T @ stacked - np.eye(count)
-    gram_deviation = float(np.max(np.abs(gram), initial=0.0))
+    stacked = spectrum.eigenvector_matrix().T
+    count = stacked.shape[0]
+    gram_deviation = 0.0
+    step = _block_columns(count)
+    for lo in range(0, count, step):
+        gram = stacked[lo:lo + step].conj() @ stacked.T
+        diagonal = np.arange(gram.shape[0])
+        gram[diagonal, lo + diagonal] -= 1
+        gram_deviation = max(gram_deviation, float(np.max(np.abs(gram), initial=0.0)))
     complete = (
         count == spectrum.n and spectrum.total_multiplicity == spectrum.n
     )
-    return gram_deviation, complete
+    return BasisCheck(gram_deviation, complete, count)
 
 
 def trace_identities(adjacency, color: ColorFunction) -> tuple:
@@ -132,7 +193,7 @@ def trace_identities(adjacency, color: ColorFunction) -> tuple:
     pair_sum = sum(
         value * color(group.inv(g)) for g, value in color.items()
     )
-    trace_sq = complex(np.sum(matrix * matrix.T))
+    trace_sq = complex(np.einsum("ij,ji->", matrix, matrix))
     trace_sq_dev = abs(trace_sq - n * pair_sum)
     return float(trace_dev), float(trace_sq_dev)
 
@@ -141,11 +202,10 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
     """Full certification: residuals, basis, completeness, trace identities."""
     report = verify_eigenpairs(adjacency, spectrum, tol=tol)
-    gram_deviation, complete = verify_basis(spectrum, tol=tol)
+    basis = verify_basis(spectrum, tol=tol)
     trace_dev, trace_sq_dev = trace_identities(adjacency, color)
-    report.gram_deviation = gram_deviation
-    report.vector_count = spectrum.eigenvector_matrix().shape[1]
-    report.complete = complete
+    report.gram_deviation, report.complete = basis
+    report.vector_count = basis.vector_count
     report.trace_deviation = trace_dev
     report.trace_sq_deviation = trace_sq_dev
     return report
@@ -185,10 +245,12 @@ def regular_rep_matrix(group: FiniteGroup, g,
     """Permutation matrix of left translation by g: M[a, b] = [g g_b = g_a]."""
     elems = list(ordering) if ordering is not None else group.elements()
     n = len(elems)
-    position = {elem: idx for idx, elem in enumerate(elems)}
+    positions = np.array([group.index(x) for x in elems], dtype=np.int64)
+    position_of = np.empty(group.order, dtype=np.int64)
+    position_of[positions] = np.arange(n)
+    images = position_of[group.mul_idx(group.index(g), positions)]
     out = np.zeros((n, n), dtype=complex)
-    for b, gb in enumerate(elems):
-        out[position[group.mul(g, gb)], b] = 1.0
+    out[images, np.arange(n)] = 1.0
     out.flags.writeable = False
     return out
 
@@ -200,20 +262,17 @@ def verify_block_reconstruction(group: FiniteGroup, color: ColorFunction,
     coefficient-basis reconstruction.
 
     The left side is the transpose of sum_g alpha(g) * M(g) over left
-    translation matrices; the right side conjugates the per-irrep blocks
-    diag(I_{d_k} (x) block_k^T) back through the coefficient basis.
+    translation matrices, whose (i, j) entry is alpha(g_j g_i^{-1}): the
+    adjacency from ``adjacency_matrix``.  The right side conjugates the
+    per-irrep blocks diag(I_{d_k} (x) block_k^T) back through the
+    coefficient basis.
     """
     n = group.order
     if n > capacity:
         raise CapacityExceeded(
             f"reconstruction check is quadratic in n; {n} exceeds {capacity}"
         )
-    elems = group.elements()
-    transform = np.zeros((n, n), dtype=complex)
-    for g, value in color.items():
-        for b, gb in enumerate(elems):
-            transform[group.index(group.mul(g, gb)), b] += value
-    adjacency = transform.T
+    adjacency = adjacency_matrix(group, color).matrix
     p_matrix = build_p_matrix(group, irrep_set)
     diag = np.zeros((n, n), dtype=complex)
     offset = 0

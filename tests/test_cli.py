@@ -320,3 +320,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 6
+
+
+def test_verify_and_export_build_the_adjacency_once(tmp_path, capsys, monkeypatch):
+    from cayleyspec import cayley
+
+    builds = []
+    original = cayley.adjacency_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cayley, "adjacency_matrix", counted)
+    exported = tmp_path / "exported.txt"
+    config = prism_config(tmp_path, export_graph=str(exported))
+    code, out, err = run(capsys, "verify", "--config", config)
+    assert code == 0, err
+    assert len(builds) == 1
+    group, color = builds[0]
+    expect = original(group, color).matrix
+    assert np.array_equal(cayley.read_edge_list(exported, 6), expect)
+
+    # with --edges the certified matrix comes from the file; the export is
+    # still built from the group
+    edges = tmp_path / "edges.txt"
+    lines = exported.read_text().splitlines()
+    lines[1] = lines[1].rsplit(" ", 2)[0] + " 0.5 0"
+    edges.write_text("\n".join(lines) + "\n")
+    exported.unlink()
+    builds.clear()
+    code, out, _ = run(capsys, "verify", "--config", config, "--edges", str(edges))
+    assert code == 2
+    assert len(builds) == 1
+    assert np.array_equal(cayley.read_edge_list(exported, 6), expect)

@@ -186,3 +186,125 @@ def test_certify_aggregates_all_checks():
     assert report.gram_deviation <= 1e-9
     assert report.trace_deviation <= 1e-9 * 21
     assert report.scale == max(1.0, np.abs(adj.matrix).sum(axis=1).max())
+
+
+# -- blocked certification ----------------------------------------------------
+
+
+def order_42_case():
+    d3 = DihedralGroup(3)
+    group = construct_group({"type": "semidirect", "m": 7,
+                             "h": {"type": "dihedral", "n": 3}, "action": [6, 1]})
+    subset = [(0, b) for b in range(1, 7)]
+    subset += [(d3.index(h), 0) for h in d3.elements() if h[0] == 1]
+    color = color_from_set(group, subset)
+    spec = spectrum_split(group, color, builtin_irreps(d3), irreps_cyclic(7))
+    return group, color, spec
+
+
+def per_line_matvec(matrix, spec):
+    """Residuals the way certification computed them one line at a time."""
+    return [
+        float(np.max(np.abs(matrix @ line.eigenvectors.T
+                            - line.eigenvalue * line.eigenvectors.T), initial=0.0))
+        for line in spec.lines
+    ]
+
+
+def small_blocks(monkeypatch, columns, n):
+    from cayleyspec import verify as verify_module
+
+    monkeypatch.setattr(verify_module, "_BLOCK_BYTES", 16 * n * columns)
+
+
+@pytest.mark.parametrize("columns", [1, 3, 5, 7, 64])
+def test_blocked_residuals_match_per_line_matvecs(monkeypatch, columns):
+    group, color, spec = order_42_case()
+    # E1 lines carry four vectors, so blocks of 3, 5 or 7 columns split them
+    assert {len(line.eigenvectors) for line in spec.lines} == {1, 4}
+    adj = adjacency_matrix(group, color)
+    small_blocks(monkeypatch, columns, 42)
+    from cayleyspec import verify as verify_module
+
+    widths = []
+    block = verify_module._residual_block
+
+    def recorded(matrix, rows, *rest):
+        widths.append(sum(len(r) for r in rows))
+        return block(matrix, rows, *rest)
+
+    monkeypatch.setattr(verify_module, "_residual_block", recorded)
+    report = certify(adj, spec, color, tol=1e-9)
+    # full blocks of the budgeted width, then the remainder
+    assert sum(widths) == 42 and max(widths) <= columns
+    assert all(w == columns for w in widths[:-1])
+    expect = per_line_matvec(adj.matrix, spec)
+    assert len(report.per_line_residuals) == len(spec.lines)
+    for got, want in zip(report.per_line_residuals, expect):
+        assert abs(got - want) <= 1e-12 * report.scale
+    assert report.passed and report.complete and report.vector_count == 42
+    gram, complete = verify_basis(spec)
+    assert gram <= 1e-12 and complete
+
+
+def test_blocked_residual_reports_the_perturbed_line(monkeypatch):
+    group, color, spec = order_42_case()
+    adj = adjacency_matrix(group, color)
+    small_blocks(monkeypatch, 5, 42)
+    starts = np.cumsum([0] + [len(line.eigenvectors) for line in spec.lines])
+    # the line whose vectors sit in the middle of a 5-column block
+    target = next(i for i, (lo, hi) in enumerate(zip(starts, starts[1:]))
+                  if lo % 5 not in (0, 4) and len(spec.lines[i].eigenvectors) == 4)
+    line = spec.lines[target]
+    vectors = line.eigenvectors.copy()
+    vectors[1, 5] += 1e-3
+    lines = list(spec.lines)
+    lines[target] = dataclasses.replace(line, eigenvectors=vectors)
+    bad = Spectrum(n=spec.n, method=spec.method, lines=lines)
+    report = verify_eigenpairs(adj, bad, tol=1e-9)
+    worst = int(np.argmax(report.per_line_residuals))
+    assert worst == target
+    assert not report.passed
+    assert all(r <= 1e-12 * report.scale
+               for i, r in enumerate(report.per_line_residuals) if i != target)
+    expect = per_line_matvec(adj.matrix, bad)
+    assert abs(report.per_line_residuals[target] - expect[target]) <= 1e-12 * report.scale
+
+
+def test_line_errors_are_raised_before_any_gemm(monkeypatch):
+    from cayleyspec import verify as verify_module
+
+    group, color, spec = order_42_case()
+    adj = adjacency_matrix(group, color)
+
+    def no_gemm(*args):
+        raise AssertionError("a residual block ran before the line checks")
+
+    monkeypatch.setattr(verify_module, "_residual_block", no_gemm)
+    last = spec.lines[-1]
+    missing = Spectrum(n=42, method="split",
+                       lines=spec.lines[:-1] + [dataclasses.replace(last, eigenvectors=None)])
+    with pytest.raises(ValueError, match=r"^line \(\d+, \d+\) carries no eigenvectors to certify$"):
+        verify_eigenpairs(adj, missing)
+    short = Spectrum(n=42, method="split", lines=spec.lines[:-1] + [
+        dataclasses.replace(last, eigenvectors=last.eigenvectors[:, :41])])
+    with pytest.raises(DimensionMismatch,
+                       match=r"^line \(\d+, \d+\) vectors have length 41, expected 42$"):
+        verify_eigenpairs(adj, short)
+
+
+def test_blocked_gram_matches_whole_gram(monkeypatch):
+    group, color, spec = order_42_case()
+    stacked = spec.eigenvector_matrix()
+    whole = float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(42))))
+    dup = spec.lines[0].eigenvectors
+    broken = Spectrum(n=42, method="split", lines=[
+        dataclasses.replace(spec.lines[0], eigenvectors=np.vstack([dup, dup]))
+    ] + spec.lines[1:])
+    for columns in (1, 4, 42):
+        small_blocks(monkeypatch, columns, 42)
+        gram, complete = verify_basis(spec)
+        assert abs(gram - whole) <= 1e-14 and complete
+        check = verify_basis(broken)
+        assert abs(check[0] - 1) <= 1e-12 and not check[1]
+        assert check.vector_count == 43
