@@ -13,6 +13,7 @@ stay within the kernel's block budget; they never touch irreps.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -249,48 +250,26 @@ class BlockDecomposition:
         return self.beta(0, t)
 
     def assemble(self) -> np.ndarray:
-        m = self.m
-        n = self.group.order
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(self.l):
-            for j in range(self.l):
-                out[i * m:(i + 1) * m, j * m:(j + 1) * m] = self.blocks[i][j]
-        return out
+        return np.block([list(row) for row in self.blocks])
 
 
 def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
     """Decompose the color graph of a split extension into K-blocks."""
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no block decomposition")
-    transversal = left_transversal_ordering(group)
     l, m = group.l, group.m
-    beta_values = []
-    blocks = []
-    for i in range(l):
-        hi_inv = group.inv((i, 0))
-        beta_row = []
-        block_row = []
-        for j in range(l):
-            values = [
-                color(group.mul(group.mul((j, 0), (0, c)), hi_inv))
-                for c in range(m)
-            ]
-            block = np.zeros((m, m), dtype=complex)
-            for a in range(m):
-                for b in range(m):
-                    value = values[(b - a) % m]
-                    if value != 0:
-                        block[a, b] = value
-            block.flags.writeable = False
-            beta_row.append(tuple(values))
-            block_row.append(block)
-        beta_values.append(tuple(beta_row))
-        blocks.append(tuple(block_row))
+    coset = np.arange(l)[:, None, None] * m
+    # beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has index j*m + c
+    values = color.as_vector(group.elements())[group.mul_idx(
+        coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])]
+    # block_ij[a, b] = beta_ij(b - a): a circulant over K
+    blocks = values[:, :, (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+    blocks.flags.writeable = False
     return BlockDecomposition(
         group=group,
-        transversal=transversal,
-        blocks=tuple(blocks),
-        beta_values=tuple(beta_values),
+        transversal=left_transversal_ordering(group),
+        blocks=tuple(tuple(row) for row in blocks),
+        beta_values=tuple(tuple(map(tuple, row)) for row in values.tolist()),
     )
 
 
@@ -352,6 +331,8 @@ def read_edge_list(path, n: int) -> np.ndarray:
                 value = complex(float(parts[2]), float(parts[3]))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if not cmath.isfinite(value):
+                raise ConfigError(f"{path}:{lineno}: non-finite value {raw.strip()!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError(f"{path}:{lineno}: vertex out of range for n={n}")
             out[i, j] = value

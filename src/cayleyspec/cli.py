@@ -53,6 +53,12 @@ def _encode_element(g):
     return g
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON int or float (not a bool) with a finite float value."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
@@ -175,10 +181,9 @@ class Job:
                 raise ConfigError(f"connection.entries[{idx}].element: {exc}") from None
             value = entry["value"]
             if (not isinstance(value, list) or len(value) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                           for x in value)):
+                    or not all(_is_finite_number(x) for x in value)):
                 raise ConfigError(
-                    f"connection.entries[{idx}].value must be [re, im]"
+                    f"connection.entries[{idx}].value must be [re, im] finite numbers"
                 )
             if g in values:
                 raise ConfigError(
@@ -208,8 +213,8 @@ class Job:
         if not isinstance(options["verify"], bool):
             raise ConfigError("options.verify must be a boolean")
         tol = options["tolerance"]
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError("options.tolerance must be a positive number")
+        if not _is_finite_number(tol) or tol <= 0:
+            raise ConfigError("options.tolerance must be a positive finite number")
         options["tolerance"] = float(tol)
         if options["format"] not in ("json", "csv"):
             raise ConfigError("options.format must be 'json' or 'csv'")
@@ -253,6 +258,10 @@ def _parse_irrep_tables(group, raw) -> irreps.IrrepSet:
                 raise ConfigError(
                     f"irreps[{idx}].matrices[{key}] must hold {degree * degree} "
                     "[re, im] pairs in row-major order"
+                )
+            if not all(_is_finite_number(x) for pair in flat for x in pair):
+                raise ConfigError(
+                    f"irreps[{idx}].matrices[{key}] entries must be finite numbers"
                 )
             data = np.array(
                 [complex(pair[0], pair[1]) for pair in flat], dtype=complex
@@ -331,25 +340,7 @@ def _compute_spectrum(job: Job, method: str, eigenvectors: bool) -> spectra.Spec
             group, job.color, _normal_irreps(job), eigenvectors=eigenvectors
         )
     # blocks
-    irrep_set = _normal_irreps(job)
-    decomposition = spectra.block_diagonalize(group, job.color, irrep_set)
-    lines = []
-    for u_idx, (rho, eigs) in enumerate(
-            zip(irrep_set, decomposition.block_eigenvalues)):
-        if eigs is None:
-            raise ConfigError(
-                f"method 'blocks' cannot extract eigenvalues of the degree-"
-                f"{rho.degree} block {rho.label!r} in closed form"
-            )
-        for v_idx, value in enumerate(eigs):
-            lines.append(spectra.SpectralLine(
-                u=u_idx,
-                v=v_idx,
-                labels=(rho.label,),
-                eigenvalue=complex(value),
-                multiplicity=rho.degree,
-            ))
-    return spectra.Spectrum(n=group.order, method="blocks", lines=lines)
+    return spectra.block_diagonalize(group, job.color, _normal_irreps(job)).spectrum()
 
 
 def _spectrum_payload(spectrum: spectra.Spectrum, include_vectors: bool,

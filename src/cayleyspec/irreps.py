@@ -4,6 +4,13 @@ Built-in constructions cover cyclic groups, abelian products, dihedral
 groups, and split extensions of a cyclic complement acting on a cyclic
 normal part (which includes the metacyclic family).  Arbitrary groups are
 served through user-supplied tables validated by ``validate_irrep_set``.
+
+Each irrep is stored as one read-only ``(n, d, d)`` array over a tuple of
+elements, with its characters as the traces.  Built-ins fill the arrays
+from ``unit_root`` tables over the group's canonical order; a user table
+given as a per-element dict keeps the dict's order and may be partial
+until validation.  Validation, the P-matrix, the Fourier transform and the
+spectrum formulas all read those arrays.
 """
 
 from __future__ import annotations
@@ -11,12 +18,13 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityExceeded, IrrepValidationFailed, IrrepsUnavailable
+from .errors import IrrepValidationFailed, IrrepsUnavailable
 from .groups import (
     DEFAULT_CAPACITY,
     AbelianProductGroup,
@@ -25,6 +33,7 @@ from .groups import (
     FiniteGroup,
     MetacyclicGroup,
     SplitExtensionGroup,
+    _block_len,
 )
 
 
@@ -45,35 +54,87 @@ def unit_root(numerator: int, denominator: int) -> complex:
     return cmath.exp(2j * cmath.pi * (t / denominator))
 
 
+def _root_table(n: int) -> np.ndarray:
+    """``unit_root(t, n)`` for t in range(n)."""
+    return np.array([unit_root(t, n) for t in range(n)], dtype=complex)
+
+
 def _frozen(matrix: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(matrix, dtype=complex)
     out.flags.writeable = False
     return out
 
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``a * b`` by the textbook formula, as Python's complex
+    type computes it; numpy's own product may fuse a multiply-add and
+    differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _character_sum(values: np.ndarray, characters: np.ndarray) -> complex:
+    """sum_g values[g] * characters[g] over the nonzero values, term by term
+    in element order with Python complex arithmetic."""
+    nz = np.flatnonzero(values)
+    return sum(v * c for v, c in zip(values[nz].tolist(), characters[nz].tolist()))
+
+
 class UnitaryIrrep:
-    """One unitary matrix representation, stored elementwise, with characters."""
+    """One unitary matrix representation with its characters.
+
+    ``stack[i]`` is the matrix at ``elements[i]`` and ``characters[i]`` its
+    trace; both arrays are read-only.  ``UnitaryIrrep(label, {g: matrix})``
+    builds one from a per-element table, in the table's order.
+    """
 
     def __init__(self, label: str, matrices: dict):
         if not matrices:
             raise ValueError("irrep needs at least one matrix")
-        self.label = label
-        self.matrices = {g: _frozen(M) for g, M in matrices.items()}
-        first = next(iter(self.matrices.values()))
-        self.degree = int(first.shape[0])
-        for g, M in self.matrices.items():
-            if M.shape != (self.degree, self.degree):
+        arrays = [np.asarray(M, dtype=complex) for M in matrices.values()]
+        degree = int(arrays[0].shape[0])
+        for g, M in zip(matrices, arrays):
+            if M.shape != (degree, degree):
                 raise ValueError(
                     f"irrep {label!r}: matrix at {g!r} has shape {M.shape}, "
-                    f"expected {(self.degree, self.degree)}"
+                    f"expected {(degree, degree)}"
                 )
-        self._characters = {g: complex(np.trace(M)) for g, M in self.matrices.items()}
+        self._install(label, tuple(matrices), np.stack(arrays))
+
+    @classmethod
+    def _from_stack(cls, label: str, elements: tuple, stack: np.ndarray):
+        rho = cls.__new__(cls)
+        rho._install(label, elements, stack)
+        return rho
+
+    def _install(self, label, elements, stack):
+        self.label = label
+        self.elements = elements
+        self.stack = _frozen(stack)
+        self.degree = int(stack.shape[1])
+        self.characters = _frozen(np.trace(self.stack, axis1=1, axis2=2))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {g: i for i, g in enumerate(self.elements)}
+
+    def _rows(self, elements: tuple):
+        """Rows holding ``elements``, in order; a slice when they coincide."""
+        if self.elements == elements:
+            return slice(None)
+        return np.array([self._index[g] for g in elements], dtype=np.int64)
+
+    @property
+    def matrices(self) -> dict:
+        return dict(zip(self.elements, self.stack))
 
     def matrix(self, g) -> np.ndarray:
-        return self.matrices[g]
+        return self.stack[self._index[g]]
 
     def character(self, g) -> complex:
-        return self._characters[g]
+        return complex(self.characters[self._index[g]])
 
     def __repr__(self):
         return f"<UnitaryIrrep {self.label!r} degree={self.degree}>"
@@ -115,31 +176,35 @@ class IrrepSet:
 def irreps_cyclic(n: int) -> IrrepSet:
     """Characters chi_v(k^s) = e^{2 pi i v s / n}, ordered by v."""
     group = CyclicGroup(n)
-    irreps = []
-    for v in range(n):
-        mats = {s: np.array([[unit_root(v * s, n)]]) for s in range(n)}
-        irreps.append(UnitaryIrrep(f"chi_{v}", mats))
+    elems = tuple(group.elements())
+    roots = _root_table(n)
+    s = np.arange(n, dtype=np.int64)
+    irreps = [
+        UnitaryIrrep._from_stack(f"chi_{v}", elems, roots[v * s % n].reshape(n, 1, 1))
+        for v in range(n)
+    ]
     return IrrepSet(group, irreps, trusted=True)
 
 
 def irreps_abelian(orders: Sequence[int], capacity: int = DEFAULT_CAPACITY) -> IrrepSet:
     """Product characters of a direct product of cyclic groups."""
     group = AbelianProductGroup(orders, capacity=capacity)
+    elems = tuple(group.elements())
+    n = group.order
+    digits = np.array(elems, dtype=np.int64).reshape(n, len(group.orders))
+    tables = [_root_table(o) for o in group.orders]
     irreps = []
     for exps in itertools.product(*(range(o) for o in group.orders)):
-        mats = {}
-        for g in group.elements():
-            value = 1.0 + 0j
-            for v, s, o in zip(exps, g, group.orders):
-                value *= unit_root(v * s, o)
-            mats[g] = np.array([[value]])
+        values = np.ones(n, dtype=complex)
+        for t, (v, o) in enumerate(zip(exps, group.orders)):
+            values = _cmul(values, tables[t][v * digits[:, t] % o])
         label = "chi_" + "_".join(str(v) for v in exps)
-        irreps.append(UnitaryIrrep(label, mats))
+        irreps.append(UnitaryIrrep._from_stack(label, elems, values.reshape(n, 1, 1)))
     return IrrepSet(group, irreps, trusted=True)
 
 
 def irreps_dihedral(n: int) -> IrrepSet:
-    """Irreps of D_n for n >= 3.
+    """Irreps of D_n for n >= 3, induced from the rotations.
 
     Linear characters send the rotation and the reflection to signs; the
     two-dimensional irrep E_j sends the rotation to diag(w^j, w^-j) with
@@ -147,27 +212,13 @@ def irreps_dihedral(n: int) -> IrrepSet:
     """
     if n < 3:
         raise ValueError(f"dihedral irreps need n >= 3, got {n}")
-    group = DihedralGroup(n)
-    irreps = []
-    linear = [("A1", 1.0, 1.0), ("A2", -1.0, 1.0)]
-    if n % 2 == 0:
-        linear += [("B1", 1.0, -1.0), ("B2", -1.0, -1.0)]
-    for label, s_val, rho_val in linear:
-        mats = {
-            (ref, rot): np.array([[(s_val ** ref) * (rho_val ** rot)]])
-            for ref in range(2)
-            for rot in range(n)
-        }
-        irreps.append(UnitaryIrrep(label, mats))
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    for j in range(1, (n + 1) // 2 if n % 2 else n // 2):
-        mats = {}
-        for rot in range(n):
-            r_mat = np.diag([unit_root(j * rot, n), unit_root(-j * rot, n)])
-            mats[(0, rot)] = r_mat
-            mats[(1, rot)] = swap @ r_mat
-        irreps.append(UnitaryIrrep(f"E{j}", mats))
-    return IrrepSet(group, irreps, trusted=True)
+    irrep_set = _cyclic_complement_irreps(DihedralGroup(n))
+    # induced order: orbits {0} (and {n/2}) with both signs on the
+    # reflection, then the orbits {j, -j}
+    linear = ["A1", "A2"] if n % 2 else ["A1", "A2", "B1", "B2"]
+    for rho, label in zip(irrep_set, linear + [f"E{j}" for j in range(1, (n + 1) // 2)]):
+        rho.label = label
+    return irrep_set
 
 
 def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
@@ -176,13 +227,16 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
     For each orbit of v -> v*r on Z_m (size t, t | l) and each w < l/t the
     irrep of degree t sends k to diag over the orbit's characters and h to
     the cyclic down-shift whose wrap-around entry carries e^{2 pi i w t / l}.
+    So h^a k^b sends coordinate j to (j - a) mod t with the factor
+    e^{2 pi i (w t q / l + orbit_j b / m)}, where q counts the wraps; each
+    entry is one root of unity of order dividing l*m.
     """
     if not isinstance(group.h_group, CyclicGroup):
         raise IrrepsUnavailable(
             "induced construction needs a cyclic complement, got "
             f"{group.h_group.kind!r}"
         )
-    m, l = group.m, group.l
+    m, l, n = group.m, group.l, group.order
     r = group.units[1] if l > 1 else 1 % m
     seen: set = set()
     orbits = []
@@ -196,6 +250,10 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
             x = x * r % m
         seen.update(orbit)
         orbits.append(orbit)
+    elems = tuple(group.elements())
+    roots = _root_table(n)
+    a = np.arange(l, dtype=np.int64)[:, None, None]
+    b = np.arange(m, dtype=np.int64)[None, :, None]
     entries = []
     for orbit in orbits:
         t = len(orbit)
@@ -203,24 +261,16 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
             raise IrrepsUnavailable(
                 f"orbit size {t} does not divide complement order {l}"
             )
-        d_mat = np.diag([unit_root(s, m) for s in orbit]).astype(complex)
+        j = np.arange(t, dtype=np.int64)[None, None, :]
+        rows = (j - a) % t
+        wraps = -((j - a) // t)
+        k_part = np.array(orbit, dtype=np.int64)[j] * b * l
         for w in range(l // t):
-            a_mat = np.zeros((t, t), dtype=complex)
-            a_mat[t - 1, 0] = unit_root(w * t, l)
-            for j in range(1, t):
-                a_mat[j - 1, j] = 1.0
-            a_pows = [np.eye(t, dtype=complex)]
-            for _ in range(l - 1):
-                a_pows.append(a_pows[-1] @ a_mat)
-            d_pows = [np.eye(t, dtype=complex)]
-            for _ in range(m - 1):
-                d_pows.append(d_pows[-1] @ d_mat)
-            mats = {
-                (a, b): a_pows[a] @ d_pows[b]
-                for a in range(l)
-                for b in range(m)
-            }
-            entries.append((t, orbit[0], w, UnitaryIrrep(f"X{orbit[0]}.{w}", mats)))
+            stack = np.zeros((l, m, t, t), dtype=complex)
+            stack[a, b, rows, j] = roots[(w * t * m * wraps + k_part) % n]
+            rho = UnitaryIrrep._from_stack(
+                f"X{orbit[0]}.{w}", elems, stack.reshape(n, t, t))
+            entries.append((t, orbit[0], w, rho))
     entries.sort(key=lambda item: item[:3])
     return IrrepSet(group, [item[3] for item in entries], trusted=True)
 
@@ -274,6 +324,21 @@ class IrrepValidationReport:
             raise IrrepValidationFailed(self)
 
 
+def _first_worst(chunks) -> tuple:
+    """The largest value over consecutive arrays and the flat position where
+    it first occurs.  NaN counts as largest; (0.0, None) when all are 0."""
+    worst, where, offset = 0.0, None, 0
+    for chunk in chunks:
+        flat = chunk.ravel()
+        k = int(np.argmax(flat))
+        if not flat[k] <= worst:
+            worst, where = float(flat[k]), offset + k
+            if np.isnan(worst):
+                break
+        offset += flat.size
+    return worst, where
+
+
 def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
                        hom_tol: float = 1e-10, unitary_tol: float = 1e-10,
                        irreducible_tol: float = 1e-9,
@@ -283,58 +348,63 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
     Checks coverage, the homomorphism property over all element pairs,
     unitarity, irreducibility and pairwise orthogonality of characters,
     and completeness (sum of squared degrees equals the group order).
-    The homomorphism sweep is quadratic in the group order.
+    The homomorphism sweep runs on the group kernel in blocks within its
+    block budget.  Witnesses are the first elements (pairs in row-major
+    order) attaining the worst deviation; a NaN deviation fails its check.
     """
     issues = []
-    elems = group.elements()
+    elems = tuple(group.elements())
     n = group.order
+    idx = np.arange(n, dtype=np.int64)
+    identity = group.index(group.identity)
+    covered = []
     for rho in irrep_set:
-        missing = [g for g in elems if g not in rho.matrices]
-        if missing:
-            issues.append(ValidationIssue(
-                "coverage", (rho.label,), missing[0], float(len(missing))))
-            continue
-        ident = rho.matrix(group.identity)
-        dev = float(np.max(np.abs(ident - np.eye(rho.degree))))
-        if dev > hom_tol:
+        if rho.elements != elems:
+            missing = [g for g in elems if g not in rho._index]
+            if missing:
+                issues.append(ValidationIssue(
+                    "coverage", (rho.label,), missing[0], float(len(missing))))
+                continue
+        rows = rho._rows(elems)
+        stack = rho.stack[rows]
+        eye = np.eye(rho.degree)
+        dev = float(np.max(np.abs(stack[identity] - eye)))
+        if not dev <= hom_tol:
             issues.append(ValidationIssue(
                 "identity", (rho.label,), group.identity, dev))
-        worst = 0.0
-        worst_pair = None
-        for x in elems:
-            mx = rho.matrix(x)
-            for y in elems:
-                dev = float(np.max(np.abs(
-                    rho.matrix(group.mul(x, y)) - mx @ rho.matrix(y))))
-                if dev > worst:
-                    worst, worst_pair = dev, (x, y)
-        if worst > hom_tol:
+        # M[x y] - M[x] M[y] for blocks of rows x against all y: one gather
+        # and one GEMM (x i, j) @ (j, y k) per block
+        d = rho.degree
+        right = stack.transpose(1, 0, 2).reshape(d, n * d)
+        step = _block_len(2 * n * d * d)
+        worst, at = _first_worst(
+            np.abs(stack[group.mul_idx(x[:, None], idx)] - (stack[x].reshape(-1, d) @ right)
+                   .reshape(len(x), d, n, d).transpose(0, 2, 1, 3)).max(axis=(2, 3))
+            for x in (idx[lo:lo + step] for lo in range(0, n, step)))
+        if not worst <= hom_tol:
             issues.append(ValidationIssue(
-                "homomorphism", (rho.label,), worst_pair, worst))
-        worst = 0.0
-        worst_g = None
-        eye = np.eye(rho.degree)
-        for g in elems:
-            mg = rho.matrix(g)
-            dev = float(np.max(np.abs(mg.conj().T @ mg - eye)))
-            if dev > worst:
-                worst, worst_g = dev, g
-        if worst > unitary_tol:
-            issues.append(ValidationIssue("unitarity", (rho.label,), worst_g, worst))
-        norm = sum(abs(rho.character(g)) ** 2 for g in elems) / n
-        if abs(norm - 1.0) > irreducible_tol:
+                "homomorphism", (rho.label,), (elems[at // n], elems[at % n]), worst))
+        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+        worst, at = _first_worst([np.abs(gram - eye).max(axis=(1, 2))])
+        if not worst <= unitary_tol:
+            issues.append(ValidationIssue("unitarity", (rho.label,), elems[at], worst))
+        characters = rho.characters[rows]
+        norm = sum((np.abs(characters) ** 2).tolist()) / n
+        if not abs(norm - 1.0) <= irreducible_tol:
             issues.append(ValidationIssue(
                 "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
-    for i, rho in enumerate(irrep_set):
-        for tau in irrep_set.irreps[i + 1:]:
-            if any(g not in rho.matrices or g not in tau.matrices for g in elems):
-                continue
-            inner = sum(
-                rho.character(g) * tau.character(g).conjugate() for g in elems
-            ) / n
-            if abs(inner) > orthogonality_tol:
-                issues.append(ValidationIssue(
-                    "orthogonality", (rho.label, tau.label), None, float(abs(inner))))
+        covered.append((rho.label, characters))
+    if covered:
+        labels = [label for label, _ in covered]
+        table = np.array([characters for _, characters in covered])
+        step = _block_len(2 * len(covered))
+        for lo in range(0, len(covered), step):
+            inner = np.abs(table[lo:lo + step] @ table.conj().T / n)
+            for i, j in zip(*np.nonzero(~(inner <= orthogonality_tol))):
+                if j > lo + i:
+                    issues.append(ValidationIssue(
+                        "orthogonality", (labels[lo + i], labels[j]), None,
+                        float(inner[i, j])))
     total = sum(rho.degree ** 2 for rho in irrep_set)
     if total != n:
         issues.append(ValidationIssue(
@@ -364,13 +434,27 @@ class FourierBlock:
         return int(self.matrix.shape[0])
 
 
+def _fourier_sums(values: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """sum_g values[g] * stacks[k, g] for each k, for stacks of shape
+    (K, n, d, d): the terms with nonzero values, added in element order."""
+    nz = np.flatnonzero(values)
+    if nz.size == 0:
+        return np.zeros((len(stacks),) + stacks.shape[2:], dtype=complex)
+    terms = values[nz, None, None] * stacks[:, nz]
+    # a running sum keeps the order of the terms; + 0.0 turns an
+    # all-negative-zero entry into +0, as a sum started from 0 would
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+
+
 def fourier_transform(f, irrep: UnitaryIrrep) -> FourierBlock:
-    """sum over the group of f(g) * rho(g); f is any callable on elements."""
-    total = np.zeros((irrep.degree, irrep.degree), dtype=complex)
-    for g, mat in irrep.matrices.items():
-        value = complex(f(g))
-        if value != 0:
-            total += value * mat
+    """sum over the group of f(g) * rho(g).
+
+    ``f`` is any callable on elements, or the vector of its values over
+    ``irrep.elements``.
+    """
+    values = f if isinstance(f, np.ndarray) else np.array(
+        [f(g) for g in irrep.elements], dtype=complex)
+    total = _fourier_sums(values, irrep.stack[None])[0]
     return FourierBlock(label=irrep.label, matrix=_frozen(total))
 
 
@@ -393,23 +477,26 @@ class PMatrix:
         return int(self.matrix.shape[0])
 
     def column_span(self, label: str) -> range:
-        lo = None
-        hi = None
-        for idx, (lbl, _, _) in enumerate(self.column_labels):
-            if lbl == label:
-                if lo is None:
-                    lo = idx
-                hi = idx
-        if lo is None:
+        columns = [c for c, (lbl, _, _) in enumerate(self.column_labels) if lbl == label]
+        if not columns:
             raise KeyError(f"no columns for irrep {label!r}")
-        return range(lo, hi + 1)
+        return range(columns[0], columns[-1] + 1)
+
+
+def _degree_batches(irrep_set: IrrepSet, elems: tuple):
+    """Per degree: the positions of its irreps in the set, and their
+    stacks over ``elems`` as one (K, n, d, d) array."""
+    for d in sorted(set(irrep_set.degrees())):
+        batch = [k for k, rho in enumerate(irrep_set) if rho.degree == d]
+        yield batch, np.stack(
+            [irrep_set[k].stack[irrep_set[k]._rows(elems)] for k in batch])
 
 
 def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet,
                    ordering: Optional[Sequence] = None) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients."""
     ensure_trusted(group, irrep_set)
-    elems = list(ordering) if ordering is not None else group.elements()
+    elems = tuple(ordering) if ordering is not None else tuple(group.elements())
     n = group.order
     if len(elems) != n:
         raise ValueError(f"ordering has {len(elems)} entries for order {n}")
@@ -419,17 +506,15 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet,
             ValidationIssue("completeness", tuple(irrep_set.labels()), None,
                             float(abs(total - n)))
         ]))
+    offsets = np.cumsum([0] + [rho.degree ** 2 for rho in irrep_set])
     p_mat = np.zeros((n, n), dtype=complex)
-    labels = []
-    col = 0
-    for rho in irrep_set:
-        d = rho.degree
-        scale = sqrt(d / n)
-        stack = np.stack([rho.matrix(g) for g in elems])
-        for j in range(d):
-            for i in range(d):
-                p_mat[:, col] = scale * stack[:, i, j]
-                labels.append((rho.label, i, j))
-                col += 1
-    return PMatrix(matrix=_frozen(p_mat), ordering=tuple(elems),
-                   column_labels=tuple(labels))
+    for batch, stacks in _degree_batches(irrep_set, elems):
+        d = stacks.shape[2]
+        columns = (offsets[batch][:, None] + np.arange(d * d)).ravel()
+        # (k, g, i, j) -> (g, k, j, i): column offset_k + j*d + i
+        p_mat[:, columns] = sqrt(d / n) * stacks.transpose(1, 0, 3, 2).reshape(n, -1)
+    labels = tuple(
+        (rho.label, i, j)
+        for rho in irrep_set for j in range(rho.degree) for i in range(rho.degree)
+    )
+    return PMatrix(matrix=_frozen(p_mat), ordering=elems, column_labels=labels)

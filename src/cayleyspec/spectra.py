@@ -24,7 +24,7 @@ every claim:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .cayley import ColorFunction, adjacency_matrix
 from .errors import (
+    CapacityExceeded,
     HypothesesViolated,
     InvalidAction,
     LayerNotInvariant,
@@ -49,9 +50,12 @@ from .irreps import (
     FourierBlock,
     IrrepSet,
     PMatrix,
+    _character_sum,
+    _degree_batches,
+    _fourier_sums,
+    _frozen,
     build_p_matrix,
     ensure_trusted,
-    fourier_transform,
     unit_root,
 )
 
@@ -293,21 +297,18 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
             witness=witness,
         )
     ensure_trusted(group, irrep_set)
-    elems = group.elements()
-    values = [color(g) for g in elems]
+    elems = tuple(group.elements())
+    alpha = color.as_vector(elems)
     p_matrix = build_p_matrix(group, irrep_set) if eigenvectors else None
     lines = []
     col = 0
     for k_idx, rho in enumerate(irrep_set):
         d = rho.degree
-        eig = sum(
-            value * rho.character(g) for g, value in zip(elems, values) if value != 0
-        ) / d
+        eig = _character_sum(alpha, rho.characters[rho._rows(elems)]) / d
         vectors = None
         vector_labels = None
         if eigenvectors:
-            span = range(col, col + d * d)
-            vectors = p_matrix.matrix[:, span].T.copy()
+            vectors = p_matrix.matrix[:, col:col + d * d].T.copy()
             vectors.flags.writeable = False
             vector_labels = tuple(
                 (i, j) for j in range(d) for i in range(d)
@@ -353,75 +354,57 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     ensure_trusted(h_group, irreps_h)
     ensure_trusted(irreps_k.group, irreps_k)
     h_classes = h_group.conjugacy_classes()
-    rep_indices = [h_group.index(cls.representative) for cls in h_classes]
-    class_sizes = [cls.size for cls in h_classes]
-    # alpha at rep_i * k^b is just the element (rep_index_i, b)
-    alpha_rows = [
-        [color((a, b)) for b in range(m)] for a in rep_indices
-    ]
-    second_rows = None
+    k_chars = [rho.characters[rho._rows(tuple(range(m)))] for rho in irreps_k]
+
+    def class_sums(h):
+        """sigma_v at the class of h for every K-irrep v; alpha(h k^b) is
+        alpha at the element (index of h, b)."""
+        row = color.as_vector([(h_group.index(h), b) for b in range(m)])
+        return [_character_sum(row, chars) / rho.degree
+                for rho, chars in zip(irreps_k, k_chars)]
+
+    k_terms = list(zip(*(class_sums(cls.representative) for cls in h_classes)))
     if check_representatives:
-        second_rows = []
-        for cls in h_classes:
-            if cls.size > 1:
-                a2 = h_group.index(cls.members[1])
-                second_rows.append([color((a2, b)) for b in range(m)])
-            else:
-                second_rows.append(None)
+        for i, cls in enumerate(h_classes):
+            if cls.size == 1:
+                continue
+            for v, redo in enumerate(class_sums(cls.members[1])):
+                assert abs(redo - k_terms[v][i]) <= 1e-10, (
+                    f"class {i} sum differs between representatives: "
+                    f"{k_terms[v][i]} vs {redo}"
+                )
+    if eigenvectors:
+        # coefficient vectors of each factor are its P-matrix columns
+        p_h = build_p_matrix(h_group, irreps_h)
+        p_k = build_p_matrix(irreps_k.group, irreps_k)
     lines = []
-    h_elts = h_group.elements()
+    h_col = 0
     for u_idx, rho_u in enumerate(irreps_h):
         d_u = rho_u.degree
+        h_span = slice(h_col, h_col + d_u * d_u)
+        h_col += d_u * d_u
         lambda_terms = tuple(
-            size * rho_u.character(cls.representative) / d_u
-            for size, cls in zip(class_sizes, h_classes)
+            cls.size * rho_u.character(cls.representative) / d_u for cls in h_classes
         )
-        h_cols = None
-        if eigenvectors:
-            stack = np.stack([rho_u.matrix(h) for h in h_elts])
-            scale = sqrt(d_u / l)
-            h_cols = [
-                (scale * stack[:, i, j], (i, j))
-                for j in range(d_u)
-                for i in range(d_u)
-            ]
+        k_col = 0
         for v_idx, rho_v in enumerate(irreps_k):
             d_v = rho_v.degree
-            sigma_terms = tuple(
-                sum(row[b] * rho_v.character(b) for b in range(m) if row[b] != 0) / d_v
-                for row in alpha_rows
-            )
-            if check_representatives:
-                for i, row in enumerate(second_rows):
-                    if row is None:
-                        continue
-                    redo = sum(
-                        row[b] * rho_v.character(b) for b in range(m) if row[b] != 0
-                    ) / d_v
-                    assert abs(redo - sigma_terms[i]) <= 1e-10, (
-                        f"class {i} sum differs between representatives: "
-                        f"{sigma_terms[i]} vs {redo}"
-                    )
-            eig = sum(lt * st for lt, st in zip(lambda_terms, sigma_terms))
+            k_span = slice(k_col, k_col + d_v * d_v)
+            k_col += d_v * d_v
+            eig = sum(lt * st for lt, st in zip(lambda_terms, k_terms[v_idx]))
             vectors = None
             vector_labels = None
             if eigenvectors:
-                k_stack = np.stack([rho_v.matrix(b) for b in range(m)])
-                k_scale = sqrt(d_v / m)
-                k_cols = [
-                    (k_scale * k_stack[:, i2, j2], (i2, j2))
-                    for j2 in range(d_v)
-                    for i2 in range(d_v)
-                ]
-                rows = []
-                vector_labels = []
-                for h_vec, (i, j) in h_cols:
-                    for k_vec, (i2, j2) in k_cols:
-                        rows.append(np.kron(h_vec, k_vec))
-                        vector_labels.append((i, j, i2, j2))
-                vectors = np.vstack(rows)
+                h_vecs = p_h.matrix[:, h_span].T
+                k_vecs = p_k.matrix[:, k_span].T
+                # row (p, q) is kron(h_vecs[p], k_vecs[q])
+                vectors = (h_vecs[:, None, :, None] * k_vecs[None, :, None, :]
+                           ).reshape(-1, l * m)
                 vectors.flags.writeable = False
-                vector_labels = tuple(vector_labels)
+                vector_labels = tuple(
+                    h[1:] + k[1:] for h in p_h.column_labels[h_span]
+                    for k in p_k.column_labels[k_span]
+                )
             lines.append(SpectralLine(
                 u=u_idx,
                 v=v_idx,
@@ -431,7 +414,7 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                 eigenvectors=vectors,
                 vector_labels=vector_labels,
                 h_class_terms=lambda_terms,
-                k_class_terms=sigma_terms,
+                k_class_terms=k_terms[v_idx],
             ))
     return Spectrum(
         n=group.order,
@@ -505,6 +488,9 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     return Spectrum(n=l * m, method="metacyclic", lines=lines)
 
 
+RECONSTRUCTION_CAPACITY = 500
+
+
 @dataclass(frozen=True)
 class BlockDiagonalization:
     """Fourier blocks of alpha with the adjacency reconstruction residual.
@@ -520,43 +506,79 @@ class BlockDiagonalization:
     block_eigenvalues: tuple
 
     def diagonal_matrix(self) -> np.ndarray:
+        """diag(I_{d_k} (x) block_k^T), the adjacency in the basis P."""
         n = self.p_matrix.n
         out = np.zeros((n, n), dtype=complex)
         offset = 0
         for block in self.blocks:
             d = block.degree
-            chunk = np.kron(np.eye(d), block.matrix.T)
-            out[offset:offset + d * d, offset:offset + d * d] = chunk
+            for lo in range(offset, offset + d * d, d):
+                out[lo:lo + d, lo:lo + d] = block.matrix.T
             offset += d * d
         return out
+
+    def spectrum(self) -> Spectrum:
+        """The extracted block eigenvalues as a spectrum without vectors.
+
+        Each eigenvalue of a degree-d block has multiplicity d.  Raises
+        InvalidAction when a block of degree >= 3 was left unextracted.
+        """
+        lines = []
+        for u_idx, (block, eigs) in enumerate(
+                zip(self.blocks, self.block_eigenvalues)):
+            if eigs is None:
+                raise InvalidAction(
+                    f"method 'blocks' cannot extract eigenvalues of the degree-"
+                    f"{block.degree} block {block.label!r} in closed form"
+                )
+            for v_idx, value in enumerate(eigs):
+                lines.append(SpectralLine(
+                    u=u_idx,
+                    v=v_idx,
+                    labels=(block.label,),
+                    eigenvalue=complex(value),
+                    multiplicity=block.degree,
+                ))
+        return Spectrum(n=self.p_matrix.n, method="blocks", lines=lines)
 
 
 def block_diagonalize(group: FiniteGroup, color: ColorFunction,
                       irrep_set: IrrepSet) -> BlockDiagonalization:
-    """Push alpha through every irrep and certify the reconstruction."""
-    ensure_trusted(group, irrep_set)
-    blocks = tuple(fourier_transform(color, rho) for rho in irrep_set)
-    p_matrix = build_p_matrix(group, irrep_set)
+    """Push alpha through every irrep and certify the reconstruction.
+
+    The check holds dense n x n matrices and runs two O(n^3) products, so
+    orders above ``RECONSTRUCTION_CAPACITY`` raise CapacityExceeded first.
+    """
+    return _block_diagonalize(group, color, irrep_set, RECONSTRUCTION_CAPACITY)
+
+
+def _block_diagonalize(group, color, irrep_set, capacity) -> BlockDiagonalization:
     n = group.order
-    diag = np.zeros((n, n), dtype=complex)
-    offset = 0
-    eigen_lists = []
-    for block in blocks:
-        d = block.degree
-        diag[offset:offset + d * d, offset:offset + d * d] = np.kron(
-            np.eye(d), block.matrix.T
+    if n > capacity:
+        raise CapacityExceeded(
+            f"reconstruction check is quadratic in n; {n} exceeds {capacity}"
         )
-        offset += d * d
-        eigen_lists.append(_small_block_eigenvalues(block.matrix))
-    adjacency = adjacency_matrix(group, color, ordering=p_matrix.ordering)
-    recon = p_matrix.matrix @ diag @ p_matrix.matrix.conj().T
-    deviation = float(np.max(np.abs(adjacency.matrix - recon)))
-    return BlockDiagonalization(
+    ensure_trusted(group, irrep_set)
+    elems = tuple(group.elements())
+    alpha = color.as_vector(elems)
+    # the transforms of all irreps of one degree come from one running sum
+    blocks = [None] * len(irrep_set)
+    for batch, stacks in _degree_batches(irrep_set, elems):
+        for k, total in zip(batch, _fourier_sums(alpha, stacks)):
+            blocks[k] = FourierBlock(label=irrep_set[k].label, matrix=_frozen(total))
+    blocks = tuple(blocks)
+    p_matrix = build_p_matrix(group, irrep_set)
+    decomposition = BlockDiagonalization(
         blocks=blocks,
         p_matrix=p_matrix,
-        reconstruction_deviation=deviation,
-        block_eigenvalues=tuple(eigen_lists),
+        reconstruction_deviation=math.nan,
+        block_eigenvalues=tuple(_small_block_eigenvalues(b.matrix) for b in blocks),
     )
+    adjacency = adjacency_matrix(group, color, ordering=p_matrix.ordering)
+    p = p_matrix.matrix
+    recon = p @ decomposition.diagonal_matrix() @ p.conj().T
+    return replace(decomposition, reconstruction_deviation=float(
+        np.max(np.abs(adjacency.matrix - recon))))
 
 
 def _small_block_eigenvalues(matrix: np.ndarray):
@@ -564,8 +586,10 @@ def _small_block_eigenvalues(matrix: np.ndarray):
     if d == 1:
         return (complex(matrix[0, 0]),)
     if d == 2:
-        trace = complex(matrix[0, 0] + matrix[1, 1])
-        det = complex(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-        disc = (trace * trace - 4 * det) ** 0.5
+        a, b, c, e = (complex(x) for x in matrix.ravel())
+        trace = a + e
+        # trace^2 - 4 det, written without the cancellation that costs
+        # sqrt(eps) accuracy when the two eigenvalues (nearly) coincide
+        disc = ((a - e) * (a - e) + 4 * b * c) ** 0.5
         return ((trace + disc) / 2, (trace - disc) / 2)
     return None

@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cayley import AdjacencyMatrix, ColorFunction, adjacency_matrix
-from .errors import CapacityExceeded, DimensionMismatch
+from . import spectra
+from .cayley import AdjacencyMatrix, ColorFunction
+from .errors import DimensionMismatch
 from .groups import FiniteGroup
-from .irreps import IrrepSet, build_p_matrix, fourier_transform
-from .spectra import Spectrum, chain_groups
+from .irreps import IrrepSet
+from .spectra import RECONSTRUCTION_CAPACITY, Spectrum, chain_groups
 
-RECONSTRUCTION_CAPACITY = 500
 # bytes of stacked complex vectors (or Gram rows) one certification block holds
 _BLOCK_BYTES = 1 << 23
 
@@ -38,7 +38,8 @@ class VerificationReport:
 
     Component tolerances: residuals against ``tolerance * max(1, |A|_inf)``,
     Gram deviation against ``tolerance``, trace identities against
-    ``tolerance * n``.  Components left as None (not requested) are skipped.
+    ``tolerance * n``.  Components left as None (not requested) are skipped;
+    a NaN deviation fails.
     """
 
     n: int
@@ -55,15 +56,15 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         if self.max_residual is not None:
-            if self.max_residual > self.tolerance * self.scale:
+            if not self.max_residual <= self.tolerance * self.scale:
                 return False
         if self.gram_deviation is not None:
-            if self.gram_deviation > self.tolerance:
+            if not self.gram_deviation <= self.tolerance:
                 return False
         if self.complete is not None and not self.complete:
             return False
         for dev in (self.trace_deviation, self.trace_sq_deviation):
-            if dev is not None and dev > self.tolerance * self.n:
+            if dev is not None and not dev <= self.tolerance * self.n:
                 return False
         return True
 
@@ -95,7 +96,11 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
         )
-    scale = max(1.0, float(np.max(np.sum(np.abs(matrix), axis=1), initial=0.0)))
+    width = _block_columns(n)
+    row_sums = np.empty(n)
+    for lo in range(0, n, width):
+        row_sums[lo:lo + width] = np.sum(np.abs(matrix[lo:lo + width]), axis=1)
+    scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     for line in spectrum.lines:
         if line.eigenvectors is None:
             raise ValueError(
@@ -115,7 +120,6 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         np.array([line.eigenvalue for line in lines], dtype=complex), counts
     )
     column_max = np.zeros(total)
-    width = _block_columns(n)
     for lo in range(0, total, width):
         hi = min(lo + width, total)
         first = int(np.searchsorted(offsets, lo, side="right")) - 1
@@ -134,7 +138,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         n=n,
         tolerance=tol,
         scale=scale,
-        max_residual=max(per_line, default=0.0),
+        max_residual=float(np.max(residuals, initial=0.0)),
         per_line_residuals=per_line,
     )
 
@@ -172,7 +176,7 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
         gram = stacked[lo:lo + step].conj() @ stacked.T
         diagonal = np.arange(gram.shape[0])
         gram[diagonal, lo + diagonal] -= 1
-        gram_deviation = max(gram_deviation, float(np.max(np.abs(gram), initial=0.0)))
+        gram_deviation = float(np.maximum(gram_deviation, np.max(np.abs(gram), initial=0.0)))
     complete = (
         count == spectrum.n and spectrum.total_multiplicity == spectrum.n
     )
@@ -265,23 +269,8 @@ def verify_block_reconstruction(group: FiniteGroup, color: ColorFunction,
     translation matrices, whose (i, j) entry is alpha(g_j g_i^{-1}): the
     adjacency from ``adjacency_matrix``.  The right side conjugates the
     per-irrep blocks diag(I_{d_k} (x) block_k^T) back through the
-    coefficient basis.
+    coefficient basis; both come from ``block_diagonalize``, here with
+    ``capacity`` as its order limit.
     """
-    n = group.order
-    if n > capacity:
-        raise CapacityExceeded(
-            f"reconstruction check is quadratic in n; {n} exceeds {capacity}"
-        )
-    adjacency = adjacency_matrix(group, color).matrix
-    p_matrix = build_p_matrix(group, irrep_set)
-    diag = np.zeros((n, n), dtype=complex)
-    offset = 0
-    for rho in irrep_set:
-        block = fourier_transform(color, rho)
-        d = block.degree
-        diag[offset:offset + d * d, offset:offset + d * d] = np.kron(
-            np.eye(d), block.matrix.T
-        )
-        offset += d * d
-    recon = p_matrix.matrix @ diag @ p_matrix.matrix.conj().T
-    return float(np.max(np.abs(adjacency - recon)))
+    return spectra._block_diagonalize(
+        group, color, irrep_set, capacity).reconstruction_deviation

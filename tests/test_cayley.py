@@ -103,6 +103,25 @@ def test_beta_blocks_prism():
     assert not np.any(beta_blocks(group, zero).assemble())
 
 
+def test_beta_blocks_equal_the_element_loops_byte_for_byte():
+    group, conn = nonnormal_family(7, 3, 2)
+    values = {g: complex(1 + i, -0.5 * i) for i, g in enumerate(conn.elements)}
+    for color in (color_from_set(group, conn.elements), ColorFunction(group, values)):
+        bd = beta_blocks(group, color)
+        for i in range(3):
+            for j in range(3):
+                beta = [color(group.mul(group.mul((j, 0), (0, c)), group.inv((i, 0))))
+                        for c in range(7)]
+                assert bd.beta_values[i][j] == tuple(beta)
+                loop = np.zeros((7, 7), dtype=complex)
+                for a in range(7):
+                    for b in range(7):
+                        if beta[(b - a) % 7] != 0:
+                            loop[a, b] = beta[(b - a) % 7]
+                assert bd.blocks[i][j].tobytes() == loop.tobytes()
+                assert not bd.blocks[i][j].flags.writeable
+
+
 def test_beta_blocks_depend_only_on_coset_difference():
     # under the checked invariance conditions, beta_ij = beta_{1t} with
     # h_t = h_j * h_i^{-1}
@@ -176,6 +195,10 @@ def test_edge_list_diagnostics(tmp_path):
     path.write_text("9 0 1 0\n")
     with pytest.raises(ConfigError, match="vertex"):
         read_edge_list(path, 4)
+    for value in ("nan 0", "0 inf", "-inf 1", "1e999 0"):
+        path.write_text(f"# header\n0 1 1 0\n1 0 {value}\n")
+        with pytest.raises(ConfigError, match=r"bad\.txt:3: non-finite"):
+            read_edge_list(path, 4)
 
 
 def test_weighted_complex_colors():

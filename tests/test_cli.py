@@ -270,6 +270,10 @@ def test_config_diagnostics(tmp_path, capsys):
           "connection": {"mode": "color",
                          "entries": [{"element": 1, "value": [1]}]}},
          "re, im"),
+        ({"group": {"type": "cyclic", "n": 6},
+          "connection": {"mode": "color",
+                         "entries": [{"element": 1, "value": [float("inf"), 0]}]}},
+         "finite"),
     ]
     for payload, needle in cases:
         config = write_config(tmp_path, payload, name="case.json")
@@ -354,3 +358,60 @@ def test_verify_and_export_build_the_adjacency_once(tmp_path, capsys, monkeypatc
     assert code == 2
     assert len(builds) == 1
     assert np.array_equal(cayley.read_edge_list(exported, 6), expect)
+
+
+def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys):
+    for raw in ("1e999", "NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "tol.json"
+        path.write_text(
+            '{"group": {"type": "cyclic", "n": 5}, '
+            '"connection": {"mode": "set", "elements": [1, 4]}, '
+            f'"options": {{"tolerance": {raw}}}}}', encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 4, raw
+        assert "options.tolerance" in err and out == ""
+
+
+def test_non_finite_edge_weight_is_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 5},
+        "connection": {"mode": "set", "elements": [1, 4]},
+    })
+    edges = str(tmp_path / "edges.txt")
+    assert run(capsys, "export-graph", "--config", config, "--out", edges)[0] == 0
+    lines = open(edges).read().splitlines()
+    lines[2] = lines[2].rsplit(" ", 2)[0] + " nan 0"
+    open(edges, "w").write("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", "--config", config, "--edges", edges)
+    assert code == 4 and out == ""
+    assert "edges.txt:3" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("entry", [["1", 0], [True, 0], [0, float("nan")],
+                                   [float("inf"), 0], [10 ** 400, 0]])
+def test_malformed_irrep_table_entries(tmp_path, capsys, entry):
+    tables = [
+        {"label": rho.label, "degree": 1, "matrices": {
+            str(g): [[rho.character(g).real, rho.character(g).imag]] for g in range(3)}}
+        for rho in irreps_cyclic(3)
+    ]
+    tables[1]["matrices"]["2"] = [entry]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({
+        "group": {"type": "cyclic", "n": 3},
+        "connection": {"mode": "set", "elements": [1, 2]},
+        "irreps": tables,
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "spectrum", "--config", str(path))
+    assert code == 4
+    assert "irreps[1].matrices[2]" in err
+
+
+def test_blocks_method_capacity(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 600},
+        "connection": {"mode": "set", "elements": [1, 599]},
+    })
+    code, out, err = run(capsys, "spectrum", "--config", config, "--method", "blocks")
+    assert code == 4 and out == ""
+    assert "600 exceeds 500" in err

@@ -308,3 +308,32 @@ def test_blocked_gram_matches_whole_gram(monkeypatch):
         check = verify_basis(broken)
         assert abs(check[0] - 1) <= 1e-12 and not check[1]
         assert check.vector_count == 43
+
+
+def test_blocked_scale_equals_the_whole_row_sum_norm(monkeypatch):
+    group, color, spec = order_42_case()
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(42, 42)) + 1j * rng.normal(size=(42, 42))
+    whole = max(1.0, float(np.max(np.sum(np.abs(matrix), axis=1), initial=0.0)))
+    for columns in (1, 5, 42):
+        small_blocks(monkeypatch, columns, 42)
+        report = verify_eigenpairs(matrix, spec)
+        assert np.float64(report.scale).tobytes() == np.float64(whole).tobytes()
+
+
+def test_nan_deviations_fail_verification():
+    from cayleyspec import VerificationReport
+
+    nan = float("nan")
+    for field in ("max_residual", "gram_deviation", "trace_deviation",
+                  "trace_sq_deviation"):
+        report = VerificationReport(n=4, tolerance=1e-9, scale=1.0, **{field: nan})
+        assert not report.passed, field
+    assert VerificationReport(n=4, tolerance=1e-9, scale=1.0, max_residual=0.0).passed
+
+    # a NaN adjacency entry reaches max_residual and fails certification
+    group, color, spec = prism_case()
+    matrix = adjacency_matrix(group, color).matrix.copy()
+    matrix[5, 5] = nan
+    report = certify(matrix, spec, color)
+    assert np.isnan(report.max_residual) and not report.passed
