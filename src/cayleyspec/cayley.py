@@ -6,15 +6,16 @@ lists the out-edges of vertex i.  For split extensions the vertex order is
 the transversal order ``h_a k^b -> a*m + b`` and the matrix splits into
 m-by-m circulant-like blocks indexed by coset pairs.
 
-The adjacency and the connection-set checks run on the group's integer
-kernel (``mul_idx``/``inv_idx``), in row blocks whose index temporaries
-stay within the kernel's block budget; they never touch irreps.
+The adjacency (in row blocks within the kernel's block budget) and the
+connection-set checks (one gather per conjugation orbit) run on the
+group's integer kernel (``mul_idx``/``inv_idx``); they never touch irreps.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .groups import (
     SplitExtensionGroup,
     Transversal,
     _block_len,
+    _conjugation_orbits,
     is_generating_set,
     left_transversal_ordering,
 )
@@ -34,84 +36,78 @@ EDGE_LIST_HEADER = "# vertex v = h^(v div m) k^(v mod m)"
 
 
 class ColorFunction:
-    """A complex-valued function on a group; unlisted elements map to 0."""
+    """A complex-valued function on a group; unlisted elements map to 0.
+
+    The values are one read-only complex ``vector`` over canonical indices.
+    """
 
     def __init__(self, group: FiniteGroup, values: Mapping):
         self.group = group
-        vals = {}
+        vector = np.zeros(group.order, dtype=complex)
         for g, v in values.items():
             if not group.contains(g):
                 raise ConfigError(f"color assigns {g!r}, which is not in the group")
             c = complex(v)
             if c != 0:
-                vals[g] = c
-        self._values = vals
-        self._is_class_function: Optional[bool] = None
-        self._class_witness = None
-
-    @classmethod
-    def from_set(cls, group: FiniteGroup, subset: Iterable) -> "ColorFunction":
-        return cls(group, {g: 1.0 for g in subset})
+                vector[group.index(g)] = c
+        vector.flags.writeable = False
+        self.vector = vector
 
     def __call__(self, g) -> complex:
-        return self._values.get(g, 0j)
+        return self.vector.item(self.group.index(g))
 
     def support(self) -> set:
-        return set(self._values)
+        return {g for g, _ in self.items()}
 
-    def items(self):
-        return self._values.items()
+    def items(self) -> list:
+        """(element, value) pairs of the support, in canonical index order."""
+        nz = np.flatnonzero(self.vector)
+        elems = self.group.elements()
+        return [(elems[i], v) for i, v in zip(nz.tolist(), self.vector[nz].tolist())]
 
     @property
     def vanishes_at_identity(self) -> bool:
-        return self.group.identity not in self._values
+        return self(self.group.identity) == 0
 
     @property
     def is_real(self) -> bool:
-        return all(v.imag == 0 for v in self._values.values())
+        return not self.vector.imag.any()
 
     @property
     def is_symmetric(self) -> bool:
         """alpha(g) == conj(alpha(g^{-1})) everywhere (Hermitian adjacency)."""
-        for g, v in self._values.items():
-            if self(self.group.inv(g)) != v.conjugate():
-                return False
-        return True
+        return bool(np.array_equal(self.vector[self.group.inv_idx], self.vector.conj()))
 
     @property
     def is_class_function(self) -> bool:
-        if self._is_class_function is None:
-            self._class_witness = self._find_class_witness()
-            self._is_class_function = self._class_witness is None
-        return self._is_class_function
+        return self.class_function_witness() is None
 
     def class_function_witness(self):
         """None, or (g, x, xgx^{-1}, alpha(g), alpha(xgx^{-1})) breaking constancy."""
-        self.is_class_function
         return self._class_witness
 
-    def _find_class_witness(self):
-        group = self.group
-        for cls in group.conjugacy_classes():
-            base = self(cls.representative)
-            for member in cls.members:
-                if self(member) != base:
-                    for x in group.elements():
-                        if group.conjugate(cls.representative, x) == member:
-                            return (cls.representative, x, member, base, self(member))
-                    raise AssertionError("class member without conjugator")
+    @cached_property
+    def _class_witness(self):
+        """The first class member, in class order, whose value differs from
+        the representative's, with its first conjugator in element order."""
+        elems = self.group.elements()
+        for members, first in self.group._class_orbits:
+            values = self.vector[members]
+            differ = np.flatnonzero(values != values[0])
+            if differ.size:
+                k = differ[0]
+                return (elems[members[0]], elems[first[k]], elems[members[k]],
+                        complex(values[0]), complex(values[k]))
         return None
 
-    def as_vector(self, ordering: Sequence) -> np.ndarray:
-        return np.array([self(g) for g in ordering], dtype=complex)
-
     def __repr__(self):
-        return f"<ColorFunction on {self.group!r} with support {len(self._values)}>"
+        return (f"<ColorFunction on {self.group!r} with support "
+                f"{np.count_nonzero(self.vector)}>")
 
 
 def color_from_set(group: FiniteGroup, subset: Iterable) -> ColorFunction:
     """Indicator color of a connection set."""
-    return ColorFunction.from_set(group, subset)
+    return ColorFunction(group, {g: 1.0 for g in subset})
 
 
 @dataclass(frozen=True)
@@ -144,29 +140,20 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     member_idx = np.array(indices, dtype=np.int64)
     in_set = np.zeros(group.order, dtype=bool)
     in_set[member_idx] = True
-    inv_idx = group.inv_idx
-    inverses = inv_idx[member_idx]
+    inverses = group.inv_idx[member_idx]
     missing = np.flatnonzero(~in_set[inverses])
     inverse_closed = missing.size == 0
     if not inverse_closed:
         first = missing[0]
         witnesses["inverse_closed"] = (members[first], elems[inverses[first]])
-    conjugators = np.arange(group.order, dtype=np.int64)
-    conjugation_closed = True
-    step = _block_len(group.order)
-    for lo in range(0, member_idx.size, step):
-        block = member_idx[lo:lo + step, None]
-        conj = group.mul_idx(group.mul_idx(conjugators[None, :], block),
-                             inv_idx[None, :])
-        escapes = ~in_set[conj]
-        rows = np.flatnonzero(escapes.any(axis=1))
-        if rows.size:
-            row = rows[0]
-            x = int(np.argmax(escapes[row]))
-            conjugation_closed = False
+    for orbit, first in _conjugation_orbits(group, member_idx, np.arange(group.order)):
+        outside = ~in_set[orbit]
+        if outside.any():
+            # the orbit's seed is its least member in the set; k is where
+            # the first conjugator that leaves the set takes it
+            k = np.argmin(np.where(outside, first, group.order))
             witnesses["conjugation_closed"] = (
-                elems[x], members[lo + row], elems[conj[row, x]]
-            )
+                elems[first[k]], elems[orbit[np.argmax(~outside)]], elems[orbit[k]])
             break
     generates, closure_size = is_generating_set(group, members)
     return ConnectionSet(
@@ -175,7 +162,7 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
         contains_identity=bool(in_set[group.index(group.identity)]),
         generates=generates,
         closure_size=closure_size,
-        conjugation_closed=conjugation_closed,
+        conjugation_closed="conjugation_closed" not in witnesses,
         witnesses=witnesses,
     )
 
@@ -207,7 +194,7 @@ def adjacency_matrix(group: FiniteGroup, color: ColorFunction,
     n = len(elems)
     positions = np.array([group.index(g) for g in elems], dtype=np.int64)
     row_inverses = group.inv_idx[positions]
-    alpha = color.as_vector(group.elements())
+    alpha = color.vector
     out = np.zeros((n, n), dtype=complex)
     step = _block_len(n)
     for lo in range(0, n, step):
@@ -260,7 +247,7 @@ def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
     l, m = group.l, group.m
     coset = np.arange(l)[:, None, None] * m
     # beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has index j*m + c
-    values = color.as_vector(group.elements())[group.mul_idx(
+    values = color.vector[group.mul_idx(
         coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])]
     # block_ij[a, b] = beta_ij(b - a): a circulant over K
     blocks = values[:, :, (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]

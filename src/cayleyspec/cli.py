@@ -468,7 +468,7 @@ def _cmd_describe(args) -> int:
     job = Job(_load_config(args.config))
     group = job.group
     try:
-        degrees = irreps.builtin_irreps(group).degrees()
+        degrees = irreps.builtin_degrees(group)
     except (IrrepsUnavailable, CayleyError):
         degrees = None
     split = None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -101,7 +102,6 @@ class FiniteGroup:
         self.order = order
         self._elements: Optional[list] = None
         self._element_index: Optional[dict] = None
-        self._classes: Optional[list] = None
         self._inv_idx: Optional[np.ndarray] = None
 
     # -- operations every subclass provides --------------------------------
@@ -172,22 +172,19 @@ class FiniteGroup:
         """Return ``by * g * by^{-1}``."""
         return self.mul(self.mul(by, g), self.inv(by))
 
-    def power(self, g, exponent: int):
-        if exponent < 0:
-            return self.power(self.inv(g), -exponent)
-        result = self.identity
-        base = g
-        while exponent:
-            if exponent & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exponent >>= 1
-        return result
+    @cached_property
+    def _class_orbits(self) -> list:
+        """``_conjugation_orbits`` of the whole group on itself."""
+        everything = np.arange(self.order, dtype=np.int64)
+        if isinstance(self, (CyclicGroup, AbelianProductGroup)):
+            # every class is a singleton, fixed first by element 0
+            return [(everything[i:i + 1], everything[:1]) for i in range(self.order)]
+        return list(_conjugation_orbits(self, everything, everything))
 
     def conjugacy_classes(self) -> list:
-        if self._classes is None:
-            self._classes = _conjugation_orbits(self, self.elements(), self.elements())
-        return self._classes
+        elems = self.elements()
+        orbits = [tuple(elems[i] for i in members.tolist()) for members, _ in self._class_orbits]
+        return [ConjugacyClass(members[0], members) for members in orbits]
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and self.signature() == other.signature()
@@ -199,18 +196,27 @@ class FiniteGroup:
         return f"<{type(self).__name__} order={self.order}>"
 
 
-def _conjugation_orbits(group, seeds, conjugators) -> list:
-    """Orbits of ``seeds`` under conjugation by ``conjugators``."""
-    seen = set()
-    orbits = []
-    for g in seeds:
-        if g in seen:
+def _conjugation_orbits(group, seeds, conjugators):
+    """Orbits of the index array ``seeds`` under conjugation by ``conjugators``.
+
+    Each seed that no earlier orbit reached costs one kernel gather
+    ``x s x^{-1}`` over all conjugators x.  Yields one ``(members, first)``
+    pair of index arrays per orbit, in seed order: the members ascending,
+    and for each member the first conjugator, in the given order, that
+    carries the orbit's seed s to it.  With ascending seeds, s is the
+    least seed in its orbit, and the least member when the seeds are
+    closed under the action.
+    """
+    conjugators = np.asarray(conjugators, dtype=np.int64)
+    inverses = group.inv_idx[conjugators]
+    reached = np.zeros(group.order, dtype=bool)
+    for s in np.asarray(seeds, dtype=np.int64).tolist():
+        if reached[s]:
             continue
-        orbit = {group.conjugate(g, x) for x in conjugators}
-        members = tuple(sorted(orbit, key=group.index))
-        seen |= orbit
-        orbits.append(ConjugacyClass(representative=members[0], members=members))
-    return orbits
+        members, first = np.unique(
+            group.mul_idx(group.mul_idx(conjugators, s), inverses), return_index=True)
+        reached[members] = True
+        yield members, conjugators[first]
 
 
 class CyclicGroup(FiniteGroup):
@@ -434,13 +440,6 @@ class SplitExtensionGroup(FiniteGroup):
 
     def h_elements(self) -> list:
         return [(a, 0) for a in range(self.l)]
-
-    def embed_h(self, h):
-        """Lift an element of the complement group into G."""
-        return (self.h_group.index(h), 0)
-
-    def embed_k(self, exponent: int):
-        return (0, exponent % self.m)
 
     def split_parts(self):
         return self.k_elements(), self.h_elements()
@@ -808,9 +807,11 @@ def conjugation_orbits_on_k(group: FiniteGroup) -> list:
     if parts is None:
         raise ValueError("group has no distinguished normal part")
     k_members, _ = parts
+    elems = group.elements()
+    seeds = [group.index(k) for k in k_members]
     return [
-        list(cls.members)
-        for cls in _conjugation_orbits(group, k_members, group.elements())
+        [elems[i] for i in members.tolist()]
+        for members, _ in _conjugation_orbits(group, seeds, np.arange(group.order))
     ]
 
 

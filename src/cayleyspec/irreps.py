@@ -221,22 +221,16 @@ def irreps_dihedral(n: int) -> IrrepSet:
     return irrep_set
 
 
-def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
-    """Irreps of C_m x| C_l built by inducing characters of the normal part.
-
-    For each orbit of v -> v*r on Z_m (size t, t | l) and each w < l/t the
-    irrep of degree t sends k to diag over the orbit's characters and h to
-    the cyclic down-shift whose wrap-around entry carries e^{2 pi i w t / l}.
-    So h^a k^b sends coordinate j to (j - a) mod t with the factor
-    e^{2 pi i (w t q / l + orbit_j b / m)}, where q counts the wraps; each
-    entry is one root of unity of order dividing l*m.
-    """
+def _induction_orbits(group: SplitExtensionGroup) -> list:
+    """Orbits of v -> v*r on Z_m for C_m x| C_l, in order of least member;
+    IrrepsUnavailable unless the complement is cyclic and every orbit size
+    divides l."""
     if not isinstance(group.h_group, CyclicGroup):
         raise IrrepsUnavailable(
             "induced construction needs a cyclic complement, got "
             f"{group.h_group.kind!r}"
         )
-    m, l, n = group.m, group.l, group.order
+    m, l = group.m, group.l
     r = group.units[1] if l > 1 else 1 % m
     seen: set = set()
     orbits = []
@@ -248,19 +242,33 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
         while x != v:
             orbit.append(x)
             x = x * r % m
+        if l % len(orbit) != 0:
+            raise IrrepsUnavailable(
+                f"orbit size {len(orbit)} does not divide complement order {l}"
+            )
         seen.update(orbit)
         orbits.append(orbit)
+    return orbits
+
+
+def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
+    """Irreps of C_m x| C_l built by inducing characters of the normal part.
+
+    For each orbit of v -> v*r on Z_m (size t, t | l) and each w < l/t the
+    irrep of degree t sends k to diag over the orbit's characters and h to
+    the cyclic down-shift whose wrap-around entry carries e^{2 pi i w t / l}.
+    So h^a k^b sends coordinate j to (j - a) mod t with the factor
+    e^{2 pi i (w t q / l + orbit_j b / m)}, where q counts the wraps; each
+    entry is one root of unity of order dividing l*m.
+    """
+    m, l, n = group.m, group.l, group.order
     elems = tuple(group.elements())
     roots = _root_table(n)
     a = np.arange(l, dtype=np.int64)[:, None, None]
     b = np.arange(m, dtype=np.int64)[None, :, None]
     entries = []
-    for orbit in orbits:
+    for orbit in _induction_orbits(group):
         t = len(orbit)
-        if l % t != 0:
-            raise IrrepsUnavailable(
-                f"orbit size {t} does not divide complement order {l}"
-            )
         j = np.arange(t, dtype=np.int64)[None, None, :]
         rows = (j - a) % t
         wraps = -((j - a) // t)
@@ -280,16 +288,25 @@ def irreps_metacyclic(m: int, l: int, r: int) -> IrrepSet:
     return _cyclic_complement_irreps(MetacyclicGroup(m, l, r))
 
 
+def builtin_degrees(group: FiniteGroup) -> list:
+    """``builtin_irreps(group).degrees()``, without building any matrix."""
+    if isinstance(group, (CyclicGroup, AbelianProductGroup)):
+        return [1] * group.order
+    if isinstance(group, SplitExtensionGroup) and isinstance(group.h_group, CyclicGroup):
+        # each orbit of size t induces l/t irreps of degree t, listed by t
+        return sorted(len(orbit) for orbit in _induction_orbits(group)
+                      for _ in range(group.l // len(orbit)))
+    return builtin_irreps(group).degrees()
+
+
 def builtin_irreps(group: FiniteGroup) -> IrrepSet:
     """The built-in irrep system for this group kind, or IrrepsUnavailable."""
     if isinstance(group, CyclicGroup):
         return irreps_cyclic(group.m)
     if isinstance(group, AbelianProductGroup):
         return irreps_abelian(group.orders, capacity=group.order)
-    if isinstance(group, DihedralGroup):
-        if group.n >= 3:
-            return irreps_dihedral(group.n)
-        return _cyclic_complement_irreps(group)
+    if isinstance(group, DihedralGroup) and group.n >= 3:
+        return irreps_dihedral(group.n)
     if isinstance(group, SplitExtensionGroup) and isinstance(group.h_group, CyclicGroup):
         return _cyclic_complement_irreps(group)
     raise IrrepsUnavailable(

@@ -225,50 +225,53 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
     Witnesses carry the violating triple and both alpha values.
     """
     k_members, h_members = _split_parts(group)
-    orbits = conjugation_orbits_on_k(group)
+    elems = group.elements()
+    h_idx = np.array([group.index(h) for h in h_members], dtype=np.int64)
+    k_idx = np.array([group.index(k) for k in k_members], dtype=np.int64)
+    # table[i, j] = alpha(h_i k_j), read from one kernel gather
+    table = color.vector[group.mul_idx(h_idx[:, None], k_idx[None, :])]
+
+    def witness(triple, i, j, base_i, base_j):
+        """alpha(h_i k_j) differs from alpha(h_base_i k_base_j)."""
+        return ConditionWitness(
+            triple=triple,
+            lhs_element=group.mul(h_members[i], k_members[j]),
+            rhs_element=group.mul(h_members[base_i], k_members[base_j]),
+            lhs_value=table[i, j].item(),
+            rhs_value=table[base_i, base_j].item(),
+        )
+
+    # condition A: the first violation in the order h, K-orbit, orbit member
+    k_pos = {k: j for j, k in enumerate(k_members)}
+    pairs = np.array([(k_pos[orbit[0]], k_pos[k]) for orbit in conjugation_orbits_on_k(group)
+                      for k in orbit[1:]], dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(table[:, pairs[:, 1]] != table[:, pairs[:, 0]])
     witness_a = None
-    for h in h_members:
-        for orbit in orbits:
-            base_k = orbit[0]
-            base = color(group.mul(h, base_k))
-            for other_k in orbit[1:]:
-                value = color(group.mul(h, other_k))
-                if value != base:
-                    conjugator = _find_conjugator(group, base_k, other_k,
-                                                  group.elements())
-                    witness_a = ConditionWitness(
-                        triple=(h, conjugator, base_k),
-                        lhs_element=group.mul(h, other_k),
-                        rhs_element=group.mul(h, base_k),
-                        lhs_value=value,
-                        rhs_value=base,
-                    )
-                    break
-            if witness_a:
-                break
-        if witness_a:
-            break
+    if bad.size:
+        i, c = divmod(int(bad[0]), len(pairs))
+        base_j, j = pairs[c].tolist()
+        members, first = next(_conjugation_orbits(
+            group, k_idx[base_j:base_j + 1], np.arange(group.order)))
+        g = elems[first[np.searchsorted(members, k_idx[j])]]
+        witness_a = witness((h_members[i], g, k_members[base_j]), i, j, i, base_j)
+    # condition B: the first violation in the order H-class, k, class member;
+    # classes and conjugators as positions in h_members
+    if isinstance(group, SplitExtensionGroup):
+        # h' h h'^{-1} stays in H, and (a, 0) sits at position a
+        h_classes = group.h_group._class_orbits
+    else:
+        h_pos = np.empty(group.order, dtype=np.int64)
+        h_pos[h_idx] = np.arange(h_idx.size)
+        h_classes = ((h_pos[members], h_pos[first]) for members, first
+                     in _conjugation_orbits(group, h_idx, h_idx))
     witness_b = None
-    h_classes = _conjugation_orbits(group, h_members, h_members)
-    for cls in h_classes:
-        base_h = cls.representative
-        for k in k_members:
-            base = color(group.mul(base_h, k))
-            for other_h in cls.members:
-                value = color(group.mul(other_h, k))
-                if value != base:
-                    conjugator = _find_conjugator(group, base_h, other_h, h_members)
-                    witness_b = ConditionWitness(
-                        triple=(conjugator, base_h, k),
-                        lhs_element=group.mul(other_h, k),
-                        rhs_element=group.mul(base_h, k),
-                        lhs_value=value,
-                        rhs_value=base,
-                    )
-                    break
-            if witness_b:
-                break
-        if witness_b:
+    for members, first in h_classes:
+        bad = np.flatnonzero((table[members] != table[members[0]]).T)
+        if bad.size:
+            j, p = divmod(int(bad[0]), members.size)
+            base_i, i = int(members[0]), int(members[p])
+            witness_b = witness((h_members[first[p]], h_members[base_i], k_members[j]),
+                                i, j, base_i, j)
             break
     return HypothesisReport(
         condition_a=witness_a is None,
@@ -276,13 +279,6 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
         witness_a=witness_a,
         witness_b=witness_b,
     )
-
-
-def _find_conjugator(group, source, target, candidates):
-    for x in candidates:
-        if group.conjugate(source, x) == target:
-            return x
-    raise AssertionError("orbit members must be conjugate")
 
 
 def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSet,
@@ -298,13 +294,12 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
         )
     ensure_trusted(group, irrep_set)
     elems = tuple(group.elements())
-    alpha = color.as_vector(elems)
     p_matrix = build_p_matrix(group, irrep_set) if eigenvectors else None
     lines = []
     col = 0
     for k_idx, rho in enumerate(irrep_set):
         d = rho.degree
-        eig = _character_sum(alpha, rho.characters[rho._rows(elems)]) / d
+        eig = _character_sum(color.vector, rho.characters[rho._rows(elems)]) / d
         vectors = None
         vector_labels = None
         if eigenvectors:
@@ -359,7 +354,8 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     def class_sums(h):
         """sigma_v at the class of h for every K-irrep v; alpha(h k^b) is
         alpha at the element (index of h, b)."""
-        row = color.as_vector([(h_group.index(h), b) for b in range(m)])
+        a = h_group.index(h)
+        row = color.vector[a * m:(a + 1) * m]
         return [_character_sum(row, chars) / rho.degree
                 for rho, chars in zip(irreps_k, k_chars)]
 
@@ -560,11 +556,10 @@ def _block_diagonalize(group, color, irrep_set, capacity) -> BlockDiagonalizatio
         )
     ensure_trusted(group, irrep_set)
     elems = tuple(group.elements())
-    alpha = color.as_vector(elems)
     # the transforms of all irreps of one degree come from one running sum
     blocks = [None] * len(irrep_set)
     for batch, stacks in _degree_batches(irrep_set, elems):
-        for k, total in zip(batch, _fourier_sums(alpha, stacks)):
+        for k, total in zip(batch, _fourier_sums(color.vector, stacks)):
             blocks[k] = FourierBlock(label=irrep_set[k].label, matrix=_frozen(total))
     blocks = tuple(blocks)
     p_matrix = build_p_matrix(group, irrep_set)

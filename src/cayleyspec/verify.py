@@ -25,7 +25,7 @@ from . import spectra
 from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup
-from .irreps import IrrepSet
+from .irreps import IrrepSet, _character_sum
 from .spectra import RECONSTRUCTION_CAPACITY, Spectrum, chain_groups
 
 # bytes of stacked complex vectors (or Gram rows) one certification block holds
@@ -194,9 +194,7 @@ def trace_identities(adjacency, color: ColorFunction) -> tuple:
         )
     expected_trace = n * color(group.identity)
     trace_dev = abs(complex(np.trace(matrix)) - expected_trace)
-    pair_sum = sum(
-        value * color(group.inv(g)) for g, value in color.items()
-    )
+    pair_sum = _character_sum(color.vector, color.vector[group.inv_idx])
     trace_sq = complex(np.einsum("ij,ji->", matrix, matrix))
     trace_sq_dev = abs(trace_sq - n * pair_sum)
     return float(trace_dev), float(trace_sq_dev)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cayleyspec import irreps_cyclic
+from cayleyspec import DihedralGroup, MetacyclicGroup, irreps_cyclic
 from cayleyspec.cli import main
 
 
@@ -146,6 +146,39 @@ def test_describe(tmp_path, capsys):
     assert payload["connection"]["generates"] is True
 
 
+def test_builtin_degrees_equal_the_built_irreps():
+    from test_kernel import every_kind
+
+    from cayleyspec import IrrepsUnavailable, builtin_irreps
+    from cayleyspec.irreps import builtin_degrees
+
+    for group in every_kind() + [DihedralGroup(7), MetacyclicGroup(9, 3, 4)]:
+        try:
+            expect = builtin_irreps(group).degrees()
+        except IrrepsUnavailable:
+            with pytest.raises(IrrepsUnavailable):
+                builtin_degrees(group)
+            continue
+        assert builtin_degrees(group) == expect, group
+
+
+def test_describe_builds_no_irrep_matrices(tmp_path, capsys, monkeypatch):
+    from cayleyspec import UnitaryIrrep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("describe built an irrep stack")
+
+    monkeypatch.setattr(UnitaryIrrep, "_install", refuse)
+    for group, degrees in (({"type": "cyclic", "n": 5}, [1] * 5),
+                           ({"type": "dihedral", "n": 4}, [1, 1, 1, 1, 2]),
+                           ({"type": "metacyclic", "m": 7, "l": 3, "r": 2}, [1, 1, 1, 3, 3])):
+        config = write_config(tmp_path, {
+            "group": group, "connection": {"mode": "set", "elements": []}})
+        code, out, err = run(capsys, "describe", "--config", config)
+        assert code == 0, err
+        assert json.loads(out)["irrep_degrees"] == degrees
+
+
 def test_csv_format(tmp_path, capsys):
     config = prism_config(tmp_path)
     code, out, _ = run(capsys, "spectrum", "--config", config,
@@ -217,6 +250,24 @@ def test_layers_mode(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--config", bad)
     assert code == 4
     assert "metacyclic" in err
+
+
+def test_metacyclic_indicator_error_names_the_first_element_in_index_order(
+        tmp_path, capsys):
+    # entries listed out of canonical order: the message names the least
+    # canonical index among the non-indicator values, not the first listed
+    config = write_config(tmp_path, {
+        "group": {"type": "metacyclic", "m": 7, "l": 3, "r": 2},
+        "connection": {"mode": "color", "entries": [
+            {"element": [2, 1], "value": [0.5, 0]},
+            {"element": [1, 0], "value": [1.0, 0]},
+            {"element": [0, 3], "value": [2.0, 0]}]},
+    })
+    code, out, err = run(capsys, "spectrum", "--config", config,
+                         "--method", "metacyclic")
+    assert (code, out) == (4, "")
+    assert err == ("error: method 'metacyclic' needs an indicator color; "
+                   "alpha([0, 3]) = (2+0j)\n")
 
 
 def test_export_and_reingest(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The integer group kernel and the array paths built on it.
 
-Each bulk path (adjacency, generation, classification, chaining) is
-checked against the element-by-element loop it replaced, kept here as the
-oracle: equal results, byte for byte where the arithmetic is unchanged.
+Each bulk path (adjacency, generation, classification, conjugation
+orbits and their witnesses, chaining, color storage) is checked against
+the element-by-element loop it replaced, kept here as the oracle: equal
+results, byte for byte where the arithmetic is unchanged.
 """
 
 import random
@@ -16,18 +17,22 @@ from hypothesis import strategies as st
 from cayleyspec import (
     AbelianProductGroup,
     ColorFunction,
+    ConjugacyClass,
     ConnectionSet,
     CyclicGroup,
     DihedralGroup,
+    HypothesisReport,
     MetacyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
     adjacency_matrix,
+    check_split_hypotheses,
     classify_connection_set,
     color_from_set,
+    conjugation_orbits_on_k,
     is_generating_set,
 )
-from cayleyspec.spectra import chain_groups
+from cayleyspec.spectra import ConditionWitness, chain_groups
 
 # -- oracles: the per-element loops the kernel paths replaced ----------------
 
@@ -95,6 +100,72 @@ def classify_oracle(group, subset):
         conjugation_closed=conjugation_closed,
         witnesses=witnesses,
     )
+
+
+def conjugation_orbits_oracle(group, seeds, conjugators):
+    seen = set()
+    orbits = []
+    for g in seeds:
+        if g in seen:
+            continue
+        orbit = {group.conjugate(g, x) for x in conjugators}
+        members = tuple(sorted(orbit, key=group.index))
+        seen |= orbit
+        orbits.append(ConjugacyClass(representative=members[0], members=members))
+    return orbits
+
+
+def find_conjugator_oracle(group, source, target, candidates):
+    for x in candidates:
+        if group.conjugate(source, x) == target:
+            return x
+    raise AssertionError("orbit members must be conjugate")
+
+
+def dict_color_oracle(values):
+    """The dict a color used to store: nonzero values, zeros omitted."""
+    table = {g: complex(v) for g, v in values.items() if complex(v) != 0}
+    return lambda g: table.get(g, 0j)
+
+
+def class_witness_oracle(group, alpha):
+    elems = group.elements()
+    for cls in conjugation_orbits_oracle(group, elems, elems):
+        base = alpha(cls.representative)
+        for member in cls.members:
+            if alpha(member) != base:
+                x = find_conjugator_oracle(group, cls.representative, member, elems)
+                return (cls.representative, x, member, base, alpha(member))
+    return None
+
+
+def hypotheses_oracle(group, alpha):
+    k_members, h_members = group.split_parts()
+    orbits = [list(cls.members) for cls in
+              conjugation_orbits_oracle(group, k_members, group.elements())]
+    witness_a = None
+    for h in h_members:
+        for orbit in orbits:
+            base_k = orbit[0]
+            base = alpha(group.mul(h, base_k))
+            for other_k in orbit[1:]:
+                value = alpha(group.mul(h, other_k))
+                if value != base and witness_a is None:
+                    g = find_conjugator_oracle(group, base_k, other_k, group.elements())
+                    witness_a = ConditionWitness((h, g, base_k), group.mul(h, other_k),
+                                                 group.mul(h, base_k), value, base)
+    witness_b = None
+    for cls in conjugation_orbits_oracle(group, h_members, h_members):
+        base_h = cls.representative
+        for k in k_members:
+            base = alpha(group.mul(base_h, k))
+            for other_h in cls.members:
+                value = alpha(group.mul(other_h, k))
+                if value != base and witness_b is None:
+                    x = find_conjugator_oracle(group, base_h, other_h, h_members)
+                    witness_b = ConditionWitness((x, base_h, k), group.mul(other_h, k),
+                                                 group.mul(base_h, k), value, base)
+    return HypothesisReport(witness_a is None, witness_b is None, witness_a, witness_b)
 
 
 def chain_oracle(values, tol):
@@ -308,6 +379,112 @@ def test_classification_in_small_blocks(monkeypatch):
     assert is_generating_set(group, subset) == generating_oracle(group, subset)
 
 
+# -- conjugation orbits, their witnesses, and colors -------------------------
+
+
+def random_color_values(group, rng, share):
+    elems = group.elements()
+    return {g: rng.choice(COLOR_VALUES) for g in rng.sample(elems, int(share * group.order))}
+
+
+def class_color_values(group, rng):
+    return {g: w for cls in group.conjugacy_classes()
+            for w in [rng.choice(COLOR_VALUES)] for g in cls.members}
+
+
+def check_orbits_and_witnesses(group, rng):
+    elems = group.elements()
+    assert group.conjugacy_classes() == conjugation_orbits_oracle(group, elems, elems)
+    cases = [{}, class_color_values(group, rng)]
+    cases += [random_color_values(group, rng, share) for share in (0.1, 0.5, 1.0)]
+    for values in cases:
+        color, alpha = ColorFunction(group, values), dict_color_oracle(values)
+        assert color.class_function_witness() == class_witness_oracle(group, alpha)
+        assert color.is_class_function == (class_witness_oracle(group, alpha) is None)
+    parts = getattr(group, "split_parts", lambda: None)()
+    if parts is None:
+        return
+    k_members, _ = parts
+    assert conjugation_orbits_on_k(group) == [
+        list(cls.members) for cls in conjugation_orbits_oracle(group, k_members, elems)]
+    for values in cases:
+        color, alpha = ColorFunction(group, values), dict_color_oracle(values)
+        assert check_split_hypotheses(group, color) == hypotheses_oracle(group, alpha)
+
+
+@pytest.mark.parametrize("group", every_kind(), ids=repr)
+def test_conjugation_sweep_matches_element_loops(group):
+    check_orbits_and_witnesses(group, random.Random(5 * group.order))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy(), st.randoms(use_true_random=False))
+def test_conjugation_sweep_matches_element_loops_on_random_groups(group, rng):
+    check_orbits_and_witnesses(group, rng)
+
+
+def test_split_witnesses_on_a_layered_color():
+    # invariant except for one value: each condition fails late in its sweep
+    group = SemidirectProductGroup(7, DihedralGroup(3), [6, 1])
+    h_class = {a: i for i, cls in enumerate(group.h_group.conjugacy_classes())
+               for a in map(group.h_group.index, cls.members)}
+    k_orbit = {k[1]: i for i, orbit in enumerate(conjugation_orbits_on_k(group))
+               for k in orbit}
+    values = {(a, b): complex(h_class[a], k_orbit[b]) for a, b in group.elements()}
+    assert check_split_hypotheses(group, ColorFunction(group, values)).passed
+    for spoiled in [(5, 6), (3, 4), (1, 1)]:
+        changed = values | {spoiled: 9.5}
+        report = check_split_hypotheses(group, ColorFunction(group, changed))
+        assert not report.passed
+        assert report == hypotheses_oracle(group, dict_color_oracle(changed))
+
+
+def test_split_witnesses_on_a_permutation_group_with_nonabelian_complement():
+    # S4 = V4 x| S3: condition B sweeps the three-element classes of S3
+    group = PermutationGroup(
+        [(1, 0, 2, 3), (1, 2, 3, 0)],
+        normal_generators=[(1, 0, 3, 2), (2, 3, 0, 1)],
+        complement_generators=[(1, 0, 2, 3), (1, 2, 0, 3)],
+    )
+    rng = random.Random(17)
+    conjugators = set()
+    for share in (0.1, 0.25, 0.5, 1.0):
+        for _ in range(5):
+            values = random_color_values(group, rng, share)
+            report = check_split_hypotheses(group, ColorFunction(group, values))
+            assert report == hypotheses_oracle(group, dict_color_oracle(values))
+            if report.witness_b is not None:
+                conjugators.add(report.witness_b.triple[0])
+    assert len(conjugators) > 1
+
+
+@pytest.mark.parametrize("group", every_kind(), ids=repr)
+def test_color_vector_matches_the_dict_it_replaced(group):
+    rng = random.Random(7 * group.order)
+    values = random_color_values(group, rng, 0.6)
+    values[group.elements()[-1]] = complex(-0.0, 0.0)  # a zero is not stored
+    color, alpha = ColorFunction(group, values), dict_color_oracle(values)
+    elems = group.elements()
+    assert not color.vector.flags.writeable
+    assert color.vector.tobytes() == np.array([alpha(g) for g in elems]).tobytes()
+    for g in elems:
+        assert np.complex128(color(g)).tobytes() == np.complex128(alpha(g)).tobytes()
+        assert type(color(g)) is complex
+    support = [g for g in elems if alpha(g) != 0]
+    assert color.items() == [(g, alpha(g)) for g in support]
+    assert color.support() == set(support)
+    assert color.is_real == all(alpha(g).imag == 0 for g in support)
+    assert color.vanishes_at_identity == (alpha(group.identity) == 0)
+    assert color.is_symmetric == all(
+        alpha(group.inv(g)) == alpha(g).conjugate() for g in support)
+    hermitian = {}
+    for g in support:
+        if g not in hermitian:
+            hermitian[g] = alpha(g) if group.inv(g) != g else complex(alpha(g).real)
+            hermitian[group.inv(g)] = hermitian[g].conjugate()
+    assert ColorFunction(group, hermitian).is_symmetric
+
+
 def test_bulk_paths_make_no_per_pair_calls():
     """At n = 889 the array paths must not fall back to per-element
     dispatch: a handful of mul/inv calls per connection-set member at most,
@@ -330,6 +507,14 @@ def test_bulk_paths_make_no_per_pair_calls():
     assert conn.generates and generates == (True, 889)
     assert adjacency.n == 889
     assert calls["mul"] + calls["inv"] <= 4 * len(subset), calls
+    # classes and class-function witnesses make no mul/inv call at all
+    calls.update(mul=0, inv=0)
+    classes = group.conjugacy_classes()
+    class_color = ColorFunction(group, {g: i for i, cls in enumerate(classes)
+                                        for g in cls.members})
+    assert class_color.class_function_witness() is None
+    assert color.class_function_witness() is not None
+    assert len(classes) > 1 and calls == {"mul": 0, "inv": 0}, calls
 
 
 # -- chaining ------------------------------------------------------------------
