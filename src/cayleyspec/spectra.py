@@ -51,12 +51,13 @@ from .irreps import (
     IrrepSet,
     PMatrix,
     _character_sum,
+    _cmul,
     _degree_batches,
     _fourier_sums,
     _frozen,
+    _root_table,
     build_p_matrix,
     ensure_trusted,
-    unit_root,
 )
 
 
@@ -444,39 +445,38 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
                     exponent=s,
                 )
         layer_sets.append(reduced)
-    layer_sums = [
-        [sum(unit_root(v * s, m) for s in layer) for layer in layer_sets]
-        for v in range(m)
-    ]
-    h_vectors = None
-    k_vectors = None
+    # Python's summation order, term by term: layer sums over s, then
+    # eigenvalues over t, each from a zero start with textbook products
+    roots_l, roots_m = _root_table(l), _root_table(m)
+    u_range, v_range = np.arange(l), np.arange(m)
+    layer_sums = np.zeros((l, m), dtype=complex)
+    for t, layer in enumerate(layer_sets):
+        for s in layer:
+            layer_sums[t] += roots_m[v_range * s % m]
+    eigenvalues = np.zeros((l, m), dtype=complex)
+    for t in range(l):
+        eigenvalues += _cmul(roots_l[u_range * t % l][:, np.newaxis], layer_sums[t])
+    basis = None
     if eigenvectors:
-        h_vectors = [
-            np.array([unit_root(u * a, l) for a in range(l)]) / sqrt(l)
-            for u in range(l)
-        ]
-        k_vectors = [
-            np.array([unit_root(v * b, m) for b in range(m)]) / sqrt(m)
-            for v in range(m)
-        ]
+        h_vectors = roots_l[np.outer(u_range, u_range) % l] / sqrt(l)
+        k_vectors = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
+        # row u*m + v is the Kronecker product of h_vectors[u] and k_vectors[v]
+        basis = (h_vectors[:, np.newaxis, :, np.newaxis]
+                 * k_vectors[np.newaxis, :, np.newaxis, :]).reshape(l * m, l * m)
+        basis.flags.writeable = False
     lines = []
-    for u in range(l):
-        for v in range(m):
-            eig = sum(
-                unit_root(u * t, l) * layer_sums[v][t] for t in range(l)
-            )
+    for u, row in enumerate(eigenvalues.tolist()):
+        for v, eig in enumerate(row):
             vectors = None
             vector_labels = None
             if eigenvectors:
-                vec = np.kron(h_vectors[u], k_vectors[v])[np.newaxis, :]
-                vec.flags.writeable = False
-                vectors = vec
+                vectors = basis[u * m + v:u * m + v + 1]
                 vector_labels = ((0, 0, 0, 0),)
             lines.append(SpectralLine(
                 u=u,
                 v=v,
                 labels=(f"chi_{u}", f"chi_{v}"),
-                eigenvalue=complex(eig),
+                eigenvalue=eig,
                 multiplicity=1,
                 eigenvectors=vectors,
                 vector_labels=vector_labels,

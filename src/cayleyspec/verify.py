@@ -11,7 +11,11 @@ The checks are dense GEMMs over blocks of stacked eigenvectors.  Beyond
 the n x n adjacency, the claimed vectors and one stacked copy of them,
 certification holds one block at a time: ``_BLOCK_BYTES`` of vectors (or
 of Gram rows) plus about twice that in GEMM output and residual
-temporaries, whatever n and the number of lines.
+temporaries, whatever n and the number of lines.  While it computes
+residuals against a real adjacency (every indicator color gives one) it
+also holds one float64 copy of the adjacency's real part, so each
+residual block is a real GEMM at half the flops of the complex one.  The
+Gram matrix is Hermitian, so only its upper triangle is formed.
 """
 
 from __future__ import annotations
@@ -80,6 +84,16 @@ def _block_columns(n: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * max(1, n)))
 
 
+def _gram_rows(count: int) -> int:
+    """Gram rows per block: about count/8, at least 128, within the budget.
+
+    Each row block also multiplies its diagonal block whole, so fewer,
+    taller blocks waste more of the lower triangle; 128 rows keep each
+    GEMM large enough to run at full speed.
+    """
+    return min(_block_columns(count), max(128, -(-count // 8)))
+
+
 def verify_eigenpairs(adjacency, spectrum: Spectrum,
                       tol: float = 1e-9) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
@@ -87,6 +101,8 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
     Consecutive lines' vectors are stacked into column blocks of bounded
     size (a line may straddle two blocks); each block is one GEMM
     ``A @ B - B * lam``, and per-line maxima come from its column maxima.
+    When the imaginary part of A is identically zero (a NaN or inf there
+    counts as nonzero), the GEMM runs on a float64 copy of its real part.
     """
     matrix = _as_matrix(adjacency)
     n = matrix.shape[0]
@@ -98,8 +114,11 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         )
     width = _block_columns(n)
     row_sums = np.empty(n)
+    real = True
     for lo in range(0, n, width):
-        row_sums[lo:lo + width] = np.sum(np.abs(matrix[lo:lo + width]), axis=1)
+        row_block = matrix[lo:lo + width]
+        row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
+        real = real and not row_block.imag.any()
     scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     for line in spectrum.lines:
         if line.eigenvectors is None:
@@ -112,6 +131,8 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
                 f"line ({line.u}, {line.v}) vectors have length "
                 f"{vectors.shape[1]}, expected {n}"
             )
+    if real:
+        matrix = np.ascontiguousarray(matrix.real)
     lines = spectrum.lines
     counts = [len(line.eigenvectors) for line in lines]
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
@@ -144,10 +165,25 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
 
 
 def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
-    """Max-abs residual of each stacked vector: one GEMM for the block."""
-    vectors = np.vstack(rows).T
-    residual = matrix @ vectors
-    residual -= vectors * eigenvalues
+    """Max-abs residual of each stacked vector: one GEMM for the block.
+
+    ``matrix`` is complex, or float64 for a real adjacency: then the
+    vectors' real and imaginary parts, interleaved in the C-contiguous
+    block, go through one real GEMM whose output reads back as complex.
+    """
+    vectors = np.empty((matrix.shape[0], sum(len(r) for r in rows)), dtype=complex)
+    column = 0
+    for r in rows:
+        vectors[:, column:column + len(r)] = r.T
+        column += len(r)
+    if matrix.dtype == np.float64:
+        residual = (matrix @ vectors.view(np.float64)).view(complex)
+    else:
+        residual = matrix @ vectors
+    # the block is not needed unscaled again: scaling it in place saves
+    # one block-sized temporary
+    vectors *= eigenvalues
+    residual -= vectors
     return np.abs(residual).max(axis=0)
 
 
@@ -166,19 +202,28 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
     Returns ``(gram_deviation, complete)`` where completeness means the
     claimed multiplicities sum to n and one vector backs each of them; the
     result's ``vector_count`` is the number of stacked vectors.  The Gram
-    matrix is formed in row blocks, never whole.
+    matrix is Hermitian, so only its upper triangle is formed: each row
+    block from its diagonal block rightwards, never the whole matrix.
     """
     stacked = spectrum.eigenvector_matrix().T
     count = stacked.shape[0]
     gram_deviation = 0.0
-    step = _block_columns(count)
+    step = _gram_rows(count)
+    # every row block is written into one buffer, and its magnitudes into
+    # another, so the blocks' shrinking widths allocate nothing new
+    buffer = np.empty((min(step, count), count), dtype=complex)
+    magnitudes = np.empty(buffer.shape)
     for lo in range(0, count, step):
-        gram = stacked[lo:lo + step].conj() @ stacked.T
+        gram = buffer[:min(step, count - lo), :count - lo]
+        np.matmul(stacked[lo:lo + step].conj(), stacked[lo:].T, out=gram)
         diagonal = np.arange(gram.shape[0])
-        gram[diagonal, lo + diagonal] -= 1
-        gram_deviation = float(np.maximum(gram_deviation, np.max(np.abs(gram), initial=0.0)))
+        gram[diagonal, diagonal] -= 1
+        block = np.abs(gram, out=magnitudes[:gram.shape[0], :gram.shape[1]])
+        gram_deviation = float(np.maximum(gram_deviation, np.max(block, initial=0.0)))
     complete = (
-        count == spectrum.n and spectrum.total_multiplicity == spectrum.n
+        count == spectrum.n
+        and spectrum.total_multiplicity == spectrum.n
+        and all(len(line.eigenvectors) == line.multiplicity for line in spectrum.lines)
     )
     return BasisCheck(gram_deviation, complete, count)
 

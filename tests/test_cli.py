@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cayleyspec
 from cayleyspec import DihedralGroup, MetacyclicGroup, irreps_cyclic
 from cayleyspec.cli import main
 
@@ -369,9 +371,13 @@ def test_user_irrep_tables(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     config = prism_config(tmp_path)
+    # the child imports the package these tests import, also when pytest
+    # put it on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
+    source = os.path.dirname(os.path.dirname(cayleyspec.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cayleyspec", "spectrum", "--config", config],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 6

@@ -38,6 +38,8 @@ from cayleyspec import (
     fourier_transform,
     irreps_cyclic,
     irreps_dihedral,
+    layers_from_set,
+    nonnormal_family,
     spectrum_metacyclic,
     spectrum_normal,
     spectrum_split,
@@ -607,3 +609,43 @@ def test_formula_routes_equal_their_element_loops_bit_for_bit():
                 group, color, h_irreps, irreps_cyclic(7))):
             assert np.complex128(line.eigenvalue).tobytes() == np.complex128(eig).tobytes()
             assert line.eigenvectors.tobytes() == vectors.tobytes()
+
+
+def metacyclic_oracle(m, l, layers):
+    """The per-line loop ``spectrum_metacyclic`` ran before its root tables:
+    (eigenvalue, vector) per line (u, v), u outer."""
+    layer_sets = [sorted({int(s) % m for s in layer}) for layer in layers]
+    layer_sums = [
+        [sum(unit_root(v * s, m) for s in layer) for layer in layer_sets]
+        for v in range(m)
+    ]
+    h_vectors = [np.array([unit_root(u * a, l) for a in range(l)]) / sqrt(l)
+                 for u in range(l)]
+    k_vectors = [np.array([unit_root(v * b, m) for b in range(m)]) / sqrt(m)
+                 for v in range(m)]
+    for u in range(l):
+        for v in range(m):
+            eig = sum(unit_root(u * t, l) * layer_sums[v][t] for t in range(l))
+            yield complex(eig), np.kron(h_vectors[u], k_vectors[v])[np.newaxis, :]
+
+
+def test_metacyclic_route_equals_its_line_loop_bit_for_bit():
+    cases = []
+    # the benchmark's ladder rungs with their family connection sets
+    for m, l, r in ((61, 10, 3), (127, 7, 2), (211, 10, 23)):
+        group, conn = nonnormal_family(m, l, r)
+        cases.append((m, l, r, layers_from_set(group, conn.elements)))
+    # a random r-invariant layered case, with an empty layer
+    rng = random.Random(12)
+    m, l, r = 31, 5, 2
+    layers = [sorted({s * pow(r, e, m) % m for s in rng.sample(range(m), 3) for e in range(l)})
+              for _ in range(l)]
+    layers[2] = []
+    cases.append((m, l, r, layers))
+    for m, l, r, layers in cases:
+        spec = spectrum_metacyclic(m, l, r, layers)
+        assert len(spec.lines) == m * l
+        for line, (eig, vector) in zip(spec.lines, metacyclic_oracle(m, l, layers)):
+            assert np.complex128(line.eigenvalue).tobytes() == np.complex128(eig).tobytes()
+            assert line.eigenvectors.tobytes() == vector.tobytes()
+            assert not line.eigenvectors.flags.writeable

@@ -16,10 +16,13 @@ from cayleyspec import (
     adjacency_matrix,
     builtin_irreps,
     certify,
+    check_split_hypotheses,
     color_from_set,
     compare_spectra,
+    conjugation_orbits_on_k,
     construct_group,
     irreps_cyclic,
+    layers_from_set,
     nonnormal_family,
     regular_rep_matrix,
     spectrum_metacyclic,
@@ -92,6 +95,27 @@ def test_verify_basis_completeness():
     gram, complete = verify_basis(broken, tol=1e-9)
     assert abs(gram - 1) <= 1e-12
     assert not complete  # 7 vectors for n = 6
+
+
+def test_complete_requires_one_vector_per_claimed_multiplicity():
+    group, conn = nonnormal_family(7, 3, 2)
+    color = color_from_set(group, conn.elements)
+    spec = spectrum_split(group, color, builtin_irreps(CyclicGroup(3)),
+                          irreps_cyclic(7))
+    adj = adjacency_matrix(group, color)
+    lines = list(spec.lines)
+    other = next(i for i, line in enumerate(lines)
+                 if abs(line.eigenvalue - lines[0].eigenvalue) > 1e-3)
+    # multiplicities still sum to n and every vector is a true eigenvector
+    lines[0] = dataclasses.replace(lines[0], multiplicity=2)
+    lines[other] = dataclasses.replace(lines[other], multiplicity=0)
+    claimed = Spectrum(n=21, method=spec.method, lines=lines)
+    assert not compare_spectra(claimed, spec)[0]
+    gram, complete = verify_basis(claimed)
+    assert gram <= 1e-12 and not complete
+    report = certify(adj, claimed, color)
+    assert not report.complete and not report.passed
+    assert report.max_residual <= 1e-12 * report.scale
 
 
 def test_dimension_mismatch():
@@ -293,21 +317,47 @@ def test_line_errors_are_raised_before_any_gemm(monkeypatch):
         verify_eigenpairs(adj, short)
 
 
+def whole_gram_deviation(spec):
+    stacked = spec.eigenvector_matrix()
+    return float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))))
+
+
+def duplicated(spec, index):
+    """``spec`` with the first vector of line ``index`` stacked twice."""
+    line = spec.lines[index]
+    vectors = np.vstack([line.eigenvectors, line.eigenvectors[:1]])
+    lines = list(spec.lines)
+    lines[index] = dataclasses.replace(line, multiplicity=line.multiplicity + 1,
+                                       eigenvectors=vectors)
+    return Spectrum(n=spec.n, method=spec.method, lines=lines)
+
+
 def test_blocked_gram_matches_whole_gram(monkeypatch):
     group, color, spec = order_42_case()
-    stacked = spec.eigenvector_matrix()
-    whole = float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(42))))
-    dup = spec.lines[0].eigenvectors
-    broken = Spectrum(n=42, method="split", lines=[
-        dataclasses.replace(spec.lines[0], eigenvectors=np.vstack([dup, dup]))
-    ] + spec.lines[1:])
+    whole = whole_gram_deviation(spec)
     for columns in (1, 4, 42):
         small_blocks(monkeypatch, columns, 42)
         gram, complete = verify_basis(spec)
         assert abs(gram - whole) <= 1e-14 and complete
-        check = verify_basis(broken)
+        for index in (0, len(spec.lines) - 1):
+            check = verify_basis(duplicated(spec, index))
+            assert abs(check[0] - 1) <= 1e-12 and not check[1]
+            assert check.vector_count == 43
+
+
+def test_upper_triangle_gram_at_n_610():
+    group, conn = nonnormal_family(61, 10, 3)
+    spec = spectrum_metacyclic(61, 10, 3, layers_from_set(group, conn.elements))
+    # 610 vectors make five row blocks of at most 128 rows
+    from cayleyspec import verify as verify_module
+
+    assert verify_module._gram_rows(610) == 128
+    gram, complete = verify_basis(spec)
+    assert abs(gram - whole_gram_deviation(spec)) <= 1e-14 and complete
+    for index in (0, len(spec.lines) - 1):
+        check = verify_basis(duplicated(spec, index))
         assert abs(check[0] - 1) <= 1e-12 and not check[1]
-        assert check.vector_count == 43
+        assert check.vector_count == 611
 
 
 def test_blocked_scale_equals_the_whole_row_sum_norm(monkeypatch):
@@ -331,9 +381,58 @@ def test_nan_deviations_fail_verification():
         assert not report.passed, field
     assert VerificationReport(n=4, tolerance=1e-9, scale=1.0, max_residual=0.0).passed
 
-    # a NaN adjacency entry reaches max_residual and fails certification
+    # a NaN adjacency entry reaches max_residual and fails certification,
+    # in the real part (the real GEMM) or only in the imaginary part
     group, color, spec = prism_case()
-    matrix = adjacency_matrix(group, color).matrix.copy()
-    matrix[5, 5] = nan
-    report = certify(matrix, spec, color)
-    assert np.isnan(report.max_residual) and not report.passed
+    for entry in (nan, complex(1.0, nan)):
+        matrix = adjacency_matrix(group, color).matrix.copy()
+        matrix[5, 5] = entry
+        report = certify(matrix, spec, color)
+        assert np.isnan(report.max_residual) and not report.passed
+
+
+# -- real and complex residual paths --------------------------------------------
+
+
+def complex_color_case():
+    """C7 x| C3 with random complex weights on (a, K-orbit of b) pairs,
+    which satisfy the split hypotheses."""
+    group = MetacyclicGroup(7, 3, 2)
+    rng = random.Random(4)
+    k_orbit = {k[1]: i for i, orbit in enumerate(conjugation_orbits_on_k(group))
+               for k in orbit}
+    weights = {}
+    color = ColorFunction(group, {
+        (a, b): weights.setdefault((a, k_orbit[b]),
+                                   complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        for a, b in group.elements()})
+    assert check_split_hypotheses(group, color).passed
+    spec = spectrum_split(group, color, irreps_cyclic(3), irreps_cyclic(7))
+    return group, color, spec
+
+
+@pytest.mark.parametrize("columns", [1, 3, 5, 64])
+@pytest.mark.parametrize("case", [order_42_case, complex_color_case])
+def test_residual_path_follows_the_adjacency(monkeypatch, case, columns):
+    from cayleyspec import verify as verify_module
+
+    group, color, spec = case()
+    adj = adjacency_matrix(group, color)
+    real = case is order_42_case
+    assert adj.matrix.dtype == complex and adj.matrix.imag.any() != real
+    small_blocks(monkeypatch, columns, group.order)
+    dtypes = []
+    block = verify_module._residual_block
+
+    def recorded(matrix, rows, *rest):
+        dtypes.append(matrix.dtype)
+        return block(matrix, rows, *rest)
+
+    monkeypatch.setattr(verify_module, "_residual_block", recorded)
+    report = verify_eigenpairs(adj, spec)
+    assert set(dtypes) == {np.dtype(np.float64 if real else complex)}
+    expect = per_line_matvec(adj.matrix, spec)
+    assert len(report.per_line_residuals) == len(spec.lines)
+    for got, want in zip(report.per_line_residuals, expect):
+        assert abs(got - want) <= 1e-12 * report.scale
+    assert report.passed
