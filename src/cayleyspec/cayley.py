@@ -290,14 +290,14 @@ def nonnormal_family(m: int, l: int, r: int):
 
 def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:
     """Write nonzero entries as ``i j re im`` lines after a header comment."""
-    lines = [EDGE_LIST_HEADER]
     matrix = adjacency.matrix
-    n = adjacency.n
-    for i in range(n):
-        for j in range(n):
-            value = matrix[i, j]
-            if value != 0:
-                lines.append(f"{i} {j} {value.real:.15g} {value.imag:.15g}")
+    flat = np.flatnonzero(matrix)  # row-major; NaN counts as nonzero
+    rows, cols = np.divmod(flat, adjacency.n)
+    lines = [EDGE_LIST_HEADER] + [
+        f"{i} {j} {value.real:.15g} {value.imag:.15g}"
+        for i, j, value in zip(rows.tolist(), cols.tolist(),
+                               matrix.ravel()[flat].tolist())
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

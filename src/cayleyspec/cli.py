@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -59,16 +60,24 @@ def _is_finite_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write text pieces in order to the ``output`` file, or to stdout.
+
+    Each piece is one ``write`` call on ``sys.stdout`` as bound at call
+    time, so a caller that swapped in its own stream sees every piece.
+    """
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
     else:
-        sys.stdout.write(text)
+        stream = sys.stdout
+        for chunk in chunks:
+            stream.write(chunk)
 
 
 def _emit_json(payload, output: Optional[str]) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit([json.dumps(payload, indent=2) + "\n"], output)
 
 
 def _load_config(path: str) -> dict:
@@ -218,6 +227,9 @@ class Job:
         options["tolerance"] = float(tol)
         if options["format"] not in ("json", "csv"):
             raise ConfigError("options.format must be 'json' or 'csv'")
+        export = options["export_graph"]
+        if export is not None and not (isinstance(export, str) and export):
+            raise ConfigError("options.export_graph must be null or a non-empty path")
         return options
 
 
@@ -343,21 +355,17 @@ def _compute_spectrum(job: Job, method: str, eigenvectors: bool) -> spectra.Spec
     return spectra.block_diagonalize(group, job.color, _normal_irreps(job)).spectrum()
 
 
-def _spectrum_payload(spectrum: spectra.Spectrum, include_vectors: bool,
-                      verification=None) -> dict:
-    lines = []
-    for line in spectrum.lines:
-        entry = {
+def _spectrum_payload(spectrum: spectra.Spectrum, verification=None) -> dict:
+    """The ``spectrum``/``verify`` document without eigenvectors."""
+    lines = [
+        {
             "u": line.u,
             "v": line.v,
             "eigenvalue": _pair(line.eigenvalue),
             "multiplicity": line.multiplicity,
         }
-        if include_vectors and line.eigenvectors is not None:
-            entry["eigenvectors"] = [
-                [_pair(z) for z in row] for row in line.eigenvectors
-            ]
-        lines.append(entry)
+        for line in spectrum.lines
+    ]
     payload = {
         "n": spectrum.n,
         "method": spectrum.method,
@@ -372,6 +380,82 @@ def _spectrum_payload(spectrum: spectra.Spectrum, include_vectors: bool,
     if verification is not None:
         payload["verification"] = _verification_payload(verification)
     return payload
+
+
+# Stands in for one line's eigenvectors in the skeleton document; no other
+# string there holds a NUL, which json.dumps spells as \u0000.
+_VECTORS_SLOT = "\x00eigenvectors"
+_VECTORS_SLOT_JSON = json.dumps(_VECTORS_SLOT)
+
+
+def _json_number(x: float) -> str:
+    """``_round15(x)`` spelled as ``json.dumps`` spells a float."""
+    x = _round15(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _vector_block(pairs: list, rows: int, cols: int) -> str:
+    """One line's ``eigenvectors`` value as ``json.dumps(..., indent=2)``
+    lays it out at its depth, from the text of each [re, im] pair."""
+    if rows == 0:
+        return "[]"
+    body = ",\n".join(
+        "        [\n" + ",\n".join(pairs[r * cols:(r + 1) * cols]) + "\n        ]"
+        for r in range(rows)
+    )
+    return "[\n" + body + "\n      ]"
+
+
+def _spectrum_json(spectrum: spectra.Spectrum, include_vectors: bool,
+                   verification=None) -> Iterator[str]:
+    """The ``spectrum``/``verify`` JSON document as text pieces in order.
+
+    The bytes equal ``json.dumps(payload, indent=2) + "\n"`` of the payload
+    whose lines carry ``[[_pair(z) for z in row] for row in vectors]``,
+    but each distinct vector entry is spelled once, and each line's block
+    is built only when the consumer reaches it.  Everything that can fail
+    runs before the first piece is returned.
+    """
+    payload = _spectrum_payload(spectrum, verification)
+    vectors = []
+    if include_vectors:
+        for entry, line in zip(payload["lines"], spectrum.lines):
+            if line.eigenvectors is not None:
+                entry["eigenvectors"] = _VECTORS_SLOT
+                vectors.append(np.asarray(line.eigenvectors, dtype=complex))
+    pieces = (json.dumps(payload, indent=2) + "\n").split(_VECTORS_SLOT_JSON)
+    if not vectors:
+        return iter(pieces)
+    # equal_nan=False: the default merges every complex value holding a NaN
+    values, inverse = np.unique(
+        np.concatenate([block.ravel() for block in vectors]),
+        return_inverse=True, equal_nan=False,
+    )
+    pair_text = np.array([
+        f"          [\n            {_json_number(z.real)},\n"
+        f"            {_json_number(z.imag)}\n          ]"
+        for z in values.tolist()
+    ], dtype=object)
+
+    def chunks():
+        offset = 0
+        for piece, block in zip(pieces, vectors):
+            yield piece
+            rows, cols = block.shape
+            size = rows * cols
+            yield _vector_block(
+                pair_text[inverse[offset:offset + size]].tolist(), rows, cols
+            )
+            offset += size
+        yield pieces[-1]
+
+    return chunks()
 
 
 def _verification_payload(report: verify.VerificationReport) -> dict:
@@ -445,12 +529,10 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
     if getattr(args, "format", None):
         fmt = args.format
     if fmt == "csv":
-        _emit(_spectrum_csv(spectrum), args.output)
+        _emit([_spectrum_csv(spectrum)], args.output)
     else:
-        payload = _spectrum_payload(
-            spectrum, job.options["eigenvectors"], verification
-        )
-        _emit_json(payload, args.output)
+        _emit(_spectrum_json(spectrum, job.options["eigenvectors"], verification),
+              args.output)
     if verification is not None and not verification.passed:
         return EXIT_VERIFICATION
     return EXIT_OK

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cayleyspec import (
+    AdjacencyMatrix,
     ColorFunction,
     ConfigError,
     CyclicGroup,
@@ -17,6 +18,7 @@ from cayleyspec import (
     nonnormal_family,
     read_edge_list,
 )
+from cayleyspec.cayley import EDGE_LIST_HEADER
 
 
 def prism():
@@ -185,6 +187,40 @@ def test_edge_list_round_trip(tmp_path):
     assert len(text.splitlines()) == 1 + 21 * 8
     back = read_edge_list(path, 21)
     assert np.array_equal(back, adj.matrix)
+
+
+def edge_list_by_loop(adjacency):
+    """The element-by-element writer that export_edge_list replaced."""
+    lines = [EDGE_LIST_HEADER]
+    matrix = adjacency.matrix
+    n = adjacency.n
+    for i in range(n):
+        for j in range(n):
+            value = matrix[i, j]
+            if value != 0:
+                lines.append(f"{i} {j} {value.real:.15g} {value.imag:.15g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_edge_list_equals_the_double_loop(tmp_path):
+    group, conn = nonnormal_family(61, 10, 3)
+    family = adjacency_matrix(group, color_from_set(group, conn.elements))
+    rng = np.random.default_rng(7)
+    dihedral = DihedralGroup(15)
+    support = [g for g in dihedral.elements() if rng.random() < 0.4]
+    weights = rng.normal(size=(len(support), 2)) * 10.0 ** rng.integers(-6, 7, size=(len(support), 1))
+    weighted = adjacency_matrix(dihedral, ColorFunction(
+        dihedral, {g: complex(*w) for g, w in zip(support, weights)}))
+    # NaN counts as an edge, -0.0 does not
+    special = np.array([[0, -0.0, complex(float("nan"), 0)],
+                        [complex(-0.0, -0.0), 1e16 + 1 / 3j, complex(0, float("inf"))],
+                        [0.1 + 0.2, 0, -1e-05]])
+    odd = AdjacencyMatrix(matrix=special, ordering=tuple(CyclicGroup(3).elements()))
+    path = tmp_path / "edges.txt"
+    for adjacency in (family, weighted, odd):
+        export_edge_list(adjacency, path)
+        assert path.read_text(encoding="utf-8") == edge_list_by_loop(adjacency)
+    assert path.read_text().count("\n") == 1 + 5
 
 
 def test_edge_list_diagnostics(tmp_path):

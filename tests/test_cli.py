@@ -369,18 +369,49 @@ def test_user_irrep_tables(tmp_path, capsys):
     assert "unitarity" in err or "homomorphism" in err
 
 
-def test_module_entry_point(tmp_path):
-    config = prism_config(tmp_path)
+def run_module(*argv):
+    """``python -m cayleyspec ARGV...`` in a child process, output as bytes."""
     # the child imports the package these tests import, also when pytest
     # put it on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
     source = os.path.dirname(os.path.dirname(cayleyspec.__file__))
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cayleyspec", "spectrum", "--config", config],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run(
+        [sys.executable, "-m", "cayleyspec", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path), check=False,
     )
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module("spectrum", "--config", prism_config(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 6
+
+
+def test_output_bytes_repeat_across_processes_and_destinations(tmp_path, capsys):
+    config = str(tmp_path / "family155.json")
+    assert run(capsys, "family", "--m", "31", "--l", "5", "--r", "2",
+               "--output", config)[0] == 0
+    first, second = (run_module("verify", "--config", config) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert first.stderr == second.stderr == b""
+    assert json.loads(first.stdout)["verification"]["passed"] is True
+    for command, stdout in (("verify", first.stdout),
+                            ("spectrum", run_module("spectrum", "--config", config).stdout)):
+        target = tmp_path / f"{command}.json"
+        proc = run_module(command, "--config", config, "--output", str(target))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == stdout, command
+
+
+@pytest.mark.parametrize("value", [True, 1, [1], ""])
+def test_export_graph_must_be_null_or_a_path(tmp_path, value):
+    # run in a child: an integer once reached open() as a file descriptor
+    # and closed the process's stdout
+    proc = run_module("verify", "--config", prism_config(tmp_path, export_graph=value))
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == (b"error: options.export_graph must be null or a "
+                           b"non-empty path\n")
 
 
 def test_verify_and_export_build_the_adjacency_once(tmp_path, capsys, monkeypatch):
