@@ -1,10 +1,10 @@
 """Cayley color graphs: colors, adjacency matrices, block structure.
 
 The graph of a color function alpha on a group G has adjacency
-``A[i, j] = alpha(g_j * g_i^{-1})`` over a fixed element ordering, so row i
-lists the out-edges of vertex i.  For split extensions the vertex order is
-the transversal order ``h_a k^b -> a*m + b`` and the matrix splits into
-m-by-m circulant-like blocks indexed by coset pairs.
+``A[i, j] = alpha(g_j * g_i^{-1})`` over the canonical element indices, so
+row i lists the out-edges of vertex i.  For split extensions vertex
+``a*m + b`` is ``h_a k^b`` and the matrix splits into m-by-m circulants
+indexed by coset pairs.
 
 The adjacency (in row blocks within the kernel's block budget) and the
 connection-set checks (one gather per conjugation orbit) run on the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from .groups import (
     FiniteGroup,
     MetacyclicGroup,
     SplitExtensionGroup,
-    Transversal,
     _block_len,
     _conjugation_orbits,
     is_generating_set,
-    left_transversal_ordering,
 )
 
 EDGE_LIST_HEADER = "# vertex v = h^(v div m) k^(v mod m)"
@@ -169,10 +167,9 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Dense adjacency of a Cayley color graph over a fixed element order."""
+    """Dense adjacency of a Cayley color graph over the canonical indices."""
 
     matrix: np.ndarray
-    ordering: tuple
 
     @property
     def n(self) -> int:
@@ -183,25 +180,22 @@ class AdjacencyMatrix:
         return bool(np.array_equal(self.matrix, self.matrix.conj().T))
 
 
-def adjacency_matrix(group: FiniteGroup, color: ColorFunction,
-                     ordering: Optional[Sequence] = None) -> AdjacencyMatrix:
+def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatrix:
     """A[i, j] = alpha(g_j * g_i^{-1}), gathered from the integer kernel.
 
     Rows are filled in blocks, each one gather of alpha at
-    ``mul_idx(j, inv_idx[i])``; ``ordering`` maps through ``group.index``.
+    ``mul_idx(j, inv_idx[i])``.
     """
-    elems = list(ordering) if ordering is not None else group.elements()
-    n = len(elems)
-    positions = np.array([group.index(g) for g in elems], dtype=np.int64)
-    row_inverses = group.inv_idx[positions]
+    n = group.order
+    columns = np.arange(n, dtype=np.int64)
     alpha = color.vector
     out = np.zeros((n, n), dtype=complex)
     step = _block_len(n)
     for lo in range(0, n, step):
-        products = group.mul_idx(positions[None, :], row_inverses[lo:lo + step, None])
+        products = group.mul_idx(columns[None, :], group.inv_idx[lo:lo + step, None])
         out[lo:lo + step] = alpha[products]
     out.flags.writeable = False
-    return AdjacencyMatrix(matrix=out, ordering=tuple(elems))
+    return AdjacencyMatrix(matrix=out)
 
 
 @dataclass(frozen=True)
@@ -209,13 +203,12 @@ class BlockDecomposition:
     """The l x l grid of K-graph blocks of a split-extension color graph.
 
     Block (i, j) is the adjacency of the K-graph of ``beta_ij``, where
-    ``beta_ij(k) = alpha(h_j * k * h_i^{-1})``.
+    ``beta_ij(k^c) = alpha(h_j * k^c * h_i^{-1})``; ``beta_values[i, j, c]``
+    is that value, in one read-only (l, l, m) array.
     """
 
     group: SplitExtensionGroup
-    transversal: Transversal
-    blocks: tuple
-    beta_values: tuple
+    beta_values: np.ndarray
 
     @property
     def l(self) -> int:
@@ -228,16 +221,15 @@ class BlockDecomposition:
     def beta(self, i: int, j: int) -> dict:
         """beta_ij as a map from K exponents to colors (zeros omitted)."""
         return {
-            c: v for c, v in enumerate(self.beta_values[i][j]) if v != 0
+            c: v for c, v in enumerate(self.beta_values[i, j].tolist()) if v != 0
         }
 
-    def first_row_beta(self, t: int) -> dict:
-        """beta_{0, t}; when invariance holds every beta_ij with
-        h_j h_i^{-1} = h_t equals this one."""
-        return self.beta(0, t)
-
     def assemble(self) -> np.ndarray:
-        return np.block([list(row) for row in self.blocks])
+        """The adjacency; block (i, j) is the circulant ``[a, b] -> beta_ij(b - a)``."""
+        l, m = self.l, self.m
+        shifts = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+        # (i, j, a, b) -> (i, a, j, b): row i*m + a, column j*m + b
+        return self.beta_values[:, :, shifts].transpose(0, 2, 1, 3).reshape(l * m, l * m)
 
 
 def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
@@ -249,15 +241,8 @@ def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
     # beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has index j*m + c
     values = color.vector[group.mul_idx(
         coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])]
-    # block_ij[a, b] = beta_ij(b - a): a circulant over K
-    blocks = values[:, :, (np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
-    blocks.flags.writeable = False
-    return BlockDecomposition(
-        group=group,
-        transversal=left_transversal_ordering(group),
-        blocks=tuple(tuple(row) for row in blocks),
-        beta_values=tuple(tuple(map(tuple, row)) for row in values.tolist()),
-    )
+    values.flags.writeable = False
+    return BlockDecomposition(group=group, beta_values=values)
 
 
 def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:
@@ -303,8 +288,12 @@ def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:
 
 
 def read_edge_list(path, n: int) -> np.ndarray:
-    """Rebuild a dense matrix from an exported edge list (ingest helper)."""
+    """Rebuild a dense matrix from an exported edge list (ingest helper).
+
+    Each ``i j`` pair may appear once; a repeat names both lines.
+    """
     out = np.zeros((n, n), dtype=complex)
+    first_line = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -322,5 +311,8 @@ def read_edge_list(path, n: int) -> np.ndarray:
                 raise ConfigError(f"{path}:{lineno}: non-finite value {raw.strip()!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError(f"{path}:{lineno}: vertex out of range for n={n}")
+            seen = first_line.setdefault((i, j), lineno)
+            if seen != lineno:
+                raise ConfigError(f"{path}:{lineno}: edge {i} {j} repeats line {seen}")
             out[i, j] = value
     return out

@@ -80,6 +80,15 @@ def _emit_json(payload, output: Optional[str]) -> None:
     _emit([json.dumps(payload, indent=2) + "\n"], output)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object that names no key twice (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ConfigError(f"key {key!r} appears twice in one object")
+    return obj
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -87,11 +96,13 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        config = json.loads(raw)
+        config = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config
@@ -254,12 +265,12 @@ def _parse_irrep_tables(group, raw) -> irreps.IrrepSet:
             )
         mats = {}
         for key, flat in matrices.items():
-            try:
-                position = int(key)
-            except ValueError:
+            # the plain decimal spelling only, so no two keys name one index
+            if not (key.isascii() and key.isdigit()) or key != str(int(key)):
                 raise ConfigError(
                     f"irreps[{idx}].matrices key {key!r} is not an element index"
-                ) from None
+                )
+            position = int(key)
             if not 0 <= position < len(elems):
                 raise ConfigError(
                     f"irreps[{idx}].matrices index {position} out of range"
@@ -513,10 +524,8 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
     if do_verify:
         tol = job.options["tolerance"]
         if getattr(args, "edges", None):
-            matrix = cayley.read_edge_list(args.edges, job.group.order)
             adjacency = cayley.AdjacencyMatrix(
-                matrix=matrix, ordering=tuple(job.group.elements())
-            )
+                cayley.read_edge_list(args.edges, job.group.order))
         else:
             adjacency = built = cayley.adjacency_matrix(job.group, job.color)
         verification = verify.certify(adjacency, spectrum, job.color, tol=tol)

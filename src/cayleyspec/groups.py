@@ -62,29 +62,6 @@ class ConjugacyClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Transversal:
-    """Coset representatives h_0 = e, h_1, ..., h_{l-1} and the vertex order.
-
-    Vertex ``a*m + b`` is the element ``h_a * k^b``.
-    """
-
-    representatives: tuple
-    m: int
-    ordering: tuple
-
-    @property
-    def l(self) -> int:
-        return len(self.representatives)
-
-    def vertex_index(self, g) -> int:
-        a, b = g
-        return a * self.m + b
-
-    def vertex_element(self, index: int):
-        return self.ordering[index]
-
-
 class FiniteGroup:
     """Immutable finite group over hashable normal-form encodings.
 
@@ -813,26 +790,6 @@ def conjugation_orbits_on_k(group: FiniteGroup) -> list:
         [elems[i] for i in members.tolist()]
         for members, _ in _conjugation_orbits(group, seeds, np.arange(group.order))
     ]
-
-
-def left_transversal_ordering(group: FiniteGroup) -> Transversal:
-    """The coset representatives and vertex order of a split group.
-
-    Groups without a distinguished split are viewed as the whole normal
-    part (l = 1): the single representative is the identity and the vertex
-    order is the canonical enumeration.
-    """
-    if not isinstance(group, SplitExtensionGroup):
-        return Transversal(
-            representatives=(group.identity,),
-            m=group.order,
-            ordering=tuple(group.elements()),
-        )
-    return Transversal(
-        representatives=tuple(group.h_elements()),
-        m=group.m,
-        ordering=tuple(group.elements()),
-    )
 
 
 def is_generating_set(group: FiniteGroup, subset: Iterable) -> tuple:

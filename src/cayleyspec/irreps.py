@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -482,11 +482,10 @@ class PMatrix:
     Column order: irreps in set order; within an irrep of degree d the
     column for coefficient (i, j) sits at offset j*d + i (column-major over
     the matrix entry), and each column holds sqrt(d/n) * rho(g)_{ij} over
-    the element ordering.
+    the canonical element indices.
     """
 
     matrix: np.ndarray
-    ordering: tuple
     column_labels: tuple
 
     @property
@@ -509,14 +508,11 @@ def _degree_batches(irrep_set: IrrepSet, elems: tuple):
             [irrep_set[k].stack[irrep_set[k]._rows(elems)] for k in batch])
 
 
-def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet,
-                   ordering: Optional[Sequence] = None) -> PMatrix:
+def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients."""
     ensure_trusted(group, irrep_set)
-    elems = tuple(ordering) if ordering is not None else tuple(group.elements())
+    elems = tuple(group.elements())
     n = group.order
-    if len(elems) != n:
-        raise ValueError(f"ordering has {len(elems)} entries for order {n}")
     total = sum(rho.degree ** 2 for rho in irrep_set)
     if total != n:
         raise IrrepValidationFailed(IrrepValidationReport([
@@ -534,4 +530,4 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet,
         (rho.label, i, j)
         for rho in irrep_set for j in range(rho.degree) for i in range(rho.degree)
     )
-    return PMatrix(matrix=_frozen(p_mat), ordering=elems, column_labels=labels)
+    return PMatrix(matrix=_frozen(p_mat), column_labels=labels)

@@ -65,9 +65,9 @@ from .irreps import (
 class SpectralLine:
     """One labeled eigenvalue with its multiplicity and basis vectors.
 
-    ``eigenvectors`` holds one unit vector per row; ``vector_labels`` gives
-    the coefficient indices (i, j) or (i, j, i2, j2) of each row.  The
-    split path also records its per-class intermediate sums.
+    ``eigenvectors`` holds one unit vector per row, over the canonical
+    element indices.  The split path also records its per-class
+    intermediate sums.
     """
 
     u: int
@@ -76,7 +76,6 @@ class SpectralLine:
     eigenvalue: complex
     multiplicity: int
     eigenvectors: Optional[np.ndarray] = None
-    vector_labels: Optional[tuple] = None
     h_class_terms: Optional[tuple] = None
     k_class_terms: Optional[tuple] = None
 
@@ -302,13 +301,9 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
         d = rho.degree
         eig = _character_sum(color.vector, rho.characters[rho._rows(elems)]) / d
         vectors = None
-        vector_labels = None
         if eigenvectors:
             vectors = p_matrix.matrix[:, col:col + d * d].T.copy()
             vectors.flags.writeable = False
-            vector_labels = tuple(
-                (i, j) for j in range(d) for i in range(d)
-            )
         lines.append(SpectralLine(
             u=k_idx,
             v=None,
@@ -316,7 +311,6 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
             eigenvalue=complex(eig),
             multiplicity=d * d,
             eigenvectors=vectors,
-            vector_labels=vector_labels,
         ))
         col += d * d
     return Spectrum(n=group.order, method="normal", lines=lines)
@@ -324,14 +318,12 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
 
 def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                    irreps_h: IrrepSet, irreps_k: IrrepSet,
-                   eigenvectors: bool = True, force: bool = False,
-                   check_representatives: bool = False) -> Spectrum:
+                   eigenvectors: bool = True, force: bool = False) -> Spectrum:
     """Spectrum of a split-extension color graph from H- and K-irreps.
 
     Raises HypothesesViolated unless both invariance conditions hold;
     ``force=True`` computes anyway and marks the result unverified by the
-    formula's hypotheses.  ``check_representatives`` re-evaluates the
-    per-class sums at a second class member and asserts agreement.
+    formula's hypotheses.
     """
     if not isinstance(group, SplitExtensionGroup):
         raise InvalidAction(
@@ -352,24 +344,12 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     h_classes = h_group.conjugacy_classes()
     k_chars = [rho.characters[rho._rows(tuple(range(m)))] for rho in irreps_k]
 
-    def class_sums(h):
-        """sigma_v at the class of h for every K-irrep v; alpha(h k^b) is
-        alpha at the element (index of h, b)."""
-        a = h_group.index(h)
-        row = color.vector[a * m:(a + 1) * m]
-        return [_character_sum(row, chars) / rho.degree
-                for rho, chars in zip(irreps_k, k_chars)]
-
-    k_terms = list(zip(*(class_sums(cls.representative) for cls in h_classes)))
-    if check_representatives:
-        for i, cls in enumerate(h_classes):
-            if cls.size == 1:
-                continue
-            for v, redo in enumerate(class_sums(cls.members[1])):
-                assert abs(redo - k_terms[v][i]) <= 1e-10, (
-                    f"class {i} sum differs between representatives: "
-                    f"{k_terms[v][i]} vs {redo}"
-                )
+    # k_terms[v][i] is sigma_vi; alpha(h k^b) is alpha at index a*m + b,
+    # a the index of the class representative h
+    rows = [color.vector[a * m:(a + 1) * m]
+            for a in (h_group.index(cls.representative) for cls in h_classes)]
+    k_terms = [tuple(_character_sum(row, chars) / rho.degree for row in rows)
+               for rho, chars in zip(irreps_k, k_chars)]
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns
         p_h = build_p_matrix(h_group, irreps_h)
@@ -390,7 +370,6 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
             k_col += d_v * d_v
             eig = sum(lt * st for lt, st in zip(lambda_terms, k_terms[v_idx]))
             vectors = None
-            vector_labels = None
             if eigenvectors:
                 h_vecs = p_h.matrix[:, h_span].T
                 k_vecs = p_k.matrix[:, k_span].T
@@ -398,10 +377,6 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                 vectors = (h_vecs[:, None, :, None] * k_vecs[None, :, None, :]
                            ).reshape(-1, l * m)
                 vectors.flags.writeable = False
-                vector_labels = tuple(
-                    h[1:] + k[1:] for h in p_h.column_labels[h_span]
-                    for k in p_k.column_labels[k_span]
-                )
             lines.append(SpectralLine(
                 u=u_idx,
                 v=v_idx,
@@ -409,7 +384,6 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                 eigenvalue=complex(eig),
                 multiplicity=(d_u * d_v) ** 2,
                 eigenvectors=vectors,
-                vector_labels=vector_labels,
                 h_class_terms=lambda_terms,
                 k_class_terms=k_terms[v_idx],
             ))
@@ -467,19 +441,13 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     lines = []
     for u, row in enumerate(eigenvalues.tolist()):
         for v, eig in enumerate(row):
-            vectors = None
-            vector_labels = None
-            if eigenvectors:
-                vectors = basis[u * m + v:u * m + v + 1]
-                vector_labels = ((0, 0, 0, 0),)
             lines.append(SpectralLine(
                 u=u,
                 v=v,
                 labels=(f"chi_{u}", f"chi_{v}"),
                 eigenvalue=eig,
                 multiplicity=1,
-                eigenvectors=vectors,
-                vector_labels=vector_labels,
+                eigenvectors=None if basis is None else basis[u * m + v:u * m + v + 1],
             ))
     return Spectrum(n=l * m, method="metacyclic", lines=lines)
 
@@ -569,7 +537,7 @@ def _block_diagonalize(group, color, irrep_set, capacity) -> BlockDiagonalizatio
         reconstruction_deviation=math.nan,
         block_eigenvalues=tuple(_small_block_eigenvalues(b.matrix) for b in blocks),
     )
-    adjacency = adjacency_matrix(group, color, ordering=p_matrix.ordering)
+    adjacency = adjacency_matrix(group, color)
     p = p_matrix.matrix
     recon = p @ decomposition.diagonal_matrix() @ p.conj().T
     return replace(decomposition, reconstruction_deviation=float(

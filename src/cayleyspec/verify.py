@@ -21,7 +21,7 @@ Gram matrix is Hermitian, so only its upper triangle is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -274,30 +274,26 @@ def compare_spectra(first: Spectrum, second: Spectrum,
             f"multisets have sizes {len(left)} and {len(right)}"
         )
     values = [complex(v) for v in left + right]
+    order = lambda z: (z.real, z.imag)
     surplus, deficit = [], []
     for indices in chain_groups(values, tol):
         balance = sum(1 if idx < len(left) else -1 for idx in indices)
-        if balance > 0:
-            surplus.append(values[indices[0]])
-        elif balance < 0:
-            deficit.append(values[indices[0]])
+        if balance:
+            # a group stands for its (Re, Im)-smallest member, whatever the
+            # order of the lines
+            side = surplus if balance > 0 else deficit
+            side.append(min((values[i] for i in indices), key=order))
     if not surplus:
         return True, None
-    order = lambda z: (z.real, z.imag)
     return False, (min(surplus, key=order), min(deficit, key=order))
 
 
-def regular_rep_matrix(group: FiniteGroup, g,
-                       ordering: Optional[Sequence] = None) -> np.ndarray:
+def regular_rep_matrix(group: FiniteGroup, g) -> np.ndarray:
     """Permutation matrix of left translation by g: M[a, b] = [g g_b = g_a]."""
-    elems = list(ordering) if ordering is not None else group.elements()
-    n = len(elems)
-    positions = np.array([group.index(x) for x in elems], dtype=np.int64)
-    position_of = np.empty(group.order, dtype=np.int64)
-    position_of[positions] = np.arange(n)
-    images = position_of[group.mul_idx(group.index(g), positions)]
+    n = group.order
+    columns = np.arange(n, dtype=np.int64)
     out = np.zeros((n, n), dtype=complex)
-    out[images, np.arange(n)] = 1.0
+    out[group.mul_idx(group.index(g), columns), columns] = 1.0
     out.flags.writeable = False
     return out
 

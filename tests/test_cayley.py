@@ -110,22 +110,25 @@ def test_beta_blocks_equal_the_element_loops_byte_for_byte():
     values = {g: complex(1 + i, -0.5 * i) for i, g in enumerate(conn.elements)}
     for color in (color_from_set(group, conn.elements), ColorFunction(group, values)):
         bd = beta_blocks(group, color)
+        assert bd.beta_values.shape == (3, 3, 7)
+        assert not bd.beta_values.flags.writeable
+        assembled = bd.assemble()
         for i in range(3):
             for j in range(3):
                 beta = [color(group.mul(group.mul((j, 0), (0, c)), group.inv((i, 0))))
                         for c in range(7)]
-                assert bd.beta_values[i][j] == tuple(beta)
+                assert bd.beta_values[i, j].tobytes() == np.array(beta).tobytes()
                 loop = np.zeros((7, 7), dtype=complex)
                 for a in range(7):
                     for b in range(7):
                         if beta[(b - a) % 7] != 0:
                             loop[a, b] = beta[(b - a) % 7]
-                assert bd.blocks[i][j].tobytes() == loop.tobytes()
-                assert not bd.blocks[i][j].flags.writeable
+                block = assembled[i * 7:(i + 1) * 7, j * 7:(j + 1) * 7]
+                assert block.tobytes() == loop.tobytes()
 
 
 def test_beta_blocks_depend_only_on_coset_difference():
-    # under the checked invariance conditions, beta_ij = beta_{1t} with
+    # under the checked invariance conditions, beta_ij = beta_{0t} with
     # h_t = h_j * h_i^{-1}
     group, conn = nonnormal_family(7, 3, 2)
     color = color_from_set(group, conn.elements)
@@ -134,7 +137,7 @@ def test_beta_blocks_depend_only_on_coset_difference():
     for i in range(3):
         for j in range(3):
             t = h_group.index(h_group.mul(j, h_group.inv(i)))
-            assert bd.beta(i, j) == bd.first_row_beta(t)
+            assert bd.beta(i, j) == bd.beta(0, t)
 
 
 def test_classify_family_witness():
@@ -215,12 +218,22 @@ def test_edge_list_equals_the_double_loop(tmp_path):
     special = np.array([[0, -0.0, complex(float("nan"), 0)],
                         [complex(-0.0, -0.0), 1e16 + 1 / 3j, complex(0, float("inf"))],
                         [0.1 + 0.2, 0, -1e-05]])
-    odd = AdjacencyMatrix(matrix=special, ordering=tuple(CyclicGroup(3).elements()))
+    odd = AdjacencyMatrix(matrix=special)
     path = tmp_path / "edges.txt"
     for adjacency in (family, weighted, odd):
         export_edge_list(adjacency, path)
         assert path.read_text(encoding="utf-8") == edge_list_by_loop(adjacency)
     assert path.read_text().count("\n") == 1 + 5
+
+
+def test_edge_list_rejects_a_repeated_pair(tmp_path):
+    # were both lines read, the second would overwrite the first
+    path = tmp_path / "edges.txt"
+    path.write_text(f"{EDGE_LIST_HEADER}\n0 1 1 0\n1 0 1 0\n0 1 5 0\n")
+    with pytest.raises(ConfigError, match=r"edges\.txt:4: edge 0 1 repeats line 2"):
+        read_edge_list(path, 2)
+    path.write_text(f"{EDGE_LIST_HEADER}\n0 1 1 0\n1 0 1 0\n")
+    assert read_edge_list(path, 2).tolist() == [[0, 1], [1, 0]]
 
 
 def test_edge_list_diagnostics(tmp_path):

@@ -495,6 +495,49 @@ def test_malformed_irrep_table_entries(tmp_path, capsys, entry):
     assert "irreps[1].matrices[2]" in err
 
 
+def c3_tables():
+    return [
+        {"label": rho.label, "degree": 1, "matrices": {
+            str(g): [[rho.character(g).real, rho.character(g).imag]] for g in range(3)}}
+        for rho in irreps_cyclic(3)
+    ]
+
+
+@pytest.mark.parametrize("spelling", ["01", " 1", "1 ", "+1", "0_1", "\u0661"])
+def test_irrep_table_index_spelled_twice(tmp_path, capsys, spelling):
+    # a bad entry for index 1, then the valid one under another spelling
+    # that int() also reads as 1; were both read, the last would win
+    tables = c3_tables()
+    valid = tables[1]["matrices"].pop("1")
+    tables[1]["matrices"]["1"] = [[5.0, 5.0]]
+    tables[1]["matrices"][spelling] = valid
+    config = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 3},
+        "connection": {"mode": "set", "elements": [1, 2]},
+        "irreps": tables,
+    })
+    code, out, err = run(capsys, "spectrum", "--config", config)
+    assert code == 4 and out == ""
+    assert f"irreps[1].matrices key {spelling!r} is not an element index" in err
+
+
+def test_config_key_named_twice(tmp_path, capsys):
+    tables = c3_tables()
+    table = json.dumps(tables[1])
+    valid = json.dumps(tables[1]["matrices"]["1"])
+    doubled = table.replace('"1": ' + valid, '"1": [[5.0, 5.0]], "1": ' + valid)
+    assert doubled != table
+    path = tmp_path / "job.json"
+    path.write_text(
+        '{"group": {"type": "cyclic", "n": 3}, '
+        '"connection": {"mode": "set", "elements": [1, 2]}, '
+        f'"irreps": [{json.dumps(tables[0])}, {doubled}, {json.dumps(tables[2])}]}}',
+        encoding="utf-8")
+    code, out, err = run(capsys, "spectrum", "--config", str(path))
+    assert code == 4 and out == ""
+    assert "job.json: key '1' appears twice in one object" in err
+
+
 def test_blocks_method_capacity(tmp_path, capsys):
     config = write_config(tmp_path, {
         "group": {"type": "cyclic", "n": 600},

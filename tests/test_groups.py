@@ -15,7 +15,6 @@ from cayleyspec import (
     conjugation_orbits_on_k,
     construct_group,
     is_generating_set,
-    left_transversal_ordering,
 )
 
 
@@ -188,19 +187,17 @@ def test_orbits_refine_classes_on_k():
 
 
 def test_transversal_ordering():
+    # the canonical index of h_a k^b is the paper's vertex order a*m + b
     g = MetacyclicGroup(7, 3, 2)
-    t = left_transversal_ordering(g)
-    assert t.m == 7 and t.l == 3
-    assert t.representatives == ((0, 0), (1, 0), (2, 0))
-    assert t.vertex_index((2, 3)) == 17
-    assert t.vertex_element(17) == (2, 3)
-    for idx, e in enumerate(t.ordering):
-        assert t.vertex_index(e) == idx
+    assert g.m == 7 and g.l == 3
+    assert g.index((2, 3)) == 17
+    assert g.elements()[17] == (2, 3)
+    for group in (g, SemidirectProductGroup(7, DihedralGroup(3), [6, 1])):
+        for idx, (a, b) in enumerate(group.elements()):
+            assert idx == a * 7 + b
+            assert group.mul((a, 0), (0, b)) == (a, b)
 
-    c = CyclicGroup(6)  # l = 1: natural exponent order
-    t = left_transversal_ordering(c)
-    assert t.m == 6 and t.l == 1
-    assert list(t.ordering) == [0, 1, 2, 3, 4, 5]
+    assert CyclicGroup(6).elements() == [0, 1, 2, 3, 4, 5]
 
 
 def test_is_generating_set():

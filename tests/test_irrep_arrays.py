@@ -433,16 +433,6 @@ def test_shuffled_user_tables_give_the_builtin_results():
     assert got.reconstruction_deviation == want.reconstruction_deviation
 
 
-def test_p_matrix_with_an_ordering():
-    group = DihedralGroup(3)
-    irr = builtin_irreps(group)
-    ordering = list(reversed(group.elements()))
-    p = build_p_matrix(group, irr, ordering=ordering)
-    base = build_p_matrix(group, irr)
-    assert p.ordering == tuple(ordering)
-    assert np.array_equal(p.matrix, base.matrix[::-1])
-
-
 def test_diagonal_matrix_is_the_kron_assembly():
     group = MetacyclicGroup(7, 3, 2)
     color = random_color(group, random.Random(5))

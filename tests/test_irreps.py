@@ -233,7 +233,7 @@ def test_p_matrix_column_layout():
     assert labels == [(0, 0), (1, 0), (0, 1), (1, 1)]
     scale = np.sqrt(2 / 6)
     rho = irr[2]
-    for idx, g in enumerate(p.ordering):
+    for idx, g in enumerate(group.elements()):
         assert abs(p.matrix[idx, span.start] - scale * rho.matrix(g)[0, 0]) < 1e-15
 
 

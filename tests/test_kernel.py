@@ -25,7 +25,9 @@ from cayleyspec import (
     MetacyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
+    SplitExtensionGroup,
     adjacency_matrix,
+    beta_blocks,
     check_split_hypotheses,
     classify_connection_set,
     color_from_set,
@@ -37,8 +39,8 @@ from cayleyspec.spectra import ConditionWitness, chain_groups
 # -- oracles: the per-element loops the kernel paths replaced ----------------
 
 
-def adjacency_oracle(group, color, ordering=None):
-    elems = list(ordering) if ordering is not None else group.elements()
+def adjacency_oracle(group, color):
+    elems = group.elements()
     n = len(elems)
     out = np.zeros((n, n), dtype=complex)
     inverses = [group.inv(g) for g in elems]
@@ -50,6 +52,12 @@ def adjacency_oracle(group, color, ordering=None):
             if value != 0:
                 row[j] = value
     return out
+
+
+def beta_oracle(group, color, i, j):
+    """beta_ij(k^c) = alpha(h_j k^c h_i^{-1}) for c = 0..m-1."""
+    h_i_inv = group.inv((i, 0))
+    return [color(group.mul(group.mul((j, 0), (0, c)), h_i_inv)) for c in range(group.m)]
 
 
 def generating_oracle(group, subset):
@@ -314,13 +322,6 @@ def test_adjacency_byte_equal_to_loop(group):
     expect = adjacency_oracle(group, color)
     assert built.matrix.dtype == expect.dtype and built.matrix.shape == expect.shape
     assert built.matrix.tobytes() == expect.tobytes()
-    assert built.ordering == tuple(elems)
-
-    shuffled = list(elems)
-    rng.shuffle(shuffled)
-    built = adjacency_matrix(group, color, ordering=shuffled)
-    assert built.matrix.tobytes() == adjacency_oracle(group, color, shuffled).tobytes()
-    assert built.ordering == tuple(shuffled)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -328,11 +329,8 @@ def test_adjacency_byte_equal_to_loop(group):
 def test_adjacency_byte_equal_on_random_inputs(case, rng):
     group, subset = case
     color = ColorFunction(group, {g: rng.choice(COLOR_VALUES) for g in subset})
-    ordering = list(group.elements())
-    rng.shuffle(ordering)
-    for order in (None, ordering):
-        built = adjacency_matrix(group, color, ordering=order)
-        assert built.matrix.tobytes() == adjacency_oracle(group, color, order).tobytes()
+    built = adjacency_matrix(group, color)
+    assert built.matrix.tobytes() == adjacency_oracle(group, color).tobytes()
 
 
 def test_adjacency_in_row_blocks(monkeypatch):
@@ -343,6 +341,23 @@ def test_adjacency_in_row_blocks(monkeypatch):
     expect = adjacency_oracle(group, color)
     monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 8 * 52 * 5)  # 5 rows a block
     assert adjacency_matrix(group, color).matrix.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_and_subset().filter(lambda case: isinstance(case[0], SplitExtensionGroup)),
+       st.randoms(use_true_random=False))
+def test_beta_blocks_assemble_the_adjacency_on_random_inputs(case, rng):
+    group, subset = case
+    color = ColorFunction(group, {g: rng.choice(COLOR_VALUES) for g in subset})
+    decomposition = beta_blocks(group, color)
+    assembled = decomposition.assemble()
+    assert assembled.dtype == complex
+    assert assembled.tobytes() == adjacency_matrix(group, color).matrix.tobytes()
+    for i in range(group.l):
+        for j in range(group.l):
+            beta = beta_oracle(group, color, i, j)
+            assert decomposition.beta(i, j) == {c: v for c, v in enumerate(beta) if v != 0}
+            assert decomposition.beta_values[i, j].tobytes() == np.array(beta).tobytes()
 
 
 # -- generation and classification --------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cayleyspec import (
     NotClassFunction,
     PermutationGroup,
     SemidirectProductGroup,
+    Spectrum,
     adjacency_matrix,
     block_diagonalize,
     builtin_irreps,
@@ -23,6 +25,7 @@ from cayleyspec import (
     color_from_set,
     compare_spectra,
     irreps_cyclic,
+    layers_from_set,
     nonnormal_family,
     spectrum_metacyclic,
     spectrum_normal,
@@ -196,10 +199,56 @@ def test_split_order_42_lines():
 
 
 def test_split_representative_independence():
+    # sigma_vi, summed at any member h of the H-class C_i, is the class term
     group, color, d3 = order_42_fixture()
-    spec = spectrum_split(group, color, builtin_irreps(d3), irreps_cyclic(7),
-                          check_representatives=True)
+    irreps_k = irreps_cyclic(7)
+    spec = spectrum_split(group, color, builtin_irreps(d3), irreps_k)
     assert spec.total_multiplicity == 42
+    h_group = group.h_group
+    for line in spec.lines:
+        rho_v = irreps_k[line.v]
+        for cls, term in zip(h_group.conjugacy_classes(), line.k_class_terms):
+            for h in cls.members:
+                a = h_group.index(h)
+                redo = sum(color((a, b)) * rho_v.character(b)
+                           for b in range(7)) / rho_v.degree
+                assert abs(redo - term) <= 1e-10
+
+
+def line_order_cases():
+    """Spectra from the metacyclic and split routes, with and without the
+    complex eigenvalues and degree-2 H-irreps of the order-42 group."""
+    group, conn = nonnormal_family(13, 4, 5)
+    color = color_from_set(group, conn.elements)
+    g42, c42, d3 = order_42_fixture()
+    return [
+        spectrum_metacyclic(13, 4, 5, layers_from_set(group, conn.elements),
+                            eigenvectors=False),
+        spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(13),
+                       eigenvectors=False),
+        spectrum_split(g42, c42, builtin_irreps(d3), irreps_cyclic(7), eigenvectors=False),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_multiset_and_compare_ignore_line_order(seed):
+    rng = random.Random(seed)
+    cases = line_order_cases()
+    for spec, other in zip(cases, cases[1:2] + cases[:1] + cases[2:]):
+        lines = list(spec.lines)
+        rng.shuffle(lines)
+        shuffled = Spectrum(n=spec.n, method=spec.method, lines=lines)
+        assert repr(shuffled.multiset()) == repr(spec.multiset())
+        assert compare_spectra(shuffled, spec) == (True, None)
+        assert compare_spectra(shuffled, other) == compare_spectra(spec, other)
+        # a spectrum that differs in one line gives the same witness pair
+        moved = list(other.lines)
+        k = rng.randrange(len(moved))
+        moved[k] = replace(moved[k], eigenvalue=moved[k].eigenvalue + 0.5)
+        moved = Spectrum(n=other.n, method=other.method, lines=moved)
+        expect = compare_spectra(spec, moved)
+        assert expect[0] is False
+        assert repr(compare_spectra(shuffled, moved)) == repr(expect)
 
 
 def test_split_zero_color():
