@@ -80,14 +80,34 @@ class SpectralLine:
     k_class_terms: Optional[tuple] = None
 
 
+@dataclass(frozen=True)
+class KroneckerFactors:
+    """The factored basis of a split or metacyclic spectrum.
+
+    Vector t, counted over the lines in order, is
+    ``kron(h_rows[h], k_rows[k])`` with ``(h, k) = pairs[t]``: the rows are
+    H- and K-coefficient vectors, of lengths l and m.  The arrays are
+    read-only.
+    """
+
+    h_rows: np.ndarray
+    k_rows: np.ndarray
+    pairs: np.ndarray
+
+
 @dataclass
 class Spectrum:
-    """A full labeled spectrum; total multiplicity covers the whole space."""
+    """A full labeled spectrum; total multiplicity covers the whole space.
+
+    ``factors`` is set by the split and metacyclic routes when they build
+    vectors, and None otherwise.
+    """
 
     n: int
     method: str
     lines: list
     theorem_verified: bool = True
+    factors: Optional[KroneckerFactors] = None
 
     @property
     def total_multiplicity(self) -> int:
@@ -166,21 +186,26 @@ def chain_groups(values: Sequence[complex], tol: float) -> list:
     return list(groups.values())
 
 
+def _value_order(z: complex) -> tuple:
+    """Sort key (Re, Im), with -0.0 before 0.0 in either part."""
+    return (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+
+
 def cluster_eigenvalues(values: Sequence[complex], tol: float = 1e-9) -> list:
     """Group values by chaining pairs within ``tol``.
 
-    Returns (representative, count) pairs ordered by (Re, Im); the
-    representative is the (Re, Im)-smallest member of its group.  Groups
-    are formed over all pairs, not just sort-adjacent ones, so rounding
-    noise that interleaves two nearby groups cannot split them.
+    Returns (representative, count) pairs ordered by ``_value_order``; the
+    representative is the smallest member of its group in that order, so
+    it does not depend on the order of ``values``.  Groups are formed over
+    all pairs, not just sort-adjacent ones, so rounding noise that
+    interleaves two nearby groups cannot split them.
     """
     items = [complex(v) for v in values]
-    order = lambda z: (z.real, z.imag)
     out = []
     for indices in chain_groups(items, tol):
         members = [items[i] for i in indices]
-        out.append((min(members, key=order), len(members)))
-    return sorted(out, key=lambda pair: order(pair[0]))
+        out.append((min(members, key=_value_order), len(members)))
+    return sorted(out, key=lambda pair: _value_order(pair[0]))
 
 
 @dataclass(frozen=True)
@@ -387,12 +412,29 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                 h_class_terms=lambda_terms,
                 k_class_terms=k_terms[v_idx],
             ))
+    factors = None
+    if eigenvectors:
+        # line (u, v) holds the pairs (p, q) of its H- and K-spans, p major,
+        # and lines run u major: sort the grid by (u, v, p, q)
+        h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h.degrees()))
+        k_irrep = np.repeat(np.arange(len(irreps_k)), np.square(irreps_k.degrees()))
+        p, q = np.divmod(np.arange(l * m), m)
+        order = np.lexsort((q, p, k_irrep[q], h_irrep[p]))
+        factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=p_k.matrix.T,
+                                   pairs=_frozen_pairs(p[order], q[order]))
     return Spectrum(
         n=group.order,
         method="split",
         lines=lines,
         theorem_verified=report.passed,
+        factors=factors,
     )
+
+
+def _frozen_pairs(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    pairs = np.stack((h, k), axis=1)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
@@ -430,7 +472,7 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     eigenvalues = np.zeros((l, m), dtype=complex)
     for t in range(l):
         eigenvalues += _cmul(roots_l[u_range * t % l][:, np.newaxis], layer_sums[t])
-    basis = None
+    basis = factors = None
     if eigenvectors:
         h_vectors = roots_l[np.outer(u_range, u_range) % l] / sqrt(l)
         k_vectors = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
@@ -438,6 +480,10 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
         basis = (h_vectors[:, np.newaxis, :, np.newaxis]
                  * k_vectors[np.newaxis, :, np.newaxis, :]).reshape(l * m, l * m)
         basis.flags.writeable = False
+        h_vectors.flags.writeable = False
+        k_vectors.flags.writeable = False
+        factors = KroneckerFactors(h_rows=h_vectors, k_rows=k_vectors,
+                                   pairs=_frozen_pairs(*np.divmod(np.arange(l * m), m)))
     lines = []
     for u, row in enumerate(eigenvalues.tolist()):
         for v, eig in enumerate(row):
@@ -449,7 +495,7 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
                 multiplicity=1,
                 eigenvectors=None if basis is None else basis[u * m + v:u * m + v + 1],
             ))
-    return Spectrum(n=l * m, method="metacyclic", lines=lines)
+    return Spectrum(n=l * m, method="metacyclic", lines=lines, factors=factors)
 
 
 RECONSTRUCTION_CAPACITY = 500

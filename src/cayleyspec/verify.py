@@ -7,10 +7,27 @@ basis by its Gram matrix, and the eigenvalue multiset by trace identities.
 No general eigensolver is involved, so a certified result never relies on
 the code paths that produced it.
 
-The checks are dense GEMMs over blocks of stacked eigenvectors.  Beyond
-the n x n adjacency, the claimed vectors and one stacked copy of them,
-certification holds one block at a time: ``_BLOCK_BYTES`` of vectors (or
-of Gram rows) plus about twice that in GEMM output and residual
+Two paths compute the residuals and the Gram deviation; the results agree
+to rounding, and the trace identities and completeness are the same.
+
+The structured path runs when all of these hold: n is at least
+``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum carries
+Kronecker factors (the split and metacyclic routes attach them) whose
+pairs cover the grid of H rows by K rows once each; every line's vectors
+equal, bit for bit, the Kronecker products of their pairs; and the passed
+adjacency equals, exactly, the l x l grid of m x m circulants whose beta
+table it holds in its rows i*m.  Then the residuals apply that grid to the
+claimed vectors by FFT correlation in O(n^2 (l + log m)) work, the Gram
+deviation comes from the two factor Grams, and ``certify`` reads the trace
+identities off the beta table.  Beyond the adjacency and the vectors it
+holds O(n*m): the beta table, the factor Grams, and per chunk of K rows at
+most ``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes
+the vectors are eigenvectors, and no irrep is touched.
+
+Otherwise the dense path runs: GEMMs over blocks of stacked eigenvectors.
+Beyond the n x n adjacency, the claimed vectors and one stacked copy of
+them, it holds one block at a time: ``_BLOCK_BYTES`` of vectors (or of
+Gram rows) plus about twice that in GEMM output and residual
 temporaries, whatever n and the number of lines.  While it computes
 residuals against a real adjacency (every indicator color gives one) it
 also holds one float64 copy of the adjacency's real part, so each
@@ -30,10 +47,23 @@ from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup
 from .irreps import IrrepSet, _character_sum
-from .spectra import RECONSTRUCTION_CAPACITY, Spectrum, chain_groups
+from .spectra import (
+    RECONSTRUCTION_CAPACITY,
+    KroneckerFactors,
+    Spectrum,
+    _value_order,
+    chain_groups,
+)
 
 # bytes of stacked complex vectors (or Gram rows) one certification block holds
 _BLOCK_BYTES = 1 << 23
+
+# the smallest order certified on the structured path: below it the dense
+# GEMMs are faster than the checks and FFTs the structured path runs
+_STRUCTURED_MIN_N = 150
+
+# default of the private ``_factors`` argument: check the factors here
+_UNCHECKED = object()
 
 
 @dataclass
@@ -56,6 +86,7 @@ class VerificationReport:
     complete: Optional[bool] = None
     trace_deviation: Optional[float] = None
     trace_sq_deviation: Optional[float] = None
+    structured: bool = False
 
     @property
     def passed(self) -> bool:
@@ -94,15 +125,90 @@ def _gram_rows(count: int) -> int:
     return min(_block_columns(count), max(128, -(-count // 8)))
 
 
-def verify_eigenpairs(adjacency, spectrum: Spectrum,
-                      tol: float = 1e-9) -> VerificationReport:
+def _rows_of(lines, offsets, lo: int, hi: int) -> list:
+    """Vectors lo..hi-1, counted over the lines in order: one slice per line."""
+    first = int(np.searchsorted(offsets, lo, side="right")) - 1
+    last = int(np.searchsorted(offsets, hi))
+    return [lines[k].eigenvectors[max(lo - offsets[k], 0):hi - offsets[k]]
+            for k in range(first, last)]
+
+
+def _line_offsets(lines) -> np.ndarray:
+    return np.concatenate(
+        ([0], np.cumsum([len(line.eigenvectors) for line in lines], dtype=np.int64)))
+
+
+def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
+    """The spectrum's Kronecker factors, when the structured path may use them.
+
+    That needs n at least ``_STRUCTURED_MIN_N``, pairs that cover the grid
+    of l H rows by m K rows once each (l*m = n), and every line's vectors
+    equal, bit for bit, to the Kronecker products their pairs name.  The
+    products are formed one block of vectors at a time.  Otherwise None.
+    """
+    factors, n = spectrum.factors, spectrum.n
+    if factors is None or n < _STRUCTURED_MIN_N:
+        return None
+    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
+    l, m = len(h_rows), len(k_rows)
+    if (l * m != n or h_rows.shape != (l, l) or k_rows.shape != (m, m)
+            or pairs.shape != (n, 2) or pairs.dtype.kind not in "iu"
+            or h_rows.dtype != complex or k_rows.dtype != complex):
+        return None
+    lines = spectrum.lines
+    if any(line.eigenvectors is None or line.eigenvectors.dtype != complex
+           or line.eigenvectors.shape[1:] != (n,) for line in lines):
+        return None
+    offsets = _line_offsets(lines)
+    if offsets[-1] != n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
+        return None
+    if not np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(n)):
+        return None
+    width = _block_columns(n)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        products = (h_rows[pairs[lo:hi, 0], :, None]
+                    * k_rows[pairs[lo:hi, 1], None, :]).reshape(hi - lo, n)
+        claimed = np.concatenate(_rows_of(lines, offsets, lo, hi))
+        if not np.array_equal(claimed.view(np.uint64), products.view(np.uint64)):
+            return None
+    return factors
+
+
+def _rows_match_grid(windows: np.ndarray, block: np.ndarray, lo: int) -> bool:
+    """Whether rows lo.. of the adjacency equal those of the circulant grid.
+
+    ``windows[i, j, s]`` is ``beta_ij`` doubled and read from position s,
+    so row a of block (i, j), ``beta_ij(b - a)`` over b, is window m - a.
+    """
+    l, m = windows.shape[1], windows.shape[3]
+    hi = lo + len(block)
+    for i in range(lo // m, -(-hi // m)):
+        a0, a1 = max(lo, i * m) - i * m, min(hi, (i + 1) * m) - i * m
+        rows = block[i * m + a0 - lo:i * m + a1 - lo].reshape(a1 - a0, l, m)
+        if not np.array_equal(rows, windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2)):
+            return False
+    return True
+
+
+def _first_rows_beta(matrix: np.ndarray, l: int, m: int) -> np.ndarray:
+    """``beta[i, j, c] = A[i*m, j*m + c]``: the grid's table read from rows i*m."""
+    return np.array(matrix[::m]).reshape(l, l, m)
+
+
+def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
+                      *, _factors=_UNCHECKED) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
-    Consecutive lines' vectors are stacked into column blocks of bounded
-    size (a line may straddle two blocks); each block is one GEMM
+    When ``_checked_factors`` accepts the spectrum and the adjacency is the
+    l x l grid of circulants whose beta table it holds in its rows i*m,
+    the residuals come from that table (``_structured_residuals``).
+    Otherwise consecutive lines' vectors are stacked into column blocks of
+    bounded size (a line may straddle two blocks); each block is one GEMM
     ``A @ B - B * lam``, and per-line maxima come from its column maxima.
     When the imaginary part of A is identically zero (a NaN or inf there
     counts as nonzero), the GEMM runs on a float64 copy of its real part.
+    ``_factors`` is for ``certify``, which checks the factors once.
     """
     matrix = _as_matrix(adjacency)
     n = matrix.shape[0]
@@ -112,14 +218,6 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
         )
-    width = _block_columns(n)
-    row_sums = np.empty(n)
-    real = True
-    for lo in range(0, n, width):
-        row_block = matrix[lo:lo + width]
-        row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
-        real = real and not row_block.imag.any()
-    scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     for line in spectrum.lines:
         if line.eigenvectors is None:
             raise ValueError(
@@ -131,27 +229,42 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
                 f"line ({line.u}, {line.v}) vectors have length "
                 f"{vectors.shape[1]}, expected {n}"
             )
-    if real:
-        matrix = np.ascontiguousarray(matrix.real)
+    factors = _checked_factors(spectrum) if _factors is _UNCHECKED else _factors
+    windows = None
+    if factors is not None:
+        l, m = len(factors.h_rows), len(factors.k_rows)
+        beta = _first_rows_beta(matrix, l, m)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((beta, beta), axis=-1), m, axis=-1)
+    width = _block_columns(n)
+    row_sums = np.empty(n)
+    real = True
+    for lo in range(0, n, width):
+        row_block = matrix[lo:lo + width]
+        row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
+        real = real and not row_block.imag.any()
+        if windows is not None and not _rows_match_grid(windows, row_block, lo):
+            windows = None
+    scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     lines = spectrum.lines
-    counts = [len(line.eigenvectors) for line in lines]
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    offsets = _line_offsets(lines)
     total = int(offsets[-1])
+    counts = np.diff(offsets)
     column_eigenvalues = np.repeat(
         np.array([line.eigenvalue for line in lines], dtype=complex), counts
     )
-    column_max = np.zeros(total)
-    for lo in range(0, total, width):
-        hi = min(lo + width, total)
-        first = int(np.searchsorted(offsets, lo, side="right")) - 1
-        last = int(np.searchsorted(offsets, hi))
-        rows = [
-            lines[k].eigenvectors[max(lo - offsets[k], 0):hi - offsets[k]]
-            for k in range(first, last)
-        ]
-        column_max[lo:hi] = _residual_block(matrix, rows, column_eigenvalues[lo:hi])
+    if windows is not None:
+        column_max = _structured_residuals(beta, factors, column_eigenvalues)
+    else:
+        if real:
+            matrix = np.ascontiguousarray(matrix.real)
+        column_max = np.zeros(total)
+        for lo in range(0, total, width):
+            hi = min(lo + width, total)
+            column_max[lo:hi] = _residual_block(
+                matrix, _rows_of(lines, offsets, lo, hi), column_eigenvalues[lo:hi])
     residuals = np.zeros(len(lines))
-    nonempty = np.array(counts) > 0
+    nonempty = counts > 0
     if nonempty.any():
         residuals[nonempty] = np.maximum.reduceat(column_max, offsets[:-1][nonempty])
     per_line = tuple(float(r) for r in residuals)
@@ -161,7 +274,42 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         scale=scale,
         max_residual=float(np.max(residuals, initial=0.0)),
         per_line_residuals=per_line,
+        structured=windows is not None,
     )
+
+
+def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
+                          eigenvalues: np.ndarray) -> np.ndarray:
+    """Max-abs residual of each vector ``kron(H[h], K[k])`` from the beta table.
+
+    Block row i of ``A v`` is ``sum_j H[h, j] C_ij K[k]``, and ``C_ij x`` is
+    the circular correlation ``sum_c beta_ij(c) x[a + c]``, whose DFT is
+    ``fft(x) * m * ifft(beta_ij)``.  The sum over j is taken on those DFTs,
+    one (l, l) by (l, m) product per i, so one batched inverse FFT gives
+    block row i for every pair of a chunk of K rows; then
+    ``eigenvalue * H[h, i] * K[k]`` is subtracted.  Each temporary of a
+    chunk holds at most ``_BLOCK_BYTES``, and no n x n array is formed.
+    """
+    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
+    l, m = len(h_rows), len(k_rows)
+    # the eigenvalue claimed for the vector of each pair
+    grid_eigenvalues = np.empty((l, m), dtype=complex)
+    grid_eigenvalues[pairs[:, 0], pairs[:, 1]] = eigenvalues
+    # contracted[i, u] = sum_j H[u, j] * m * ifft(beta_ij)
+    contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
+    grid_max = np.zeros((l, m))
+    step = max(1, _BLOCK_BYTES // (16 * l * m))
+    for lo in range(0, m, step):
+        k_block = k_rows[lo:lo + step]
+        k_hat = np.fft.fft(k_block, axis=-1)
+        block_max = grid_max[:, lo:lo + step]
+        for i in range(l):
+            # applied[u, v, a] = (A kron(H[u], K[lo + v]))[i*m + a]
+            applied = np.fft.ifft(contracted[i][:, None, :] * k_hat, axis=-1)
+            scaled = grid_eigenvalues[:, lo:lo + step] * h_rows[:, i, None]
+            applied -= scaled[:, :, None] * k_block
+            np.maximum(block_max, np.abs(applied).max(axis=-1), out=block_max)
+    return grid_max[pairs[:, 0], pairs[:, 1]]
 
 
 def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
@@ -188,24 +336,47 @@ def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
 
 
 class BasisCheck(tuple):
-    """``(gram_deviation, complete)``, plus the number of vectors checked."""
+    """``(gram_deviation, complete)``, plus the number of vectors checked and
+    whether the Gram came from the Kronecker factors."""
 
-    def __new__(cls, gram_deviation: float, complete: bool, vector_count: int):
+    def __new__(cls, gram_deviation: float, complete: bool, vector_count: int,
+                structured: bool = False):
         check = super().__new__(cls, (gram_deviation, complete))
         check.vector_count = vector_count
+        check.structured = structured
         return check
 
 
-def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
+def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
+                 *, _factors=_UNCHECKED) -> BasisCheck:
     """Gram deviation of the stacked eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
     claimed multiplicities sum to n and one vector backs each of them; the
-    result's ``vector_count`` is the number of stacked vectors.  The Gram
-    matrix is Hermitian, so only its upper triangle is formed: each row
-    block from its diagonal block rightwards, never the whole matrix.
+    result's ``vector_count`` is the number of stacked vectors.  When
+    ``_checked_factors`` accepts the spectrum, the Gram matrix is
+    ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
+    from the two factor Grams (``_structured_gram``).  Otherwise the Gram
+    matrix, Hermitian, has only its upper triangle formed: each row block
+    from its diagonal block rightwards, never the whole matrix.
     """
-    stacked = spectrum.eigenvector_matrix().T
+    factors = _checked_factors(spectrum) if _factors is _UNCHECKED else _factors
+    if factors is not None:
+        # the pairs cover the grid once, so there are n vectors
+        count, gram_deviation = spectrum.n, _structured_gram(factors)
+    else:
+        count, gram_deviation = _upper_gram_deviation(spectrum.eigenvector_matrix().T)
+    complete = (
+        count == spectrum.n
+        and spectrum.total_multiplicity == spectrum.n
+        and all(len(line.eigenvectors) == line.multiplicity for line in spectrum.lines)
+    )
+    return BasisCheck(gram_deviation, complete, count, factors is not None)
+
+
+def _upper_gram_deviation(stacked: np.ndarray) -> tuple:
+    """(vector count, max |G - I|) over the upper triangle of the Gram of
+    ``stacked``'s rows, a row block at a time."""
     count = stacked.shape[0]
     gram_deviation = 0.0
     step = _gram_rows(count)
@@ -220,37 +391,88 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
         gram[diagonal, diagonal] -= 1
         block = np.abs(gram, out=magnitudes[:gram.shape[0], :gram.shape[1]])
         gram_deviation = float(np.maximum(gram_deviation, np.max(block, initial=0.0)))
-    complete = (
-        count == spectrum.n
-        and spectrum.total_multiplicity == spectrum.n
-        and all(len(line.eigenvectors) == line.multiplicity for line in spectrum.lines)
-    )
-    return BasisCheck(gram_deviation, complete, count)
+    return count, gram_deviation
+
+
+def _structured_gram(factors: KroneckerFactors) -> float:
+    """max |G_H[u, u'] G_K[v, v'] - delta| over the grid, u' >= u.
+
+    The vectors' Gram entry for the pairs (u, v) and (u', v') is
+    ``G_H[u, u'] * G_K[v, v']`` with ``G = conj(R) R^T`` for each factor's
+    rows R; entries with u' < u are conjugates of entries kept.  Each block
+    of u' holds at most ``_BLOCK_BYTES``.
+    """
+    h_rows, k_rows = factors.h_rows, factors.k_rows
+    l, m = len(h_rows), len(k_rows)
+    gram_h = h_rows.conj() @ h_rows.T
+    gram_k = k_rows.conj() @ k_rows.T
+    identity = np.eye(m)
+    step = max(1, _BLOCK_BYTES // (16 * m * m))
+    deviation = 0.0
+    for u in range(l):
+        for lo in range(u, l, step):
+            block = gram_h[u, lo:lo + step, None, None] * gram_k
+            if lo == u:
+                block[0] -= identity
+            deviation = float(np.maximum(deviation, np.max(np.abs(block), initial=0.0)))
+    return deviation
 
 
 def trace_identities(adjacency, color: ColorFunction) -> tuple:
     """Deviations |tr A - n alpha(e)| and |tr A^2 - n sum_g alpha(g) alpha(g^{-1})|."""
     matrix = _as_matrix(adjacency)
-    n = matrix.shape[0]
-    group = color.group
-    if group.order != n:
+    _check_color_order(color, matrix.shape[0])
+    return _trace_deviations(complex(np.trace(matrix)),
+                             complex(np.einsum("ij,ji->", matrix, matrix)), color)
+
+
+def _check_color_order(color: ColorFunction, n: int) -> None:
+    if color.group.order != n:
         raise DimensionMismatch(
-            f"color lives on a group of order {group.order}, adjacency has n={n}"
+            f"color lives on a group of order {color.group.order}, adjacency has n={n}"
         )
-    expected_trace = n * color(group.identity)
-    trace_dev = abs(complex(np.trace(matrix)) - expected_trace)
+
+
+def _trace_deviations(trace: complex, trace_sq: complex, color: ColorFunction) -> tuple:
+    group = color.group
+    n = group.order
     pair_sum = _character_sum(color.vector, color.vector[group.inv_idx])
-    trace_sq = complex(np.einsum("ij,ji->", matrix, matrix))
-    trace_sq_dev = abs(trace_sq - n * pair_sum)
-    return float(trace_dev), float(trace_sq_dev)
+    return (float(abs(trace - n * color(group.identity))),
+            float(abs(trace_sq - n * pair_sum)))
+
+
+def _beta_traces(beta: np.ndarray) -> tuple:
+    """tr A and tr A^2 of the circulant grid of ``beta``.
+
+    ``tr A = m sum_i beta_ii(0)`` and
+    ``tr A^2 = m sum_ij sum_c beta_ij(c) beta_ji(-c)``.
+    """
+    m = beta.shape[-1]
+    # negated[j, i, c] = beta_ji(-c)
+    negated = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
+    return (complex(m * np.trace(beta[:, :, 0])),
+            complex(m * np.einsum("ijc,ijc->", beta, negated)))
 
 
 def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
-    """Full certification: residuals, basis, completeness, trace identities."""
-    report = verify_eigenpairs(adjacency, spectrum, tol=tol)
-    basis = verify_basis(spectrum, tol=tol)
-    trace_dev, trace_sq_dev = trace_identities(adjacency, color)
+    """Full certification: residuals, basis, completeness, trace identities.
+
+    The spectrum's Kronecker factors are checked once for both the
+    residual and the Gram check.  When the residuals ran on the structured
+    path, the adjacency is the circulant grid of the beta table in its rows
+    i*m, and the trace identities come from that table.
+    """
+    factors = _checked_factors(spectrum)
+    report = verify_eigenpairs(adjacency, spectrum, tol=tol, _factors=factors)
+    basis = verify_basis(spectrum, tol=tol, _factors=factors)
+    if report.structured:
+        _check_color_order(color, report.n)
+        beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),
+                                len(factors.k_rows))
+        trace_dev, trace_sq_dev = _trace_deviations(*_beta_traces(beta), color)
+    else:
+        trace_dev, trace_sq_dev = trace_identities(adjacency, color)
     report.gram_deviation, report.complete = basis
     report.vector_count = basis.vector_count
     report.trace_deviation = trace_dev
@@ -274,18 +496,17 @@ def compare_spectra(first: Spectrum, second: Spectrum,
             f"multisets have sizes {len(left)} and {len(right)}"
         )
     values = [complex(v) for v in left + right]
-    order = lambda z: (z.real, z.imag)
     surplus, deficit = [], []
     for indices in chain_groups(values, tol):
         balance = sum(1 if idx < len(left) else -1 for idx in indices)
         if balance:
-            # a group stands for its (Re, Im)-smallest member, whatever the
-            # order of the lines
+            # a group stands for its smallest member in ``_value_order``,
+            # whatever the order of the lines
             side = surplus if balance > 0 else deficit
-            side.append(min((values[i] for i in indices), key=order))
+            side.append(min((values[i] for i in indices), key=_value_order))
     if not surplus:
         return True, None
-    return False, (min(surplus, key=order), min(deficit, key=order))
+    return False, (min(surplus, key=_value_order), min(deficit, key=_value_order))
 
 
 def regular_rep_matrix(group: FiniteGroup, g) -> np.ndarray:

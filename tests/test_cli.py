@@ -272,6 +272,42 @@ def test_metacyclic_indicator_error_names_the_first_element_in_index_order(
                    "alpha([0, 3]) = (2+0j)\n")
 
 
+def test_tampered_edges_fail_on_the_family610_config(tmp_path, capsys, monkeypatch):
+    from cayleyspec import verify
+
+    config = write_config(tmp_path, {
+        "group": {"type": "metacyclic", "m": 61, "l": 10, "r": 3},
+        "connection": {"mode": "layers",
+                       "layers": [list(range(1, 61)), [0]] + [[]] * 7 + [[0]]},
+        "options": {"verify": True, "eigenvectors": False},
+    })
+    edges = str(tmp_path / "edges.txt")
+    code, _, _ = run(capsys, "export-graph", "--config", config, "--out", edges)
+    assert code == 0
+    paths = []
+    structured = verify._structured_residuals
+
+    def recorded(*args):
+        paths.append("structured")
+        return structured(*args)
+
+    monkeypatch.setattr(verify, "_structured_residuals", recorded)
+    code, out, err = run(capsys, "verify", "--config", config, "--edges", edges)
+    assert code == 0, err
+    assert json.loads(out)["verification"]["passed"] is True
+    assert paths == ["structured"]
+
+    # one tampered weight breaks the circulant grid: the dense path runs
+    # and certification fails
+    lines = open(edges).read().splitlines()
+    lines[1] = lines[1].rsplit(" ", 2)[0] + " 0.5 0"
+    open(edges, "w").write("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", "--config", config, "--edges", edges)
+    assert code == 2
+    assert json.loads(out)["verification"]["passed"] is False
+    assert paths == ["structured"]
+
+
 def test_export_and_reingest(tmp_path, capsys):
     config = prism_config(tmp_path)
     edges = str(tmp_path / "edges.txt")

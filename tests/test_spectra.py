@@ -15,6 +15,7 @@ from cayleyspec import (
     NotClassFunction,
     PermutationGroup,
     SemidirectProductGroup,
+    SpectralLine,
     Spectrum,
     adjacency_matrix,
     block_diagonalize,
@@ -227,12 +228,24 @@ def line_order_cases():
         spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(13),
                        eigenvectors=False),
         spectrum_split(g42, c42, builtin_irreps(d3), irreps_cyclic(7), eigenvectors=False),
+        signed_zero_spectrum(),
     ]
+
+
+def signed_zero_spectrum():
+    """Lines whose eigenvalues differ only in the signs of their zeros."""
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+              1 + 0j, complex(1.0, -0.0), complex(-0.0, 2.0), 2j]
+    return Spectrum(n=len(values), method="normal", lines=[
+        SpectralLine(u=k, v=None, labels=(f"z{k}",), eigenvalue=value, multiplicity=1)
+        for k, value in enumerate(values)])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_multiset_and_compare_ignore_line_order(seed):
     rng = random.Random(seed)
+    pair = [0j, complex(-0.0, 0.0)]
+    assert repr(cluster_eigenvalues(pair)) == repr(cluster_eigenvalues(pair[::-1]))
     cases = line_order_cases()
     for spec, other in zip(cases, cases[1:2] + cases[:1] + cases[2:]):
         lines = list(spec.lines)

@@ -1,19 +1,28 @@
 import dataclasses
 import random
+from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from cayleyspec import verify as verify_module
 from cayleyspec import (
+    AbelianProductGroup,
+    BlockDecomposition,
     CapacityExceeded,
     ColorFunction,
     CyclicGroup,
     DihedralGroup,
     DimensionMismatch,
     MetacyclicGroup,
+    SemidirectProductGroup,
     SpectralLine,
     Spectrum,
     adjacency_matrix,
+    beta_blocks,
     builtin_irreps,
     certify,
     check_split_hypotheses,
@@ -345,14 +354,18 @@ def test_blocked_gram_matches_whole_gram(monkeypatch):
             assert check.vector_count == 43
 
 
-def test_upper_triangle_gram_at_n_610():
+def test_upper_triangle_gram_at_n_610(monkeypatch):
     group, conn = nonnormal_family(61, 10, 3)
     spec = spectrum_metacyclic(61, 10, 3, layers_from_set(group, conn.elements))
     # 610 vectors make five row blocks of at most 128 rows
     from cayleyspec import verify as verify_module
 
+    # n = 610 is above the structured crossover: force the dense Gram
+    monkeypatch.setattr(verify_module, "_STRUCTURED_MIN_N", 611)
     assert verify_module._gram_rows(610) == 128
-    gram, complete = verify_basis(spec)
+    check = verify_basis(spec)
+    assert not check.structured
+    gram, complete = check
     assert abs(gram - whole_gram_deviation(spec)) <= 1e-14 and complete
     for index in (0, len(spec.lines) - 1):
         check = verify_basis(duplicated(spec, index))
@@ -436,3 +449,217 @@ def test_residual_path_follows_the_adjacency(monkeypatch, case, columns):
     for got, want in zip(report.per_line_residuals, expect):
         assert abs(got - want) <= 1e-12 * report.scale
     assert report.passed
+
+
+# -- structured certification ---------------------------------------------------
+
+
+LADDER = ((61, 10, 3), (127, 7, 2), (211, 10, 23))
+
+
+def family_case(m, l, r):
+    group, conn = nonnormal_family(m, l, r)
+    color = color_from_set(group, conn.elements)
+    spec = spectrum_metacyclic(m, l, r, layers_from_set(group, conn.elements))
+    return group, color, spec, adjacency_matrix(group, color)
+
+
+def certify_at_crossover(adjacency, spec, color, crossover):
+    with mock.patch.object(verify_module, "_STRUCTURED_MIN_N", crossover):
+        return certify(adjacency, spec, color)
+
+
+def dense_certify(adjacency, spec, color):
+    """``certify`` with the crossover just above n: the dense path."""
+    return certify_at_crossover(adjacency, spec, color, spec.n + 1)
+
+
+def block_color(group, rng, values):
+    """A color constant on (H-class, K-orbit) blocks, which meets both
+    split hypotheses; each block's value is drawn from ``values``."""
+    h_group = group.h_group
+    h_class = {h_group.index(h): c for c, cls in enumerate(h_group.conjugacy_classes())
+               for h in cls.members}
+    k_orbit = {k[1]: o for o, orbit in enumerate(conjugation_orbits_on_k(group))
+               for k in orbit}
+    weights = {}
+    return ColorFunction(group, {
+        (a, b): weights.setdefault((h_class[a], k_orbit[b]), rng.choice(values))
+        for a, b in group.elements()})
+
+
+@pytest.mark.parametrize("rung", LADDER, ids=lambda rung: f"n={rung[0] * rung[1]}")
+def test_structured_path_runs_on_the_ladder_rungs(rung):
+    group, color, spec, adj = family_case(*rung)
+    assert spec.n >= verify_module._STRUCTURED_MIN_N
+    report = certify(adj, spec, color)
+    assert report.structured and report.passed and report.complete
+    assert report.vector_count == spec.n
+    assert verify_basis(spec).structured
+    assert (report.trace_deviation, report.trace_sq_deviation) == trace_identities(adj, color)
+    # the beta-table traces against the dense ones, on the family and on a
+    # random complex block color
+    complex_color = block_color(group, random.Random(rung[0]),
+                                [0, 1, -2.5, 1j, complex(0.5, -1.25)])
+    for matrix in (adj.matrix, adjacency_matrix(group, complex_color).matrix):
+        beta = verify_module._first_rows_beta(matrix, group.l, group.m)
+        trace, trace_sq = verify_module._beta_traces(beta)
+        assert abs(trace - np.trace(matrix)) <= 1e-12 * spec.n
+        assert abs(trace_sq - np.einsum("ij,ji->", matrix, matrix)) <= 1e-12 * spec.n
+
+
+def _units(m, order):
+    """Units u mod m with u^order = 1."""
+    return [u for u in range(m) if gcd(u, m) == 1 and pow(u, order, m) == 1 % m]
+
+
+@st.composite
+def factored_cases(draw):
+    """A split group of order at most 600 with cyclic, abelian or dihedral H,
+    or a metacyclic group, and a block color: 0/1 (r-invariant layers on a
+    metacyclic group) or complex."""
+    kind = draw(st.sampled_from(["metacyclic", "cyclic", "abelian", "dihedral"]))
+    m = draw(st.integers(2, 60))
+    if kind in ("metacyclic", "cyclic"):
+        l = draw(st.integers(1, min(10, 600 // m)))
+        r = draw(st.sampled_from(_units(m, l)))
+        group = (MetacyclicGroup(m, l, r) if kind == "metacyclic"
+                 else SemidirectProductGroup(m, CyclicGroup(l), [r]))
+    elif kind == "abelian":
+        orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        images = [draw(st.sampled_from(_units(m, o))) for o in orders]
+        group = SemidirectProductGroup(m, AbelianProductGroup(orders), images)
+    else:
+        k = draw(st.integers(1, 3))
+        rotations = [u for u in _units(m, k) if u * u % m == 1 % m]
+        images = [draw(st.sampled_from(_units(m, 2))), draw(st.sampled_from(rotations))]
+        group = SemidirectProductGroup(m, DihedralGroup(k), images)
+    values = draw(st.sampled_from([[0, 1], [0, 1, -0.5j, complex(2, -0.0), 0.25 - 3j]]))
+    return group, block_color(group, random.Random(draw(st.integers(0, 2 ** 32))), values)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(factored_cases())
+@example((MetacyclicGroup(61, 10, 3), None))
+def test_structured_certification_agrees_with_dense(case):
+    group, color = case
+    if color is None:
+        # the largest ladder shape the property reaches, with a complex color
+        color = block_color(group, random.Random(7), [0, 1, -0.5j, 0.25 - 3j])
+    n = group.order
+    spectra = [spectrum_split(group, color, builtin_irreps(group.h_group),
+                              irreps_cyclic(group.m))]
+    if isinstance(group, MetacyclicGroup) and set(color.vector.tolist()) <= {0, 1}:
+        layers = layers_from_set(group, color.support())
+        spectra.append(spectrum_metacyclic(group.m, group.l, group.r, layers))
+    adj = adjacency_matrix(group, color)
+    for spec in spectra:
+        # the crossover seam: at n the structured path runs, at n + 1 the dense
+        structured = certify_at_crossover(adj, spec, color, n)
+        dense = certify_at_crossover(adj, spec, color, n + 1)
+        assert structured.structured and not dense.structured
+        assert structured.scale == dense.scale
+        assert len(structured.per_line_residuals) == len(dense.per_line_residuals)
+        for got, want in zip(structured.per_line_residuals, dense.per_line_residuals):
+            assert abs(got - want) <= 1e-12 * dense.scale
+        assert abs(structured.gram_deviation - dense.gram_deviation) <= 1e-12
+        assert abs(structured.trace_deviation - dense.trace_deviation) <= 1e-12 * n
+        assert abs(structured.trace_sq_deviation - dense.trace_sq_deviation) <= 1e-12 * n
+        assert (structured.passed, structured.complete, structured.vector_count) == (
+            dense.passed, dense.complete, dense.vector_count)
+        assert structured.passed and structured.complete
+
+
+def with_lines(spec, edit):
+    """``spec`` with its lines passed through ``edit``; the factors are kept."""
+    lines = list(spec.lines)
+    edit(lines)
+    out = dataclasses.replace(spec, lines=lines)
+    assert out.factors is spec.factors is not None
+    return out
+
+
+def test_a_perturbed_adjacency_entry_falls_back_to_dense():
+    group, color, spec, adj = family_case(31, 5, 2)
+    assert certify(adj, spec, color).structured
+    # (0, 40) and (62, 7) sit in rows i*m, where the beta table is read
+    for i, j in ((0, 40), (62, 7), (17, 100)):
+        matrix = adj.matrix.copy()
+        matrix[i, j] += 0.25
+        report = certify(matrix, spec, color)
+        assert not report.structured and not report.passed
+        # the vectors are still their Kronecker products, so the Gram check
+        # alone stays on the structured path
+        dense = dense_certify(matrix, spec, color)
+        assert abs(report.gram_deviation - dense.gram_deviation) <= 1e-12
+        assert report == dataclasses.replace(dense, gram_deviation=report.gram_deviation)
+
+
+def test_a_block_circulant_change_fails_on_the_structured_path():
+    group, color, spec, adj = family_case(31, 5, 2)
+    beta = np.array(beta_blocks(group, color).beta_values)
+    beta[1, 3, 4] += 0.25
+    matrix = BlockDecomposition(group=group, beta_values=beta).assemble()
+    report = certify(matrix, spec, color)
+    dense = dense_certify(matrix, spec, color)
+    assert report.structured and not report.passed and not dense.passed
+    for got, want in zip(report.per_line_residuals, dense.per_line_residuals):
+        assert abs(got - want) <= 1e-12 * dense.scale
+    assert abs(report.trace_sq_deviation - dense.trace_sq_deviation) <= 1e-12 * spec.n
+
+
+def test_changed_vectors_with_the_factors_kept_fall_back_to_dense():
+    group, color, spec, adj = family_case(31, 5, 2)
+
+    def change(entry):
+        def edit(lines):
+            vectors = lines[7].eigenvectors.copy()
+            vectors[0, 3] = entry(vectors[0, 3])
+            lines[7] = dataclasses.replace(lines[7], eigenvectors=vectors)
+        return edit
+
+    # one entry off by 1e-3 fails; one ulp off still passes, on the dense path
+    for entry, passes in ((lambda z: z + 1e-3, False),
+                          (lambda z: complex(np.nextafter(z.real, 2.0), z.imag), True)):
+        bad = with_lines(spec, change(entry))
+        report = certify(adj, bad, color)
+        assert not report.structured and report.passed is passes
+        assert report == dense_certify(adj, bad, color)
+        assert not verify_basis(bad).structured
+        if not passes:
+            assert int(np.argmax(report.per_line_residuals)) == 7
+
+
+def test_a_wrong_eigenvalue_fails_on_the_structured_path():
+    group, color, spec, adj = family_case(31, 5, 2)
+
+    def shift(lines):
+        lines[7] = dataclasses.replace(lines[7], eigenvalue=lines[7].eigenvalue + 0.1)
+
+    bad = with_lines(spec, shift)
+    report = certify(adj, bad, color)
+    dense = dense_certify(adj, bad, color)
+    assert report.structured and not report.passed
+    assert int(np.argmax(report.per_line_residuals)) == 7
+    for got, want in zip(report.per_line_residuals, dense.per_line_residuals):
+        assert abs(got - want) <= 1e-12 * dense.scale
+
+
+def test_a_duplicated_or_missing_vector_is_incomplete_on_the_dense_path():
+    group, color, spec, adj = family_case(31, 5, 2)
+
+    def duplicate(lines):
+        line = lines[3]
+        lines[3] = dataclasses.replace(
+            line, multiplicity=2,
+            eigenvectors=np.vstack([line.eigenvectors, line.eigenvectors]))
+
+    def drop(lines):
+        lines[3] = dataclasses.replace(lines[3], eigenvectors=lines[3].eigenvectors[:0])
+
+    for edit, count in ((duplicate, 156), (drop, 154)):
+        bad = with_lines(spec, edit)
+        report = certify(adj, bad, color)
+        assert not report.structured and not report.complete and not report.passed
+        assert report.vector_count == count
+        assert report == dense_certify(adj, bad, color)
