@@ -434,20 +434,20 @@ def _spectrum_json(spectrum: spectra.Spectrum, include_vectors: bool,
     runs before the first piece is returned.
     """
     payload = _spectrum_payload(spectrum, verification)
-    vectors = []
+    spans = []  # the vectors of each line written with them, as (first, last)
     if include_vectors:
-        for entry, line in zip(payload["lines"], spectrum.lines):
-            if line.eigenvectors is not None:
+        offsets = spectrum._vector_offsets().tolist()
+        for k, (entry, line) in enumerate(zip(payload["lines"], spectrum.lines)):
+            if line.eigenvectors is not None or spectrum.factors is not None:
                 entry["eigenvectors"] = _VECTORS_SLOT
-                vectors.append(np.asarray(line.eigenvectors, dtype=complex))
+                spans.append((offsets[k], offsets[k + 1]))
     pieces = (json.dumps(payload, indent=2) + "\n").split(_VECTORS_SLOT_JSON)
-    if not vectors:
+    if not spans:
         return iter(pieces)
+    rows = spectrum.vector_rows(0, offsets[-1])
+    cols = rows.shape[1]
     # equal_nan=False: the default merges every complex value holding a NaN
-    values, inverse = np.unique(
-        np.concatenate([block.ravel() for block in vectors]),
-        return_inverse=True, equal_nan=False,
-    )
+    values, inverse = np.unique(rows.ravel(), return_inverse=True, equal_nan=False)
     pair_text = np.array([
         f"          [\n            {_json_number(z.real)},\n"
         f"            {_json_number(z.imag)}\n          ]"
@@ -455,15 +455,11 @@ def _spectrum_json(spectrum: spectra.Spectrum, include_vectors: bool,
     ], dtype=object)
 
     def chunks():
-        offset = 0
-        for piece, block in zip(pieces, vectors):
+        for piece, (first, last) in zip(pieces, spans):
             yield piece
-            rows, cols = block.shape
-            size = rows * cols
             yield _vector_block(
-                pair_text[inverse[offset:offset + size]].tolist(), rows, cols
+                pair_text[inverse[first * cols:last * cols]].tolist(), last - first, cols
             )
-            offset += size
         yield pieces[-1]
 
     return chunks()

@@ -1,8 +1,9 @@
 """Closed-form spectra and eigenvector bases of Cayley color graphs.
 
 Three formula paths are provided, each producing labeled spectral lines
-with explicit eigenvectors so an independent residual check can certify
-every claim:
+with eigenvectors (explicit rows, or Kronecker factors on the split and
+metacyclic paths) so an independent residual check can certify every
+claim:
 
 * ``spectrum_normal``: alpha is a class function; each irrep rho_k of G
   contributes the eigenvalue (1/d_k) * sum_g alpha(g) chi_k(g) with
@@ -24,6 +25,7 @@ every claim:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Optional, Sequence
@@ -66,7 +68,10 @@ class SpectralLine:
     """One labeled eigenvalue with its multiplicity and basis vectors.
 
     ``eigenvectors`` holds one unit vector per row, over the canonical
-    element indices.  The split path also records its per-class
+    element indices.  It is None on the lines of the split and metacyclic
+    routes, whose vectors are the Kronecker products in
+    ``Spectrum.factors``; read any line's vectors with
+    ``Spectrum.vector_rows``.  The split path also records its per-class
     intermediate sums.
     """
 
@@ -95,12 +100,20 @@ class KroneckerFactors:
     pairs: np.ndarray
 
 
+def _kronecker_rows(factors: KroneckerFactors, pairs: np.ndarray) -> np.ndarray:
+    """The rows ``kron(h_rows[h], k_rows[k])`` for each (h, k) in ``pairs``."""
+    h, k = factors.h_rows[pairs[:, 0]], factors.k_rows[pairs[:, 1]]
+    return (h[:, :, None] * k[:, None, :]).reshape(len(pairs), -1)
+
+
 @dataclass
 class Spectrum:
     """A full labeled spectrum; total multiplicity covers the whole space.
 
     ``factors`` is set by the split and metacyclic routes when they build
-    vectors, and None otherwise.
+    vectors, and None otherwise.  A line without explicit ``eigenvectors``
+    then claims ``multiplicity`` vectors, the Kronecker products named by
+    the next pairs in order, as far as the pairs reach.
     """
 
     n: int
@@ -119,15 +132,66 @@ class Spectrum:
             values.extend([line.eigenvalue] * line.multiplicity)
         return values
 
-    def eigenvector_matrix(self) -> np.ndarray:
-        rows = []
+    def _vector_offsets(self) -> np.ndarray:
+        """Where each line's vectors start, counted over the lines in order;
+        the last entry is the number of vectors.
+
+        A line claims its explicit rows.  Without them it claims, when the
+        spectrum has factors, its multiplicity as far as the pairs reach,
+        and otherwise nothing.
+        """
+        available = 0 if self.factors is None else len(self.factors.pairs)
+        offsets = [0]
         for line in self.lines:
-            if line.eigenvectors is None:
+            if line.eigenvectors is not None:
+                count = len(line.eigenvectors)
+            else:
+                count = max(0, min(line.multiplicity, available - offsets[-1]))
+            offsets.append(offsets[-1] + count)
+        return np.array(offsets, dtype=np.int64)
+
+    def vector_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Vectors lo..hi-1, counted over the lines in order, as the rows of
+        one read-only complex array.
+
+        Explicit rows are sliced.  The rows of factored lines are the
+        Kronecker products of their pairs, formed in one broadcast for each
+        run of consecutive factored lines.  The range is clipped to the
+        vectors the lines claim.
+        """
+        offsets = self._vector_offsets().tolist()
+        hi = min(hi, offsets[-1])
+        lo = min(max(lo, 0), hi)
+        segments = []  # (line index, or None for a factored run, first, last)
+        for k in range(max(bisect_right(offsets, lo) - 1, 0), len(self.lines)):
+            a, b = max(offsets[k], lo), min(offsets[k + 1], hi)
+            if a >= hi:
+                break
+            factored = self.lines[k].eigenvectors is None
+            if factored and segments and segments[-1][0] is None:
+                segments[-1] = (None, segments[-1][1], b)
+            elif a < b:
+                segments.append((None if factored else k, a, b))
+        pieces = [
+            _kronecker_rows(self.factors, self.factors.pairs[a:b]) if k is None
+            else self.lines[k].eigenvectors[a - offsets[k]:b - offsets[k]]
+            for k, a, b in segments
+        ]
+        if not pieces:
+            pieces = [np.empty((0, self.n))]
+        rows = np.asarray(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
+                          dtype=complex)
+        rows.flags.writeable = False
+        return rows
+
+    def eigenvector_matrix(self) -> np.ndarray:
+        """All claimed vectors as the columns of one read-only array."""
+        for line in self.lines:
+            if line.eigenvectors is None and self.factors is None:
                 raise ValueError(
                     f"line ({line.u}, {line.v}) carries no eigenvectors"
                 )
-            rows.append(line.eigenvectors)
-        return np.vstack(rows).T
+        return self.vector_rows(0, int(self._vector_offsets()[-1])).T
 
     def multiset(self, tol: float = 1e-9) -> list:
         return cluster_eigenvalues(self.eigenvalues_expanded(), tol)
@@ -375,47 +439,30 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
             for a in (h_group.index(cls.representative) for cls in h_classes)]
     k_terms = [tuple(_character_sum(row, chars) / rho.degree for row in rows)
                for rho, chars in zip(irreps_k, k_chars)]
-    if eigenvectors:
-        # coefficient vectors of each factor are its P-matrix columns
-        p_h = build_p_matrix(h_group, irreps_h)
-        p_k = build_p_matrix(irreps_k.group, irreps_k)
     lines = []
-    h_col = 0
     for u_idx, rho_u in enumerate(irreps_h):
         d_u = rho_u.degree
-        h_span = slice(h_col, h_col + d_u * d_u)
-        h_col += d_u * d_u
         lambda_terms = tuple(
             cls.size * rho_u.character(cls.representative) / d_u for cls in h_classes
         )
-        k_col = 0
         for v_idx, rho_v in enumerate(irreps_k):
-            d_v = rho_v.degree
-            k_span = slice(k_col, k_col + d_v * d_v)
-            k_col += d_v * d_v
             eig = sum(lt * st for lt, st in zip(lambda_terms, k_terms[v_idx]))
-            vectors = None
-            if eigenvectors:
-                h_vecs = p_h.matrix[:, h_span].T
-                k_vecs = p_k.matrix[:, k_span].T
-                # row (p, q) is kron(h_vecs[p], k_vecs[q])
-                vectors = (h_vecs[:, None, :, None] * k_vecs[None, :, None, :]
-                           ).reshape(-1, l * m)
-                vectors.flags.writeable = False
             lines.append(SpectralLine(
                 u=u_idx,
                 v=v_idx,
                 labels=(rho_u.label, rho_v.label),
                 eigenvalue=complex(eig),
-                multiplicity=(d_u * d_v) ** 2,
-                eigenvectors=vectors,
+                multiplicity=(d_u * rho_v.degree) ** 2,
                 h_class_terms=lambda_terms,
                 k_class_terms=k_terms[v_idx],
             ))
     factors = None
     if eigenvectors:
-        # line (u, v) holds the pairs (p, q) of its H- and K-spans, p major,
-        # and lines run u major: sort the grid by (u, v, p, q)
+        # coefficient vectors of each factor are its P-matrix columns; line
+        # (u, v) claims the pairs (p, q) of its H- and K-spans, p major, and
+        # lines run u major: sort the grid by (u, v, p, q)
+        p_h = build_p_matrix(h_group, irreps_h)
+        p_k = build_p_matrix(irreps_k.group, irreps_k)
         h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h.degrees()))
         k_irrep = np.repeat(np.arange(len(irreps_k)), np.square(irreps_k.degrees()))
         p, q = np.divmod(np.arange(l * m), m)
@@ -472,16 +519,13 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     eigenvalues = np.zeros((l, m), dtype=complex)
     for t in range(l):
         eigenvalues += _cmul(roots_l[u_range * t % l][:, np.newaxis], layer_sums[t])
-    basis = factors = None
+    factors = None
     if eigenvectors:
         h_vectors = roots_l[np.outer(u_range, u_range) % l] / sqrt(l)
         k_vectors = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
-        # row u*m + v is the Kronecker product of h_vectors[u] and k_vectors[v]
-        basis = (h_vectors[:, np.newaxis, :, np.newaxis]
-                 * k_vectors[np.newaxis, :, np.newaxis, :]).reshape(l * m, l * m)
-        basis.flags.writeable = False
         h_vectors.flags.writeable = False
         k_vectors.flags.writeable = False
+        # line (u, v) claims the Kronecker product of h_vectors[u] and k_vectors[v]
         factors = KroneckerFactors(h_rows=h_vectors, k_rows=k_vectors,
                                    pairs=_frozen_pairs(*np.divmod(np.arange(l * m), m)))
     lines = []
@@ -493,7 +537,6 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
                 labels=(f"chi_{u}", f"chi_{v}"),
                 eigenvalue=eig,
                 multiplicity=1,
-                eigenvectors=None if basis is None else basis[u * m + v:u * m + v + 1],
             ))
     return Spectrum(n=l * m, method="metacyclic", lines=lines, factors=factors)
 

@@ -10,25 +10,30 @@ the code paths that produced it.
 Two paths compute the residuals and the Gram deviation; the results agree
 to rounding, and the trace identities and completeness are the same.
 
+The claimed vectors are read through ``Spectrum.vector_rows``: the
+split and metacyclic routes claim them as Kronecker factors
+(``Spectrum.factors``), with no explicit rows on their lines.
+
 The structured path runs when all of these hold: n is at least
 ``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum carries
-Kronecker factors (the split and metacyclic routes attach them) whose
-pairs cover the grid of H rows by K rows once each; every line's vectors
-equal, bit for bit, the Kronecker products of their pairs; and the passed
-adjacency equals, exactly, the l x l grid of m x m circulants whose beta
-table it holds in its rows i*m.  Then the residuals apply that grid to the
-claimed vectors by FFT correlation in O(n^2 (l + log m)) work, the Gram
-deviation comes from the two factor Grams, and ``certify`` reads the trace
-identities off the beta table.  Beyond the adjacency and the vectors it
-holds O(n*m): the beta table, the factor Grams, and per chunk of K rows at
-most ``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes
-the vectors are eigenvectors, and no irrep is touched.
+Kronecker factors whose pairs cover the grid of H rows by K rows once
+each; every line that carries explicit rows equals, bit for bit, the
+Kronecker products of its pairs; and the passed adjacency equals,
+exactly, the l x l grid of m x m circulants whose beta table it holds in
+its rows i*m.  Then the residuals apply that grid to the claimed vectors
+by FFT correlation in O(n^2 (l + log m)) work, the Gram deviation comes
+from the two factor Grams, and ``certify`` reads the trace identities off
+the beta table.  Beyond the adjacency it holds O(n*m): the factors, the
+beta table, the factor Grams, and per chunk of K rows at most
+``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
+vectors are eigenvectors, and no irrep is touched.
 
 Otherwise the dense path runs: GEMMs over blocks of stacked eigenvectors.
 Beyond the n x n adjacency, the claimed vectors and one stacked copy of
-them, it holds one block at a time: ``_BLOCK_BYTES`` of vectors (or of
-Gram rows) plus about twice that in GEMM output and residual
-temporaries, whatever n and the number of lines.  While it computes
+them (for factored lines, the stacked copy alone), it holds one block at
+a time: ``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice
+that in GEMM output and residual temporaries, whatever n and the number
+of lines.  While it computes
 residuals against a real adjacency (every indicator color gives one) it
 also holds one float64 copy of the adjacency's real part, so each
 residual block is a real GEMM at half the flops of the complex one.  The
@@ -125,26 +130,14 @@ def _gram_rows(count: int) -> int:
     return min(_block_columns(count), max(128, -(-count // 8)))
 
 
-def _rows_of(lines, offsets, lo: int, hi: int) -> list:
-    """Vectors lo..hi-1, counted over the lines in order: one slice per line."""
-    first = int(np.searchsorted(offsets, lo, side="right")) - 1
-    last = int(np.searchsorted(offsets, hi))
-    return [lines[k].eigenvectors[max(lo - offsets[k], 0):hi - offsets[k]]
-            for k in range(first, last)]
-
-
-def _line_offsets(lines) -> np.ndarray:
-    return np.concatenate(
-        ([0], np.cumsum([len(line.eigenvectors) for line in lines], dtype=np.int64)))
-
-
 def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
     """The spectrum's Kronecker factors, when the structured path may use them.
 
-    That needs n at least ``_STRUCTURED_MIN_N``, pairs that cover the grid
-    of l H rows by m K rows once each (l*m = n), and every line's vectors
-    equal, bit for bit, to the Kronecker products their pairs name.  The
-    products are formed one block of vectors at a time.  Otherwise None.
+    That needs n at least ``_STRUCTURED_MIN_N``, factor rows of lengths l
+    and m (l*m = n), pairs that cover the grid of l H rows by m K rows once
+    each, and n vectors claimed.  A line that carries explicit rows must
+    equal, bit for bit, the Kronecker products its pairs name; they are
+    formed one block of vectors at a time.  Otherwise None.
     """
     factors, n = spectrum.factors, spectrum.n
     if factors is None or n < _STRUCTURED_MIN_N:
@@ -156,22 +149,24 @@ def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
             or h_rows.dtype != complex or k_rows.dtype != complex):
         return None
     lines = spectrum.lines
-    if any(line.eigenvectors is None or line.eigenvectors.dtype != complex
-           or line.eigenvectors.shape[1:] != (n,) for line in lines):
+    explicit = [k for k, line in enumerate(lines) if line.eigenvectors is not None]
+    if any(lines[k].eigenvectors.dtype != complex
+           or lines[k].eigenvectors.shape[1:] != (n,) for k in explicit):
         return None
-    offsets = _line_offsets(lines)
+    offsets = spectrum._vector_offsets()
     if offsets[-1] != n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
         return None
     if not np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(n)):
         return None
     width = _block_columns(n)
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        products = (h_rows[pairs[lo:hi, 0], :, None]
-                    * k_rows[pairs[lo:hi, 1], None, :]).reshape(hi - lo, n)
-        claimed = np.concatenate(_rows_of(lines, offsets, lo, hi))
-        if not np.array_equal(claimed.view(np.uint64), products.view(np.uint64)):
-            return None
+    for k in explicit:
+        start, stop = int(offsets[k]), int(offsets[k + 1])
+        for lo in range(start, stop, width):
+            hi = min(lo + width, stop)
+            claimed = lines[k].eigenvectors[lo - start:hi - start]
+            products = spectra._kronecker_rows(factors, pairs[lo:hi])
+            if not np.array_equal(claimed.view(np.uint64), products.view(np.uint64)):
+                return None
     return factors
 
 
@@ -218,16 +213,20 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
         )
+    factored = spectrum.factors
     for line in spectrum.lines:
         if line.eigenvectors is None:
-            raise ValueError(
-                f"line ({line.u}, {line.v}) carries no eigenvectors to certify"
-            )
-        vectors = line.eigenvectors
-        if vectors.shape[1] != n:
+            if factored is None:
+                raise ValueError(
+                    f"line ({line.u}, {line.v}) carries no eigenvectors to certify"
+                )
+            length = factored.h_rows.shape[-1] * factored.k_rows.shape[-1]
+        else:
+            length = line.eigenvectors.shape[1]
+        if length != n:
             raise DimensionMismatch(
                 f"line ({line.u}, {line.v}) vectors have length "
-                f"{vectors.shape[1]}, expected {n}"
+                f"{length}, expected {n}"
             )
     factors = _checked_factors(spectrum) if _factors is _UNCHECKED else _factors
     windows = None
@@ -238,16 +237,24 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
             np.concatenate((beta, beta), axis=-1), m, axis=-1)
     width = _block_columns(n)
     row_sums = np.empty(n)
+    # only the dense path reads ``real``: rows are scanned for it once it
+    # is known to run, and the rows passed before then after the pass
     real = True
+    unscanned = 0
     for lo in range(0, n, width):
         row_block = matrix[lo:lo + width]
         row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
-        real = real and not row_block.imag.any()
         if windows is not None and not _rows_match_grid(windows, row_block, lo):
             windows = None
+            unscanned = lo
+        if windows is None:
+            real = real and not row_block.imag.any()
+    if windows is None:
+        for lo in range(0, unscanned, width):
+            real = real and not matrix[lo:min(lo + width, unscanned)].imag.any()
     scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     lines = spectrum.lines
-    offsets = _line_offsets(lines)
+    offsets = spectrum._vector_offsets()
     total = int(offsets[-1])
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(
@@ -262,7 +269,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
         for lo in range(0, total, width):
             hi = min(lo + width, total)
             column_max[lo:hi] = _residual_block(
-                matrix, _rows_of(lines, offsets, lo, hi), column_eigenvalues[lo:hi])
+                matrix, spectrum.vector_rows(lo, hi), column_eigenvalues[lo:hi])
     residuals = np.zeros(len(lines))
     nonempty = counts > 0
     if nonempty.any():
@@ -313,17 +320,14 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
 
 
 def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
-    """Max-abs residual of each stacked vector: one GEMM for the block.
+    """Max-abs residual of each vector in ``rows``: one GEMM for the block.
 
     ``matrix`` is complex, or float64 for a real adjacency: then the
     vectors' real and imaginary parts, interleaved in the C-contiguous
     block, go through one real GEMM whose output reads back as complex.
     """
-    vectors = np.empty((matrix.shape[0], sum(len(r) for r in rows)), dtype=complex)
-    column = 0
-    for r in rows:
-        vectors[:, column:column + len(r)] = r.T
-        column += len(r)
+    vectors = np.empty((matrix.shape[0], len(rows)), dtype=complex)
+    vectors[...] = rows.T
     if matrix.dtype == np.float64:
         residual = (matrix @ vectors.view(np.float64)).view(complex)
     else:
@@ -353,7 +357,7 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
 
     Returns ``(gram_deviation, complete)`` where completeness means the
     claimed multiplicities sum to n and one vector backs each of them; the
-    result's ``vector_count`` is the number of stacked vectors.  When
+    result's ``vector_count`` is the number of claimed vectors.  When
     ``_checked_factors`` accepts the spectrum, the Gram matrix is
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
     from the two factor Grams (``_structured_gram``).  Otherwise the Gram
@@ -366,10 +370,11 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
         count, gram_deviation = spectrum.n, _structured_gram(factors)
     else:
         count, gram_deviation = _upper_gram_deviation(spectrum.eigenvector_matrix().T)
+    counts = np.diff(spectrum._vector_offsets())
     complete = (
         count == spectrum.n
         and spectrum.total_multiplicity == spectrum.n
-        and all(len(line.eigenvectors) == line.multiplicity for line in spectrum.lines)
+        and all(c == line.multiplicity for c, line in zip(counts.tolist(), spectrum.lines))
     )
     return BasisCheck(gram_deviation, complete, count, factors is not None)
 

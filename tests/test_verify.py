@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from math import gcd
 from unittest import mock
 
@@ -44,6 +45,18 @@ from cayleyspec import (
 )
 
 
+def line_rows(spec):
+    """Each line's vectors, read through ``Spectrum.vector_rows``."""
+    offsets = spec._vector_offsets().tolist()
+    return [spec.vector_rows(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+
+
+def explicit_lines(spec):
+    """``spec``'s lines, each carrying its vectors as explicit rows."""
+    return [dataclasses.replace(line, eigenvectors=rows)
+            for line, rows in zip(spec.lines, line_rows(spec))]
+
+
 def prism_case():
     group = MetacyclicGroup(3, 2, 2)
     color = color_from_set(group, [(0, 1), (0, 2), (1, 0)])
@@ -63,11 +76,12 @@ def test_verify_eigenpairs_pass():
 def test_verify_eigenpairs_detects_perturbation():
     group, color, spec = prism_case()
     adj = adjacency_matrix(group, color)
+    lines = explicit_lines(spec)
     doctored = dataclasses.replace(
-        spec.lines[0], eigenvalue=spec.lines[0].eigenvalue + 0.1
+        lines[0], eigenvalue=lines[0].eigenvalue + 0.1
     )
     bad = Spectrum(n=spec.n, method=spec.method,
-                   lines=[doctored] + spec.lines[1:])
+                   lines=[doctored] + lines[1:])
     report = verify_eigenpairs(adj, bad, tol=1e-9)
     assert not report.passed
     # |A x - (lambda + d) x|_inf = d * |x|_inf = 0.1/sqrt(6) for a unit
@@ -97,10 +111,11 @@ def test_verify_basis_completeness():
     assert complete
 
     # duplicated eigenvector: Gram deviation 1
-    dup = spec.lines[0].eigenvectors
-    lines = [dataclasses.replace(spec.lines[0], multiplicity=2,
-                                 eigenvectors=np.vstack([dup, dup]))]
-    broken = Spectrum(n=6, method="metacyclic", lines=lines + spec.lines[1:])
+    lines = explicit_lines(spec)
+    dup = lines[0].eigenvectors
+    broken = Spectrum(n=6, method="metacyclic", lines=[
+        dataclasses.replace(lines[0], multiplicity=2, eigenvectors=np.vstack([dup, dup]))
+    ] + lines[1:])
     gram, complete = verify_basis(broken, tol=1e-9)
     assert abs(gram - 1) <= 1e-12
     assert not complete  # 7 vectors for n = 6
@@ -112,7 +127,7 @@ def test_complete_requires_one_vector_per_claimed_multiplicity():
     spec = spectrum_split(group, color, builtin_irreps(CyclicGroup(3)),
                           irreps_cyclic(7))
     adj = adjacency_matrix(group, color)
-    lines = list(spec.lines)
+    lines = explicit_lines(spec)
     other = next(i for i, line in enumerate(lines)
                  if abs(line.eigenvalue - lines[0].eigenvalue) > 1e-3)
     # multiplicities still sum to n and every vector is a true eigenvector
@@ -238,9 +253,8 @@ def order_42_case():
 def per_line_matvec(matrix, spec):
     """Residuals the way certification computed them one line at a time."""
     return [
-        float(np.max(np.abs(matrix @ line.eigenvectors.T
-                            - line.eigenvalue * line.eigenvectors.T), initial=0.0))
-        for line in spec.lines
+        float(np.max(np.abs(matrix @ rows.T - line.eigenvalue * rows.T), initial=0.0))
+        for line, rows in zip(spec.lines, line_rows(spec))
     ]
 
 
@@ -254,7 +268,7 @@ def small_blocks(monkeypatch, columns, n):
 def test_blocked_residuals_match_per_line_matvecs(monkeypatch, columns):
     group, color, spec = order_42_case()
     # E1 lines carry four vectors, so blocks of 3, 5 or 7 columns split them
-    assert {len(line.eigenvectors) for line in spec.lines} == {1, 4}
+    assert {len(rows) for rows in line_rows(spec)} == {1, 4}
     adj = adjacency_matrix(group, color)
     small_blocks(monkeypatch, columns, 42)
     from cayleyspec import verify as verify_module
@@ -263,7 +277,7 @@ def test_blocked_residuals_match_per_line_matvecs(monkeypatch, columns):
     block = verify_module._residual_block
 
     def recorded(matrix, rows, *rest):
-        widths.append(sum(len(r) for r in rows))
+        widths.append(len(rows))
         return block(matrix, rows, *rest)
 
     monkeypatch.setattr(verify_module, "_residual_block", recorded)
@@ -284,14 +298,14 @@ def test_blocked_residual_reports_the_perturbed_line(monkeypatch):
     group, color, spec = order_42_case()
     adj = adjacency_matrix(group, color)
     small_blocks(monkeypatch, 5, 42)
-    starts = np.cumsum([0] + [len(line.eigenvectors) for line in spec.lines])
+    lines = explicit_lines(spec)
+    starts = np.cumsum([0] + [len(line.eigenvectors) for line in lines])
     # the line whose vectors sit in the middle of a 5-column block
     target = next(i for i, (lo, hi) in enumerate(zip(starts, starts[1:]))
-                  if lo % 5 not in (0, 4) and len(spec.lines[i].eigenvectors) == 4)
-    line = spec.lines[target]
+                  if lo % 5 not in (0, 4) and len(lines[i].eigenvectors) == 4)
+    line = lines[target]
     vectors = line.eigenvectors.copy()
     vectors[1, 5] += 1e-3
-    lines = list(spec.lines)
     lines[target] = dataclasses.replace(line, eigenvectors=vectors)
     bad = Spectrum(n=spec.n, method=spec.method, lines=lines)
     report = verify_eigenpairs(adj, bad, tol=1e-9)
@@ -314,12 +328,13 @@ def test_line_errors_are_raised_before_any_gemm(monkeypatch):
         raise AssertionError("a residual block ran before the line checks")
 
     monkeypatch.setattr(verify_module, "_residual_block", no_gemm)
-    last = spec.lines[-1]
+    lines = explicit_lines(spec)
+    last = lines[-1]
     missing = Spectrum(n=42, method="split",
-                       lines=spec.lines[:-1] + [dataclasses.replace(last, eigenvectors=None)])
+                       lines=lines[:-1] + [dataclasses.replace(last, eigenvectors=None)])
     with pytest.raises(ValueError, match=r"^line \(\d+, \d+\) carries no eigenvectors to certify$"):
         verify_eigenpairs(adj, missing)
-    short = Spectrum(n=42, method="split", lines=spec.lines[:-1] + [
+    short = Spectrum(n=42, method="split", lines=lines[:-1] + [
         dataclasses.replace(last, eigenvectors=last.eigenvectors[:, :41])])
     with pytest.raises(DimensionMismatch,
                        match=r"^line \(\d+, \d+\) vectors have length 41, expected 42$"):
@@ -333,9 +348,9 @@ def whole_gram_deviation(spec):
 
 def duplicated(spec, index):
     """``spec`` with the first vector of line ``index`` stacked twice."""
-    line = spec.lines[index]
+    lines = explicit_lines(spec)
+    line = lines[index]
     vectors = np.vstack([line.eigenvectors, line.eigenvectors[:1]])
-    lines = list(spec.lines)
     lines[index] = dataclasses.replace(line, multiplicity=line.multiplicity + 1,
                                        eigenvectors=vectors)
     return Spectrum(n=spec.n, method=spec.method, lines=lines)
@@ -570,9 +585,10 @@ def test_structured_certification_agrees_with_dense(case):
         assert structured.passed and structured.complete
 
 
-def with_lines(spec, edit):
-    """``spec`` with its lines passed through ``edit``; the factors are kept."""
-    lines = list(spec.lines)
+def with_lines(spec, edit, explicit=True):
+    """``spec`` with its lines passed through ``edit``; the factors are kept.
+    With ``explicit``, every line first carries its vectors as explicit rows."""
+    lines = explicit_lines(spec) if explicit else list(spec.lines)
     edit(lines)
     out = dataclasses.replace(spec, lines=lines)
     assert out.factors is spec.factors is not None
@@ -595,6 +611,33 @@ def test_a_perturbed_adjacency_entry_falls_back_to_dense():
         assert report == dataclasses.replace(dense, gram_deviation=report.gram_deviation)
 
 
+def test_the_real_flag_reads_the_rows_passed_before_a_failed_grid_check(monkeypatch):
+    group = MetacyclicGroup(31, 5, 2)
+    color = block_color(group, random.Random(3), [0, 1, -0.5j, 0.25 - 3j])
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(31))
+    complex_matrix = adjacency_matrix(group, color).matrix.copy()
+    # rows from 96 on lose their imaginary parts: the grid check fails in
+    # the seventh 16-row block, and only the rows before it are complex
+    complex_matrix[96:] = complex_matrix[96:].real
+    real_matrix = adjacency_matrix(group, color_from_set(group, color.support())).matrix.copy()
+    real_matrix[100, 7] += 0.25
+    small_blocks(monkeypatch, 16, group.order)
+    block = verify_module._residual_block
+    for matrix, dtype in ((complex_matrix, complex), (real_matrix, np.float64)):
+        dtypes = set()
+
+        def recorded(matrix, rows, *rest):
+            dtypes.add(matrix.dtype)
+            return block(matrix, rows, *rest)
+
+        monkeypatch.setattr(verify_module, "_residual_block", recorded)
+        report = verify_eigenpairs(matrix, spec)
+        assert not report.structured and dtypes == {np.dtype(dtype)}
+        monkeypatch.setattr(verify_module, "_residual_block", block)
+        dense = certify_at_crossover(matrix, spec, color, spec.n + 1)
+        assert report.per_line_residuals == dense.per_line_residuals
+
+
 def test_a_block_circulant_change_fails_on_the_structured_path():
     group, color, spec, adj = family_case(31, 5, 2)
     beta = np.array(beta_blocks(group, color).beta_values)
@@ -613,21 +656,144 @@ def test_changed_vectors_with_the_factors_kept_fall_back_to_dense():
 
     def change(entry):
         def edit(lines):
-            vectors = lines[7].eigenvectors.copy()
+            vectors = spec.vector_rows(7, 8).copy()
             vectors[0, 3] = entry(vectors[0, 3])
             lines[7] = dataclasses.replace(lines[7], eigenvectors=vectors)
         return edit
 
+    # every line explicit, or line 7 alone explicit and the rest factored:
     # one entry off by 1e-3 fails; one ulp off still passes, on the dense path
-    for entry, passes in ((lambda z: z + 1e-3, False),
-                          (lambda z: complex(np.nextafter(z.real, 2.0), z.imag), True)):
-        bad = with_lines(spec, change(entry))
+    for explicit in (True, False):
+        for entry, passes in ((lambda z: z + 1e-3, False),
+                              (lambda z: complex(np.nextafter(z.real, 2.0), z.imag), True)):
+            bad = with_lines(spec, change(entry), explicit)
+            report = certify(adj, bad, color)
+            assert not report.structured and report.passed is passes
+            assert report == dense_certify(adj, bad, color)
+            assert not verify_basis(bad).structured
+            if not passes:
+                assert int(np.argmax(report.per_line_residuals)) == 7
+
+
+def test_explicit_rows_equal_to_the_products_stay_structured():
+    group, color, spec, adj = family_case(31, 5, 2)
+    factored = certify(adj, spec, color)
+    assert factored.structured and factored.passed
+
+    def explicit_line_7(lines):
+        lines[7] = dataclasses.replace(lines[7], eigenvectors=spec.vector_rows(7, 8).copy())
+
+    for explicit in (True, False):
+        edited = with_lines(spec, explicit_line_7, explicit)
+        assert (edited.lines[0].eigenvectors is None) is not explicit
+        assert edited.vector_rows(0, spec.n).tobytes() == spec.vector_rows(0, spec.n).tobytes()
+        assert certify(adj, edited, color) == factored
+        assert verify_basis(edited).structured
+
+
+def test_pairs_that_miss_a_grid_cell_fall_back_to_dense():
+    group, color, spec, adj = family_case(31, 5, 2)
+    pairs = spec.factors.pairs
+    # one cell left out, so the last line claims no vector; or one cell
+    # named twice, so two vectors coincide
+    for kept, complete, count in ((pairs[:-1], False, 154),
+                                  (np.concatenate((pairs[:-1], pairs[:1])), True, 155)):
+        bad = dataclasses.replace(
+            spec, factors=dataclasses.replace(spec.factors, pairs=kept))
+        assert len(bad.vector_rows(0, spec.n)) == count
         report = certify(adj, bad, color)
-        assert not report.structured and report.passed is passes
+        assert not report.structured and not report.passed
+        assert report.complete is complete and report.vector_count == count
         assert report == dense_certify(adj, bad, color)
         assert not verify_basis(bad).structured
-        if not passes:
-            assert int(np.argmax(report.per_line_residuals)) == 7
+    # lines that claim factored vectors, with the factors gone
+    with pytest.raises(ValueError, match=r"^line \(0, 0\) carries no eigenvectors to certify$"):
+        certify(adj, dataclasses.replace(spec, factors=None), color)
+
+
+def broadcast_basis(spec, h_degrees, k_degrees):
+    """The explicit rows the split and metacyclic routes built before they
+    claimed Kronecker factors: the metacyclic route broadcast the whole
+    basis at once, the split route each line's H- and K-spans."""
+    h_rows, k_rows = spec.factors.h_rows, spec.factors.k_rows
+    n = spec.n
+    if spec.method == "metacyclic":
+        return (h_rows[:, None, :, None] * k_rows[None, :, None, :]).reshape(n, n)
+    h_start = np.cumsum([0] + [d * d for d in h_degrees])
+    k_start = np.cumsum([0] + [d * d for d in k_degrees])
+    blocks = []
+    for line in spec.lines:
+        h_vecs = h_rows[h_start[line.u]:h_start[line.u + 1]]
+        k_vecs = k_rows[k_start[line.v]:k_start[line.v + 1]]
+        blocks.append((h_vecs[:, None, :, None] * k_vecs[None, :, None, :]).reshape(-1, n))
+    return np.vstack(blocks)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(factored_cases(), st.data())
+def test_vector_rows_equal_the_broadcast_basis(case, data):
+    group, color = case
+    h_irreps, k_irreps = builtin_irreps(group.h_group), irreps_cyclic(group.m)
+    spectra = [spectrum_split(group, color, h_irreps, k_irreps)]
+    if isinstance(group, MetacyclicGroup) and set(color.vector.tolist()) <= {0, 1}:
+        layers = layers_from_set(group, color.support())
+        spectra.append(spectrum_metacyclic(group.m, group.l, group.r, layers))
+    n = group.order
+    for spec in spectra:
+        assert all(line.eigenvectors is None for line in spec.lines)
+        basis = broadcast_basis(spec, h_irreps.degrees(), k_irreps.degrees())
+        rows = spec.vector_rows(0, n)
+        assert rows.dtype == complex and rows.shape == (n, n)
+        assert rows.tobytes() == basis.tobytes()
+        assert not rows.flags.writeable
+        # any range, also across a line given its rows explicitly
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        target = data.draw(st.integers(0, len(spec.lines) - 1))
+        start = sum(line.multiplicity for line in spec.lines[:target])
+
+        def explicit_target(lines):
+            stop = start + lines[target].multiplicity
+            lines[target] = dataclasses.replace(lines[target], eigenvectors=basis[start:stop])
+
+        for claimed in (spec, with_lines(spec, explicit_target, explicit=False)):
+            part = claimed.vector_rows(lo, hi)
+            assert part.tobytes() == basis[lo:hi].tobytes() and not part.flags.writeable
+        assert spec.eigenvector_matrix().T.tobytes() == basis.tobytes()
+
+
+def test_factored_claims_stay_far_below_an_n_squared_basis():
+    """At the n = 2110 rung, an n x n complex basis is 68 MiB.  The formula
+    routes claim O(n) bytes of factors in its place, and structured
+    certification holds at most four blocks of ``_BLOCK_BYTES`` beyond the
+    adjacency, whatever n."""
+    m, l, r = 211, 10, 23
+    group, conn = nonnormal_family(m, l, r)
+    color = color_from_set(group, conn.elements)
+    layers = layers_from_set(group, conn.elements)
+    irreps_h, irreps_k = builtin_irreps(group.h_group), irreps_cyclic(m)
+    adj = adjacency_matrix(group, color)
+    n = group.order
+    basis_bytes = 16 * n * n
+
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    claims = [
+        peak_bytes(lambda: spectrum_metacyclic(m, l, r, layers)),
+        peak_bytes(lambda: spectrum_split(group, color, irreps_h, irreps_k)),
+    ]
+    for spec, peak in claims:
+        assert spec.factors is not None
+        assert peak <= basis_bytes / 8, (spec.method, peak)
+        report, peak = peak_bytes(lambda: certify(adj, spec, color))
+        assert report.structured and report.passed
+        assert peak <= 4 * verify_module._BLOCK_BYTES, (spec.method, peak)
 
 
 def test_a_wrong_eigenvalue_fails_on_the_structured_path():

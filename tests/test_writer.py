@@ -10,14 +10,23 @@ from cayleyspec.spectra import SpectralLine, Spectrum
 
 
 def oracle(spectrum, include_vectors, verification=None):
-    """The document as json.dumps wrote it from nested [re, im] lists."""
+    """The document as json.dumps wrote it from nested [re, im] lists,
+    each line's vectors read through ``Spectrum.vector_rows``."""
     payload = cli._spectrum_payload(spectrum, verification)
     if include_vectors:
+        offset = 0
         for entry, line in zip(payload["lines"], spectrum.lines):
             if line.eigenvectors is not None:
-                entry["eigenvectors"] = [
-                    [cli._pair(z) for z in row] for row in line.eigenvectors
-                ]
+                count = len(line.eigenvectors)
+            elif spectrum.factors is not None:
+                count = line.multiplicity
+            else:
+                continue
+            entry["eigenvectors"] = [
+                [cli._pair(z) for z in row]
+                for row in spectrum.vector_rows(offset, offset + count)
+            ]
+            offset += count
     return json.dumps(payload, indent=2) + "\n"
 
 
