@@ -3,12 +3,16 @@
 The graph of a color function alpha on a group G has adjacency
 ``A[i, j] = alpha(g_j * g_i^{-1})`` over the canonical element indices, so
 row i lists the out-edges of vertex i.  For split extensions vertex
-``a*m + b`` is ``h_a k^b`` and the matrix splits into m-by-m circulants
-indexed by coset pairs.
+``a*m + b`` is ``h_a k^b``, so
+``g_{j,b} g_{i,a}^{-1} = h_j k^{b-a} h_i^{-1}``: the matrix is an l x l grid
+of m-by-m circulants indexed by coset pairs, and block (i, j) depends only
+on the l*l*m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``.
 
-The adjacency (in row blocks within the kernel's block budget) and the
-connection-set checks (one gather per conjugation orbit) run on the
-group's integer kernel (``mul_idx``/``inv_idx``); they never touch irreps.
+The adjacency and the connection-set checks (one gather per conjugation
+orbit) run on the group's integer kernel (``mul_idx``/``inv_idx``); they
+never touch irreps.  On a split extension the adjacency is copied from
+the beta table, which takes l*l*m kernel products; on the other kinds it
+is gathered in row blocks within the kernel's block budget, n*n products.
 """
 
 from __future__ import annotations
@@ -181,19 +185,25 @@ class AdjacencyMatrix:
 
 
 def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatrix:
-    """A[i, j] = alpha(g_j * g_i^{-1}), gathered from the integer kernel.
+    """A[i, j] = alpha(g_j * g_i^{-1}), from the integer kernel alone.
 
-    Rows are filled in blocks, each one gather of alpha at
-    ``mul_idx(j, inv_idx[i])``.
+    On a split extension every entry is a value of the beta table
+    (``A[i*m + a, j*m + b] = beta_ij(b - a)``), so the matrix is
+    ``beta_blocks(group, color).assemble()``: l*l*m kernel products and
+    one strided copy.  Other kinds fill rows in blocks, each one gather
+    of alpha at ``mul_idx(j, inv_idx[i])``.
     """
-    n = group.order
-    columns = np.arange(n, dtype=np.int64)
-    alpha = color.vector
-    out = np.zeros((n, n), dtype=complex)
-    step = _block_len(n)
-    for lo in range(0, n, step):
-        products = group.mul_idx(columns[None, :], group.inv_idx[lo:lo + step, None])
-        out[lo:lo + step] = alpha[products]
+    if isinstance(group, SplitExtensionGroup):
+        out = beta_blocks(group, color).assemble()
+    else:
+        n = group.order
+        columns = np.arange(n, dtype=np.int64)
+        alpha = color.vector
+        out = np.zeros((n, n), dtype=complex)
+        step = _block_len(n)
+        for lo in range(0, n, step):
+            products = group.mul_idx(columns[None, :], group.inv_idx[lo:lo + step, None])
+            out[lo:lo + step] = alpha[products]
     out.flags.writeable = False
     return AdjacencyMatrix(matrix=out)
 
@@ -225,11 +235,21 @@ class BlockDecomposition:
         }
 
     def assemble(self) -> np.ndarray:
-        """The adjacency; block (i, j) is the circulant ``[a, b] -> beta_ij(b - a)``."""
+        """The adjacency; block (i, j) is the circulant ``[a, b] -> beta_ij(b - a)``.
+
+        Row a of block (i, j) is ``beta_ij`` doubled and read from position
+        m - a, a window of the doubled table.  The n x n result is the only
+        large allocation: it is filled by one strided copy from those
+        windows, with no index arrays.
+        """
         l, m = self.l, self.m
-        shifts = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+        doubled = np.concatenate((self.beta_values, self.beta_values), axis=-1)
+        # windows[i, j, s] = doubled[i, j, s:s + m]
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
+        out = np.empty((l * m, l * m), dtype=complex)
         # (i, j, a, b) -> (i, a, j, b): row i*m + a, column j*m + b
-        return self.beta_values[:, :, shifts].transpose(0, 2, 1, 3).reshape(l * m, l * m)
+        out.reshape(l, m, l, m)[...] = windows[:, :, m:0:-1].transpose(0, 2, 1, 3)
+        return out
 
 
 def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:

@@ -63,7 +63,7 @@ from .irreps import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralLine:
     """One labeled eigenvalue with its multiplicity and basis vectors.
 
@@ -73,6 +73,8 @@ class SpectralLine:
     ``Spectrum.factors``; read any line's vectors with
     ``Spectrum.vector_rows``.  The split path also records its per-class
     intermediate sums.
+
+    ``==`` is identity, as for ``Spectrum``.
     """
 
     u: int
@@ -85,14 +87,14 @@ class SpectralLine:
     k_class_terms: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KroneckerFactors:
     """The factored basis of a split or metacyclic spectrum.
 
     Vector t, counted over the lines in order, is
     ``kron(h_rows[h], k_rows[k])`` with ``(h, k) = pairs[t]``: the rows are
     H- and K-coefficient vectors, of lengths l and m.  The arrays are
-    read-only.
+    read-only.  ``==`` is identity; compare the arrays' bytes instead.
     """
 
     h_rows: np.ndarray
@@ -106,7 +108,7 @@ def _kronecker_rows(factors: KroneckerFactors, pairs: np.ndarray) -> np.ndarray:
     return (h[:, :, None] * k[:, None, :]).reshape(len(pairs), -1)
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
     """A full labeled spectrum; total multiplicity covers the whole space.
 
@@ -114,6 +116,10 @@ class Spectrum:
     vectors, and None otherwise.  A line without explicit ``eigenvectors``
     then claims ``multiplicity`` vectors, the Kronecker products named by
     the next pairs in order, as far as the pairs reach.
+
+    ``==`` is identity: the fields hold arrays, which have no single truth
+    value.  Compare eigenvalue multisets with ``verify.compare_spectra``
+    and vectors with ``vector_rows(0, n).tobytes()``.
     """
 
     n: int

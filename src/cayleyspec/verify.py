@@ -130,14 +130,16 @@ def _gram_rows(count: int) -> int:
     return min(_block_columns(count), max(128, -(-count // 8)))
 
 
-def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
+def _checked_factors(spectrum: Spectrum,
+                     offsets: np.ndarray) -> Optional[KroneckerFactors]:
     """The spectrum's Kronecker factors, when the structured path may use them.
 
     That needs n at least ``_STRUCTURED_MIN_N``, factor rows of lengths l
     and m (l*m = n), pairs that cover the grid of l H rows by m K rows once
     each, and n vectors claimed.  A line that carries explicit rows must
     equal, bit for bit, the Kronecker products its pairs name; they are
-    formed one block of vectors at a time.  Otherwise None.
+    formed one block of vectors at a time.  Otherwise None.  ``offsets``
+    is ``spectrum._vector_offsets()``.
     """
     factors, n = spectrum.factors, spectrum.n
     if factors is None or n < _STRUCTURED_MIN_N:
@@ -153,7 +155,6 @@ def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
     if any(lines[k].eigenvectors.dtype != complex
            or lines[k].eigenvectors.shape[1:] != (n,) for k in explicit):
         return None
-    offsets = spectrum._vector_offsets()
     if offsets[-1] != n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
         return None
     if not np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(n)):
@@ -175,6 +176,9 @@ def _rows_match_grid(windows: np.ndarray, block: np.ndarray, lo: int) -> bool:
 
     ``windows[i, j, s]`` is ``beta_ij`` doubled and read from position s,
     so row a of block (i, j), ``beta_ij(b - a)`` over b, is window m - a.
+    The same layout builds split adjacencies (``BlockDecomposition.assemble``);
+    it is spelled out again here so that one bug cannot both build a wrong
+    matrix and pass it.
     """
     l, m = windows.shape[1], windows.shape[3]
     hi = lo + len(block)
@@ -192,7 +196,7 @@ def _first_rows_beta(matrix: np.ndarray, l: int, m: int) -> np.ndarray:
 
 
 def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
-                      *, _factors=_UNCHECKED) -> VerificationReport:
+                      *, _factors=_UNCHECKED, _offsets=None) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
     When ``_checked_factors`` accepts the spectrum and the adjacency is the
@@ -203,7 +207,8 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
     ``A @ B - B * lam``, and per-line maxima come from its column maxima.
     When the imaginary part of A is identically zero (a NaN or inf there
     counts as nonzero), the GEMM runs on a float64 copy of its real part.
-    ``_factors`` is for ``certify``, which checks the factors once.
+    ``_factors`` and ``_offsets`` are for ``certify``, which checks the
+    factors and counts the lines' vectors once.
     """
     matrix = _as_matrix(adjacency)
     n = matrix.shape[0]
@@ -228,7 +233,8 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
                 f"line ({line.u}, {line.v}) vectors have length "
                 f"{length}, expected {n}"
             )
-    factors = _checked_factors(spectrum) if _factors is _UNCHECKED else _factors
+    offsets = spectrum._vector_offsets() if _offsets is None else _offsets
+    factors = _checked_factors(spectrum, offsets) if _factors is _UNCHECKED else _factors
     windows = None
     if factors is not None:
         l, m = len(factors.h_rows), len(factors.k_rows)
@@ -254,7 +260,6 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
             real = real and not matrix[lo:min(lo + width, unscanned)].imag.any()
     scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     lines = spectrum.lines
-    offsets = spectrum._vector_offsets()
     total = int(offsets[-1])
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(
@@ -352,7 +357,7 @@ class BasisCheck(tuple):
 
 
 def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
-                 *, _factors=_UNCHECKED) -> BasisCheck:
+                 *, _factors=_UNCHECKED, _offsets=None) -> BasisCheck:
     """Gram deviation of the stacked eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
@@ -364,13 +369,14 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
     matrix, Hermitian, has only its upper triangle formed: each row block
     from its diagonal block rightwards, never the whole matrix.
     """
-    factors = _checked_factors(spectrum) if _factors is _UNCHECKED else _factors
+    offsets = spectrum._vector_offsets() if _offsets is None else _offsets
+    factors = _checked_factors(spectrum, offsets) if _factors is _UNCHECKED else _factors
     if factors is not None:
         # the pairs cover the grid once, so there are n vectors
         count, gram_deviation = spectrum.n, _structured_gram(factors)
     else:
         count, gram_deviation = _upper_gram_deviation(spectrum.eigenvector_matrix().T)
-    counts = np.diff(spectrum._vector_offsets())
+    counts = np.diff(offsets)
     complete = (
         count == spectrum.n
         and spectrum.total_multiplicity == spectrum.n
@@ -463,14 +469,17 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
     """Full certification: residuals, basis, completeness, trace identities.
 
-    The spectrum's Kronecker factors are checked once for both the
-    residual and the Gram check.  When the residuals ran on the structured
-    path, the adjacency is the circulant grid of the beta table in its rows
-    i*m, and the trace identities come from that table.
+    The spectrum's Kronecker factors are checked, and its lines' vectors
+    counted, once for both the residual and the Gram check.  When the
+    residuals ran on the structured path, the adjacency is the circulant
+    grid of the beta table in its rows i*m, and the trace identities come
+    from that table.
     """
-    factors = _checked_factors(spectrum)
-    report = verify_eigenpairs(adjacency, spectrum, tol=tol, _factors=factors)
-    basis = verify_basis(spectrum, tol=tol, _factors=factors)
+    offsets = spectrum._vector_offsets()
+    factors = _checked_factors(spectrum, offsets)
+    report = verify_eigenpairs(adjacency, spectrum, tol=tol, _factors=factors,
+                               _offsets=offsets)
+    basis = verify_basis(spectrum, tol=tol, _factors=factors, _offsets=offsets)
     if report.structured:
         _check_color_order(color, report.n)
         beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),

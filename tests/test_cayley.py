@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,10 @@ def test_beta_blocks_prism():
     bd = beta_blocks(group, color)
     assert bd.beta(0, 0) == {1: 1, 2: 1}
     assert bd.beta(0, 1) == {0: 1}
-    assert np.array_equal(bd.assemble(), adjacency_matrix(group, color).matrix)
+    # the kernel gather over all n^2 pairs, independent of the beta table
+    n = group.order
+    gathered = color.vector[group.mul_idx(np.arange(n)[None, :], group.inv_idx[:, None])]
+    assert np.array_equal(bd.assemble(), gathered)
 
     zero = ColorFunction(group, {})
     assert not np.any(beta_blocks(group, zero).assemble())
@@ -125,6 +130,22 @@ def test_beta_blocks_equal_the_element_loops_byte_for_byte():
                             loop[a, b] = beta[(b - a) % 7]
                 block = assembled[i * 7:(i + 1) * 7, j * 7:(j + 1) * 7]
                 assert block.tobytes() == loop.tobytes()
+
+
+def test_split_adjacency_allocates_little_beyond_its_result():
+    """At the n = 2110 rung the adjacency is 68 MiB; copying it from the
+    beta table holds no n^2 index array or second n^2 copy beside it."""
+    group, conn = nonnormal_family(211, 10, 23)
+    color = color_from_set(group, conn.elements)
+    result_bytes = 16 * group.order ** 2
+    tracemalloc.start()
+    try:
+        adjacency = adjacency_matrix(group, color)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adjacency.matrix.nbytes == result_bytes
+    assert peak <= 1.1 * result_bytes, peak / result_bytes
 
 
 def test_beta_blocks_depend_only_on_coset_difference():

@@ -54,6 +54,13 @@ def adjacency_oracle(group, color):
     return out
 
 
+def kernel_gather_oracle(group, color):
+    """Alpha at ``mul_idx(j, inv_idx[i])`` over all n^2 pairs.  Split kinds
+    build their adjacency from the beta table, so this is their reference."""
+    columns = np.arange(group.order, dtype=np.int64)
+    return color.vector[group.mul_idx(columns[None, :], group.inv_idx[:, None])]
+
+
 def beta_oracle(group, color, i, j):
     """beta_ij(k^c) = alpha(h_j k^c h_i^{-1}) for c = 0..m-1."""
     h_i_inv = group.inv((i, 0))
@@ -336,11 +343,39 @@ def test_adjacency_byte_equal_on_random_inputs(case, rng):
 def test_adjacency_in_row_blocks(monkeypatch):
     from cayleyspec import groups as groups_module
 
-    group = MetacyclicGroup(13, 4, 5)
-    color = color_from_set(group, [(0, 1), (0, 12), (1, 3), (3, 7)])
-    expect = adjacency_oracle(group, color)
     monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 8 * 52 * 5)  # 5 rows a block
-    assert adjacency_matrix(group, color).matrix.tobytes() == expect.tobytes()
+    # split kinds copy their beta table: the non-split kind runs the row blocks
+    for group in (MetacyclicGroup(13, 4, 5), AbelianProductGroup([4, 13])):
+        color = color_from_set(group, [(0, 1), (0, 12), (1, 3), (3, 7)])
+        expect = adjacency_oracle(group, color)
+        assert adjacency_matrix(group, color).matrix.tobytes() == expect.tobytes()
+
+
+# colors that stress a copy: NaN and infinite parts, and a signed zero
+# (equal to 0, so never stored)
+SPECIAL_VALUES = [complex("nan+1j"), complex(-0.0, float("inf")), complex(0.0, -0.0)]
+
+
+def random_complex_color(group, rng):
+    elems = group.elements()
+    values = {}
+    for g in rng.sample(elems, rng.randint(0, group.order)):
+        if rng.random() < 0.2:
+            values[g] = rng.choice(SPECIAL_VALUES)
+        else:
+            values[g] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return ColorFunction(group, values)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.randoms(use_true_random=False))
+def test_split_adjacency_equals_the_kernel_gather(group, rng):
+    color = random_complex_color(group, rng)
+    built = adjacency_matrix(group, color).matrix
+    assert not built.flags.writeable
+    assert built.dtype == complex and built.shape == (group.order, group.order)
+    assert built.tobytes() == kernel_gather_oracle(group, color).tobytes()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -352,7 +387,7 @@ def test_beta_blocks_assemble_the_adjacency_on_random_inputs(case, rng):
     decomposition = beta_blocks(group, color)
     assembled = decomposition.assemble()
     assert assembled.dtype == complex
-    assert assembled.tobytes() == adjacency_matrix(group, color).matrix.tobytes()
+    assert assembled.tobytes() == kernel_gather_oracle(group, color).tobytes()
     for i in range(group.l):
         for j in range(group.l):
             beta = beta_oracle(group, color, i, j)

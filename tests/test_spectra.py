@@ -77,6 +77,25 @@ def test_spectrum_normal_complete_graph():
         assert multiset(spec) == sorted([(n - 1, 0, 1), (-1, 0, n - 1)])
 
 
+def test_spectra_compare_by_identity_without_raising():
+    """Spectra, lines and factors hold arrays: ``==`` is identity, never a
+    field-by-field comparison that raises on an array's truth value."""
+    group, conn = nonnormal_family(7, 3, 2)
+    layers = layers_from_set(group, conn.elements)
+    c4 = CyclicGroup(4)
+    c4_color = color_from_set(c4, [1, 3])
+    for build in (lambda: spectrum_metacyclic(7, 3, 2, layers),
+                  lambda: spectrum_normal(c4, c4_color, builtin_irreps(c4))):
+        first, second = build(), build()
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert first.lines[0] != second.lines[0]
+        assert compare_spectra(first, second)[0]
+        assert first.vector_rows(0, first.n).tobytes() == second.vector_rows(0, second.n).tobytes()
+        if first.factors is not None:
+            assert first.factors != second.factors
+
+
 def test_spectrum_normal_c4_pair():
     g = CyclicGroup(4)
     spec = spectrum_normal(g, color_from_set(g, [1, 3]), builtin_irreps(g))

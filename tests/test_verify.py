@@ -796,6 +796,16 @@ def test_factored_claims_stay_far_below_an_n_squared_basis():
         assert peak <= 4 * verify_module._BLOCK_BYTES, (spec.method, peak)
 
 
+def test_certify_counts_the_lines_vectors_once():
+    group, color, spec, adj = family_case(31, 5, 2)
+    expect = certify(adj, spec, color)
+    with mock.patch.object(Spectrum, "_vector_offsets", autospec=True,
+                           side_effect=Spectrum._vector_offsets) as offsets:
+        report = certify(adj, spec, color)
+    assert offsets.call_count == 1
+    assert report.structured and report == expect
+
+
 def test_a_wrong_eigenvalue_fails_on_the_structured_path():
     group, color, spec, adj = family_case(31, 5, 2)
 
