@@ -434,16 +434,14 @@ def _spectrum_json(spectrum: spectra.Spectrum, include_vectors: bool,
     runs before the first piece is returned.
     """
     payload = _spectrum_payload(spectrum, verification)
-    spans = []  # the vectors of each line written with them, as (first, last)
-    if include_vectors:
-        offsets = spectrum._vector_offsets().tolist()
-        for k, (entry, line) in enumerate(zip(payload["lines"], spectrum.lines)):
-            if line.eigenvectors is not None or spectrum.factors is not None:
-                entry["eigenvectors"] = _VECTORS_SLOT
-                spans.append((offsets[k], offsets[k + 1]))
+    if include_vectors and spectrum.claims_vectors:
+        for entry in payload["lines"]:
+            entry["eigenvectors"] = _VECTORS_SLOT
     pieces = (json.dumps(payload, indent=2) + "\n").split(_VECTORS_SLOT_JSON)
-    if not spans:
+    if len(pieces) == 1:
         return iter(pieces)
+    offsets = spectrum._vector_offsets().tolist()
+    spans = zip(offsets, offsets[1:])  # each line's vectors, as (first, last)
     rows = spectrum.vector_rows(0, offsets[-1])
     cols = rows.shape[1]
     # equal_nan=False: the default merges every complex value holding a NaN

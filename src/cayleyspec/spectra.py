@@ -1,9 +1,9 @@
 """Closed-form spectra and eigenvector bases of Cayley color graphs.
 
 Three formula paths are provided, each producing labeled spectral lines
-with eigenvectors (explicit rows, or Kronecker factors on the split and
-metacyclic paths) so an independent residual check can certify every
-claim:
+and, on request, eigenvectors in one of two claim forms (``Spectrum.vectors``
+on the normal path, ``Spectrum.factors`` on the split and metacyclic
+paths), so an independent residual check can certify every claim:
 
 * ``spectrum_normal``: alpha is a class function; each irrep rho_k of G
   contributes the eigenvalue (1/d_k) * sum_g alpha(g) chi_k(g) with
@@ -25,8 +25,7 @@ claim:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import sqrt
 from typing import Optional, Sequence
 
@@ -65,14 +64,12 @@ from .irreps import (
 
 @dataclass(frozen=True, eq=False)
 class SpectralLine:
-    """One labeled eigenvalue with its multiplicity and basis vectors.
+    """One labeled eigenvalue with its multiplicity.
 
-    ``eigenvectors`` holds one unit vector per row, over the canonical
-    element indices.  It is None on the lines of the split and metacyclic
-    routes, whose vectors are the Kronecker products in
-    ``Spectrum.factors``; read any line's vectors with
-    ``Spectrum.vector_rows``.  The split path also records its per-class
-    intermediate sums.
+    The line's vectors are claimed by its spectrum; read them with
+    ``Spectrum.vector_rows``.  ``eigenvectors`` is always None: it is kept
+    only for readers of the old per-line rows.  The split path also
+    records its per-class intermediate sums.
 
     ``==`` is identity, as for ``Spectrum``.
     """
@@ -82,19 +79,19 @@ class SpectralLine:
     labels: tuple
     eigenvalue: complex
     multiplicity: int
-    eigenvectors: Optional[np.ndarray] = None
-    h_class_terms: Optional[tuple] = None
-    k_class_terms: Optional[tuple] = None
+    eigenvectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    h_class_terms: Optional[tuple] = field(default=None, kw_only=True)
+    k_class_terms: Optional[tuple] = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True, eq=False)
 class KroneckerFactors:
     """The factored basis of a split or metacyclic spectrum.
 
-    Vector t, counted over the lines in order, is
-    ``kron(h_rows[h], k_rows[k])`` with ``(h, k) = pairs[t]``: the rows are
-    H- and K-coefficient vectors, of lengths l and m.  The arrays are
-    read-only.  ``==`` is identity; compare the arrays' bytes instead.
+    Vector t is ``kron(h_rows[h], k_rows[k])`` with ``(h, k) = pairs[t]``:
+    the rows are H- and K-coefficient vectors, of lengths l and m.  The
+    arrays are read-only.  ``==`` is identity; compare the arrays' bytes
+    instead.
     """
 
     h_rows: np.ndarray
@@ -105,17 +102,18 @@ class KroneckerFactors:
 def _kronecker_rows(factors: KroneckerFactors, pairs: np.ndarray) -> np.ndarray:
     """The rows ``kron(h_rows[h], k_rows[k])`` for each (h, k) in ``pairs``."""
     h, k = factors.h_rows[pairs[:, 0]], factors.k_rows[pairs[:, 1]]
-    return (h[:, :, None] * k[:, None, :]).reshape(len(pairs), -1)
+    return (h[:, :, None] * k[:, None, :]).reshape(len(pairs), h.shape[1] * k.shape[1])
 
 
 @dataclass(eq=False)
 class Spectrum:
     """A full labeled spectrum; total multiplicity covers the whole space.
 
-    ``factors`` is set by the split and metacyclic routes when they build
-    vectors, and None otherwise.  A line without explicit ``eigenvectors``
-    then claims ``multiplicity`` vectors, the Kronecker products named by
-    the next pairs in order, as far as the pairs reach.
+    A spectrum claims N vectors in one form, or none: ``vectors``, an
+    (N, n) complex array (the normal route), or ``factors``, Kronecker
+    factors with N pairs (the split and metacyclic routes).  Line k owns
+    vectors ``offsets[k]:offsets[k + 1]`` with offsets the running sum of
+    the multiplicities, capped at N.
 
     ``==`` is identity: the fields hold arrays, which have no single truth
     value.  Compare eigenvalue multisets with ``verify.compare_spectra``
@@ -127,10 +125,26 @@ class Spectrum:
     lines: list
     theorem_verified: bool = True
     factors: Optional[KroneckerFactors] = None
+    vectors: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.vectors is not None and self.factors is not None:
+            raise ValueError("a spectrum claims its vectors as `vectors` or as "
+                             "`factors`, not both")
 
     @property
     def total_multiplicity(self) -> int:
         return sum(line.multiplicity for line in self.lines)
+
+    @property
+    def claims_vectors(self) -> bool:
+        return self.vectors is not None or self.factors is not None
+
+    def vector_count(self) -> int:
+        """N, the number of vectors claimed."""
+        if self.factors is not None:
+            return len(self.factors.pairs)
+        return 0 if self.vectors is None else len(self.vectors)
 
     def eigenvalues_expanded(self) -> list:
         values = []
@@ -139,65 +153,25 @@ class Spectrum:
         return values
 
     def _vector_offsets(self) -> np.ndarray:
-        """Where each line's vectors start, counted over the lines in order;
-        the last entry is the number of vectors.
-
-        A line claims its explicit rows.  Without them it claims, when the
-        spectrum has factors, its multiplicity as far as the pairs reach,
-        and otherwise nothing.
-        """
-        available = 0 if self.factors is None else len(self.factors.pairs)
-        offsets = [0]
-        for line in self.lines:
-            if line.eigenvectors is not None:
-                count = len(line.eigenvectors)
-            else:
-                count = max(0, min(line.multiplicity, available - offsets[-1]))
-            offsets.append(offsets[-1] + count)
-        return np.array(offsets, dtype=np.int64)
+        """Where each line's vectors start; the last entry is where the
+        last line's end."""
+        counts = [line.multiplicity for line in self.lines]
+        return np.minimum(np.cumsum([0] + counts), self.vector_count())
 
     def vector_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Vectors lo..hi-1, counted over the lines in order, as the rows of
-        one read-only complex array.
-
-        Explicit rows are sliced.  The rows of factored lines are the
-        Kronecker products of their pairs, formed in one broadcast for each
-        run of consecutive factored lines.  The range is clipped to the
-        vectors the lines claim.
-        """
-        offsets = self._vector_offsets().tolist()
-        hi = min(hi, offsets[-1])
+        """Vectors lo..hi-1 as the rows of one read-only complex array,
+        the range clipped to the N claimed: a slice of ``vectors``, or the
+        Kronecker products of the pairs formed in one broadcast."""
+        hi = min(max(hi, 0), self.vector_count())
         lo = min(max(lo, 0), hi)
-        segments = []  # (line index, or None for a factored run, first, last)
-        for k in range(max(bisect_right(offsets, lo) - 1, 0), len(self.lines)):
-            a, b = max(offsets[k], lo), min(offsets[k + 1], hi)
-            if a >= hi:
-                break
-            factored = self.lines[k].eigenvectors is None
-            if factored and segments and segments[-1][0] is None:
-                segments[-1] = (None, segments[-1][1], b)
-            elif a < b:
-                segments.append((None if factored else k, a, b))
-        pieces = [
-            _kronecker_rows(self.factors, self.factors.pairs[a:b]) if k is None
-            else self.lines[k].eigenvectors[a - offsets[k]:b - offsets[k]]
-            for k, a, b in segments
-        ]
-        if not pieces:
-            pieces = [np.empty((0, self.n))]
-        rows = np.asarray(pieces[0] if len(pieces) == 1 else np.concatenate(pieces),
-                          dtype=complex)
+        if self.factors is not None:
+            rows = _kronecker_rows(self.factors, self.factors.pairs[lo:hi])
+        elif self.vectors is not None:
+            rows = np.asarray(self.vectors[lo:hi], dtype=complex)
+        else:
+            rows = np.empty((0, self.n), dtype=complex)
         rows.flags.writeable = False
         return rows
-
-    def eigenvector_matrix(self) -> np.ndarray:
-        """All claimed vectors as the columns of one read-only array."""
-        for line in self.lines:
-            if line.eigenvectors is None and self.factors is None:
-                raise ValueError(
-                    f"line ({line.u}, {line.v}) carries no eigenvectors"
-                )
-        return self.vector_rows(0, int(self._vector_offsets()[-1])).T
 
     def multiset(self, tol: float = 1e-9) -> list:
         return cluster_eigenvalues(self.eigenvalues_expanded(), tol)
@@ -389,26 +363,24 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
         )
     ensure_trusted(group, irrep_set)
     elems = tuple(group.elements())
-    p_matrix = build_p_matrix(group, irrep_set) if eigenvectors else None
     lines = []
-    col = 0
     for k_idx, rho in enumerate(irrep_set):
         d = rho.degree
         eig = _character_sum(color.vector, rho.characters[rho._rows(elems)]) / d
-        vectors = None
-        if eigenvectors:
-            vectors = p_matrix.matrix[:, col:col + d * d].T.copy()
-            vectors.flags.writeable = False
         lines.append(SpectralLine(
             u=k_idx,
             v=None,
             labels=(rho.label,),
             eigenvalue=complex(eig),
             multiplicity=d * d,
-            eigenvectors=vectors,
         ))
-        col += d * d
-    return Spectrum(n=group.order, method="normal", lines=lines)
+    vectors = None
+    if eigenvectors:
+        # line k's vectors are the P-matrix columns of its coefficients;
+        # C order keeps every block of rows contiguous
+        vectors = np.ascontiguousarray(build_p_matrix(group, irrep_set).matrix.T)
+        vectors.flags.writeable = False
+    return Spectrum(n=group.order, method="normal", lines=lines, vectors=vectors)
 
 
 def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,

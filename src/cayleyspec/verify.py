@@ -11,33 +11,32 @@ Two paths compute the residuals and the Gram deviation; the results agree
 to rounding, and the trace identities and completeness are the same.
 
 The claimed vectors are read through ``Spectrum.vector_rows``: the
-split and metacyclic routes claim them as Kronecker factors
-(``Spectrum.factors``), with no explicit rows on their lines.
+normal route claims them as one array (``Spectrum.vectors``), the split
+and metacyclic routes as Kronecker factors (``Spectrum.factors``).
 
 The structured path runs when all of these hold: n is at least
-``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum carries
+``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum claims
 Kronecker factors whose pairs cover the grid of H rows by K rows once
-each; every line that carries explicit rows equals, bit for bit, the
-Kronecker products of its pairs; and the passed adjacency equals,
-exactly, the l x l grid of m x m circulants whose beta table it holds in
-its rows i*m.  Then the residuals apply that grid to the claimed vectors
-by FFT correlation in O(n^2 (l + log m)) work, the Gram deviation comes
-from the two factor Grams, and ``certify`` reads the trace identities off
-the beta table.  Beyond the adjacency it holds O(n*m): the factors, the
-beta table, the factor Grams, and per chunk of K rows at most
-``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
-vectors are eigenvectors, and no irrep is touched.
+each; and the passed adjacency equals, exactly, the l x l grid of m x m
+circulants whose beta table it holds in its rows i*m.  Then the
+residuals apply that grid to the claimed vectors by FFT correlation in
+O(n^2 (l + log m)) work, the Gram deviation comes from the two factor
+Grams, and ``certify`` reads the trace identities off the beta table.
+Beyond the adjacency it holds O(n*m): the factors, the beta table, the
+factor Grams, and per chunk of K rows at most ``_BLOCK_BYTES`` in each
+of a few temporaries.  Nothing here assumes the vectors are
+eigenvectors, and no irrep is touched.
 
 Otherwise the dense path runs: GEMMs over blocks of stacked eigenvectors.
-Beyond the n x n adjacency, the claimed vectors and one stacked copy of
-them (for factored lines, the stacked copy alone), it holds one block at
-a time: ``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice
-that in GEMM output and residual temporaries, whatever n and the number
-of lines.  While it computes
-residuals against a real adjacency (every indicator color gives one) it
-also holds one float64 copy of the adjacency's real part, so each
-residual block is a real GEMM at half the flops of the complex one.  The
-Gram matrix is Hermitian, so only its upper triangle is formed.
+Beyond the n x n adjacency and the claimed vectors (for factors, one
+stacked copy of their products), it holds one block at a time:
+``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice that in
+GEMM output and residual temporaries, whatever n and the number of
+lines.  While it computes residuals against a real adjacency (every
+indicator color gives one) it also holds one float64 copy of the
+adjacency's real part, so each residual block is a real GEMM at half the
+flops of the complex one.  The Gram matrix is Hermitian, so only its
+upper triangle is formed.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ _BLOCK_BYTES = 1 << 23
 # the smallest order certified on the structured path: below it the dense
 # GEMMs are faster than the checks and FFTs the structured path runs
 _STRUCTURED_MIN_N = 150
-
-# default of the private ``_factors`` argument: check the factors here
-_UNCHECKED = object()
 
 
 @dataclass
@@ -130,16 +126,12 @@ def _gram_rows(count: int) -> int:
     return min(_block_columns(count), max(128, -(-count // 8)))
 
 
-def _checked_factors(spectrum: Spectrum,
-                     offsets: np.ndarray) -> Optional[KroneckerFactors]:
+def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
     """The spectrum's Kronecker factors, when the structured path may use them.
 
     That needs n at least ``_STRUCTURED_MIN_N``, factor rows of lengths l
     and m (l*m = n), pairs that cover the grid of l H rows by m K rows once
-    each, and n vectors claimed.  A line that carries explicit rows must
-    equal, bit for bit, the Kronecker products its pairs name; they are
-    formed one block of vectors at a time.  Otherwise None.  ``offsets``
-    is ``spectrum._vector_offsets()``.
+    each, and multiplicities that claim all n vectors.  Otherwise None.
     """
     factors, n = spectrum.factors, spectrum.n
     if factors is None or n < _STRUCTURED_MIN_N:
@@ -150,24 +142,10 @@ def _checked_factors(spectrum: Spectrum,
             or pairs.shape != (n, 2) or pairs.dtype.kind not in "iu"
             or h_rows.dtype != complex or k_rows.dtype != complex):
         return None
-    lines = spectrum.lines
-    explicit = [k for k, line in enumerate(lines) if line.eigenvectors is not None]
-    if any(lines[k].eigenvectors.dtype != complex
-           or lines[k].eigenvectors.shape[1:] != (n,) for k in explicit):
-        return None
-    if offsets[-1] != n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
+    if spectrum.total_multiplicity < n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
         return None
     if not np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(n)):
         return None
-    width = _block_columns(n)
-    for k in explicit:
-        start, stop = int(offsets[k]), int(offsets[k + 1])
-        for lo in range(start, stop, width):
-            hi = min(lo + width, stop)
-            claimed = lines[k].eigenvectors[lo - start:hi - start]
-            products = spectra._kronecker_rows(factors, pairs[lo:hi])
-            if not np.array_equal(claimed.view(np.uint64), products.view(np.uint64)):
-                return None
     return factors
 
 
@@ -195,8 +173,8 @@ def _first_rows_beta(matrix: np.ndarray, l: int, m: int) -> np.ndarray:
     return np.array(matrix[::m]).reshape(l, l, m)
 
 
-def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
-                      *, _factors=_UNCHECKED, _offsets=None) -> VerificationReport:
+def verify_eigenpairs(adjacency, spectrum: Spectrum,
+                      tol: float = 1e-9) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
     When ``_checked_factors`` accepts the spectrum and the adjacency is the
@@ -207,8 +185,6 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
     ``A @ B - B * lam``, and per-line maxima come from its column maxima.
     When the imaginary part of A is identically zero (a NaN or inf there
     counts as nonzero), the GEMM runs on a float64 copy of its real part.
-    ``_factors`` and ``_offsets`` are for ``certify``, which checks the
-    factors and counts the lines' vectors once.
     """
     matrix = _as_matrix(adjacency)
     n = matrix.shape[0]
@@ -218,23 +194,15 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9,
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
         )
+    if not spectrum.claims_vectors:
+        raise ValueError("the spectrum claims no eigenvectors to certify")
     factored = spectrum.factors
-    for line in spectrum.lines:
-        if line.eigenvectors is None:
-            if factored is None:
-                raise ValueError(
-                    f"line ({line.u}, {line.v}) carries no eigenvectors to certify"
-                )
-            length = factored.h_rows.shape[-1] * factored.k_rows.shape[-1]
-        else:
-            length = line.eigenvectors.shape[1]
-        if length != n:
-            raise DimensionMismatch(
-                f"line ({line.u}, {line.v}) vectors have length "
-                f"{length}, expected {n}"
-            )
-    offsets = spectrum._vector_offsets() if _offsets is None else _offsets
-    factors = _checked_factors(spectrum, offsets) if _factors is _UNCHECKED else _factors
+    shape = (np.shape(spectrum.vectors)[1:] if factored is None
+             else (factored.h_rows.shape[-1] * factored.k_rows.shape[-1],))
+    if shape != (n,):
+        raise DimensionMismatch(f"claimed vectors have row shape {shape}, expected {(n,)}")
+    offsets = spectrum._vector_offsets()
+    factors = _checked_factors(spectrum)
     windows = None
     if factors is not None:
         l, m = len(factors.h_rows), len(factors.k_rows)
@@ -356,12 +324,11 @@ class BasisCheck(tuple):
         return check
 
 
-def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
-                 *, _factors=_UNCHECKED, _offsets=None) -> BasisCheck:
-    """Gram deviation of the stacked eigenvectors and the completeness flag.
+def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
+    """Gram deviation of the claimed eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
-    claimed multiplicities sum to n and one vector backs each of them; the
+    spectrum claims n vectors and its multiplicities sum to n; the
     result's ``vector_count`` is the number of claimed vectors.  When
     ``_checked_factors`` accepts the spectrum, the Gram matrix is
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
@@ -369,25 +336,19 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9,
     matrix, Hermitian, has only its upper triangle formed: each row block
     from its diagonal block rightwards, never the whole matrix.
     """
-    offsets = spectrum._vector_offsets() if _offsets is None else _offsets
-    factors = _checked_factors(spectrum, offsets) if _factors is _UNCHECKED else _factors
+    factors = _checked_factors(spectrum)
+    count = spectrum.vector_count()
     if factors is not None:
-        # the pairs cover the grid once, so there are n vectors
-        count, gram_deviation = spectrum.n, _structured_gram(factors)
+        gram_deviation = _structured_gram(factors)
     else:
-        count, gram_deviation = _upper_gram_deviation(spectrum.eigenvector_matrix().T)
-    counts = np.diff(offsets)
-    complete = (
-        count == spectrum.n
-        and spectrum.total_multiplicity == spectrum.n
-        and all(c == line.multiplicity for c, line in zip(counts.tolist(), spectrum.lines))
-    )
+        gram_deviation = _upper_gram_deviation(spectrum.vector_rows(0, count))
+    complete = count == spectrum.n == spectrum.total_multiplicity
     return BasisCheck(gram_deviation, complete, count, factors is not None)
 
 
-def _upper_gram_deviation(stacked: np.ndarray) -> tuple:
-    """(vector count, max |G - I|) over the upper triangle of the Gram of
-    ``stacked``'s rows, a row block at a time."""
+def _upper_gram_deviation(stacked: np.ndarray) -> float:
+    """max |G - I| over the upper triangle of the Gram of ``stacked``'s
+    rows, a row block at a time."""
     count = stacked.shape[0]
     gram_deviation = 0.0
     step = _gram_rows(count)
@@ -402,7 +363,7 @@ def _upper_gram_deviation(stacked: np.ndarray) -> tuple:
         gram[diagonal, diagonal] -= 1
         block = np.abs(gram, out=magnitudes[:gram.shape[0], :gram.shape[1]])
         gram_deviation = float(np.maximum(gram_deviation, np.max(block, initial=0.0)))
-    return count, gram_deviation
+    return gram_deviation
 
 
 def _structured_gram(factors: KroneckerFactors) -> float:
@@ -469,19 +430,15 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
     """Full certification: residuals, basis, completeness, trace identities.
 
-    The spectrum's Kronecker factors are checked, and its lines' vectors
-    counted, once for both the residual and the Gram check.  When the
-    residuals ran on the structured path, the adjacency is the circulant
-    grid of the beta table in its rows i*m, and the trace identities come
-    from that table.
+    When the residuals ran on the structured path, the adjacency is the
+    circulant grid of the beta table in its rows i*m, and the trace
+    identities come from that table.
     """
-    offsets = spectrum._vector_offsets()
-    factors = _checked_factors(spectrum, offsets)
-    report = verify_eigenpairs(adjacency, spectrum, tol=tol, _factors=factors,
-                               _offsets=offsets)
-    basis = verify_basis(spectrum, tol=tol, _factors=factors, _offsets=offsets)
+    report = verify_eigenpairs(adjacency, spectrum, tol=tol)
+    basis = verify_basis(spectrum, tol=tol)
     if report.structured:
         _check_color_order(color, report.n)
+        factors = spectrum.factors
         beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),
                                 len(factors.k_rows))
         trace_dev, trace_sq_dev = _trace_deviations(*_beta_traces(beta), color)

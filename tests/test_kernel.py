@@ -241,7 +241,11 @@ def _units(m, order):
 def groups_strategy(draw):
     kind = draw(st.sampled_from(
         ["cyclic", "abelian", "dihedral", "metacyclic",
-         "semi_cyclic", "semi_abelian", "semi_dihedral"]))
+         "semi_cyclic", "semi_abelian", "semi_dihedral", "permutation"]))
+    if kind == "permutation":
+        degree = draw(st.integers(1, 5))
+        return PermutationGroup(draw(st.lists(st.permutations(range(degree)),
+                                              min_size=1, max_size=2)))
     if kind == "cyclic":
         return CyclicGroup(draw(st.integers(1, 30)))
     if kind == "abelian":
@@ -292,6 +296,30 @@ def test_kernel_agrees_with_mul_and_inv_on_all_pairs(group):
     # scalars and 1-D arrays broadcast like numpy operands
     assert int(group.mul_idx(group.order - 1, 0)) == group.order - 1
     assert np.array_equal(group.mul_idx(idx, 0), idx)
+
+
+def check_group_axioms(group):
+    """Identity, two-sided inverses and associativity, read only from
+    ``mul_idx`` and ``inv_idx``; associativity is one n^3 gather."""
+    idx = np.arange(group.order)
+    e = group.index(group.identity)
+    table = group.mul_idx(idx[:, None], idx[None, :])
+    assert np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)
+    assert (group.mul_idx(idx, group.inv_idx) == e).all()
+    assert (group.mul_idx(group.inv_idx, idx) == e).all()
+    assert np.array_equal(group.mul_idx(table[:, :, None], idx),
+                          group.mul_idx(idx[:, None, None], table[None, :, :]))
+
+
+@pytest.mark.parametrize("group", every_kind(), ids=repr)
+def test_group_axioms(group):
+    check_group_axioms(group)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy())
+def test_group_axioms_on_random_groups(group):
+    check_group_axioms(group)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cayleyspec import (
     ColorFunction,
@@ -10,6 +12,8 @@ from cayleyspec import (
     DihedralGroup,
     HypothesesViolated,
     InvalidAction,
+    IrrepsUnavailable,
+    KroneckerFactors,
     LayerNotInvariant,
     MetacyclicGroup,
     NotClassFunction,
@@ -19,6 +23,7 @@ from cayleyspec import (
     Spectrum,
     adjacency_matrix,
     block_diagonalize,
+    build_p_matrix,
     builtin_irreps,
     certify,
     check_split_hypotheses,
@@ -32,6 +37,7 @@ from cayleyspec import (
     spectrum_normal,
     spectrum_split,
 )
+from test_kernel import class_color_values, groups_strategy
 
 
 def multiset(spectrum, digits=9):
@@ -402,3 +408,37 @@ def test_eigenvector_unit_norms():
         assert rows.shape[0] == line.multiplicity
         norms = np.linalg.norm(rows, axis=1)
         assert np.max(np.abs(norms - 1)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy(), st.randoms(use_true_random=False), st.data())
+def test_normal_route_claims_the_p_matrix_rows(group, rng, data):
+    """The normal route claims one array, the transposed coefficient basis:
+    any range of it, clipped to [0, n], is byte-equal to the P-matrix
+    columns and read-only."""
+    try:
+        irrep_set = builtin_irreps(group)
+    except IrrepsUnavailable:
+        assume(False)
+    color = ColorFunction(group, class_color_values(group, rng))
+    spec = spectrum_normal(group, color, irrep_set)
+    n = group.order
+    assert spec.factors is None and spec.vectors.shape == (n, n)
+    p_matrix = build_p_matrix(group, irrep_set).matrix
+    lo, hi = data.draw(st.integers(-3, n + 3)), data.draw(st.integers(-3, n + 3))
+    start, stop = min(max(lo, 0), n), min(max(hi, 0), n)
+    rows = spec.vector_rows(lo, hi)
+    expect = p_matrix[:, start:max(start, stop)].T
+    assert rows.dtype == complex and rows.shape == expect.shape
+    assert rows.tobytes() == expect.tobytes() and not rows.flags.writeable
+    # one claim form per spectrum, and no per-line rows
+    line = spec.lines[0]
+    pairs = np.zeros((n, 2), dtype=np.int64)
+    factors = KroneckerFactors(h_rows=p_matrix[:1, :1], k_rows=p_matrix, pairs=pairs)
+    with pytest.raises(ValueError, match="not both"):
+        Spectrum(n=n, method="normal", lines=spec.lines, factors=factors, vectors=spec.vectors)
+    with pytest.raises(TypeError):
+        SpectralLine(line.u, line.v, line.labels, line.eigenvalue, 1, eigenvectors=expect)
+    with pytest.raises(TypeError):
+        SpectralLine(line.u, line.v, line.labels, line.eigenvalue, 1, expect)
+    assert line.eigenvectors is None

@@ -51,10 +51,17 @@ def line_rows(spec):
     return [spec.vector_rows(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
 
 
-def explicit_lines(spec):
-    """``spec``'s lines, each carrying its vectors as explicit rows."""
-    return [dataclasses.replace(line, eigenvectors=rows)
-            for line, rows in zip(spec.lines, line_rows(spec))]
+def explicit(spec, vectors=None, **changes):
+    """``spec`` claiming ``vectors`` (by default its own) as one explicit
+    array instead of factors, with the field ``changes`` applied."""
+    if vectors is None:
+        vectors = spec.vector_rows(0, spec.vector_count())
+    return dataclasses.replace(spec, factors=None, vectors=vectors, **changes)
+
+
+def with_row(rows, at, row):
+    """``rows`` with ``row`` inserted before position ``at``."""
+    return np.concatenate((rows[:at], row[None], rows[at:]))
 
 
 def prism_case():
@@ -76,12 +83,9 @@ def test_verify_eigenpairs_pass():
 def test_verify_eigenpairs_detects_perturbation():
     group, color, spec = prism_case()
     adj = adjacency_matrix(group, color)
-    lines = explicit_lines(spec)
-    doctored = dataclasses.replace(
-        lines[0], eigenvalue=lines[0].eigenvalue + 0.1
-    )
-    bad = Spectrum(n=spec.n, method=spec.method,
-                   lines=[doctored] + lines[1:])
+    lines = list(spec.lines)
+    lines[0] = dataclasses.replace(lines[0], eigenvalue=lines[0].eigenvalue + 0.1)
+    bad = explicit(spec, lines=lines)
     report = verify_eigenpairs(adj, bad, tol=1e-9)
     assert not report.passed
     # |A x - (lambda + d) x|_inf = d * |x|_inf = 0.1/sqrt(6) for a unit
@@ -94,9 +98,8 @@ def test_verify_zero_color_standard_basis():
     group = CyclicGroup(4)
     color = ColorFunction(group, {})
     adj = adjacency_matrix(group, color)
-    lines = [SpectralLine(u=0, v=None, labels=("zero",), eigenvalue=0j,
-                          multiplicity=4, eigenvectors=np.eye(4, dtype=complex))]
-    spec = Spectrum(n=4, method="normal", lines=lines)
+    lines = [SpectralLine(u=0, v=None, labels=("zero",), eigenvalue=0j, multiplicity=4)]
+    spec = Spectrum(n=4, method="normal", lines=lines, vectors=np.eye(4, dtype=complex))
     report = certify(adj, spec, color, tol=1e-9)
     assert report.passed
     assert report.max_residual == 0
@@ -111,35 +114,36 @@ def test_verify_basis_completeness():
     assert complete
 
     # duplicated eigenvector: Gram deviation 1
-    lines = explicit_lines(spec)
-    dup = lines[0].eigenvectors
-    broken = Spectrum(n=6, method="metacyclic", lines=[
-        dataclasses.replace(lines[0], multiplicity=2, eigenvectors=np.vstack([dup, dup]))
-    ] + lines[1:])
+    rows = spec.vector_rows(0, 6)
+    lines = [dataclasses.replace(spec.lines[0], multiplicity=2)] + spec.lines[1:]
+    broken = explicit(spec, with_row(rows, 1, rows[0]), lines=lines)
     gram, complete = verify_basis(broken, tol=1e-9)
     assert abs(gram - 1) <= 1e-12
     assert not complete  # 7 vectors for n = 6
 
 
 def test_complete_requires_one_vector_per_claimed_multiplicity():
+    """n orthonormal vectors that pass their residuals fix the multiset, so
+    a miscounted multiplicity is caught by the residuals: the line after
+    the miscount owns a vector of another eigenvalue."""
     group, conn = nonnormal_family(7, 3, 2)
     color = color_from_set(group, conn.elements)
     spec = spectrum_split(group, color, builtin_irreps(CyclicGroup(3)),
                           irreps_cyclic(7))
     adj = adjacency_matrix(group, color)
-    lines = explicit_lines(spec)
+    lines = list(spec.lines)
     other = next(i for i, line in enumerate(lines)
                  if abs(line.eigenvalue - lines[0].eigenvalue) > 1e-3)
     # multiplicities still sum to n and every vector is a true eigenvector
     lines[0] = dataclasses.replace(lines[0], multiplicity=2)
     lines[other] = dataclasses.replace(lines[other], multiplicity=0)
-    claimed = Spectrum(n=21, method=spec.method, lines=lines)
-    assert not compare_spectra(claimed, spec)[0]
-    gram, complete = verify_basis(claimed)
-    assert gram <= 1e-12 and not complete
-    report = certify(adj, claimed, color)
-    assert not report.complete and not report.passed
-    assert report.max_residual <= 1e-12 * report.scale
+    for claimed in (explicit(spec, lines=lines), dataclasses.replace(spec, lines=lines)):
+        assert not compare_spectra(claimed, spec)[0]
+        gram, complete = verify_basis(claimed)
+        assert gram <= 1e-12 and complete
+        report = certify(adj, claimed, color)
+        assert report.complete and not report.passed
+        assert report.max_residual > 1e-3 / np.sqrt(21)
 
 
 def test_dimension_mismatch():
@@ -298,16 +302,13 @@ def test_blocked_residual_reports_the_perturbed_line(monkeypatch):
     group, color, spec = order_42_case()
     adj = adjacency_matrix(group, color)
     small_blocks(monkeypatch, 5, 42)
-    lines = explicit_lines(spec)
-    starts = np.cumsum([0] + [len(line.eigenvectors) for line in lines])
+    starts = spec._vector_offsets()
     # the line whose vectors sit in the middle of a 5-column block
     target = next(i for i, (lo, hi) in enumerate(zip(starts, starts[1:]))
-                  if lo % 5 not in (0, 4) and len(lines[i].eigenvectors) == 4)
-    line = lines[target]
-    vectors = line.eigenvectors.copy()
-    vectors[1, 5] += 1e-3
-    lines[target] = dataclasses.replace(line, eigenvectors=vectors)
-    bad = Spectrum(n=spec.n, method=spec.method, lines=lines)
+                  if lo % 5 not in (0, 4) and hi - lo == 4)
+    vectors = spec.vector_rows(0, spec.n).copy()
+    vectors[starts[target] + 1, 5] += 1e-3
+    bad = explicit(spec, vectors)
     report = verify_eigenpairs(adj, bad, tol=1e-9)
     worst = int(np.argmax(report.per_line_residuals))
     assert worst == target
@@ -328,32 +329,34 @@ def test_line_errors_are_raised_before_any_gemm(monkeypatch):
         raise AssertionError("a residual block ran before the line checks")
 
     monkeypatch.setattr(verify_module, "_residual_block", no_gemm)
-    lines = explicit_lines(spec)
-    last = lines[-1]
-    missing = Spectrum(n=42, method="split",
-                       lines=lines[:-1] + [dataclasses.replace(last, eigenvectors=None)])
-    with pytest.raises(ValueError, match=r"^line \(\d+, \d+\) carries no eigenvectors to certify$"):
+    missing = dataclasses.replace(spec, factors=None)
+    with pytest.raises(ValueError, match=r"^the spectrum claims no eigenvectors to certify$"):
         verify_eigenpairs(adj, missing)
-    short = Spectrum(n=42, method="split", lines=lines[:-1] + [
-        dataclasses.replace(last, eigenvectors=last.eigenvectors[:, :41])])
+    short = explicit(spec, spec.vector_rows(0, 42)[:, :41])
     with pytest.raises(DimensionMismatch,
-                       match=r"^line \(\d+, \d+\) vectors have length 41, expected 42$"):
+                       match=r"^claimed vectors have row shape \(41,\), expected \(42,\)$"):
         verify_eigenpairs(adj, short)
+    factors = spec.factors
+    narrow = dataclasses.replace(spec, factors=dataclasses.replace(
+        factors, k_rows=factors.k_rows[:, :6]))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^claimed vectors have row shape \(36,\), expected \(42,\)$"):
+        verify_eigenpairs(adj, narrow)
 
 
 def whole_gram_deviation(spec):
-    stacked = spec.eigenvector_matrix()
+    stacked = spec.vector_rows(0, spec.n).T
     return float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))))
 
 
 def duplicated(spec, index):
     """``spec`` with the first vector of line ``index`` stacked twice."""
-    lines = explicit_lines(spec)
+    lines = list(spec.lines)
     line = lines[index]
-    vectors = np.vstack([line.eigenvectors, line.eigenvectors[:1]])
-    lines[index] = dataclasses.replace(line, multiplicity=line.multiplicity + 1,
-                                       eigenvectors=vectors)
-    return Spectrum(n=spec.n, method=spec.method, lines=lines)
+    lines[index] = dataclasses.replace(line, multiplicity=line.multiplicity + 1)
+    start, stop = spec._vector_offsets()[index:index + 2]
+    rows = spec.vector_rows(0, spec.n)
+    return explicit(spec, with_row(rows, stop, rows[start]), lines=lines)
 
 
 def test_blocked_gram_matches_whole_gram(monkeypatch):
@@ -585,10 +588,9 @@ def test_structured_certification_agrees_with_dense(case):
         assert structured.passed and structured.complete
 
 
-def with_lines(spec, edit, explicit=True):
-    """``spec`` with its lines passed through ``edit``; the factors are kept.
-    With ``explicit``, every line first carries its vectors as explicit rows."""
-    lines = explicit_lines(spec) if explicit else list(spec.lines)
+def with_lines(spec, edit):
+    """``spec`` with its lines passed through ``edit``; the factors are kept."""
+    lines = list(spec.lines)
     edit(lines)
     out = dataclasses.replace(spec, lines=lines)
     assert out.factors is spec.factors is not None
@@ -652,43 +654,20 @@ def test_a_block_circulant_change_fails_on_the_structured_path():
 
 
 def test_changed_vectors_with_the_factors_kept_fall_back_to_dense():
+    """The factored basis claimed as explicit vectors, one entry changed:
+    off by 1e-3 it fails; one ulp off it still passes, on the dense path."""
     group, color, spec, adj = family_case(31, 5, 2)
-
-    def change(entry):
-        def edit(lines):
-            vectors = spec.vector_rows(7, 8).copy()
-            vectors[0, 3] = entry(vectors[0, 3])
-            lines[7] = dataclasses.replace(lines[7], eigenvectors=vectors)
-        return edit
-
-    # every line explicit, or line 7 alone explicit and the rest factored:
-    # one entry off by 1e-3 fails; one ulp off still passes, on the dense path
-    for explicit in (True, False):
-        for entry, passes in ((lambda z: z + 1e-3, False),
-                              (lambda z: complex(np.nextafter(z.real, 2.0), z.imag), True)):
-            bad = with_lines(spec, change(entry), explicit)
-            report = certify(adj, bad, color)
-            assert not report.structured and report.passed is passes
-            assert report == dense_certify(adj, bad, color)
-            assert not verify_basis(bad).structured
-            if not passes:
-                assert int(np.argmax(report.per_line_residuals)) == 7
-
-
-def test_explicit_rows_equal_to_the_products_stay_structured():
-    group, color, spec, adj = family_case(31, 5, 2)
-    factored = certify(adj, spec, color)
-    assert factored.structured and factored.passed
-
-    def explicit_line_7(lines):
-        lines[7] = dataclasses.replace(lines[7], eigenvectors=spec.vector_rows(7, 8).copy())
-
-    for explicit in (True, False):
-        edited = with_lines(spec, explicit_line_7, explicit)
-        assert (edited.lines[0].eigenvectors is None) is not explicit
-        assert edited.vector_rows(0, spec.n).tobytes() == spec.vector_rows(0, spec.n).tobytes()
-        assert certify(adj, edited, color) == factored
-        assert verify_basis(edited).structured
+    for entry, passes in ((lambda z: z + 1e-3, False),
+                          (lambda z: complex(np.nextafter(z.real, 2.0), z.imag), True)):
+        vectors = spec.vector_rows(0, spec.n).copy()
+        vectors[7, 3] = entry(vectors[7, 3])
+        bad = explicit(spec, vectors)
+        report = certify(adj, bad, color)
+        assert not report.structured and report.passed is passes
+        assert report == dense_certify(adj, bad, color)
+        assert not verify_basis(bad).structured
+        if not passes:
+            assert int(np.argmax(report.per_line_residuals)) == 7
 
 
 def test_pairs_that_miss_a_grid_cell_fall_back_to_dense():
@@ -706,8 +685,8 @@ def test_pairs_that_miss_a_grid_cell_fall_back_to_dense():
         assert report.complete is complete and report.vector_count == count
         assert report == dense_certify(adj, bad, color)
         assert not verify_basis(bad).structured
-    # lines that claim factored vectors, with the factors gone
-    with pytest.raises(ValueError, match=r"^line \(0, 0\) carries no eigenvectors to certify$"):
+    # the factors gone, and no vectors claimed in their place
+    with pytest.raises(ValueError, match=r"^the spectrum claims no eigenvectors to certify$"):
         certify(adj, dataclasses.replace(spec, factors=None), color)
 
 
@@ -740,26 +719,17 @@ def test_vector_rows_equal_the_broadcast_basis(case, data):
         spectra.append(spectrum_metacyclic(group.m, group.l, group.r, layers))
     n = group.order
     for spec in spectra:
-        assert all(line.eigenvectors is None for line in spec.lines)
+        assert spec.vectors is None and spec.vector_count() == n
         basis = broadcast_basis(spec, h_irreps.degrees(), k_irreps.degrees())
         rows = spec.vector_rows(0, n)
         assert rows.dtype == complex and rows.shape == (n, n)
         assert rows.tobytes() == basis.tobytes()
         assert not rows.flags.writeable
-        # any range, also across a line given its rows explicitly
+        # any range
         lo = data.draw(st.integers(0, n))
         hi = data.draw(st.integers(lo, n))
-        target = data.draw(st.integers(0, len(spec.lines) - 1))
-        start = sum(line.multiplicity for line in spec.lines[:target])
-
-        def explicit_target(lines):
-            stop = start + lines[target].multiplicity
-            lines[target] = dataclasses.replace(lines[target], eigenvectors=basis[start:stop])
-
-        for claimed in (spec, with_lines(spec, explicit_target, explicit=False)):
-            part = claimed.vector_rows(lo, hi)
-            assert part.tobytes() == basis[lo:hi].tobytes() and not part.flags.writeable
-        assert spec.eigenvector_matrix().T.tobytes() == basis.tobytes()
+        part = spec.vector_rows(lo, hi)
+        assert part.tobytes() == basis[lo:hi].tobytes() and not part.flags.writeable
 
 
 def test_factored_claims_stay_far_below_an_n_squared_basis():
@@ -796,16 +766,6 @@ def test_factored_claims_stay_far_below_an_n_squared_basis():
         assert peak <= 4 * verify_module._BLOCK_BYTES, (spec.method, peak)
 
 
-def test_certify_counts_the_lines_vectors_once():
-    group, color, spec, adj = family_case(31, 5, 2)
-    expect = certify(adj, spec, color)
-    with mock.patch.object(Spectrum, "_vector_offsets", autospec=True,
-                           side_effect=Spectrum._vector_offsets) as offsets:
-        report = certify(adj, spec, color)
-    assert offsets.call_count == 1
-    assert report.structured and report == expect
-
-
 def test_a_wrong_eigenvalue_fails_on_the_structured_path():
     group, color, spec, adj = family_case(31, 5, 2)
 
@@ -823,18 +783,12 @@ def test_a_wrong_eigenvalue_fails_on_the_structured_path():
 
 def test_a_duplicated_or_missing_vector_is_incomplete_on_the_dense_path():
     group, color, spec, adj = family_case(31, 5, 2)
-
-    def duplicate(lines):
-        line = lines[3]
-        lines[3] = dataclasses.replace(
-            line, multiplicity=2,
-            eigenvectors=np.vstack([line.eigenvectors, line.eigenvectors]))
-
-    def drop(lines):
-        lines[3] = dataclasses.replace(lines[3], eigenvectors=lines[3].eigenvectors[:0])
-
-    for edit, count in ((duplicate, 156), (drop, 154)):
-        bad = with_lines(spec, edit)
+    rows = spec.vector_rows(0, spec.n)
+    lines = list(spec.lines)
+    lines[3] = dataclasses.replace(lines[3], multiplicity=2)
+    duplicate = explicit(spec, with_row(rows, 3, rows[3]), lines=lines)
+    drop = explicit(spec, np.delete(rows, 3, axis=0))
+    for bad, count in ((duplicate, 156), (drop, 154)):
         report = certify(adj, bad, color)
         assert not report.structured and not report.complete and not report.passed
         assert report.vector_count == count

@@ -10,23 +10,18 @@ from cayleyspec.spectra import SpectralLine, Spectrum
 
 
 def oracle(spectrum, include_vectors, verification=None):
-    """The document as json.dumps wrote it from nested [re, im] lists,
-    each line's vectors read through ``Spectrum.vector_rows``."""
+    """The document as json.dumps wrote it from nested [re, im] lists:
+    when the spectrum claims vectors, each line lists the next
+    ``multiplicity`` of them, read through ``Spectrum.vector_rows``."""
     payload = cli._spectrum_payload(spectrum, verification)
-    if include_vectors:
+    if include_vectors and (spectrum.vectors is not None or spectrum.factors is not None):
         offset = 0
         for entry, line in zip(payload["lines"], spectrum.lines):
-            if line.eigenvectors is not None:
-                count = len(line.eigenvectors)
-            elif spectrum.factors is not None:
-                count = line.multiplicity
-            else:
-                continue
             entry["eigenvectors"] = [
                 [cli._pair(z) for z in row]
-                for row in spectrum.vector_rows(offset, offset + count)
+                for row in spectrum.vector_rows(offset, offset + line.multiplicity)
             ]
-            offset += count
+            offset += line.multiplicity
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -105,15 +100,24 @@ def test_edge_values_are_spelled_as_the_encoder_spells_them():
     ]
     n = 4
     padded = np.array(values + [0] * (-len(values) % n), dtype=complex).reshape(-1, n)
+    # the last line claims three vectors, but only two are left for it
+    vectors = np.asfortranarray(
+        np.vstack([padded, [[0.5, -0.5, 1 / 3, -0.0]], padded[::-1, ::-1][:3]]))
     lines = [
-        SpectralLine(0, None, (0,), 2.5 - 1j, len(padded), padded),
-        SpectralLine(1, 0, (1,), 0.0, 0, np.zeros((0, n), dtype=complex)),
-        SpectralLine(2, 1, (2,), 1 / 3, 1, None),
-        SpectralLine(3, None, (3,), -0.0, 1, np.array([[0.5, -0.5, 1 / 3, -0.0]])),
-        SpectralLine(4, 2, (4,), 1e-05j, 2, padded[::-1, ::-1]),
+        SpectralLine(0, None, (0,), 2.5 - 1j, len(padded)),
+        SpectralLine(1, 0, (1,), 0.0, 0),
+        SpectralLine(2, 1, (2,), 1 / 3, 1),
+        SpectralLine(3, None, (3,), -0.0, 1),
+        SpectralLine(4, 2, (4,), 1e-05j, 3),
     ]
-    spectrum = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False)
+    spectrum = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False,
+                        vectors=vectors)
     text = written(spectrum, True)
     assert text == oracle(spectrum, True)
+    assert text.count('"eigenvectors"') == len(lines)
     assert "NaN,\n            1.0\n" in text and "NaN,\n            2.0\n" in text
     assert written(spectrum, False) == oracle(spectrum, False)
+    # no claim, no vector slot on any line
+    bare = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False)
+    assert written(bare, True) == oracle(bare, True) == written(spectrum, False)
+    assert '"eigenvectors"' not in written(bare, True)
