@@ -10,9 +10,11 @@ on the l*l*m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``.
 
 The adjacency and the connection-set checks (one gather per conjugation
 orbit) run on the group's integer kernel (``mul_idx``/``inv_idx``); they
-never touch irreps.  On a split extension the adjacency is copied from
-the beta table, which takes l*l*m kernel products; on the other kinds it
-is gathered in row blocks within the kernel's block budget, n*n products.
+never touch irreps.  On a split extension the adjacency is the beta table
+itself, l*l*m kernel products: its n x n matrix is copied from the table
+only when something reads it (the edge-list export, dense certification).
+On the other kinds the matrix is gathered in row blocks within the
+kernel's block budget, n*n products.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .groups import (
     SplitExtensionGroup,
     _block_len,
     _conjugation_orbits,
+    check_dense_bytes,
     is_generating_set,
 )
 
@@ -169,41 +172,84 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     )
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Dense adjacency of a Cayley color graph over the canonical indices."""
+class _FormedOnRead:
+    """The ``matrix`` field of ``AdjacencyMatrix``: given, or assembled from
+    the instance's ``blocks`` when first read and kept from then on."""
 
-    matrix: np.ndarray
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, adjacency, owner=None):
+        if adjacency is None:
+            return None  # the field's default: form the matrix from blocks
+        matrix = vars(adjacency)[self.slot]
+        if matrix is None:
+            matrix = adjacency.blocks.assemble()
+            matrix.flags.writeable = False
+            vars(adjacency)[self.slot] = matrix
+        return matrix
+
+    def __set__(self, adjacency, matrix):
+        vars(adjacency)[self.slot] = matrix
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AdjacencyMatrix:
+    """Adjacency of a Cayley color graph over the canonical indices.
+
+    Holds either the dense ``matrix`` or, for a split extension, the
+    ``blocks`` of its circulant grid; then ``matrix`` is assembled from
+    the beta table on first read, and ``n`` and ``is_hermitian`` are
+    answered from the table without it.  ``==`` is identity.
+    """
+
+    matrix: np.ndarray = _FormedOnRead()
+    blocks: Optional["BlockDecomposition"] = None
+
+    def __post_init__(self):
+        if (vars(self)["_matrix"] is None) == (self.blocks is None):
+            raise ValueError("an adjacency holds a matrix or blocks, exactly one of them")
 
     @property
     def n(self) -> int:
+        if self.blocks is not None:
+            return self.blocks.l * self.blocks.m
         return int(self.matrix.shape[0])
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.array_equal(self.matrix, self.matrix.conj().T))
+        if self.blocks is None:
+            return bool(np.array_equal(self.matrix, self.matrix.conj().T))
+        # A^H is the grid of conj(beta_ji(-c))
+        beta = self.blocks.beta_values
+        return bool(np.array_equal(
+            beta, np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2).conj()))
+
+    def __repr__(self):
+        held = "dense" if self.blocks is None else f"grid l={self.blocks.l} m={self.blocks.m}"
+        return f"<AdjacencyMatrix n={self.n} {held}>"
 
 
 def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatrix:
     """A[i, j] = alpha(g_j * g_i^{-1}), from the integer kernel alone.
 
     On a split extension every entry is a value of the beta table
-    (``A[i*m + a, j*m + b] = beta_ij(b - a)``), so the matrix is
-    ``beta_blocks(group, color).assemble()``: l*l*m kernel products and
-    one strided copy.  Other kinds fill rows in blocks, each one gather
-    of alpha at ``mul_idx(j, inv_idx[i])``.
+    (``A[i*m + a, j*m + b] = beta_ij(b - a)``), so the result holds
+    ``beta_blocks(group, color)``, l*l*m kernel products, and its
+    ``matrix`` is ``blocks.assemble()``, one strided copy made on first
+    read.  Other kinds fill rows in blocks, each one gather of alpha at
+    ``mul_idx(j, inv_idx[i])``.
     """
     if isinstance(group, SplitExtensionGroup):
-        out = beta_blocks(group, color).assemble()
-    else:
-        n = group.order
-        columns = np.arange(n, dtype=np.int64)
-        alpha = color.vector
-        out = np.zeros((n, n), dtype=complex)
-        step = _block_len(n)
-        for lo in range(0, n, step):
-            products = group.mul_idx(columns[None, :], group.inv_idx[lo:lo + step, None])
-            out[lo:lo + step] = alpha[products]
+        return AdjacencyMatrix(blocks=beta_blocks(group, color))
+    n = group.order
+    columns = np.arange(n, dtype=np.int64)
+    alpha = color.vector
+    out = np.zeros((n, n), dtype=complex)
+    step = _block_len(n)
+    for lo in range(0, n, step):
+        products = group.mul_idx(columns[None, :], group.inv_idx[lo:lo + step, None])
+        out[lo:lo + step] = alpha[products]
     out.flags.writeable = False
     return AdjacencyMatrix(matrix=out)
 
@@ -307,11 +353,18 @@ def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def edge_list_bytes(n: int) -> int:
+    """Bytes of the dense matrix ``read_edge_list`` fills."""
+    return 16 * n * n
+
+
 def read_edge_list(path, n: int) -> np.ndarray:
     """Rebuild a dense matrix from an exported edge list (ingest helper).
 
-    Each ``i j`` pair may appear once; a repeat names both lines.
+    Each ``i j`` pair may appear once; a repeat names both lines.  The
+    n x n result must fit the dense byte budget.
     """
+    check_dense_bytes(edge_list_bytes(n), f"an edge list of {n} vertices")
     out = np.zeros((n, n), dtype=complex)
     first_line = {}
     with open(path, "r", encoding="utf-8") as handle:

@@ -366,6 +366,40 @@ def _compute_spectrum(job: Job, method: str, eigenvectors: bool) -> spectra.Spec
     return spectra.block_diagonalize(group, job.color, _normal_irreps(job)).spectrum()
 
 
+def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
+                 vectors_out: bool) -> int:
+    """Estimated bytes of the n x n arrays a spectrum or verify job
+    allocates, summed over its stages: an upper bound on what is live at
+    once.  A stage that holds none counts nothing, e.g. structured
+    certification of a factored spectrum against the beta table."""
+    group = job.group
+    n = group.order
+    square = 16 * n * n
+    factored = method in ("split", "metacyclic")
+    total = 0
+    if not factored:
+        # the irrep stacks hold n*n entries over all irreps; the P matrix
+        # is built when vectors are
+        total += square
+        if do_verify or job.options["eigenvectors"] or method == "blocks":
+            total += irreps.p_matrix_bytes(n)
+    carried = isinstance(group, groups.SplitExtensionGroup) and not edges
+    if do_verify:
+        if edges:
+            total += cayley.edge_list_bytes(n)
+        elif not carried:
+            total += square  # the gathered adjacency
+        if not (factored and carried and n >= verify._STRUCTURED_MIN_N):
+            total += verify.dense_certify_bytes(n, factored, carried)
+    if job.options["export_graph"]:
+        total += square
+    if vectors_out:
+        # the stacked rows of factors, and np.unique's sorted copy,
+        # permutation and inverse
+        total += (square if factored else 0) + 2 * square
+    return total
+
+
 def _spectrum_payload(spectrum: spectra.Spectrum, verification=None) -> dict:
     """The ``spectrum``/``verify`` document without eigenvectors."""
     lines = [
@@ -512,14 +546,20 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
             "method 'blocks' produces no eigenvectors and cannot be verified; "
             "use another method"
         )
+    edges = getattr(args, "edges", None)
+    fmt = args.format or job.options["format"]
+    groups.check_dense_bytes(
+        _dense_bytes(job, method, do_verify, bool(edges),
+                     job.options["eigenvectors"] and fmt == "json"),
+        f"this {args.command} job")
     spectrum = _compute_spectrum(job, method, eigenvectors)
     verification = None
     built = None  # the adjacency built from the group, shared with the export
     if do_verify:
         tol = job.options["tolerance"]
-        if getattr(args, "edges", None):
+        if edges:
             adjacency = cayley.AdjacencyMatrix(
-                cayley.read_edge_list(args.edges, job.group.order))
+                cayley.read_edge_list(edges, job.group.order))
         else:
             adjacency = built = cayley.adjacency_matrix(job.group, job.color)
         verification = verify.certify(adjacency, spectrum, job.color, tol=tol)
@@ -528,9 +568,6 @@ def _run_spectrum_job(args, force_verify: bool) -> int:
         if built is None:
             built = cayley.adjacency_matrix(job.group, job.color)
         cayley.export_edge_list(built, export_path)
-    fmt = job.options["format"]
-    if getattr(args, "format", None):
-        fmt = args.format
     if fmt == "csv":
         _emit([_spectrum_csv(spectrum)], args.output)
     else:
@@ -561,6 +598,16 @@ def _cmd_describe(args) -> int:
         split = {"m": group.m, "l": group.l}
     subset = job.subset or []
     classification = cayley.classify_connection_set(group, subset) if subset else None
+    try:
+        method = _choose_method(job, None)
+    except ConfigError:
+        dense_bytes = None
+    else:
+        vectors_out = job.options["eigenvectors"] and job.options["format"] == "json"
+        dense_bytes = {
+            command: _dense_bytes(job, method, do_verify, False, vectors_out)
+            for command, do_verify in (("spectrum", job.options["verify"]), ("verify", True))
+        }
     payload = {
         "kind": group.kind,
         "order": group.order,
@@ -575,6 +622,7 @@ def _cmd_describe(args) -> int:
             "closure_size": classification.closure_size,
             "conjugation_closed": classification.conjugation_closed,
         },
+        "dense_bytes": dense_bytes,
     }
     _emit_json(payload, args.output)
     return EXIT_OK

@@ -41,8 +41,21 @@ from .errors import CapacityExceeded, ConfigError, InvalidAction
 Element = Hashable
 
 DEFAULT_CAPACITY = 10_000
+# bytes of n x n arrays one dense stage may allocate: dense certification,
+# a P matrix, an edge list read back, or the dense stages of a CLI job
+# together.  The orders the capacity admits reach several GB in dense form,
+# so a dense request that exceeds this fails before allocating.
+DENSE_BYTE_BUDGET = 1 << 30
 # bytes of int64 index temporaries one blocked kernel sweep allocates per array
 _BLOCK_BYTES = 1 << 23
+
+
+def check_dense_bytes(estimate: int, what: str) -> None:
+    """Raise CapacityExceeded when ``estimate`` bytes exceed the budget."""
+    if estimate > DENSE_BYTE_BUDGET:
+        raise CapacityExceeded(
+            f"{what} needs an estimated {estimate} bytes of dense arrays, over "
+            f"the budget of {DENSE_BYTE_BUDGET} bytes")
 
 
 def _block_len(item_count: int) -> int:

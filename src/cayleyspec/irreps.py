@@ -34,6 +34,7 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     _block_len,
+    check_dense_bytes,
 )
 
 
@@ -508,8 +509,18 @@ def _degree_batches(irrep_set: IrrepSet, elems: tuple):
             [irrep_set[k].stack[irrep_set[k]._rows(elems)] for k in batch])
 
 
+def p_matrix_bytes(n: int) -> int:
+    """Bytes ``build_p_matrix`` allocates at its peak: the n x n result
+    and one degree's stacked matrices, at most n*n entries."""
+    return 32 * n * n
+
+
 def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
-    """Assemble the unitary change of basis from matrix coefficients."""
+    """Assemble the unitary change of basis from matrix coefficients.
+
+    The result and one degree's stacks are the only large arrays: each
+    batch is scaled in place before its copy into the result.
+    """
     ensure_trusted(group, irrep_set)
     elems = tuple(group.elements())
     n = group.order
@@ -519,13 +530,16 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
             ValidationIssue("completeness", tuple(irrep_set.labels()), None,
                             float(abs(total - n)))
         ]))
+    check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
     offsets = np.cumsum([0] + [rho.degree ** 2 for rho in irrep_set])
     p_mat = np.zeros((n, n), dtype=complex)
     for batch, stacks in _degree_batches(irrep_set, elems):
         d = stacks.shape[2]
         columns = (offsets[batch][:, None] + np.arange(d * d)).ravel()
+        # the stacks are a fresh copy, so they are scaled in place
+        stacks *= sqrt(d / n)
         # (k, g, i, j) -> (g, k, j, i): column offset_k + j*d + i
-        p_mat[:, columns] = sqrt(d / n) * stacks.transpose(1, 0, 3, 2).reshape(n, -1)
+        p_mat[:, columns] = stacks.transpose(1, 0, 3, 2).reshape(n, -1)
     labels = tuple(
         (rho.label, i, j)
         for rho in irrep_set for j in range(rho.degree) for i in range(rho.degree)

@@ -1,8 +1,8 @@
 """Independent certification of claimed spectra.
 
-Nothing here re-derives a spectrum: the adjacency matrix is rebuilt
-directly from the group's integer multiplication kernel and the color
-function, and every claimed eigenpair is checked by residual, the claimed
+Nothing here re-derives a spectrum: the adjacency is rebuilt directly
+from the group's integer multiplication kernel and the color function
+(on a split extension, as its beta table), and every claimed eigenpair is checked by residual, the claimed
 basis by its Gram matrix, and the eigenvalue multiset by trace identities.
 No general eigensolver is involved, so a certified result never relies on
 the code paths that produced it.
@@ -17,10 +17,15 @@ and metacyclic routes as Kronecker factors (``Spectrum.factors``).
 The structured path runs when all of these hold: n is at least
 ``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum claims
 Kronecker factors whose pairs cover the grid of H rows by K rows once
-each; and the passed adjacency equals, exactly, the l x l grid of m x m
-circulants whose beta table it holds in its rows i*m.  Then the
-residuals apply that grid to the claimed vectors by FFT correlation in
-O(n^2 (l + log m)) work, the Gram deviation comes from the two factor
+each; and the adjacency is the l x l grid of m x m circulants of a beta
+table with the factors' (l, m).  An adjacency from ``adjacency_matrix``
+on a split extension carries that table, built from ``mul_idx`` and
+``inv_idx`` alone (``cayley.beta_blocks``): it is used as it is, and the
+n x n matrix is never formed.  A dense matrix (an edge list read back, a
+raw array, another kind) must equal, exactly, the grid of the table it
+holds in its rows i*m.  Then the residuals apply that grid to the
+claimed vectors by FFT correlation in O(n^2 (l + log m)) work, the scale
+is the grid's row-sum norm, the Gram deviation comes from the two factor
 Grams, and ``certify`` reads the trace identities off the beta table.
 Beyond the adjacency it holds O(n*m): the factors, the beta table, the
 factor Grams, and per chunk of K rows at most ``_BLOCK_BYTES`` in each
@@ -28,8 +33,11 @@ of a few temporaries.  Nothing here assumes the vectors are
 eigenvectors, and no irrep is touched.
 
 Otherwise the dense path runs: GEMMs over blocks of stacked eigenvectors.
-Beyond the n x n adjacency and the claimed vectors (for factors, one
-stacked copy of their products), it holds one block at a time:
+It first checks the n x n arrays it would allocate against
+``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
+matrix of an adjacency that carries its beta table.  Beyond the n x n
+adjacency and the claimed vectors (for factors, one stacked copy of
+their products), it holds one block at a time:
 ``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice that in
 GEMM output and residual temporaries, whatever n and the number of
 lines.  While it computes residuals against a real adjacency (every
@@ -49,7 +57,7 @@ import numpy as np
 from . import spectra
 from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sum
 from .spectra import (
     RECONSTRUCTION_CAPACITY,
@@ -156,14 +164,16 @@ def _rows_match_grid(windows: np.ndarray, block: np.ndarray, lo: int) -> bool:
     so row a of block (i, j), ``beta_ij(b - a)`` over b, is window m - a.
     The same layout builds split adjacencies (``BlockDecomposition.assemble``);
     it is spelled out again here so that one bug cannot both build a wrong
-    matrix and pass it.
+    matrix and pass it.  A NaN matches a NaN: a NaN in the table fails
+    the structured residuals and traces as it fails the dense ones.
     """
     l, m = windows.shape[1], windows.shape[3]
     hi = lo + len(block)
     for i in range(lo // m, -(-hi // m)):
         a0, a1 = max(lo, i * m) - i * m, min(hi, (i + 1) * m) - i * m
         rows = block[i * m + a0 - lo:i * m + a1 - lo].reshape(a1 - a0, l, m)
-        if not np.array_equal(rows, windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2)):
+        grid = windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2)
+        if not (np.array_equal(rows, grid) or np.array_equal(rows, grid, equal_nan=True)):
             return False
     return True
 
@@ -173,23 +183,107 @@ def _first_rows_beta(matrix: np.ndarray, l: int, m: int) -> np.ndarray:
     return np.array(matrix[::m]).reshape(l, l, m)
 
 
+def _doubled_windows(table: np.ndarray) -> np.ndarray:
+    """``windows[i, j, s] = table[i, j, s:s + m]`` of the table doubled along c."""
+    m = table.shape[-1]
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((table, table), axis=-1), m, axis=-1)
+
+
+def _matrix_grid_beta(matrix: np.ndarray, l: int, m: int) -> Optional[np.ndarray]:
+    """The beta table of a dense adjacency that equals, exactly, the l x l
+    grid of m x m circulants of the table in its rows i*m; else None."""
+    beta = _first_rows_beta(matrix, l, m)
+    windows = _doubled_windows(beta)
+    width = _block_columns(l * m)
+    for lo in range(0, l * m, width):
+        if not _rows_match_grid(windows, matrix[lo:lo + width], lo):
+            return None
+    return beta
+
+
+def _carried_beta(adjacency) -> Optional[np.ndarray]:
+    """The beta table an adjacency from ``adjacency_matrix`` carries on a
+    split extension, built from ``mul_idx``/``inv_idx``; else None."""
+    if isinstance(adjacency, AdjacencyMatrix) and adjacency.blocks is not None:
+        return adjacency.blocks.beta_values
+    return None
+
+
+def _structured_beta(adjacency, factors: Optional[KroneckerFactors]) -> Optional[np.ndarray]:
+    """The beta table the structured path runs on, or None for the dense path.
+
+    A carried table is used when the factors claim its (l, m), and the
+    matrix is not read.  A dense matrix must pass the grid check for the
+    factors' (l, m).
+    """
+    if factors is None:
+        return None
+    l, m = len(factors.h_rows), len(factors.k_rows)
+    beta = _carried_beta(adjacency)
+    if beta is not None:
+        return beta if beta.shape == (l, l, m) else None
+    return _matrix_grid_beta(_as_matrix(adjacency), l, m)
+
+
+def _grid_scale(beta: np.ndarray) -> float:
+    """``max(1, |A|_inf)`` of the circulant grid of ``beta``, with the bits
+    of the dense path's row sums.
+
+    Each row of block row i holds the magnitudes ``|beta_ij(c)|`` over j
+    and c.  When they are integers with sums below 2**53 (every 0/1
+    color), every order of summation is exact, so each block row's sum is
+    taken over the table.  Otherwise the rows are laid out as in the
+    matrix, a block of rows at a time, and summed as the dense path sums
+    them.
+    """
+    l, m = beta.shape[1], beta.shape[2]
+    magnitudes = np.abs(beta)
+    sums = magnitudes.sum(axis=(1, 2))
+    if np.array_equal(magnitudes, np.floor(magnitudes)) and sums.max(initial=0.0) < 2.0 ** 53:
+        return max(1.0, float(sums.max(initial=0.0)))
+    windows = _doubled_windows(magnitudes)
+    step = max(1, _BLOCK_BYTES // (8 * l * m))
+    largest = 0.0
+    for i in range(l):
+        for a0 in range(0, m, step):
+            a1 = min(m, a0 + step)
+            # rows i*m + a for a0 <= a < a1, as the matrix holds them
+            rows = windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2).reshape(a1 - a0, l * m)
+            largest = float(np.max(np.sum(rows, axis=1), initial=largest))
+    return max(1.0, largest)
+
+
+def dense_certify_bytes(n: int, factored: bool, carried: bool) -> int:
+    """Bytes of the n x n arrays the dense path allocates: the matrix of
+    an adjacency that carries its beta table, a float64 copy of its real
+    part, and for a factored claim the stacked vectors whose Gram matrix
+    is checked."""
+    return (8 + 16 * factored + 16 * carried) * n * n
+
+
 def verify_eigenpairs(adjacency, spectrum: Spectrum,
                       tol: float = 1e-9) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
-    When ``_checked_factors`` accepts the spectrum and the adjacency is the
-    l x l grid of circulants whose beta table it holds in its rows i*m,
-    the residuals come from that table (``_structured_residuals``).
-    Otherwise consecutive lines' vectors are stacked into column blocks of
-    bounded size (a line may straddle two blocks); each block is one GEMM
+    When ``_structured_beta`` gives a beta table (see the module
+    docstring), the residuals come from it (``_structured_residuals``) and
+    the scale from its magnitudes (``_grid_scale``).  Otherwise
+    consecutive lines' vectors are stacked into column blocks of bounded
+    size (a line may straddle two blocks); each block is one GEMM
     ``A @ B - B * lam``, and per-line maxima come from its column maxima.
     When the imaginary part of A is identically zero (a NaN or inf there
     counts as nonzero), the GEMM runs on a float64 copy of its real part.
+    The dense path first checks its n x n arrays against the byte budget.
     """
-    matrix = _as_matrix(adjacency)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise DimensionMismatch(f"adjacency must be square, got {matrix.shape}")
+    carried = _carried_beta(adjacency) is not None
+    if carried:
+        n = adjacency.n
+    else:
+        matrix = _as_matrix(adjacency)
+        n = matrix.shape[0]
+        if matrix.shape != (n, n):
+            raise DimensionMismatch(f"adjacency must be square, got {matrix.shape}")
     if spectrum.n != n:
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
@@ -202,47 +296,22 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
     if shape != (n,):
         raise DimensionMismatch(f"claimed vectors have row shape {shape}, expected {(n,)}")
     offsets = spectrum._vector_offsets()
-    factors = _checked_factors(spectrum)
-    windows = None
-    if factors is not None:
-        l, m = len(factors.h_rows), len(factors.k_rows)
-        beta = _first_rows_beta(matrix, l, m)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((beta, beta), axis=-1), m, axis=-1)
-    width = _block_columns(n)
-    row_sums = np.empty(n)
-    # only the dense path reads ``real``: rows are scanned for it once it
-    # is known to run, and the rows passed before then after the pass
-    real = True
-    unscanned = 0
-    for lo in range(0, n, width):
-        row_block = matrix[lo:lo + width]
-        row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
-        if windows is not None and not _rows_match_grid(windows, row_block, lo):
-            windows = None
-            unscanned = lo
-        if windows is None:
-            real = real and not row_block.imag.any()
-    if windows is None:
-        for lo in range(0, unscanned, width):
-            real = real and not matrix[lo:min(lo + width, unscanned)].imag.any()
-    scale = max(1.0, float(np.max(row_sums, initial=0.0)))
     lines = spectrum.lines
-    total = int(offsets[-1])
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(
         np.array([line.eigenvalue for line in lines], dtype=complex), counts
     )
-    if windows is not None:
+    factors = _checked_factors(spectrum)
+    beta = _structured_beta(adjacency, factors)
+    if beta is not None:
+        scale = _grid_scale(beta)
         column_max = _structured_residuals(beta, factors, column_eigenvalues)
     else:
-        if real:
-            matrix = np.ascontiguousarray(matrix.real)
-        column_max = np.zeros(total)
-        for lo in range(0, total, width):
-            hi = min(lo + width, total)
-            column_max[lo:hi] = _residual_block(
-                matrix, spectrum.vector_rows(lo, hi), column_eigenvalues[lo:hi])
+        check_dense_bytes(dense_certify_bytes(n, factored is not None, carried),
+                          f"dense certification of order {n}")
+        if carried:
+            matrix = adjacency.matrix
+        scale, column_max = _dense_residuals(matrix, spectrum, column_eigenvalues)
     residuals = np.zeros(len(lines))
     nonempty = counts > 0
     if nonempty.any():
@@ -254,8 +323,32 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         scale=scale,
         max_residual=float(np.max(residuals, initial=0.0)),
         per_line_residuals=per_line,
-        structured=windows is not None,
+        structured=beta is not None,
     )
+
+
+def _dense_residuals(matrix: np.ndarray, spectrum: Spectrum,
+                     eigenvalues: np.ndarray) -> tuple:
+    """``(scale, column_max)`` from the dense matrix: its row-sum norm and
+    each claimed vector's max-abs residual, a GEMM per column block."""
+    n = matrix.shape[0]
+    width = _block_columns(n)
+    row_sums = np.empty(n)
+    real = True
+    for lo in range(0, n, width):
+        row_block = matrix[lo:lo + width]
+        row_sums[lo:lo + width] = np.sum(np.abs(row_block), axis=1)
+        real = real and not row_block.imag.any()
+    scale = max(1.0, float(np.max(row_sums, initial=0.0)))
+    if real:
+        matrix = np.ascontiguousarray(matrix.real)
+    total = len(eigenvalues)
+    column_max = np.zeros(total)
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        column_max[lo:hi] = _residual_block(
+            matrix, spectrum.vector_rows(lo, hi), eigenvalues[lo:hi])
+    return scale, column_max
 
 
 def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
@@ -430,17 +523,19 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
     """Full certification: residuals, basis, completeness, trace identities.
 
-    When the residuals ran on the structured path, the adjacency is the
-    circulant grid of the beta table in its rows i*m, and the trace
-    identities come from that table.
+    When the residuals ran on the structured path, the trace identities
+    come from the same beta table: the one the adjacency carries, or the
+    one a dense grid holds in its rows i*m.
     """
     report = verify_eigenpairs(adjacency, spectrum, tol=tol)
     basis = verify_basis(spectrum, tol=tol)
     if report.structured:
         _check_color_order(color, report.n)
-        factors = spectrum.factors
-        beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),
-                                len(factors.k_rows))
+        beta = _carried_beta(adjacency)
+        if beta is None:
+            factors = spectrum.factors
+            beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),
+                                    len(factors.k_rows))
         trace_dev, trace_sq_dev = _trace_deviations(*_beta_traces(beta), color)
     else:
         trace_dev, trace_sq_dev = trace_identities(adjacency, color)

@@ -582,3 +582,56 @@ def test_blocks_method_capacity(tmp_path, capsys):
     code, out, err = run(capsys, "spectrum", "--config", config, "--method", "blocks")
     assert code == 4 and out == ""
     assert "600 exceeds 500" in err
+
+
+def test_oversized_dense_jobs_fail_before_any_computation(tmp_path, capsys, monkeypatch):
+    """Certifying the n = 9081 family against an edge list, or the normal
+    route on C10000, would hold GBs of dense arrays: both stop at the
+    estimate, before the spectrum is computed."""
+    from cayleyspec import cli
+
+    def refuse(*args):
+        raise AssertionError("the spectrum was computed")
+
+    monkeypatch.setattr(cli, "_compute_spectrum", refuse)
+    family = write_config(tmp_path, {
+        "group": {"type": "metacyclic", "m": 1009, "l": 9, "r": 337},
+        "connection": {"mode": "layers", "layers": [[1]] + [[]] * 8},
+        "options": {"eigenvectors": False}}, name="family.json")
+    cyclic = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 10000},
+        "connection": {"mode": "set", "elements": [1, 9999]},
+        "options": {"eigenvectors": False}}, name="cyclic.json")
+    n = 9081
+    # the edge list, the real part of the matrix read, the stacked vectors
+    for argv, estimate in ((["--config", family, "--edges", "none.txt"], (16 + 8 + 16) * n * n),
+                           (["--config", cyclic], 72 * 10000 ** 2)):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 4 and out == ""
+        assert err == (f"error: this verify job needs an estimated {estimate} bytes of "
+                       "dense arrays, over the budget of 1073741824 bytes\n")
+
+
+def test_describe_reports_the_dense_estimate(tmp_path, capsys):
+    family = write_config(tmp_path, {
+        "group": {"type": "metacyclic", "m": 61, "l": 10, "r": 3},
+        "connection": {"mode": "layers", "layers": [[1]] + [[]] * 9}}, name="family.json")
+    cyclic = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 6},
+        "connection": {"mode": "set", "elements": [1, 5]},
+        "options": {"format": "csv"}}, name="cyclic.json")
+    square = lambda n: 16 * n * n
+    for config, expect in (
+            # vectors written as JSON: the factors' rows and np.unique's arrays;
+            # certification on the beta table holds none
+            (family, {"spectrum": 3 * square(610), "verify": 3 * square(610)}),
+            # irrep stacks and the P matrix; verify adds the adjacency and its real part
+            (cyclic, {"spectrum": 3 * square(6), "verify": 4.5 * square(6)})):
+        code, out, _ = run(capsys, "describe", "--config", config)
+        assert code == 0
+        assert json.loads(out)["dense_bytes"] == expect
+    # no route applies to a non-class color on S4
+    s4 = json.loads(open(s4_config(tmp_path)).read())
+    s4["connection"]["entries"] = [{"element": [1, 0, 2, 3], "value": [1, 0]}]
+    code, out, _ = run(capsys, "describe", "--config", write_config(tmp_path, s4))
+    assert code == 0 and json.loads(out)["dense_bytes"] is None

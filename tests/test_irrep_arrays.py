@@ -9,6 +9,7 @@ split, metacyclic and blocks routes agree on random groups and colors.
 
 import itertools
 import random
+import tracemalloc
 from math import gcd, sqrt
 
 import numpy as np
@@ -414,6 +415,36 @@ def test_fourier_and_p_matrix_match_loop_oracles_bit_for_bit():
                 expected = fourier_oracle(color, rho).tobytes()
                 assert fourier_transform(color, rho).matrix.tobytes() == expected
                 assert block.matrix.tobytes() == expected
+
+
+def test_p_matrix_holds_one_batch_beside_its_result():
+    """On C1200 an n x n complex array is 22 MiB.  The normal route holds
+    the P matrix with one stacked batch, then the P matrix with the
+    vectors it claims: two such arrays.  Scaling a batch into a third
+    array, as the route once did, peaked at 66.6 MiB."""
+    group = CyclicGroup(1200)
+    irr = builtin_irreps(group)
+    color = color_from_set(group, [1, 1199])
+    square = 16 * 1200 ** 2
+    tracemalloc.start()
+    try:
+        spectrum_normal(group, color, irr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * square <= peak < 2 * square + (2 << 20), peak / square
+
+
+def test_p_matrix_checks_the_byte_budget(monkeypatch):
+    from cayleyspec import groups as groups_module
+
+    group = DihedralGroup(6)
+    irr = builtin_irreps(group)
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 32 * 12 ** 2 - 1)
+    with pytest.raises(CapacityExceeded, match=r"P matrix of order 12 needs an estimated 4608 bytes"):
+        build_p_matrix(group, irr)
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 32 * 12 ** 2)
+    assert build_p_matrix(group, irr).matrix.shape == (12, 12)
 
 
 def test_shuffled_user_tables_give_the_builtin_results():

@@ -10,17 +10,22 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cayleyspec import verify as verify_module
+from test_cayley import formed
+from test_kernel import groups_strategy, random_complex_color
 from cayleyspec import (
     AbelianProductGroup,
+    AdjacencyMatrix,
     BlockDecomposition,
     CapacityExceeded,
     ColorFunction,
     CyclicGroup,
     DihedralGroup,
     DimensionMismatch,
+    KroneckerFactors,
     MetacyclicGroup,
     SemidirectProductGroup,
     SpectralLine,
+    SplitExtensionGroup,
     Spectrum,
     adjacency_matrix,
     beta_blocks,
@@ -793,3 +798,115 @@ def test_a_duplicated_or_missing_vector_is_incomplete_on_the_dense_path():
         assert not report.structured and not report.complete and not report.passed
         assert report.vector_count == count
         assert report == dense_certify(adj, bad, color)
+
+
+# -- certification from the carried beta table ------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.randoms(use_true_random=False), st.booleans(), st.booleans())
+@example(MetacyclicGroup(7, 3, 2), None, False, True)
+def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
+        group, rng, indicator, structured):
+    """Certification of an adjacency that carries its beta table equals,
+    field for field and bit for bit, that of a dense copy of its matrix:
+    on the structured path (the crossover at n), where the carried one
+    never forms its matrix, and on the dense path (the crossover above n).
+    The color is random complex, NaN and infinite values among them, or
+    the indicator of its support."""
+    if rng is None:
+        # a NaN passes the dense copy's grid check as a NaN
+        elems = group.elements()
+        color = ColorFunction(group, {elems[3]: complex("nan+1j"), elems[4]: 1,
+                                      elems[5]: complex(-0.0, float("inf"))})
+    else:
+        color = random_complex_color(group, rng)
+        if indicator:
+            color = color_from_set(group, color.support())
+    n = group.order
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group),
+                          irreps_cyclic(group.m), force=True)
+    crossover = n if structured else n + 1
+    carried = adjacency_matrix(group, color)
+    report = certify_at_crossover(carried, spec, color, crossover)
+    assert report.structured is structured
+    assert formed(carried) is not structured
+    dense = certify_at_crossover(AdjacencyMatrix(carried.matrix.copy()), spec, color, crossover)
+    # repr spells every float exactly, and NaN as nan
+    assert repr(report) == repr(dense)
+
+
+def test_certify_on_the_beta_table_catches_a_wrong_eigenvalue_or_vector():
+    group, color, spec, adj = family_case(31, 5, 2)
+    report = certify(adj, spec, color)
+    assert report.structured and report.passed and not formed(adj)
+
+    def shift(lines):
+        lines[7] = dataclasses.replace(lines[7], eigenvalue=lines[7].eigenvalue + 1e-6)
+
+    wrong_value = with_lines(spec, shift)
+    k_rows = spec.factors.k_rows.copy()
+    k_rows[3, 5] += 1e-6
+    changed_vector = dataclasses.replace(
+        spec, factors=dataclasses.replace(spec.factors, k_rows=k_rows))
+    for bad in (wrong_value, changed_vector):
+        report = certify(adj, bad, color)
+        assert report.structured and not report.passed and not formed(adj)
+        assert report.max_residual > report.tolerance * report.scale
+    assert certify(adj, changed_vector, color).gram_deviation > 1e-9
+
+
+def test_factors_of_another_grid_take_the_dense_path():
+    """Factors that claim an (l, m) other than the carried table's are
+    certified against the formed matrix, as a dense copy of it would be."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    # a unitary basis of the 31 x 5 grid: DFT rows of orders 31 and 5
+    dft = lambda size: np.fft.fft(np.eye(size)) / np.sqrt(size)
+    pairs = np.stack(np.divmod(np.arange(155), 5), axis=1)
+    other = Spectrum(n=155, method="split", lines=[
+        SpectralLine(u=0, v=0, labels=(), eigenvalue=0j, multiplicity=155)],
+        factors=KroneckerFactors(h_rows=dft(31), k_rows=dft(5), pairs=pairs))
+    assert verify_basis(other).structured
+    report = certify(adj, other, color)
+    assert not report.structured and not report.passed and formed(adj)
+    assert report.gram_deviation <= 1e-12
+    assert repr(report) == repr(certify(AdjacencyMatrix(adj.matrix.copy()), other, color))
+
+
+def test_certify_at_n_2110_never_forms_the_matrix():
+    """The n = 2110 adjacency would be 68 MiB.  Built and certified from
+    the beta table, the whole run stays far below it."""
+    m, l, r = 211, 10, 23
+    group, conn = nonnormal_family(m, l, r)
+    color = color_from_set(group, conn.elements)
+    spec = spectrum_metacyclic(m, l, r, layers_from_set(group, conn.elements))
+    n = group.order
+    tracemalloc.start()
+    try:
+        adj = adjacency_matrix(group, color)
+        report = certify(adj, spec, color)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.structured and report.passed and report.complete
+    assert not formed(adj)
+    assert peak <= min(16 * n * n / 2, 4 * verify_module._BLOCK_BYTES), peak
+
+
+def test_dense_certification_checks_the_byte_budget(monkeypatch):
+    from cayleyspec import groups as groups_module
+
+    group, color, spec, adj = family_case(31, 5, 2)
+    n = spec.n
+    explicit_spec = explicit(spec)
+    # the carried matrix, its real part and no stacked vectors
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 24 * n * n - 1)
+    with pytest.raises(CapacityExceeded, match=f"needs an estimated {24 * n * n} bytes"):
+        certify(adj, explicit_spec, color)
+    assert not formed(adj)
+    # the structured path holds no n x n array
+    assert certify(adj, spec, color).passed
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 24 * n * n)
+    assert certify(adj, explicit_spec, color).passed
