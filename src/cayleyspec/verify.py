@@ -2,37 +2,36 @@
 
 Nothing here re-derives a spectrum: the adjacency is rebuilt directly
 from the group's integer multiplication kernel and the color function
-(on a split extension, as its beta table), and every claimed eigenpair is checked by residual, the claimed
-basis by its Gram matrix, and the eigenvalue multiset by trace identities.
-No general eigensolver is involved, so a certified result never relies on
-the code paths that produced it.
-
-Two paths compute the residuals and the Gram deviation; the results agree
-to rounding, and the trace identities and completeness are the same.
+(on a split extension, as its beta table), and every claimed eigenpair is
+checked by residual, the claimed basis by its Gram matrix, and the
+eigenvalue multiset by trace identities.  No general eigensolver is
+involved, so a certified result never relies on the code paths that
+produced it.
 
 The claimed vectors are read through ``Spectrum.vector_rows``: the
 normal route claims them as one array (``Spectrum.vectors``), the split
 and metacyclic routes as Kronecker factors (``Spectrum.factors``).
 
-The structured path runs when all of these hold: n is at least
-``_STRUCTURED_MIN_N`` (the measured crossover); the spectrum claims
-Kronecker factors whose pairs cover the grid of H rows by K rows once
-each; and the adjacency is the l x l grid of m x m circulants of a beta
-table with the factors' (l, m).  An adjacency from ``adjacency_matrix``
-on a split extension carries that table, built from ``mul_idx`` and
-``inv_idx`` alone (``cayley.beta_blocks``): it is used as it is, and the
-n x n matrix is never formed.  A dense matrix (an edge list read back, a
-raw array, another kind) must equal, exactly, the grid of the table it
-holds in its rows i*m.  Then the residuals apply that grid to the
-claimed vectors by FFT correlation in O(n^2 (l + log m)) work, the scale
-is the grid's row-sum norm, the Gram deviation comes from the two factor
-Grams, and ``certify`` reads the trace identities off the beta table.
-Beyond the adjacency it holds O(n*m): the factors, the beta table, the
-factor Grams, and per chunk of K rows at most ``_BLOCK_BYTES`` in each
-of a few temporaries.  Nothing here assumes the vectors are
-eigenvectors, and no irrep is touched.
+One rule picks one of two paths for the residuals and the traces; their
+results agree to rounding.  The structured path runs when the adjacency
+carries its beta table, the table has the (l, m) of the spectrum's
+Kronecker factors, and ``_checked_factors`` accepts them: n is at least
+``_STRUCTURED_MIN_N`` (the measured crossover), and the factors' pairs
+cover the grid of H rows by K rows once each.  An adjacency from
+``adjacency_matrix`` on a split extension carries that table, built from
+``mul_idx`` and ``inv_idx`` alone (``cayley.beta_blocks``), and its
+n x n matrix is never formed.  The residuals apply the grid of that
+table to the claimed vectors by FFT correlation in O(n^2 (l + log m))
+work, the scale is the grid's row-sum norm, and ``certify`` reads the
+trace identities off the table.  Beyond the adjacency it holds O(n*m):
+the factors, the beta table, and per chunk of K rows at most
+``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
+vectors are eigenvectors, and no irrep is touched.
 
-Otherwise the dense path runs: GEMMs over blocks of stacked eigenvectors.
+Every other input takes the dense path, whatever its entries: a dense
+matrix (an edge list read back, a raw array, ``AdjacencyMatrix(matrix=...)``,
+a kind that is not a split extension), factors of another (l, m), or
+explicit vectors.  It runs GEMMs over blocks of stacked eigenvectors.
 It first checks the n x n arrays it would allocate against
 ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
 matrix of an adjacency that carries its beta table.  Beyond the n x n
@@ -43,8 +42,12 @@ GEMM output and residual temporaries, whatever n and the number of
 lines.  While it computes residuals against a real adjacency (every
 indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
-flops of the complex one.  The Gram matrix is Hermitian, so only its
-upper triangle is formed.
+flops of the complex one.  The trace identities come from the matrix.
+
+The Gram deviation does not read the adjacency: it comes from the two
+factor Grams when ``_checked_factors`` accepts the spectrum, and
+otherwise from the upper triangle of the stacked vectors' Hermitian Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -113,10 +116,15 @@ class VerificationReport:
         return True
 
 
-def _as_matrix(adjacency) -> np.ndarray:
+def _square_matrix(adjacency) -> np.ndarray:
+    """The dense matrix of ``adjacency``; DimensionMismatch unless it is square."""
     if isinstance(adjacency, AdjacencyMatrix):
-        return adjacency.matrix
-    return np.asarray(adjacency, dtype=complex)
+        matrix = adjacency.matrix
+    else:
+        matrix = np.asarray(adjacency, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatch(f"adjacency must be square, got {matrix.shape}")
+    return matrix
 
 
 def _block_columns(n: int) -> int:
@@ -157,75 +165,6 @@ def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
     return factors
 
 
-def _rows_match_grid(windows: np.ndarray, block: np.ndarray, lo: int) -> bool:
-    """Whether rows lo.. of the adjacency equal those of the circulant grid.
-
-    ``windows[i, j, s]`` is ``beta_ij`` doubled and read from position s,
-    so row a of block (i, j), ``beta_ij(b - a)`` over b, is window m - a.
-    The same layout builds split adjacencies (``BlockDecomposition.assemble``);
-    it is spelled out again here so that one bug cannot both build a wrong
-    matrix and pass it.  A NaN matches a NaN: a NaN in the table fails
-    the structured residuals and traces as it fails the dense ones.
-    """
-    l, m = windows.shape[1], windows.shape[3]
-    hi = lo + len(block)
-    for i in range(lo // m, -(-hi // m)):
-        a0, a1 = max(lo, i * m) - i * m, min(hi, (i + 1) * m) - i * m
-        rows = block[i * m + a0 - lo:i * m + a1 - lo].reshape(a1 - a0, l, m)
-        grid = windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2)
-        if not (np.array_equal(rows, grid) or np.array_equal(rows, grid, equal_nan=True)):
-            return False
-    return True
-
-
-def _first_rows_beta(matrix: np.ndarray, l: int, m: int) -> np.ndarray:
-    """``beta[i, j, c] = A[i*m, j*m + c]``: the grid's table read from rows i*m."""
-    return np.array(matrix[::m]).reshape(l, l, m)
-
-
-def _doubled_windows(table: np.ndarray) -> np.ndarray:
-    """``windows[i, j, s] = table[i, j, s:s + m]`` of the table doubled along c."""
-    m = table.shape[-1]
-    return np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((table, table), axis=-1), m, axis=-1)
-
-
-def _matrix_grid_beta(matrix: np.ndarray, l: int, m: int) -> Optional[np.ndarray]:
-    """The beta table of a dense adjacency that equals, exactly, the l x l
-    grid of m x m circulants of the table in its rows i*m; else None."""
-    beta = _first_rows_beta(matrix, l, m)
-    windows = _doubled_windows(beta)
-    width = _block_columns(l * m)
-    for lo in range(0, l * m, width):
-        if not _rows_match_grid(windows, matrix[lo:lo + width], lo):
-            return None
-    return beta
-
-
-def _carried_beta(adjacency) -> Optional[np.ndarray]:
-    """The beta table an adjacency from ``adjacency_matrix`` carries on a
-    split extension, built from ``mul_idx``/``inv_idx``; else None."""
-    if isinstance(adjacency, AdjacencyMatrix) and adjacency.blocks is not None:
-        return adjacency.blocks.beta_values
-    return None
-
-
-def _structured_beta(adjacency, factors: Optional[KroneckerFactors]) -> Optional[np.ndarray]:
-    """The beta table the structured path runs on, or None for the dense path.
-
-    A carried table is used when the factors claim its (l, m), and the
-    matrix is not read.  A dense matrix must pass the grid check for the
-    factors' (l, m).
-    """
-    if factors is None:
-        return None
-    l, m = len(factors.h_rows), len(factors.k_rows)
-    beta = _carried_beta(adjacency)
-    if beta is not None:
-        return beta if beta.shape == (l, l, m) else None
-    return _matrix_grid_beta(_as_matrix(adjacency), l, m)
-
-
 def _grid_scale(beta: np.ndarray) -> float:
     """``max(1, |A|_inf)`` of the circulant grid of ``beta``, with the bits
     of the dense path's row sums.
@@ -242,7 +181,9 @@ def _grid_scale(beta: np.ndarray) -> float:
     sums = magnitudes.sum(axis=(1, 2))
     if np.array_equal(magnitudes, np.floor(magnitudes)) and sums.max(initial=0.0) < 2.0 ** 53:
         return max(1.0, float(sums.max(initial=0.0)))
-    windows = _doubled_windows(magnitudes)
+    doubled = np.concatenate((magnitudes, magnitudes), axis=-1)
+    # windows[i, j, s] = doubled[i, j, s:s + m]
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
     step = max(1, _BLOCK_BYTES // (8 * l * m))
     largest = 0.0
     for i in range(l):
@@ -266,24 +207,27 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
                       tol: float = 1e-9) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
-    When ``_structured_beta`` gives a beta table (see the module
-    docstring), the residuals come from it (``_structured_residuals``) and
-    the scale from its magnitudes (``_grid_scale``).  Otherwise
-    consecutive lines' vectors are stacked into column blocks of bounded
-    size (a line may straddle two blocks); each block is one GEMM
-    ``A @ B - B * lam``, and per-line maxima come from its column maxima.
-    When the imaginary part of A is identically zero (a NaN or inf there
-    counts as nonzero), the GEMM runs on a float64 copy of its real part.
-    The dense path first checks its n x n arrays against the byte budget.
+    The structured path (see the module docstring) runs when the
+    adjacency carries a beta table of the (l, m) that ``_checked_factors``
+    accepts: the residuals come from the table (``_structured_residuals``)
+    and the scale from its magnitudes (``_grid_scale``).  Every other input
+    takes the dense path: consecutive lines' vectors are stacked into
+    column blocks of bounded size (a line may straddle two blocks); each
+    block is one GEMM ``A @ B - B * lam``, and per-line maxima come from
+    its column maxima.  When the imaginary part of A is identically zero
+    (a NaN or inf there counts as nonzero), the GEMM runs on a float64 copy
+    of its real part.  The dense path first checks its n x n arrays
+    against the byte budget.
     """
-    carried = _carried_beta(adjacency) is not None
-    if carried:
-        n = adjacency.n
+    # an adjacency from ``adjacency_matrix`` on a split extension carries
+    # its beta table, built from ``mul_idx``/``inv_idx``
+    blocks = adjacency.blocks if isinstance(adjacency, AdjacencyMatrix) else None
+    beta = None if blocks is None else blocks.beta_values
+    if beta is None:
+        matrix = _square_matrix(adjacency)
+        n = len(matrix)
     else:
-        matrix = _as_matrix(adjacency)
-        n = matrix.shape[0]
-        if matrix.shape != (n, n):
-            raise DimensionMismatch(f"adjacency must be square, got {matrix.shape}")
+        n = adjacency.n
     if spectrum.n != n:
         raise DimensionMismatch(
             f"spectrum claims n={spectrum.n}, adjacency has n={n}"
@@ -302,14 +246,15 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         np.array([line.eigenvalue for line in lines], dtype=complex), counts
     )
     factors = _checked_factors(spectrum)
-    beta = _structured_beta(adjacency, factors)
-    if beta is not None:
+    structured = (factors is not None and beta is not None
+                  and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),))
+    if structured:
         scale = _grid_scale(beta)
         column_max = _structured_residuals(beta, factors, column_eigenvalues)
     else:
-        check_dense_bytes(dense_certify_bytes(n, factored is not None, carried),
+        check_dense_bytes(dense_certify_bytes(n, factored is not None, beta is not None),
                           f"dense certification of order {n}")
-        if carried:
+        if beta is not None:
             matrix = adjacency.matrix
         scale, column_max = _dense_residuals(matrix, spectrum, column_eigenvalues)
     residuals = np.zeros(len(lines))
@@ -323,7 +268,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         scale=scale,
         max_residual=float(np.max(residuals, initial=0.0)),
         per_line_residuals=per_line,
-        structured=beta is not None,
+        structured=structured,
     )
 
 
@@ -485,8 +430,8 @@ def _structured_gram(factors: KroneckerFactors) -> float:
 
 def trace_identities(adjacency, color: ColorFunction) -> tuple:
     """Deviations |tr A - n alpha(e)| and |tr A^2 - n sum_g alpha(g) alpha(g^{-1})|."""
-    matrix = _as_matrix(adjacency)
-    _check_color_order(color, matrix.shape[0])
+    matrix = _square_matrix(adjacency)
+    _check_color_order(color, len(matrix))
     return _trace_deviations(complex(np.trace(matrix)),
                              complex(np.einsum("ij,ji->", matrix, matrix)), color)
 
@@ -524,19 +469,15 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     """Full certification: residuals, basis, completeness, trace identities.
 
     When the residuals ran on the structured path, the trace identities
-    come from the same beta table: the one the adjacency carries, or the
-    one a dense grid holds in its rows i*m.
+    come from the beta table the adjacency carries; otherwise from
+    ``trace_identities`` on its matrix.
     """
     report = verify_eigenpairs(adjacency, spectrum, tol=tol)
     basis = verify_basis(spectrum, tol=tol)
     if report.structured:
         _check_color_order(color, report.n)
-        beta = _carried_beta(adjacency)
-        if beta is None:
-            factors = spectrum.factors
-            beta = _first_rows_beta(_as_matrix(adjacency), len(factors.h_rows),
-                                    len(factors.k_rows))
-        trace_dev, trace_sq_dev = _trace_deviations(*_beta_traces(beta), color)
+        trace_dev, trace_sq_dev = _trace_deviations(
+            *_beta_traces(adjacency.blocks.beta_values), color)
     else:
         trace_dev, trace_sq_dev = trace_identities(adjacency, color)
     report.gram_deviation, report.complete = basis

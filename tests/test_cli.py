@@ -295,17 +295,17 @@ def test_tampered_edges_fail_on_the_family610_config(tmp_path, capsys, monkeypat
     code, out, err = run(capsys, "verify", "--config", config, "--edges", edges)
     assert code == 0, err
     assert json.loads(out)["verification"]["passed"] is True
-    assert paths == ["structured"]
+    # an edge list is a dense adjacency: it is certified on the dense path
+    assert paths == []
 
-    # one tampered weight breaks the circulant grid: the dense path runs
-    # and certification fails
+    # one tampered weight fails certification
     lines = open(edges).read().splitlines()
     lines[1] = lines[1].rsplit(" ", 2)[0] + " 0.5 0"
     open(edges, "w").write("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--config", config, "--edges", edges)
     assert code == 2
     assert json.loads(out)["verification"]["passed"] is False
-    assert paths == ["structured"]
+    assert paths == []
 
 
 def test_export_and_reingest(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 from math import gcd
 from unittest import mock
@@ -156,6 +157,19 @@ def test_dimension_mismatch():
     adj = adjacency_matrix(CyclicGroup(4), color_from_set(CyclicGroup(4), [1]))
     with pytest.raises(DimensionMismatch):
         verify_eigenpairs(adj, spec, tol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,), (3, 3, 3), ()], ids=str)
+def test_a_non_square_adjacency_is_a_dimension_mismatch(shape):
+    group = CyclicGroup(3)
+    color = color_from_set(group, [1])
+    spec = spectrum_normal(group, color, builtin_irreps(group))
+    matrix = np.ones(shape)
+    message = rf"^adjacency must be square, got {re.escape(str(shape))}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        trace_identities(matrix, color)
+    with pytest.raises(DimensionMismatch, match=message):
+        verify_eigenpairs(matrix, spec)
 
 
 def test_compare_spectra():
@@ -524,9 +538,9 @@ def test_structured_path_runs_on_the_ladder_rungs(rung):
     # random complex block color
     complex_color = block_color(group, random.Random(rung[0]),
                                 [0, 1, -2.5, 1j, complex(0.5, -1.25)])
-    for matrix in (adj.matrix, adjacency_matrix(group, complex_color).matrix):
-        beta = verify_module._first_rows_beta(matrix, group.l, group.m)
-        trace, trace_sq = verify_module._beta_traces(beta)
+    for c in (color, complex_color):
+        matrix = adjacency_matrix(group, c).matrix
+        trace, trace_sq = verify_module._beta_traces(beta_blocks(group, c).beta_values)
         assert abs(trace - np.trace(matrix)) <= 1e-12 * spec.n
         assert abs(trace_sq - np.einsum("ij,ji->", matrix, matrix)) <= 1e-12 * spec.n
 
@@ -603,9 +617,14 @@ def with_lines(spec, edit):
 
 
 def test_a_perturbed_adjacency_entry_falls_back_to_dense():
+    """Only an adjacency that carries its beta table is certified on the
+    structured path.  The exact grid as a dense matrix, raw or wrapped,
+    takes the dense path and passes; with one entry changed it fails."""
     group, color, spec, adj = family_case(31, 5, 2)
     assert certify(adj, spec, color).structured
-    # (0, 40) and (62, 7) sit in rows i*m, where the beta table is read
+    for exact in (adj.matrix.copy(), AdjacencyMatrix(matrix=adj.matrix.copy())):
+        report = certify(exact, spec, color)
+        assert not report.structured and report.passed and report.complete
     for i, j in ((0, 40), (62, 7), (17, 100)):
         matrix = adj.matrix.copy()
         matrix[i, j] += 0.25
@@ -618,19 +637,24 @@ def test_a_perturbed_adjacency_entry_falls_back_to_dense():
         assert report == dataclasses.replace(dense, gram_deviation=report.gram_deviation)
 
 
-def test_the_real_flag_reads_the_rows_passed_before_a_failed_grid_check(monkeypatch):
+def test_the_real_flag_reads_every_row_block(monkeypatch):
+    """The residual GEMMs run on a float64 copy only when no row block of
+    the adjacency has an imaginary part, wherever the complex rows lie."""
     group = MetacyclicGroup(31, 5, 2)
     color = block_color(group, random.Random(3), [0, 1, -0.5j, 0.25 - 3j])
     spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(31))
-    complex_matrix = adjacency_matrix(group, color).matrix.copy()
-    # rows from 96 on lose their imaginary parts: the grid check fails in
-    # the seventh 16-row block, and only the rows before it are complex
-    complex_matrix[96:] = complex_matrix[96:].real
+    complex_matrix = adjacency_matrix(group, color).matrix
+    # with 16-row blocks, the complex rows lie only in the first six blocks,
+    # or only from the seventh on
+    head_complex, tail_complex = complex_matrix.copy(), complex_matrix.copy()
+    head_complex[96:] = head_complex[96:].real
+    tail_complex[:96] = tail_complex[:96].real
     real_matrix = adjacency_matrix(group, color_from_set(group, color.support())).matrix.copy()
     real_matrix[100, 7] += 0.25
     small_blocks(monkeypatch, 16, group.order)
     block = verify_module._residual_block
-    for matrix, dtype in ((complex_matrix, complex), (real_matrix, np.float64)):
+    for matrix, dtype in ((head_complex, complex), (tail_complex, complex),
+                          (real_matrix, np.float64)):
         dtypes = set()
 
         def recorded(matrix, rows, *rest):
@@ -649,9 +673,9 @@ def test_a_block_circulant_change_fails_on_the_structured_path():
     group, color, spec, adj = family_case(31, 5, 2)
     beta = np.array(beta_blocks(group, color).beta_values)
     beta[1, 3, 4] += 0.25
-    matrix = BlockDecomposition(group=group, beta_values=beta).assemble()
-    report = certify(matrix, spec, color)
-    dense = dense_certify(matrix, spec, color)
+    changed = AdjacencyMatrix(blocks=BlockDecomposition(group=group, beta_values=beta))
+    report = certify(changed, spec, color)
+    dense = dense_certify(changed, spec, color)
     assert report.structured and not report.passed and not dense.passed
     for got, want in zip(report.per_line_residuals, dense.per_line_residuals):
         assert abs(got - want) <= 1e-12 * dense.scale
@@ -810,14 +834,16 @@ def test_a_duplicated_or_missing_vector_is_incomplete_on_the_dense_path():
 @example(MetacyclicGroup(7, 3, 2), None, False, True)
 def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
         group, rng, indicator, structured):
-    """Certification of an adjacency that carries its beta table equals,
-    field for field and bit for bit, that of a dense copy of its matrix:
-    on the structured path (the crossover at n), where the carried one
-    never forms its matrix, and on the dense path (the crossover above n).
-    The color is random complex, NaN and infinite values among them, or
-    the indicator of its support."""
+    """Certification of an adjacency that carries its beta table against
+    that of a dense copy of its matrix, which takes the dense path.  With
+    the crossover at n the carried one runs structured, never forms its
+    matrix, and agrees with the copy within the tolerances of
+    ``test_structured_certification_agrees_with_dense``; a deviation that
+    is not finite on one side is not finite on the other.  With the
+    crossover above n both run dense and agree bit for bit.  The color is
+    random complex, NaN and infinite values among them, or the indicator
+    of its support."""
     if rng is None:
-        # a NaN passes the dense copy's grid check as a NaN
         elems = group.elements()
         color = ColorFunction(group, {elems[3]: complex("nan+1j"), elems[4]: 1,
                                       elems[5]: complex(-0.0, float("inf"))})
@@ -834,8 +860,26 @@ def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
     assert report.structured is structured
     assert formed(carried) is not structured
     dense = certify_at_crossover(AdjacencyMatrix(carried.matrix.copy()), spec, color, crossover)
-    # repr spells every float exactly, and NaN as nan
-    assert repr(report) == repr(dense)
+    assert not dense.structured
+    if rng is None:
+        # a NaN in the table fails both paths
+        assert not report.passed and not dense.passed
+    if not structured:
+        # repr spells every float exactly, and NaN as nan
+        assert repr(report) == repr(dense)
+        return
+    assert report.scale == dense.scale
+    assert (report.passed, report.complete, report.vector_count, report.gram_deviation) == (
+        dense.passed, dense.complete, dense.vector_count, dense.gram_deviation)
+    residuals = zip(report.per_line_residuals + (report.max_residual,),
+                    dense.per_line_residuals + (dense.max_residual,))
+    bounded = [(got, want, 1e-12 * dense.scale) for got, want in residuals] + [
+        (report.trace_deviation, dense.trace_deviation, 1e-12 * n),
+        (report.trace_sq_deviation, dense.trace_sq_deviation, 1e-12 * n)]
+    for got, want, bound in bounded:
+        assert np.isfinite(got) == np.isfinite(want)
+        if np.isfinite(want):
+            assert abs(got - want) <= bound
 
 
 def test_certify_on_the_beta_table_catches_a_wrong_eigenvalue_or_vector():
