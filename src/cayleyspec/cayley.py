@@ -328,10 +328,10 @@ def nonnormal_family(m: int, l: int, r: int):
     Each coset layer of S is closed under conjugation by h, yet for m > 2
     the set itself is not closed under full conjugation, so the graph is a
     non-normal Cayley graph whose spectrum the layer formula still covers.
-    Requires 1 < r < m.
+    Requires 1 < r < m and l >= 1.
     """
-    if not 1 < r < m:
-        raise InvalidAction(f"family needs 1 < r < m, got r={r}, m={m}")
+    if not 1 < r < m or l < 1:
+        raise InvalidAction(f"family needs 1 < r < m and l >= 1, got r={r}, m={m}, l={l}")
     group = MetacyclicGroup(m, l, r)
     subset = {(0, b) for b in range(1, m)}
     subset.add((1 % l, 0))

@@ -389,8 +389,8 @@ def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
             total += cayley.edge_list_bytes(n)
         elif not carried:
             total += square  # the gathered adjacency
-        if not (factored and carried and n >= verify._STRUCTURED_MIN_N):
-            total += verify.dense_certify_bytes(n, factored, carried)
+        if not (factored and carried):
+            total += verify.dense_certify_bytes(n, carried)
     if job.options["export_graph"]:
         total += square
     if vectors_out:
@@ -643,6 +643,7 @@ def _cmd_check_hypotheses(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    groups._check_capacity(args.m * args.l)
     group, connection = cayley.nonnormal_family(args.m, args.l, args.r)
     layers = cayley.layers_from_set(group, connection.elements)
     payload = {

@@ -263,16 +263,16 @@ class AbelianProductGroup(FiniteGroup):
 
     kind = "abelian"
 
-    def __init__(self, orders: Sequence[int], capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, orders: Sequence[int]):
         orders = tuple(int(o) for o in orders)
         if not orders or any(o <= 0 for o in orders):
             raise ValueError(f"factor orders must be positive, got {orders}")
         total = 1
         for o in orders:
             total *= o
-            if total > capacity:
+            if total > DEFAULT_CAPACITY:
                 raise CapacityExceeded(
-                    f"abelian product of orders {orders} exceeds capacity {capacity}"
+                    f"abelian product of orders {orders} exceeds capacity {DEFAULT_CAPACITY}"
                 )
         super().__init__(total)
         self.orders = orders
@@ -543,7 +543,7 @@ def _compose(p, q):
     return tuple(p[x] for x in q)
 
 
-def _perm_closure(generators, degree: int, capacity: int) -> set:
+def _perm_closure(generators, degree: int) -> set:
     identity = tuple(range(degree))
     closed = {identity}
     frontier = [identity]
@@ -555,9 +555,9 @@ def _perm_closure(generators, degree: int, capacity: int) -> set:
                 if q not in closed:
                     closed.add(q)
                     fresh.append(q)
-                    if len(closed) > capacity:
+                    if len(closed) > DEFAULT_CAPACITY:
                         raise CapacityExceeded(
-                            f"permutation closure exceeds capacity {capacity}"
+                            f"permutation closure exceeds capacity {DEFAULT_CAPACITY}"
                         )
         frontier = fresh
     return closed
@@ -575,8 +575,7 @@ class PermutationGroup(FiniteGroup):
 
     def __init__(self, generators: Iterable[Sequence[int]],
                  normal_generators: Optional[Iterable[Sequence[int]]] = None,
-                 complement_generators: Optional[Iterable[Sequence[int]]] = None,
-                 capacity: int = DEFAULT_CAPACITY):
+                 complement_generators: Optional[Iterable[Sequence[int]]] = None):
         gens = [tuple(g) for g in generators]
         if not gens:
             raise ValueError("need at least one generator")
@@ -584,7 +583,7 @@ class PermutationGroup(FiniteGroup):
         for g in gens:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"{g!r} is not a permutation of 0..{degree - 1}")
-        members = _perm_closure(gens, degree, capacity)
+        members = _perm_closure(gens, degree)
         super().__init__(len(members))
         self.degree = degree
         self.generators = tuple(gens)
@@ -595,13 +594,13 @@ class PermutationGroup(FiniteGroup):
         if (normal_generators is None) != (complement_generators is None):
             raise ValueError("normal and complement generators come together")
         if normal_generators is not None:
-            self._install_split(normal_generators, complement_generators, capacity)
+            self._install_split(normal_generators, complement_generators)
 
-    def _install_split(self, normal_generators, complement_generators, capacity):
+    def _install_split(self, normal_generators, complement_generators):
         n_gens = [self.coerce_element(g) for g in normal_generators]
         c_gens = [self.coerce_element(g) for g in complement_generators]
-        k_part = _perm_closure(n_gens, self.degree, capacity)
-        h_part = _perm_closure(c_gens, self.degree, capacity)
+        k_part = _perm_closure(n_gens, self.degree)
+        h_part = _perm_closure(c_gens, self.degree)
         for g in self.generators:
             g_inv = self.inv(g)
             for k in k_part:
@@ -695,8 +694,12 @@ class PermutationGroup(FiniteGroup):
 # -- module-level operations -------------------------------------------------
 
 
-def construct_group(config: Mapping, capacity: int = DEFAULT_CAPACITY) -> FiniteGroup:
-    """Build a group from a structured description (the CLI config schema)."""
+def construct_group(config: Mapping) -> FiniteGroup:
+    """Build a group from a structured description (the CLI config schema).
+
+    Sizes are integers of at least 1, other numbers integers (a bool or
+    float is none); orders over ``DEFAULT_CAPACITY`` fail before building.
+    """
     if not isinstance(config, Mapping):
         raise ConfigError(f"group description must be a mapping, got {config!r}")
     kind = config.get("type")
@@ -716,63 +719,68 @@ def construct_group(config: Mapping, capacity: int = DEFAULT_CAPACITY) -> Finite
     if stray:
         raise ConfigError(f"group type {kind!r} has stray fields {sorted(stray)}")
 
-    def need(key, types=int):
+    def need(key, types=int, least=None):
         if key not in config:
             raise ConfigError(f"group type {kind!r} needs field {key!r}")
-        value = config[key]
-        if types is int and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ConfigError(f"group field {key!r} must be an integer, got {value!r}")
+        return integer(key, config[key], least) if types is int else config[key]
+
+    def integer(key, value, least=None):
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or least is not None and value < least):
+            rule = "an integer" if least is None else f"an integer of at least {least}"
+            raise ConfigError(f"group field {key!r} must be {rule}, got {value!r}")
         return value
 
-    if kind == "cyclic":
-        n = need("n")
-        _check_capacity(n, capacity)
-        return CyclicGroup(n)
+    def listed(key, values, empty=False) -> list:
+        if not isinstance(values, (list, tuple)) or not (values or empty):
+            rule = "a list" if empty else "a non-empty list"
+            raise ConfigError(f"group field {key!r} must be {rule}, got {values!r}")
+        return list(values)
+
+    def integers(key, values, least=None) -> list:
+        return [integer(f"{key}[{i}]", v, least) for i, v in enumerate(listed(key, values))]
+
+    if kind in ("cyclic", "dihedral"):
+        n = need("n", least=1)
+        _check_capacity(n if kind == "cyclic" else 2 * n)
+        return CyclicGroup(n) if kind == "cyclic" else DihedralGroup(n)
     if kind == "abelian":
-        orders = need("orders", types=None)
-        if not isinstance(orders, (list, tuple)):
-            raise ConfigError(f"group field 'orders' must be a list, got {orders!r}")
-        return AbelianProductGroup(orders, capacity=capacity)
-    if kind == "dihedral":
-        n = need("n")
-        _check_capacity(2 * n, capacity)
-        return DihedralGroup(n)
+        return AbelianProductGroup(integers("orders", need("orders", types=None), least=1))
     if kind == "metacyclic":
-        m, l, r = need("m"), need("l"), need("r")
-        _check_capacity(m * l, capacity)
+        m, l, r = need("m", least=1), need("l", least=1), need("r")
+        _check_capacity(m * l)
         return MetacyclicGroup(m, l, r)
     if kind == "semidirect":
-        m = need("m")
+        m = need("m", least=1)
         h_config = need("h", types=None)
-        action = need("action", types=None)
-        if not isinstance(action, (list, tuple)):
-            raise ConfigError(f"group field 'action' must be a list, got {action!r}")
-        h_group = construct_group(h_config, capacity=capacity)
+        action = integers("action", need("action", types=None))
+        h_group = construct_group(h_config)
         if not hasattr(h_group, "generator_orders"):
             raise ConfigError(
                 f"complement type {h_group.kind!r} is not supported in semidirect "
                 "products (use cyclic, abelian, or dihedral)"
             )
-        _check_capacity(m * h_group.order, capacity)
+        _check_capacity(m * h_group.order)
         return SemidirectProductGroup(m, h_group, action)
     # permutation
-    gens = need("generators", types=None)
-    if not isinstance(gens, (list, tuple)) or not gens:
-        raise ConfigError("group field 'generators' must be a non-empty list")
+    gens = [integers(f"generators[{i}]", g)
+            for i, g in enumerate(listed("generators", need("generators", types=None)))]
+    for key in ("normal_generators", "complement_generators"):
+        if config.get(key) is not None:
+            listed(key, config[key], empty=True)
     try:
         return PermutationGroup(
             gens,
             normal_generators=config.get("normal_generators"),
             complement_generators=config.get("complement_generators"),
-            capacity=capacity,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _check_capacity(order: int, capacity: int) -> None:
-    if order > capacity:
-        raise CapacityExceeded(f"group order {order} exceeds capacity {capacity}")
+def _check_capacity(order: int) -> None:
+    if order > DEFAULT_CAPACITY:
+        raise CapacityExceeded(f"group order {order} exceeds capacity {DEFAULT_CAPACITY}")
 
 
 def conjugacy_classes(group: FiniteGroup) -> list:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import IrrepValidationFailed, IrrepsUnavailable
 from .groups import (
-    DEFAULT_CAPACITY,
     AbelianProductGroup,
     CyclicGroup,
     DihedralGroup,
@@ -187,9 +186,9 @@ def irreps_cyclic(n: int) -> IrrepSet:
     return IrrepSet(group, irreps, trusted=True)
 
 
-def irreps_abelian(orders: Sequence[int], capacity: int = DEFAULT_CAPACITY) -> IrrepSet:
+def irreps_abelian(orders: Sequence[int]) -> IrrepSet:
     """Product characters of a direct product of cyclic groups."""
-    group = AbelianProductGroup(orders, capacity=capacity)
+    group = AbelianProductGroup(orders)
     elems = tuple(group.elements())
     n = group.order
     digits = np.array(elems, dtype=np.int64).reshape(n, len(group.orders))
@@ -305,7 +304,7 @@ def builtin_irreps(group: FiniteGroup) -> IrrepSet:
     if isinstance(group, CyclicGroup):
         return irreps_cyclic(group.m)
     if isinstance(group, AbelianProductGroup):
-        return irreps_abelian(group.orders, capacity=group.order)
+        return irreps_abelian(group.orders)
     if isinstance(group, DihedralGroup) and group.n >= 3:
         return irreps_dihedral(group.n)
     if isinstance(group, SplitExtensionGroup) and isinstance(group.h_group, CyclicGroup):
@@ -357,15 +356,13 @@ def _first_worst(chunks) -> tuple:
     return worst, where
 
 
-def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
-                       hom_tol: float = 1e-10, unitary_tol: float = 1e-10,
-                       irreducible_tol: float = 1e-9,
-                       orthogonality_tol: float = 1e-9) -> IrrepValidationReport:
+def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidationReport:
     """Exhaustively check an irrep table against the group.
 
-    Checks coverage, the homomorphism property over all element pairs,
-    unitarity, irreducibility and pairwise orthogonality of characters,
-    and completeness (sum of squared degrees equals the group order).
+    Checks coverage, the homomorphism property over all element pairs and
+    unitarity (each within 1e-10), irreducibility and pairwise
+    orthogonality of characters (each within 1e-9), and completeness (sum
+    of squared degrees equals the group order).
     The homomorphism sweep runs on the group kernel in blocks within its
     block budget.  Witnesses are the first elements (pairs in row-major
     order) attaining the worst deviation; a NaN deviation fails its check.
@@ -387,7 +384,7 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
         stack = rho.stack[rows]
         eye = np.eye(rho.degree)
         dev = float(np.max(np.abs(stack[identity] - eye)))
-        if not dev <= hom_tol:
+        if not dev <= 1e-10:
             issues.append(ValidationIssue(
                 "identity", (rho.label,), group.identity, dev))
         # M[x y] - M[x] M[y] for blocks of rows x against all y: one gather
@@ -399,16 +396,16 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
             np.abs(stack[group.mul_idx(x[:, None], idx)] - (stack[x].reshape(-1, d) @ right)
                    .reshape(len(x), d, n, d).transpose(0, 2, 1, 3)).max(axis=(2, 3))
             for x in (idx[lo:lo + step] for lo in range(0, n, step)))
-        if not worst <= hom_tol:
+        if not worst <= 1e-10:
             issues.append(ValidationIssue(
                 "homomorphism", (rho.label,), (elems[at // n], elems[at % n]), worst))
         gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
         worst, at = _first_worst([np.abs(gram - eye).max(axis=(1, 2))])
-        if not worst <= unitary_tol:
+        if not worst <= 1e-10:
             issues.append(ValidationIssue("unitarity", (rho.label,), elems[at], worst))
         characters = rho.characters[rows]
         norm = sum((np.abs(characters) ** 2).tolist()) / n
-        if not abs(norm - 1.0) <= irreducible_tol:
+        if not abs(norm - 1.0) <= 1e-9:
             issues.append(ValidationIssue(
                 "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
         covered.append((rho.label, characters))
@@ -418,7 +415,7 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet,
         step = _block_len(2 * len(covered))
         for lo in range(0, len(covered), step):
             inner = np.abs(table[lo:lo + step] @ table.conj().T / n)
-            for i, j in zip(*np.nonzero(~(inner <= orthogonality_tol))):
+            for i, j in zip(*np.nonzero(~(inner <= 1e-9))):
                 if j > lo + i:
                     issues.append(ValidationIssue(
                         "orthogonality", (labels[lo + i], labels[j]), None,

@@ -173,8 +173,8 @@ class Spectrum:
         rows.flags.writeable = False
         return rows
 
-    def multiset(self, tol: float = 1e-9) -> list:
-        return cluster_eigenvalues(self.eigenvalues_expanded(), tol)
+    def multiset(self) -> list:
+        return cluster_eigenvalues(self.eigenvalues_expanded())
 
 
 def chain_groups(values: Sequence[complex], tol: float) -> list:
@@ -580,14 +580,10 @@ def block_diagonalize(group: FiniteGroup, color: ColorFunction,
     The check holds dense n x n matrices and runs two O(n^3) products, so
     orders above ``RECONSTRUCTION_CAPACITY`` raise CapacityExceeded first.
     """
-    return _block_diagonalize(group, color, irrep_set, RECONSTRUCTION_CAPACITY)
-
-
-def _block_diagonalize(group, color, irrep_set, capacity) -> BlockDiagonalization:
     n = group.order
-    if n > capacity:
+    if n > RECONSTRUCTION_CAPACITY:
         raise CapacityExceeded(
-            f"reconstruction check is quadratic in n; {n} exceeds {capacity}"
+            f"reconstruction check is quadratic in n; {n} exceeds {RECONSTRUCTION_CAPACITY}"
         )
     ensure_trusted(group, irrep_set)
     elems = tuple(group.elements())

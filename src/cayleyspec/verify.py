@@ -12,31 +12,30 @@ The claimed vectors are read through ``Spectrum.vector_rows``: the
 normal route claims them as one array (``Spectrum.vectors``), the split
 and metacyclic routes as Kronecker factors (``Spectrum.factors``).
 
-One rule picks one of two paths for the residuals and the traces; their
-results agree to rounding.  The structured path runs when the adjacency
-carries its beta table, the table has the (l, m) of the spectrum's
-Kronecker factors, and ``_checked_factors`` accepts them: n is at least
-``_STRUCTURED_MIN_N`` (the measured crossover), and the factors' pairs
-cover the grid of H rows by K rows once each.  An adjacency from
-``adjacency_matrix`` on a split extension carries that table, built from
-``mul_idx`` and ``inv_idx`` alone (``cayley.beta_blocks``), and its
-n x n matrix is never formed.  The residuals apply the grid of that
-table to the claimed vectors by FFT correlation in O(n^2 (l + log m))
-work, the scale is the grid's row-sum norm, and ``certify`` reads the
-trace identities off the table.  Beyond the adjacency it holds O(n*m):
-the factors, the beta table, and per chunk of K rows at most
-``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
-vectors are eigenvectors, and no irrep is touched.
+One rule covers a factored claim, at every n.  When ``_checked_factors``
+accepts the spectrum's Kronecker factors, the Gram deviation comes from
+the two factor Grams, and if the adjacency carries a beta table of the
+factors' (l, m), the residuals and the traces come from that table: the
+structured path.  An adjacency from ``adjacency_matrix`` on a split
+extension carries its table, built from ``mul_idx`` and ``inv_idx``
+alone (``cayley.beta_blocks``), and its n x n matrix is never formed.
+The residuals apply the grid of that table to the claimed vectors by FFT
+correlation in O(n^2 (l + log m)) work, the scale is the grid's row-sum
+norm, and ``certify`` reads the trace identities off the table.  Beyond
+the adjacency it holds O(n*m): the factors, the beta table, and per
+chunk of K rows at most ``_BLOCK_BYTES`` in each of a few temporaries.
+Nothing here assumes the vectors are eigenvectors, and no irrep is
+touched.
 
-Every other input takes the dense path, whatever its entries: a dense
-matrix (an edge list read back, a raw array, ``AdjacencyMatrix(matrix=...)``,
-a kind that is not a split extension), factors of another (l, m), or
-explicit vectors.  It runs GEMMs over blocks of stacked eigenvectors.
-It first checks the n x n arrays it would allocate against
+Every other input takes the dense path for the residuals and traces,
+whatever its entries: a dense matrix (an edge list read back, a raw
+array, ``AdjacencyMatrix(matrix=...)``, a kind that is not a split
+extension), factors of another (l, m) or that ``_checked_factors``
+rejects, or explicit vectors; its results agree to rounding.  It first
+checks the n x n arrays it would allocate against
 ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
 matrix of an adjacency that carries its beta table.  Beyond the n x n
-adjacency and the claimed vectors (for factors, one stacked copy of
-their products), it holds one block at a time:
+adjacency and the claimed vectors, it holds one block at a time:
 ``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice that in
 GEMM output and residual temporaries, whatever n and the number of
 lines.  While it computes residuals against a real adjacency (every
@@ -44,10 +43,10 @@ indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
 flops of the complex one.  The trace identities come from the matrix.
 
-The Gram deviation does not read the adjacency: it comes from the two
-factor Grams when ``_checked_factors`` accepts the spectrum, and
-otherwise from the upper triangle of the stacked vectors' Hermitian Gram
-matrix.
+Without accepted factors, the Gram deviation comes from the upper
+triangle of the claimed vectors' Hermitian Gram matrix; factors that
+``_checked_factors`` rejects are first stacked into their rows, within
+the byte budget.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sum
 from .spectra import (
-    RECONSTRUCTION_CAPACITY,
     KroneckerFactors,
     Spectrum,
     _value_order,
@@ -72,10 +70,6 @@ from .spectra import (
 
 # bytes of stacked complex vectors (or Gram rows) one certification block holds
 _BLOCK_BYTES = 1 << 23
-
-# the smallest order certified on the structured path: below it the dense
-# GEMMs are faster than the checks and FFTs the structured path runs
-_STRUCTURED_MIN_N = 150
 
 
 @dataclass
@@ -143,14 +137,14 @@ def _gram_rows(count: int) -> int:
 
 
 def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
-    """The spectrum's Kronecker factors, when the structured path may use them.
+    """The spectrum's Kronecker factors, when certification may use them.
 
-    That needs n at least ``_STRUCTURED_MIN_N``, factor rows of lengths l
-    and m (l*m = n), pairs that cover the grid of l H rows by m K rows once
-    each, and multiplicities that claim all n vectors.  Otherwise None.
+    That needs factor rows of lengths l and m (l*m = n), pairs that cover
+    the grid of l H rows by m K rows once each, and multiplicities that
+    claim all n vectors.  Otherwise None.
     """
     factors, n = spectrum.factors, spectrum.n
-    if factors is None or n < _STRUCTURED_MIN_N:
+    if factors is None:
         return None
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
     l, m = len(h_rows), len(k_rows)
@@ -195,12 +189,11 @@ def _grid_scale(beta: np.ndarray) -> float:
     return max(1.0, largest)
 
 
-def dense_certify_bytes(n: int, factored: bool, carried: bool) -> int:
+def dense_certify_bytes(n: int, carried: bool) -> int:
     """Bytes of the n x n arrays the dense path allocates: the matrix of
-    an adjacency that carries its beta table, a float64 copy of its real
-    part, and for a factored claim the stacked vectors whose Gram matrix
-    is checked."""
-    return (8 + 16 * factored + 16 * carried) * n * n
+    an adjacency that carries its beta table, and a float64 copy of its
+    real part."""
+    return (8 + 16 * carried) * n * n
 
 
 def verify_eigenpairs(adjacency, spectrum: Spectrum,
@@ -252,7 +245,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         scale = _grid_scale(beta)
         column_max = _structured_residuals(beta, factors, column_eigenvalues)
     else:
-        check_dense_bytes(dense_certify_bytes(n, factored is not None, beta is not None),
+        check_dense_bytes(dense_certify_bytes(n, beta is not None),
                           f"dense certification of order {n}")
         if beta is not None:
             matrix = adjacency.matrix
@@ -362,7 +355,7 @@ class BasisCheck(tuple):
         return check
 
 
-def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
+def verify_basis(spectrum: Spectrum) -> BasisCheck:
     """Gram deviation of the claimed eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
@@ -372,13 +365,18 @@ def verify_basis(spectrum: Spectrum, tol: float = 1e-9) -> BasisCheck:
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
     from the two factor Grams (``_structured_gram``).  Otherwise the Gram
     matrix, Hermitian, has only its upper triangle formed: each row block
-    from its diagonal block rightwards, never the whole matrix.
+    from its diagonal block rightwards, never the whole matrix.  Factors
+    that ``_checked_factors`` rejects are first stacked into their rows,
+    within the byte budget.
     """
     factors = _checked_factors(spectrum)
     count = spectrum.vector_count()
     if factors is not None:
         gram_deviation = _structured_gram(factors)
     else:
+        if spectrum.factors is not None:
+            check_dense_bytes(16 * count * spectrum.n,
+                              f"stacking {count} claimed vectors of order {spectrum.n}")
         gram_deviation = _upper_gram_deviation(spectrum.vector_rows(0, count))
     complete = count == spectrum.n == spectrum.total_multiplicity
     return BasisCheck(gram_deviation, complete, count, factors is not None)
@@ -473,7 +471,7 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     ``trace_identities`` on its matrix.
     """
     report = verify_eigenpairs(adjacency, spectrum, tol=tol)
-    basis = verify_basis(spectrum, tol=tol)
+    basis = verify_basis(spectrum)
     if report.structured:
         _check_color_order(color, report.n)
         trace_dev, trace_sq_dev = _trace_deviations(
@@ -527,8 +525,7 @@ def regular_rep_matrix(group: FiniteGroup, g) -> np.ndarray:
 
 
 def verify_block_reconstruction(group: FiniteGroup, color: ColorFunction,
-                                irrep_set: IrrepSet,
-                                capacity: int = RECONSTRUCTION_CAPACITY) -> float:
+                                irrep_set: IrrepSet) -> float:
     """Max deviation between the regular-representation adjacency and its
     coefficient-basis reconstruction.
 
@@ -536,8 +533,7 @@ def verify_block_reconstruction(group: FiniteGroup, color: ColorFunction,
     translation matrices, whose (i, j) entry is alpha(g_j g_i^{-1}): the
     adjacency from ``adjacency_matrix``.  The right side conjugates the
     per-irrep blocks diag(I_{d_k} (x) block_k^T) back through the
-    coefficient basis; both come from ``block_diagonalize``, here with
-    ``capacity`` as its order limit.
+    coefficient basis; both come from ``block_diagonalize``, which raises
+    CapacityExceeded above ``spectra.RECONSTRUCTION_CAPACITY``.
     """
-    return spectra._block_diagonalize(
-        group, color, irrep_set, capacity).reconstruction_deviation
+    return spectra.block_diagonalize(group, color, irrep_set).reconstruction_deviation

@@ -368,7 +368,7 @@ def test_criterion_8_invariant_suite():
         n = group.order
         assert spec.total_multiplicity == n, name
 
-        gram, complete = verify_basis(spec, tol=1e-9)
+        gram, complete = verify_basis(spec)
         assert gram <= 1e-9, (name, gram)
         assert complete, name
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +104,50 @@ def test_family_rejects_bad_parameters(tmp_path, capsys):
     code, _, err = run(capsys, "family", "--m", "7", "--l", "3", "--r", "1")
     assert code == 4
     assert "1 < r < m" in err
+
+
+def test_family_checks_the_order_before_building_the_group(capsys):
+    """Order 20014 is over the capacity: refused at once, not after the
+    connection set of a group twice the capacity is classified."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "--m", "10007", "--l", "2", "--r", "10006")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (4, "")
+    assert err == "error: group order 20014 exceeds capacity 10000\n"
+    code, out, err = run(capsys, "family", "--m", "7", "--l", "0", "--r", "2")
+    assert (code, out) == (4, "")
+    assert err == "error: family needs 1 < r < m and l >= 1, got r=2, m=7, l=0\n"
+
+
+MALFORMED_GROUPS = [
+    ({"type": "cyclic", "n": 0}, "'n' must be an integer of at least 1, got 0"),
+    ({"type": "dihedral", "n": -3}, "'n' must be an integer of at least 1, got -3"),
+    ({"type": "metacyclic", "m": 0, "l": 2, "r": 1}, "'m' must be an integer of at least 1"),
+    ({"type": "semidirect", "m": 0, "h": {"type": "cyclic", "n": 2}, "action": [1]},
+     "'m' must be an integer of at least 1"),
+    ({"type": "abelian", "orders": []}, "'orders' must be a non-empty list, got []"),
+    ({"type": "abelian", "orders": [2, 0]}, "'orders[1]' must be an integer of at least 1"),
+    ({"type": "abelian", "orders": [2.5, 3]}, "'orders[0]' must be an integer of at least 1"),
+    ({"type": "abelian", "orders": [True, 3]}, "'orders[0]' must be an integer of at least 1"),
+    ({"type": "semidirect", "m": 5, "h": {"type": "cyclic", "n": 2}, "action": [2.0]},
+     "'action[0]' must be an integer, got 2.0"),
+    ({"type": "semidirect", "m": 5, "h": {"type": "cyclic", "n": 2}, "action": ["2"]},
+     "'action[0]' must be an integer, got '2'"),
+    ({"type": "permutation", "generators": [5]},
+     "'generators[0]' must be a non-empty list, got 5"),
+    ({"type": "permutation", "generators": [[1, 0]], "normal_generators": 5,
+      "complement_generators": []}, "'normal_generators' must be a list, got 5"),
+]
+
+
+@pytest.mark.parametrize("group, message", MALFORMED_GROUPS,
+                         ids=[json.dumps(group) for group, _ in MALFORMED_GROUPS])
+def test_malformed_group_sizes_are_config_errors(tmp_path, capsys, group, message):
+    config = write_config(tmp_path, {"group": group,
+                                     "connection": {"mode": "set", "elements": []}})
+    code, out, err = run(capsys, "describe", "--config", config)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: group field {message}") and err.count("\n") == 1
 
 
 def test_deterministic_output(tmp_path, capsys):
@@ -603,8 +648,8 @@ def test_oversized_dense_jobs_fail_before_any_computation(tmp_path, capsys, monk
         "connection": {"mode": "set", "elements": [1, 9999]},
         "options": {"eigenvectors": False}}, name="cyclic.json")
     n = 9081
-    # the edge list, the real part of the matrix read, the stacked vectors
-    for argv, estimate in ((["--config", family, "--edges", "none.txt"], (16 + 8 + 16) * n * n),
+    # the edge list and the real part of the matrix read
+    for argv, estimate in ((["--config", family, "--edges", "none.txt"], (16 + 8) * n * n),
                            (["--config", cyclic], 72 * 10000 ** 2)):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 4 and out == ""

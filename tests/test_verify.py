@@ -3,7 +3,6 @@ import random
 import re
 import tracemalloc
 from math import gcd
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,7 +114,7 @@ def test_verify_zero_color_standard_basis():
 
 def test_verify_basis_completeness():
     group, color, spec = prism_case()
-    gram, complete = verify_basis(spec, tol=1e-9)
+    gram, complete = verify_basis(spec)
     assert gram <= 1e-12
     assert complete
 
@@ -123,7 +122,7 @@ def test_verify_basis_completeness():
     rows = spec.vector_rows(0, 6)
     lines = [dataclasses.replace(spec.lines[0], multiplicity=2)] + spec.lines[1:]
     broken = explicit(spec, with_row(rows, 1, rows[0]), lines=lines)
-    gram, complete = verify_basis(broken, tol=1e-9)
+    gram, complete = verify_basis(broken)
     assert abs(gram - 1) <= 1e-12
     assert not complete  # 7 vectors for n = 6
 
@@ -281,6 +280,11 @@ def per_line_matvec(matrix, spec):
     ]
 
 
+def dense(adjacency):
+    """A dense copy of ``adjacency``, carrying no beta table."""
+    return AdjacencyMatrix(matrix=adjacency.matrix.copy())
+
+
 def small_blocks(monkeypatch, columns, n):
     from cayleyspec import verify as verify_module
 
@@ -292,7 +296,7 @@ def test_blocked_residuals_match_per_line_matvecs(monkeypatch, columns):
     group, color, spec = order_42_case()
     # E1 lines carry four vectors, so blocks of 3, 5 or 7 columns split them
     assert {len(rows) for rows in line_rows(spec)} == {1, 4}
-    adj = adjacency_matrix(group, color)
+    adj = dense(adjacency_matrix(group, color))
     small_blocks(monkeypatch, columns, 42)
     from cayleyspec import verify as verify_module
 
@@ -383,7 +387,7 @@ def test_blocked_gram_matches_whole_gram(monkeypatch):
     whole = whole_gram_deviation(spec)
     for columns in (1, 4, 42):
         small_blocks(monkeypatch, columns, 42)
-        gram, complete = verify_basis(spec)
+        gram, complete = verify_basis(explicit(spec))
         assert abs(gram - whole) <= 1e-14 and complete
         for index in (0, len(spec.lines) - 1):
             check = verify_basis(duplicated(spec, index))
@@ -391,16 +395,12 @@ def test_blocked_gram_matches_whole_gram(monkeypatch):
             assert check.vector_count == 43
 
 
-def test_upper_triangle_gram_at_n_610(monkeypatch):
+def test_upper_triangle_gram_at_n_610():
     group, conn = nonnormal_family(61, 10, 3)
     spec = spectrum_metacyclic(61, 10, 3, layers_from_set(group, conn.elements))
     # 610 vectors make five row blocks of at most 128 rows
-    from cayleyspec import verify as verify_module
-
-    # n = 610 is above the structured crossover: force the dense Gram
-    monkeypatch.setattr(verify_module, "_STRUCTURED_MIN_N", 611)
     assert verify_module._gram_rows(610) == 128
-    check = verify_basis(spec)
+    check = verify_basis(explicit(spec))
     assert not check.structured
     gram, complete = check
     assert abs(gram - whole_gram_deviation(spec)) <= 1e-14 and complete
@@ -467,7 +467,7 @@ def test_residual_path_follows_the_adjacency(monkeypatch, case, columns):
     from cayleyspec import verify as verify_module
 
     group, color, spec = case()
-    adj = adjacency_matrix(group, color)
+    adj = dense(adjacency_matrix(group, color))
     real = case is order_42_case
     assert adj.matrix.dtype == complex and adj.matrix.imag.any() != real
     small_blocks(monkeypatch, columns, group.order)
@@ -501,14 +501,11 @@ def family_case(m, l, r):
     return group, color, spec, adjacency_matrix(group, color)
 
 
-def certify_at_crossover(adjacency, spec, color, crossover):
-    with mock.patch.object(verify_module, "_STRUCTURED_MIN_N", crossover):
-        return certify(adjacency, spec, color)
-
-
 def dense_certify(adjacency, spec, color):
-    """``certify`` with the crossover just above n: the dense path."""
-    return certify_at_crossover(adjacency, spec, color, spec.n + 1)
+    """``certify`` of a dense copy of the matrix against ``spec`` claimed as
+    explicit vectors: the dense path for residuals, traces and Gram."""
+    matrix = adjacency.matrix if isinstance(adjacency, AdjacencyMatrix) else adjacency
+    return certify(np.array(matrix), explicit(spec), color)
 
 
 def block_color(group, rng, values):
@@ -525,10 +522,17 @@ def block_color(group, rng, values):
         for a, b in group.elements()})
 
 
-@pytest.mark.parametrize("rung", LADDER, ids=lambda rung: f"n={rung[0] * rung[1]}")
-def test_structured_path_runs_on_the_ladder_rungs(rung):
-    group, color, spec, adj = family_case(*rung)
-    assert spec.n >= verify_module._STRUCTURED_MIN_N
+def order_42_with_adjacency():
+    group, color, spec = order_42_case()
+    return group, color, spec, adjacency_matrix(group, color)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda rung=rung: family_case(*rung), id=f"n={rung[0] * rung[1]}")
+    for rung in LADDER + ((7, 3, 2),)] + [pytest.param(order_42_with_adjacency, id="n=42")])
+def test_structured_path_runs_on_the_ladder_rungs(case):
+    """The ladder rungs, the n = 21 family and the order-42 split case."""
+    group, color, spec, adj = case()
     report = certify(adj, spec, color)
     assert report.structured and report.passed and report.complete
     assert report.vector_count == spec.n
@@ -536,7 +540,7 @@ def test_structured_path_runs_on_the_ladder_rungs(rung):
     assert (report.trace_deviation, report.trace_sq_deviation) == trace_identities(adj, color)
     # the beta-table traces against the dense ones, on the family and on a
     # random complex block color
-    complex_color = block_color(group, random.Random(rung[0]),
+    complex_color = block_color(group, random.Random(group.m),
                                 [0, 1, -2.5, 1j, complex(0.5, -1.25)])
     for c in (color, complex_color):
         matrix = adjacency_matrix(group, c).matrix
@@ -591,9 +595,8 @@ def test_structured_certification_agrees_with_dense(case):
         spectra.append(spectrum_metacyclic(group.m, group.l, group.r, layers))
     adj = adjacency_matrix(group, color)
     for spec in spectra:
-        # the crossover seam: at n the structured path runs, at n + 1 the dense
-        structured = certify_at_crossover(adj, spec, color, n)
-        dense = certify_at_crossover(adj, spec, color, n + 1)
+        structured = certify(adj, spec, color)
+        dense = dense_certify(adj, spec, color)
         assert structured.structured and not dense.structured
         assert structured.scale == dense.scale
         assert len(structured.per_line_residuals) == len(dense.per_line_residuals)
@@ -665,7 +668,7 @@ def test_the_real_flag_reads_every_row_block(monkeypatch):
         report = verify_eigenpairs(matrix, spec)
         assert not report.structured and dtypes == {np.dtype(dtype)}
         monkeypatch.setattr(verify_module, "_residual_block", block)
-        dense = certify_at_crossover(matrix, spec, color, spec.n + 1)
+        dense = dense_certify(matrix, spec, color)
         assert report.per_line_residuals == dense.per_line_residuals
 
 
@@ -836,13 +839,13 @@ def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
         group, rng, indicator, structured):
     """Certification of an adjacency that carries its beta table against
     that of a dense copy of its matrix, which takes the dense path.  With
-    the crossover at n the carried one runs structured, never forms its
+    the factored claim the carried one runs structured, never forms its
     matrix, and agrees with the copy within the tolerances of
     ``test_structured_certification_agrees_with_dense``; a deviation that
-    is not finite on one side is not finite on the other.  With the
-    crossover above n both run dense and agree bit for bit.  The color is
-    random complex, NaN and infinite values among them, or the indicator
-    of its support."""
+    is not finite on one side is not finite on the other.  With the claim
+    as explicit vectors both run dense and agree bit for bit.  The color
+    is random complex, NaN and infinite values among them, or the
+    indicator of its support."""
     if rng is None:
         elems = group.elements()
         color = ColorFunction(group, {elems[3]: complex("nan+1j"), elems[4]: 1,
@@ -854,12 +857,13 @@ def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
     n = group.order
     spec = spectrum_split(group, color, builtin_irreps(group.h_group),
                           irreps_cyclic(group.m), force=True)
-    crossover = n if structured else n + 1
+    if not structured:
+        spec = explicit(spec)
     carried = adjacency_matrix(group, color)
-    report = certify_at_crossover(carried, spec, color, crossover)
+    report = certify(carried, spec, color)
     assert report.structured is structured
     assert formed(carried) is not structured
-    dense = certify_at_crossover(AdjacencyMatrix(carried.matrix.copy()), spec, color, crossover)
+    dense = certify(AdjacencyMatrix(carried.matrix.copy()), spec, color)
     assert not dense.structured
     if rng is None:
         # a NaN in the table fails both paths
@@ -954,3 +958,11 @@ def test_dense_certification_checks_the_byte_budget(monkeypatch):
     assert certify(adj, spec, color).passed
     monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 24 * n * n)
     assert certify(adj, explicit_spec, color).passed
+    # factors that ``_checked_factors`` rejects are stacked for their Gram
+    rejected = dataclasses.replace(spec, factors=dataclasses.replace(
+        spec.factors, pairs=spec.factors.pairs[:-1]))
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * (n - 1) * n - 1)
+    with pytest.raises(CapacityExceeded, match=f"needs an estimated {16 * (n - 1) * n} bytes"):
+        verify_basis(rejected)
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * (n - 1) * n)
+    assert verify_basis(rejected).vector_count == n - 1
