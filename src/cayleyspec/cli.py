@@ -643,7 +643,6 @@ def _cmd_check_hypotheses(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    groups._check_capacity(args.m * args.l)
     group, connection = cayley.nonnormal_family(args.m, args.l, args.r)
     layers = cayley.layers_from_set(group, connection.elements)
     payload = {

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,20 @@ def check_dense_bytes(estimate: int, what: str) -> None:
             f"the budget of {DENSE_BYTE_BUDGET} bytes")
 
 
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int, when it is an int or a numpy integer (never a
+    bool) of at least ``least``; raises ValueError naming ``name`` otherwise.
+
+    Sizes, twists, units and images fix the group exactly, so a float or a
+    numeric string is refused rather than truncated.
+    """
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or least is not None and value < least):
+        rule = "an integer" if least is None else f"an integer of at least {least}"
+        raise ValueError(f"group field {name!r} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def _block_len(item_count: int) -> int:
     """Rows per block when each row holds ``item_count`` int64 indices."""
     return max(1, _BLOCK_BYTES // (8 * max(1, item_count)))
@@ -81,14 +95,16 @@ class FiniteGroup:
     Subclasses fix the element encoding and implement ``mul``/``inv`` on
     elements and ``mul_idx``/``_inverse_indices`` on canonical indices;
     enumeration, indexing, ``inv_idx`` and conjugacy machinery are shared.
+    Orders over ``DEFAULT_CAPACITY`` raise CapacityExceeded here, before
+    anything is enumerated.
     """
 
     kind = "abstract"
 
     def __init__(self, order: int):
-        order = int(order)
-        if order <= 0:
-            raise ValueError(f"group order must be positive, got {order}")
+        order = _integer(order, "order", least=1)
+        if order > DEFAULT_CAPACITY:
+            raise CapacityExceeded(f"group order {order} exceeds capacity {DEFAULT_CAPACITY}")
         self.order = order
         self._elements: Optional[list] = None
         self._element_index: Optional[dict] = None
@@ -215,7 +231,7 @@ class CyclicGroup(FiniteGroup):
     kind = "cyclic"
 
     def __init__(self, m: int):
-        super().__init__(m)
+        super().__init__(_integer(m, "n", least=1))
         self.m = self.order
 
     @property
@@ -264,17 +280,10 @@ class AbelianProductGroup(FiniteGroup):
     kind = "abelian"
 
     def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(o) for o in orders)
-        if not orders or any(o <= 0 for o in orders):
-            raise ValueError(f"factor orders must be positive, got {orders}")
-        total = 1
-        for o in orders:
-            total *= o
-            if total > DEFAULT_CAPACITY:
-                raise CapacityExceeded(
-                    f"abelian product of orders {orders} exceeds capacity {DEFAULT_CAPACITY}"
-                )
-        super().__init__(total)
+        orders = tuple(_integer(o, f"orders[{i}]", least=1) for i, o in enumerate(orders))
+        if not orders:
+            raise ValueError("an abelian product needs at least one factor order")
+        super().__init__(prod(orders))
         self.orders = orders
         # mixed-radix place values of the lexicographic enumeration
         strides = [1] * len(orders)
@@ -335,20 +344,19 @@ class SplitExtensionGroup(FiniteGroup):
 
     Elements are pairs ``(a, b)`` for ``h_a * k^b``.  The complement acts on
     K through units mod m: ``h_a k h_a^{-1} = k^{units[a]}``.  Constructors
-    are responsible for supplying a unit list that is multiplicative over H.
+    are responsible for supplying units that are multiplicative over H;
+    ``units`` is read only after the order passed the capacity check.
     """
 
     kind = "semidirect"
 
-    def __init__(self, m: int, h_group: FiniteGroup, units: Sequence[int]):
-        m = int(m)
-        if m <= 0:
-            raise ValueError(f"normal part order must be positive, got {m}")
+    def __init__(self, m: int, h_group: FiniteGroup, units: Iterable[int]):
+        m = _integer(m, "m", least=1)
         super().__init__(m * h_group.order)
         self.m = m
         self.h_group = h_group
         self.l = h_group.order
-        self.units = tuple(int(u) % m for u in units)
+        self.units = tuple(_integer(u, f"units[{i}]") % m for i, u in enumerate(units))
         if len(self.units) != self.l:
             raise InvalidAction(
                 f"need one conjugation unit per complement element "
@@ -444,17 +452,15 @@ class MetacyclicGroup(SplitExtensionGroup):
     kind = "metacyclic"
 
     def __init__(self, m: int, l: int, r: int):
-        m, l = int(m), int(l)
-        if m <= 0 or l <= 0:
-            raise ValueError(f"need positive m and l, got m={m}, l={l}")
-        r = int(r) % m
+        m, l = _integer(m, "m", least=1), _integer(l, "l", least=1)
+        r = _integer(r, "r") % m
         if gcd(r, m) != 1:
             raise InvalidAction(f"r={r} is not a unit mod m={m}")
         if pow(r, l, m) != 1 % m:
             raise InvalidAction(
                 f"r^l must be 1 mod m: r={r}, l={l}, m={m} gives {pow(r, l, m)}"
             )
-        super().__init__(m, CyclicGroup(l), [pow(r, a, m) for a in range(l)])
+        super().__init__(m, CyclicGroup(l), (pow(r, a, m) for a in range(l)))
         self.r = r
 
     def signature(self):
@@ -467,9 +473,7 @@ class DihedralGroup(SplitExtensionGroup):
     kind = "dihedral"
 
     def __init__(self, n: int):
-        n = int(n)
-        if n <= 0:
-            raise ValueError(f"need positive n, got {n}")
+        n = _integer(n, "n", least=1)
         super().__init__(n, CyclicGroup(2), [1, (n - 1) % n])
         self.n = n
 
@@ -489,7 +493,8 @@ def _validate_action_images(h_group, images, m: int) -> None:
     """Check generator images against H's defining relations mod m."""
     if not hasattr(h_group, "generator_orders"):
         raise InvalidAction(
-            f"complement kind {h_group.kind!r} is not supported for actions"
+            f"complement kind {h_group.kind!r} is not supported for actions "
+            "(use cyclic, abelian, or dihedral)"
         )
     orders = h_group.generator_orders
     if len(images) != len(orders):
@@ -520,17 +525,11 @@ class SemidirectProductGroup(SplitExtensionGroup):
     kind = "semidirect"
 
     def __init__(self, m: int, h_group: FiniteGroup, generator_images: Sequence[int]):
-        m = int(m)
-        if m <= 0:
-            raise ValueError(f"normal part order must be positive, got {m}")
-        images = [int(e) for e in generator_images]
+        m = _integer(m, "m", least=1)
+        images = [_integer(e, f"action[{i}]") for i, e in enumerate(generator_images)]
         _validate_action_images(h_group, images, m)
-        units = []
-        for h in h_group.elements():
-            u = 1
-            for img, e in zip(images, h_group.generator_exponents(h)):
-                u = u * pow(img, e, m) % m
-            units.append(u)
+        units = (prod(pow(img, e, m) for img, e in zip(images, h_group.generator_exponents(h))) % m
+                 for h in h_group.elements())
         super().__init__(m, h_group, units)
         self.generator_images = tuple(img % m for img in images)
 
@@ -576,7 +575,8 @@ class PermutationGroup(FiniteGroup):
     def __init__(self, generators: Iterable[Sequence[int]],
                  normal_generators: Optional[Iterable[Sequence[int]]] = None,
                  complement_generators: Optional[Iterable[Sequence[int]]] = None):
-        gens = [tuple(g) for g in generators]
+        gens = [tuple(_integer(x, f"generators[{i}][{j}]") for j, x in enumerate(g))
+                for i, g in enumerate(generators)]
         if not gens:
             raise ValueError("need at least one generator")
         degree = len(gens[0])
@@ -675,7 +675,10 @@ class PermutationGroup(FiniteGroup):
             raise ConfigError(
                 f"permutation element needs {self.degree} images, got {raw!r}"
             )
-        g = tuple(raw)
+        try:
+            g = tuple(_integer(x, "image") for x in raw)
+        except ValueError:
+            raise ConfigError(f"permutation images must be integers, got {raw!r}") from None
         if sorted(g) != list(range(self.degree)):
             raise ConfigError(f"{raw!r} is not a permutation of 0..{self.degree - 1}")
         if not self.contains(g):
@@ -697,8 +700,10 @@ class PermutationGroup(FiniteGroup):
 def construct_group(config: Mapping) -> FiniteGroup:
     """Build a group from a structured description (the CLI config schema).
 
-    Sizes are integers of at least 1, other numbers integers (a bool or
-    float is none); orders over ``DEFAULT_CAPACITY`` fail before building.
+    Checks the description's shape: a mapping of a known type with exactly
+    its fields, and lists where lists belong.  The constructors check the
+    values: a malformed one (their ValueError) raises ConfigError here, and
+    InvalidAction and CapacityExceeded pass through.
     """
     if not isinstance(config, Mapping):
         raise ConfigError(f"group description must be a mapping, got {config!r}")
@@ -719,17 +724,10 @@ def construct_group(config: Mapping) -> FiniteGroup:
     if stray:
         raise ConfigError(f"group type {kind!r} has stray fields {sorted(stray)}")
 
-    def need(key, types=int, least=None):
+    def need(key):
         if key not in config:
             raise ConfigError(f"group type {kind!r} needs field {key!r}")
-        return integer(key, config[key], least) if types is int else config[key]
-
-    def integer(key, value, least=None):
-        if (not isinstance(value, int) or isinstance(value, bool)
-                or least is not None and value < least):
-            rule = "an integer" if least is None else f"an integer of at least {least}"
-            raise ConfigError(f"group field {key!r} must be {rule}, got {value!r}")
-        return value
+        return config[key]
 
     def listed(key, values, empty=False) -> list:
         if not isinstance(values, (list, tuple)) or not (values or empty):
@@ -737,38 +735,24 @@ def construct_group(config: Mapping) -> FiniteGroup:
             raise ConfigError(f"group field {key!r} must be {rule}, got {values!r}")
         return list(values)
 
-    def integers(key, values, least=None) -> list:
-        return [integer(f"{key}[{i}]", v, least) for i, v in enumerate(listed(key, values))]
-
-    if kind in ("cyclic", "dihedral"):
-        n = need("n", least=1)
-        _check_capacity(n if kind == "cyclic" else 2 * n)
-        return CyclicGroup(n) if kind == "cyclic" else DihedralGroup(n)
-    if kind == "abelian":
-        return AbelianProductGroup(integers("orders", need("orders", types=None), least=1))
-    if kind == "metacyclic":
-        m, l, r = need("m", least=1), need("l", least=1), need("r")
-        _check_capacity(m * l)
-        return MetacyclicGroup(m, l, r)
-    if kind == "semidirect":
-        m = need("m", least=1)
-        h_config = need("h", types=None)
-        action = integers("action", need("action", types=None))
-        h_group = construct_group(h_config)
-        if not hasattr(h_group, "generator_orders"):
-            raise ConfigError(
-                f"complement type {h_group.kind!r} is not supported in semidirect "
-                "products (use cyclic, abelian, or dihedral)"
-            )
-        _check_capacity(m * h_group.order)
-        return SemidirectProductGroup(m, h_group, action)
-    # permutation
-    gens = [integers(f"generators[{i}]", g)
-            for i, g in enumerate(listed("generators", need("generators", types=None)))]
-    for key in ("normal_generators", "complement_generators"):
-        if config.get(key) is not None:
-            listed(key, config[key], empty=True)
     try:
+        if kind == "cyclic":
+            return CyclicGroup(need("n"))
+        if kind == "dihedral":
+            return DihedralGroup(need("n"))
+        if kind == "abelian":
+            return AbelianProductGroup(listed("orders", need("orders")))
+        if kind == "metacyclic":
+            return MetacyclicGroup(need("m"), need("l"), need("r"))
+        if kind == "semidirect":
+            return SemidirectProductGroup(need("m"), construct_group(need("h")),
+                                          listed("action", need("action")))
+        # permutation
+        gens = [listed(f"generators[{i}]", g)
+                for i, g in enumerate(listed("generators", need("generators")))]
+        for key in ("normal_generators", "complement_generators"):
+            if config.get(key) is not None:
+                listed(key, config[key], empty=True)
         return PermutationGroup(
             gens,
             normal_generators=config.get("normal_generators"),
@@ -776,11 +760,6 @@ def construct_group(config: Mapping) -> FiniteGroup:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _check_capacity(order: int) -> None:
-    if order > DEFAULT_CAPACITY:
-        raise CapacityExceeded(f"group order {order} exceeds capacity {DEFAULT_CAPACITY}")
 
 
 def conjugacy_classes(group: FiniteGroup) -> list:

@@ -69,7 +69,7 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``a * b`` by the textbook formula, as Python's complex
     type computes it; numpy's own product may fuse a multiply-add and
     differ in the last bit."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
@@ -77,9 +77,12 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _character_sum(values: np.ndarray, characters: np.ndarray) -> complex:
     """sum_g values[g] * characters[g] over the nonzero values, term by term
-    in element order with Python complex arithmetic."""
+    in element order, as a Python ``sum`` of complex products rounds it:
+    one running sum of ``_cmul`` products, and ``+ 0j`` for the start at 0."""
     nz = np.flatnonzero(values)
-    return sum(v * c for v, c in zip(values[nz].tolist(), characters[nz].tolist()))
+    if not nz.size:
+        return 0j
+    return complex(np.add.accumulate(_cmul(values[nz], characters[nz]))[-1]) + 0j
 
 
 class UnitaryIrrep:

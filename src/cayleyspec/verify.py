@@ -407,23 +407,24 @@ def _structured_gram(factors: KroneckerFactors) -> float:
 
     The vectors' Gram entry for the pairs (u, v) and (u', v') is
     ``G_H[u, u'] * G_K[v, v']`` with ``G = conj(R) R^T`` for each factor's
-    rows R; entries with u' < u are conjugates of entries kept.  Each block
-    of u' holds at most ``_BLOCK_BYTES``.
+    rows R; entries with u' < u are conjugates of entries kept.  Off the
+    diagonal an entry's size is a product of sizes, so the maximum is the
+    largest of three terms: max |G_H| over u' > u times max |G_K|;
+    max |G_H[u, u]| times max |G_K| off its diagonal; and
+    max |G_H[u, u] G_K[v, v] - 1|.  No product block is formed.
     """
     h_rows, k_rows = factors.h_rows, factors.k_rows
-    l, m = len(h_rows), len(k_rows)
     gram_h = h_rows.conj() @ h_rows.T
     gram_k = k_rows.conj() @ k_rows.T
-    identity = np.eye(m)
-    step = max(1, _BLOCK_BYTES // (16 * m * m))
-    deviation = 0.0
-    for u in range(l):
-        for lo in range(u, l, step):
-            block = gram_h[u, lo:lo + step, None, None] * gram_k
-            if lo == u:
-                block[0] -= identity
-            deviation = float(np.maximum(deviation, np.max(np.abs(block), initial=0.0)))
-    return deviation
+    sizes_k = np.abs(gram_k)
+    largest_k = sizes_k.max()
+    np.fill_diagonal(sizes_k, 0.0)
+    diagonal = np.abs(np.diagonal(gram_h)[:, None] * np.diagonal(gram_k) - 1)
+    return float(np.max([
+        np.triu(np.abs(gram_h), 1).max() * largest_k,
+        np.abs(np.diagonal(gram_h)).max() * sizes_k.max(),
+        diagonal.max(),
+    ]))
 
 
 def trace_identities(adjacency, color: ColorFunction) -> tuple:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_verify_family(tmp_path, capsys):
     code, out, err = run(capsys, "family", "--m", "7", "--l", "3", "--r", "2",
                          "--output", fam)
     assert code == 0
-    config = json.loads(open(fam).read())
+    config = json.loads(Path(fam).read_text())
     assert config["group"] == {"type": "metacyclic", "m": 7, "l": 3, "r": 2}
     assert config["connection"]["layers"] == [[1, 2, 3, 4, 5, 6], [0], [0]]
 
@@ -156,8 +157,8 @@ def test_deterministic_output(tmp_path, capsys):
     second = str(tmp_path / "b.json")
     assert run(capsys, "verify", "--config", config, "--output", first)[0] == 0
     assert run(capsys, "verify", "--config", config, "--output", second)[0] == 0
-    a = open(first, "rb").read()
-    b = open(second, "rb").read()
+    a = Path(first).read_bytes()
+    b = Path(second).read_bytes()
     assert a == b
     assert b"\r" not in a
 
@@ -344,9 +345,9 @@ def test_tampered_edges_fail_on_the_family610_config(tmp_path, capsys, monkeypat
     assert paths == []
 
     # one tampered weight fails certification
-    lines = open(edges).read().splitlines()
+    lines = Path(edges).read_text().splitlines()
     lines[1] = lines[1].rsplit(" ", 2)[0] + " 0.5 0"
-    open(edges, "w").write("\n".join(lines) + "\n")
+    Path(edges).write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--config", config, "--edges", edges)
     assert code == 2
     assert json.loads(out)["verification"]["passed"] is False
@@ -364,9 +365,9 @@ def test_export_and_reingest(tmp_path, capsys):
     assert json.loads(out)["verification"]["passed"] is True
 
     # tamper with one edge weight: certification must fail
-    lines = open(edges).read().splitlines()
+    lines = Path(edges).read_text().splitlines()
     lines[1] = lines[1].rsplit(" ", 2)[0] + " 0.5 0"
-    open(edges, "w").write("\n".join(lines) + "\n")
+    Path(edges).write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--config", config, "--edges", edges)
     assert code == 2
     assert json.loads(out)["verification"]["passed"] is False
@@ -548,9 +549,9 @@ def test_non_finite_edge_weight_is_rejected(tmp_path, capsys):
     })
     edges = str(tmp_path / "edges.txt")
     assert run(capsys, "export-graph", "--config", config, "--out", edges)[0] == 0
-    lines = open(edges).read().splitlines()
+    lines = Path(edges).read_text().splitlines()
     lines[2] = lines[2].rsplit(" ", 2)[0] + " nan 0"
-    open(edges, "w").write("\n".join(lines) + "\n")
+    Path(edges).write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "verify", "--config", config, "--edges", edges)
     assert code == 4 and out == ""
     assert "edges.txt:3" in err and "non-finite" in err
@@ -676,7 +677,7 @@ def test_describe_reports_the_dense_estimate(tmp_path, capsys):
         assert code == 0
         assert json.loads(out)["dense_bytes"] == expect
     # no route applies to a non-class color on S4
-    s4 = json.loads(open(s4_config(tmp_path)).read())
+    s4 = json.loads(Path(s4_config(tmp_path)).read_text())
     s4["connection"]["entries"] = [{"element": [1, 0, 2, 3], "value": [1, 0]}]
     code, out, _ = run(capsys, "describe", "--config", write_config(tmp_path, s4))
     assert code == 0 and json.loads(out)["dense_bytes"] is None

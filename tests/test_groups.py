@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from cayleyspec import (
@@ -12,6 +14,7 @@ from cayleyspec import (
     MetacyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
+    SplitExtensionGroup,
     conjugation_orbits_on_k,
     construct_group,
     is_generating_set,
@@ -257,6 +260,54 @@ def test_construct_group_diagnostics():
         construct_group({"type": "cyclic", "n": 20000})
     with pytest.raises(CapacityExceeded):
         construct_group({"type": "metacyclic", "m": 101, "l": 100, "r": 1})
+
+
+# every constructor argument that fixes the group: a builder that takes the
+# argument's value, a value it accepts, and the message that refuses a value;
+# sizes (at least 1) also go over the capacity
+CONSTRUCTOR_ARGUMENTS = {
+    "CyclicGroup n": (CyclicGroup, 2, "group field 'n' must be an integer of at least 1, got {}"),
+    "AbelianProductGroup orders": (
+        lambda v: AbelianProductGroup([2, v]), 2,
+        "group field 'orders[1]' must be an integer of at least 1, got {}"),
+    "DihedralGroup n": (DihedralGroup, 2, "group field 'n' must be an integer of at least 1, got {}"),
+    "MetacyclicGroup m": (lambda v: MetacyclicGroup(v, 2, 1), 2,
+                          "group field 'm' must be an integer of at least 1, got {}"),
+    "MetacyclicGroup l": (lambda v: MetacyclicGroup(7, v, 1), 2,
+                          "group field 'l' must be an integer of at least 1, got {}"),
+    "MetacyclicGroup r": (lambda v: MetacyclicGroup(7, 3, v), 2,
+                          "group field 'r' must be an integer, got {}"),
+    "SplitExtensionGroup m": (lambda v: SplitExtensionGroup(v, CyclicGroup(2), [1, 1]), 2,
+                              "group field 'm' must be an integer of at least 1, got {}"),
+    "SplitExtensionGroup units": (lambda v: SplitExtensionGroup(5, CyclicGroup(2), [1, v]), 4,
+                                  "group field 'units[1]' must be an integer, got {}"),
+    "SemidirectProductGroup m": (lambda v: SemidirectProductGroup(v, CyclicGroup(2), [1]), 2,
+                                 "group field 'm' must be an integer of at least 1, got {}"),
+    "SemidirectProductGroup generator_images": (
+        lambda v: SemidirectProductGroup(5, CyclicGroup(2), [v]), 4,
+        "group field 'action[0]' must be an integer, got {}"),
+    "PermutationGroup generators": (lambda v: PermutationGroup([[v, 0]]), 1,
+                                    "group field 'generators[0][0]' must be an integer, got {}"),
+    "PermutationGroup normal_generators": (
+        lambda v: PermutationGroup([[1, 2, 0]], [[v, 2, 0]], []), 1,
+        "permutation images must be integers, got [{}, 2, 0]"),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(CONSTRUCTOR_ARGUMENTS))
+def test_constructors_take_integers_only_and_check_the_capacity(argument):
+    """Sizes, twists and images fix the group exactly: truncating a float
+    or coercing a bool or a numeric string would build another group."""
+    build, good, message = CONSTRUCTOR_ARGUMENTS[argument]
+    assert build(good) == build(np.int64(good))
+    sized = "at least 1" in message
+    error = ConfigError if argument.endswith("normal_generators") else ValueError
+    for bad in [float(good), True, str(good)] + ([0] if sized else []):
+        with pytest.raises(error, match=re.escape(message.format(repr(bad)))):
+            build(bad)
+    if sized:
+        with pytest.raises(CapacityExceeded, match="exceeds capacity 10000"):
+            build(10_001)
 
 
 def test_group_equality_by_signature():

@@ -610,6 +610,39 @@ def test_structured_certification_agrees_with_dense(case):
         assert structured.passed and structured.complete
 
 
+def blocked_gram_deviation(factors):
+    """The factor-Gram deviation one m x m product block at a time:
+    max |G_H[u, u'] G_K - delta| over u' >= u."""
+    h_rows, k_rows = factors.h_rows, factors.k_rows
+    gram_h = h_rows.conj() @ h_rows.T
+    gram_k = k_rows.conj() @ k_rows.T
+    deviation = 0.0
+    for u in range(len(h_rows)):
+        for w in range(u, len(h_rows)):
+            block = gram_h[u, w] * gram_k
+            if w == u:
+                block -= np.eye(len(k_rows))
+            deviation = max(deviation, float(np.abs(block).max()))
+    return deviation
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.integers(0, 2 ** 32), st.sampled_from([0.0, 1e-9, 0.1]))
+def test_closed_form_gram_deviation_equals_the_blocked_form(group, seed, noise):
+    """On the split route's factors, exact or with rows moved by ``noise``
+    so that an off-diagonal term can be the largest."""
+    color = block_color(group, random.Random(seed), [0, 1, -0.5j, 0.25 - 3j])
+    factors = spectrum_split(group, color, builtin_irreps(group.h_group),
+                             irreps_cyclic(group.m)).factors
+    rng = np.random.default_rng(seed)
+    moved = [rows + noise * (rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape))
+             for rows in (factors.h_rows, factors.k_rows)]
+    for case in (factors, KroneckerFactors(*moved, factors.pairs)):
+        expect = blocked_gram_deviation(case)
+        assert verify_module._structured_gram(case) == pytest.approx(expect, rel=1e-12, abs=0)
+
+
 def with_lines(spec, edit):
     """``spec`` with its lines passed through ``edit``; the factors are kept."""
     lines = list(spec.lines)
