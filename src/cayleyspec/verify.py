@@ -19,12 +19,23 @@ factors' (l, m), the residuals and the traces come from that table: the
 structured path.  An adjacency from ``adjacency_matrix`` on a split
 extension carries its table, built from ``mul_idx`` and ``inv_idx``
 alone (``cayley.beta_blocks``), and its n x n matrix is never formed.
-The residuals apply the grid of that table to the claimed vectors by FFT
-correlation in O(n^2 (l + log m)) work, the scale is the grid's row-sum
-norm, and ``certify`` reads the trace identities off the table.  Beyond
-the adjacency it holds O(n*m): the factors, the beta table, and per
-chunk of K rows at most ``_BLOCK_BYTES`` in each of a few temporaries.
-Nothing here assumes the vectors are eigenvectors, and no irrep is
+The scale is the grid's row-sum norm, and ``certify`` reads the trace
+identities off the table.
+
+Both factored checks first take each K row's DFT ``F_v = fft(K[v])``
+and split it into its top entry ``D_v``, at ``p_v``, and a remainder
+``E_v``.  The split and metacyclic routes claim characters of K = C_m
+over sqrt(m), whose DFT has one nonzero, so ``E_v`` is rounding.  When
+every ``p_v`` is distinct and every remainder term is at or below the
+rounding floor ``sqrt(n) eps`` times the check's scale, the Fourier path
+runs: each residual is reported as an upper bound read off the table at
+``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|`` and
+``|E|`` without a GEMM.  Otherwise the correlation path applies the grid
+to the claimed vectors by FFT correlation in O(n^2 (l + log m)) work, and
+G_K is one m x m GEMM.  Either way certification holds O(n*m) beyond the
+adjacency: the factors, the beta table, and per chunk of K rows at most
+``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
+vectors are eigenvectors or the rows characters, and no irrep is
 touched.
 
 Every other input takes the dense path for the residuals and traces,
@@ -52,7 +63,7 @@ the byte budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -243,7 +254,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
                   and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),))
     if structured:
         scale = _grid_scale(beta)
-        column_max = _structured_residuals(beta, factors, column_eigenvalues)
+        column_max = _structured_residuals(beta, factors, column_eigenvalues, scale)
     else:
         check_dense_bytes(dense_certify_bytes(n, beta is not None),
                           f"dense certification of order {n}")
@@ -290,16 +301,26 @@ def _dense_residuals(matrix: np.ndarray, spectrum: Spectrum,
 
 
 def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
-                          eigenvalues: np.ndarray) -> np.ndarray:
-    """Max-abs residual of each vector ``kron(H[h], K[k])`` from the beta table.
+                          eigenvalues: np.ndarray, scale: float) -> np.ndarray:
+    """Max-abs residual of each vector ``kron(H[u], K[v])`` from the beta table.
 
-    Block row i of ``A v`` is ``sum_j H[h, j] C_ij K[k]``, and ``C_ij x`` is
+    Block row i of ``A v`` is ``sum_j H[u, j] C_ij K[v]``, and ``C_ij x`` is
     the circular correlation ``sum_c beta_ij(c) x[a + c]``, whose DFT is
-    ``fft(x) * m * ifft(beta_ij)``.  The sum over j is taken on those DFTs,
-    one (l, l) by (l, m) product per i, so one batched inverse FFT gives
-    block row i for every pair of a chunk of K rows; then
-    ``eigenvalue * H[h, i] * K[k]`` is subtracted.  Each temporary of a
-    chunk holds at most ``_BLOCK_BYTES``, and no n x n array is formed.
+    ``fft(x) * m * ifft(beta_ij)``.  With ``contracted[i, u] = sum_j H[u, j]
+    m ifft(beta_ij)``, block i of the residual is ``ifft(g F_v)``, where
+    ``g = contracted[i, u] - eigenvalue * H[u, i]`` and ``F_v = fft(K[v])``.
+
+    Fourier path.  Split ``F_v`` into its top entry ``D_v``, at position
+    ``p_v``, and a remainder ``E_v`` (``_fourier_rows``).  Then each
+    vector's max-abs residual is at most the largest over i of
+    ``|g[p_v]| |D_v| / m + (max |contracted[i, u]| + |eigenvalue| |H[u, i]|)
+    |E_v|_2 / sqrt(m)``, whatever the rows hold (``_fourier_bounds``), and
+    that bound is reported, at O(n*l) cost after the FFTs.  It runs when
+    every top position is distinct and every remainder term is at or below
+    the rounding floor ``sqrt(n) eps scale``; the bound then exceeds the
+    residual by at most twice that.  A non-finite term fails the rule.
+
+    Otherwise the correlation path runs (``_correlation_residuals``).
     """
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
     l, m = len(h_rows), len(k_rows)
@@ -308,6 +329,93 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
     grid_eigenvalues[pairs[:, 0], pairs[:, 1]] = eigenvalues
     # contracted[i, u] = sum_j H[u, j] * m * ifft(beta_ij)
     contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
+    rows = _fourier_rows(k_rows)
+    if _distinct(rows.tops):
+        bound, remainder = _fourier_bounds(contracted, h_rows, grid_eigenvalues, rows)
+        if np.max(remainder) <= _rounding_floor(l * m) * scale:
+            return bound[pairs[:, 0], pairs[:, 1]]
+    return _correlation_residuals(contracted, factors, grid_eigenvalues)
+
+
+def _rounding_floor(n: int) -> float:
+    """``sqrt(n) eps``: what rounding leaves in a unit-scale check of order n."""
+    return float(np.sqrt(n) * np.finfo(float).eps)
+
+
+class _FourierRows(NamedTuple):
+    """Each K row's DFT ``F_v``, split as ``D_v e_{p_v} + E_v``."""
+
+    tops: np.ndarray        # p_v
+    peaks: np.ndarray       # D_v
+    rest_norms: np.ndarray  # |E_v|_2
+    rest_max: float         # max |E_v| over every row and entry
+
+
+def _fourier_rows(k_rows: np.ndarray) -> _FourierRows:
+    """``fft(k_rows)`` split into top entries and remainders, a chunk of
+    rows at a time.  The top is the ``argmax`` of the magnitudes, which
+    picks a NaN first, so a non-finite row keeps a NaN in its split."""
+    m = len(k_rows)
+    tops = np.empty(m, dtype=np.intp)
+    peaks = np.empty(m, dtype=complex)
+    rest_norms = np.empty(m)
+    rest_max = 0.0
+    step = max(1, _BLOCK_BYTES // (16 * m))
+    for lo in range(0, m, step):
+        transform = np.fft.fft(k_rows[lo:lo + step], axis=-1)
+        sizes = np.abs(transform)
+        top = np.argmax(sizes, axis=1)
+        chunk = np.arange(len(top))
+        tops[lo:lo + step] = top
+        peaks[lo:lo + step] = transform[chunk, top]
+        sizes[chunk, top] = 0.0
+        rest_norms[lo:lo + step] = np.sqrt(np.einsum("vc,vc->v", sizes, sizes))
+        rest_max = float(np.max(sizes, initial=rest_max))
+    return _FourierRows(tops, peaks, rest_norms, rest_max)
+
+
+def _distinct(tops: np.ndarray) -> bool:
+    # bincount, not np.unique: the first np.unique call in a process maps
+    # about 0.6 MB more of numpy's code
+    return np.bincount(tops).max() <= 1
+
+
+def _fourier_bounds(contracted: np.ndarray, h_rows: np.ndarray,
+                    grid_eigenvalues: np.ndarray, rows: _FourierRows) -> tuple:
+    """``(bound, remainder)``, each (l, m): for the vector of each pair
+    (u, v), the Fourier bound on its max-abs residual and the largest
+    remainder term in it (see ``_structured_residuals``).  Each temporary
+    of a chunk of K rows holds at most ``_BLOCK_BYTES``."""
+    l, m = grid_eigenvalues.shape
+    # h_cols[i, u] = H[u, i]; reach[i, u] = max |contracted[i, u]|
+    h_cols = h_rows.T[:, :, None]
+    reach = np.abs(contracted).max(axis=-1)[:, :, None]
+    peak_sizes = np.abs(rows.peaks) / m
+    rest_sizes = rows.rest_norms / np.sqrt(m)
+    bound = np.empty((l, m))
+    remainder = np.empty((l, m))
+    step = max(1, _BLOCK_BYTES // (16 * l * l))
+    for lo in range(0, m, step):
+        eigenvalues = grid_eigenvalues[:, lo:lo + step]
+        # exact[i, u, v] = |g[p_v]| |D_v| / m
+        exact = np.abs(contracted[:, :, rows.tops[lo:lo + step]] - eigenvalues * h_cols)
+        exact *= peak_sizes[lo:lo + step]
+        rest = (reach + np.abs(eigenvalues) * np.abs(h_cols)) * rest_sizes[lo:lo + step]
+        remainder[:, lo:lo + step] = rest.max(axis=0)
+        rest += exact
+        bound[:, lo:lo + step] = rest.max(axis=0)
+    return bound, remainder
+
+
+def _correlation_residuals(contracted: np.ndarray, factors: KroneckerFactors,
+                           grid_eigenvalues: np.ndarray) -> np.ndarray:
+    """Each vector's max-abs residual, formed: for a chunk of K rows, one
+    (l, l) by (l, m) product per i and one batched inverse FFT give block
+    row i for every pair; then ``eigenvalue * H[u, i] * K[v]`` is
+    subtracted.  Each temporary of a chunk holds at most ``_BLOCK_BYTES``,
+    and no n x n array is formed.  O(n^2 (l + log m)) work."""
+    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
+    l, m = len(h_rows), len(k_rows)
     grid_max = np.zeros((l, m))
     step = max(1, _BLOCK_BYTES // (16 * l * m))
     for lo in range(0, m, step):
@@ -363,8 +471,15 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     result's ``vector_count`` is the number of claimed vectors.  When
     ``_checked_factors`` accepts the spectrum, the Gram matrix is
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
-    from the two factor Grams (``_structured_gram``).  Otherwise the Gram
-    matrix, Hermitian, has only its upper triangle formed: each row block
+    from G_H and G_K in closed form.  G_K is read off the K rows' Fourier
+    split (``_fourier_rows``, ``_fourier_gram``): its diagonal exactly, and
+    off it the bound ``(2 max|D| max|E| + max |E|_2^2) / m``, an upper
+    bound whenever the top positions are distinct.  That runs when they
+    are and the bound is at or below the rounding floor ``sqrt(n) eps``;
+    otherwise G_K is formed by one GEMM (``_structured_gram``).
+
+    Without accepted factors the Gram matrix, Hermitian, has only its
+    upper triangle formed: each row block
     from its diagonal block rightwards, never the whole matrix.  Factors
     that ``_checked_factors`` rejects are first stacked into their rows,
     within the byte budget.
@@ -372,7 +487,10 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     factors = _checked_factors(spectrum)
     count = spectrum.vector_count()
     if factors is not None:
-        gram_deviation = _structured_gram(factors)
+        rows = _fourier_rows(factors.k_rows)
+        gram_deviation, off_k = _fourier_gram(factors.h_rows, rows)
+        if not (_distinct(rows.tops) and off_k <= _rounding_floor(spectrum.n)):
+            gram_deviation = _structured_gram(factors)
     else:
         if spectrum.factors is not None:
             check_dense_bytes(16 * count * spectrum.n,
@@ -425,6 +543,30 @@ def _structured_gram(factors: KroneckerFactors) -> float:
         np.abs(np.diagonal(gram_h)).max() * sizes_k.max(),
         diagonal.max(),
     ]))
+
+
+def _fourier_gram(h_rows: np.ndarray, rows: _FourierRows) -> tuple:
+    """``(deviation, off_k)``: the factor-Gram deviation with G_K read off
+    the Fourier split of the K rows, and the bound on |G_K| off its
+    diagonal that went into it.
+
+    By Parseval ``G_K[a, b] = <F_a, F_b> / m``.  Its diagonal is exact,
+    ``(|D_a|^2 + |E_a|_2^2) / m``.  When the top positions are distinct,
+    ``|G_K[a, b]| <= off_k = (2 max|D| max|E| + max |E|_2^2) / m`` off the
+    diagonal.  Both go into ``_structured_gram``'s closed form, with the
+    H Gram formed.
+    """
+    m = len(rows.tops)
+    peak_sizes = np.abs(rows.peaks)
+    off_k = (2 * np.max(peak_sizes) * rows.rest_max + np.max(rows.rest_norms) ** 2) / m
+    diagonal_k = (peak_sizes ** 2 + rows.rest_norms ** 2) / m
+    gram_h = h_rows.conj() @ h_rows.T
+    diagonal_h = np.diagonal(gram_h)
+    return float(np.max([
+        np.triu(np.abs(gram_h), 1).max() * np.maximum(diagonal_k.max(), off_k),
+        np.abs(diagonal_h).max() * off_k,
+        np.abs(diagonal_h[:, None] * diagonal_k - 1).max(),
+    ])), float(off_k)
 
 
 def trace_identities(adjacency, color: ColorFunction) -> tuple:

@@ -530,10 +530,18 @@ def order_42_with_adjacency():
 @pytest.mark.parametrize("case", [
     pytest.param(lambda rung=rung: family_case(*rung), id=f"n={rung[0] * rung[1]}")
     for rung in LADDER + ((7, 3, 2),)] + [pytest.param(order_42_with_adjacency, id="n=42")])
-def test_structured_path_runs_on_the_ladder_rungs(case):
-    """The ladder rungs, the n = 21 family and the order-42 split case."""
+def test_structured_path_runs_on_the_ladder_rungs(case, monkeypatch):
+    """The ladder rungs, the n = 21 family and the order-42 split case, on
+    the Fourier path for both the residuals and the K Gram."""
     group, color, spec, adj = case()
-    report = certify(adj, spec, color)
+
+    def unused(*args):
+        raise AssertionError("the Fourier path declined a claimed character basis")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "_correlation_residuals", unused)
+        patch.setattr(verify_module, "_structured_gram", unused)
+        report = certify(adj, spec, color)
     assert report.structured and report.passed and report.complete
     assert report.vector_count == spec.n
     assert verify_basis(spec).structured
@@ -936,6 +944,9 @@ def test_certify_on_the_beta_table_catches_a_wrong_eigenvalue_or_vector():
         report = certify(adj, bad, color)
         assert report.structured and not report.passed and not formed(adj)
         assert report.max_residual > report.tolerance * report.scale
+        # and on each path, whichever the rule picks
+        bound, _, correlation = both_paths(adj, bad)
+        assert min(bound.max(), correlation.max()) > report.tolerance * report.scale
     assert certify(adj, changed_vector, color).gram_deviation > 1e-9
 
 
@@ -999,3 +1010,142 @@ def test_dense_certification_checks_the_byte_budget(monkeypatch):
         verify_basis(rejected)
     monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * (n - 1) * n)
     assert verify_basis(rejected).vector_count == n - 1
+
+
+# -- the Fourier path ----------------------------------------------------------
+
+
+def both_paths(adj, spec):
+    """Each claimed vector's residual against the carried beta table on
+    both structured paths, whichever the rule picks: ``(bound, remainder,
+    correlation)``, the Fourier bound, its largest remainder term and the
+    correlation path's residual."""
+    beta, factors = adj.blocks.beta_values, spec.factors
+    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
+    l, m = len(h_rows), len(k_rows)
+    grid = np.empty((l, m), dtype=complex)
+    grid[pairs[:, 0], pairs[:, 1]] = np.repeat(
+        [line.eigenvalue for line in spec.lines], np.diff(spec._vector_offsets()))
+    contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
+    bound, remainder = verify_module._fourier_bounds(
+        contracted, h_rows, grid, verify_module._fourier_rows(k_rows))
+    correlation = verify_module._correlation_residuals(contracted, factors, grid)
+    return bound[pairs[:, 0], pairs[:, 1]], remainder[pairs[:, 0], pairs[:, 1]], correlation
+
+
+def with_k_rows(spec, k_rows):
+    return dataclasses.replace(spec, factors=dataclasses.replace(spec.factors, k_rows=k_rows))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.randoms(use_true_random=False))
+def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
+    """On a forced claim for a random complex color, each vector's Fourier
+    bound lies in [c - f, c + 2 r + f], with c its correlation residual, r
+    its remainder term and f = sqrt(n) eps scale, and is not finite where
+    c is not.  The Fourier Gram deviation is at least the GEMM one less
+    sqrt(n) eps max(1, GEMM one) on those factors, and less four times
+    that with the K rows moved.  On the passing claim for a block color, a shifted eigenvalue
+    fails on both paths, and a changed K entry fails the bound wherever it
+    fails the correlation (a color can make every vector an eigenvector)."""
+    n = group.order
+    color = random_complex_color(group, rng)
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group),
+                          irreps_cyclic(group.m), force=True)
+    adj = adjacency_matrix(group, color)
+    floor = verify_module._rounding_floor(n) * verify_module._grid_scale(adj.blocks.beta_values)
+    bound, remainder, correlation = both_paths(adj, spec)
+    assert (np.isfinite(bound) == np.isfinite(correlation)).all()
+    if np.isfinite(correlation).all():
+        assert (bound >= correlation - floor).all()
+        assert (bound <= correlation + 2 * remainder + floor).all()
+    # the Gram bound holds whatever the K rows hold, once their top
+    # positions are distinct: on the claimed characters, and on them moved
+    factors = spec.factors
+    noise = np.random.default_rng(rng.getrandbits(32)).standard_normal((2, group.m, group.m))
+    moved = dataclasses.replace(factors, k_rows=factors.k_rows + 0.1 * (noise[0] + 1j * noise[1]))
+    # moved rows are not unit, and the two sides round each |K[v]|^2 in
+    # their own order, by up to two ulps of it
+    for case, ulps in ((factors, 1), (moved, 4)):
+        rows = verify_module._fourier_rows(case.k_rows)
+        assert verify_module._distinct(rows.tops) or case is moved
+        if verify_module._distinct(rows.tops):
+            deviation, _ = verify_module._fourier_gram(case.h_rows, rows)
+            expect = verify_module._structured_gram(case)
+            gram_floor = ulps * verify_module._rounding_floor(n) * max(1.0, expect)
+            assert deviation >= expect - gram_floor
+
+    color = block_color(group, rng, [0, 1, -0.5j, 0.25 - 3j])
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(group.m))
+    adj = adjacency_matrix(group, color)
+    tolerance = 1e-9 * verify_module._grid_scale(adj.blocks.beta_values)
+    bound, _, correlation = both_paths(adj, spec)
+    assert bound.max() <= tolerance and correlation.max() <= tolerance
+    t = rng.randrange(len(spec.lines))
+
+    def shift(lines):
+        lines[t] = dataclasses.replace(lines[t], eigenvalue=lines[t].eigenvalue + 1e6 * tolerance)
+
+    bound, _, correlation = both_paths(adj, with_lines(spec, shift))
+    assert bound.max() > tolerance and correlation.max() > tolerance
+    k_rows = np.array(spec.factors.k_rows)
+    k_rows[rng.randrange(group.m), rng.randrange(group.m)] += 1e-6
+    bound, _, correlation = both_paths(adj, with_k_rows(spec, k_rows))
+    assert bound.max() > tolerance or not correlation.max() > tolerance
+
+
+def mixed_by_a_unitary(k_rows):
+    rng = np.random.default_rng(5)
+    m = len(k_rows)
+    unitary, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return unitary @ k_rows
+
+
+def top_duplicated(k_rows):
+    k_rows[1] = k_rows[0]
+    return k_rows
+
+
+def with_entry(value):
+    def edit(k_rows):
+        k_rows[2, 3] = value
+        return k_rows
+    return edit
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("edit", [
+    pytest.param(mixed_by_a_unitary, id="unitary-mix"),
+    pytest.param(top_duplicated, id="duplicated-top"),
+    pytest.param(with_entry(complex("nan")), id="nan"),
+    pytest.param(with_entry(complex(float("inf"), 0)), id="inf"),
+])
+def test_k_rows_that_fail_the_rule_take_the_correlation_path(monkeypatch, edit):
+    """K rows that are not Fourier modes up to rounding: mixed by a
+    unitary, two with one top position, or a row holding NaN or inf.  The
+    residuals take the correlation path and G_K the GEMM, and the report
+    is the one certification gives with the Fourier path never offered."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    claim = with_k_rows(spec, edit(np.array(spec.factors.k_rows)))
+    calls = []
+
+    def spy(name):
+        original = getattr(verify_module, name)
+
+        def recorded(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(verify_module, name, recorded)
+
+    spy("_correlation_residuals")
+    spy("_structured_gram")
+    report = certify(adj, claim, color)
+    assert calls == ["_correlation_residuals", "_structured_gram"]
+    assert report.structured and not report.passed and not formed(adj)
+    if edit is mixed_by_a_unitary:
+        assert report.gram_deviation <= 1e-12
+    monkeypatch.setattr(verify_module, "_distinct", lambda tops: False)
+    assert repr(report) == repr(certify(adj, claim, color))
