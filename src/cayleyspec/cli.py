@@ -115,9 +115,7 @@ class Job:
         if "group" not in config:
             raise ConfigError("config needs a 'group' section")
         self.group = groups.construct_group(config["group"])
-        self.connection_mode, self.color, self.subset, self.layers = (
-            self._parse_connection(config)
-        )
+        self.connection_mode, self.color, self.subset = self._parse_connection(config)
         self.options = self._parse_options(config.get("options", {}))
         self.user_irreps = None
         if "irreps" in config:
@@ -155,7 +153,7 @@ class Job:
                     raise ConfigError(f"connection.elements[{idx}]: {exc}") from None
             subset = sorted(set(subset), key=self.group.index)
             color = cayley.color_from_set(self.group, subset)
-            return mode, color, subset, None
+            return mode, color, subset
         if mode == "layers":
             if not isinstance(self.group, groups.MetacyclicGroup):
                 raise ConfigError(
@@ -170,20 +168,16 @@ class Job:
                 raise ConfigError(
                     f"connection.layers needs {self.group.l} layers, got {len(raw)}"
                 )
-            layers = []
             for t, layer in enumerate(raw):
                 for s in layer:
                     if not isinstance(s, int) or isinstance(s, bool):
                         raise ConfigError(
                             f"connection.layers[{t}] holds a non-integer {s!r}"
                         )
-                layers.append(sorted({s % self.group.m for s in layer}))
-            subset = [
-                (t, s) for t, layer in enumerate(layers) for s in layer
-            ]
-            subset = sorted(subset, key=self.group.index)
+            subset = sorted({(t, s % self.group.m) for t, layer in enumerate(raw)
+                             for s in layer}, key=self.group.index)
             color = cayley.color_from_set(self.group, subset)
-            return mode, color, subset, layers
+            return mode, color, subset
         # explicit color entries
         raw = conn["entries"]
         if not isinstance(raw, list):
@@ -211,7 +205,7 @@ class Job:
                 )
             values[g] = complex(value[0], value[1])
         color = cayley.ColorFunction(self.group, values)
-        return mode, color, sorted(values, key=self.group.index), None
+        return mode, color, sorted(values, key=self.group.index)
 
     @staticmethod
     def _parse_options(raw) -> dict:
@@ -335,18 +329,16 @@ def _compute_spectrum(job: Job, method: str, eigenvectors: bool) -> spectra.Spec
             raise ConfigError(
                 f"method 'metacyclic' needs a metacyclic group, got {group.kind!r}"
             )
-        layers = job.layers
-        if layers is None:
-            # layered formula applies to indicator colors only
-            for g, value in job.color.items():
-                if value != 1:
-                    raise ConfigError(
-                        "method 'metacyclic' needs an indicator color; "
-                        f"alpha({list(g)!r}) = {value}"
-                    )
-            layers = cayley.layers_from_set(group, job.color.support())
+        # layered formula applies to indicator colors only
+        for g, value in job.color.items():
+            if value != 1:
+                raise ConfigError(
+                    "method 'metacyclic' needs an indicator color; "
+                    f"alpha({list(g)!r}) = {value}"
+                )
         return spectra.spectrum_metacyclic(
-            group.m, group.l, group.r, layers, eigenvectors=eigenvectors
+            group.m, group.l, group.r, cayley.layers_from_set(group, job.color.support()),
+            eigenvectors=eigenvectors,
         )
     if method == "split":
         if not isinstance(group, groups.SplitExtensionGroup):

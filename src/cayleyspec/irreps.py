@@ -75,14 +75,27 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _character_sum(values: np.ndarray, characters: np.ndarray) -> complex:
-    """sum_g values[g] * characters[g] over the nonzero values, term by term
-    in element order, as a Python ``sum`` of complex products rounds it:
-    one running sum of ``_cmul`` products, and ``+ 0j`` for the start at 0."""
+def _character_sums(values: np.ndarray, count: int, gather) -> np.ndarray:
+    """For each of ``count`` table rows k, sum_g values[g] * table[k, g]
+    over the nonzero values in element order, rounded as Python's ``sum``:
+    a running sum of ``_cmul`` products, ``+ 0j`` for the start at 0.
+    ``gather(lo, hi, nz)`` returns rows lo..hi-1 at ``nz``; a chunk's four
+    complex temporaries share one ``_block_len`` budget."""
     nz = np.flatnonzero(values)
-    if not nz.size:
-        return 0j
-    return complex(np.add.accumulate(_cmul(values[nz], characters[nz]))[-1]) + 0j
+    sums = np.zeros(count, dtype=complex)
+    if nz.size:
+        step = _block_len(8 * nz.size)
+        for lo in range(0, count, step):
+            terms = _cmul(values[nz], gather(lo, min(lo + step, count), nz))
+            sums[lo:lo + step] = np.add.accumulate(terms, axis=1)[:, -1]
+    return sums + 0j
+
+
+def _character_gather(irrep_set: IrrepSet, elements: tuple):
+    """``gather`` for ``_character_sums`` over the characters of
+    ``irrep_set`` on ``elements``, views where the orders agree."""
+    rows = [rho.characters[rho._rows(elements)] for rho in irrep_set]
+    return lambda lo, hi, nz: np.array([row[nz] for row in rows[lo:hi]])
 
 
 class UnitaryIrrep:

@@ -14,12 +14,14 @@ paths), so an independent residual check can certify every claim:
   the eigenvalue at a pair (u, v) of H- and K-irreps is
   sum_i lambda_ui * sigma_vi over H-classes C_i, where
   lambda_ui = |C_i| chi_u(rep_i) / d_u and
-  sigma_vi = (1/d_v) sum_k alpha(rep_i * k) chi_v(k),
-  with multiplicity (d_u d_v)^2 on tensor products of coefficient vectors.
+  sigma_vi = sum_k alpha(rep_i * k) chi_v(k) (K is cyclic, so d_v = 1),
+  with multiplicity d_u^2 on tensor products of coefficient vectors.
 * ``spectrum_metacyclic``: C_m x| C_l with a layered connection set whose
   exponent layers are each closed under multiplication by r; eigenvalues
   are the double exponential sums
-  lambda_{uv} = sum_t e^{2 pi i u t / l} sum_{s in S_t} e^{2 pi i v s / m}.
+  lambda_{uv} = sum_t e^{2 pi i u t / l} sum_{s in S_t} e^{2 pi i v s / m},
+  the split formula with the singleton H-classes {h^t}.  The split and
+  metacyclic paths share the eigenvalue grid and the character-sum kernel.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     _conjugation_orbits,
+    _integer,
     conjugation_orbits_on_k,
 )
 from .irreps import (
     FourierBlock,
     IrrepSet,
     PMatrix,
-    _character_sum,
+    _character_gather,
+    _character_sums,
     _cmul,
     _degree_batches,
     _fourier_sums,
@@ -362,16 +366,16 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
             witness=witness,
         )
     ensure_trusted(group, irrep_set)
-    elems = tuple(group.elements())
+    sums = _character_sums(color.vector, len(irrep_set),
+                           _character_gather(irrep_set, tuple(group.elements())))
     lines = []
-    for k_idx, rho in enumerate(irrep_set):
+    for k_idx, (rho, total) in enumerate(zip(irrep_set, sums.tolist())):
         d = rho.degree
-        eig = _character_sum(color.vector, rho.characters[rho._rows(elems)]) / d
         lines.append(SpectralLine(
             u=k_idx,
             v=None,
             labels=(rho.label,),
-            eigenvalue=complex(eig),
+            eigenvalue=total / d,
             multiplicity=d * d,
         ))
     vectors = None
@@ -409,42 +413,26 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     ensure_trusted(h_group, irreps_h)
     ensure_trusted(irreps_k.group, irreps_k)
     h_classes = h_group.conjugacy_classes()
-    k_chars = [rho.characters[rho._rows(tuple(range(m)))] for rho in irreps_k]
-
-    # k_terms[v][i] is sigma_vi; alpha(h k^b) is alpha at index a*m + b,
-    # a the index of the class representative h
-    rows = [color.vector[a * m:(a + 1) * m]
-            for a in (h_group.index(cls.representative) for cls in h_classes)]
-    k_terms = [tuple(_character_sum(row, chars) / rho.degree for row in rows)
-               for rho, chars in zip(irreps_k, k_chars)]
-    lines = []
-    for u_idx, rho_u in enumerate(irreps_h):
-        d_u = rho_u.degree
-        lambda_terms = tuple(
-            cls.size * rho_u.character(cls.representative) / d_u for cls in h_classes
-        )
-        for v_idx, rho_v in enumerate(irreps_k):
-            eig = sum(lt * st for lt, st in zip(lambda_terms, k_terms[v_idx]))
-            lines.append(SpectralLine(
-                u=u_idx,
-                v=v_idx,
-                labels=(rho_u.label, rho_v.label),
-                eigenvalue=complex(eig),
-                multiplicity=(d_u * rho_v.degree) ** 2,
-                h_class_terms=lambda_terms,
-                k_class_terms=k_terms[v_idx],
-            ))
+    reps = [h_group.index(cls.representative) for cls in h_classes]
+    # h_terms[u][i] is lambda_ui; K is cyclic, so every d_v is 1
+    h_chars = _character_gather(irreps_h, tuple(irreps_h.group.elements()))(0, len(irreps_h), reps)
+    h_terms = [tuple(cls.size * c / rho.degree for cls, c in zip(h_classes, chars))
+               for rho, chars in zip(irreps_h, h_chars.tolist())]
+    # row i holds alpha(h k^b) over b, with h the representative of C_i
+    lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
+                        _character_gather(irreps_k, tuple(irreps_k.group.elements())),
+                        irreps_h.labels(), irreps_k.labels(),
+                        np.square(irreps_h.degrees()).tolist(), record_terms=True)
     factors = None
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns; line
-        # (u, v) claims the pairs (p, q) of its H- and K-spans, p major, and
-        # lines run u major: sort the grid by (u, v, p, q)
+        # (u, v) claims the pairs (p, q) of its H-span and K-column q = v,
+        # p major, and lines run u major: sort the grid by (u, v, p)
         p_h = build_p_matrix(h_group, irreps_h)
         p_k = build_p_matrix(irreps_k.group, irreps_k)
         h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h.degrees()))
-        k_irrep = np.repeat(np.arange(len(irreps_k)), np.square(irreps_k.degrees()))
         p, q = np.divmod(np.arange(l * m), m)
-        order = np.lexsort((q, p, k_irrep[q], h_irrep[p]))
+        order = np.lexsort((p, q, h_irrep[p]))
         factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=p_k.matrix.T,
                                    pairs=_frozen_pairs(p[order], q[order]))
     return Spectrum(
@@ -454,6 +442,30 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
         theorem_verified=report.passed,
         factors=factors,
     )
+
+
+def _grid_lines(h_terms: Sequence, rows: np.ndarray, k_gather, h_labels: list,
+                k_labels: list, multiplicities: list, record_terms: bool) -> list:
+    """Lines (u, v), u major, of the split formula over the H-classes i and
+    the degree-one K-irreps v.  ``sigma[v, i] = sum_b rows[i, b] chi_v(k^b)``
+    takes one ``_character_sums`` call per class row; the eigenvalue
+    ``sum_i h_terms[u][i] sigma[v, i]`` adds ``_cmul`` products in class
+    order from zeros, as Python's ``sum`` rounds it."""
+    sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
+    eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
+    for i, lam in enumerate(np.array(h_terms).T):
+        eig += _cmul(lam[:, np.newaxis], sigma[:, i])
+    k_terms = [tuple(sums) for sums in sigma.tolist()] if record_terms else None
+    return [SpectralLine(
+        u=u,
+        v=v,
+        labels=(h_label, k_label),
+        eigenvalue=eigenvalue,
+        multiplicity=multiplicity,
+        h_class_terms=h_terms[u] if record_terms else None,
+        k_class_terms=k_terms[v] if record_terms else None,
+    ) for u, (h_label, multiplicity, row) in enumerate(zip(h_labels, multiplicities, eig.tolist()))
+        for v, (k_label, eigenvalue) in enumerate(zip(k_labels, row))]
 
 
 def _frozen_pairs(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -473,49 +485,37 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     m, l, r = group.m, group.l, group.r
     if len(layers) != l:
         raise InvalidAction(f"expected {l} layers, got {len(layers)}")
-    layer_sets = []
+    indicators = np.zeros((l, m), dtype=complex)
     for t, layer in enumerate(layers):
-        reduced = sorted({int(s) % m for s in layer})
-        as_set = set(reduced)
-        for s in reduced:
-            if (s * r) % m not in as_set:
-                raise LayerNotInvariant(
-                    f"layer {t} is not closed under multiplication by r={r}: "
-                    f"exponent {s} maps to {(s * r) % m}",
-                    layer_index=t,
-                    exponent=s,
-                )
-        layer_sets.append(reduced)
-    # Python's summation order, term by term: layer sums over s, then
-    # eigenvalues over t, each from a zero start with textbook products
+        indicators[t, [_integer(s, f"layers[{t}]") % m for s in layer]] = 1
+    # the first exponent, by layer and then by value, whose image leaves its layer
+    escapes = np.argwhere(indicators.real > indicators.real[:, np.arange(m) * r % m])
+    if escapes.size:
+        t, s = escapes[0].tolist()
+        raise LayerNotInvariant(
+            f"layer {t} is not closed under multiplication by r={r}: "
+            f"exponent {s} maps to {(s * r) % m}",
+            layer_index=t,
+            exponent=s,
+        )
+    # the split formula with the singleton H-classes {h^t}: lambda_ut is
+    # e^{2 pi i u t / l}, and sigma_vt is layer t's sum of K-characters
     roots_l, roots_m = _root_table(l), _root_table(m)
     u_range, v_range = np.arange(l), np.arange(m)
-    layer_sums = np.zeros((l, m), dtype=complex)
-    for t, layer in enumerate(layer_sets):
-        for s in layer:
-            layer_sums[t] += roots_m[v_range * s % m]
-    eigenvalues = np.zeros((l, m), dtype=complex)
-    for t in range(l):
-        eigenvalues += _cmul(roots_l[u_range * t % l][:, np.newaxis], layer_sums[t])
+    h_roots = roots_l[np.outer(u_range, u_range) % l]
+    lines = _grid_lines(
+        h_roots, indicators, lambda lo, hi, nz: roots_m[np.arange(lo, hi)[:, np.newaxis] * nz % m],
+        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], [1] * l,
+        record_terms=False)
     factors = None
     if eigenvectors:
-        h_vectors = roots_l[np.outer(u_range, u_range) % l] / sqrt(l)
+        h_vectors = h_roots / sqrt(l)
         k_vectors = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
         h_vectors.flags.writeable = False
         k_vectors.flags.writeable = False
         # line (u, v) claims the Kronecker product of h_vectors[u] and k_vectors[v]
         factors = KroneckerFactors(h_rows=h_vectors, k_rows=k_vectors,
                                    pairs=_frozen_pairs(*np.divmod(np.arange(l * m), m)))
-    lines = []
-    for u, row in enumerate(eigenvalues.tolist()):
-        for v, eig in enumerate(row):
-            lines.append(SpectralLine(
-                u=u,
-                v=v,
-                labels=(f"chi_{u}", f"chi_{v}"),
-                eigenvalue=eig,
-                multiplicity=1,
-            ))
     return Spectrum(n=l * m, method="metacyclic", lines=lines, factors=factors)
 
 

@@ -71,7 +71,7 @@ from . import spectra
 from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
-from .irreps import IrrepSet, _character_sum
+from .irreps import IrrepSet, _character_sums
 from .spectra import (
     KroneckerFactors,
     Spectrum,
@@ -587,7 +587,8 @@ def _check_color_order(color: ColorFunction, n: int) -> None:
 def _trace_deviations(trace: complex, trace_sq: complex, color: ColorFunction) -> tuple:
     group = color.group
     n = group.order
-    pair_sum = _character_sum(color.vector, color.vector[group.inv_idx])
+    pair_sum = _character_sums(color.vector, 1, lambda lo, hi, nz:
+                               color.vector[group.inv_idx[nz]][np.newaxis]).item()
     return (float(abs(trace - n * color(group.identity))),
             float(abs(trace_sq - n * pair_sum)))
 

@@ -465,6 +465,24 @@ def test_shuffled_user_tables_give_the_builtin_results():
     for a, b in zip(got.blocks, want.blocks):
         assert a.matrix.tobytes() == b.matrix.tobytes()
     assert got.reconstruction_deviation == want.reconstruction_deviation
+    # the formula routes read the characters in the group's order too
+    class_color = ColorFunction(group, {g: complex(1, i) for i, cls in
+                                        enumerate(group.conjugacy_classes()) for g in cls.members})
+    layered = color_from_set(group, [(0, 1), (0, 3), (1, 0)])
+    k_irr = irreps_cyclic(4)
+    k_order = list(k_irr.group.elements())
+    random.Random(5).shuffle(k_order)
+    k_tables = IrrepSet(k_irr.group, [UnitaryIrrep(rho.label, {g: rho.matrix(g) for g in k_order})
+                                      for rho in k_irr])
+    h_tables = IrrepSet(group.h_group, [UnitaryIrrep(rho.label, {g: rho.matrix(g) for g in (1, 0)})
+                                        for rho in builtin_irreps(group.h_group)])
+    for got, want in ((spectrum_normal(group, class_color, tables),
+                       spectrum_normal(group, class_color, irr)),
+                      (spectrum_split(group, layered, h_tables, k_tables),
+                       spectrum_split(group, layered, builtin_irreps(group.h_group), k_irr))):
+        assert np.array([line.eigenvalue for line in got.lines]).tobytes() == \
+            np.array([line.eigenvalue for line in want.lines]).tobytes()
+        assert got.vector_rows(0, 8).tobytes() == want.vector_rows(0, 8).tobytes()
 
 
 def test_diagonal_matrix_is_the_kron_assembly():
@@ -719,6 +737,49 @@ def test_formula_routes_equal_their_element_loops_bit_for_bit():
             rows = spec.vector_rows(offset, offset + line.multiplicity)
             assert rows.tobytes() == vectors.tobytes()
             offset += line.multiplicity
+
+
+def test_character_sums_in_small_chunks_keep_the_loop_bits(monkeypatch):
+    from cayleyspec import groups as groups_module
+    from cayleyspec import irreps as irreps_module
+    rng = random.Random(21)
+    n = 24
+    cyclic = CyclicGroup(n)
+    cyclic_color = ColorFunction(cyclic, {
+        g: complex(rng.uniform(0.5, 1), rng.uniform(-1, -0.5)) for g in cyclic.elements()})
+    # full support, constant on (H-class of a, K-orbit of b); H = C_2 has
+    # single-element classes
+    dihedral = DihedralGroup(n)
+    k_orbit = {k[1]: i for i, orbit in enumerate(conjugation_orbits_on_k(dihedral))
+               for k in orbit}
+    weights = {}
+    block_color = ColorFunction(dihedral, {
+        (a, b): weights.setdefault((a, k_orbit[b]),
+                                   complex(rng.uniform(0.5, 1), rng.uniform(0.5, 1)))
+        for a, b in dihedral.elements()})
+    irr = builtin_irreps(cyclic)
+    h_irreps, k_irreps = builtin_irreps(dihedral.h_group), irreps_cyclic(n)
+    chunk_rows = []
+    cmul = irreps_module._cmul
+
+    def counting_cmul(a, b):
+        chunk_rows.append(len(b))
+        return cmul(a, b)
+
+    monkeypatch.setattr(irreps_module, "_cmul", counting_cmul)
+    # four complex temporaries of n entries a row: five rows a chunk
+    monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 4 * 16 * n * 5)
+    spec = spectrum_normal(cyclic, cyclic_color, irr, eigenvectors=False)
+    got = [line.eigenvalue for line in spec.lines]
+    assert np.array(got).tobytes() == np.array(normal_oracle(cyclic, cyclic_color, irr)).tobytes()
+    assert chunk_rows == [5, 5, 5, 5, 4]
+    chunk_rows.clear()
+    spec = spectrum_split(dihedral, block_color, h_irreps, k_irreps, eigenvectors=False)
+    # one sweep of the K-characters per H-class row
+    assert chunk_rows == [5, 5, 5, 5, 4] * 2
+    for line, (eig, _) in zip(spec.lines, split_oracle(dihedral, block_color, h_irreps, k_irreps),
+                              strict=True):
+        assert np.complex128(line.eigenvalue).tobytes() == np.complex128(eig).tobytes()
 
 
 def metacyclic_oracle(m, l, layers):

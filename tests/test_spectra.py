@@ -21,6 +21,7 @@ from cayleyspec import (
     SemidirectProductGroup,
     SpectralLine,
     Spectrum,
+    SplitExtensionGroup,
     adjacency_matrix,
     block_diagonalize,
     build_p_matrix,
@@ -323,8 +324,19 @@ def test_metacyclic_layer_validation():
     with pytest.raises(LayerNotInvariant) as exc:
         spectrum_metacyclic(7, 3, 2, [[1], [0], [0]])
     assert exc.value.layer_index == 0 and exc.value.exponent == 1
+    # the witness is the least escaping exponent of the first open layer
+    with pytest.raises(LayerNotInvariant) as exc:
+        spectrum_metacyclic(7, 3, 2, [[], [5, 3], [6]])
+    assert exc.value.layer_index == 1 and exc.value.exponent == 3
     with pytest.raises(InvalidAction):
         spectrum_metacyclic(7, 3, 2, [[1, 2, 4]])
+
+
+@pytest.mark.parametrize("exponent", [1.9, True, "1"], ids=["float", "bool", "string"])
+def test_metacyclic_layers_take_integer_exponents_only(exponent):
+    # each would truncate to 1, and {1, 2, 4} is closed under 2
+    with pytest.raises(ValueError, match=r"layers\[0\]"):
+        spectrum_metacyclic(7, 3, 2, [[exponent, 2, 4], [0], [0]])
 
 
 def test_split_equals_metacyclic_per_label():
@@ -339,6 +351,36 @@ def test_split_equals_metacyclic_per_label():
         assert abs(la.eigenvalue - lb.eigenvalue) <= 1e-10
     same, witness = compare_spectra(a, b, tol=1e-10)
     assert same and witness is None
+
+
+@st.composite
+def layered_cyclic_complement_cases(draw):
+    """A split extension with cyclic complement, its twist r, and a random
+    union of r-orbits per layer, with one layer emptied when l > 1."""
+    group = draw(groups_strategy().filter(
+        lambda g: isinstance(g, SplitExtensionGroup) and isinstance(g.h_group, CyclicGroup)))
+    m, l = group.m, group.l
+    r = group.units[1 % l]
+    layers = []
+    for _ in range(l):
+        seeds = draw(st.lists(st.integers(0, m - 1), max_size=3))
+        layers.append(sorted({s * pow(r, e, m) % m for s in seeds for e in range(l)}))
+    if l > 1:
+        layers[draw(st.integers(0, l - 1))] = []
+    return group, r, layers
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layered_cyclic_complement_cases())
+def test_split_and_metacyclic_eigenvalues_are_byte_identical(case):
+    group, r, layers = case
+    color = color_from_set(group, [(t, s) for t, layer in enumerate(layers) for s in layer])
+    split = spectrum_split(group, color, builtin_irreps(group.h_group),
+                           irreps_cyclic(group.m), eigenvectors=False)
+    meta = spectrum_metacyclic(group.m, group.l, r, layers, eigenvectors=False)
+    assert [line.labels for line in split.lines] == [line.labels for line in meta.lines]
+    for a, b in zip(split.lines, meta.lines):
+        assert np.complex128(a.eigenvalue).tobytes() == np.complex128(b.eigenvalue).tobytes()
 
 
 def test_normal_agrees_with_split_on_class_functions():
