@@ -94,7 +94,7 @@ def _character_sums(values: np.ndarray, count: int, gather) -> np.ndarray:
 def _character_gather(irrep_set: IrrepSet, elements: tuple):
     """``gather`` for ``_character_sums`` over the characters of
     ``irrep_set`` on ``elements``, views where the orders agree."""
-    rows = [rho.characters[rho._rows(elements)] for rho in irrep_set]
+    rows = [rho.characters[at] for rho, at in zip(irrep_set, _set_rows(irrep_set, elements))]
     return lambda lo, hi, nz: np.array([row[nz] for row in rows[lo:hi]])
 
 
@@ -187,6 +187,17 @@ class IrrepSet:
 
     def __repr__(self):
         return f"<IrrepSet of {self.group!r}: degrees {self.degrees()}>"
+
+
+def _set_rows(irrep_set: IrrepSet, elements: tuple) -> list:
+    """``rho._rows(elements)`` for each irrep of the set, decided once per
+    element tuple the irreps hold (a built-in set holds one), not once
+    per irrep: comparing tuples costs n element comparisons."""
+    decided = {}
+    for rho in irrep_set:
+        if id(rho.elements) not in decided:
+            decided[id(rho.elements)] = rho._rows(elements)
+    return [decided[id(rho.elements)] for rho in irrep_set]
 
 
 def irreps_cyclic(n: int) -> IrrepSet:
@@ -516,10 +527,10 @@ class PMatrix:
 def _degree_batches(irrep_set: IrrepSet, elems: tuple):
     """Per degree: the positions of its irreps in the set, and their
     stacks over ``elems`` as one (K, n, d, d) array."""
+    rows = _set_rows(irrep_set, elems)
     for d in sorted(set(irrep_set.degrees())):
         batch = [k for k, rho in enumerate(irrep_set) if rho.degree == d]
-        yield batch, np.stack(
-            [irrep_set[k].stack[irrep_set[k]._rows(elems)] for k in batch])
+        yield batch, np.stack([irrep_set[k].stack[rows[k]] for k in batch])
 
 
 def p_matrix_bytes(n: int) -> int:

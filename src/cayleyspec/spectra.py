@@ -178,82 +178,230 @@ class Spectrum:
         return rows
 
     def multiset(self) -> list:
-        return cluster_eigenvalues(self.eigenvalues_expanded())
+        """``cluster_eigenvalues(self.eigenvalues_expanded())``, clustered
+        from one value per line weighted by its multiplicity."""
+        return list(zip(*_clusters(*_weighted_eigenvalues(self.lines), 1e-9)))
+
+
+def _weighted_eigenvalues(lines: Sequence[SpectralLine]) -> tuple:
+    """``(values, multiplicities)`` of the lines, as arrays; a line of
+    multiplicity <= 0 is left out, so it contributes nothing and bridges
+    nothing."""
+    values = np.array([line.eigenvalue for line in lines], dtype=complex)
+    weights = np.array([line.multiplicity for line in lines], dtype=np.int64)
+    kept = weights > 0
+    return values[kept], weights[kept]
+
+
+# member pairs ``_chain_cells`` compares in one block
+_PAIR_BLOCK = 1 << 16
 
 
 def chain_groups(values: Sequence[complex], tol: float) -> list:
     """Partition indices of ``values`` by chaining pairs within ``tol``.
 
     Two indices chain when ``abs(a - b) <= tol``; groups are the connected
-    components, listed by smallest index, each in ascending order.  Exactly
-    equal finite values are merged first; the distinct ones are binned on a
-    grid and compared, by that same predicate, only with values in their own
-    and the eight neighbouring cells.  Cells are ``2 * tol`` wide, so even
-    after rounding in the cell coordinates every chaining partner lies in
-    one of those cells.  Non-finite values chain with nothing (their
-    differences are never <= a finite ``tol``).
+    components, listed by smallest index, each in ascending order.
+    Non-finite values chain with nothing (their differences are never <= a
+    finite ``tol``).  See ``_chain_labels`` for the method.
+    """
+    values = np.asarray(values, dtype=complex).ravel()
+    labels = _chain_labels(values, tol, _value_order(values))
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(_run_starts(labels[order]))[1:]
+    groups = [part.tolist() for part in np.split(order, cuts)] if labels.size else []
+    return sorted(groups, key=lambda group: group[0])
+
+
+def _value_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort ``values`` by (Re, Im), with -0.0 before 0.0 in
+    either part and ties by index: one stable sort by the signs, then a
+    stable sort of the complex values.  NaNs come last."""
+    signs = np.argsort(-2 * np.signbit(values.real) - np.signbit(values.imag), kind="stable")
+    return signs[np.argsort(values[signs], kind="stable")]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags on the sorted ``keys`` that start each run of equal keys."""
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return fresh
+
+
+def _run_ids(fresh: np.ndarray) -> np.ndarray:
+    """The run of each key, from ``_run_starts``: 0, 1, ..."""
+    return np.cumsum(fresh, dtype=np.intp) - 1
+
+
+def _chain_labels(values: np.ndarray, tol: float, order: np.ndarray) -> np.ndarray:
+    """For each index of ``values``, a label that its chaining group shares.
+
+    ``order`` is ``_value_order(values)``: in it, equal finite values (-0.0
+    and 0.0 are equal) are neighbours and merge at once; ``_chain_cells``
+    joins the distinct ones.  With ``tol < 0`` nothing chains, and with
+    ``tol == 0`` only equal finite values do.
     """
     if not abs(tol) < math.inf:
         raise ValueError(f"chaining distance must be finite, got {tol!r}")
-    reps = []      # first index of each distinct value
-    slot = []      # index -> position of its value in ``reps``
-    distinct = {}  # mergeable value -> position in ``reps``
-    for idx, value in enumerate(values):
-        mergeable = (tol >= 0 and math.isfinite(value.real)
-                     and math.isfinite(value.imag))
-        if mergeable and value in distinct:
-            slot.append(distinct[value])
-            continue
-        if mergeable:
-            distinct[value] = len(reps)
-        slot.append(len(reps))
-        reps.append(idx)
-    parent = list(range(len(reps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if tol > 0:
-        width = 2 * tol
-        cells = {}
-        for pos in distinct.values():
-            value = values[reps[pos]]
-            cx, cy = math.floor(value.real / width), math.floor(value.imag / width)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for other in cells.get((cx + dx, cy + dy), ()):
-                        if abs(values[reps[other]] - value) <= tol:
-                            parent[find(other)] = find(pos)
-            cells.setdefault((cx, cy), []).append(pos)
-    groups = {}
-    for idx in range(len(values)):
-        groups.setdefault(find(slot[idx]), []).append(idx)
-    return list(groups.values())
+    n = len(values)
+    # a value that chains with nothing keeps a label no group takes
+    labels = np.arange(n, 2 * n)
+    if tol < 0:
+        return labels
+    order = order[np.isfinite(values[order])]
+    keys = values[order]
+    fresh = _run_starts(keys)
+    distinct = _run_ids(fresh)
+    labels[order] = distinct if tol == 0 else _chain_cells(keys[fresh], tol)[distinct]
+    return labels
 
 
-def _value_order(z: complex) -> tuple:
-    """Sort key (Re, Im), with -0.0 before 0.0 in either part."""
-    return (z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+def _chain_cells(points: np.ndarray, tol: float) -> np.ndarray:
+    """A group id for each of the distinct finite ``points``: the
+    components under ``abs(a - b) <= tol``, with ``tol > 0``.
+
+    Points are binned into square cells whose width w is the power of two
+    in (tol/4, tol/2] (``_cell_origins``).  Two points of one cell lie less
+    than ``sqrt(2) w <= tol / sqrt(2)`` apart, so they chain unchecked.  A
+    chaining pair has ``|fl(re a - re b)| <= tol``, as ``abs`` is at least
+    either part, and the same for Im, so its cells' origins differ by less
+    than ``tol + w`` in each part; ``_neighbour_cells`` lists the cell
+    pairs that close.  The predicate runs on each such pair's first
+    points, and then, for the pairs still in different components, on all
+    their member pairs, ``_PAIR_BLOCK`` at a time.  ``_join`` finds the
+    components.
+    """
+    width = math.ldexp(1.0, max(math.frexp(tol)[1] - 2, -1074))
+    origins = np.empty(len(points), dtype=complex)
+    origins.real = _cell_origins(points.real, width)
+    origins.imag = _cell_origins(points.imag, width)
+    order = np.argsort(origins, kind="stable")
+    points, origins = points[order], origins[order]
+    x, y = origins.real, origins.imag
+    fresh = _run_starts(origins)
+    cell = _run_ids(fresh)
+    starts = np.flatnonzero(fresh)
+    sizes = np.diff(starts, append=len(order))
+    # fl((tol + w) (1 + 2^-50)) is above the largest gap of partner origins
+    a, b = _neighbour_cells(x[starts], y[starts], (tol + width) * (1 + 2.0 ** -50))
+    parent = np.arange(len(starts))
+    hit = np.abs(points[starts[a]] - points[starts[b]]) <= tol
+    _join(parent, a[hit], b[hit])
+    apart = parent[a] != parent[b]
+    a, b = a[apart], b[apart]
+    # one row per member of cell a, against every member of cell b
+    rows = _ranges(starts[a], sizes[a])
+    others = np.repeat(b, sizes[a])
+    ends = np.cumsum(sizes[others])
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[others[lo]] + _PAIR_BLOCK,
+                                             "right")))
+        widths = sizes[others[lo:hi]]
+        i = np.repeat(rows[lo:hi], widths)
+        j = _ranges(starts[others[lo:hi]], widths)
+        hit = np.abs(points[i] - points[j]) <= tol
+        _join(parent, cell[i[hit]], cell[j[hit]])
+        lo = hi
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = parent[cell]
+    return group
+
+
+def _cell_origins(x: np.ndarray, width: float) -> np.ndarray:
+    """``floor(x / width) * width``, exact for a power-of-two ``width``.
+
+    The quotient is exact unless it overflows, where |x| >= 2^53 width
+    makes x a multiple of ``width`` and its own origin, or underflows,
+    where a negative x rounds up to 0 and its origin is ``-width``."""
+    with np.errstate(over="ignore"):
+        origins = np.floor(x / width) * width
+    origins[origins > x] -= width
+    large = ~(np.abs(x) < 2.0 ** 53 * width)
+    origins[large] = x[large]
+    return origins
+
+
+def _neighbour_cells(x: np.ndarray, y: np.ndarray, reach: float) -> tuple:
+    """Pairs (a, b), a < b, of the cells sorted by origin (x, y) whose
+    origins differ by at most ``reach`` in each part, and perhaps a few
+    more, as each bound rounds outwards.
+
+    Cells of one x column are consecutive.  Each cell queries the columns
+    from its own up to ``x + reach``, and in each the y range by one
+    ``searchsorted`` on the cells' (column, rank of y) keys."""
+    count = len(x)
+    fresh = _run_starts(x)
+    column = _run_ids(fresh)
+    ys = np.sort(y)
+    ys = ys[_run_starts(ys)]
+    keys = column * len(ys) + np.searchsorted(ys, y)
+    reached = np.searchsorted(x[fresh], x + reach, "right") - column
+    query = np.repeat(np.arange(count), reached)
+    columns = _ranges(column, reached) * len(ys)
+    lo = np.searchsorted(keys, columns + np.searchsorted(ys, y - reach)[query])
+    hi = np.searchsorted(keys, columns + np.searchsorted(ys, y + reach, "right")[query])
+    lo = np.maximum(lo, query + 1)
+    spans = np.maximum(hi - lo, 0)
+    return np.repeat(query, spans), _ranges(lo, spans)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(start, start + count)`` of each pair."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _join(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of each pair (a[k], b[k]) in the forest
+    ``parent``, in place.  Every cell points at its root, the smallest
+    cell of its component, on entry and on return: each round hooks the
+    larger root of every split pair under the smaller (any of them, when
+    a root is in several pairs), then points every cell at its root
+    again."""
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            roots = parent[parent]
+            if np.array_equal(roots, parent):
+                break
+            parent[:] = roots
+
+
+def _clusters(values: np.ndarray, weights: np.ndarray, tol: float) -> tuple:
+    """``(representatives, totals)``, Python lists, of the chaining groups
+    of ``values``: each group's first member in ``_value_order``, and the
+    sum of its members' ``weights``.  Groups come in the order of their
+    representatives."""
+    order = _value_order(values)
+    labels = _chain_labels(values, tol, order)
+    if not labels.size:
+        return [], []
+    # positions in ``order``, grouped: each group's first is its representative
+    grouped = np.argsort(labels[order], kind="stable")
+    heads = np.flatnonzero(_run_starts(labels[order[grouped]]))
+    totals = np.add.reduceat(weights[order][grouped], heads)
+    rank = np.argsort(grouped[heads], kind="stable")
+    return values[order[grouped[heads][rank]]].tolist(), totals[rank].tolist()
 
 
 def cluster_eigenvalues(values: Sequence[complex], tol: float = 1e-9) -> list:
     """Group values by chaining pairs within ``tol``.
 
-    Returns (representative, count) pairs ordered by ``_value_order``; the
-    representative is the smallest member of its group in that order, so
-    it does not depend on the order of ``values``.  Groups are formed over
-    all pairs, not just sort-adjacent ones, so rounding noise that
-    interleaves two nearby groups cannot split them.
+    Returns (representative, count) pairs ordered by value (Re, Im, with
+    -0.0 before 0.0 in either part); the representative is the smallest
+    member of its group in that order, so it does not depend on the order
+    of ``values``.  Groups are formed over all pairs, not just
+    sort-adjacent ones, so rounding noise that interleaves two nearby
+    groups cannot split them.
     """
-    items = [complex(v) for v in values]
-    out = []
-    for indices in chain_groups(items, tol):
-        members = [items[i] for i in indices]
-        out.append((min(members, key=_value_order), len(members)))
-    return sorted(out, key=lambda pair: _value_order(pair[0]))
+    values = np.asarray(values, dtype=complex).ravel()
+    return list(zip(*_clusters(values, np.ones(len(values), dtype=np.int64), tol)))
 
 
 @dataclass(frozen=True)

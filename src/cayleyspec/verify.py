@@ -62,6 +62,7 @@ the byte budget.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -72,12 +73,7 @@ from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
-from .spectra import (
-    KroneckerFactors,
-    Spectrum,
-    _value_order,
-    chain_groups,
-)
+from .spectra import KroneckerFactors, Spectrum, _clusters, _weighted_eigenvalues
 
 # bytes of stacked complex vectors (or Gram rows) one certification block holds
 _BLOCK_BYTES = 1 << 23
@@ -351,7 +347,26 @@ class _FourierRows(NamedTuple):
     rest_max: float         # max |E_v| over every row and entry
 
 
+# the K-row arrays the running ``certify`` call has split, with their
+# splits: its residual and basis checks split each array once, and no
+# split outlives the call
+_certify_splits = contextvars.ContextVar("certify_splits", default=None)
+
+
 def _fourier_rows(k_rows: np.ndarray) -> _FourierRows:
+    """``_fourier_split(k_rows)``, taken once per array in a ``certify``
+    call: its list holds each array it keys, so no other takes its id."""
+    splits = _certify_splits.get()
+    for rows, split in splits or ():
+        if rows is k_rows:
+            return split
+    split = _fourier_split(k_rows)
+    if splits is not None:
+        splits.append((k_rows, split))
+    return split
+
+
+def _fourier_split(k_rows: np.ndarray) -> _FourierRows:
     """``fft(k_rows)`` split into top entries and remainders, a chunk of
     rows at a time.  The top is the ``argmax`` of the magnitudes, which
     picks a NaN first, so a non-finite row keeps a NaN in its split."""
@@ -612,10 +627,15 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
 
     When the residuals ran on the structured path, the trace identities
     come from the beta table the adjacency carries; otherwise from
-    ``trace_identities`` on its matrix.
+    ``trace_identities`` on its matrix.  The residual and basis checks
+    share the Fourier split of the K rows (``_fourier_rows``).
     """
-    report = verify_eigenpairs(adjacency, spectrum, tol=tol)
-    basis = verify_basis(spectrum)
+    token = _certify_splits.set([])
+    try:
+        report = verify_eigenpairs(adjacency, spectrum, tol=tol)
+        basis = verify_basis(spectrum)
+    finally:
+        _certify_splits.reset(token)
     if report.structured:
         _check_color_order(color, report.n)
         trace_dev, trace_sq_dev = _trace_deviations(
@@ -633,29 +653,27 @@ def compare_spectra(first: Spectrum, second: Spectrum,
                     tol: float = 1e-9) -> tuple:
     """Compare eigenvalue multisets; returns (equal, witness_pair_or_None).
 
-    Values are grouped by chaining pairs closer than ``tol``, then each
-    group must contribute equally often to both sides.  Pairing sorted
-    positions instead would misalign values that differ only by rounding
-    noise in one coordinate, e.g. a conjugate pair with dusty real parts.
+    Values are grouped by chaining pairs within ``tol``, then each group
+    must contribute equally often to both sides: each line's eigenvalue
+    is clustered once, weighted by its multiplicity on the first side and
+    by minus it on the second, and a line of multiplicity <= 0 takes no
+    part.  The witness is the smallest representative, in value order, of
+    a group with a surplus on the first side and of one with a deficit.
+    Pairing sorted positions instead would misalign values that differ
+    only by rounding noise in one coordinate, e.g. a conjugate pair with
+    dusty real parts.
     """
-    left = list(first.eigenvalues_expanded())
-    right = list(second.eigenvalues_expanded())
-    if len(left) != len(right):
-        raise DimensionMismatch(
-            f"multisets have sizes {len(left)} and {len(right)}"
-        )
-    values = [complex(v) for v in left + right]
-    surplus, deficit = [], []
-    for indices in chain_groups(values, tol):
-        balance = sum(1 if idx < len(left) else -1 for idx in indices)
-        if balance:
-            # a group stands for its smallest member in ``_value_order``,
-            # whatever the order of the lines
-            side = surplus if balance > 0 else deficit
-            side.append(min((values[i] for i in indices), key=_value_order))
+    left, right = _weighted_eigenvalues(first.lines), _weighted_eigenvalues(second.lines)
+    sizes = left[1].sum(), right[1].sum()
+    if sizes[0] != sizes[1]:
+        raise DimensionMismatch(f"multisets have sizes {sizes[0]} and {sizes[1]}")
+    values, balances = _clusters(np.concatenate((left[0], right[0])),
+                                 np.concatenate((left[1], -right[1])), tol)
+    surplus = [value for value, balance in zip(values, balances) if balance > 0]
+    deficit = [value for value, balance in zip(values, balances) if balance < 0]
     if not surplus:
         return True, None
-    return False, (min(surplus, key=_value_order), min(deficit, key=_value_order))
+    return False, (surplus[0], deficit[0])
 
 
 def regular_rep_matrix(group: FiniteGroup, g) -> np.ndarray:

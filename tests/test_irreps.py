@@ -25,6 +25,7 @@ from cayleyspec import (
     irreps_cyclic,
     irreps_dihedral,
     irreps_metacyclic,
+    spectrum_normal,
     unit_root,
     validate_irrep_set,
 )
@@ -259,3 +260,37 @@ def test_ensure_trusted_validates_once():
     bad = IrrepSet(c4, [irreps_cyclic(4)[0]], trusted=False)
     with pytest.raises(IrrepValidationFailed):
         ensure_trusted(c4, bad)  # incomplete: sum d^2 = 1 != 4
+
+
+class CountedElement(int):
+    """An element that counts the equality tests made on it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountedElement.comparisons += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+def test_an_irrep_sweep_compares_the_element_tuples_once_per_set():
+    """The irreps of a built-in set share one element tuple, here equal to
+    the group's but not the same object: the formula's character sweep and
+    the P matrix each compare it with the group's once, not once per
+    irrep, and the spectrum's bytes do not change."""
+    n = 200
+    group = CyclicGroup(n)
+    builtin = builtin_irreps(group)
+    elements = tuple(CountedElement(g) for g in builtin[0].elements)
+    counted = IrrepSet(group, [UnitaryIrrep._from_stack(rho.label, elements, rho.stack)
+                               for rho in builtin], trusted=True)
+    color = color_from_set(group, [1, n - 1, 17, n - 17])
+    CountedElement.comparisons = 0
+    spec = spectrum_normal(group, color, counted)
+    assert CountedElement.comparisons <= 2 * n
+    expect = spectrum_normal(group, color, builtin)
+    assert np.array([line.eigenvalue for line in spec.lines]).tobytes() == \
+        np.array([line.eigenvalue for line in expect.lines]).tobytes()
+    assert spec.vectors.tobytes() == expect.vectors.tobytes()
+

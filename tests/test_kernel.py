@@ -34,6 +34,7 @@ from cayleyspec import (
     conjugation_orbits_on_k,
     is_generating_set,
 )
+from cayleyspec import spectra
 from cayleyspec.spectra import ConditionWitness, chain_groups
 
 # -- oracles: the per-element loops the kernel paths replaced ----------------
@@ -638,3 +639,84 @@ def test_chain_groups_matches_all_pairs_on_lattices(points, tol):
 def test_chain_groups_rejects_infinite_distance():
     with pytest.raises(ValueError):
         chain_groups([0j, 1j], float("inf"))
+
+
+def _straddling_values(tol):
+    """Dusty clusters across Re = 0 and Im = 0, and two values that chain
+    although their tol/2-wide cells are three apart."""
+    rng = random.Random(5)
+    dust = [rng.uniform(-1e-3, 1e-3) * tol for _ in range(24)]
+    values = [complex(a, b) for a, b in zip(dust, dust[::-1])]           # across both axes
+    values += [complex(5 * tol, d) for d in dust[:8]]                    # across Im = 0
+    values += [complex(d, -7 * tol) for d in dust[8:16]]                 # across Re = 0
+    values += [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-tol, 0.0)]
+    values += [complex(0.49999999999999994 * tol, 3 * tol), complex(1.5 * tol, 3 * tol)]
+    return values
+
+
+def _large_values(tol):
+    """Values whose tol/2 cell coordinate passes 2^53, or is inf near 1e300:
+    only equal or nearby parts can chain there."""
+    big = 2.0 ** 54 * tol
+    values = [complex(big, k * 0.6 * tol) for k in range(5)]             # chain through Im
+    values += [complex(big + np.spacing(big) * k, 0) for k in (1, 2)]    # one ulp apart
+    far = 2.0 ** 60 * tol
+    values += [complex(-big, far), complex(-big, far + np.spacing(far))]
+    values += [complex(1e300, 0), complex(1e300, 0.5 * tol), complex(1e300, 2 * tol),
+               complex(-1e300, -1e300), complex(-1e300, -1e300 + tol),
+               complex(np.nextafter(1e300, 0), 0), complex(0, 1e300), complex(1e-300, 1e300)]
+    return values
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0])
+@pytest.mark.parametrize("values", [_straddling_values, _large_values])
+def test_chain_groups_matches_all_pairs_across_axes_and_at_large_magnitudes(values, tol):
+    values = values(tol)
+    rng = random.Random(3)
+    for _ in range(4):
+        assert chain_groups(values, tol) == chain_oracle(values, tol)
+        rng.shuffle(values)
+
+
+def test_chain_groups_joins_a_dusty_cluster_of_400():
+    rng = random.Random(11)
+    cluster = [complex(1 + rng.uniform(-1, 1) * 1e-12, rng.uniform(-1, 1) * 1e-12)
+               for _ in range(400)]
+    values = cluster + [complex(1 + 0.9e-9, 0), complex(1 + 1.8e-9, 0), complex(2, 0)]
+    rng.shuffle(values)
+    groups = chain_groups(values, 1e-9)
+    assert groups == chain_oracle(values, 1e-9)
+    assert sorted(len(group) for group in groups) == [1, 402]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30),
+    st.sampled_from([1e-9, 0.7, 1.0]),
+    st.sampled_from([0.0, 2.0 ** 51, 2.0 ** 53, 2.0 ** 55]),
+)
+def test_chain_groups_matches_all_pairs_on_shifted_lattices(points, tol, shift):
+    """A lattice of tol/2 steps moved to where the cell coordinates are
+    no longer exact integers."""
+    offset = shift * tol
+    values = [complex(offset + x * tol / 2, y * tol / 2 - offset) for x, y in points]
+    assert chain_groups(values, tol) == chain_oracle(values, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                       st.sampled_from([0.0, 1e-12, -0.3])), min_size=1, max_size=30),
+    st.integers(1, 9),
+)
+def test_chain_groups_compares_member_pairs_in_blocks(points, block):
+    """A tiny pair block splits the member-pair sweep at every row; the
+    partition does not change."""
+    tol = 1.0
+    values = [complex(x * tol / 3 + d, y * tol / 3 - d) for x, y, d in points]
+    previous, spectra._PAIR_BLOCK = spectra._PAIR_BLOCK, block
+    try:
+        assert chain_groups(values, tol) == chain_oracle(values, tol)
+    finally:
+        spectra._PAIR_BLOCK = previous
+

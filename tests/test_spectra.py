@@ -38,7 +38,7 @@ from cayleyspec import (
     spectrum_normal,
     spectrum_split,
 )
-from test_kernel import class_color_values, groups_strategy
+from test_kernel import chain_oracle, class_color_values, groups_strategy
 
 
 def multiset(spectrum, digits=9):
@@ -288,6 +288,98 @@ def test_multiset_and_compare_ignore_line_order(seed):
         expect = compare_spectra(spec, moved)
         assert expect[0] is False
         assert repr(compare_spectra(shuffled, moved)) == repr(expect)
+
+
+def compare_oracle(first, second, tol):
+    """``compare_spectra`` over the expanded eigenvalue lists, by
+    all-pairs chaining."""
+    def order(z):
+        return (z.real, z.imag, np.copysign(1.0, z.real), np.copysign(1.0, z.imag))
+    left, right = first.eigenvalues_expanded(), second.eigenvalues_expanded()
+    values = [complex(v) for v in left + right]
+    surplus, deficit = [], []
+    for indices in chain_oracle(values, tol):
+        balance = sum(1 if i < len(left) else -1 for i in indices)
+        if balance:
+            (surplus if balance > 0 else deficit).append(
+                min((values[i] for i in indices), key=order))
+    if not surplus:
+        return True, None
+    return False, (min(surplus, key=order), min(deficit, key=order))
+
+
+def spectrum_of(pairs):
+    """A spectrum without vectors whose lines hold (eigenvalue, multiplicity)."""
+    return Spectrum(n=sum(max(count, 0) for _, count in pairs), method="normal", lines=[
+        SpectralLine(u=k, v=None, labels=(f"z{k}",), eigenvalue=value, multiplicity=count)
+        for k, (value, count) in enumerate(pairs)])
+
+
+def test_lines_of_multiplicity_at_most_zero_bridge_nothing():
+    """Lines of multiplicity 0 or -1 between two clusters neither join
+    them nor count."""
+    spec = spectrum_of([(0j, 2), (0.6e-9 + 0j, 0), (1.2e-9 + 0j, 1), (0.9e-9 + 0j, -1),
+                        (5 + 0j, 1)])
+    expect = [(0j, 2), (1.2e-9 + 0j, 1), (5 + 0j, 1)]
+    assert repr(spec.multiset()) == repr(expect)
+    assert repr(cluster_eigenvalues(spec.eigenvalues_expanded())) == repr(expect)
+    other = spectrum_of([(0j, 2), (1.2e-9 + 0j, 1), (5 + 0j, 1)])
+    assert compare_spectra(spec, other) == (True, None)
+    moved = spectrum_of([(0j, 1), (0.6e-9 + 0j, 0), (1.2e-9 + 0j, 2), (5 + 0j, 1)])
+    assert repr(compare_spectra(spec, moved)) == repr((False, (0j, 1.2e-9 + 0j)))
+    assert repr(compare_spectra(spec, moved)) == repr(compare_oracle(spec, moved, 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compare_spectra_witness_pairs_match_all_pairs_chaining(seed):
+    """On mismatched pairs of spectra the witness pair is the one chaining
+    the expanded lists over all pairs gives, bit for bit."""
+    rng = random.Random(seed)
+    cases = line_order_cases()
+    for spec in cases:
+        lines = list(spec.lines)
+        for _ in range(3):
+            k = rng.randrange(len(lines))
+            shift = rng.choice([0.5, 1e-9 * rng.random(), 2e-9, -1j])
+            lines[k] = replace(lines[k], eigenvalue=lines[k].eigenvalue + shift)
+        moved = Spectrum(n=spec.n, method=spec.method, lines=lines)
+        for tol in (1e-9, 1e-10):
+            found = compare_spectra(spec, moved, tol=tol)
+            assert repr(found) == repr(compare_oracle(spec, moved, tol))
+            assert repr(compare_spectra(moved, spec, tol=tol)) == repr(
+                compare_oracle(moved, spec, tol))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy(), st.randoms(use_true_random=False))
+def test_multiset_equals_clustering_the_expanded_list_on_every_route(group, rng):
+    """``Spectrum.multiset`` clusters one value per line, weighted by its
+    multiplicity; its repr is that of clustering the expanded list."""
+    color = ColorFunction(group, class_color_values(group, rng))
+    found = []
+    try:
+        irrep_set = builtin_irreps(group)
+    except IrrepsUnavailable:
+        irrep_set = None
+    if irrep_set is not None:
+        found.append(spectrum_normal(group, color, irrep_set, eigenvectors=False))
+        if max(irrep_set.degrees()) <= 2:
+            found.append(block_diagonalize(group, color, irrep_set).spectrum())
+    if isinstance(group, SplitExtensionGroup):
+        try:
+            found.append(spectrum_split(group, color, builtin_irreps(group.h_group),
+                                        irreps_cyclic(group.m), eigenvectors=False, force=True))
+        except IrrepsUnavailable:
+            pass
+    if isinstance(group, MetacyclicGroup):
+        m, l, r = group.m, group.l, group.r
+        layers = [sorted({s * pow(r, e, m) % m for s in rng.sample(range(m), min(m, 2))
+                          for e in range(l)}) for _ in range(l)]
+        found.append(spectrum_metacyclic(m, l, r, layers, eigenvectors=False))
+    assume(found)
+    for spectrum in found:
+        assert repr(spectrum.multiset()) == repr(
+            cluster_eigenvalues(spectrum.eigenvalues_expanded())), spectrum.method
 
 
 def test_split_zero_color():

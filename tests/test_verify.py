@@ -1149,3 +1149,30 @@ def test_k_rows_that_fail_the_rule_take_the_correlation_path(monkeypatch, edit):
         assert report.gram_deviation <= 1e-12
     monkeypatch.setattr(verify_module, "_distinct", lambda tops: False)
     assert repr(report) == repr(certify(adj, claim, color))
+
+
+def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
+    """One ``certify`` call takes the K rows' Fourier split once for both
+    checks, which each still run; a K row changed between two calls is
+    split afresh, so the second call fails."""
+    group, color, spec, adj = family_case(7, 3, 2)
+    factors = spec.factors
+    k_rows = factors.k_rows.copy()
+    claim = Spectrum(n=spec.n, method=spec.method, lines=spec.lines,
+                     factors=KroneckerFactors(factors.h_rows, k_rows, factors.pairs))
+    splits, checks = [], []
+    split = verify_module._fourier_split
+    monkeypatch.setattr(verify_module, "_fourier_split",
+                        lambda rows: splits.append(rows) or split(rows))
+    for name in ("verify_eigenpairs", "verify_basis"):
+        check = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, lambda *args, check=check, name=name, **kw:
+                            checks.append(name) or check(*args, **kw))
+    report = certify(adj, claim, color)
+    assert report.passed and report.structured
+    assert len(splits) == 1 and checks == ["verify_eigenpairs", "verify_basis"]
+    assert verify_module._certify_splits.get() is None
+    k_rows[3] = k_rows[4]
+    report = certify(adj, claim, color)
+    assert len(splits) == 2 and not report.passed
+    assert report.gram_deviation > 0.5
