@@ -46,7 +46,9 @@ DEFAULT_CAPACITY = 10_000
 # together.  The orders the capacity admits reach several GB in dense form,
 # so a dense request that exceeds this fails before allocating.
 DENSE_BYTE_BUDGET = 1 << 30
-# bytes of int64 index temporaries one blocked kernel sweep allocates per array
+# bytes one block of a blocked sweep allocates per temporary: int64 index
+# arrays in the kernel sweeps, stacked complex vectors or Gram rows in
+# certification
 _BLOCK_BYTES = 1 << 23
 
 

@@ -8,9 +8,10 @@ served through user-supplied tables validated by ``validate_irrep_set``.
 Each irrep is stored as one read-only ``(n, d, d)`` array over a tuple of
 elements, with its characters as the traces.  Built-ins fill the arrays
 from ``unit_root`` tables over the group's canonical order; a user table
-given as a per-element dict keeps the dict's order and may be partial
-until validation.  Validation, the P-matrix, the Fourier transform and the
-spectrum formulas all read those arrays.
+given as a per-element dict is stored with its elements sorted, which is
+the canonical order of every group kind, and may be partial until
+validation.  Validation, the P-matrix, the Fourier transform and the
+spectrum formulas all read those arrays row for row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IrrepValidationFailed, IrrepsUnavailable
+from .errors import InvalidAction, IrrepValidationFailed, IrrepsUnavailable
 from .groups import (
     AbelianProductGroup,
     CyclicGroup,
@@ -91,11 +92,10 @@ def _character_sums(values: np.ndarray, count: int, gather) -> np.ndarray:
     return sums + 0j
 
 
-def _character_gather(irrep_set: IrrepSet, elements: tuple):
+def _character_gather(irrep_set: IrrepSet):
     """``gather`` for ``_character_sums`` over the characters of
-    ``irrep_set`` on ``elements``, views where the orders agree."""
-    rows = [rho.characters[at] for rho, at in zip(irrep_set, _set_rows(irrep_set, elements))]
-    return lambda lo, hi, nz: np.array([row[nz] for row in rows[lo:hi]])
+    ``irrep_set``."""
+    return lambda lo, hi, nz: np.array([rho.characters[nz] for rho in irrep_set.irreps[lo:hi]])
 
 
 class UnitaryIrrep:
@@ -103,21 +103,25 @@ class UnitaryIrrep:
 
     ``stack[i]`` is the matrix at ``elements[i]`` and ``characters[i]`` its
     trace; both arrays are read-only.  ``UnitaryIrrep(label, {g: matrix})``
-    builds one from a per-element table, in the table's order.
+    builds one from a per-element table, with the elements sorted.
     """
 
     def __init__(self, label: str, matrices: dict):
         if not matrices:
             raise ValueError("irrep needs at least one matrix")
-        arrays = [np.asarray(M, dtype=complex) for M in matrices.values()]
+        try:
+            elements = tuple(sorted(matrices))
+        except TypeError:
+            raise ValueError(f"irrep {label!r}: its elements cannot be sorted") from None
+        arrays = [np.asarray(matrices[g], dtype=complex) for g in elements]
         degree = int(arrays[0].shape[0])
-        for g, M in zip(matrices, arrays):
+        for g, M in zip(elements, arrays):
             if M.shape != (degree, degree):
                 raise ValueError(
                     f"irrep {label!r}: matrix at {g!r} has shape {M.shape}, "
                     f"expected {(degree, degree)}"
                 )
-        self._install(label, tuple(matrices), np.stack(arrays))
+        self._install(label, elements, np.stack(arrays))
 
     @classmethod
     def _from_stack(cls, label: str, elements: tuple, stack: np.ndarray):
@@ -135,12 +139,6 @@ class UnitaryIrrep:
     @cached_property
     def _index(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
-
-    def _rows(self, elements: tuple):
-        """Rows holding ``elements``, in order; a slice when they coincide."""
-        if self.elements == elements:
-            return slice(None)
-        return np.array([self._index[g] for g in elements], dtype=np.int64)
 
     @property
     def matrices(self) -> dict:
@@ -187,17 +185,6 @@ class IrrepSet:
 
     def __repr__(self):
         return f"<IrrepSet of {self.group!r}: degrees {self.degrees()}>"
-
-
-def _set_rows(irrep_set: IrrepSet, elements: tuple) -> list:
-    """``rho._rows(elements)`` for each irrep of the set, decided once per
-    element tuple the irreps hold (a built-in set holds one), not once
-    per irrep: comparing tuples costs n element comparisons."""
-    decided = {}
-    for rho in irrep_set:
-        if id(rho.elements) not in decided:
-            decided[id(rho.elements)] = rho._rows(elements)
-    return [decided[id(rho.elements)] for rho in irrep_set]
 
 
 def irreps_cyclic(n: int) -> IrrepSet:
@@ -386,7 +373,9 @@ def _first_worst(chunks) -> tuple:
 def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidationReport:
     """Exhaustively check an irrep table against the group.
 
-    Checks coverage, the homomorphism property over all element pairs and
+    Checks coverage (each irrep holds exactly the group's elements; the
+    witness is the first missing one, or else the first one not in the
+    group), the homomorphism property over all element pairs and
     unitarity (each within 1e-10), irreducibility and pairwise
     orthogonality of characters (each within 1e-9), and completeness (sum
     of squared degrees equals the group order).
@@ -402,13 +391,14 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
     covered = []
     for rho in irrep_set:
         if rho.elements != elems:
-            missing = [g for g in elems if g not in rho._index]
-            if missing:
-                issues.append(ValidationIssue(
-                    "coverage", (rho.label,), missing[0], float(len(missing))))
-                continue
-        rows = rho._rows(elems)
-        stack = rho.stack[rows]
+            # both orders are sorted, so the rows differ by a missing
+            # element or by one that is not in the group
+            uncovered = ([g for g in elems if g not in rho._index]
+                         or [g for g in rho.elements if not group.contains(g)])
+            issues.append(ValidationIssue(
+                "coverage", (rho.label,), uncovered[0], float(len(uncovered))))
+            continue
+        stack = rho.stack
         eye = np.eye(rho.degree)
         dev = float(np.max(np.abs(stack[identity] - eye)))
         if not dev <= 1e-10:
@@ -430,15 +420,14 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
         worst, at = _first_worst([np.abs(gram - eye).max(axis=(1, 2))])
         if not worst <= 1e-10:
             issues.append(ValidationIssue("unitarity", (rho.label,), elems[at], worst))
-        characters = rho.characters[rows]
-        norm = sum((np.abs(characters) ** 2).tolist()) / n
+        norm = sum((np.abs(rho.characters) ** 2).tolist()) / n
         if not abs(norm - 1.0) <= 1e-9:
             issues.append(ValidationIssue(
                 "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
-        covered.append((rho.label, characters))
+        covered.append(rho)
     if covered:
-        labels = [label for label, _ in covered]
-        table = np.array([characters for _, characters in covered])
+        labels = [rho.label for rho in covered]
+        table = np.array([rho.characters for rho in covered])
         step = _block_len(2 * len(covered))
         for lo in range(0, len(covered), step):
             inner = np.abs(table[lo:lo + step] @ table.conj().T / n)
@@ -458,7 +447,10 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
 
 
 def ensure_trusted(group: FiniteGroup, irrep_set: IrrepSet) -> None:
-    """Validate an untrusted irrep set, raising on failure."""
+    """Validate an untrusted irrep set, raising on failure.  The rows of a
+    set follow its own group's order, so a set of another group is refused."""
+    if irrep_set.group != group:
+        raise InvalidAction(f"irreps of {irrep_set.group!r} do not belong to {group!r}")
     if irrep_set.trusted:
         return
     validate_irrep_set(group, irrep_set).raise_if_failed()
@@ -524,13 +516,12 @@ class PMatrix:
         return range(columns[0], columns[-1] + 1)
 
 
-def _degree_batches(irrep_set: IrrepSet, elems: tuple):
+def _degree_batches(irrep_set: IrrepSet):
     """Per degree: the positions of its irreps in the set, and their
-    stacks over ``elems`` as one (K, n, d, d) array."""
-    rows = _set_rows(irrep_set, elems)
+    stacks as one fresh (K, n, d, d) array."""
     for d in sorted(set(irrep_set.degrees())):
         batch = [k for k, rho in enumerate(irrep_set) if rho.degree == d]
-        yield batch, np.stack([irrep_set[k].stack[rows[k]] for k in batch])
+        yield batch, np.stack([irrep_set[k].stack for k in batch])
 
 
 def p_matrix_bytes(n: int) -> int:
@@ -546,7 +537,6 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     batch is scaled in place before its copy into the result.
     """
     ensure_trusted(group, irrep_set)
-    elems = tuple(group.elements())
     n = group.order
     total = sum(rho.degree ** 2 for rho in irrep_set)
     if total != n:
@@ -557,7 +547,7 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
     offsets = np.cumsum([0] + [rho.degree ** 2 for rho in irrep_set])
     p_mat = np.zeros((n, n), dtype=complex)
-    for batch, stacks in _degree_batches(irrep_set, elems):
+    for batch, stacks in _degree_batches(irrep_set):
         d = stacks.shape[2]
         columns = (offsets[batch][:, None] + np.arange(d * d)).ravel()
         # the stacks are a fresh copy, so they are scaled in place

@@ -515,7 +515,7 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
         )
     ensure_trusted(group, irrep_set)
     sums = _character_sums(color.vector, len(irrep_set),
-                           _character_gather(irrep_set, tuple(group.elements())))
+                           _character_gather(irrep_set))
     lines = []
     for k_idx, (rho, total) in enumerate(zip(irrep_set, sums.tolist())):
         d = rho.degree
@@ -554,21 +554,17 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
         raise HypothesesViolated(report)
     h_group = group.h_group
     m, l = group.m, group.l
-    if irreps_h.group != h_group:
-        raise InvalidAction("H-irreps belong to a different complement group")
-    if irreps_k.group != CyclicGroup(m):
-        raise InvalidAction("K-irreps must belong to the cyclic normal part")
     ensure_trusted(h_group, irreps_h)
-    ensure_trusted(irreps_k.group, irreps_k)
+    ensure_trusted(CyclicGroup(m), irreps_k)
     h_classes = h_group.conjugacy_classes()
     reps = [h_group.index(cls.representative) for cls in h_classes]
     # h_terms[u][i] is lambda_ui; K is cyclic, so every d_v is 1
-    h_chars = _character_gather(irreps_h, tuple(irreps_h.group.elements()))(0, len(irreps_h), reps)
+    h_chars = _character_gather(irreps_h)(0, len(irreps_h), reps)
     h_terms = [tuple(cls.size * c / rho.degree for cls, c in zip(h_classes, chars))
                for rho, chars in zip(irreps_h, h_chars.tolist())]
     # row i holds alpha(h k^b) over b, with h the representative of C_i
     lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
-                        _character_gather(irreps_k, tuple(irreps_k.group.elements())),
+                        _character_gather(irreps_k),
                         irreps_h.labels(), irreps_k.labels(),
                         np.square(irreps_h.degrees()).tolist(), record_terms=True)
     factors = None
@@ -734,10 +730,9 @@ def block_diagonalize(group: FiniteGroup, color: ColorFunction,
             f"reconstruction check is quadratic in n; {n} exceeds {RECONSTRUCTION_CAPACITY}"
         )
     ensure_trusted(group, irrep_set)
-    elems = tuple(group.elements())
     # the transforms of all irreps of one degree come from one running sum
     blocks = [None] * len(irrep_set)
-    for batch, stacks in _degree_batches(irrep_set, elems):
+    for batch, stacks in _degree_batches(irrep_set):
         for k, total in zip(batch, _fourier_sums(color.vector, stacks)):
             blocks[k] = FourierBlock(label=irrep_set[k].label, matrix=_frozen(total))
     blocks = tuple(blocks)

@@ -34,9 +34,9 @@ runs: each residual is reported as an upper bound read off the table at
 to the claimed vectors by FFT correlation in O(n^2 (l + log m)) work, and
 G_K is one m x m GEMM.  Either way certification holds O(n*m) beyond the
 adjacency: the factors, the beta table, and per chunk of K rows at most
-``_BLOCK_BYTES`` in each of a few temporaries.  Nothing here assumes the
-vectors are eigenvectors or the rows characters, and no irrep is
-touched.
+``groups._BLOCK_BYTES`` in each of a few temporaries.  Nothing here
+assumes the vectors are eigenvectors or the rows characters, and no
+irrep is touched.
 
 Every other input takes the dense path for the residuals and traces,
 whatever its entries: a dense matrix (an edge list read back, a raw
@@ -47,9 +47,9 @@ checks the n x n arrays it would allocate against
 ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
 matrix of an adjacency that carries its beta table.  Beyond the n x n
 adjacency and the claimed vectors, it holds one block at a time:
-``_BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice that in
-GEMM output and residual temporaries, whatever n and the number of
-lines.  While it computes residuals against a real adjacency (every
+``groups._BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice
+that in GEMM output and residual temporaries, whatever n and the number
+of lines.  While it computes residuals against a real adjacency (every
 indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
 flops of the complex one.  The trace identities come from the matrix.
@@ -68,15 +68,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import spectra
+from . import groups, spectra
 from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
 from .spectra import KroneckerFactors, Spectrum, _clusters, _weighted_eigenvalues
-
-# bytes of stacked complex vectors (or Gram rows) one certification block holds
-_BLOCK_BYTES = 1 << 23
 
 
 @dataclass
@@ -130,7 +127,7 @@ def _square_matrix(adjacency) -> np.ndarray:
 
 def _block_columns(n: int) -> int:
     """Complex length-n vectors that fit one certification block."""
-    return max(1, _BLOCK_BYTES // (16 * max(1, n)))
+    return max(1, groups._BLOCK_BYTES // (16 * max(1, n)))
 
 
 def _gram_rows(count: int) -> int:
@@ -185,7 +182,7 @@ def _grid_scale(beta: np.ndarray) -> float:
     doubled = np.concatenate((magnitudes, magnitudes), axis=-1)
     # windows[i, j, s] = doubled[i, j, s:s + m]
     windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
-    step = max(1, _BLOCK_BYTES // (8 * l * m))
+    step = max(1, groups._BLOCK_BYTES // (8 * l * m))
     largest = 0.0
     for i in range(l):
         for a0 in range(0, m, step):
@@ -375,7 +372,7 @@ def _fourier_split(k_rows: np.ndarray) -> _FourierRows:
     peaks = np.empty(m, dtype=complex)
     rest_norms = np.empty(m)
     rest_max = 0.0
-    step = max(1, _BLOCK_BYTES // (16 * m))
+    step = max(1, groups._BLOCK_BYTES // (16 * m))
     for lo in range(0, m, step):
         transform = np.fft.fft(k_rows[lo:lo + step], axis=-1)
         sizes = np.abs(transform)
@@ -409,7 +406,7 @@ def _fourier_bounds(contracted: np.ndarray, h_rows: np.ndarray,
     rest_sizes = rows.rest_norms / np.sqrt(m)
     bound = np.empty((l, m))
     remainder = np.empty((l, m))
-    step = max(1, _BLOCK_BYTES // (16 * l * l))
+    step = max(1, groups._BLOCK_BYTES // (16 * l * l))
     for lo in range(0, m, step):
         eigenvalues = grid_eigenvalues[:, lo:lo + step]
         # exact[i, u, v] = |g[p_v]| |D_v| / m
@@ -432,7 +429,7 @@ def _correlation_residuals(contracted: np.ndarray, factors: KroneckerFactors,
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
     l, m = len(h_rows), len(k_rows)
     grid_max = np.zeros((l, m))
-    step = max(1, _BLOCK_BYTES // (16 * l * m))
+    step = max(1, groups._BLOCK_BYTES // (16 * l * m))
     for lo in range(0, m, step):
         k_block = k_rows[lo:lo + step]
         k_hat = np.fft.fft(k_block, axis=-1)

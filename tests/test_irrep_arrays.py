@@ -23,7 +23,10 @@ from cayleyspec import (
     ColorFunction,
     CyclicGroup,
     DihedralGroup,
+    InvalidAction,
     IrrepSet,
+    IrrepValidationFailed,
+    IrrepsUnavailable,
     MetacyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
@@ -52,6 +55,7 @@ from cayleyspec import (
 )
 from cayleyspec import spectra as spectra_module
 from cayleyspec.irreps import ValidationIssue
+from test_kernel import groups_strategy
 
 # -- oracles: the per-element constructions and loops ------------------------
 
@@ -290,7 +294,7 @@ def test_dict_tables_keep_the_old_interface():
     table = {g: base.matrix(g).copy() for g in reversed(DihedralGroup(3).elements())}
     rho = UnitaryIrrep("E1", table)
     assert rho.label == "E1" and rho.degree == 2
-    assert rho.elements == tuple(table)
+    assert rho.elements == tuple(sorted(table))
     assert set(rho.matrices) == set(table)
     for g, M in table.items():
         assert np.array_equal(rho.matrix(g), M)
@@ -302,8 +306,27 @@ def test_dict_tables_keep_the_old_interface():
         UnitaryIrrep("bad", {0: np.eye(2), 1: np.eye(3)})
     with pytest.raises(ValueError):
         UnitaryIrrep("empty", {})
+    with pytest.raises(ValueError, match="'mixed'.*sorted"):
+        UnitaryIrrep("mixed", {0: np.eye(1), (0, 1): np.eye(1)})
     with pytest.raises(KeyError):
         rho.matrix((5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_strategy(), st.data())
+def test_dict_tables_are_stored_in_the_canonical_order(group, data):
+    """Every kind lists its elements sorted, so a dict table, stored with
+    its elements sorted, holds the built-in rows whatever its key order."""
+    elems = group.elements()
+    assert list(elems) == sorted(elems)
+    try:
+        rho = data.draw(st.sampled_from(builtin_irreps(group).irreps))
+    except IrrepsUnavailable:
+        return
+    shuffled = data.draw(st.permutations(elems))
+    table = UnitaryIrrep(rho.label, {g: rho.matrix(g) for g in shuffled})
+    assert table.elements == tuple(elems)
+    assert table.stack.tobytes() == rho.stack.tobytes()
 
 
 def test_build_irreps_cyclic_600_quickly():
@@ -364,6 +387,39 @@ def test_validation_coverage_witness():
     report = validate_irrep_set(group, IrrepSet(group, irreps))
     (issue,) = [i for i in report.issues if i.check == "coverage"]
     assert issue.witness == (1, 2) and issue.deviation == 1.0
+
+
+def test_validation_rejects_elements_outside_the_group():
+    c3 = CyclicGroup(3)
+    irreps = [UnitaryIrrep(rho.label, {**rho.matrices, 99: rho.matrix(0)})
+              for rho in irreps_cyclic(3)]
+    report = validate_irrep_set(c3, IrrepSet(c3, irreps))
+    assert [(i.check, i.labels, i.witness, i.deviation) for i in report.issues] == \
+        [("coverage", (rho.label,), 99, 1.0) for rho in irreps]
+    color = ColorFunction(c3, {1: 1, 2: 1})
+    with pytest.raises(IrrepValidationFailed):
+        spectrum_normal(c3, color, IrrepSet(c3, irreps))
+
+
+def test_a_trusted_set_of_another_group_is_refused():
+    # C3 x C2 and D3 share their element encoding, so the rows of D3's
+    # irreps would be read as if they were C3 x C2's
+    group, other = MetacyclicGroup(3, 2, 1), DihedralGroup(3)
+    assert group.elements() == other.elements()
+    color = ColorFunction(group, {(0, 1): 1, (0, 2): 1, (1, 0): 1})
+    for call in (lambda irr: spectrum_normal(group, color, irr),
+                 lambda irr: build_p_matrix(group, irr),
+                 lambda irr: block_diagonalize(group, color, irr)):
+        with pytest.raises(InvalidAction, match="do not belong"):
+            call(builtin_irreps(other))
+        call(builtin_irreps(group))
+    family, conn = nonnormal_family(7, 3, 2)
+    color = color_from_set(family, conn.elements)
+    for irreps_h, irreps_k in ((irreps_cyclic(2), irreps_cyclic(7)),
+                               (irreps_cyclic(3), irreps_cyclic(5))):
+        with pytest.raises(InvalidAction, match="do not belong"):
+            spectrum_split(family, color, irreps_h, irreps_k)
+    spectrum_split(family, color, irreps_cyclic(3), irreps_cyclic(7))
 
 
 def test_validation_passes_builtins_like_the_oracle():

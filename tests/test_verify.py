@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cayleyspec import groups as groups_module
 from cayleyspec import verify as verify_module
 from test_cayley import formed
 from test_kernel import groups_strategy, random_complex_color
@@ -286,9 +287,7 @@ def dense(adjacency):
 
 
 def small_blocks(monkeypatch, columns, n):
-    from cayleyspec import verify as verify_module
-
-    monkeypatch.setattr(verify_module, "_BLOCK_BYTES", 16 * n * columns)
+    monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 16 * n * columns)
 
 
 @pytest.mark.parametrize("columns", [1, 3, 5, 7, 64])
@@ -836,7 +835,7 @@ def test_factored_claims_stay_far_below_an_n_squared_basis():
         assert peak <= basis_bytes / 8, (spec.method, peak)
         report, peak = peak_bytes(lambda: certify(adj, spec, color))
         assert report.structured and report.passed
-        assert peak <= 4 * verify_module._BLOCK_BYTES, (spec.method, peak)
+        assert peak <= 4 * groups_module._BLOCK_BYTES, (spec.method, peak)
 
 
 def test_a_wrong_eigenvalue_fails_on_the_structured_path():
@@ -984,7 +983,7 @@ def test_certify_at_n_2110_never_forms_the_matrix():
         tracemalloc.stop()
     assert report.structured and report.passed and report.complete
     assert not formed(adj)
-    assert peak <= min(16 * n * n / 2, 4 * verify_module._BLOCK_BYTES), peak
+    assert peak <= min(16 * n * n / 2, 4 * groups_module._BLOCK_BYTES), peak
 
 
 def test_dense_certification_checks_the_byte_budget(monkeypatch):
