@@ -160,7 +160,7 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
             witnesses["conjugation_closed"] = (
                 elems[first[k]], elems[orbit[np.argmax(~outside)]], elems[orbit[k]])
             break
-    generates, closure_size = is_generating_set(group, members)
+    generates, closure_size = is_generating_set(group, indices=member_idx)
     return ConnectionSet(
         elements=tuple(members),
         inverse_closed=inverse_closed,

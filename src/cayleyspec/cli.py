@@ -394,19 +394,13 @@ def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
 
 def _spectrum_payload(spectrum: spectra.Spectrum, verification=None) -> dict:
     """The ``spectrum``/``verify`` document without eigenvectors."""
-    lines = [
-        {
-            "u": line.u,
-            "v": line.v,
-            "eigenvalue": _pair(line.eigenvalue),
-            "multiplicity": line.multiplicity,
-        }
-        for line in spectrum.lines
-    ]
     payload = {
         "n": spectrum.n,
         "method": spectrum.method,
-        "lines": lines,
+        "lines": [
+            {"u": u, "v": v, "eigenvalue": [_round15(re), _round15(im)], "multiplicity": count}
+            for u, v, re, im, count in _line_rows(spectrum)
+        ],
         "multiset": [
             [_round15(value.real), _round15(value.imag), count]
             for value, count in spectrum.multiset()
@@ -505,14 +499,19 @@ def _verification_payload(report: verify.VerificationReport) -> dict:
     return payload
 
 
+def _line_rows(spectrum: spectra.Spectrum):
+    """``(u, v, re, im, multiplicity)`` of each line, read off the
+    spectrum's columns as Python numbers; v is None on the normal route."""
+    values = spectrum.eigenvalues
+    return zip(spectrum.u.tolist(), spectrum.lines.v_values(), values.real.tolist(),
+               values.imag.tolist(), spectrum.multiplicities.tolist())
+
+
 def _spectrum_csv(spectrum: spectra.Spectrum) -> str:
-    rows = ["u,v,re,im,multiplicity"]
-    for line in spectrum.lines:
-        v = "" if line.v is None else str(line.v)
-        rows.append(
-            f"{line.u},{v},{line.eigenvalue.real:.15g},"
-            f"{line.eigenvalue.imag:.15g},{line.multiplicity}"
-        )
+    rows = ["u,v,re,im,multiplicity"] + [
+        f"{u},{'' if v is None else v},{re:.15g},{im:.15g},{count}"
+        for u, v, re, im, count in _line_rows(spectrum)
+    ]
     return "\n".join(rows) + "\n"
 
 

@@ -794,30 +794,65 @@ def conjugation_orbits_on_k(group: FiniteGroup) -> list:
     ]
 
 
-def is_generating_set(group: FiniteGroup, subset: Iterable) -> tuple:
+def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,
+                      indices: Optional[Iterable[int]] = None) -> tuple:
     """Whether the multiplicative closure of ``subset`` is the whole group.
 
-    Returns ``(generates, closure_size)``.  The closure of a non-empty
-    subset of a finite group is the subgroup it generates, found by a
-    breadth-first search from the identity under right multiplication by
-    the subset, O(n |subset|) kernel products; an empty subset closes to
-    nothing, ``(False, 0)``.
+    Returns ``(generates, closure_size)``.  ``indices``, the members'
+    canonical indices, may be given in place of ``subset``.  The closure
+    of a non-empty subset of a finite group is the subgroup it generates;
+    an empty subset closes to nothing, ``(False, 0)``.
+
+    The generators are taken in index order, and one already reached is
+    skipped: it lies in the subgroup the earlier ones generate.  Each kept
+    generator g grows the reached set T by doubling, T <- T u T g^(2^j)
+    with the power squared each round, until T g^(2^j) lies in T; then
+    T = T {1, g, ..., g^(2^j - 1)} is closed under g.  A breadth-first
+    search under right multiplication by the kept generators, from all of
+    T, closes T under all of them at once: O(n |kept|) kernel products,
+    not O(n |subset|).
     """
-    gens = np.unique(np.array([group.index(g) for g in subset], dtype=np.int64))
+    if indices is None:
+        indices = [group.index(g) for g in subset]
+    elif subset:
+        raise ValueError("give the generators as elements or as indices, not both")
+    gens = np.unique(np.asarray(indices, dtype=np.int64))
     if gens.size == 0:
         return False, 0
     reached = np.zeros(group.order, dtype=bool)
-    frontier = np.array([group.index(group.identity)], dtype=np.int64)
-    reached[frontier] = True
-    size = 1
-    step = _block_len(gens.size)
+    members = [np.array([group.index(group.identity)], dtype=np.int64)]
+    reached[members[0]] = True
+    kept = []
+    for g in gens.tolist():
+        if reached[g]:
+            continue
+        kept.append(g)
+        power = g
+        while True:
+            fresh = _fresh_products(group, np.concatenate(members), np.array([power]), reached)
+            if not fresh.size:
+                break
+            members.append(fresh)
+            power = int(group.mul_idx(power, power))
+    frontier = np.concatenate(members)
+    size = frontier.size
+    kept = np.array(kept, dtype=np.int64)
     while frontier.size:
-        fresh = []
-        for lo in range(0, frontier.size, step):
-            products = group.mul_idx(frontier[lo:lo + step, None], gens[None, :])
-            products = np.unique(products[~reached[products]])
-            reached[products] = True
-            fresh.append(products)
-        frontier = np.concatenate(fresh)
+        frontier = _fresh_products(group, frontier, kept, reached)
         size += frontier.size
     return size == group.order, size
+
+
+def _fresh_products(group: FiniteGroup, left: np.ndarray, right: np.ndarray,
+                    reached: np.ndarray) -> np.ndarray:
+    """The products ``left[i] * right[j]`` not yet ``reached``, ascending;
+    marks them reached.  Blocks of ``left`` keep each index temporary
+    within ``_BLOCK_BYTES``."""
+    fresh = []
+    step = _block_len(right.size)
+    for lo in range(0, left.size, step):
+        products = group.mul_idx(left[lo:lo + step, None], right[None, :])
+        products = np.unique(products[~reached[products]])
+        reached[products] = True
+        fresh.append(products)
+    return np.concatenate(fresh)

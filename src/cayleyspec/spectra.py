@@ -26,10 +26,13 @@ paths), so an independent residual check can certify every claim:
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -70,10 +73,12 @@ from .irreps import (
 class SpectralLine:
     """One labeled eigenvalue with its multiplicity.
 
-    The line's vectors are claimed by its spectrum; read them with
-    ``Spectrum.vector_rows``.  ``eigenvectors`` is always None: it is kept
-    only for readers of the old per-line rows.  The split path also
-    records its per-class intermediate sums.
+    ``Spectrum.lines`` forms these on demand from its columns, and
+    ``Spectrum(lines=...)`` takes hand-built ones.  The line's vectors are
+    claimed by its spectrum; read them with ``Spectrum.vector_rows``.
+    ``eigenvectors`` is always None: it is kept only for readers of the old
+    per-line rows.  The split path also records its per-class intermediate
+    sums.
 
     ``==`` is identity, as for ``Spectrum``.
     """
@@ -86,6 +91,153 @@ class SpectralLine:
     eigenvectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     h_class_terms: Optional[tuple] = field(default=None, kw_only=True)
     k_class_terms: Optional[tuple] = field(default=None, kw_only=True)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.ascontiguousarray(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+class SpectralLines(Sequence):
+    """The lines of a spectrum, held as read-only columns.
+
+    ``eigenvalues`` (complex), ``multiplicities`` (int64) and ``u`` hold
+    one entry per line; so does ``v``, or it is None when no line has a v
+    (the normal route).  A line without a v holds -1 there.  Labels are
+    held per axis: line k's labels are ``(axes[0][u[k]],)``, plus
+    ``(axes[1][v[k]],)`` when there is a second axis, or ``()`` when
+    there is none.  The split route's class terms are the rows
+    ``h_terms[u[k]]`` and ``k_terms[v[k]]``; the other routes leave both
+    None.
+
+    Indexing and iteration form ``SpectralLine`` objects on demand, and a
+    slice is a list of them: the columns are the only storage.
+    """
+
+    def __init__(self, eigenvalues, multiplicities, u, v=None, axes: tuple = (),
+                 h_terms=None, k_terms=None):
+        self.eigenvalues = _read_only(eigenvalues, complex)
+        self.multiplicities = _read_only(multiplicities, np.int64)
+        self.u = _read_only(u, np.int64)
+        self.v = None if v is None else _read_only(v, np.int64)
+        self.axes = tuple(tuple(axis) for axis in axes)
+        self.h_terms = None if h_terms is None else _read_only(h_terms, complex)
+        self.k_terms = None if k_terms is None else _read_only(k_terms, complex)
+        columns = (self.eigenvalues, self.multiplicities, self.u, self.v)
+        if any(c is not None and c.shape != (len(self.u),) for c in columns):
+            raise ValueError("a spectrum's line columns must be 1-D and of one length")
+        if len(self.axes) > 1 + (v is not None):
+            raise ValueError("lines carry at most one label axis, or two when they have a v")
+        if (h_terms is None) != (k_terms is None) or (k_terms is not None and v is None):
+            raise ValueError("class terms come as H and K rows, on lines that have a v")
+
+    @classmethod
+    def of(cls, lines) -> SpectralLines:
+        """The columns of hand-built ``SpectralLine`` objects.
+
+        Raises ValueError unless each u, and each v that is not None, is a
+        non-negative integer, and the labels are one per axis: every line
+        holds as many, the first fixed by u, the second, if any, by v.  If
+        any line records class terms, every line does, fixed by u and by
+        v likewise.
+        """
+        lines = list(lines)
+        u = [line.u for line in lines]
+        v = [line.v for line in lines]
+        for key in u + [key for key in v if key is not None]:
+            if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or key < 0:
+                raise ValueError(f"a line's u and v must be non-negative integers, got {key!r}")
+        widths = {len(line.labels) for line in lines} or {0}
+        if len(widths) > 1 or max(widths) > 2:
+            raise ValueError("every line must carry as many labels as the others, "
+                             "at most two")
+        axes = [_axis(keys, [line.labels[a] for line in lines], name)
+                for a, (keys, name) in enumerate(((u, "u"), (v, "v"))[:widths.pop()])]
+        h_terms = k_terms = None
+        if any(line.h_class_terms is not None or line.k_class_terms is not None
+               for line in lines):
+            h_terms = _term_rows(u, [line.h_class_terms for line in lines], "u")
+            k_terms = _term_rows(v, [line.k_class_terms for line in lines], "v")
+        if all(key is None for key in v):
+            v = None
+        else:
+            v = [-1 if key is None else key for key in v]
+        return cls([line.eigenvalue for line in lines], [line.multiplicity for line in lines],
+                   u, v, axes, h_terms, k_terms)
+
+    def v_values(self):
+        """Each line's v as an int, or None for a line without one."""
+        if self.v is None:
+            return itertools.repeat(None, len(self))
+        values = self.v.tolist()
+        if self.v.min(initial=0) < 0:
+            values = [None if key < 0 else key for key in values]
+        return values
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self))[k]
+        v = None if self.v is None or self.v[k] < 0 else int(self.v[k])
+        return self._line(int(self.u[k]), v, complex(self.eigenvalues[k]),
+                          int(self.multiplicities[k]))
+
+    def __iter__(self):
+        return itertools.starmap(self._line, zip(
+            self.u.tolist(), self.v_values(), self.eigenvalues.tolist(),
+            self.multiplicities.tolist()))
+
+    def _line(self, u: int, v: Optional[int], eigenvalue: complex,
+              multiplicity: int) -> SpectralLine:
+        axes = self.axes
+        labels = (() if not axes else (axes[0][u],) if len(axes) == 1
+                  else (axes[0][u], axes[1][v]))
+        return SpectralLine(
+            u=u, v=v, labels=labels, eigenvalue=eigenvalue, multiplicity=multiplicity,
+            h_class_terms=None if self.h_terms is None else tuple(self.h_terms[u].tolist()),
+            k_class_terms=None if self.k_terms is None else tuple(self.k_terms[v].tolist()),
+        )
+
+    def __repr__(self):
+        return f"<SpectralLines: {len(self)} lines>"
+
+
+def _keyed(keys: list, values: list, name: str, same=operator.eq) -> dict:
+    """``{key: value}`` over the lines; ValueError when a line has no key
+    or the lines of one key disagree on its value under ``same``."""
+    table = {}
+    for key, value in zip(keys, values):
+        if key is None:
+            raise ValueError(f"a line without a {name} carries no second label or K terms")
+        if not same(table.setdefault(key, value), value):
+            raise ValueError(f"the lines with {name} = {key} disagree: "
+                             f"{table[key]!r} and {value!r}")
+    return table
+
+
+def _axis(keys: list, labels: list, name: str) -> tuple:
+    """The label axis that gives each key its lines' label, and None to a
+    key no line holds."""
+    table = _keyed(keys, labels, name)
+    return tuple(table.get(key) for key in range(max(table, default=-1) + 1))
+
+
+def _term_rows(keys: list, terms: list, name: str) -> np.ndarray:
+    """The class-term rows that give each key its lines' terms, which
+    agree bit for bit; a row no line reads is zero."""
+    if None in terms:
+        raise ValueError("either every line records its class terms or none does")
+    table = _keyed(keys, [np.asarray(row, dtype=complex) for row in terms], name,
+                   lambda a, b: a.tobytes() == b.tobytes())
+    width = len(next(iter(table.values()), ()))
+    rows = np.zeros((max(table, default=-1) + 1, width), dtype=complex)
+    for key, row in table.items():
+        rows[key] = row
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +265,17 @@ def _kronecker_rows(factors: KroneckerFactors, pairs: np.ndarray) -> np.ndarray:
 class Spectrum:
     """A full labeled spectrum; total multiplicity covers the whole space.
 
+    ``lines`` holds the lines as columns (``SpectralLines``); the
+    constructor takes hand-built ``SpectralLine`` objects too and turns
+    them into columns.  ``eigenvalues``, ``multiplicities``, ``u`` and
+    ``v`` read the columns.
+
     A spectrum claims N vectors in one form, or none: ``vectors``, an
     (N, n) complex array (the normal route), or ``factors``, Kronecker
     factors with N pairs (the split and metacyclic routes).  Line k owns
     vectors ``offsets[k]:offsets[k + 1]`` with offsets the running sum of
-    the multiplicities, capped at N.
+    the multiplicities clipped at 0, capped at N: a line of multiplicity
+    <= 0 owns none.
 
     ``==`` is identity: the fields hold arrays, which have no single truth
     value.  Compare eigenvalue multisets with ``verify.compare_spectra``
@@ -126,19 +284,37 @@ class Spectrum:
 
     n: int
     method: str
-    lines: list
+    lines: SpectralLines
     theorem_verified: bool = True
     factors: Optional[KroneckerFactors] = None
     vectors: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.lines, SpectralLines):
+            self.lines = SpectralLines.of(self.lines)
         if self.vectors is not None and self.factors is not None:
             raise ValueError("a spectrum claims its vectors as `vectors` or as "
                              "`factors`, not both")
 
     @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.lines.eigenvalues
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return self.lines.multiplicities
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.lines.u
+
+    @property
+    def v(self) -> Optional[np.ndarray]:
+        return self.lines.v
+
+    @property
     def total_multiplicity(self) -> int:
-        return sum(line.multiplicity for line in self.lines)
+        return int(self.multiplicities.sum())
 
     @property
     def claims_vectors(self) -> bool:
@@ -151,16 +327,14 @@ class Spectrum:
         return 0 if self.vectors is None else len(self.vectors)
 
     def eigenvalues_expanded(self) -> list:
-        values = []
-        for line in self.lines:
-            values.extend([line.eigenvalue] * line.multiplicity)
-        return values
+        return np.repeat(self.eigenvalues, np.maximum(self.multiplicities, 0)).tolist()
 
     def _vector_offsets(self) -> np.ndarray:
         """Where each line's vectors start; the last entry is where the
         last line's end."""
-        counts = [line.multiplicity for line in self.lines]
-        return np.minimum(np.cumsum([0] + counts), self.vector_count())
+        offsets = np.zeros(len(self.lines) + 1, dtype=np.int64)
+        np.cumsum(np.maximum(self.multiplicities, 0), out=offsets[1:])
+        return np.minimum(offsets, self.vector_count())
 
     def vector_rows(self, lo: int, hi: int) -> np.ndarray:
         """Vectors lo..hi-1 as the rows of one read-only complex array,
@@ -179,18 +353,10 @@ class Spectrum:
 
     def multiset(self) -> list:
         """``cluster_eigenvalues(self.eigenvalues_expanded())``, clustered
-        from one value per line weighted by its multiplicity."""
-        return list(zip(*_clusters(*_weighted_eigenvalues(self.lines), 1e-9)))
-
-
-def _weighted_eigenvalues(lines: Sequence[SpectralLine]) -> tuple:
-    """``(values, multiplicities)`` of the lines, as arrays; a line of
-    multiplicity <= 0 is left out, so it contributes nothing and bridges
-    nothing."""
-    values = np.array([line.eigenvalue for line in lines], dtype=complex)
-    weights = np.array([line.multiplicity for line in lines], dtype=np.int64)
-    kept = weights > 0
-    return values[kept], weights[kept]
+        from one value per line weighted by its multiplicity; a line of
+        multiplicity <= 0 contributes nothing and bridges nothing."""
+        kept = self.multiplicities > 0
+        return list(zip(*_clusters(self.eigenvalues[kept], self.multiplicities[kept], 1e-9)))
 
 
 # member pairs ``_chain_cells`` compares in one block
@@ -516,16 +682,9 @@ def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSe
     ensure_trusted(group, irrep_set)
     sums = _character_sums(color.vector, len(irrep_set),
                            _character_gather(irrep_set))
-    lines = []
-    for k_idx, (rho, total) in enumerate(zip(irrep_set, sums.tolist())):
-        d = rho.degree
-        lines.append(SpectralLine(
-            u=k_idx,
-            v=None,
-            labels=(rho.label,),
-            eigenvalue=total / d,
-            multiplicity=d * d,
-        ))
+    degrees = np.array(irrep_set.degrees(), dtype=np.int64)
+    lines = SpectralLines(_over_degrees(sums, degrees), np.square(degrees),
+                          np.arange(len(irrep_set)), axes=(irrep_set.labels(),))
     vectors = None
     if eigenvectors:
         # line k's vectors are the P-matrix columns of its coefficients;
@@ -564,9 +723,8 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
                for rho, chars in zip(irreps_h, h_chars.tolist())]
     # row i holds alpha(h k^b) over b, with h the representative of C_i
     lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
-                        _character_gather(irreps_k),
-                        irreps_h.labels(), irreps_k.labels(),
-                        np.square(irreps_h.degrees()).tolist(), record_terms=True)
+                        _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
+                        np.square(irreps_h.degrees()), record_terms=True)
     factors = None
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns; line
@@ -588,28 +746,38 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     )
 
 
+def _over_degrees(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """``sums / degrees`` as Python divides a complex by an int: each part
+    plus the other part times 0.0, over the degree.  numpy's own quotient
+    multiplies by the reciprocal and may differ in the last bit."""
+    out = np.empty(sums.shape, dtype=complex)
+    # an infinite part times 0.0 is NaN, as in Python, without a warning
+    with np.errstate(invalid="ignore"):
+        out.real = (sums.real + sums.imag * 0.0) / degrees
+        out.imag = (sums.imag - sums.real * 0.0) / degrees
+    return out
+
+
 def _grid_lines(h_terms: Sequence, rows: np.ndarray, k_gather, h_labels: list,
-                k_labels: list, multiplicities: list, record_terms: bool) -> list:
+                k_labels: list, multiplicities: np.ndarray,
+                record_terms: bool) -> SpectralLines:
     """Lines (u, v), u major, of the split formula over the H-classes i and
     the degree-one K-irreps v.  ``sigma[v, i] = sum_b rows[i, b] chi_v(k^b)``
     takes one ``_character_sums`` call per class row; the eigenvalue
     ``sum_i h_terms[u][i] sigma[v, i]`` adds ``_cmul`` products in class
-    order from zeros, as Python's ``sum`` rounds it."""
+    order from zeros, as Python's ``sum`` rounds it.  With
+    ``record_terms``, the lines' class terms are the rows of ``h_terms``
+    and of sigma."""
+    h_terms = np.array(h_terms, dtype=complex)
     sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
     eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
-    for i, lam in enumerate(np.array(h_terms).T):
+    for i, lam in enumerate(h_terms.T):
         eig += _cmul(lam[:, np.newaxis], sigma[:, i])
-    k_terms = [tuple(sums) for sums in sigma.tolist()] if record_terms else None
-    return [SpectralLine(
-        u=u,
-        v=v,
-        labels=(h_label, k_label),
-        eigenvalue=eigenvalue,
-        multiplicity=multiplicity,
-        h_class_terms=h_terms[u] if record_terms else None,
-        k_class_terms=k_terms[v] if record_terms else None,
-    ) for u, (h_label, multiplicity, row) in enumerate(zip(h_labels, multiplicities, eig.tolist()))
-        for v, (k_label, eigenvalue) in enumerate(zip(k_labels, row))]
+    u, v = np.divmod(np.arange(eig.size), len(k_labels))
+    return SpectralLines(eig.ravel(), np.repeat(multiplicities, len(k_labels)), u, v,
+                         axes=(h_labels, k_labels),
+                         h_terms=h_terms if record_terms else None,
+                         k_terms=sigma if record_terms else None)
 
 
 def _frozen_pairs(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -649,7 +817,7 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     h_roots = roots_l[np.outer(u_range, u_range) % l]
     lines = _grid_lines(
         h_roots, indicators, lambda lo, hi, nz: roots_m[np.arange(lo, hi)[:, np.newaxis] * nz % m],
-        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], [1] * l,
+        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], np.ones(l, dtype=np.int64),
         record_terms=False)
     factors = None
     if eigenvectors:
@@ -698,22 +866,20 @@ class BlockDiagonalization:
         Each eigenvalue of a degree-d block has multiplicity d.  Raises
         InvalidAction when a block of degree >= 3 was left unextracted.
         """
-        lines = []
-        for u_idx, (block, eigs) in enumerate(
-                zip(self.blocks, self.block_eigenvalues)):
+        for block, eigs in zip(self.blocks, self.block_eigenvalues):
             if eigs is None:
                 raise InvalidAction(
                     f"method 'blocks' cannot extract eigenvalues of the degree-"
                     f"{block.degree} block {block.label!r} in closed form"
                 )
-            for v_idx, value in enumerate(eigs):
-                lines.append(SpectralLine(
-                    u=u_idx,
-                    v=v_idx,
-                    labels=(block.label,),
-                    eigenvalue=complex(value),
-                    multiplicity=block.degree,
-                ))
+        counts = np.array([len(eigs) for eigs in self.block_eigenvalues], dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        u = np.repeat(np.arange(len(counts)), counts)
+        values = np.fromiter(itertools.chain.from_iterable(self.block_eigenvalues),
+                             dtype=complex, count=int(counts.sum()))
+        lines = SpectralLines(values, np.repeat([b.degree for b in self.blocks], counts), u,
+                              np.arange(len(u)) - starts[u],
+                              axes=([block.label for block in self.blocks],))
         return Spectrum(n=self.p_matrix.n, method="blocks", lines=lines)
 
 

@@ -73,7 +73,7 @@ from .cayley import AdjacencyMatrix, ColorFunction
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
-from .spectra import KroneckerFactors, Spectrum, _clusters, _weighted_eigenvalues
+from .spectra import KroneckerFactors, Spectrum, _clusters
 
 
 @dataclass
@@ -237,11 +237,8 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
     if shape != (n,):
         raise DimensionMismatch(f"claimed vectors have row shape {shape}, expected {(n,)}")
     offsets = spectrum._vector_offsets()
-    lines = spectrum.lines
     counts = np.diff(offsets)
-    column_eigenvalues = np.repeat(
-        np.array([line.eigenvalue for line in lines], dtype=complex), counts
-    )
+    column_eigenvalues = np.repeat(spectrum.eigenvalues, counts)
     factors = _checked_factors(spectrum)
     structured = (factors is not None and beta is not None
                   and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),))
@@ -254,17 +251,16 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         if beta is not None:
             matrix = adjacency.matrix
         scale, column_max = _dense_residuals(matrix, spectrum, column_eigenvalues)
-    residuals = np.zeros(len(lines))
+    residuals = np.zeros(len(counts))
     nonempty = counts > 0
     if nonempty.any():
         residuals[nonempty] = np.maximum.reduceat(column_max, offsets[:-1][nonempty])
-    per_line = tuple(float(r) for r in residuals)
     return VerificationReport(
         n=n,
         tolerance=tol,
         scale=scale,
         max_residual=float(np.max(residuals, initial=0.0)),
-        per_line_residuals=per_line,
+        per_line_residuals=tuple(residuals.tolist()),
         structured=structured,
     )
 
@@ -660,12 +656,13 @@ def compare_spectra(first: Spectrum, second: Spectrum,
     only by rounding noise in one coordinate, e.g. a conjugate pair with
     dusty real parts.
     """
-    left, right = _weighted_eigenvalues(first.lines), _weighted_eigenvalues(second.lines)
-    sizes = left[1].sum(), right[1].sum()
-    if sizes[0] != sizes[1]:
-        raise DimensionMismatch(f"multisets have sizes {sizes[0]} and {sizes[1]}")
-    values, balances = _clusters(np.concatenate((left[0], right[0])),
-                                 np.concatenate((left[1], -right[1])), tol)
+    kept = first.multiplicities > 0, second.multiplicities > 0
+    left, right = first.multiplicities[kept[0]], second.multiplicities[kept[1]]
+    if left.sum() != right.sum():
+        raise DimensionMismatch(f"multisets have sizes {left.sum()} and {right.sum()}")
+    values, balances = _clusters(
+        np.concatenate((first.eigenvalues[kept[0]], second.eigenvalues[kept[1]])),
+        np.concatenate((left, -right)), tol)
     surplus = [value for value, balance in zip(values, balances) if balance > 0]
     deficit = [value for value, balance in zip(values, balances) if balance < 0]
     if not surplus:

@@ -1,0 +1,213 @@
+"""The columnar ``Spectrum`` against the per-line builders it replaced.
+
+Each route used to build one ``SpectralLine`` per line; the oracles below
+keep those builders, on the same character-sum kernels, and the columns
+every route builds now must hold their bits.
+"""
+
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from cayleyspec import (
+    ColorFunction,
+    IrrepsUnavailable,
+    MetacyclicGroup,
+    SpectralLine,
+    SpectralLines,
+    Spectrum,
+    SplitExtensionGroup,
+    block_diagonalize,
+    builtin_irreps,
+    irreps_cyclic,
+    spectrum_metacyclic,
+    spectrum_normal,
+    spectrum_split,
+)
+from cayleyspec.irreps import _character_gather, _character_sums, _cmul, _root_table
+from test_kernel import class_color_values, groups_strategy, random_complex_color
+
+
+def normal_oracle(group, color, irrep_set):
+    sums = _character_sums(color.vector, len(irrep_set), _character_gather(irrep_set))
+    return [SpectralLine(u=k, v=None, labels=(rho.label,), eigenvalue=total / rho.degree,
+                         multiplicity=rho.degree * rho.degree)
+            for k, (rho, total) in enumerate(zip(irrep_set, sums.tolist()))]
+
+
+def grid_oracle(h_terms, rows, k_gather, h_labels, k_labels, multiplicities, record_terms):
+    sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
+    eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
+    for i, lam in enumerate(np.array(h_terms).T):
+        eig += _cmul(lam[:, np.newaxis], sigma[:, i])
+    k_terms = [tuple(sums) for sums in sigma.tolist()] if record_terms else None
+    return [SpectralLine(
+        u=u, v=v, labels=(h_label, k_label), eigenvalue=eigenvalue, multiplicity=multiplicity,
+        h_class_terms=h_terms[u] if record_terms else None,
+        k_class_terms=k_terms[v] if record_terms else None,
+    ) for u, (h_label, multiplicity, row) in enumerate(zip(h_labels, multiplicities, eig.tolist()))
+        for v, (k_label, eigenvalue) in enumerate(zip(k_labels, row))]
+
+
+def split_oracle(group, color, irreps_h, irreps_k):
+    h_group, m, l = group.h_group, group.m, group.l
+    h_classes = h_group.conjugacy_classes()
+    reps = [h_group.index(cls.representative) for cls in h_classes]
+    h_chars = _character_gather(irreps_h)(0, len(irreps_h), reps)
+    h_terms = [tuple(cls.size * c / rho.degree for cls, c in zip(h_classes, chars))
+               for rho, chars in zip(irreps_h, h_chars.tolist())]
+    return grid_oracle(h_terms, color.vector.reshape(l, m)[reps], _character_gather(irreps_k),
+                       irreps_h.labels(), irreps_k.labels(),
+                       [d * d for d in irreps_h.degrees()], record_terms=True)
+
+
+def metacyclic_oracle(m, l, layers):
+    indicators = np.zeros((l, m), dtype=complex)
+    for t, layer in enumerate(layers):
+        indicators[t, [s % m for s in layer]] = 1
+    roots_l, roots_m = _root_table(l), _root_table(m)
+    return grid_oracle(
+        roots_l[np.outer(np.arange(l), np.arange(l)) % l], indicators,
+        lambda lo, hi, nz: roots_m[np.arange(lo, hi)[:, np.newaxis] * nz % m],
+        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], [1] * l,
+        record_terms=False)
+
+
+def blocks_oracle(decomposition):
+    return [SpectralLine(u=u, v=v, labels=(block.label,), eigenvalue=complex(value),
+                         multiplicity=block.degree)
+            for u, (block, eigs) in enumerate(zip(decomposition.blocks,
+                                                  decomposition.block_eigenvalues))
+            for v, value in enumerate(eigs)]
+
+
+def term_bytes(terms):
+    return None if terms is None else np.array(terms, dtype=complex).tobytes()
+
+
+def line_fields(line):
+    """Every field of a line, the numbers as their bits."""
+    return (line.u, line.v, line.labels, np.complex128(line.eigenvalue).tobytes(),
+            line.multiplicity, line.eigenvectors, term_bytes(line.h_class_terms),
+            term_bytes(line.k_class_terms))
+
+
+def column_bytes(lines):
+    return [None if column is None else column.tobytes()
+            for column in (lines.eigenvalues, lines.multiplicities, lines.u, lines.v,
+                           lines.h_terms, lines.k_terms)] + [lines.axes]
+
+
+def check_columns(got, oracle_lines):
+    """``got``'s columns equal those of the oracle's lines, bit for bit;
+    every viewed line equals the oracle's; and the viewed lines, or a
+    ``replace`` of them, come back through ``Spectrum(lines=...)``."""
+    want = Spectrum(n=got.n, method=got.method, lines=oracle_lines)
+    assert column_bytes(got.lines) == column_bytes(want.lines), got.method
+    assert len(got.lines) == len(oracle_lines)
+    viewed = list(got.lines)
+    assert [line_fields(line) for line in viewed] == \
+        [line_fields(line) for line in oracle_lines], got.method
+    for k in (0, len(viewed) - 1, -1):
+        assert line_fields(got.lines[k]) == line_fields(viewed[k])
+    assert [line_fields(line) for line in got.lines[1::2]] == \
+        [line_fields(line) for line in viewed[1::2]]
+    again = Spectrum(n=got.n, method=got.method, lines=[replace(line) for line in viewed])
+    assert column_bytes(again.lines) == column_bytes(got.lines)
+    # one line changed by ``replace`` changes that line's entries only
+    k = len(viewed) // 2
+    viewed[k] = replace(viewed[k], eigenvalue=viewed[k].eigenvalue + 0.5,
+                        multiplicity=viewed[k].multiplicity + 1)
+    moved = Spectrum(n=got.n, method=got.method, lines=viewed)
+    eigenvalues, multiplicities = got.eigenvalues.copy(), got.multiplicities.copy()
+    eigenvalues[k] += 0.5
+    multiplicities[k] += 1
+    assert moved.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert moved.multiplicities.tobytes() == multiplicities.tobytes()
+    assert column_bytes(moved.lines)[2:] == column_bytes(got.lines)[2:]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy(), st.randoms(use_true_random=False))
+def test_columns_equal_the_per_line_builders_on_every_route(group, rng):
+    class_color = ColorFunction(group, class_color_values(group, rng))
+    checked = 0
+    try:
+        irrep_set = builtin_irreps(group)
+    except IrrepsUnavailable:
+        irrep_set = None
+    if irrep_set is not None:
+        check_columns(spectrum_normal(group, class_color, irrep_set, eigenvectors=False),
+                      normal_oracle(group, class_color, irrep_set))
+        if max(irrep_set.degrees()) <= 2:
+            decomposition = block_diagonalize(group, class_color, irrep_set)
+            check_columns(decomposition.spectrum(), blocks_oracle(decomposition))
+        checked += 1
+    if isinstance(group, SplitExtensionGroup):
+        try:
+            irreps_h = builtin_irreps(group.h_group)
+        except IrrepsUnavailable:
+            irreps_h = None
+        if irreps_h is not None:
+            irreps_k = irreps_cyclic(group.m)
+            # the random color holds NaN and infinite values
+            with np.errstate(invalid="ignore"):
+                for color in (class_color, random_complex_color(group, rng)):
+                    check_columns(
+                        spectrum_split(group, color, irreps_h, irreps_k, eigenvectors=False,
+                                       force=True),
+                        split_oracle(group, color, irreps_h, irreps_k))
+            checked += 1
+    if isinstance(group, MetacyclicGroup):
+        m, l, r = group.m, group.l, group.r
+        layers = [sorted({s * pow(r, e, m) % m for s in rng.sample(range(m), min(m, 2))
+                          for e in range(l)}) for _ in range(l)]
+        check_columns(spectrum_metacyclic(m, l, r, layers, eigenvectors=False),
+                      metacyclic_oracle(m, l, layers))
+        checked += 1
+    assume(checked)
+
+
+def test_hand_built_lines_keep_their_labels_and_v():
+    lines = [
+        SpectralLine(2, None, ("b",), 1.5, 1),
+        SpectralLine(0, 3, ("a",), -0.0, 0),
+        SpectralLine(2, 1, ("b",), 1j, 2),
+    ]
+    spec = Spectrum(n=3, method="normal", lines=lines)
+    assert spec.lines.axes == (("a", None, "b"),)
+    assert spec.v.tolist() == [-1, 3, 1]
+    assert [line_fields(line) for line in spec.lines] == [line_fields(line) for line in lines]
+    assert list(spec.lines.v_values()) == [None, 3, 1]
+    assert not spec.eigenvalues.flags.writeable and not spec.multiplicities.flags.writeable
+
+
+@pytest.mark.parametrize("lines", [
+    [SpectralLine(0, None, ("a",), 1, 1), SpectralLine(0, None, ("b",), 2, 1)],
+    [SpectralLine(0, None, ("a",), 1, 1), SpectralLine(1, None, ("a", "x"), 2, 1)],
+    [SpectralLine(0, None, ("a", "x"), 1, 1)],
+    [SpectralLine(0, 0, ("a", "x", "y"), 1, 1)],
+    [SpectralLine(-1, None, ("a",), 1, 1)],
+    [SpectralLine(0, 1.0, ("a",), 1, 1)],
+    [SpectralLine(0, 0, ("a",), 1, 1, h_class_terms=(1,), k_class_terms=(2,)),
+     SpectralLine(1, 1, ("b",), 1, 1)],
+], ids=["two labels for one u", "label counts differ", "second label without v",
+        "three labels", "negative u", "float v", "terms on some lines"])
+def test_lines_the_columns_cannot_hold_are_refused(lines):
+    with pytest.raises(ValueError):
+        Spectrum(n=2, method="normal", lines=lines)
+
+
+def test_spectrum_from_columns_keeps_them():
+    rng = random.Random(5)
+    values = [complex(rng.random(), rng.random()) for _ in range(6)]
+    columns = SpectralLines(values, [1] * 6, np.arange(6), axes=([f"z{k}" for k in range(6)],))
+    spec = Spectrum(n=6, method="normal", lines=columns)
+    assert spec.lines is columns
+    assert replace(spec, theorem_verified=False).lines is columns
+    assert spec.total_multiplicity == 6 and spec.v is None
+    assert [line.labels for line in spec.lines] == [(f"z{k}",) for k in range(6)]

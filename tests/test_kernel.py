@@ -432,10 +432,32 @@ def test_generation_and_classification_edge_sets(group):
     elems = group.elements()
     rng = random.Random(3 * group.order)
     subsets = [[], [group.identity], elems, elems[1:], rng.sample(elems, min(3, group.order))]
+    a, b = rng.choice(elems), rng.choice(elems)
+    # redundant generators: powers, inverses and products of earlier ones
+    subsets.append([a, b, group.mul(a, b), group.mul(a, a), group.inv(b), group.mul(b, a)])
+    # one element: doubling stops at the cyclic subgroup, proper unless G is cyclic
+    subsets += [[a], [group.mul(a, a), a]]
     for subset in subsets:
         assert is_generating_set(group, subset) == generating_oracle(group, subset)
         assert classify_connection_set(group, subset) == classify_oracle(group, subset)
     assert is_generating_set(group, []) == (False, 0)
+    assert is_generating_set(group, indices=[group.index(a), group.index(b)]) == \
+        is_generating_set(group, [a, b])
+    with pytest.raises(ValueError):
+        is_generating_set(group, [a], indices=[group.index(a)])
+
+
+def test_generation_in_a_permutation_group():
+    """S5 from redundant transpositions and a 5-cycle, and its proper
+    subgroups A5 (from 3-cycles) and the order-10 dihedral subgroup."""
+    group = PermutationGroup([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    cases = [
+        ([(1, 0, 2, 3, 4), (0, 2, 1, 3, 4), (2, 1, 0, 3, 4), (1, 2, 3, 4, 0)], (True, 120)),
+        ([(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)], (False, 60)),
+        ([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1), (4, 3, 2, 1, 0)], (False, 10)),
+    ]
+    for subset, expect in cases:
+        assert is_generating_set(group, subset) == expect == generating_oracle(group, subset)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -152,6 +152,24 @@ def test_complete_requires_one_vector_per_claimed_multiplicity():
         assert report.max_residual > 1e-3 / np.sqrt(21)
 
 
+def test_a_negative_multiplicity_owns_no_vectors():
+    """A line of multiplicity -1 owns no vectors and is not complete; it
+    used to crash ``np.repeat`` in ``verify_eigenpairs``."""
+    group, conn = nonnormal_family(7, 3, 2)
+    color = color_from_set(group, conn.elements)
+    spec = spectrum_metacyclic(7, 3, 2, layers_from_set(group, conn.elements))
+    adj = adjacency_matrix(group, color)
+    lines = list(spec.lines)
+    lines[4] = dataclasses.replace(lines[4], multiplicity=-1)
+    for claimed in (dataclasses.replace(spec, lines=lines), explicit(spec, lines=lines)):
+        report = certify(adj, claimed, color)
+        assert not report.passed and not report.complete
+        offsets = claimed._vector_offsets()
+        assert offsets[4] == offsets[5] == 4 and offsets[-1] == 20
+        assert report.per_line_residuals[4] == 0.0
+        assert len(report.per_line_residuals) == 21
+
+
 def test_dimension_mismatch():
     group, color, spec = prism_case()
     adj = adjacency_matrix(CyclicGroup(4), color_from_set(CyclicGroup(4), [1]))
