@@ -14,7 +14,8 @@ never touch irreps.  On a split extension the adjacency is the beta table
 itself, l*l*m kernel products: its n x n matrix is copied from the table
 only when something reads it (the edge-list export, dense certification).
 On the other kinds the matrix is gathered in row blocks within the
-kernel's block budget, n*n products.
+kernel's block budget, n*n products.  Either way the n x n matrix is
+checked against ``groups.DENSE_BYTE_BUDGET`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ class ColorFunction:
         self.group = group
         vector = np.zeros(group.order, dtype=complex)
         for g, v in values.items():
-            if not group.contains(g):
-                raise ConfigError(f"color assigns {g!r}, which is not in the group")
+            try:
+                i = group.index(g)
+            except KeyError:
+                raise ConfigError(f"color assigns {g!r}, which is not in the group") from None
             c = complex(v)
             if c != 0:
-                vector[group.index(g)] = c
+                vector[i] = c
         vector.flags.writeable = False
         self.vector = vector
 
@@ -184,6 +187,7 @@ class _FormedOnRead:
             return None  # the field's default: form the matrix from blocks
         matrix = vars(adjacency)[self.slot]
         if matrix is None:
+            _check_adjacency_bytes(adjacency.n)
             matrix = adjacency.blocks.assemble()
             matrix.flags.writeable = False
             vars(adjacency)[self.slot] = matrix
@@ -243,6 +247,7 @@ def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatri
     if isinstance(group, SplitExtensionGroup):
         return AdjacencyMatrix(blocks=beta_blocks(group, color))
     n = group.order
+    _check_adjacency_bytes(n)
     columns = np.arange(n, dtype=np.int64)
     alpha = color.vector
     out = np.zeros((n, n), dtype=complex)
@@ -337,6 +342,11 @@ def nonnormal_family(m: int, l: int, r: int):
     subset.add((1 % l, 0))
     subset.add(((l - 1) % l, 0))
     return group, classify_connection_set(group, subset)
+
+
+def _check_adjacency_bytes(n: int) -> None:
+    """Raise CapacityExceeded before an n x n adjacency over the budget is formed."""
+    check_dense_bytes(16 * n * n, f"the {n} x {n} adjacency")
 
 
 def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:

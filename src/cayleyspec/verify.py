@@ -13,36 +13,38 @@ normal route claims them as one array (``Spectrum.vectors``), the split
 and metacyclic routes as Kronecker factors (``Spectrum.factors``).
 
 One rule covers a factored claim, at every n.  When ``_checked_factors``
-accepts the spectrum's Kronecker factors, the Gram deviation comes from
-the two factor Grams, and if the adjacency carries a beta table of the
-factors' (l, m), the residuals and the traces come from that table: the
-structured path.  An adjacency from ``adjacency_matrix`` on a split
-extension carries its table, built from ``mul_idx`` and ``inv_idx``
-alone (``cayley.beta_blocks``), and its n x n matrix is never formed.
-The scale is the grid's row-sum norm, and ``certify`` reads the trace
+accepts the spectrum's Kronecker factors and their K rows pass the
+Fourier rule below, the Gram deviation comes from the two factor Grams,
+and if the adjacency carries a beta table of the factors' (l, m), the
+residuals and the traces come from that table: the structured path.  An
+adjacency from ``adjacency_matrix`` on a split extension carries its
+table, built from ``mul_idx`` and ``inv_idx`` alone
+(``cayley.beta_blocks``), and its n x n matrix is never formed.  The
+scale is the grid's row-sum norm, and ``certify`` reads the trace
 identities off the table.
 
 Both factored checks first take each K row's DFT ``F_v = fft(K[v])``
 and split it into its top entry ``D_v``, at ``p_v``, and a remainder
 ``E_v``.  The split and metacyclic routes claim characters of K = C_m
-over sqrt(m), whose DFT has one nonzero, so ``E_v`` is rounding.  When
-every ``p_v`` is distinct and every remainder term is at or below the
-rounding floor ``sqrt(n) eps`` times the check's scale, the Fourier path
-runs: each residual is reported as an upper bound read off the table at
-``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|`` and
-``|E|`` without a GEMM.  Otherwise the correlation path applies the grid
-to the claimed vectors by FFT correlation in O(n^2 (l + log m)) work, and
-G_K is one m x m GEMM.  Either way certification holds O(n*m) beyond the
-adjacency: the factors, the beta table, and per chunk of K rows at most
+over sqrt(m), whose DFT has one nonzero, so ``E_v`` is rounding.  The
+Fourier rule holds when every ``p_v`` is distinct and every remainder
+term is at or below the rounding floor ``sqrt(n) eps`` times the check's
+scale.  Then each residual is reported as an upper bound read off the
+table at ``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|``
+and ``|E|`` without a GEMM.  This holds O(n*m) beyond the adjacency: the
+factors, the beta table, and per chunk of K rows at most
 ``groups._BLOCK_BYTES`` in each of a few temporaries.  Nothing here
 assumes the vectors are eigenvectors or the rows characters, and no
-irrep is touched.
+irrep is touched.  A check whose K rows fail the rule is made densely,
+as below, within the byte budget; over it, ``CapacityExceeded`` names
+the part of the rule that failed.
 
 Every other input takes the dense path for the residuals and traces,
 whatever its entries: a dense matrix (an edge list read back, a raw
 array, ``AdjacencyMatrix(matrix=...)``, a kind that is not a split
-extension), factors of another (l, m) or that ``_checked_factors``
-rejects, or explicit vectors; its results agree to rounding.  It first
+extension), factors of another (l, m), that ``_checked_factors``
+rejects or whose K rows fail the rule, or explicit vectors; its results
+agree to rounding.  It first
 checks the n x n arrays it would allocate against
 ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
 matrix of an adjacency that carries its beta table.  Beyond the n x n
@@ -54,10 +56,9 @@ indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
 flops of the complex one.  The trace identities come from the matrix.
 
-Without accepted factors, the Gram deviation comes from the upper
-triangle of the claimed vectors' Hermitian Gram matrix; factors that
-``_checked_factors`` rejects are first stacked into their rows, within
-the byte budget.
+Without accepted factors that pass the rule, the Gram deviation comes
+from the upper triangle of the claimed vectors' Hermitian Gram matrix;
+factors are first stacked into their rows, within the byte budget.
 """
 
 from __future__ import annotations
@@ -206,15 +207,17 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
 
     The structured path (see the module docstring) runs when the
     adjacency carries a beta table of the (l, m) that ``_checked_factors``
-    accepts: the residuals come from the table (``_structured_residuals``)
-    and the scale from its magnitudes (``_grid_scale``).  Every other input
+    accepts and the K rows pass the Fourier rule: the residuals come from
+    the table (``_structured_residuals``) and the scale from its
+    magnitudes (``_grid_scale``).  Every other input
     takes the dense path: consecutive lines' vectors are stacked into
     column blocks of bounded size (a line may straddle two blocks); each
     block is one GEMM ``A @ B - B * lam``, and per-line maxima come from
     its column maxima.  When the imaginary part of A is identically zero
     (a NaN or inf there counts as nonzero), the GEMM runs on a float64 copy
     of its real part.  The dense path first checks its n x n arrays
-    against the byte budget.
+    against the byte budget; the message names the failed part of the
+    Fourier rule when that sent it there.
     """
     # an adjacency from ``adjacency_matrix`` on a split extension carries
     # its beta table, built from ``mul_idx``/``inv_idx``
@@ -240,14 +243,15 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(spectrum.eigenvalues, counts)
     factors = _checked_factors(spectrum)
-    structured = (factors is not None and beta is not None
-                  and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),))
-    if structured:
+    column_max = failed = None
+    if (factors is not None and beta is not None
+            and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),)):
         scale = _grid_scale(beta)
-        column_max = _structured_residuals(beta, factors, column_eigenvalues, scale)
-    else:
+        column_max, failed = _structured_residuals(beta, factors, column_eigenvalues, scale)
+    structured = column_max is not None
+    if not structured:
         check_dense_bytes(dense_certify_bytes(n, beta is not None),
-                          f"dense certification of order {n}")
+                          _dense_what(f"dense certification of order {n}", failed))
         if beta is not None:
             matrix = adjacency.matrix
         scale, column_max = _dense_residuals(matrix, spectrum, column_eigenvalues)
@@ -290,8 +294,11 @@ def _dense_residuals(matrix: np.ndarray, spectrum: Spectrum,
 
 
 def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
-                          eigenvalues: np.ndarray, scale: float) -> np.ndarray:
-    """Max-abs residual of each vector ``kron(H[u], K[v])`` from the beta table.
+                          eigenvalues: np.ndarray, scale: float) -> tuple:
+    """``(column_max, None)``: the max-abs residual of each vector
+    ``kron(H[u], K[v])``, bounded from the beta table; or ``(None, failed)``
+    when the claim fails the Fourier rule, with ``failed`` naming the part
+    that failed.
 
     Block row i of ``A v`` is ``sum_j H[u, j] C_ij K[v]``, and ``C_ij x`` is
     the circular correlation ``sum_c beta_ij(c) x[a + c]``, whose DFT is
@@ -299,31 +306,48 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
     m ifft(beta_ij)``, block i of the residual is ``ifft(g F_v)``, where
     ``g = contracted[i, u] - eigenvalue * H[u, i]`` and ``F_v = fft(K[v])``.
 
-    Fourier path.  Split ``F_v`` into its top entry ``D_v``, at position
-    ``p_v``, and a remainder ``E_v`` (``_fourier_rows``).  Then each
-    vector's max-abs residual is at most the largest over i of
+    Split ``F_v`` into its top entry ``D_v``, at position ``p_v``, and a
+    remainder ``E_v`` (``_fourier_rows``).  Then each vector's max-abs
+    residual is at most the largest over i of
     ``|g[p_v]| |D_v| / m + (max |contracted[i, u]| + |eigenvalue| |H[u, i]|)
     |E_v|_2 / sqrt(m)``, whatever the rows hold (``_fourier_bounds``), and
-    that bound is reported, at O(n*l) cost after the FFTs.  It runs when
-    every top position is distinct and every remainder term is at or below
-    the rounding floor ``sqrt(n) eps scale``; the bound then exceeds the
-    residual by at most twice that.  A non-finite term fails the rule.
-
-    Otherwise the correlation path runs (``_correlation_residuals``).
+    that bound is reported, at O(n*l) cost after the FFTs.  The rule asks
+    every top position to be distinct and every remainder term to be at or
+    below the rounding floor ``sqrt(n) eps scale``; the bound then exceeds
+    the residual by at most twice that.  A non-finite term fails the rule.
     """
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
     l, m = len(h_rows), len(k_rows)
+    rows = _fourier_rows(k_rows)
+    if not _distinct(rows.tops):
+        return None, _SHARED_TOP
     # the eigenvalue claimed for the vector of each pair
     grid_eigenvalues = np.empty((l, m), dtype=complex)
     grid_eigenvalues[pairs[:, 0], pairs[:, 1]] = eigenvalues
     # contracted[i, u] = sum_j H[u, j] * m * ifft(beta_ij)
     contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
-    rows = _fourier_rows(k_rows)
-    if _distinct(rows.tops):
-        bound, remainder = _fourier_bounds(contracted, h_rows, grid_eigenvalues, rows)
-        if np.max(remainder) <= _rounding_floor(l * m) * scale:
-            return bound[pairs[:, 0], pairs[:, 1]]
-    return _correlation_residuals(contracted, factors, grid_eigenvalues)
+    bound, remainder = _fourier_bounds(contracted, h_rows, grid_eigenvalues, rows)
+    failed = _above_floor("a remainder term", np.max(remainder),
+                          _rounding_floor(l * m) * scale)
+    if failed:
+        return None, failed
+    return bound[pairs[:, 0], pairs[:, 1]], None
+
+
+_SHARED_TOP = "two K rows share a top position"
+
+
+def _above_floor(term: str, largest: float, floor: float) -> Optional[str]:
+    """None when ``largest`` is at or below the rounding floor; otherwise
+    that part of the Fourier rule, failed (NaN fails it too)."""
+    if largest <= floor:
+        return None
+    return f"{term} of {largest:.3g} is not at or below the rounding floor {floor:.3g}"
+
+
+def _dense_what(what: str, failed: Optional[str]) -> str:
+    """``what`` for ``check_dense_bytes``, naming the failed Fourier rule."""
+    return what if failed is None else f"{what}, where the claim fails the Fourier rule ({failed}),"
 
 
 def _rounding_floor(n: int) -> float:
@@ -415,30 +439,6 @@ def _fourier_bounds(contracted: np.ndarray, h_rows: np.ndarray,
     return bound, remainder
 
 
-def _correlation_residuals(contracted: np.ndarray, factors: KroneckerFactors,
-                           grid_eigenvalues: np.ndarray) -> np.ndarray:
-    """Each vector's max-abs residual, formed: for a chunk of K rows, one
-    (l, l) by (l, m) product per i and one batched inverse FFT give block
-    row i for every pair; then ``eigenvalue * H[u, i] * K[v]`` is
-    subtracted.  Each temporary of a chunk holds at most ``_BLOCK_BYTES``,
-    and no n x n array is formed.  O(n^2 (l + log m)) work."""
-    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
-    l, m = len(h_rows), len(k_rows)
-    grid_max = np.zeros((l, m))
-    step = max(1, groups._BLOCK_BYTES // (16 * l * m))
-    for lo in range(0, m, step):
-        k_block = k_rows[lo:lo + step]
-        k_hat = np.fft.fft(k_block, axis=-1)
-        block_max = grid_max[:, lo:lo + step]
-        for i in range(l):
-            # applied[u, v, a] = (A kron(H[u], K[lo + v]))[i*m + a]
-            applied = np.fft.ifft(contracted[i][:, None, :] * k_hat, axis=-1)
-            scaled = grid_eigenvalues[:, lo:lo + step] * h_rows[:, i, None]
-            applied -= scaled[:, :, None] * k_block
-            np.maximum(block_max, np.abs(applied).max(axis=-1), out=block_max)
-    return grid_max[pairs[:, 0], pairs[:, 1]]
-
-
 def _residual_block(matrix, rows, eigenvalues) -> np.ndarray:
     """Max-abs residual of each vector in ``rows``: one GEMM for the block.
 
@@ -483,29 +483,30 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     split (``_fourier_rows``, ``_fourier_gram``): its diagonal exactly, and
     off it the bound ``(2 max|D| max|E| + max |E|_2^2) / m``, an upper
     bound whenever the top positions are distinct.  That runs when they
-    are and the bound is at or below the rounding floor ``sqrt(n) eps``;
-    otherwise G_K is formed by one GEMM (``_structured_gram``).
+    are and the bound is at or below the rounding floor ``sqrt(n) eps``.
 
-    Without accepted factors the Gram matrix, Hermitian, has only its
-    upper triangle formed: each row block
-    from its diagonal block rightwards, never the whole matrix.  Factors
-    that ``_checked_factors`` rejects are first stacked into their rows,
-    within the byte budget.
+    Otherwise the Gram matrix, Hermitian, has only its upper triangle
+    formed: each row block from its diagonal block rightwards, never the
+    whole matrix.  Factors are first stacked into their rows, within the
+    byte budget; the message names the failed part of the Fourier rule
+    when that sent them there.
     """
     factors = _checked_factors(spectrum)
-    count = spectrum.vector_count()
+    count, n = spectrum.vector_count(), spectrum.n
+    failed = None
     if factors is not None:
         rows = _fourier_rows(factors.k_rows)
         gram_deviation, off_k = _fourier_gram(factors.h_rows, rows)
-        if not (_distinct(rows.tops) and off_k <= _rounding_floor(spectrum.n)):
-            gram_deviation = _structured_gram(factors)
-    else:
+        failed = (_SHARED_TOP if not _distinct(rows.tops) else
+                  _above_floor("the off-diagonal K Gram bound", off_k, _rounding_floor(n)))
+    structured = factors is not None and failed is None
+    if not structured:
         if spectrum.factors is not None:
-            check_dense_bytes(16 * count * spectrum.n,
-                              f"stacking {count} claimed vectors of order {spectrum.n}")
+            check_dense_bytes(16 * count * n, _dense_what(
+                f"stacking {count} claimed vectors of order {n}", failed))
         gram_deviation = _upper_gram_deviation(spectrum.vector_rows(0, count))
-    complete = count == spectrum.n == spectrum.total_multiplicity
-    return BasisCheck(gram_deviation, complete, count, factors is not None)
+    complete = count == n == spectrum.total_multiplicity
+    return BasisCheck(gram_deviation, complete, count, structured)
 
 
 def _upper_gram_deviation(stacked: np.ndarray) -> float:
@@ -528,31 +529,6 @@ def _upper_gram_deviation(stacked: np.ndarray) -> float:
     return gram_deviation
 
 
-def _structured_gram(factors: KroneckerFactors) -> float:
-    """max |G_H[u, u'] G_K[v, v'] - delta| over the grid, u' >= u.
-
-    The vectors' Gram entry for the pairs (u, v) and (u', v') is
-    ``G_H[u, u'] * G_K[v, v']`` with ``G = conj(R) R^T`` for each factor's
-    rows R; entries with u' < u are conjugates of entries kept.  Off the
-    diagonal an entry's size is a product of sizes, so the maximum is the
-    largest of three terms: max |G_H| over u' > u times max |G_K|;
-    max |G_H[u, u]| times max |G_K| off its diagonal; and
-    max |G_H[u, u] G_K[v, v] - 1|.  No product block is formed.
-    """
-    h_rows, k_rows = factors.h_rows, factors.k_rows
-    gram_h = h_rows.conj() @ h_rows.T
-    gram_k = k_rows.conj() @ k_rows.T
-    sizes_k = np.abs(gram_k)
-    largest_k = sizes_k.max()
-    np.fill_diagonal(sizes_k, 0.0)
-    diagonal = np.abs(np.diagonal(gram_h)[:, None] * np.diagonal(gram_k) - 1)
-    return float(np.max([
-        np.triu(np.abs(gram_h), 1).max() * largest_k,
-        np.abs(np.diagonal(gram_h)).max() * sizes_k.max(),
-        diagonal.max(),
-    ]))
-
-
 def _fourier_gram(h_rows: np.ndarray, rows: _FourierRows) -> tuple:
     """``(deviation, off_k)``: the factor-Gram deviation with G_K read off
     the Fourier split of the K rows, and the bound on |G_K| off its
@@ -561,8 +537,13 @@ def _fourier_gram(h_rows: np.ndarray, rows: _FourierRows) -> tuple:
     By Parseval ``G_K[a, b] = <F_a, F_b> / m``.  Its diagonal is exact,
     ``(|D_a|^2 + |E_a|_2^2) / m``.  When the top positions are distinct,
     ``|G_K[a, b]| <= off_k = (2 max|D| max|E| + max |E|_2^2) / m`` off the
-    diagonal.  Both go into ``_structured_gram``'s closed form, with the
-    H Gram formed.
+    diagonal.  With ``G = conj(R) R^T`` for the H rows R, the vectors'
+    Gram entry for the pairs (u, v) and (u', v') is ``G_H[u, u'] *
+    G_K[v, v']``, and entries with u' < u are conjugates of entries kept.
+    Off the diagonal an entry's size is a product of sizes, so the
+    deviation is the largest of three terms: max |G_H| over u' > u times
+    max |G_K|; max |G_H[u, u]| times max |G_K| off its diagonal; and
+    max |G_H[u, u] G_K[v, v] - 1|.  No product block is formed.
     """
     m = len(rows.tops)
     peak_sizes = np.abs(rows.peaks)

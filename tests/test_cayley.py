@@ -60,6 +60,54 @@ def test_color_function_validates_membership():
     assert f.support() == {2}
 
 
+def test_color_function_looks_each_key_up_once(monkeypatch):
+    """One ``index`` call per key, on a split kind whose ``index`` checks
+    each pair in Python; a key outside the group keeps its message."""
+    group, conn = nonnormal_family(31, 5, 2)
+    calls = []
+    index = group.index
+    monkeypatch.setattr(group, "index", lambda g: calls.append(g) or index(g))
+    color = color_from_set(group, conn.elements)
+    assert sorted(calls) == sorted(conn.elements)
+    assert color.support() == set(conn.elements)
+    for kind, outside in ((group, (5, 0)), (group, "h"), (CyclicGroup(4), 7)):
+        with pytest.raises(ConfigError) as caught:
+            ColorFunction(kind, {outside: 1.0})
+        assert str(caught.value) == f"color assigns {outside!r}, which is not in the group"
+
+
+def test_forming_the_adjacency_checks_the_byte_budget(tmp_path, monkeypatch):
+    """The n x n matrix is checked against the budget wherever it is
+    formed: read off a carried beta table (by ``trace_identities`` and
+    ``export_edge_list``), or gathered on a kind that carries none."""
+    from cayleyspec import CapacityExceeded, trace_identities
+    from cayleyspec import groups as groups_module
+
+    group, conn = nonnormal_family(31, 5, 2)
+    color = color_from_set(group, conn.elements)
+    n = group.order
+    path = tmp_path / "edges.txt"
+    for budget in (1000, 16 * n * n - 1):
+        monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", budget)
+        adj = adjacency_matrix(group, color)
+        message = f"the {n} x {n} adjacency needs an estimated {16 * n * n} bytes"
+        with pytest.raises(CapacityExceeded, match=message):
+            trace_identities(adj, color)
+        with pytest.raises(CapacityExceeded, match=message):
+            export_edge_list(adj, path)
+        assert not formed(adj) and not path.exists()
+    cyclic = CyclicGroup(20)
+    cyclic_color = color_from_set(cyclic, [1, 19])
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * 20 * 20 - 1)
+    with pytest.raises(CapacityExceeded, match="the 20 x 20 adjacency needs an estimated 6400"):
+        adjacency_matrix(cyclic, cyclic_color)
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * n * n)
+    assert trace_identities(adj, color) == (0.0, 0.0)
+    export_edge_list(adj, path)
+    assert formed(adj) and path.exists()
+    assert adjacency_matrix(cyclic, cyclic_color).n == 20
+
+
 def test_class_function_witness_is_reproducible():
     group, color = prism()
     assert not color.is_class_function

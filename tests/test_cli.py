@@ -318,6 +318,28 @@ def test_metacyclic_indicator_error_names_the_first_element_in_index_order(
                    "alpha([0, 3]) = (2+0j)\n")
 
 
+@pytest.mark.parametrize("group, elements, n", [
+    ({"type": "metacyclic", "m": 3, "l": 2, "r": 2}, [[0, 1], [0, 2], [1, 0]], 6),
+    ({"type": "cyclic", "n": 10}, [1, 9], 10),
+])
+def test_export_graph_checks_the_byte_budget(tmp_path, capsys, monkeypatch, group, elements, n):
+    """``export-graph`` forms the n x n adjacency, from the beta table or by
+    a gather, only within the dense byte budget; over it, exit 4."""
+    from cayleyspec import groups
+
+    config = write_config(tmp_path, {"group": group,
+                                     "connection": {"mode": "set", "elements": elements}})
+    edges = tmp_path / "edges.txt"
+    monkeypatch.setattr(groups, "DENSE_BYTE_BUDGET", 16 * n * n - 1)
+    code, out, err = run(capsys, "export-graph", "--config", config, "--out", str(edges))
+    assert code == 4 and out == "" and not edges.exists()
+    assert err.startswith(f"error: the {n} x {n} adjacency needs an estimated {16 * n * n} bytes")
+    assert "Traceback" not in err
+    monkeypatch.setattr(groups, "DENSE_BYTE_BUDGET", 16 * n * n)
+    code, _, err = run(capsys, "export-graph", "--config", config, "--out", str(edges))
+    assert code == 0 and edges.exists(), err
+
+
 def test_tampered_edges_fail_on_the_family610_config(tmp_path, capsys, monkeypatch):
     from cayleyspec import verify
 

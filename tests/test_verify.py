@@ -556,8 +556,8 @@ def test_structured_path_runs_on_the_ladder_rungs(case, monkeypatch):
         raise AssertionError("the Fourier path declined a claimed character basis")
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify_module, "_correlation_residuals", unused)
-        patch.setattr(verify_module, "_structured_gram", unused)
+        patch.setattr(verify_module, "_dense_residuals", unused)
+        patch.setattr(verify_module, "_upper_gram_deviation", unused)
         report = certify(adj, spec, color)
     assert report.structured and report.passed and report.complete
     assert report.vector_count == spec.n
@@ -651,6 +651,29 @@ def blocked_gram_deviation(factors):
     return deviation
 
 
+def structured_gram(factors):
+    """max |G_H[u, u'] G_K[v, v'] - delta| over the grid, u' >= u, with
+    both factor Grams formed by GEMM: the oracle of ``_fourier_gram``.
+
+    Off the diagonal an entry's size is a product of sizes, so the maximum
+    is the largest of three terms: max |G_H| over u' > u times max |G_K|;
+    max |G_H[u, u]| times max |G_K| off its diagonal; and
+    max |G_H[u, u] G_K[v, v] - 1|.
+    """
+    h_rows, k_rows = factors.h_rows, factors.k_rows
+    gram_h = h_rows.conj() @ h_rows.T
+    gram_k = k_rows.conj() @ k_rows.T
+    sizes_k = np.abs(gram_k)
+    largest_k = sizes_k.max()
+    np.fill_diagonal(sizes_k, 0.0)
+    diagonal = np.abs(np.diagonal(gram_h)[:, None] * np.diagonal(gram_k) - 1)
+    return float(np.max([
+        np.triu(np.abs(gram_h), 1).max() * largest_k,
+        np.abs(np.diagonal(gram_h)).max() * sizes_k.max(),
+        diagonal.max(),
+    ]))
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
        st.integers(0, 2 ** 32), st.sampled_from([0.0, 1e-9, 0.1]))
@@ -665,7 +688,7 @@ def test_closed_form_gram_deviation_equals_the_blocked_form(group, seed, noise):
              for rows in (factors.h_rows, factors.k_rows)]
     for case in (factors, KroneckerFactors(*moved, factors.pairs)):
         expect = blocked_gram_deviation(case)
-        assert verify_module._structured_gram(case) == pytest.approx(expect, rel=1e-12, abs=0)
+        assert structured_gram(case) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def with_lines(spec, edit):
@@ -899,9 +922,9 @@ def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
     that of a dense copy of its matrix, which takes the dense path.  With
     the factored claim the carried one runs structured, never forms its
     matrix, and agrees with the copy within the tolerances of
-    ``test_structured_certification_agrees_with_dense``; a deviation that
-    is not finite on one side is not finite on the other.  With the claim
-    as explicit vectors both run dense and agree bit for bit.  The color
+    ``test_structured_certification_agrees_with_dense``.  With the claim
+    as explicit vectors, or a non-finite color, which fails the Fourier
+    rule, both run dense and agree bit for bit.  The color
     is random complex, NaN and infinite values among them, or the
     indicator of its support."""
     if rng is None:
@@ -919,14 +942,15 @@ def test_certifying_the_carried_beta_table_equals_certifying_its_matrix(
         spec = explicit(spec)
     carried = adjacency_matrix(group, color)
     report = certify(carried, spec, color)
-    assert report.structured is structured
-    assert formed(carried) is not structured
+    # a non-finite table makes a non-finite remainder term
+    assert report.structured is (structured and bool(np.isfinite(color.vector).all()))
+    assert formed(carried) is not report.structured
     dense = certify(AdjacencyMatrix(carried.matrix.copy()), spec, color)
     assert not dense.structured
     if rng is None:
         # a NaN in the table fails both paths
         assert not report.passed and not dense.passed
-    if not structured:
+    if not report.structured:
         # repr spells every float exactly, and NaN as nan
         assert repr(report) == repr(dense)
         return
@@ -957,9 +981,12 @@ def test_certify_on_the_beta_table_catches_a_wrong_eigenvalue_or_vector():
     k_rows[3, 5] += 1e-6
     changed_vector = dataclasses.replace(
         spec, factors=dataclasses.replace(spec.factors, k_rows=k_rows))
-    for bad in (wrong_value, changed_vector):
+    # the changed K entry leaves a remainder far above the rounding floor,
+    # so that claim is certified densely
+    for bad, structured in ((wrong_value, True), (changed_vector, False)):
         report = certify(adj, bad, color)
-        assert report.structured and not report.passed and not formed(adj)
+        assert report.structured is structured and not report.passed
+        assert formed(adj) is not structured
         assert report.max_residual > report.tolerance * report.scale
         # and on each path, whichever the rule picks
         bound, _, correlation = both_paths(adj, bad)
@@ -1032,6 +1059,28 @@ def test_dense_certification_checks_the_byte_budget(monkeypatch):
 # -- the Fourier path ----------------------------------------------------------
 
 
+def correlation_residuals(contracted, factors, grid_eigenvalues):
+    """Each vector's max-abs residual against the beta table, formed: the
+    oracle of the Fourier bound.
+
+    Block row i of ``A kron(H[u], K[v])`` is the inverse DFT of
+    ``contracted[i, u] * fft(K[v])``, with ``contracted[i, u] = sum_j
+    H[u, j] m ifft(beta_ij)``; ``eigenvalue * H[u, i] * K[v]`` is then
+    subtracted.  O(n^2 (l + log m)) work, no n x n array.
+    """
+    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
+    l, m = len(h_rows), len(k_rows)
+    grid_max = np.zeros((l, m))
+    k_hat = np.fft.fft(k_rows, axis=-1)
+    for i in range(l):
+        # applied[u, v, a] = (A kron(H[u], K[v]))[i*m + a]
+        applied = np.fft.ifft(contracted[i][:, None, :] * k_hat, axis=-1)
+        scaled = grid_eigenvalues * h_rows[:, i, None]
+        applied -= scaled[:, :, None] * k_rows
+        np.maximum(grid_max, np.abs(applied).max(axis=-1), out=grid_max)
+    return grid_max[pairs[:, 0], pairs[:, 1]]
+
+
 def both_paths(adj, spec):
     """Each claimed vector's residual against the carried beta table on
     both structured paths, whichever the rule picks: ``(bound, remainder,
@@ -1046,7 +1095,7 @@ def both_paths(adj, spec):
     contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
     bound, remainder = verify_module._fourier_bounds(
         contracted, h_rows, grid, verify_module._fourier_rows(k_rows))
-    correlation = verify_module._correlation_residuals(contracted, factors, grid)
+    correlation = correlation_residuals(contracted, factors, grid)
     return bound[pairs[:, 0], pairs[:, 1]], remainder[pairs[:, 0], pairs[:, 1]], correlation
 
 
@@ -1090,7 +1139,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
         assert verify_module._distinct(rows.tops) or case is moved
         if verify_module._distinct(rows.tops):
             deviation, _ = verify_module._fourier_gram(case.h_rows, rows)
-            expect = verify_module._structured_gram(case)
+            expect = structured_gram(case)
             gram_floor = ulps * verify_module._rounding_floor(n) * max(1.0, expect)
             assert deviation >= expect - gram_floor
 
@@ -1139,13 +1188,25 @@ def with_entry(value):
     pytest.param(with_entry(complex("nan")), id="nan"),
     pytest.param(with_entry(complex(float("inf"), 0)), id="inf"),
 ])
-def test_k_rows_that_fail_the_rule_take_the_correlation_path(monkeypatch, edit):
+def test_k_rows_that_fail_the_rule_take_the_dense_path(monkeypatch, edit):
     """K rows that are not Fourier modes up to rounding: mixed by a
     unitary, two with one top position, or a row holding NaN or inf.  The
-    residuals take the correlation path and G_K the GEMM, and the report
-    is the one certification gives with the Fourier path never offered."""
+    residuals and the Gram take the dense path, and the report is the one
+    certification of a dense copy against explicit vectors gives.  Over
+    the budget, certification raises before it forms the matrix, naming
+    the failed rule."""
     group, color, spec, adj = family_case(31, 5, 2)
     claim = with_k_rows(spec, edit(np.array(spec.factors.k_rows)))
+    n = spec.n
+    with monkeypatch.context() as patch:
+        patch.setattr(groups_module, "DENSE_BYTE_BUDGET", 24 * n * n - 1)
+        with pytest.raises(CapacityExceeded, match="fails the Fourier rule"):
+            certify(adj, claim, color)
+        # the stacked vectors, for the Gram alone
+        patch.setattr(groups_module, "DENSE_BYTE_BUDGET", 16 * n * n - 1)
+        with pytest.raises(CapacityExceeded, match="fails the Fourier rule"):
+            verify_basis(claim)
+    assert not formed(adj)
     calls = []
 
     def spy(name):
@@ -1157,15 +1218,63 @@ def test_k_rows_that_fail_the_rule_take_the_correlation_path(monkeypatch, edit):
 
         monkeypatch.setattr(verify_module, name, recorded)
 
-    spy("_correlation_residuals")
-    spy("_structured_gram")
+    spy("_dense_residuals")
+    spy("_upper_gram_deviation")
     report = certify(adj, claim, color)
-    assert calls == ["_correlation_residuals", "_structured_gram"]
-    assert report.structured and not report.passed and not formed(adj)
+    assert calls == ["_dense_residuals", "_upper_gram_deviation"]
+    assert not report.structured and not report.passed and formed(adj)
+    assert not verify_basis(claim).structured
     if edit is mixed_by_a_unitary:
         assert report.gram_deviation <= 1e-12
-    monkeypatch.setattr(verify_module, "_distinct", lambda tops: False)
-    assert repr(report) == repr(certify(adj, claim, color))
+    assert repr(report) == repr(dense_certify(adj, claim, color))
+
+
+K_ROW_EDITS = ("unitary-mix", "duplicated-top", "nan", "inf", "noise")
+
+
+def edited_k_rows(k_rows, edit, rng):
+    """A copy of ``k_rows`` under one of ``K_ROW_EDITS``."""
+    m = len(k_rows)
+    k_rows = np.array(k_rows)
+    if edit == "unitary-mix":
+        mix = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return np.linalg.qr(mix)[0] @ k_rows
+    if edit == "duplicated-top":
+        k_rows[-1] = k_rows[0]
+    elif edit == "noise":
+        k_rows += 0.1 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    else:
+        k_rows[rng.integers(m), rng.integers(m)] = complex(edit)
+    return k_rows
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.integers(0, 2 ** 32), st.sampled_from(K_ROW_EDITS))
+def test_rule_failing_k_rows_are_certified_as_a_dense_copy(group, seed, edit):
+    """Whatever the edit, a check whose K rows fail the Fourier rule runs
+    densely; when both fail, the report is that of a dense copy against
+    explicit vectors, bit for bit.  Over the budget, a failed residual rule
+    raises before the matrix is formed, and the message names it."""
+    color = block_color(group, random.Random(seed), [0, 1, -0.5j, 0.25 - 3j])
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(group.m))
+    claim = with_k_rows(spec, edited_k_rows(spec.factors.k_rows, edit,
+                                            np.random.default_rng(seed)))
+    n = group.order
+    adj = adjacency_matrix(group, color)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups_module, "DENSE_BYTE_BUDGET", 24 * n * n - 1)
+        try:
+            residuals_structured = verify_eigenpairs(adj, claim).structured
+        except CapacityExceeded as exc:
+            assert "fails the Fourier rule" in str(exc)
+            residuals_structured = False
+    assert not formed(adj)
+    report = certify(adj, claim, color)
+    assert report.structured is residuals_structured
+    if not (report.structured or verify_basis(claim).structured):
+        assert repr(report) == repr(dense_certify(adj, claim, color))
 
 
 def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
