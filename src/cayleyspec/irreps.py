@@ -5,19 +5,21 @@ groups, and split extensions of a cyclic complement acting on a cyclic
 normal part (which includes the metacyclic family).  Arbitrary groups are
 served through user-supplied tables validated by ``validate_irrep_set``.
 
-Each irrep is stored as one read-only ``(n, d, d)`` array over a tuple of
-elements, with its characters as the traces.  Built-ins fill the arrays
-from ``unit_root`` tables over the group's canonical order; a user table
-given as a per-element dict is stored with its elements sorted, which is
-the canonical order of every group kind, and may be partial until
-validation.  Validation, the P-matrix, the Fourier transform and the
-spectrum formulas all read those arrays row for row.
+An ``IrrepSet`` is held as columns over the group's canonical order: a
+labels tuple, a degrees array, one read-only ``(K_d, n, d, d)`` stack per
+degree d with the set positions of its irreps, and one read-only
+``(len, n)`` table of characters (the traces).  Built-ins fill each stack
+in one vectorised pass from a cached ``unit_root`` table; indexing forms
+read-only ``UnitaryIrrep`` views on demand.  A user table is a
+``UnitaryIrrep`` given as a per-element dict, stored with its elements
+sorted (the canonical order of every group kind), and ``IrrepSet`` stacks
+such irreps into columns.  Every consumer reads the columns row for row.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -55,13 +57,15 @@ def unit_root(numerator: int, denominator: int) -> complex:
     return cmath.exp(2j * cmath.pi * (t / denominator))
 
 
+@functools.lru_cache(maxsize=32)
 def _root_table(n: int) -> np.ndarray:
-    """``unit_root(t, n)`` for t in range(n)."""
-    return np.array([unit_root(t, n) for t in range(n)], dtype=complex)
+    """``unit_root(t, n)`` for t in range(n): one read-only array per n,
+    shared by every caller (they only gather from it)."""
+    return _frozen(np.array([unit_root(t, n) for t in range(n)], dtype=complex))
 
 
-def _frozen(matrix: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(matrix, dtype=complex)
+def _frozen(values, dtype=complex) -> np.ndarray:
+    out = np.ascontiguousarray(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -95,15 +99,17 @@ def _character_sums(values: np.ndarray, count: int, gather) -> np.ndarray:
 def _character_gather(irrep_set: IrrepSet):
     """``gather`` for ``_character_sums`` over the characters of
     ``irrep_set``."""
-    return lambda lo, hi, nz: np.array([rho.characters[nz] for rho in irrep_set.irreps[lo:hi]])
+    return lambda lo, hi, nz: irrep_set.characters[lo:hi, nz]
 
 
 class UnitaryIrrep:
     """One unitary matrix representation with its characters.
 
     ``stack[i]`` is the matrix at ``elements[i]`` and ``characters[i]`` its
-    trace; both arrays are read-only.  ``UnitaryIrrep(label, {g: matrix})``
-    builds one from a per-element table, with the elements sorted.
+    trace.  An irrep is read-only: its arrays and its attributes.
+    ``UnitaryIrrep(label, {g: matrix})`` builds one from a per-element
+    table, with the elements sorted; the irreps of an ``IrrepSet`` are
+    views of its columns.
     """
 
     def __init__(self, label: str, matrices: dict):
@@ -121,20 +127,15 @@ class UnitaryIrrep:
                     f"irrep {label!r}: matrix at {g!r} has shape {M.shape}, "
                     f"expected {(degree, degree)}"
                 )
-        self._install(label, elements, np.stack(arrays))
+        stack = _frozen(np.stack(arrays))
+        self._fill(label, elements, stack, _frozen(np.trace(stack, axis1=1, axis2=2)))
 
-    @classmethod
-    def _from_stack(cls, label: str, elements: tuple, stack: np.ndarray):
-        rho = cls.__new__(cls)
-        rho._install(label, elements, stack)
-        return rho
+    def _fill(self, label, elements, stack, characters):
+        vars(self).update(label=label, elements=elements, stack=stack,
+                          degree=int(stack.shape[1]), characters=characters)
 
-    def _install(self, label, elements, stack):
-        self.label = label
-        self.elements = elements
-        self.stack = _frozen(stack)
-        self.degree = int(stack.shape[1])
-        self.characters = _frozen(np.trace(self.stack, axis1=1, axis2=2))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a UnitaryIrrep is read-only; cannot set {name!r}")
 
     @cached_property
     def _index(self) -> dict:
@@ -157,6 +158,14 @@ class UnitaryIrrep:
 class IrrepSet:
     """A complete system of pairwise inequivalent unitary irreps of a group.
 
+    Held as columns (see the module docstring): ``stacks[d]`` is the
+    read-only ``(K_d, n, d, d)`` stack of the irreps of degree d, at the
+    set positions ``positions[d]``, in ascending d; ``characters`` is the
+    read-only ``(len, n)`` table.  ``IrrepSet(group, [UnitaryIrrep, ...])``
+    stacks per-irrep objects into columns; one whose elements are not the
+    group's is kept whole for validation to report, with no stack and a
+    NaN character row, and its set cannot be trusted.
+
     ``trusted`` marks sets whose construction is proven (built-ins) or that
     already passed ``validate_irrep_set``; untrusted sets are re-validated
     before they feed spectrum or basis computations.
@@ -164,24 +173,80 @@ class IrrepSet:
 
     def __init__(self, group: FiniteGroup, irreps: Iterable[UnitaryIrrep],
                  trusted: bool = False):
-        self.group = group
-        self.irreps = list(irreps)
-        self.trusted = trusted
+        irreps, elements = list(irreps), tuple(group.elements())
+        loose, shared, covers = {}, None, False
+        for k, rho in enumerate(irreps):
+            # irreps that share one element tuple, or its items, compare once
+            if shared is None or rho.elements != shared:
+                shared, covers = rho.elements, rho.elements == elements
+            if not covers:
+                loose[k] = rho
+        if loose and trusted:
+            raise ValueError(f"irrep {irreps[min(loose)].label!r} does not cover "
+                             f"the elements of {group!r}, so the set cannot be trusted")
+        covered = [rho for k, rho in enumerate(irreps) if k not in loose]
+        stacks = {d: np.stack([rho.stack for rho in covered if rho.degree == d])
+                  for d in sorted({rho.degree for rho in covered})}
+        self._set_columns(group, [rho.label for rho in irreps],
+                          [rho.degree for rho in irreps], stacks, trusted, loose)
+
+    @classmethod
+    def _built(cls, group: FiniteGroup, labels: Sequence[str], stacks: dict) -> IrrepSet:
+        """A trusted set from built-in stacks by ascending degree, its
+        irreps listed in that order."""
+        irrep_set = cls.__new__(cls)
+        degrees = [d for d, stack in stacks.items() for _ in range(len(stack))]
+        irrep_set._set_columns(group, labels, degrees, stacks, True, {})
+        return irrep_set
+
+    def _set_columns(self, group, labels, degrees, stacks, trusted, loose):
+        """Freeze each degree's stack (``stacks`` by ascending degree) at
+        the positions of its covered irreps, and take the characters as its
+        batched traces, straight into the table's rows where those
+        positions are contiguous."""
+        self.group, self.trusted, self._loose = group, trusted, loose
+        self._labels, self._degrees = tuple(labels), _frozen(degrees, np.int64)
+        self._elements = tuple(group.elements())
+        self.stacks, self.positions = {}, {}
+        characters = np.empty((len(self._labels), group.order), dtype=complex)
+        characters[list(loose)] = np.nan
+        for d, stack in stacks.items():
+            positions = [k for k in np.flatnonzero(self._degrees == d).tolist() if k not in loose]
+            self.positions[d], self.stacks[d] = _frozen(positions, np.int64), _frozen(stack)
+            rows = characters[positions[0]:positions[-1] + 1]
+            if len(rows) == len(positions):
+                np.trace(self.stacks[d], axis1=2, axis2=3, out=rows)
+            else:
+                characters[positions] = np.trace(self.stacks[d], axis1=2, axis2=3)
+        characters.flags.writeable = False
+        self.characters = characters
+
+    @property
+    def irreps(self) -> list:
+        return list(self)
 
     def __iter__(self):
-        return iter(self.irreps)
+        return (self[k] for k in range(len(self)))
 
     def __len__(self):
-        return len(self.irreps)
+        return len(self._labels)
 
-    def __getitem__(self, i) -> UnitaryIrrep:
-        return self.irreps[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = range(len(self))[i]
+        if k in self._loose:
+            return self._loose[k]
+        d, rho = int(self._degrees[k]), UnitaryIrrep.__new__(UnitaryIrrep)
+        rho._fill(self._labels[k], self._elements,
+                  self.stacks[d][np.searchsorted(self.positions[d], k)], self.characters[k])
+        return rho
 
     def labels(self) -> list:
-        return [rho.label for rho in self.irreps]
+        return list(self._labels)
 
     def degrees(self) -> list:
-        return [rho.degree for rho in self.irreps]
+        return self._degrees.tolist()
 
     def __repr__(self):
         return f"<IrrepSet of {self.group!r}: degrees {self.degrees()}>"
@@ -190,31 +255,50 @@ class IrrepSet:
 def irreps_cyclic(n: int) -> IrrepSet:
     """Characters chi_v(k^s) = e^{2 pi i v s / n}, ordered by v."""
     group = CyclicGroup(n)
-    elems = tuple(group.elements())
-    roots = _root_table(n)
+    return IrrepSet._built(group, [f"chi_{v}" for v in range(n)], {1: _cyclic_stack(n)})
+
+
+def _cyclic_stack(n: int) -> np.ndarray:
+    """The (n, n, 1, 1) stack whose row v holds ``unit_root(v*s, n)`` over
+    s, gathered straight into place a block of rows at a time through one
+    index buffer of at most ``_block_len(n)`` rows."""
     s = np.arange(n, dtype=np.int64)
-    irreps = [
-        UnitaryIrrep._from_stack(f"chi_{v}", elems, roots[v * s % n].reshape(n, 1, 1))
-        for v in range(n)
-    ]
-    return IrrepSet(group, irreps, trusted=True)
+    stack = np.empty((n, n, 1, 1), dtype=complex)
+    step = _block_len(n)
+    exponents = np.empty((min(step, n), n), dtype=np.int64)
+    for lo in range(0, n, step):
+        block = exponents[:len(s[lo:lo + step])]
+        np.multiply(s[lo:lo + step, None], s, out=block)
+        np.remainder(block, n, out=block)
+        np.take(_root_table(n), block, out=stack[lo:lo + step, :, 0, 0], mode="clip")
+    return stack
 
 
 def irreps_abelian(orders: Sequence[int]) -> IrrepSet:
-    """Product characters of a direct product of cyclic groups."""
+    """Product characters of a direct product of cyclic groups.
+
+    Irreps and elements both run over exponent tuples in lexicographic
+    order, so a row is the Kronecker product of factor-table rows, built
+    by ``_cmul`` from ones in factor order, as each entry always was.
+    """
     group = AbelianProductGroup(orders)
-    elems = tuple(group.elements())
-    n = group.order
-    digits = np.array(elems, dtype=np.int64).reshape(n, len(group.orders))
-    tables = [_root_table(o) for o in group.orders]
-    irreps = []
-    for exps in itertools.product(*(range(o) for o in group.orders)):
-        values = np.ones(n, dtype=complex)
-        for t, (v, o) in enumerate(zip(exps, group.orders)):
-            values = _cmul(values, tables[t][v * digits[:, t] % o])
-        label = "chi_" + "_".join(str(v) for v in exps)
-        irreps.append(UnitaryIrrep._from_stack(label, elems, values.reshape(n, 1, 1)))
-    return IrrepSet(group, irreps, trusted=True)
+    n, orders = group.order, group.orders
+    digits = np.arange(n, dtype=np.int64)[:, None] // group._strides % orders
+    # tables[t][e, g] = unit_root(e*g, o_t)
+    tables = [_root_table(o)[np.outer(np.arange(o), np.arange(o)) % o] for o in orders]
+    stack = np.empty((n, n, 1, 1), dtype=complex)
+    step = _block_len(n)
+    for lo in range(0, n, step):
+        exps = digits[lo:lo + step]
+        values = np.ones((len(exps), 1), dtype=complex)
+        for t, table in enumerate(tables):
+            # columns run over the exponent tuples so far, the last fastest
+            values = _cmul(values[:, :, None], table[exps[:, t], None, :]).reshape(len(exps), -1)
+        stack[lo:lo + step, :, 0, 0] = values
+    labels = ["chi"]
+    for o in orders:
+        labels = [f"{prefix}_{e}" for prefix in labels for e in range(o)]
+    return IrrepSet._built(group, labels, {1: stack})
 
 
 def irreps_dihedral(n: int) -> IrrepSet:
@@ -226,13 +310,11 @@ def irreps_dihedral(n: int) -> IrrepSet:
     """
     if n < 3:
         raise ValueError(f"dihedral irreps need n >= 3, got {n}")
-    irrep_set = _cyclic_complement_irreps(DihedralGroup(n))
     # induced order: orbits {0} (and {n/2}) with both signs on the
     # reflection, then the orbits {j, -j}
     linear = ["A1", "A2"] if n % 2 else ["A1", "A2", "B1", "B2"]
-    for rho, label in zip(irrep_set, linear + [f"E{j}" for j in range(1, (n + 1) // 2)]):
-        rho.label = label
-    return irrep_set
+    return _cyclic_complement_irreps(
+        DihedralGroup(n), linear + [f"E{j}" for j in range(1, (n + 1) // 2)])
 
 
 def _induction_orbits(group: SplitExtensionGroup) -> list:
@@ -265,7 +347,8 @@ def _induction_orbits(group: SplitExtensionGroup) -> list:
     return orbits
 
 
-def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
+def _cyclic_complement_irreps(group: SplitExtensionGroup,
+                              labels: Sequence[str] = ()) -> IrrepSet:
     """Irreps of C_m x| C_l built by inducing characters of the normal part.
 
     For each orbit of v -> v*r on Z_m (size t, t | l) and each w < l/t the
@@ -273,28 +356,35 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup) -> IrrepSet:
     the cyclic down-shift whose wrap-around entry carries e^{2 pi i w t / l}.
     So h^a k^b sends coordinate j to (j - a) mod t with the factor
     e^{2 pi i (w t q / l + orbit_j b / m)}, where q counts the wraps; each
-    entry is one root of unity of order dividing l*m.
+    entry is one root of unity of order dividing l*m.  The irreps are
+    listed by (t, least orbit member, w) and labelled ``X{member}.{w}``
+    unless ``labels`` are given; each degree's stack is one scatter over
+    all its (orbit, w) pairs, a block of pairs at a time.
     """
     m, l, n = group.m, group.l, group.order
-    elems = tuple(group.elements())
     roots = _root_table(n)
     a = np.arange(l, dtype=np.int64)[:, None, None]
     b = np.arange(m, dtype=np.int64)[None, :, None]
-    entries = []
+    by_size = {}
     for orbit in _induction_orbits(group):
-        t = len(orbit)
+        by_size.setdefault(len(orbit), []).append(orbit)
+    names, batches = [], {}
+    for t, orbits in sorted(by_size.items()):
+        orbits = np.array(orbits, dtype=np.int64)
+        first, w = np.divmod(np.arange(len(orbits) * (l // t)), l // t)
+        names += [f"X{v}.{x}" for v, x in zip(orbits[first, 0].tolist(), w.tolist())]
         j = np.arange(t, dtype=np.int64)[None, None, :]
         rows = (j - a) % t
         wraps = -((j - a) // t)
-        k_part = np.array(orbit, dtype=np.int64)[j] * b * l
-        for w in range(l // t):
-            stack = np.zeros((l, m, t, t), dtype=complex)
-            stack[a, b, rows, j] = roots[(w * t * m * wraps + k_part) % n]
-            rho = UnitaryIrrep._from_stack(
-                f"X{orbit[0]}.{w}", elems, stack.reshape(n, t, t))
-            entries.append((t, orbit[0], w, rho))
-    entries.sort(key=lambda item: item[:3])
-    return IrrepSet(group, [item[3] for item in entries], trusted=True)
+        stack = np.zeros((len(w), l, m, t, t), dtype=complex)
+        # pair p's indices span (l, m, t): n*t of them per pair
+        step = _block_len(n * t)
+        for lo in range(0, len(w), step):
+            p = np.arange(lo, min(lo + step, len(w)))[:, None, None, None]
+            exponents = (w[p] * t * m * wraps + orbits[first[p], j] * b * l) % n
+            stack[p, a, b, rows, j] = roots[exponents]
+        batches[t] = stack.reshape(len(w), n, t, t)
+    return IrrepSet._built(group, list(labels) or names, batches)
 
 
 def irreps_metacyclic(m: int, l: int, r: int) -> IrrepSet:
@@ -389,8 +479,8 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
     idx = np.arange(n, dtype=np.int64)
     identity = group.index(group.identity)
     covered = []
-    for rho in irrep_set:
-        if rho.elements != elems:
+    for k, rho in enumerate(irrep_set):
+        if k in irrep_set._loose:
             # both orders are sorted, so the rows differ by a missing
             # element or by one that is not in the group
             uncovered = ([g for g in elems if g not in rho._index]
@@ -424,10 +514,10 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
         if not abs(norm - 1.0) <= 1e-9:
             issues.append(ValidationIssue(
                 "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
-        covered.append(rho)
+        covered.append(k)
     if covered:
-        labels = [rho.label for rho in covered]
-        table = np.array([rho.characters for rho in covered])
+        labels = [irrep_set._labels[k] for k in covered]
+        table = irrep_set.characters[covered]
         step = _block_len(2 * len(covered))
         for lo in range(0, len(covered), step):
             inner = np.abs(table[lo:lo + step] @ table.conj().T / n)
@@ -436,7 +526,7 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
                     issues.append(ValidationIssue(
                         "orthogonality", (labels[lo + i], labels[j]), None,
                         float(inner[i, j])))
-    total = sum(rho.degree ** 2 for rho in irrep_set)
+    total = int(np.square(irrep_set._degrees).sum())
     if total != n:
         issues.append(ValidationIssue(
             "completeness", tuple(irrep_set.labels()), None, float(abs(total - n))))
@@ -517,45 +607,43 @@ class PMatrix:
 
 
 def _degree_batches(irrep_set: IrrepSet):
-    """Per degree: the positions of its irreps in the set, and their
-    stacks as one fresh (K, n, d, d) array."""
-    for d in sorted(set(irrep_set.degrees())):
-        batch = [k for k, rho in enumerate(irrep_set) if rho.degree == d]
-        yield batch, np.stack([irrep_set[k].stack for k in batch])
+    """Per degree, ascending: the positions of its irreps in the set, and
+    their stored read-only (K, n, d, d) stack."""
+    return zip(irrep_set.positions.values(), irrep_set.stacks.values())
 
 
 def p_matrix_bytes(n: int) -> int:
     """Bytes ``build_p_matrix`` allocates at its peak: the n x n result
-    and one degree's stacked matrices, at most n*n entries."""
+    and one degree's scaled matrices, at most n*n entries."""
     return 32 * n * n
 
 
 def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients.
 
-    The result and one degree's stacks are the only large arrays: each
-    batch is scaled in place before its copy into the result.
+    The result and one degree's scaled stack are the only large arrays
+    it allocates.
     """
     ensure_trusted(group, irrep_set)
     n = group.order
-    total = sum(rho.degree ** 2 for rho in irrep_set)
+    squares = np.square(irrep_set._degrees)
+    total = int(squares.sum())
     if total != n:
         raise IrrepValidationFailed(IrrepValidationReport([
             ValidationIssue("completeness", tuple(irrep_set.labels()), None,
                             float(abs(total - n)))
         ]))
     check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
-    offsets = np.cumsum([0] + [rho.degree ** 2 for rho in irrep_set])
+    offsets = np.cumsum(squares) - squares
     p_mat = np.zeros((n, n), dtype=complex)
-    for batch, stacks in _degree_batches(irrep_set):
-        d = stacks.shape[2]
-        columns = (offsets[batch][:, None] + np.arange(d * d)).ravel()
-        # the stacks are a fresh copy, so they are scaled in place
-        stacks *= sqrt(d / n)
+    for positions, stack in _degree_batches(irrep_set):
+        d = stack.shape[2]
+        columns = (offsets[positions][:, None] + np.arange(d * d)).ravel()
         # (k, g, i, j) -> (g, k, j, i): column offset_k + j*d + i
-        p_mat[:, columns] = stacks.transpose(1, 0, 3, 2).reshape(n, -1)
+        p_mat[:, columns] = (stack * sqrt(d / n)).transpose(1, 0, 3, 2).reshape(n, -1)
     labels = tuple(
-        (rho.label, i, j)
-        for rho in irrep_set for j in range(rho.degree) for i in range(rho.degree)
+        (label, i, j)
+        for label, d in zip(irrep_set._labels, irrep_set.degrees())
+        for j in range(d) for i in range(d)
     )
     return PMatrix(matrix=_frozen(p_mat), column_labels=labels)

@@ -93,12 +93,6 @@ class SpectralLine:
     k_class_terms: Optional[tuple] = field(default=None, kw_only=True)
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 class SpectralLines(Sequence):
     """The lines of a spectrum, held as read-only columns.
 
@@ -117,13 +111,13 @@ class SpectralLines(Sequence):
 
     def __init__(self, eigenvalues, multiplicities, u, v=None, axes: tuple = (),
                  h_terms=None, k_terms=None):
-        self.eigenvalues = _read_only(eigenvalues, complex)
-        self.multiplicities = _read_only(multiplicities, np.int64)
-        self.u = _read_only(u, np.int64)
-        self.v = None if v is None else _read_only(v, np.int64)
+        self.eigenvalues = _frozen(eigenvalues, complex)
+        self.multiplicities = _frozen(multiplicities, np.int64)
+        self.u = _frozen(u, np.int64)
+        self.v = None if v is None else _frozen(v, np.int64)
         self.axes = tuple(tuple(axis) for axis in axes)
-        self.h_terms = None if h_terms is None else _read_only(h_terms, complex)
-        self.k_terms = None if k_terms is None else _read_only(k_terms, complex)
+        self.h_terms = None if h_terms is None else _frozen(h_terms, complex)
+        self.k_terms = None if k_terms is None else _frozen(k_terms, complex)
         columns = (self.eigenvalues, self.multiplicities, self.u, self.v)
         if any(c is not None and c.shape != (len(self.u),) for c in columns):
             raise ValueError("a spectrum's line columns must be 1-D and of one length")
@@ -719,8 +713,8 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     reps = [h_group.index(cls.representative) for cls in h_classes]
     # h_terms[u][i] is lambda_ui; K is cyclic, so every d_v is 1
     h_chars = _character_gather(irreps_h)(0, len(irreps_h), reps)
-    h_terms = [tuple(cls.size * c / rho.degree for cls, c in zip(h_classes, chars))
-               for rho, chars in zip(irreps_h, h_chars.tolist())]
+    h_terms = [tuple(cls.size * c / d for cls, c in zip(h_classes, chars))
+               for d, chars in zip(irreps_h.degrees(), h_chars.tolist())]
     # row i holds alpha(h k^b) over b, with h the representative of C_i
     lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
                         _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
@@ -736,7 +730,7 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
         p, q = np.divmod(np.arange(l * m), m)
         order = np.lexsort((p, q, h_irrep[p]))
         factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=p_k.matrix.T,
-                                   pairs=_frozen_pairs(p[order], q[order]))
+                                   pairs=_frozen(np.stack((p[order], q[order]), axis=1), np.int64))
     return Spectrum(
         n=group.order,
         method="split",
@@ -780,12 +774,6 @@ def _grid_lines(h_terms: Sequence, rows: np.ndarray, k_gather, h_labels: list,
                          k_terms=sigma if record_terms else None)
 
 
-def _frozen_pairs(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    pairs = np.stack((h, k), axis=1)
-    pairs.flags.writeable = False
-    return pairs
-
-
 def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
                         eigenvectors: bool = True) -> Spectrum:
     """Spectrum of a layered metacyclic color graph by exponential sums.
@@ -821,13 +809,11 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
         record_terms=False)
     factors = None
     if eigenvectors:
-        h_vectors = h_roots / sqrt(l)
-        k_vectors = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
-        h_vectors.flags.writeable = False
-        k_vectors.flags.writeable = False
-        # line (u, v) claims the Kronecker product of h_vectors[u] and k_vectors[v]
-        factors = KroneckerFactors(h_rows=h_vectors, k_rows=k_vectors,
-                                   pairs=_frozen_pairs(*np.divmod(np.arange(l * m), m)))
+        # line (u, v) claims the Kronecker product of H row u and K row v
+        k_rows = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
+        pairs = np.stack(np.divmod(np.arange(l * m), m), axis=1)
+        factors = KroneckerFactors(h_rows=_frozen(h_roots / sqrt(l)), k_rows=_frozen(k_rows),
+                                   pairs=_frozen(pairs, np.int64))
     return Spectrum(n=l * m, method="metacyclic", lines=lines, factors=factors)
 
 
@@ -898,9 +884,10 @@ def block_diagonalize(group: FiniteGroup, color: ColorFunction,
     ensure_trusted(group, irrep_set)
     # the transforms of all irreps of one degree come from one running sum
     blocks = [None] * len(irrep_set)
-    for batch, stacks in _degree_batches(irrep_set):
-        for k, total in zip(batch, _fourier_sums(color.vector, stacks)):
-            blocks[k] = FourierBlock(label=irrep_set[k].label, matrix=_frozen(total))
+    labels = irrep_set.labels()
+    for positions, stack in _degree_batches(irrep_set):
+        for k, total in zip(positions.tolist(), _fourier_sums(color.vector, stack)):
+            blocks[k] = FourierBlock(label=labels[k], matrix=_frozen(total))
     blocks = tuple(blocks)
     p_matrix = build_p_matrix(group, irrep_set)
     decomposition = BlockDiagonalization(

@@ -28,10 +28,10 @@ and split it into its top entry ``D_v``, at ``p_v``, and a remainder
 ``E_v``.  The split and metacyclic routes claim characters of K = C_m
 over sqrt(m), whose DFT has one nonzero, so ``E_v`` is rounding.  The
 Fourier rule holds when every ``p_v`` is distinct and every remainder
-term is at or below the rounding floor ``sqrt(n) eps`` times the check's
-scale.  Then each residual is reported as an upper bound read off the
-table at ``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|``
-and ``|E|`` without a GEMM.  This holds O(n*m) beyond the adjacency: the
+term is at or below the rounding floor ``max(sqrt(n), 4) eps`` times
+the check's scale.  Then each residual is reported as an upper bound read
+off the table at ``p_v``, O(n*l) work after the FFTs, and G_K comes from
+``|D|`` and ``|E|`` without a GEMM.  This holds O(n*m) beyond the adjacency: the
 factors, the beta table, and per chunk of K rows at most
 ``groups._BLOCK_BYTES`` in each of a few temporaries.  Nothing here
 assumes the vectors are eigenvectors or the rows characters, and no
@@ -46,12 +46,13 @@ extension), factors of another (l, m), that ``_checked_factors``
 rejects or whose K rows fail the rule, or explicit vectors; its results
 agree to rounding.  It first
 checks the n x n arrays it would allocate against
-``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``), and forms the
-matrix of an adjacency that carries its beta table.  Beyond the n x n
-adjacency and the claimed vectors, it holds one block at a time:
-``groups._BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice
-that in GEMM output and residual temporaries, whatever n and the number
-of lines.  While it computes residuals against a real adjacency (every
+``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``, plus in
+``certify`` the factor rows the basis check will stack beside a formed
+matrix), and forms the matrix of an adjacency that carries its beta
+table.  Beyond the n x n adjacency and the claimed vectors, it holds one
+block at a time: ``groups._BLOCK_BYTES`` of vectors (or of Gram rows)
+plus about twice that in GEMM output and residual temporaries, whatever
+n and the number of lines.  While it computes residuals against a real adjacency (every
 indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
 flops of the complex one.  The trace identities come from the matrix.
@@ -201,8 +202,8 @@ def dense_certify_bytes(n: int, carried: bool) -> int:
     return (8 + 16 * carried) * n * n
 
 
-def verify_eigenpairs(adjacency, spectrum: Spectrum,
-                      tol: float = 1e-9) -> VerificationReport:
+def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
+                      _basis_next: bool = False) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
     The structured path (see the module docstring) runs when the
@@ -217,7 +218,9 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
     (a NaN or inf there counts as nonzero), the GEMM runs on a float64 copy
     of its real part.  The dense path first checks its n x n arrays
     against the byte budget; the message names the failed part of the
-    Fourier rule when that sent it there.
+    Fourier rule when that sent it there.  With ``_basis_next`` (from
+    ``certify``) it also counts the factor rows ``verify_basis`` will
+    stack while a matrix formed from a carried table stays cached.
     """
     # an adjacency from ``adjacency_matrix`` on a split extension carries
     # its beta table, built from ``mul_idx``/``inv_idx``
@@ -250,7 +253,9 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum,
         column_max, failed = _structured_residuals(beta, factors, column_eigenvalues, scale)
     structured = column_max is not None
     if not structured:
-        check_dense_bytes(dense_certify_bytes(n, beta is not None),
+        stacked = (_basis_next and beta is not None and spectrum.factors is not None
+                   and _factor_gram(spectrum)[0] is None) * 16 * spectrum.vector_count() * n
+        check_dense_bytes(dense_certify_bytes(n, beta is not None) + stacked,
                           _dense_what(f"dense certification of order {n}", failed))
         if beta is not None:
             matrix = adjacency.matrix
@@ -313,7 +318,7 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
     |E_v|_2 / sqrt(m)``, whatever the rows hold (``_fourier_bounds``), and
     that bound is reported, at O(n*l) cost after the FFTs.  The rule asks
     every top position to be distinct and every remainder term to be at or
-    below the rounding floor ``sqrt(n) eps scale``; the bound then exceeds
+    below the rounding floor ``_rounding_floor(n) scale``; the bound then exceeds
     the residual by at most twice that.  A non-finite term fails the rule.
     """
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
@@ -351,8 +356,9 @@ def _dense_what(what: str, failed: Optional[str]) -> str:
 
 
 def _rounding_floor(n: int) -> float:
-    """``sqrt(n) eps``: what rounding leaves in a unit-scale check of order n."""
-    return float(np.sqrt(n) * np.finfo(float).eps)
+    """``max(sqrt(n), 4) eps``: what rounding leaves in a unit-scale check of
+    order n.  At least four ulps: the characters of C_3 leave up to 2.6."""
+    return float(max(np.sqrt(n), 4.0) * np.finfo(float).eps)
 
 
 class _FourierRows(NamedTuple):
@@ -483,7 +489,7 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     split (``_fourier_rows``, ``_fourier_gram``): its diagonal exactly, and
     off it the bound ``(2 max|D| max|E| + max |E|_2^2) / m``, an upper
     bound whenever the top positions are distinct.  That runs when they
-    are and the bound is at or below the rounding floor ``sqrt(n) eps``.
+    are and the bound is at or below the rounding floor ``_rounding_floor(n)``.
 
     Otherwise the Gram matrix, Hermitian, has only its upper triangle
     formed: each row block from its diagonal block rightwards, never the
@@ -491,15 +497,9 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     byte budget; the message names the failed part of the Fourier rule
     when that sent them there.
     """
-    factors = _checked_factors(spectrum)
     count, n = spectrum.vector_count(), spectrum.n
-    failed = None
-    if factors is not None:
-        rows = _fourier_rows(factors.k_rows)
-        gram_deviation, off_k = _fourier_gram(factors.h_rows, rows)
-        failed = (_SHARED_TOP if not _distinct(rows.tops) else
-                  _above_floor("the off-diagonal K Gram bound", off_k, _rounding_floor(n)))
-    structured = factors is not None and failed is None
+    gram_deviation, failed = _factor_gram(spectrum)
+    structured = gram_deviation is not None
     if not structured:
         if spectrum.factors is not None:
             check_dense_bytes(16 * count * n, _dense_what(
@@ -507,6 +507,21 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
         gram_deviation = _upper_gram_deviation(spectrum.vector_rows(0, count))
     complete = count == n == spectrum.total_multiplicity
     return BasisCheck(gram_deviation, complete, count, structured)
+
+
+def _factor_gram(spectrum: Spectrum) -> tuple:
+    """``(gram_deviation, None)`` from the Kronecker factors when
+    ``_checked_factors`` accepts them and their K rows pass the Fourier
+    rule; ``(None, failed)``, naming the failed part, when they do not;
+    ``(None, None)`` without accepted factors."""
+    factors = _checked_factors(spectrum)
+    if factors is None:
+        return None, None
+    rows = _fourier_rows(factors.k_rows)
+    gram_deviation, off_k = _fourier_gram(factors.h_rows, rows)
+    failed = (_SHARED_TOP if not _distinct(rows.tops) else _above_floor(
+        "the off-diagonal K Gram bound", off_k, _rounding_floor(spectrum.n)))
+    return (None if failed else gram_deviation), failed
 
 
 def _upper_gram_deviation(stacked: np.ndarray) -> float:
@@ -602,11 +617,12 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     When the residuals ran on the structured path, the trace identities
     come from the beta table the adjacency carries; otherwise from
     ``trace_identities`` on its matrix.  The residual and basis checks
-    share the Fourier split of the K rows (``_fourier_rows``).
+    share the Fourier split of the K rows (``_fourier_rows``), and a dense
+    check budgets a formed matrix with the factor rows stacked beside it.
     """
     token = _certify_splits.set([])
     try:
-        report = verify_eigenpairs(adjacency, spectrum, tol=tol)
+        report = verify_eigenpairs(adjacency, spectrum, tol=tol, _basis_next=True)
         basis = verify_basis(spectrum)
     finally:
         _certify_splits.reset(token)

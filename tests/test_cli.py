@@ -211,12 +211,12 @@ def test_builtin_degrees_equal_the_built_irreps():
 
 
 def test_describe_builds_no_irrep_matrices(tmp_path, capsys, monkeypatch):
-    from cayleyspec import UnitaryIrrep
+    from cayleyspec import IrrepSet
 
     def refuse(*args, **kwargs):
         raise AssertionError("describe built an irrep stack")
 
-    monkeypatch.setattr(UnitaryIrrep, "_install", refuse)
+    monkeypatch.setattr(IrrepSet, "_set_columns", refuse)
     for group, degrees in (({"type": "cyclic", "n": 5}, [1] * 5),
                            ({"type": "dihedral", "n": 4}, [1, 1, 1, 1, 2]),
                            ({"type": "metacyclic", "m": 7, "l": 3, "r": 2}, [1, 1, 1, 3, 3])):

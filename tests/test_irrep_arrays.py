@@ -32,6 +32,7 @@ from cayleyspec import (
     SemidirectProductGroup,
     SpectralLine,
     Spectrum,
+    SplitExtensionGroup,
     UnitaryIrrep,
     adjacency_matrix,
     block_diagonalize,
@@ -54,7 +55,13 @@ from cayleyspec import (
     validate_irrep_set,
 )
 from cayleyspec import spectra as spectra_module
-from cayleyspec.irreps import ValidationIssue
+from cayleyspec.irreps import (
+    ValidationIssue,
+    _cmul,
+    _induction_orbits,
+    _root_table,
+    builtin_degrees,
+)
 from test_kernel import groups_strategy
 
 # -- oracles: the per-element constructions and loops ------------------------
@@ -335,6 +342,129 @@ def test_build_irreps_cyclic_600_quickly():
     irr = irreps_cyclic(600)
     assert time.perf_counter() - start < 1.0
     assert len(irr) == 600 and irr[7].character(3) == unit_root(21, 600)
+
+
+# -- columnar sets against the per-irrep builders they replaced --------------
+
+
+def per_irrep_roots(n):
+    return np.array([unit_root(t, n) for t in range(n)], dtype=complex)
+
+
+def per_irrep_cyclic(n):
+    roots, s = per_irrep_roots(n), np.arange(n, dtype=np.int64)
+    return [(f"chi_{v}", roots[v * s % n].reshape(n, 1, 1)) for v in range(n)]
+
+
+def per_irrep_abelian(group):
+    n = group.order
+    digits = np.array(group.elements(), dtype=np.int64).reshape(n, len(group.orders))
+    tables = [per_irrep_roots(o) for o in group.orders]
+    out = []
+    for exps in itertools.product(*(range(o) for o in group.orders)):
+        values = np.ones(n, dtype=complex)
+        for t, (v, o) in enumerate(zip(exps, group.orders)):
+            values = _cmul(values, tables[t][v * digits[:, t] % o])
+        out.append(("chi_" + "_".join(str(v) for v in exps), values.reshape(n, 1, 1)))
+    return out
+
+
+def per_irrep_complement(group):
+    m, l, n = group.m, group.l, group.order
+    roots = per_irrep_roots(n)
+    a = np.arange(l, dtype=np.int64)[:, None, None]
+    b = np.arange(m, dtype=np.int64)[None, :, None]
+    entries = []
+    for orbit in _induction_orbits(group):
+        t = len(orbit)
+        j = np.arange(t, dtype=np.int64)[None, None, :]
+        rows, wraps = (j - a) % t, -((j - a) // t)
+        k_part = np.array(orbit, dtype=np.int64)[j] * b * l
+        for w in range(l // t):
+            stack = np.zeros((l, m, t, t), dtype=complex)
+            stack[a, b, rows, j] = roots[(w * t * m * wraps + k_part) % n]
+            entries.append((t, orbit[0], w, (f"X{orbit[0]}.{w}", stack.reshape(n, t, t))))
+    entries.sort(key=lambda item: item[:3])
+    return [item[3] for item in entries]
+
+
+def per_irrep_builtins(group):
+    """``(label, stack)`` per irrep, as the per-irrep builders made them."""
+    if isinstance(group, CyclicGroup):
+        return per_irrep_cyclic(group.m)
+    if isinstance(group, AbelianProductGroup):
+        return per_irrep_abelian(group)
+    if isinstance(group, SplitExtensionGroup) and isinstance(group.h_group, CyclicGroup):
+        built = per_irrep_complement(group)
+        if isinstance(group, DihedralGroup) and group.n >= 3:
+            n = group.n
+            linear = ["A1", "A2"] if n % 2 else ["A1", "A2", "B1", "B2"]
+            labels = linear + [f"E{j}" for j in range(1, (n + 1) // 2)]
+            built = [(label, stack) for label, (_, stack) in zip(labels, built)]
+        return built
+    raise IrrepsUnavailable(group.kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups_strategy())
+def test_columnar_builtins_equal_the_per_irrep_builders(group):
+    """Each built-in irrep, read back as a view, holds the label, degree,
+    stack and characters the per-irrep builders made, bit for bit and in
+    their order; the set stacks its views back into equal columns, its
+    arrays and views are read-only, and ``builtin_degrees`` agrees."""
+    try:
+        expected = per_irrep_builtins(group)
+    except IrrepsUnavailable:
+        with pytest.raises(IrrepsUnavailable):
+            builtin_irreps(group)
+        return
+    built = builtin_irreps(group)
+    assert built.trusted and len(built) == len(expected)
+    for rho, (label, stack) in zip(built, expected):
+        assert (rho.label, rho.degree) == (label, stack.shape[1])
+        assert rho.elements == tuple(group.elements())
+        assert rho.stack.tobytes() == stack.tobytes()
+        assert rho.characters.tobytes() == np.trace(stack, axis1=1, axis2=2).tobytes()
+        assert not (rho.stack.flags.writeable or rho.characters.flags.writeable)
+        with pytest.raises(AttributeError, match="read-only"):
+            rho.label = "changed"
+    assert built.characters.tobytes() == np.array([rho.characters for rho in built]).tobytes()
+    assert not built.characters.flags.writeable
+    assert all(not stack.flags.writeable for stack in built.stacks.values())
+    assert builtin_degrees(group) == built.degrees() == [stack.shape[1] for _, stack in expected]
+    again = IrrepSet(group, built.irreps)
+    assert not again.trusted
+    assert (again.labels(), again.degrees()) == (built.labels(), built.degrees())
+    assert again.characters.tobytes() == built.characters.tobytes()
+    assert list(again.stacks) == list(built.stacks)
+    for d, stack in built.stacks.items():
+        assert again.stacks[d].tobytes() == stack.tobytes()
+        assert again.positions[d].tolist() == built.positions[d].tolist()
+
+
+def test_the_root_table_is_cached_and_read_only():
+    table = _root_table(12)
+    assert table is _root_table(12) and not table.flags.writeable
+    assert table.tobytes() == per_irrep_roots(12).tobytes()
+    with pytest.raises(ValueError):
+        table[0] = 2
+
+
+def test_a_set_keeps_an_irrep_that_misses_elements_whole():
+    """A user irrep that does not cover the group's elements gets no
+    stack and a NaN character row; validation reports it, and such a set
+    cannot be made trusted."""
+    group = DihedralGroup(4)
+    base = irreps_dihedral(4)
+    partial = UnitaryIrrep("partial", {g: base[4].matrix(g) for g in group.elements()
+                                       if g != (1, 2)})
+    irrep_set = IrrepSet(group, list(base)[:4] + [partial])
+    assert irrep_set[4] is partial and irrep_set[-1] is partial
+    assert list(irrep_set.stacks) == [1] and irrep_set.degrees() == [1, 1, 1, 1, 2]
+    assert np.isnan(irrep_set.characters[4]).all()
+    assert [rho.label for rho in irrep_set[1:3]] == ["A2", "B1"]
+    with pytest.raises(ValueError, match="'partial' does not cover"):
+        IrrepSet(group, [partial], trusted=True)
 
 
 # -- validation --------------------------------------------------------------

@@ -275,22 +275,22 @@ class CountedElement(int):
 
 
 def test_an_irrep_sweep_compares_the_element_tuples_once_per_set():
-    """The irreps of a built-in set share one element tuple, here equal to
-    the group's but not the same object: the formula's character sweep and
-    the P matrix each compare it with the group's once, not once per
-    irrep, and the spectrum's bytes do not change."""
+    """User irreps keyed by elements equal to the group's but not the same
+    objects, shared by every table: the set compares their element tuples
+    with the group's once when it stacks them, not once per irrep, and the
+    formula's character sweep and the P matrix compare none; the
+    spectrum's bytes do not change."""
     n = 200
     group = CyclicGroup(n)
     builtin = builtin_irreps(group)
-    elements = tuple(CountedElement(g) for g in builtin[0].elements)
-    counted = IrrepSet(group, [UnitaryIrrep._from_stack(rho.label, elements, rho.stack)
-                               for rho in builtin], trusted=True)
+    elements = [CountedElement(g) for g in group.elements()]
+    tables = [UnitaryIrrep(rho.label, dict(zip(elements, rho.stack))) for rho in builtin]
     color = color_from_set(group, [1, n - 1, 17, n - 17])
     CountedElement.comparisons = 0
+    counted = IrrepSet(group, tables, trusted=True)
     spec = spectrum_normal(group, color, counted)
     assert CountedElement.comparisons <= 2 * n
     expect = spectrum_normal(group, color, builtin)
     assert np.array([line.eigenvalue for line in spec.lines]).tobytes() == \
         np.array([line.eigenvalue for line in expect.lines]).tobytes()
     assert spec.vectors.tobytes() == expect.vectors.tobytes()
-

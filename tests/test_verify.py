@@ -1121,7 +1121,9 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     spec = spectrum_split(group, color, builtin_irreps(group.h_group),
                           irreps_cyclic(group.m), force=True)
     adj = adjacency_matrix(group, color)
-    floor = verify_module._rounding_floor(n) * verify_module._grid_scale(adj.blocks.beta_values)
+    # sqrt(n) eps, not the rule's floor, which is at least four ulps
+    sqrt_n_eps = np.sqrt(n) * np.finfo(float).eps
+    floor = sqrt_n_eps * verify_module._grid_scale(adj.blocks.beta_values)
     bound, remainder, correlation = both_paths(adj, spec)
     assert (np.isfinite(bound) == np.isfinite(correlation)).all()
     if np.isfinite(correlation).all():
@@ -1140,7 +1142,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
         if verify_module._distinct(rows.tops):
             deviation, _ = verify_module._fourier_gram(case.h_rows, rows)
             expect = structured_gram(case)
-            gram_floor = ulps * verify_module._rounding_floor(n) * max(1.0, expect)
+            gram_floor = ulps * sqrt_n_eps * max(1.0, expect)
             assert deviation >= expect - gram_floor
 
     color = block_color(group, rng, [0, 1, -0.5j, 0.25 - 3j])
@@ -1302,3 +1304,48 @@ def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
     report = certify(adj, claim, color)
     assert len(splits) == 2 and not report.passed
     assert report.gram_deviation > 0.5
+
+
+def test_a_dense_check_budgets_the_formed_matrix_with_the_stacked_rows(monkeypatch):
+    """A factored claim with a duplicated K row fails the Fourier rule in
+    both checks.  The matrix formed from the carried table stays cached
+    while the basis check stacks the n claimed rows, so ``certify`` checks
+    both at once before forming anything: over that sum it raises.  Within
+    it the traced peak passes the matrix's own estimate, which the check
+    once made alone, and stays below the sum plus one block (which at this
+    n holds every vector, so the bound is loose)."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    claim = with_k_rows(spec, top_duplicated(np.array(spec.factors.k_rows)))
+    n = spec.n
+    separate = verify_module.dense_certify_bytes(n, True)
+    combined = separate + 16 * n * n
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", combined - 1)
+    assert separate < combined - 1
+    with pytest.raises(CapacityExceeded, match=f"rule .*, needs an estimated {combined} bytes"):
+        certify(adj, claim, color)
+    assert not formed(adj)
+    monkeypatch.setattr(groups_module, "DENSE_BYTE_BUDGET", combined)
+    tracemalloc.start()
+    try:
+        report = certify(adj, claim, color)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.structured and formed(adj)
+    assert separate < peak <= combined + groups_module._BLOCK_BYTES, (peak, combined)
+
+
+def test_the_characters_of_c3_pass_the_fourier_rule():
+    """At n = 3 the claimed characters leave remainder terms of up to 2.6
+    ulps, above sqrt(3) eps; the rule's floor of at least four ulps lets
+    both checks run structured, within the tolerances of their dense
+    counterparts."""
+    group = MetacyclicGroup(3, 1, 1)
+    for color in (color_from_set(group, [group.elements()[2]]),
+                  ColorFunction(group, {group.elements()[0]: 1j})):
+        spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(3))
+        adj = adjacency_matrix(group, color)
+        report, dense = certify(adj, spec, color), dense_certify(adj, spec, color)
+        assert report.structured and verify_basis(spec).structured and report.passed
+        assert abs(report.max_residual - dense.max_residual) <= 1e-12 * dense.scale
+        assert abs(report.gram_deviation - dense.gram_deviation) <= 1e-12
