@@ -8,11 +8,12 @@ row i lists the out-edges of vertex i.  For split extensions vertex
 of m-by-m circulants indexed by coset pairs, and block (i, j) depends only
 on the l*l*m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``.
 
-The adjacency and the connection-set checks (one gather per conjugation
-orbit) run on the group's integer kernel (``mul_idx``/``inv_idx``); they
-never touch irreps.  On a split extension the adjacency is the beta table
-itself, l*l*m kernel products: its n x n matrix is copied from the table
-only when something reads it (the edge-list export, dense certification).
+The adjacency and the connection-set checks (the group's class labels,
+plus one conjugation gather for a witness) run on the group's integer
+kernel (``mul_idx``/``inv_idx``); they never touch irreps.  On a split
+extension the adjacency is the beta table itself, l*l*m kernel products:
+its n x n matrix is copied from the table only when something reads it
+(the edge-list export, dense certification).
 On the other kinds the matrix is gathered in row blocks within the
 kernel's block budget, n*n products.  Either way the n x n matrix is
 checked against ``groups.DENSE_BYTE_BUDGET`` before it is allocated.
@@ -34,6 +35,7 @@ from .groups import (
     SplitExtensionGroup,
     _block_len,
     _conjugation_orbits,
+    _first_conjugator,
     check_dense_bytes,
     is_generating_set,
 )
@@ -96,17 +98,19 @@ class ColorFunction:
 
     @cached_property
     def _class_witness(self):
-        """The first class member, in class order, whose value differs from
-        the representative's, with its first conjugator in element order."""
-        elems = self.group.elements()
-        for members, first in self.group._class_orbits:
-            values = self.vector[members]
-            differ = np.flatnonzero(values != values[0])
-            if differ.size:
-                k = differ[0]
-                return (elems[members[0]], elems[first[k]], elems[members[k]],
-                        complex(values[0]), complex(values[k]))
-        return None
+        """In the first class, by representative, whose values are not
+        constant: the least member whose value differs from the
+        representative's, with its first conjugator in element order."""
+        group = self.group
+        labels = group._class_labels
+        differ = np.flatnonzero(self.vector != self.vector[labels])
+        if not differ.size:
+            return None
+        rep = labels[differ].min()
+        g = differ[labels[differ] == rep][0]
+        elems = group.elements()
+        return (elems[rep], elems[_first_conjugator(group, rep, g)], elems[g],
+                self.vector.item(rep), self.vector.item(g))
 
     def __repr__(self):
         return (f"<ColorFunction on {self.group!r} with support "
@@ -154,15 +158,17 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     if not inverse_closed:
         first = missing[0]
         witnesses["inverse_closed"] = (members[first], elems[inverses[first]])
-    for orbit, first in _conjugation_orbits(group, member_idx, np.arange(group.order)):
-        outside = ~in_set[orbit]
-        if outside.any():
-            # the orbit's seed is its least member in the set; k is where
-            # the first conjugator that leaves the set takes it
-            k = np.argmin(np.where(outside, first, group.order))
-            witnesses["conjugation_closed"] = (
-                elems[first[k]], elems[orbit[np.argmax(~outside)]], elems[orbit[k]])
-            break
+    # the least member whose class meets the complement of the set
+    labels = group._class_labels
+    leaves = np.zeros(group.order, dtype=bool)
+    leaves[labels[~in_set]] = True
+    escaping = member_idx[leaves[labels[member_idx]]]
+    if escaping.size:
+        seed = escaping[0]
+        orbit, first = next(_conjugation_orbits(group, [seed], np.arange(group.order)))
+        # k is where the first conjugator that leaves the set takes the seed
+        k = np.argmin(np.where(in_set[orbit], group.order, first))
+        witnesses["conjugation_closed"] = (elems[first[k]], elems[seed], elems[orbit[k]])
     generates, closure_size = is_generating_set(group, indices=member_idx)
     return ConnectionSet(
         elements=tuple(members),

@@ -24,6 +24,16 @@ complement plus the unit arrays, composed image arrays); no kind ever
 stores an n x n multiplication table.  Bulk work (adjacency, closure and
 conjugation sweeps) runs on the kernel in blocks whose index temporaries
 stay within ``_BLOCK_BYTES``.
+
+Conjugacy classes are one label array per group, ``labels[i]`` the least
+index in g_i's class (``FiniteGroup._class_labels``).  Conjugation is a
+homomorphism G -> Sym(G), so the classes are the orbits of the
+conjugations by any generating set of G; each kind names a few
+generators (``_generator_idx``), and ``_orbit_labels`` takes the orbits
+of their conjugation permutations: per permutation the minimum over its
+cycles by doubling, then pointer jumping, repeated until the labels stop
+changing.  That is O(n log n) per generator and round, where one n-wide
+gather per class costs O(n) per class.
 """
 
 from __future__ import annotations
@@ -180,18 +190,33 @@ class FiniteGroup:
         """Return ``by * g * by^{-1}``."""
         return self.mul(self.mul(by, g), self.inv(by))
 
+    def _generator_idx(self) -> np.ndarray:
+        """Canonical indices of a generating set of the group."""
+        raise NotImplementedError
+
+    @cached_property
+    def _class_labels(self) -> np.ndarray:
+        """``labels[i]`` is the least index in g_i's conjugacy class
+        (read-only): the orbits of conjugation by the generators."""
+        everything = np.arange(self.order, dtype=np.int64)
+        perms = [self.mul_idx(self.mul_idx(g, everything), self.inv_idx[g])
+                 for g in dict.fromkeys(self._generator_idx().tolist())]
+        labels = _orbit_labels(perms, self.order)
+        labels.flags.writeable = False
+        return labels
+
     @cached_property
     def _class_orbits(self) -> list:
-        """``_conjugation_orbits`` of the whole group on itself."""
-        everything = np.arange(self.order, dtype=np.int64)
-        if isinstance(self, (CyclicGroup, AbelianProductGroup)):
-            # every class is a singleton, fixed first by element 0
-            return [(everything[i:i + 1], everything[:1]) for i in range(self.order)]
-        return list(_conjugation_orbits(self, everything, everything))
+        """The conjugacy classes as index arrays, each ascending, ordered by
+        their least member."""
+        labels = self._class_labels
+        by_class = np.argsort(labels, kind="stable")
+        starts = np.flatnonzero(np.diff(labels[by_class])) + 1
+        return np.split(by_class, starts)
 
     def conjugacy_classes(self) -> list:
         elems = self.elements()
-        orbits = [tuple(elems[i] for i in members.tolist()) for members, _ in self._class_orbits]
+        orbits = [tuple(elems[i] for i in members.tolist()) for members in self._class_orbits]
         return [ConjugacyClass(members[0], members) for members in orbits]
 
     def __eq__(self, other):
@@ -204,6 +229,35 @@ class FiniteGroup:
         return f"<{type(self).__name__} order={self.order}>"
 
 
+def _orbit_labels(perms, n: int) -> np.ndarray:
+    """The least index in each index's orbit under the group that the
+    index permutations ``perms`` generate.
+
+    Each round takes, per permutation p, the minimum over p's cycles by
+    doubling (``labels[i]`` becomes the least label over i, p(i), ...,
+    p^(2^j - 1)(i), the span doubling until it covers n), then jumps
+    pointers until every label is its own, until no permutation changes
+    a label.  A label only ever moves to a smaller index in the same
+    orbit, so once the labels are constant along every permutation, each
+    orbit's least index labels it.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        for q in perms:
+            span = 1
+            while span < n:
+                labels = np.minimum(labels, labels[q])
+                q = q[q]
+                span *= 2
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if all(np.array_equal(labels[p], labels) for p in perms):
+            return labels
+
+
 def _conjugation_orbits(group, seeds, conjugators):
     """Orbits of the index array ``seeds`` under conjugation by ``conjugators``.
 
@@ -214,6 +268,10 @@ def _conjugation_orbits(group, seeds, conjugators):
     carries the orbit's seed s to it.  With ascending seeds, s is the
     least seed in its orbit, and the least member when the seeds are
     closed under the action.
+
+    The class partition comes from ``FiniteGroup._class_labels``; this
+    sweep serves the witnesses, one seed each (the first conjugators of
+    one orbit), and the H-classes of a permutation group's complement.
     """
     conjugators = np.asarray(conjugators, dtype=np.int64)
     inverses = group.inv_idx[conjugators]
@@ -225,6 +283,13 @@ def _conjugation_orbits(group, seeds, conjugators):
             group.mul_idx(group.mul_idx(conjugators, s), inverses), return_index=True)
         reached[members] = True
         yield members, conjugators[first]
+
+
+def _first_conjugator(group, source: int, target: int) -> int:
+    """The first index x, in element order, with ``x g_source x^{-1} =
+    g_target``: one gather over all conjugators from ``source``."""
+    members, first = next(_conjugation_orbits(group, [source], np.arange(group.order)))
+    return int(first[np.searchsorted(members, target)])
 
 
 class CyclicGroup(FiniteGroup):
@@ -254,6 +319,9 @@ class CyclicGroup(FiniteGroup):
 
     def _enumerate(self):
         return list(range(self.m))
+
+    def _generator_idx(self):
+        return np.array([1 % self.m], dtype=np.int64)
 
     def coerce_element(self, raw):
         if isinstance(raw, (list, tuple)):
@@ -320,6 +388,11 @@ class AbelianProductGroup(FiniteGroup):
 
     def _enumerate(self):
         return list(itertools.product(*(range(o) for o in self.orders)))
+
+    def _generator_idx(self):
+        # index strides[t] is the unit vector of factor t (or, when that
+        # factor is trivial, another element)
+        return np.array(self._strides, dtype=np.int64) % self.order
 
     def coerce_element(self, raw):
         if not isinstance(raw, (list, tuple)) or len(raw) != len(self.orders):
@@ -416,6 +489,10 @@ class SplitExtensionGroup(FiniteGroup):
 
     def _enumerate(self):
         return [(a, b) for a in range(self.l) for b in range(self.m)]
+
+    def _generator_idx(self):
+        # k = (0, 1) and H's generators (a, 0) at index a*m
+        return np.concatenate([[1 % self.m], self.h_group._generator_idx() * self.m]) % self.order
 
     def index(self, g) -> int:
         try:
@@ -672,6 +749,9 @@ class PermutationGroup(FiniteGroup):
     def _enumerate(self):
         return self._elements
 
+    def _generator_idx(self):
+        return np.array([self.index(g) for g in self.generators], dtype=np.int64)
+
     def coerce_element(self, raw):
         if not isinstance(raw, (list, tuple)) or len(raw) != self.degree:
             raise ConfigError(
@@ -785,13 +865,13 @@ def conjugation_orbits_on_k(group: FiniteGroup) -> list:
     parts = group.split_parts() if hasattr(group, "split_parts") else None
     if parts is None:
         raise ValueError("group has no distinguished normal part")
+    # K is normal, so its orbits are the classes of the group inside it
     k_members, _ = parts
     elems = group.elements()
-    seeds = [group.index(k) for k in k_members]
-    return [
-        [elems[i] for i in members.tolist()]
-        for members, _ in _conjugation_orbits(group, seeds, np.arange(group.order))
-    ]
+    in_k = np.zeros(group.order, dtype=bool)
+    in_k[[group.index(k) for k in k_members]] = True
+    return [[elems[i] for i in members.tolist()]
+            for members in group._class_orbits if in_k[members[0]]]
 
 
 def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,

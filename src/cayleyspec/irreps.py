@@ -445,18 +445,69 @@ class IrrepValidationReport:
             raise IrrepValidationFailed(self)
 
 
-def _first_worst(chunks) -> tuple:
-    """The largest value over consecutive arrays and the flat position where
-    it first occurs.  NaN counts as largest; (0.0, None) when all are 0."""
-    worst, where, offset = 0.0, None, 0
+def _first_worst(chunks, count: int) -> tuple:
+    """Per row, over consecutive arrays of ``count`` rows each: the largest
+    value and the flat position where it first occurs.  NaN counts as
+    largest and is kept once found; a row of zeros gives (0.0, -1)."""
+    worst = np.zeros(count)
+    where = np.full(count, -1, dtype=np.int64)
+    offset = 0
     for chunk in chunks:
-        flat = chunk.ravel()
-        k = int(np.argmax(flat))
-        if not flat[k] <= worst:
-            worst, where = float(flat[k]), offset + k
-            if np.isnan(worst):
-                break
-        offset += flat.size
+        flat = chunk.reshape(count, -1)
+        k = np.argmax(flat, axis=1)
+        value = flat[np.arange(count), k]
+        better = ~(value <= worst) & ~np.isnan(worst)
+        worst[better], where[better] = value[better], offset + k[better]
+        offset += flat.shape[1]
+    return worst, where
+
+
+def _chunks(count: int, step: int):
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _homomorphism_worst(group: FiniteGroup, stack: np.ndarray) -> tuple:
+    """``_first_worst`` of |M[x y] - M[x] M[y]| over the entries (x, y, i,
+    k), row-major, for each irrep of a (K, n, d, d) stack: the position
+    divided by d*d is the pair's, x*n + y.
+
+    Chunks of irreps, each within the block budget, are swept in blocks of
+    rows x against all y: per block one kernel gather shared by the chunk
+    and one batched GEMM (x i, j) @ (j, y k), so each temporary stays
+    within the budget.
+    """
+    count, n, d, _ = stack.shape
+    idx = np.arange(n, dtype=np.int64)
+    worst, where = np.empty(count), np.empty(count, dtype=np.int64)
+    for irreps in _chunks(count, _block_len(2 * n * d * d)):
+        chunk = stack[irreps]
+        right = chunk.transpose(0, 2, 1, 3).reshape(len(chunk), d, n * d)
+
+        def deviations(x):
+            product = (chunk[:, x].reshape(len(chunk), -1, d) @ right).reshape(
+                len(chunk), len(x), d, n, d).transpose(0, 1, 3, 2, 4)
+            gathered = chunk[:, group.mul_idx(x[:, None], idx)]
+            gathered -= product
+            return np.abs(gathered)
+
+        worst[irreps], where[irreps] = _first_worst(
+            (deviations(idx[rows]) for rows in _chunks(n, _block_len(2 * chunk.size))),
+            len(chunk))
+    return worst, where
+
+
+def _unitarity_worst(stack: np.ndarray) -> tuple:
+    """``_first_worst`` of |M^H M - 1| over the entries (g, i, k), for each
+    irrep of a (K, n, d, d) stack, a chunk of irreps within the block
+    budget at a time."""
+    count, n, d, _ = stack.shape
+    eye = np.eye(d)
+    worst, where = np.empty(count), np.empty(count, dtype=np.int64)
+    for irreps in _chunks(count, _block_len(2 * n * d * d)):
+        chunk = stack[irreps]
+        gram = np.matmul(chunk.conj().transpose(0, 1, 3, 2), chunk)
+        worst[irreps], where[irreps] = _first_worst(
+            [np.abs(gram - eye)], len(chunk))
     return worst, where
 
 
@@ -469,52 +520,50 @@ def validate_irrep_set(group: FiniteGroup, irrep_set: IrrepSet) -> IrrepValidati
     unitarity (each within 1e-10), irreducibility and pairwise
     orthogonality of characters (each within 1e-9), and completeness (sum
     of squared degrees equals the group order).
-    The homomorphism sweep runs on the group kernel in blocks within its
-    block budget.  Witnesses are the first elements (pairs in row-major
-    order) attaining the worst deviation; a NaN deviation fails its check.
+    Each check sweeps one degree's stored (K_d, n, d, d) stack at a time,
+    in blocks within the kernel's block budget; issues are listed per
+    irrep in set order, then orthogonality and completeness.  Witnesses
+    are the first elements (pairs in row-major order) attaining the worst
+    deviation; a NaN deviation fails its check.
     """
-    issues = []
     elems = tuple(group.elements())
     n = group.order
-    idx = np.arange(n, dtype=np.int64)
     identity = group.index(group.identity)
-    covered = []
-    for k, rho in enumerate(irrep_set):
-        if k in irrep_set._loose:
-            # both orders are sorted, so the rows differ by a missing
-            # element or by one that is not in the group
-            uncovered = ([g for g in elems if g not in rho._index]
-                         or [g for g in rho.elements if not group.contains(g)])
-            issues.append(ValidationIssue(
-                "coverage", (rho.label,), uncovered[0], float(len(uncovered))))
-            continue
-        stack = rho.stack
-        eye = np.eye(rho.degree)
-        dev = float(np.max(np.abs(stack[identity] - eye)))
-        if not dev <= 1e-10:
-            issues.append(ValidationIssue(
-                "identity", (rho.label,), group.identity, dev))
-        # M[x y] - M[x] M[y] for blocks of rows x against all y: one gather
-        # and one GEMM (x i, j) @ (j, y k) per block
-        d = rho.degree
-        right = stack.transpose(1, 0, 2).reshape(d, n * d)
-        step = _block_len(2 * n * d * d)
-        worst, at = _first_worst(
-            np.abs(stack[group.mul_idx(x[:, None], idx)] - (stack[x].reshape(-1, d) @ right)
-                   .reshape(len(x), d, n, d).transpose(0, 2, 1, 3)).max(axis=(2, 3))
-            for x in (idx[lo:lo + step] for lo in range(0, n, step)))
-        if not worst <= 1e-10:
-            issues.append(ValidationIssue(
-                "homomorphism", (rho.label,), (elems[at // n], elems[at % n]), worst))
-        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
-        worst, at = _first_worst([np.abs(gram - eye).max(axis=(1, 2))])
-        if not worst <= 1e-10:
-            issues.append(ValidationIssue("unitarity", (rho.label,), elems[at], worst))
-        norm = sum((np.abs(rho.characters) ** 2).tolist()) / n
-        if not abs(norm - 1.0) <= 1e-9:
-            issues.append(ValidationIssue(
-                "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
-        covered.append(k)
+    per_irrep = {}
+    for k, rho in irrep_set._loose.items():
+        # both orders are sorted, so the rows differ by a missing
+        # element or by one that is not in the group
+        uncovered = ([g for g in elems if g not in rho._index]
+                     or [g for g in rho.elements if not group.contains(g)])
+        per_irrep[k] = [ValidationIssue(
+            "coverage", (rho.label,), uncovered[0], float(len(uncovered)))]
+    for d, positions in irrep_set.positions.items():
+        stack = irrep_set.stacks[d]
+        ident = np.abs(stack[:, identity] - np.eye(d)).max(axis=(1, 2))
+        hom, hom_at = _homomorphism_worst(group, stack)
+        unit, unit_at = _unitarity_worst(stack)
+        # a running sum, as Python's sum adds the squared magnitudes
+        norm = np.add.accumulate(np.abs(irrep_set.characters[positions]) ** 2,
+                                 axis=1)[:, -1] / n
+        # first worst entries, as elements and pairs of elements
+        hom_at, unit_at = hom_at // (d * d), unit_at // (d * d)
+        for c, k in enumerate(positions.tolist()):
+            label, issues = (irrep_set._labels[k],), []
+            if not ident[c] <= 1e-10:
+                issues.append(ValidationIssue("identity", label, group.identity, float(ident[c])))
+            if not hom[c] <= 1e-10:
+                at = int(hom_at[c])
+                issues.append(ValidationIssue(
+                    "homomorphism", label, (elems[at // n], elems[at % n]), float(hom[c])))
+            if not unit[c] <= 1e-10:
+                issues.append(ValidationIssue(
+                    "unitarity", label, elems[unit_at[c]], float(unit[c])))
+            if not abs(norm[c] - 1.0) <= 1e-9:
+                issues.append(ValidationIssue(
+                    "irreducibility", label, None, float(abs(norm[c] - 1.0))))
+            per_irrep[k] = issues
+    issues = [issue for k in sorted(per_irrep) for issue in per_irrep[k]]
+    covered = [k for k in range(len(irrep_set)) if k not in irrep_set._loose]
     if covered:
         labels = [irrep_set._labels[k] for k in covered]
         table = irrep_set.characters[covered]

@@ -50,6 +50,7 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     _conjugation_orbits,
+    _first_conjugator,
     _integer,
     conjugation_orbits_on_k,
 )
@@ -631,15 +632,18 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
     if bad.size:
         i, c = divmod(int(bad[0]), len(pairs))
         base_j, j = pairs[c].tolist()
-        members, first = next(_conjugation_orbits(
-            group, k_idx[base_j:base_j + 1], np.arange(group.order)))
-        g = elems[first[np.searchsorted(members, k_idx[j])]]
+        g = elems[_first_conjugator(group, k_idx[base_j], k_idx[j])]
         witness_a = witness((h_members[i], g, k_members[base_j]), i, j, i, base_j)
     # condition B: the first violation in the order H-class, k, class member;
     # classes and conjugators as positions in h_members
     if isinstance(group, SplitExtensionGroup):
-        # h' h h'^{-1} stays in H, and (a, 0) sits at position a
-        h_classes = group.h_group._class_orbits
+        # h' h h'^{-1} stays in H, and (a, 0) sits at position a; only the
+        # first H-class whose rows differ is swept, with its conjugators
+        h_group = group.h_group
+        labels = h_group._class_labels
+        rows = np.flatnonzero((table != table[labels]).any(axis=1))
+        h_classes = _conjugation_orbits(
+            h_group, np.sort(labels[rows])[:1], np.arange(h_group.order))
     else:
         h_pos = np.empty(group.order, dtype=np.int64)
         h_pos[h_idx] = np.arange(h_idx.size)

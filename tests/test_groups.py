@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_conjugacy_classes_metacyclic():
         assert g.order % c.size == 0
         # representative is the minimal-index member
         assert c.representative == min(c.members, key=g.index)
+
+
+def test_dihedral_5000_classes_in_well_under_a_second():
+    """Labels from two generator conjugations, not one n-wide gather per
+    class: D5000 has 2503 classes (1, k^2500, 2499 rotation pairs and two
+    reflection classes of 2500)."""
+    group = DihedralGroup(5000)
+    start = time.perf_counter()
+    classes = group.conjugacy_classes()
+    elapsed = time.perf_counter() - start
+    assert len(classes) == 2503
+    assert sorted(c.size for c in classes) == [1, 1] + [2] * 2499 + [2500, 2500]
+    assert [c.representative for c in classes[:3]] == [(0, 0), (0, 1), (0, 2)]
+    assert elapsed < 0.5, elapsed
 
 
 def test_conjugacy_classes_s4():

@@ -196,6 +196,77 @@ def validate_oracle(group, irrep_set, hom_tol=1e-10, unitary_tol=1e-10,
     return issues
 
 
+def _first_worst_oracle(chunks):
+    worst, where, offset = 0.0, None, 0
+    for chunk in chunks:
+        flat = chunk.ravel()
+        k = int(np.argmax(flat))
+        if not flat[k] <= worst:
+            worst, where = float(flat[k]), offset + k
+            if np.isnan(worst):
+                break
+        offset += flat.size
+    return worst, where
+
+
+def validate_per_irrep_oracle(group, irrep_set):
+    """The sweeps one irrep at a time that validation made before it swept
+    each degree's stack at once: a kernel gather and a GEMM per block of
+    rows, a unitarity Gram and a running norm sum per irrep."""
+    issues = []
+    elems = tuple(group.elements())
+    n = group.order
+    idx = np.arange(n, dtype=np.int64)
+    identity = group.index(group.identity)
+    covered = []
+    for k, rho in enumerate(irrep_set):
+        if k in irrep_set._loose:
+            uncovered = ([g for g in elems if g not in rho._index]
+                         or [g for g in rho.elements if not group.contains(g)])
+            issues.append(ValidationIssue(
+                "coverage", (rho.label,), uncovered[0], float(len(uncovered))))
+            continue
+        stack, d = rho.stack, rho.degree
+        eye = np.eye(d)
+        dev = float(np.max(np.abs(stack[identity] - eye)))
+        if not dev <= 1e-10:
+            issues.append(ValidationIssue("identity", (rho.label,), group.identity, dev))
+        right = stack.transpose(1, 0, 2).reshape(d, n * d)
+        step = max(1, (1 << 23) // (8 * 2 * n * d * d))
+        worst, at = _first_worst_oracle(
+            np.abs(stack[group.mul_idx(x[:, None], idx)] - (stack[x].reshape(-1, d) @ right)
+                   .reshape(len(x), d, n, d).transpose(0, 2, 1, 3)).max(axis=(2, 3))
+            for x in (idx[lo:lo + step] for lo in range(0, n, step)))
+        if not worst <= 1e-10:
+            issues.append(ValidationIssue(
+                "homomorphism", (rho.label,), (elems[at // n], elems[at % n]), worst))
+        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+        worst, at = _first_worst_oracle([np.abs(gram - eye).max(axis=(1, 2))])
+        if not worst <= 1e-10:
+            issues.append(ValidationIssue("unitarity", (rho.label,), elems[at], worst))
+        norm = 0
+        for value in (np.abs(rho.characters) ** 2).tolist():
+            norm += value
+        norm /= n
+        if not abs(norm - 1.0) <= 1e-9:
+            issues.append(ValidationIssue(
+                "irreducibility", (rho.label,), None, float(abs(norm - 1.0))))
+        covered.append(k)
+    if covered:
+        labels = [irrep_set._labels[k] for k in covered]
+        table = irrep_set.characters[covered]
+        inner = np.abs(table @ table.conj().T / n)
+        for i, j in zip(*np.nonzero(~(inner <= 1e-9))):
+            if j > i:
+                issues.append(ValidationIssue(
+                    "orthogonality", (labels[i], labels[j]), None, float(inner[i, j])))
+    total = int(np.square(irrep_set._degrees).sum())
+    if total != n:
+        issues.append(ValidationIssue(
+            "completeness", tuple(irrep_set.labels()), None, float(abs(total - n))))
+    return issues
+
+
 def fourier_oracle(f, irrep):
     total = np.zeros((irrep.degree, irrep.degree), dtype=complex)
     for g, mat in irrep.matrices.items():
@@ -510,6 +581,60 @@ def test_validation_matches_loop_oracle_on_doctored_tables():
         checks |= {issue.check for issue in expected}
     assert checks == {"coverage", "homomorphism", "unitarity", "irreducibility",
                       "orthogonality", "completeness"}
+
+
+def doctored_irreps(group, rng):
+    """The built-in irreps of ``group`` with a few matrices spoiled: scaled,
+    swapped between elements, rotated, perturbed or set to NaN."""
+    base = builtin_irreps(group)
+    elems = group.elements()
+    irreps = []
+    for rho in base:
+        mats = {g: rho.matrix(g).copy() for g in elems}
+        for _ in range(rng.randrange(3)):
+            g, h = rng.choice(elems), rng.choice(elems)
+            spoil = rng.randrange(5)
+            if spoil == 0:
+                mats[g] = mats[g] * rng.choice([2, 0.5, 1j, -1])
+            elif spoil == 1:
+                mats[g], mats[h] = mats[h], mats[g]
+            elif spoil == 2:
+                t = rng.uniform(0, 2 * np.pi)
+                mats[g] = mats[g] @ np.diag([np.exp(1j * t)] + [1] * (rho.degree - 1))
+            elif spoil == 3:
+                mats[g] = mats[g] + rng.uniform(-1e-9, 1e-9)
+            elif rng.random() < 0.2:
+                mats[g] = np.full_like(mats[g], complex("nan"))
+        irreps.append(UnitaryIrrep(rho.label, mats))
+    rng.shuffle(irreps)
+    return irreps[:len(irreps) - rng.randrange(2)]
+
+
+@pytest.mark.parametrize("group", [
+    CyclicGroup(12), AbelianProductGroup((2, 2, 3)), DihedralGroup(7), DihedralGroup(8),
+    MetacyclicGroup(7, 3, 2), MetacyclicGroup(13, 4, 5), MetacyclicGroup(5, 4, 2),
+], ids=repr)
+def test_validation_matches_the_per_irrep_sweeps(group, monkeypatch):
+    """Issue lists equal the per-irrep oracle's in order, kinds, labels and
+    witnesses; deviations equal it bit for bit on degree-one irreps, and
+    within the last bits of the batched GEMMs above."""
+    from cayleyspec import groups as groups_module
+    rng = random.Random(group.order)
+    degree = {rho.label: rho.degree for rho in builtin_irreps(group)}
+    for budget in (None, 8 * 2 * group.order * 4 * 3):
+        if budget:
+            monkeypatch.setattr(groups_module, "_BLOCK_BYTES", budget)
+        for _ in range(12):
+            irreps = doctored_irreps(group, rng)
+            got = validate_irrep_set(group, IrrepSet(group, irreps)).issues
+            expected = validate_per_irrep_oracle(group, IrrepSet(group, irreps))
+            assert [(i.check, i.labels, i.witness) for i in got] == \
+                [(i.check, i.labels, i.witness) for i in expected]
+            for a, b in zip(got, expected):
+                if all(degree[label] == 1 for label in b.labels) or np.isnan(b.deviation):
+                    assert np.float64(a.deviation).tobytes() == np.float64(b.deviation).tobytes()
+                else:
+                    assert abs(a.deviation - b.deviation) <= 1e-12 * max(1.0, b.deviation)
 
 
 def test_validation_coverage_witness():

@@ -524,6 +524,160 @@ def test_conjugation_sweep_matches_element_loops_on_random_groups(group, rng):
     check_orbits_and_witnesses(group, rng)
 
 
+# -- the all-seeds sweep that the class labels replaced ---------------------
+
+
+def sweep_orbits(group, seeds, conjugators):
+    """One n-wide gather ``x s x^{-1}`` per seed no earlier orbit reached:
+    (members ascending, first conjugator per member), in seed order."""
+    conjugators = np.asarray(conjugators, dtype=np.int64)
+    inverses = group.inv_idx[conjugators]
+    reached = np.zeros(group.order, dtype=bool)
+    for s in np.asarray(seeds, dtype=np.int64).tolist():
+        if reached[s]:
+            continue
+        members, first = np.unique(
+            group.mul_idx(group.mul_idx(conjugators, s), inverses), return_index=True)
+        reached[members] = True
+        yield members, conjugators[first]
+
+
+def sweep_classes(group):
+    everything = np.arange(group.order, dtype=np.int64)
+    return list(sweep_orbits(group, everything, everything))
+
+
+def sweep_class_witness(group, color):
+    elems = group.elements()
+    for members, first in sweep_classes(group):
+        values = color.vector[members]
+        differ = np.flatnonzero(values != values[0])
+        if differ.size:
+            k = differ[0]
+            return (elems[members[0]], elems[first[k]], elems[members[k]],
+                    complex(values[0]), complex(values[k]))
+    return None
+
+
+def sweep_conjugation_witness(group, subset):
+    elems = group.elements()
+    member_idx = np.array(sorted({group.index(g) for g in subset}), dtype=np.int64)
+    in_set = np.zeros(group.order, dtype=bool)
+    in_set[member_idx] = True
+    for orbit, first in sweep_orbits(group, member_idx, np.arange(group.order)):
+        outside = ~in_set[orbit]
+        if outside.any():
+            k = np.argmin(np.where(outside, first, group.order))
+            return (elems[first[k]], elems[orbit[np.argmax(~outside)]], elems[orbit[k]])
+    return None
+
+
+def sweep_orbits_on_k(group):
+    if isinstance(group, SplitExtensionGroup):
+        return conjugation_orbits_on_k(group)  # closed form from the units
+    elems = group.elements()
+    seeds = [group.index(k) for k in group.split_parts()[0]]
+    return [[elems[i] for i in members.tolist()]
+            for members, _ in sweep_orbits(group, seeds, np.arange(group.order))]
+
+
+def sweep_split_report(group, color):
+    """``check_split_hypotheses`` as it ran on the all-seeds sweep."""
+    k_members, h_members = group.split_parts()
+    elems = group.elements()
+    h_idx = np.array([group.index(h) for h in h_members], dtype=np.int64)
+    k_idx = np.array([group.index(k) for k in k_members], dtype=np.int64)
+    table = color.vector[group.mul_idx(h_idx[:, None], k_idx[None, :])]
+
+    def witness(triple, i, j, base_i, base_j):
+        return ConditionWitness(triple, group.mul(h_members[i], k_members[j]),
+                                group.mul(h_members[base_i], k_members[base_j]),
+                                table[i, j].item(), table[base_i, base_j].item())
+
+    k_pos = {k: j for j, k in enumerate(k_members)}
+    pairs = np.array([(k_pos[orbit[0]], k_pos[k]) for orbit in sweep_orbits_on_k(group)
+                      for k in orbit[1:]], dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(table[:, pairs[:, 1]] != table[:, pairs[:, 0]])
+    witness_a = None
+    if bad.size:
+        i, c = divmod(int(bad[0]), len(pairs))
+        base_j, j = pairs[c].tolist()
+        members, first = next(sweep_orbits(group, k_idx[base_j:base_j + 1],
+                                           np.arange(group.order)))
+        g = elems[first[np.searchsorted(members, k_idx[j])]]
+        witness_a = witness((h_members[i], g, k_members[base_j]), i, j, i, base_j)
+    if isinstance(group, SplitExtensionGroup):
+        h_classes = sweep_classes(group.h_group)
+    else:
+        h_pos = np.empty(group.order, dtype=np.int64)
+        h_pos[h_idx] = np.arange(h_idx.size)
+        h_classes = [(h_pos[members], h_pos[first])
+                     for members, first in sweep_orbits(group, h_idx, h_idx)]
+    witness_b = None
+    for members, first in h_classes:
+        bad = np.flatnonzero((table[members] != table[members[0]]).T)
+        if bad.size:
+            j, p = divmod(int(bad[0]), members.size)
+            base_i, i = int(members[0]), int(members[p])
+            witness_b = witness((h_members[first[p]], h_members[base_i], k_members[j]),
+                                i, j, base_i, j)
+            break
+    return HypothesisReport(witness_a is None, witness_b is None, witness_a, witness_b)
+
+
+def random_subsets(group, rng):
+    """Random subsets, unions of classes, and unions of classes with one
+    member dropped (closed but for one class)."""
+    elems = group.elements()
+    classes = [list(cls.members) for cls in group.conjugacy_classes()]
+    subsets = [rng.sample(elems, rng.randrange(group.order + 1)) for _ in range(3)]
+    for _ in range(3):
+        union = [g for cls in rng.sample(classes, rng.randrange(len(classes) + 1)) for g in cls]
+        subsets.append(union)
+        if union:
+            subsets.append(union[:-1] if rng.random() < 0.5 else union[1:])
+    return subsets
+
+
+def check_labels_against_the_sweep(group, rng):
+    n = group.order
+    assert is_generating_set(group, indices=group._generator_idx()) == (True, n)
+    labels = group._class_labels
+    assert not labels.flags.writeable
+    swept = sweep_classes(group)
+    assert len(group._class_orbits) == len(swept)
+    for members, (expect, _) in zip(group._class_orbits, swept):
+        assert members.tolist() == expect.tolist()
+        assert (labels[members] == expect[0]).all()
+    cases = [{}, class_color_values(group, rng)]
+    cases += [random_color_values(group, rng, share) for share in (0.1, 0.5, 1.0)]
+    colors = [ColorFunction(group, values) for values in cases]
+    for color in colors:
+        assert color.class_function_witness() == sweep_class_witness(group, color)
+    for subset in random_subsets(group, rng):
+        got = classify_connection_set(group, subset).witnesses.get("conjugation_closed")
+        assert got == sweep_conjugation_witness(group, subset)
+    if getattr(group, "split_parts", lambda: None)() is None:
+        return
+    assert conjugation_orbits_on_k(group) == sweep_orbits_on_k(group)
+    for color in colors:
+        assert check_split_hypotheses(group, color) == sweep_split_report(group, color)
+
+
+# a D5 complement: its rotation classes {1, 4} and {2, 3} are not
+# contiguous, so the first bad row need not carry the least class label
+@pytest.mark.parametrize("group", every_kind() + [SemidirectProductGroup(7, DihedralGroup(5), [6, 1])],
+                         ids=repr)
+def test_class_labels_match_the_all_seeds_sweep(group):
+    check_labels_against_the_sweep(group, random.Random(11 * group.order))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy(), st.randoms(use_true_random=False))
+def test_class_labels_match_the_all_seeds_sweep_on_random_groups(group, rng):
+    check_labels_against_the_sweep(group, rng)
+
+
 def test_split_witnesses_on_a_layered_color():
     # invariant except for one value: each condition fails late in its sweep
     group = SemidirectProductGroup(7, DihedralGroup(3), [6, 1])
