@@ -25,15 +25,23 @@ stores an n x n multiplication table.  Bulk work (adjacency, closure and
 conjugation sweeps) runs on the kernel in blocks whose index temporaries
 stay within ``_BLOCK_BYTES``.
 
+Generation (``is_generating_set``) closes the set under multiplication
+by doubling over the n elements, except on the split kinds: there it
+walks the l cosets of K, keeping one lift per coset reached, and
+Schreier's lemma gives the closure's part in K = C_m from the gcd of the
+exponents of t_x s t_{xs}^{-1}, in O(l |S|) kernel products.
+
 Conjugacy classes are one label array per group, ``labels[i]`` the least
 index in g_i's class (``FiniteGroup._class_labels``).  Conjugation is a
 homomorphism G -> Sym(G), so the classes are the orbits of the
 conjugations by any generating set of G; each kind names a few
 generators (``_generator_idx``), and ``_orbit_labels`` takes the orbits
-of their conjugation permutations: per permutation the minimum over its
-cycles by doubling, then pointer jumping, repeated until the labels stop
-changing.  That is O(n log n) per generator and round, where one n-wide
-gather per class costs O(n) per class.
+of their conjugation permutations (``_conjugation_perms``: two kernel
+products each, or on the split kinds written from H's table and the
+units): per permutation the minimum over its cycles by doubling, then
+pointer jumping, repeated until the labels stop changing.  That is
+O(n log n) per generator and round, where one n-wide gather per class
+costs O(n) per class.
 """
 
 from __future__ import annotations
@@ -194,14 +202,18 @@ class FiniteGroup:
         """Canonical indices of a generating set of the group."""
         raise NotImplementedError
 
+    def _conjugation_perms(self) -> list:
+        """One index permutation ``i -> index of g g_i g^{-1}`` per distinct
+        generator g: two kernel products over all n indices each."""
+        everything = np.arange(self.order, dtype=np.int64)
+        return [self.mul_idx(self.mul_idx(g, everything), self.inv_idx[g])
+                for g in dict.fromkeys(self._generator_idx().tolist())]
+
     @cached_property
     def _class_labels(self) -> np.ndarray:
         """``labels[i]`` is the least index in g_i's conjugacy class
         (read-only): the orbits of conjugation by the generators."""
-        everything = np.arange(self.order, dtype=np.int64)
-        perms = [self.mul_idx(self.mul_idx(g, everything), self.inv_idx[g])
-                 for g in dict.fromkeys(self._generator_idx().tolist())]
-        labels = _orbit_labels(perms, self.order)
+        labels = _orbit_labels(self._conjugation_perms(), self.order)
         labels.flags.writeable = False
         return labels
 
@@ -493,6 +505,19 @@ class SplitExtensionGroup(FiniteGroup):
     def _generator_idx(self):
         # k = (0, 1) and H's generators (a, 0) at index a*m
         return np.concatenate([[1 % self.m], self.h_group._generator_idx() * self.m]) % self.order
+
+    def _conjugation_perms(self):
+        # written from H's table and the units, with no kernel products:
+        # k h_a k^b k^{-1} = h_a k^(b + u_a^{-1} - 1), and for x in H,
+        # x h_a k^b x^{-1} = (x h_a x^{-1}) k^(u_x b)
+        h_table, units, inv_units = self._kernel()
+        a, b = np.divmod(np.arange(self.order, dtype=np.int64), self.m)
+        perms = [a * self.m + (b + inv_units[a] - 1) % self.m]
+        h_inv = self.h_group.inv_idx
+        for x in dict.fromkeys(self.h_group._generator_idx().tolist()):
+            h_conjugate = h_table[h_table[x], h_inv[x]]
+            perms.append(h_conjugate[a] * self.m + units[x] * b % self.m)
+        return perms
 
     def index(self, g) -> int:
         try:
@@ -883,22 +908,27 @@ def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,
     of a non-empty subset of a finite group is the subgroup it generates;
     an empty subset closes to nothing, ``(False, 0)``.
 
-    The generators are taken in index order, and one already reached is
-    skipped: it lies in the subgroup the earlier ones generate.  Each kept
-    generator g grows the reached set T by doubling, T <- T u T g^(2^j)
-    with the power squared each round, until T g^(2^j) lies in T; then
-    T = T {1, g, ..., g^(2^j - 1)} is closed under g.  A breadth-first
-    search under right multiplication by the kept generators, from all of
-    T, closes T under all of them at once: O(n |kept|) kernel products,
-    not O(n |subset|).
+    On a split extension the closure is counted from the l cosets of K
+    (``_split_closure_size``), in O(l |subset|) kernel products.  On the
+    other kinds the generators are taken in index order, and one already
+    reached is skipped: it lies in the subgroup the earlier ones generate.
+    Each kept generator g grows the reached set T by doubling,
+    T <- T u T g^(2^j) with the power squared each round, until
+    T g^(2^j) lies in T; then T = T {1, g, ..., g^(2^j - 1)} is closed
+    under g.  A breadth-first search under right multiplication by the
+    kept generators, from all of T, closes T under all of them at once:
+    O(n |kept|) kernel products, not O(n |subset|).
     """
     if indices is None:
         indices = [group.index(g) for g in subset]
     elif subset:
         raise ValueError("give the generators as elements or as indices, not both")
-    gens = np.unique(np.asarray(indices, dtype=np.int64))
+    gens = _sorted_unique(np.asarray(indices, dtype=np.int64).ravel())
     if gens.size == 0:
         return False, 0
+    if isinstance(group, SplitExtensionGroup):
+        size = _split_closure_size(group, gens)
+        return size == group.order, size
     reached = np.zeros(group.order, dtype=bool)
     members = [np.array([group.index(group.identity)], dtype=np.int64)]
     reached[members[0]] = True
@@ -923,6 +953,77 @@ def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,
     return size == group.order, size
 
 
+def _split_closure_size(group: SplitExtensionGroup, gens: np.ndarray) -> int:
+    """The order of the subgroup L that the ascending indices ``gens``
+    generate in a split extension, from the l cosets of K.
+
+    L acts on the cosets of K by right multiplication; the cosets it
+    reaches are its orbit of K, and the stabiliser of K is L n K, so
+    |L| = (cosets reached) * |L n K|.  Schreier's lemma gives L n K from
+    one lift t_x in L per reached coset x (t_K = 1): it is generated by
+    the t_x s t_{xs}^{-1}, over reached x and s in ``gens``.  Each lies in
+    K = C_m, so L n K = <k^g> with g the gcd of their exponents and m.
+
+    Two reductions keep the products few.  A member s = h_a k^b is
+    s_a k^(b - b_a), with s_a = h_a k^(b_a) the least member of its coset,
+    and t_x k^c t_x^{-1} = k^(u c) for a unit u, so the members other than
+    the s_a only add their exponents b - b_a to the gcd.  And
+    t_x s t_{xs}^{-1} = h_y k^(e - f) h_y^{-1} for t_x s = h_y k^e and
+    t_{xs} = h_y k^f, whose exponent is e - f up to a unit: it is the
+    difference of two indices in the same coset.
+
+    Each s_a whose coset is new grows the reached cosets T by doubling, as
+    ``is_generating_set`` grows elements: T <- T u T p with p = s_a^(2^j),
+    one kernel call forming T p and the next power p p, until T p lies in
+    T or T holds every coset.  A breadth-first search under all the s_a,
+    from every reached coset, then closes T and forms each t_x s_a once.
+    No kernel product is wider than l times the number of cosets ``gens``
+    meet.
+    """
+    m = group.m
+    a, b = np.divmod(gens, m)
+    leads = np.diff(a, prepend=-1) != 0
+    reps = gens[leads]
+    exponents = [b - b[leads][np.cumsum(leads) - 1], [m]]
+    lift = np.full(group.l, -1, dtype=np.int64)
+    lift[0] = 0  # K itself, lifted by the identity
+    for r in reps.tolist():
+        if lift[r // m] >= 0:
+            continue
+        power = r
+        while lift.min() < 0:
+            products = group.mul_idx(np.append(lift[lift >= 0], power), power)
+            power = int(products[-1])
+            y = products[:-1] // m
+            new = lift[y] < 0
+            if not new.any():
+                break
+            lift[y[new]] = products[:-1][new]  # any product in coset y lifts it
+    frontier = np.flatnonzero(lift >= 0)
+    rows = _block_len(reps.size)
+    while frontier.size:
+        grown = np.zeros(group.l, dtype=bool)
+        for lo in range(0, frontier.size, rows):
+            products = group.mul_idx(lift[frontier[lo:lo + rows], None], reps).ravel()
+            y = products // m
+            new = lift[y] < 0
+            lift[y[new]] = products[new]
+            grown[y[new]] = True
+            exponents.append(products - lift[y])
+        frontier = np.flatnonzero(grown)
+    g = int(np.gcd.reduce(np.concatenate(exponents)))
+    return int(np.count_nonzero(lift >= 0)) * (m // g)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending: a sort and a
+    neighbour mask, where a plain ``np.unique`` imports ``numpy.ma``."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _fresh_products(group: FiniteGroup, left: np.ndarray, right: np.ndarray,
                     reached: np.ndarray) -> np.ndarray:
     """The products ``left[i] * right[j]`` not yet ``reached``, ascending;
@@ -932,7 +1033,7 @@ def _fresh_products(group: FiniteGroup, left: np.ndarray, right: np.ndarray,
     step = _block_len(right.size)
     for lo in range(0, left.size, step):
         products = group.mul_idx(left[lo:lo + step, None], right[None, :])
-        products = np.unique(products[~reached[products]])
+        products = _sorted_unique(products[~reached[products]])
         reached[products] = True
         fresh.append(products)
     return np.concatenate(fresh)

@@ -466,20 +466,35 @@ def _chunks(count: int, step: int):
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
+# bytes of one complex temporary of the homomorphism sweep: blocks of the
+# full kernel budget overflow a core's L2 cache and ran slower than one
+# irrep at a time on the order-120 and order-155 tables with d >= 2.
+# Half of this held the small catalog tables in more, smaller blocks and
+# measured slower on the catalog_small benchmark.
+_CACHE_BYTES = 1 << 20
+
+
+def _cache_len(item_bytes: int) -> int:
+    """Items per block when each takes ``item_bytes``, a block within both
+    the kernel's block budget and ``_CACHE_BYTES``."""
+    return min(_block_len(item_bytes // 8), max(1, _CACHE_BYTES // item_bytes))
+
+
 def _homomorphism_worst(group: FiniteGroup, stack: np.ndarray) -> tuple:
     """``_first_worst`` of |M[x y] - M[x] M[y]| over the entries (x, y, i,
     k), row-major, for each irrep of a (K, n, d, d) stack: the position
     divided by d*d is the pair's, x*n + y.
 
-    Chunks of irreps, each within the block budget, are swept in blocks of
-    rows x against all y: per block one kernel gather shared by the chunk
-    and one batched GEMM (x i, j) @ (j, y k), so each temporary stays
-    within the budget.
+    Chunks of irreps are swept in blocks of rows x against all y: per
+    block one kernel gather shared by the chunk and one batched GEMM
+    (x i, j) @ (j, y k).  A chunk holds as many irreps as fit one block
+    of all n rows, or one irrep, and each complex temporary stays within
+    ``_cache_len``'s budget.
     """
     count, n, d, _ = stack.shape
     idx = np.arange(n, dtype=np.int64)
     worst, where = np.empty(count), np.empty(count, dtype=np.int64)
-    for irreps in _chunks(count, _block_len(2 * n * d * d)):
+    for irreps in _chunks(count, _cache_len(16 * n * n * d * d)):
         chunk = stack[irreps]
         right = chunk.transpose(0, 2, 1, 3).reshape(len(chunk), d, n * d)
 
@@ -491,7 +506,7 @@ def _homomorphism_worst(group: FiniteGroup, stack: np.ndarray) -> tuple:
             return np.abs(gathered)
 
         worst[irreps], where[irreps] = _first_worst(
-            (deviations(idx[rows]) for rows in _chunks(n, _block_len(2 * chunk.size))),
+            (deviations(idx[rows]) for rows in _chunks(n, _cache_len(16 * chunk.size))),
             len(chunk))
     return worst, where
 

@@ -473,16 +473,36 @@ def test_user_irrep_tables(tmp_path, capsys):
     assert "unitarity" in err or "homomorphism" in err
 
 
-def run_module(*argv):
-    """``python -m cayleyspec ARGV...`` in a child process, output as bytes."""
+def run_python(*argv):
+    """``python ARGV...`` in a child process, output as bytes."""
     # the child imports the package these tests import, also when pytest
     # put it on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
     source = os.path.dirname(os.path.dirname(cayleyspec.__file__))
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cayleyspec", *argv],
+        [sys.executable, *argv],
         capture_output=True, env=dict(os.environ, PYTHONPATH=path), check=False,
     )
+
+
+def run_module(*argv):
+    """``python -m cayleyspec ARGV...`` in a child process, output as bytes."""
+    return run_python("-m", "cayleyspec", *argv)
+
+
+def test_describe_leaves_numpy_ma_unimported(tmp_path):
+    """A plain ``np.unique`` imports ``numpy.ma`` on numpy 2.x, some 10-20 ms
+    of start-up; classifying the n = 610 family's set must not need it."""
+    config = str(tmp_path / "family610.json")
+    assert run_module("family", "--m", "61", "--l", "10", "--r", "3",
+                      "--output", config).returncode == 0
+    proc = run_python("-c", (
+        "import sys; from cayleyspec.cli import main; "
+        "code = main(['describe', '--config', sys.argv[1]]); "
+        "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)"), config)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["connection"]["closure_size"] == 610
+    assert proc.stderr.decode().strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

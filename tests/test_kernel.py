@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cayleyspec import (
@@ -480,6 +480,75 @@ def test_classification_in_small_blocks(monkeypatch):
     assert is_generating_set(group, subset) == generating_oracle(group, subset)
 
 
+@st.composite
+def split_group_and_subset(draw):
+    """A split kind of ``groups_strategy()`` and a subset drawn inside K,
+    inside one coset of K, across cosets, or with redundant members
+    (products, powers and inverses of the others)."""
+    group = draw(groups_strategy().filter(lambda g: isinstance(g, SplitExtensionGroup)))
+    m, n = group.m, group.order
+    way = draw(st.sampled_from(["in K", "one coset", "mixed", "redundant"]))
+    if way == "in K":
+        picks = draw(st.lists(st.integers(0, m - 1), max_size=4))
+    elif way == "one coset":
+        a = draw(st.integers(0, group.l - 1))
+        picks = [a * m + b for b in draw(st.lists(st.integers(0, m - 1), max_size=4))]
+    else:
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1 if way == "redundant" else 0,
+                              max_size=5))
+        if way == "redundant":
+            x, y = picks[0], picks[-1]
+            picks += [int(group.mul_idx(x, y)), int(group.mul_idx(y, y)), int(group.inv_idx[x])]
+    elems = group.elements()
+    return group, [elems[i] for i in picks]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_group_and_subset())
+@example((SemidirectProductGroup(1, CyclicGroup(6), [0]), [(2, 0), (4, 0)]))  # m = 1
+@example((SemidirectProductGroup(1, CyclicGroup(6), [0]), [(0, 0)]))
+@example((MetacyclicGroup(12, 1, 1), [(0, 4), (0, 6)]))  # l = 1, <S> n K = <k^2>
+@example((MetacyclicGroup(12, 2, 5), [(1, 3), (0, 8)]))  # <S> n K = <k^2>, all cosets
+@example((DihedralGroup(1), [(1, 0)]))
+@example((DihedralGroup(9), []))
+def test_split_generation_matches_the_oracle(case):
+    group, subset = case
+    expect = generating_oracle(group, subset) if subset else (False, 0)
+    assert is_generating_set(group, subset) == expect
+
+
+def test_split_generation_walks_the_cosets(monkeypatch):
+    """On a split kind no elementwise closure runs, and no kernel product
+    is wider than l times the number of distinct members."""
+    from cayleyspec import groups as groups_module
+
+    def refuse(*args):
+        raise AssertionError("the split path ran the elementwise closure")
+
+    monkeypatch.setattr(groups_module, "_fresh_products", refuse)
+    family = [(0, b) for b in range(1, 1009)] + [(1, 0), (8, 0)]
+    cases = [(MetacyclicGroup(1009, 9, 337), family, (True, 9081)),
+             (DihedralGroup(5000), [(0, 2), (1, 0)], (False, 5000)),
+             (MetacyclicGroup(1009, 9, 337), [(0, 1), (3, 0)], (False, 3027)),
+             (SemidirectProductGroup(1, CyclicGroup(64), [0]), [(1, 0)], (True, 64))]
+    for group in every_kind() + [SemidirectProductGroup(15, DihedralGroup(4), [14, 4])]:
+        if isinstance(group, SplitExtensionGroup):
+            subset = random.Random(group.order).sample(group.elements(), min(5, group.order))
+            cases.append((group, subset, generating_oracle(group, subset)))
+    for group, subset, expect in cases:
+        widths = []
+        kernel = group.mul_idx
+
+        def recorded(left, right, _kernel=kernel, _widths=widths):
+            product = _kernel(left, right)
+            _widths.append(np.size(product))
+            return product
+
+        group.mul_idx = recorded
+        assert is_generating_set(group, subset) == expect
+        assert widths and max(widths) <= group.l * len(set(subset)), (group, max(widths))
+
+
 # -- conjugation orbits, their witnesses, and colors -------------------------
 
 
@@ -676,6 +745,25 @@ def test_class_labels_match_the_all_seeds_sweep(group):
 @given(groups_strategy(), st.randoms(use_true_random=False))
 def test_class_labels_match_the_all_seeds_sweep_on_random_groups(group, rng):
     check_labels_against_the_sweep(group, rng)
+
+
+@pytest.mark.parametrize("group", [
+    SemidirectProductGroup(9, DihedralGroup(3), [8, 1]), DihedralGroup(1), DihedralGroup(2),
+    MetacyclicGroup(9, 3, 4)], ids=repr)
+def test_split_conjugation_permutations_match_the_kernel_and_the_sweep(group):
+    """The permutations written from H's table and the units are the
+    kernel's x g x^{-1}, generator by generator, and their orbits are the
+    all-seeds sweep's classes."""
+    from cayleyspec.groups import FiniteGroup
+
+    written = group._conjugation_perms()
+    formed = FiniteGroup._conjugation_perms(group)
+    assert len(written) == len(formed)
+    for p, q in zip(written, formed):
+        assert p.dtype == np.int64 and np.array_equal(p, q)
+        assert np.array_equal(np.sort(p), np.arange(group.order))
+    assert [members.tolist() for members in group._class_orbits] == \
+        [members.tolist() for members, _ in sweep_classes(group)]
 
 
 def test_split_witnesses_on_a_layered_color():
