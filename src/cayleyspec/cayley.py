@@ -117,6 +117,12 @@ class ColorFunction:
                 f"{np.count_nonzero(self.vector)}>")
 
 
+def _check_color_group(group: FiniteGroup, color: ColorFunction) -> None:
+    """InvalidAction unless ``color``, read by ``group``'s indices, lives on it."""
+    if color.group is not group and color.group != group:
+        raise InvalidAction(f"the color lives on {color.group!r}, not on {group!r}")
+
+
 def color_from_set(group: FiniteGroup, subset: Iterable) -> ColorFunction:
     """Indicator color of a connection set."""
     return ColorFunction(group, {g: 1.0 for g in subset})
@@ -250,6 +256,7 @@ def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatri
     read.  Other kinds fill rows in blocks, each one gather of alpha at
     ``mul_idx(j, inv_idx[i])``.
     """
+    _check_color_group(group, color)
     if isinstance(group, SplitExtensionGroup):
         return AdjacencyMatrix(blocks=beta_blocks(group, color))
     n = group.order
@@ -313,6 +320,7 @@ def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
     """Decompose the color graph of a split extension into K-blocks."""
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no block decomposition")
+    _check_color_group(group, color)
     l, m = group.l, group.m
     coset = np.arange(l)[:, None, None] * m
     # beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has index j*m + c

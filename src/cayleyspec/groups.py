@@ -42,6 +42,11 @@ units): per permutation the minimum over its cycles by doubling, then
 pointer jumping, repeated until the labels stop changing.  That is
 O(n log n) per generator and round, where one n-wide gather per class
 costs O(n) per class.
+
+The orbits on the normal part K are one more label array,
+``_k_orbit_labels``: on the split kinds ``_orbit_labels`` over b -> u b
+on Z_m for the units of H's generators, O(m log m); on a permutation
+group, the class labels at K's indices.
 """
 
 from __future__ import annotations
@@ -90,6 +95,11 @@ def _integer(value, name: str, least: Optional[int] = None) -> int:
         rule = "an integer" if least is None else f"an integer of at least {least}"
         raise ValueError(f"group field {name!r} must be {rule}, got {value!r}")
     return int(value)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _block_len(item_count: int) -> int:
@@ -169,9 +179,7 @@ class FiniteGroup:
     def inv_idx(self) -> np.ndarray:
         """``inv_idx[i]`` is the canonical index of ``g_i^{-1}`` (read-only)."""
         if self._inv_idx is None:
-            table = np.asarray(self._inverse_indices(), dtype=np.int64)
-            table.flags.writeable = False
-            self._inv_idx = table
+            self._inv_idx = _read_only(np.asarray(self._inverse_indices(), dtype=np.int64))
         return self._inv_idx
 
     def elements(self) -> list:
@@ -213,9 +221,19 @@ class FiniteGroup:
     def _class_labels(self) -> np.ndarray:
         """``labels[i]`` is the least index in g_i's conjugacy class
         (read-only): the orbits of conjugation by the generators."""
-        labels = _orbit_labels(self._conjugation_perms(), self.order)
-        labels.flags.writeable = False
-        return labels
+        return _read_only(_orbit_labels(self._conjugation_perms(), self.order))
+
+    _split_idx: Optional[tuple] = None  # K's and H's indices, ascending, on a split
+
+    @cached_property
+    def _k_orbit_labels(self) -> np.ndarray:
+        """``labels[j]`` is the position in K of the least member of the
+        orbit of K's j-th member under conjugation (read-only).  K is
+        normal, so these are the class labels read at K's indices."""
+        if self._split_idx is None:
+            raise ValueError("group has no distinguished normal part")
+        k_idx = self._split_idx[0]
+        return _read_only(np.searchsorted(k_idx, self._class_labels[k_idx]))
 
     @cached_property
     def _class_orbits(self) -> list:
@@ -460,6 +478,9 @@ class SplitExtensionGroup(FiniteGroup):
             h_group.index(h_group.inv(h)) for h in self._h_elts
         )
         self._kernel_arrays: Optional[tuple] = None
+        # k^b has index b, and h_a has index a*m
+        self._split_idx = (_read_only(np.arange(m, dtype=np.int64)),
+                           _read_only(np.arange(self.l, dtype=np.int64) * m))
 
     @property
     def identity(self):
@@ -519,6 +540,15 @@ class SplitExtensionGroup(FiniteGroup):
             perms.append(h_conjugate[a] * self.m + units[x] * b % self.m)
         return perms
 
+    @cached_property
+    def _k_orbit_labels(self) -> np.ndarray:
+        # h_a k^b h_a^{-1} = k^(u_a b) and k fixes K: the orbits on Z_m of
+        # b -> u b for the units of H's generators
+        b = np.arange(self.m, dtype=np.int64)
+        units = dict.fromkeys(self.units[x] for x in self.h_group._generator_idx().tolist())
+        perms = [b * u % self.m for u in units if u != 1 % self.m]
+        return _read_only(_orbit_labels(perms, self.m))
+
     def index(self, g) -> int:
         try:
             a, b = g
@@ -537,14 +567,8 @@ class SplitExtensionGroup(FiniteGroup):
             raise ConfigError(f"element exponents must be integers, got {raw!r}")
         return (a % self.l, b % self.m)
 
-    def k_elements(self) -> list:
-        return [(0, b) for b in range(self.m)]
-
-    def h_elements(self) -> list:
-        return [(a, 0) for a in range(self.l)]
-
     def split_parts(self):
-        return self.k_elements(), self.h_elements()
+        return [(0, b) for b in range(self.m)], [(a, 0) for a in range(self.l)]
 
     def signature(self):
         return ("split", self.m, self.h_group.signature(), self.units)
@@ -693,8 +717,6 @@ class PermutationGroup(FiniteGroup):
         self.generators = tuple(gens)
         self._elements = sorted(members)
         self._kernel_arrays: Optional[tuple] = None
-        self.normal_members: Optional[tuple] = None
-        self.complement_members: Optional[tuple] = None
         if (normal_generators is None) != (complement_generators is None):
             raise ValueError("normal and complement generators come together")
         if normal_generators is not None:
@@ -719,8 +741,8 @@ class PermutationGroup(FiniteGroup):
             )
         if k_part & h_part != {self.identity}:
             raise InvalidAction("normal part and complement overlap beyond identity")
-        self.normal_members = tuple(sorted(k_part))
-        self.complement_members = tuple(sorted(h_part))
+        self._split_idx = tuple(_read_only(np.array(sorted(map(self.index, part)), dtype=np.int64))
+                                for part in (k_part, h_part))
 
     @property
     def identity(self):
@@ -793,9 +815,9 @@ class PermutationGroup(FiniteGroup):
         return g
 
     def split_parts(self):
-        if self.normal_members is None:
+        if self._split_idx is None:
             return None
-        return list(self.normal_members), list(self.complement_members)
+        return tuple([self._elements[i] for i in part.tolist()] for part in self._split_idx)
 
     def signature(self):
         return ("permutation", self.degree, tuple(self.elements()))
@@ -875,28 +897,14 @@ def conjugacy_classes(group: FiniteGroup) -> list:
 
 
 def conjugation_orbits_on_k(group: FiniteGroup) -> list:
-    """Orbits of the whole group's conjugation action on the normal part K."""
-    if isinstance(group, SplitExtensionGroup):
-        unit_set = sorted(set(group.units))
-        seen: set = set()
-        orbits = []
-        for b in range(group.m):
-            if b in seen:
-                continue
-            exponents = sorted({b * u % group.m for u in unit_set})
-            seen.update(exponents)
-            orbits.append([(0, s) for s in exponents])
-        return orbits
-    parts = group.split_parts() if hasattr(group, "split_parts") else None
-    if parts is None:
-        raise ValueError("group has no distinguished normal part")
-    # K is normal, so its orbits are the classes of the group inside it
-    k_members, _ = parts
-    elems = group.elements()
-    in_k = np.zeros(group.order, dtype=bool)
-    in_k[[group.index(k) for k in k_members]] = True
-    return [[elems[i] for i in members.tolist()]
-            for members in group._class_orbits if in_k[members[0]]]
+    """Orbits of the whole group's conjugation action on the normal part K,
+    from ``_k_orbit_labels``: each ascending, ordered by least member."""
+    labels = group._k_orbit_labels
+    k_members = group.split_parts()[0]
+    order = np.argsort(labels, kind="stable")
+    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    members = [k_members[j] for j in order.tolist()]
+    return [members[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(members)])]
 
 
 def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,

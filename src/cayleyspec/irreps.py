@@ -317,8 +317,10 @@ def irreps_dihedral(n: int) -> IrrepSet:
         DihedralGroup(n), linear + [f"E{j}" for j in range(1, (n + 1) // 2)])
 
 
-def _induction_orbits(group: SplitExtensionGroup) -> list:
-    """Orbits of v -> v*r on Z_m for C_m x| C_l, in order of least member;
+def _induction_orbits(group: SplitExtensionGroup) -> dict:
+    """Orbits of v -> v*r on Z_m for C_m x| C_l, from the group's K-orbit
+    labels: ``orbits[t]`` holds those of size t, ascending in t, by least
+    member v, each walked as v * units[j] % m = v r^j over j < t.
     IrrepsUnavailable unless the complement is cyclic and every orbit size
     divides l."""
     if not isinstance(group.h_group, CyclicGroup):
@@ -327,24 +329,14 @@ def _induction_orbits(group: SplitExtensionGroup) -> list:
             f"{group.h_group.kind!r}"
         )
     m, l = group.m, group.l
-    r = group.units[1] if l > 1 else 1 % m
-    seen: set = set()
-    orbits = []
-    for v in range(m):
-        if v in seen:
-            continue
-        orbit = [v]
-        x = v * r % m
-        while x != v:
-            orbit.append(x)
-            x = x * r % m
-        if l % len(orbit) != 0:
-            raise IrrepsUnavailable(
-                f"orbit size {len(orbit)} does not divide complement order {l}"
-            )
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
+    labels = group._k_orbit_labels
+    leads = np.flatnonzero(labels == np.arange(m))
+    sizes = np.bincount(labels, minlength=m)[leads]
+    uneven = sizes[l % sizes != 0]
+    if uneven.size:
+        raise IrrepsUnavailable(f"orbit size {uneven[0]} does not divide complement order {l}")
+    return {t: np.outer(leads[sizes == t], group.units[:t]) % m
+            for t in sorted(set(sizes.tolist()))}
 
 
 def _cyclic_complement_irreps(group: SplitExtensionGroup,
@@ -365,12 +357,8 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup,
     roots = _root_table(n)
     a = np.arange(l, dtype=np.int64)[:, None, None]
     b = np.arange(m, dtype=np.int64)[None, :, None]
-    by_size = {}
-    for orbit in _induction_orbits(group):
-        by_size.setdefault(len(orbit), []).append(orbit)
     names, batches = [], {}
-    for t, orbits in sorted(by_size.items()):
-        orbits = np.array(orbits, dtype=np.int64)
+    for t, orbits in _induction_orbits(group).items():
         first, w = np.divmod(np.arange(len(orbits) * (l // t)), l // t)
         names += [f"X{v}.{x}" for v, x in zip(orbits[first, 0].tolist(), w.tolist())]
         j = np.arange(t, dtype=np.int64)[None, None, :]
@@ -398,8 +386,8 @@ def builtin_degrees(group: FiniteGroup) -> list:
         return [1] * group.order
     if isinstance(group, SplitExtensionGroup) and isinstance(group.h_group, CyclicGroup):
         # each orbit of size t induces l/t irreps of degree t, listed by t
-        return sorted(len(orbit) for orbit in _induction_orbits(group)
-                      for _ in range(group.l // len(orbit)))
+        return [t for t, orbits in _induction_orbits(group).items()
+                for _ in range(len(orbits) * (group.l // t))]
     return builtin_irreps(group).degrees()
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import ColorFunction, adjacency_matrix
+from .cayley import ColorFunction, _check_color_group, adjacency_matrix
 from .errors import (
     CapacityExceeded,
     HypothesesViolated,
@@ -52,7 +52,6 @@ from .groups import (
     _conjugation_orbits,
     _first_conjugator,
     _integer,
-    conjugation_orbits_on_k,
 )
 from .irreps import (
     FourierBlock,
@@ -588,54 +587,48 @@ class HypothesisReport:
         return self.condition_a and self.condition_b
 
 
-def _split_parts(group: FiniteGroup):
-    parts = group.split_parts() if hasattr(group, "split_parts") else None
-    if parts is None:
-        raise InvalidAction(
-            f"group kind {group.kind!r} has no distinguished split structure"
-        )
-    return parts
-
-
 def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> HypothesisReport:
     """Test both invariance conditions of the split-extension formula.
 
     Condition A ranges over (h, g, k) in H x G x K and asks
-    alpha(h * g k g^{-1}) == alpha(h k); it is swept orbitwise using the
-    precomputed conjugation orbits on K.  Condition B ranges over
-    (h', h, k) in H x H x K and asks alpha(h' h h'^{-1} * k) == alpha(h k).
-    Witnesses carry the violating triple and both alpha values.
+    alpha(h * g k g^{-1}) == alpha(h k); each K column of alpha(h k) is
+    compared with its orbit's least member, from the K-orbit labels.
+    Condition B ranges over (h', h, k) in H x H x K and asks
+    alpha(h' h h'^{-1} * k) == alpha(h k).  Witnesses carry the violating
+    triple and both alpha values; only they read the elements.
     """
-    k_members, h_members = _split_parts(group)
-    elems = group.elements()
-    h_idx = np.array([group.index(h) for h in h_members], dtype=np.int64)
-    k_idx = np.array([group.index(k) for k in k_members], dtype=np.int64)
+    if group._split_idx is None:
+        raise InvalidAction(f"group kind {group.kind!r} has no distinguished split structure")
+    _check_color_group(group, color)
+    k_idx, h_idx = group._split_idx
     # table[i, j] = alpha(h_i k_j), read from one kernel gather
-    table = color.vector[group.mul_idx(h_idx[:, None], k_idx[None, :])]
+    products = group.mul_idx(h_idx[:, None], k_idx[None, :])
+    table = color.vector[products]
 
     def witness(triple, i, j, base_i, base_j):
         """alpha(h_i k_j) differs from alpha(h_base_i k_base_j)."""
+        elems = group.elements()
         return ConditionWitness(
-            triple=triple,
-            lhs_element=group.mul(h_members[i], k_members[j]),
-            rhs_element=group.mul(h_members[base_i], k_members[base_j]),
+            triple=tuple(elems[x] for x in triple),
+            lhs_element=elems[products[i, j]],
+            rhs_element=elems[products[base_i, base_j]],
             lhs_value=table[i, j].item(),
             rhs_value=table[base_i, base_j].item(),
         )
 
     # condition A: the first violation in the order h, K-orbit, orbit member
-    k_pos = {k: j for j, k in enumerate(k_members)}
-    pairs = np.array([(k_pos[orbit[0]], k_pos[k]) for orbit in conjugation_orbits_on_k(group)
-                      for k in orbit[1:]], dtype=np.int64).reshape(-1, 2)
-    bad = np.flatnonzero(table[:, pairs[:, 1]] != table[:, pairs[:, 0]])
+    # (a least member is not compared with itself, which a NaN would fail)
+    labels = group._k_orbit_labels
+    others = np.flatnonzero(labels != np.arange(labels.size))
+    bad = table[:, others] != table[:, labels[others]]
+    rows = np.flatnonzero(bad.any(axis=1))
     witness_a = None
-    if bad.size:
-        i, c = divmod(int(bad[0]), len(pairs))
-        base_j, j = pairs[c].tolist()
-        g = elems[_first_conjugator(group, k_idx[base_j], k_idx[j])]
-        witness_a = witness((h_members[i], g, k_members[base_j]), i, j, i, base_j)
+    if rows.size:
+        i, j = rows[0], min(others[bad[rows[0]]].tolist(), key=labels.item)
+        g = _first_conjugator(group, k_idx[labels[j]], k_idx[j])
+        witness_a = witness((h_idx[i], g, k_idx[labels[j]]), i, j, i, labels[j])
     # condition B: the first violation in the order H-class, k, class member;
-    # classes and conjugators as positions in h_members
+    # classes and conjugators as positions in H
     if isinstance(group, SplitExtensionGroup):
         # h' h h'^{-1} stays in H, and (a, 0) sits at position a; only the
         # first H-class whose rows differ is swept, with its conjugators
@@ -655,7 +648,7 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
         if bad.size:
             j, p = divmod(int(bad[0]), members.size)
             base_i, i = int(members[0]), int(members[p])
-            witness_b = witness((h_members[first[p]], h_members[base_i], k_members[j]),
+            witness_b = witness((h_idx[first[p]], h_idx[base_i], k_idx[j]),
                                 i, j, base_i, j)
             break
     return HypothesisReport(
@@ -669,6 +662,7 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
 def spectrum_normal(group: FiniteGroup, color: ColorFunction, irrep_set: IrrepSet,
                     eigenvectors: bool = True) -> Spectrum:
     """Spectrum of a normal color graph (alpha a class function on G)."""
+    _check_color_group(group, color)
     witness = color.class_function_witness()
     if witness is not None:
         g, x, conj, v1, v2 = witness
@@ -713,12 +707,13 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     m, l = group.m, group.l
     ensure_trusted(h_group, irreps_h)
     ensure_trusted(CyclicGroup(m), irreps_k)
-    h_classes = h_group.conjugacy_classes()
-    reps = [h_group.index(cls.representative) for cls in h_classes]
-    # h_terms[u][i] is lambda_ui; K is cyclic, so every d_v is 1
-    h_chars = _character_gather(irreps_h)(0, len(irreps_h), reps)
-    h_terms = [tuple(cls.size * c / d for cls, c in zip(h_classes, chars))
-               for d, chars in zip(irreps_h.degrees(), h_chars.tolist())]
+    # h_terms[u, i] is lambda_ui = |C_i| chi_u(rep_i) / d_u, rounded as
+    # Python's int * complex / int; K is cyclic, so every d_v is 1
+    labels = h_group._class_labels
+    reps = np.flatnonzero(labels == np.arange(l))
+    sizes = np.bincount(labels, minlength=l)[reps].astype(complex)
+    h_terms = _over_degrees(_cmul(sizes, irreps_h.characters[:, reps]),
+                            irreps_h._degrees[:, None])
     # row i holds alpha(h k^b) over b, with h the representative of C_i
     lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
                         _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
@@ -756,7 +751,7 @@ def _over_degrees(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_lines(h_terms: Sequence, rows: np.ndarray, k_gather, h_labels: list,
+def _grid_lines(h_terms: np.ndarray, rows: np.ndarray, k_gather, h_labels: list,
                 k_labels: list, multiplicities: np.ndarray,
                 record_terms: bool) -> SpectralLines:
     """Lines (u, v), u major, of the split formula over the H-classes i and
@@ -766,7 +761,6 @@ def _grid_lines(h_terms: Sequence, rows: np.ndarray, k_gather, h_labels: list,
     order from zeros, as Python's ``sum`` rounds it.  With
     ``record_terms``, the lines' class terms are the rows of ``h_terms``
     and of sigma."""
-    h_terms = np.array(h_terms, dtype=complex)
     sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
     eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
     for i, lam in enumerate(h_terms.T):
@@ -885,6 +879,7 @@ def block_diagonalize(group: FiniteGroup, color: ColorFunction,
         raise CapacityExceeded(
             f"reconstruction check is quadratic in n; {n} exceeds {RECONSTRUCTION_CAPACITY}"
         )
+    _check_color_group(group, color)
     ensure_trusted(group, irrep_set)
     # the transforms of all irreps of one degree come from one running sum
     blocks = [None] * len(irrep_set)

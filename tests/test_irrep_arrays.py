@@ -440,13 +440,39 @@ def per_irrep_abelian(group):
     return out
 
 
+def induction_walk(group):
+    """Orbits of v -> v*r on Z_m, in order of least member, each walked
+    v, v r, v r^2, ...: the Python walk the K-orbit labels replaced."""
+    if not isinstance(group.h_group, CyclicGroup):
+        raise IrrepsUnavailable(
+            f"induced construction needs a cyclic complement, got {group.h_group.kind!r}")
+    m, l = group.m, group.l
+    r = group.units[1] if l > 1 else 1 % m
+    seen: set = set()
+    orbits = []
+    for v in range(m):
+        if v in seen:
+            continue
+        orbit = [v]
+        x = v * r % m
+        while x != v:
+            orbit.append(x)
+            x = x * r % m
+        if l % len(orbit) != 0:
+            raise IrrepsUnavailable(
+                f"orbit size {len(orbit)} does not divide complement order {l}")
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
 def per_irrep_complement(group):
     m, l, n = group.m, group.l, group.order
     roots = per_irrep_roots(n)
     a = np.arange(l, dtype=np.int64)[:, None, None]
     b = np.arange(m, dtype=np.int64)[None, :, None]
     entries = []
-    for orbit in _induction_orbits(group):
+    for orbit in induction_walk(group):
         t = len(orbit)
         j = np.arange(t, dtype=np.int64)[None, None, :]
         rows, wraps = (j - a) % t, -((j - a) // t)
@@ -511,6 +537,41 @@ def test_columnar_builtins_equal_the_per_irrep_builders(group):
     for d, stack in built.stacks.items():
         assert again.stacks[d].tobytes() == stack.tobytes()
         assert again.positions[d].tolist() == built.positions[d].tolist()
+
+
+def check_induction_orbits(group):
+    """``_induction_orbits`` holds the walk's orbits, grouped by size in
+    order of least member and in walk order, and raises as it did."""
+    try:
+        walked = induction_walk(group)
+    except IrrepsUnavailable as exc:
+        with pytest.raises(IrrepsUnavailable) as raised:
+            _induction_orbits(group)
+        assert str(raised.value) == str(exc)
+        return
+    by_size = {}
+    for orbit in walked:
+        by_size.setdefault(len(orbit), []).append(orbit)
+    got = _induction_orbits(group)
+    assert list(got) == sorted(by_size)
+    for t, orbits in got.items():
+        assert orbits.dtype == np.int64 and orbits.tolist() == by_size[t]
+
+
+@settings(max_examples=80, deadline=None)
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)))
+def test_induction_orbits_equal_the_walk(group):
+    check_induction_orbits(group)
+
+
+@pytest.mark.parametrize("group", [
+    MetacyclicGroup(1, 7, 0), MetacyclicGroup(9, 1, 1), DihedralGroup(1), DihedralGroup(2),
+    MetacyclicGroup(1009, 9, 337), SemidirectProductGroup(7, DihedralGroup(3), [6, 1]),
+    # units that are not multiplicative over C_2: the orbit of 1 under 2
+    # mod 5 has size 4, which does not divide 2
+    SplitExtensionGroup(5, CyclicGroup(2), [1, 2])], ids=repr)
+def test_induction_orbits_equal_the_walk_at_the_edges(group):
+    check_induction_orbits(group)
 
 
 def test_the_root_table_is_cached_and_read_only():

@@ -642,8 +642,8 @@ def sweep_conjugation_witness(group, subset):
 
 
 def sweep_orbits_on_k(group):
-    if isinstance(group, SplitExtensionGroup):
-        return conjugation_orbits_on_k(group)  # closed form from the units
+    """The orbits on K from one all-conjugators gather per K seed, on
+    every kind."""
     elems = group.elements()
     seeds = [group.index(k) for k in group.split_parts()[0]]
     return [[elems[i] for i in members.tolist()]
@@ -748,6 +748,18 @@ def test_class_labels_match_the_all_seeds_sweep_on_random_groups(group, rng):
 
 
 @pytest.mark.parametrize("group", [
+    MetacyclicGroup(1, 7, 0), MetacyclicGroup(9, 1, 1), DihedralGroup(1), DihedralGroup(2),
+    SemidirectProductGroup(1, AbelianProductGroup([2, 3]), [0, 0]),
+    SemidirectProductGroup(9, AbelianProductGroup([1]), [1])], ids=repr)
+def test_k_orbit_labels_match_the_all_seeds_sweep_at_the_edges(group):
+    """m = 1, l = 1, D1 and D2: the K-orbit labels from the units, and the
+    orbits and hypothesis reports read from them, against the sweep."""
+    labels = group._k_orbit_labels
+    assert labels.dtype == np.int64 and not labels.flags.writeable
+    check_labels_against_the_sweep(group, random.Random(13 * group.order))
+
+
+@pytest.mark.parametrize("group", [
     SemidirectProductGroup(9, DihedralGroup(3), [8, 1]), DihedralGroup(1), DihedralGroup(2),
     MetacyclicGroup(9, 3, 4)], ids=repr)
 def test_split_conjugation_permutations_match_the_kernel_and_the_sweep(group):
@@ -764,6 +776,20 @@ def test_split_conjugation_permutations_match_the_kernel_and_the_sweep(group):
         assert np.array_equal(np.sort(p), np.arange(group.order))
     assert [members.tolist() for members in group._class_orbits] == \
         [members.tolist() for members, _ in sweep_classes(group)]
+
+
+@pytest.mark.parametrize("group", [DihedralGroup(3), MetacyclicGroup(7, 3, 2), s4()], ids=repr)
+def test_split_witnesses_with_a_nan_at_an_orbits_least_member(group):
+    """NaN differs from itself, and condition A compares each orbit member
+    with the least one, never the least with itself: a NaN at the
+    identity (a singleton orbit) or at the least member of a larger orbit
+    gives the loops' report."""
+    k_members, _ = group.split_parts()
+    for spoiled in k_members[:2]:
+        values = {k: 1.0 for k in k_members} | {spoiled: complex("nan+1j")}
+        report = check_split_hypotheses(group, ColorFunction(group, values))
+        # repr, as a NaN value makes two equal witnesses compare unequal
+        assert repr(report) == repr(hypotheses_oracle(group, dict_color_oracle(values)))
 
 
 def test_split_witnesses_on_a_layered_color():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cayleyspec import (
@@ -12,6 +12,7 @@ from cayleyspec import (
     DihedralGroup,
     HypothesesViolated,
     InvalidAction,
+    IrrepSet,
     IrrepsUnavailable,
     KroneckerFactors,
     LayerNotInvariant,
@@ -22,7 +23,9 @@ from cayleyspec import (
     SpectralLine,
     Spectrum,
     SplitExtensionGroup,
+    UnitaryIrrep,
     adjacency_matrix,
+    beta_blocks,
     block_diagonalize,
     build_p_matrix,
     builtin_irreps,
@@ -576,3 +579,131 @@ def test_normal_route_claims_the_p_matrix_rows(group, rng, data):
     with pytest.raises(TypeError):
         SpectralLine(line.u, line.v, line.labels, line.eigenvalue, 1, expect)
     assert line.eigenvectors is None
+
+
+# -- the H terms against the comprehension they replaced ---------------------
+
+
+def h_terms_oracle(h_group, irreps_h):
+    """lambda_ui = |C_i| chi_u(rep_i) / d_u, one Python int * complex / int
+    per (irrep, class), over the classes in order of representative."""
+    h_classes = h_group.conjugacy_classes()
+    reps = [h_group.index(cls.representative) for cls in h_classes]
+    h_chars = irreps_h.characters[:, reps]
+    return np.array([tuple(cls.size * c / d for cls, c in zip(h_classes, chars))
+                     for d, chars in zip(irreps_h.degrees(), h_chars.tolist())], dtype=complex)
+
+
+def rotated_irreps(irrep_set, rng):
+    """The irreps conjugated by random unitaries: the same characters up to
+    rounding, so their last bits, signed zeros included, vary."""
+    nprng = np.random.default_rng(rng.getrandbits(32))
+    rotated = []
+    for rho in irrep_set:
+        d = rho.degree
+        q, _ = np.linalg.qr(nprng.normal(size=(d, d)) + 1j * nprng.normal(size=(d, d)))
+        rotated.append(UnitaryIrrep(rho.label, {
+            g: q @ matrix @ q.conj().T for g, matrix in rho.matrices.items()}))
+    return IrrepSet(irrep_set.group, rotated)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.randoms(use_true_random=False), st.booleans())
+@example(SemidirectProductGroup(7, DihedralGroup(3), [6, 1]), random.Random(1), False)
+@example(SemidirectProductGroup(7, DihedralGroup(3), [6, 1]), random.Random(2), True)
+@example(SemidirectProductGroup(11, DihedralGroup(5), [10, 1]), random.Random(3), True)
+def test_h_terms_equal_the_class_comprehension(group, rng, rotate):
+    """The split route's H rows are the comprehension's values bit for bit,
+    on built-in irreps and on rotated user tables of H; a dihedral
+    complement brings classes of size 2 and irreps of degree 2."""
+    try:
+        irreps_h = builtin_irreps(group.h_group)
+    except IrrepsUnavailable:
+        assume(False)
+    if rotate:
+        irreps_h = rotated_irreps(irreps_h, rng)
+    expect = h_terms_oracle(group.h_group, irreps_h)
+    picks = rng.sample(group.elements(), rng.randint(0, min(6, group.order)))
+    color = ColorFunction(group, {g: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                  for g in picks})
+    spec = spectrum_split(group, color, irreps_h, irreps_cyclic(group.m),
+                          eigenvectors=False, force=True)
+    assert spec.lines.h_terms.tobytes() == expect.tobytes()
+
+
+def a4_complement_irreps(rng):
+    """A4 as a permutation group with its four irreps as user tables: the
+    characters of A4 / V4 = C3, and the standard representation on the
+    sum-zero subspace of C^4 in a random orthonormal basis.  Its degree 3
+    is the one degree whose division is not exact in binary."""
+    a4 = PermutationGroup([(1, 2, 0, 3), (1, 0, 3, 2)])
+    v4 = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+    t_inv = a4.inv((1, 2, 0, 3))
+
+    def coset(g):
+        for c in range(3):
+            if g in v4:
+                return c
+            g = a4.mul(t_inv, g)
+
+    nprng = np.random.default_rng(rng.getrandbits(32))
+    basis, _ = np.linalg.qr(np.vstack([np.ones(4), nprng.normal(size=(3, 4))]).T)
+    basis = basis[:, 1:]
+    tables = [UnitaryIrrep(f"chi{k}", {g: np.array([[np.exp(2j * np.pi * k * coset(g) / 3)]])
+                                       for g in a4.elements()}) for k in range(3)]
+    tables.append(UnitaryIrrep("std", {g: basis.T @ permutation_matrix(g) @ basis
+                                       for g in a4.elements()}))
+    return a4, IrrepSet(a4, tables)
+
+
+def permutation_matrix(g):
+    """P with P e_x = e_{g(x)}, so that P(g h) = P(g) P(h)."""
+    matrix = np.zeros((len(g), len(g)))
+    matrix[list(g), range(len(g))] = 1
+    return matrix
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_h_terms_equal_the_class_comprehension_on_a_degree_three_complement(seed):
+    """A trivial action of A4 on C3: classes of sizes 1, 3, 4, 4 and a
+    degree-3 irrep whose characters carry rounding noise, so dividing by 3
+    and multiplying by 1/3 round apart."""
+    rng = random.Random(seed)
+    a4, irreps_h = a4_complement_irreps(rng)
+    group = SplitExtensionGroup(3, a4, [1] * a4.order)
+    color = ColorFunction(group, {g: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                  for g in rng.sample(group.elements(), 8)})
+    spec = spectrum_split(group, color, irreps_h, irreps_cyclic(3), eigenvectors=False,
+                          force=True)
+    assert spec.lines.h_terms.tobytes() == h_terms_oracle(a4, irreps_h).tobytes()
+
+
+# -- a color of another group ------------------------------------------------
+
+
+@pytest.mark.parametrize("other", [CyclicGroup(21), DihedralGroup(11)], ids=repr)
+def test_a_color_of_another_group_is_refused(other):
+    """Each entry point that reads a color by the group's indices refuses
+    one that lives on another group, before reading it."""
+    group = MetacyclicGroup(7, 3, 2)
+    color = ColorFunction(other, {g: 1.0 for g in other.elements()[1:4]})
+    calls = [
+        lambda: check_split_hypotheses(group, color),
+        lambda: adjacency_matrix(group, color),
+        lambda: beta_blocks(group, color),
+        lambda: spectrum_split(group, color, builtin_irreps(CyclicGroup(3)), irreps_cyclic(7)),
+        lambda: spectrum_split(group, color, builtin_irreps(CyclicGroup(3)), irreps_cyclic(7),
+                               force=True),
+        lambda: spectrum_normal(group, color, builtin_irreps(group)),
+        lambda: block_diagonalize(group, color, builtin_irreps(group)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidAction, match="the color lives on"):
+            call()
+    # an equal group built apart is the same group
+    twin = MetacyclicGroup(7, 3, 2)
+    same = ColorFunction(twin, {(0, 1): 1.0, (0, 2): 1.0, (0, 4): 1.0})
+    assert check_split_hypotheses(group, same).passed
+    assert adjacency_matrix(group, same).matrix.tobytes() == \
+        adjacency_matrix(twin, same).matrix.tobytes()
