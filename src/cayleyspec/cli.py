@@ -599,10 +599,12 @@ def _cmd_describe(args) -> int:
             command: _dense_bytes(job, method, do_verify, False, vectors_out)
             for command, do_verify in (("spectrum", job.options["verify"]), ("verify", True))
         }
+    labels = group._class_labels
     payload = {
         "kind": group.kind,
         "order": group.order,
-        "class_sizes": [cls.size for cls in group.conjugacy_classes()],
+        "class_sizes": np.bincount(labels, minlength=group.order)[
+            labels == np.arange(group.order)].tolist(),
         "irrep_degrees": degrees,
         "split": split,
         "connection": None if classification is None else {

@@ -203,7 +203,7 @@ class IrrepSet:
         """Freeze each degree's stack (``stacks`` by ascending degree) at
         the positions of its covered irreps, and take the characters as its
         batched traces, straight into the table's rows where those
-        positions are contiguous."""
+        positions are contiguous; a 1 x 1 trace is its entry plus 0.0."""
         self.group, self.trusted, self._loose = group, trusted, loose
         self._labels, self._degrees = tuple(labels), _frozen(degrees, np.int64)
         self._elements = tuple(group.elements())
@@ -214,10 +214,11 @@ class IrrepSet:
             positions = [k for k in np.flatnonzero(self._degrees == d).tolist() if k not in loose]
             self.positions[d], self.stacks[d] = _frozen(positions, np.int64), _frozen(stack)
             rows = characters[positions[0]:positions[-1] + 1]
-            if len(rows) == len(positions):
-                np.trace(self.stacks[d], axis1=2, axis2=3, out=rows)
-            else:
-                characters[positions] = np.trace(self.stacks[d], axis1=2, axis2=3)
+            out = rows if len(rows) == len(positions) else None
+            traces = (np.add(self.stacks[d][:, :, 0, 0], 0.0, out=out) if d == 1
+                      else np.trace(self.stacks[d], axis1=2, axis2=3, out=out))
+            if out is None:
+                characters[positions] = traces
         characters.flags.writeable = False
         self.characters = characters
 
@@ -670,6 +671,16 @@ def p_matrix_bytes(n: int) -> int:
     return 32 * n * n
 
 
+def _check_complete(irrep_set: IrrepSet, n: int) -> None:
+    """IrrepValidationFailed unless the squared degrees add up to n."""
+    total = int(np.square(irrep_set._degrees).sum())
+    if total != n:
+        raise IrrepValidationFailed(IrrepValidationReport([
+            ValidationIssue("completeness", tuple(irrep_set.labels()), None,
+                            float(abs(total - n)))
+        ]))
+
+
 def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients.
 
@@ -678,13 +689,8 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """
     ensure_trusted(group, irrep_set)
     n = group.order
+    _check_complete(irrep_set, n)
     squares = np.square(irrep_set._degrees)
-    total = int(squares.sum())
-    if total != n:
-        raise IrrepValidationFailed(IrrepValidationReport([
-            ValidationIssue("completeness", tuple(irrep_set.labels()), None,
-                            float(abs(total - n)))
-        ]))
     check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
     offsets = np.cumsum(squares) - squares
     p_mat = np.zeros((n, n), dtype=complex)

@@ -1,9 +1,9 @@
 """Closed-form spectra and eigenvector bases of Cayley color graphs.
 
-Three formula paths are provided, each producing labeled spectral lines
-and, on request, eigenvectors in one of two claim forms (``Spectrum.vectors``
-on the normal path, ``Spectrum.factors`` on the split and metacyclic
-paths), so an independent residual check can certify every claim:
+Two formula paths, plus a wrapper over the second, produce labeled
+spectral lines and, on request, eigenvectors in one of two claim forms
+(``Spectrum.vectors`` on the normal path, ``Spectrum.factors`` on the
+split path), so an independent residual check can certify every claim:
 
 * ``spectrum_normal``: alpha is a class function; each irrep rho_k of G
   contributes the eigenvalue (1/d_k) * sum_g alpha(g) chi_k(g) with
@@ -17,11 +17,10 @@ paths), so an independent residual check can certify every claim:
   sigma_vi = sum_k alpha(rep_i * k) chi_v(k) (K is cyclic, so d_v = 1),
   with multiplicity d_u^2 on tensor products of coefficient vectors.
 * ``spectrum_metacyclic``: C_m x| C_l with a layered connection set whose
-  exponent layers are each closed under multiplication by r; eigenvalues
-  are the double exponential sums
-  lambda_{uv} = sum_t e^{2 pi i u t / l} sum_{s in S_t} e^{2 pi i v s / m},
-  the split formula with the singleton H-classes {h^t}.  The split and
-  metacyclic paths share the eigenvalue grid and the character-sum kernel.
+  exponent layers are each closed under multiplication by r, which is
+  condition A; B holds as H = C_l is abelian.  It runs the split path on
+  the layers' indicator color, over the singleton H-classes {h^t}, and
+  names its result ``metacyclic``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import ColorFunction, _check_color_group, adjacency_matrix
+from .cayley import ColorFunction, _check_color_group, adjacency_matrix, color_from_set
 from .errors import (
     CapacityExceeded,
     HypothesesViolated,
@@ -59,13 +58,15 @@ from .irreps import (
     PMatrix,
     _character_gather,
     _character_sums,
+    _check_complete,
     _cmul,
     _degree_batches,
     _fourier_sums,
     _frozen,
-    _root_table,
     build_p_matrix,
+    builtin_irreps,
     ensure_trusted,
+    irreps_cyclic,
 )
 
 
@@ -77,8 +78,8 @@ class SpectralLine:
     ``Spectrum(lines=...)`` takes hand-built ones.  The line's vectors are
     claimed by its spectrum; read them with ``Spectrum.vector_rows``.
     ``eigenvectors`` is always None: it is kept only for readers of the old
-    per-line rows.  The split path also records its per-class intermediate
-    sums.
+    per-line rows.  The split path, which the metacyclic path runs, also
+    records its per-class intermediate sums.
 
     ``==`` is identity, as for ``Spectrum``.
     """
@@ -101,9 +102,9 @@ class SpectralLines(Sequence):
     (the normal route).  A line without a v holds -1 there.  Labels are
     held per axis: line k's labels are ``(axes[0][u[k]],)``, plus
     ``(axes[1][v[k]],)`` when there is a second axis, or ``()`` when
-    there is none.  The split route's class terms are the rows
-    ``h_terms[u[k]]`` and ``k_terms[v[k]]``; the other routes leave both
-    None.
+    there is none.  The split and metacyclic routes' class terms are the
+    rows ``h_terms[u[k]]`` and ``k_terms[v[k]]``; the normal and blocks
+    routes leave both None.
 
     Indexing and iteration form ``SpectralLine`` objects on demand, and a
     slice is a list of them: the columns are the only storage.
@@ -236,12 +237,11 @@ def _term_rows(keys: list, terms: list, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KroneckerFactors:
-    """The factored basis of a split or metacyclic spectrum.
+    """The factored basis of a split (so also a metacyclic) spectrum.
 
     Vector t is ``kron(h_rows[h], k_rows[k])`` with ``(h, k) = pairs[t]``:
     the rows are H- and K-coefficient vectors, of lengths l and m.  The
-    arrays are read-only.  ``==`` is identity; compare the arrays' bytes
-    instead.
+    arrays are read-only.  ``==`` is identity; compare their bytes instead.
     """
 
     h_rows: np.ndarray
@@ -266,10 +266,10 @@ class Spectrum:
 
     A spectrum claims N vectors in one form, or none: ``vectors``, an
     (N, n) complex array (the normal route), or ``factors``, Kronecker
-    factors with N pairs (the split and metacyclic routes).  Line k owns
-    vectors ``offsets[k]:offsets[k + 1]`` with offsets the running sum of
-    the multiplicities clipped at 0, capped at N: a line of multiplicity
-    <= 0 owns none.
+    factors with N pairs (the split route, which the metacyclic one runs).
+    Line k owns vectors ``offsets[k]:offsets[k + 1]`` with offsets the
+    running sum of the multiplicities clipped at 0, capped at N: a line of
+    multiplicity <= 0 owns none.
 
     ``==`` is identity: the fields hold arrays, which have no single truth
     value.  Compare eigenvalue multisets with ``verify.compare_spectra``
@@ -693,8 +693,16 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
 
     Raises HypothesesViolated unless both invariance conditions hold;
     ``force=True`` computes anyway and marks the result unverified by the
-    formula's hypotheses.
+    formula's hypotheses.  Lines (u, v) run u major and record their class
+    terms: ``h_terms[u, i]`` is lambda_ui and ``k_terms[v, i]`` sigma_vi.
     """
+    return _split_route(group, color, irreps_h, irreps_k, eigenvectors, force)
+
+
+def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: IrrepSet,
+                 irreps_k: IrrepSet, eigenvectors: bool, force: bool) -> Spectrum:
+    """``spectrum_split``, also run by ``spectrum_metacyclic``: a call of the
+    public name would be traced, and its lines counted, a second time."""
     if not isinstance(group, SplitExtensionGroup):
         raise InvalidAction(
             f"group kind {group.kind!r} is not a split extension with cyclic "
@@ -714,21 +722,32 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
     sizes = np.bincount(labels, minlength=l)[reps].astype(complex)
     h_terms = _over_degrees(_cmul(sizes, irreps_h.characters[:, reps]),
                             irreps_h._degrees[:, None])
-    # row i holds alpha(h k^b) over b, with h the representative of C_i
-    lines = _grid_lines(h_terms, color.vector.reshape(l, m)[reps],
-                        _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
-                        np.square(irreps_h.degrees()), record_terms=True)
+    # sigma[v, i] sums row i, alpha(h k^b) over b with h the representative
+    # of C_i, against chi_v; eig[u, v] adds the class terms in class order
+    # from zeros, as Python's sum does, one (u, v) plane a class: which NaN
+    # a numpy sum of two NaNs keeps depends on the shape of its loop
+    sigma = np.array([_character_sums(row, len(irreps_k), _character_gather(irreps_k))
+                      for row in color.vector.reshape(l, m)[reps]]).T
+    eig = np.zeros((len(h_terms), len(sigma)), dtype=complex)
+    for i, lam in enumerate(h_terms.T):
+        eig += _cmul(lam[:, np.newaxis], sigma[:, i])
+    u, v = np.divmod(np.arange(eig.size), len(sigma))
+    lines = SpectralLines(eig.ravel(), np.repeat(np.square(irreps_h._degrees), len(sigma)), u, v,
+                          axes=(irreps_h.labels(), irreps_k.labels()),
+                          h_terms=h_terms, k_terms=sigma)
     factors = None
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns; line
         # (u, v) claims the pairs (p, q) of its H-span and K-column q = v,
-        # p major, and lines run u major: sort the grid by (u, v, p)
+        # p major, and lines run u major: sort the grid by (u, v, p); K's
+        # columns, as rows in C order, are its characters times sqrt(1/m)
         p_h = build_p_matrix(h_group, irreps_h)
-        p_k = build_p_matrix(irreps_k.group, irreps_k)
+        _check_complete(irreps_k, m)
+        k_rows = irreps_k.stacks[1][:, :, 0, 0] * sqrt(1 / m)
         h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h.degrees()))
         p, q = np.divmod(np.arange(l * m), m)
         order = np.lexsort((p, q, h_irrep[p]))
-        factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=p_k.matrix.T,
+        factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=_frozen(k_rows),
                                    pairs=_frozen(np.stack((p[order], q[order]), axis=1), np.int64))
     return Spectrum(
         n=group.order,
@@ -751,30 +770,11 @@ def _over_degrees(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_lines(h_terms: np.ndarray, rows: np.ndarray, k_gather, h_labels: list,
-                k_labels: list, multiplicities: np.ndarray,
-                record_terms: bool) -> SpectralLines:
-    """Lines (u, v), u major, of the split formula over the H-classes i and
-    the degree-one K-irreps v.  ``sigma[v, i] = sum_b rows[i, b] chi_v(k^b)``
-    takes one ``_character_sums`` call per class row; the eigenvalue
-    ``sum_i h_terms[u][i] sigma[v, i]`` adds ``_cmul`` products in class
-    order from zeros, as Python's ``sum`` rounds it.  With
-    ``record_terms``, the lines' class terms are the rows of ``h_terms``
-    and of sigma."""
-    sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
-    eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
-    for i, lam in enumerate(h_terms.T):
-        eig += _cmul(lam[:, np.newaxis], sigma[:, i])
-    u, v = np.divmod(np.arange(eig.size), len(k_labels))
-    return SpectralLines(eig.ravel(), np.repeat(multiplicities, len(k_labels)), u, v,
-                         axes=(h_labels, k_labels),
-                         h_terms=h_terms if record_terms else None,
-                         k_terms=sigma if record_terms else None)
-
-
 def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
                         eigenvectors: bool = True) -> Spectrum:
-    """Spectrum of a layered metacyclic color graph by exponential sums.
+    """Spectrum of a layered metacyclic color graph: the split route on the
+    layers' indicator color, so the eigenvalues are the double sums
+    lambda_{uv} = sum_t e^{2 pi i u t / l} sum_{s in S_t} e^{2 pi i v s / m}.
 
     ``layers[t]`` lists the K-exponents s with h^t k^s in the connection
     set; every layer must be closed under s -> r*s mod m.
@@ -783,11 +783,11 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     m, l, r = group.m, group.l, group.r
     if len(layers) != l:
         raise InvalidAction(f"expected {l} layers, got {len(layers)}")
-    indicators = np.zeros((l, m), dtype=complex)
-    for t, layer in enumerate(layers):
-        indicators[t, [_integer(s, f"layers[{t}]") % m for s in layer]] = 1
+    color = color_from_set(group, [(t, _integer(s, f"layers[{t}]") % m)
+                                   for t, layer in enumerate(layers) for s in layer])
     # the first exponent, by layer and then by value, whose image leaves its layer
-    escapes = np.argwhere(indicators.real > indicators.real[:, np.arange(m) * r % m])
+    indicators = color.vector.real.reshape(l, m)
+    escapes = np.argwhere(indicators > indicators[:, np.arange(m) * r % m])
     if escapes.size:
         t, s = escapes[0].tolist()
         raise LayerNotInvariant(
@@ -796,23 +796,9 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
             layer_index=t,
             exponent=s,
         )
-    # the split formula with the singleton H-classes {h^t}: lambda_ut is
-    # e^{2 pi i u t / l}, and sigma_vt is layer t's sum of K-characters
-    roots_l, roots_m = _root_table(l), _root_table(m)
-    u_range, v_range = np.arange(l), np.arange(m)
-    h_roots = roots_l[np.outer(u_range, u_range) % l]
-    lines = _grid_lines(
-        h_roots, indicators, lambda lo, hi, nz: roots_m[np.arange(lo, hi)[:, np.newaxis] * nz % m],
-        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], np.ones(l, dtype=np.int64),
-        record_terms=False)
-    factors = None
-    if eigenvectors:
-        # line (u, v) claims the Kronecker product of H row u and K row v
-        k_rows = roots_m[np.outer(v_range, v_range) % m] / sqrt(m)
-        pairs = np.stack(np.divmod(np.arange(l * m), m), axis=1)
-        factors = KroneckerFactors(h_rows=_frozen(h_roots / sqrt(l)), k_rows=_frozen(k_rows),
-                                   pairs=_frozen(pairs, np.int64))
-    return Spectrum(n=l * m, method="metacyclic", lines=lines, factors=factors)
+    spectrum = _split_route(group, color, builtin_irreps(group.h_group), irreps_cyclic(m),
+                            eigenvectors, False)
+    return replace(spectrum, method="metacyclic")
 
 
 RECONSTRUCTION_CAPACITY = 500

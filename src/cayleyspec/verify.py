@@ -10,7 +10,7 @@ produced it.
 
 The claimed vectors are read through ``Spectrum.vector_rows``: the
 normal route claims them as one array (``Spectrum.vectors``), the split
-and metacyclic routes as Kronecker factors (``Spectrum.factors``).
+route, run by the metacyclic one, as Kronecker factors (``Spectrum.factors``).
 
 One rule covers a factored claim, at every n.  When ``_checked_factors``
 accepts the spectrum's Kronecker factors and their K rows pass the
@@ -25,12 +25,13 @@ identities off the table.
 
 Both factored checks first take each K row's DFT ``F_v = fft(K[v])``
 and split it into its top entry ``D_v``, at ``p_v``, and a remainder
-``E_v``.  The split and metacyclic routes claim characters of K = C_m
-over sqrt(m), whose DFT has one nonzero, so ``E_v`` is rounding.  The
-Fourier rule holds when every ``p_v`` is distinct and every remainder
-term is at or below the rounding floor ``max(sqrt(n), 4) eps`` times
-the check's scale.  Then each residual is reported as an upper bound read
-off the table at ``p_v``, O(n*l) work after the FFTs, and G_K comes from
+``E_v``.  The split route, and so the metacyclic one, claims the
+characters of K = C_m times sqrt(1/m), whose DFT has one nonzero, so
+``E_v`` is rounding.  The Fourier rule holds when every ``p_v`` is
+distinct and every remainder term is at or below the rounding floor
+``max(sqrt(n), 4) eps`` times the check's scale.  Then each residual is
+reported as an upper bound read off the table at ``p_v``, O(n*l) work
+after the FFTs, and G_K comes from
 ``|D|`` and ``|E|`` without a GEMM.  This holds O(n*m) beyond the adjacency: the
 factors, the beta table, and per chunk of K rows at most
 ``groups._BLOCK_BYTES`` in each of a few temporaries.  Nothing here

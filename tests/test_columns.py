@@ -39,16 +39,15 @@ def normal_oracle(group, color, irrep_set):
             for k, (rho, total) in enumerate(zip(irrep_set, sums.tolist()))]
 
 
-def grid_oracle(h_terms, rows, k_gather, h_labels, k_labels, multiplicities, record_terms):
+def grid_oracle(h_terms, rows, k_gather, h_labels, k_labels, multiplicities):
     sigma = np.array([_character_sums(row, len(k_labels), k_gather) for row in rows]).T
     eig = np.zeros((len(h_terms), len(k_labels)), dtype=complex)
     for i, lam in enumerate(np.array(h_terms).T):
         eig += _cmul(lam[:, np.newaxis], sigma[:, i])
-    k_terms = [tuple(sums) for sums in sigma.tolist()] if record_terms else None
+    k_terms = [tuple(sums) for sums in sigma.tolist()]
     return [SpectralLine(
         u=u, v=v, labels=(h_label, k_label), eigenvalue=eigenvalue, multiplicity=multiplicity,
-        h_class_terms=h_terms[u] if record_terms else None,
-        k_class_terms=k_terms[v] if record_terms else None,
+        h_class_terms=h_terms[u], k_class_terms=k_terms[v],
     ) for u, (h_label, multiplicity, row) in enumerate(zip(h_labels, multiplicities, eig.tolist()))
         for v, (k_label, eigenvalue) in enumerate(zip(k_labels, row))]
 
@@ -62,19 +61,22 @@ def split_oracle(group, color, irreps_h, irreps_k):
                for rho, chars in zip(irreps_h, h_chars.tolist())]
     return grid_oracle(h_terms, color.vector.reshape(l, m)[reps], _character_gather(irreps_k),
                        irreps_h.labels(), irreps_k.labels(),
-                       [d * d for d in irreps_h.degrees()], record_terms=True)
+                       [d * d for d in irreps_h.degrees()])
 
 
 def metacyclic_oracle(m, l, layers):
+    """The root-table grid, with the split route's class terms: lambda_ut
+    is e^{2 pi i u t / l} plus 0.0, which turns the -0.0 of -1j into 0.0
+    as a character (a 1 x 1 trace) does."""
     indicators = np.zeros((l, m), dtype=complex)
     for t, layer in enumerate(layers):
         indicators[t, [s % m for s in layer]] = 1
     roots_l, roots_m = _root_table(l), _root_table(m)
+    h_roots = roots_l[np.outer(np.arange(l), np.arange(l)) % l] + 0.0
     return grid_oracle(
-        roots_l[np.outer(np.arange(l), np.arange(l)) % l], indicators,
+        [tuple(row) for row in h_roots.tolist()], indicators,
         lambda lo, hi, nz: roots_m[np.arange(lo, hi)[:, np.newaxis] * nz % m],
-        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], [1] * l,
-        record_terms=False)
+        [f"chi_{u}" for u in range(l)], [f"chi_{v}" for v in range(m)], [1] * l)
 
 
 def blocks_oracle(decomposition):

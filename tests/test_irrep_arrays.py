@@ -1156,15 +1156,17 @@ def test_character_sums_in_small_chunks_keep_the_loop_bits(monkeypatch):
 
 def metacyclic_oracle(m, l, layers):
     """The per-line loop ``spectrum_metacyclic`` ran before its root tables:
-    (eigenvalue, vector) per line (u, v), u outer."""
+    (eigenvalue, vector) per line (u, v), u outer.  The vectors are scaled
+    by sqrt(1/l) and sqrt(1/m), as ``build_p_matrix`` scales a degree-one
+    coefficient by sqrt(d/n)."""
     layer_sets = [sorted({int(s) % m for s in layer}) for layer in layers]
     layer_sums = [
         [sum(unit_root(v * s, m) for s in layer) for layer in layer_sets]
         for v in range(m)
     ]
-    h_vectors = [np.array([unit_root(u * a, l) for a in range(l)]) / sqrt(l)
+    h_vectors = [np.array([unit_root(u * a, l) for a in range(l)]) * sqrt(1 / l)
                  for u in range(l)]
-    k_vectors = [np.array([unit_root(v * b, m) for b in range(m)]) / sqrt(m)
+    k_vectors = [np.array([unit_root(v * b, m) for b in range(m)]) * sqrt(1 / m)
                  for v in range(m)]
     for u in range(l):
         for v in range(m):

@@ -478,6 +478,58 @@ def test_split_and_metacyclic_eigenvalues_are_byte_identical(case):
         assert np.complex128(a.eigenvalue).tobytes() == np.complex128(b.eigenvalue).tobytes()
 
 
+def r_orbit(s, r, m):
+    """The exponents s * r^e mod m."""
+    orbit, x = set(), s % m
+    while x not in orbit:
+        orbit.add(x)
+        x = x * r % m
+    return orbit
+
+
+def random_layers(m, l, r, rng):
+    """A random union of r-orbits per layer, some layers empty."""
+    layers = []
+    for _ in range(l):
+        seeds = rng.sample(range(m), rng.randint(0, min(m, 3)))
+        layers.append(sorted(set().union(*(r_orbit(s, r, m) for s in seeds))))
+    return layers
+
+
+def spectrum_arrays(spectrum):
+    """Every line column and factor array as (shape, dtype, C order, bytes),
+    with the label axes and the scalar fields."""
+    lines, factors = spectrum.lines, spectrum.factors
+    arrays = (lines.eigenvalues, lines.multiplicities, lines.u, lines.v, lines.h_terms,
+              lines.k_terms, factors.h_rows, factors.k_rows, factors.pairs)
+    return ([(a.shape, a.dtype.str, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+            + [lines.axes, spectrum.n, spectrum.theorem_verified])
+
+
+def check_metacyclic_is_split(m, l, r, layers):
+    group = MetacyclicGroup(m, l, r)
+    color = color_from_set(group, [(t, s) for t, layer in enumerate(layers) for s in layer])
+    split = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(m))
+    meta = spectrum_metacyclic(m, l, r, layers)
+    assert (split.method, meta.method) == ("split", "metacyclic")
+    assert spectrum_arrays(meta) == spectrum_arrays(split)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(groups_strategy().filter(lambda group: isinstance(group, MetacyclicGroup)),
+       st.randoms(use_true_random=False))
+def test_metacyclic_route_is_the_split_route_on_its_indicator(group, rng):
+    check_metacyclic_is_split(group.m, group.l, group.r,
+                              random_layers(group.m, group.l, group.r, rng))
+
+
+@pytest.mark.parametrize("m, l, r", [(7, 1, 1), (1, 5, 0), (2, 1000, 1)])
+def test_metacyclic_route_is_the_split_route_at_the_edges(m, l, r):
+    rng = random.Random(m * l)
+    check_metacyclic_is_split(m, l, r, random_layers(m, l, r, rng))
+
+
 def test_normal_agrees_with_split_on_class_functions():
     group = MetacyclicGroup(7, 3, 2)
     union = [e for cls in group.conjugacy_classes() if cls.size in (3, 7)
