@@ -329,15 +329,20 @@ def _compute_spectrum(job: Job, method: str, eigenvectors: bool) -> spectra.Spec
             raise ConfigError(
                 f"method 'metacyclic' needs a metacyclic group, got {group.kind!r}"
             )
-        # layered formula applies to indicator colors only
-        for g, value in job.color.items():
-            if value != 1:
-                raise ConfigError(
-                    "method 'metacyclic' needs an indicator color; "
-                    f"alpha({list(g)!r}) = {value}"
-                )
+        # layered formula applies to indicator colors only; element (a, b)
+        # sits at index a * m + b, so the support runs by layer, then exponent
+        vector = job.color.vector
+        support = np.flatnonzero(vector)
+        bad = support[vector[support] != 1]
+        if bad.size:
+            raise ConfigError(
+                "method 'metacyclic' needs an indicator color; "
+                f"alpha({list(divmod(int(bad[0]), group.m))!r}) = {vector.item(bad[0])}"
+            )
+        layer, exponent = np.divmod(support, group.m)
+        cuts = np.searchsorted(layer, np.arange(1, group.l))
         return spectra.spectrum_metacyclic(
-            group.m, group.l, group.r, cayley.layers_from_set(group, job.color.support()),
+            group.m, group.l, group.r, [s.tolist() for s in np.split(exponent, cuts)],
             eigenvectors=eigenvectors,
         )
     if method == "split":

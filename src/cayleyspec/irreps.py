@@ -253,9 +253,17 @@ class IrrepSet:
         return f"<IrrepSet of {self.group!r}: degrees {self.degrees()}>"
 
 
+def _check_builtin_bytes(group: FiniteGroup, count: int) -> None:
+    """CapacityExceeded when ``count`` built-in irreps of ``group`` are over
+    the budget: their stacks hold n^2 entries and their characters count*n."""
+    n = group.order
+    check_dense_bytes(16 * n * (n + count), f"the built-in irreps of {group!r}")
+
+
 def irreps_cyclic(n: int) -> IrrepSet:
     """Characters chi_v(k^s) = e^{2 pi i v s / n}, ordered by v."""
     group = CyclicGroup(n)
+    _check_builtin_bytes(group, group.order)
     return IrrepSet._built(group, [f"chi_{v}" for v in range(n)], {1: _cyclic_stack(n)})
 
 
@@ -284,6 +292,7 @@ def irreps_abelian(orders: Sequence[int]) -> IrrepSet:
     """
     group = AbelianProductGroup(orders)
     n, orders = group.order, group.orders
+    _check_builtin_bytes(group, n)
     digits = np.arange(n, dtype=np.int64)[:, None] // group._strides % orders
     # tables[t][e, g] = unit_root(e*g, o_t)
     tables = [_root_table(o)[np.outer(np.arange(o), np.arange(o)) % o] for o in orders]
@@ -355,11 +364,13 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup,
     all its (orbit, w) pairs, a block of pairs at a time.
     """
     m, l, n = group.m, group.l, group.order
+    induced = _induction_orbits(group)
+    _check_builtin_bytes(group, sum(len(orbits) * (l // t) for t, orbits in induced.items()))
     roots = _root_table(n)
     a = np.arange(l, dtype=np.int64)[:, None, None]
     b = np.arange(m, dtype=np.int64)[None, :, None]
     names, batches = [], {}
-    for t, orbits in _induction_orbits(group).items():
+    for t, orbits in induced.items():
         first, w = np.divmod(np.arange(len(orbits) * (l // t)), l // t)
         names += [f"X{v}.{x}" for v, x in zip(orbits[first, 0].tolist(), w.tolist())]
         j = np.arange(t, dtype=np.int64)[None, None, :]

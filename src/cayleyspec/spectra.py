@@ -21,13 +21,16 @@ split path), so an independent residual check can certify every claim:
   condition A; B holds as H = C_l is abelian.  It runs the split path on
   the layers' indicator color, over the singleton H-classes {h^t}, and
   names its result ``metacyclic``.
+
+Every route holds its lines as ``SpectralLines`` columns: eigenvalues,
+multiplicities, u, v and the label axes.  The class terms lambda_ui and
+sigma_vi are the split path's intermediates; its lines keep only their sums.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from math import sqrt
@@ -72,14 +75,11 @@ from .irreps import (
 
 @dataclass(frozen=True, eq=False)
 class SpectralLine:
-    """One labeled eigenvalue with its multiplicity.
-
-    ``Spectrum.lines`` forms these on demand from its columns, and
-    ``Spectrum(lines=...)`` takes hand-built ones.  The line's vectors are
-    claimed by its spectrum; read them with ``Spectrum.vector_rows``.
+    """One labeled eigenvalue with its multiplicity, as ``Spectrum.lines``
+    forms it on demand from its columns.  The line's vectors are claimed
+    by its spectrum; read them with ``Spectrum.vector_rows``.
     ``eigenvectors`` is always None: it is kept only for readers of the old
-    per-line rows.  The split path, which the metacyclic path runs, also
-    records its per-class intermediate sums.
+    per-line rows.
 
     ``==`` is identity, as for ``Spectrum``.
     """
@@ -90,85 +90,41 @@ class SpectralLine:
     eigenvalue: complex
     multiplicity: int
     eigenvectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    h_class_terms: Optional[tuple] = field(default=None, kw_only=True)
-    k_class_terms: Optional[tuple] = field(default=None, kw_only=True)
 
 
 class SpectralLines(Sequence):
     """The lines of a spectrum, held as read-only columns.
 
     ``eigenvalues`` (complex), ``multiplicities`` (int64) and ``u`` hold
-    one entry per line; so does ``v``, or it is None when no line has a v
-    (the normal route).  A line without a v holds -1 there.  Labels are
-    held per axis: line k's labels are ``(axes[0][u[k]],)``, plus
+    one entry per line; so does ``v``, or it is None when the lines have
+    no v (the normal route).  u and v are non-negative.  Labels are held
+    per axis: line k's labels are ``(axes[0][u[k]],)``, plus
     ``(axes[1][v[k]],)`` when there is a second axis, or ``()`` when
-    there is none.  The split and metacyclic routes' class terms are the
-    rows ``h_terms[u[k]]`` and ``k_terms[v[k]]``; the normal and blocks
-    routes leave both None.
+    there is none.
 
     Indexing and iteration form ``SpectralLine`` objects on demand, and a
     slice is a list of them: the columns are the only storage.
     """
 
-    def __init__(self, eigenvalues, multiplicities, u, v=None, axes: tuple = (),
-                 h_terms=None, k_terms=None):
+    def __init__(self, eigenvalues, multiplicities, u, v=None, axes: tuple = ()):
         self.eigenvalues = _frozen(eigenvalues, complex)
         self.multiplicities = _frozen(multiplicities, np.int64)
         self.u = _frozen(u, np.int64)
         self.v = None if v is None else _frozen(v, np.int64)
         self.axes = tuple(tuple(axis) for axis in axes)
-        self.h_terms = None if h_terms is None else _frozen(h_terms, complex)
-        self.k_terms = None if k_terms is None else _frozen(k_terms, complex)
         columns = (self.eigenvalues, self.multiplicities, self.u, self.v)
         if any(c is not None and c.shape != (len(self.u),) for c in columns):
             raise ValueError("a spectrum's line columns must be 1-D and of one length")
+        if any(c is not None and c.min(initial=0) < 0 for c in (self.u, self.v)):
+            raise ValueError("a line's u and v must be non-negative")
         if len(self.axes) > 1 + (v is not None):
             raise ValueError("lines carry at most one label axis, or two when they have a v")
-        if (h_terms is None) != (k_terms is None) or (k_terms is not None and v is None):
-            raise ValueError("class terms come as H and K rows, on lines that have a v")
-
-    @classmethod
-    def of(cls, lines) -> SpectralLines:
-        """The columns of hand-built ``SpectralLine`` objects.
-
-        Raises ValueError unless each u, and each v that is not None, is a
-        non-negative integer, and the labels are one per axis: every line
-        holds as many, the first fixed by u, the second, if any, by v.  If
-        any line records class terms, every line does, fixed by u and by
-        v likewise.
-        """
-        lines = list(lines)
-        u = [line.u for line in lines]
-        v = [line.v for line in lines]
-        for key in u + [key for key in v if key is not None]:
-            if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or key < 0:
-                raise ValueError(f"a line's u and v must be non-negative integers, got {key!r}")
-        widths = {len(line.labels) for line in lines} or {0}
-        if len(widths) > 1 or max(widths) > 2:
-            raise ValueError("every line must carry as many labels as the others, "
-                             "at most two")
-        axes = [_axis(keys, [line.labels[a] for line in lines], name)
-                for a, (keys, name) in enumerate(((u, "u"), (v, "v"))[:widths.pop()])]
-        h_terms = k_terms = None
-        if any(line.h_class_terms is not None or line.k_class_terms is not None
-               for line in lines):
-            h_terms = _term_rows(u, [line.h_class_terms for line in lines], "u")
-            k_terms = _term_rows(v, [line.k_class_terms for line in lines], "v")
-        if all(key is None for key in v):
-            v = None
-        else:
-            v = [-1 if key is None else key for key in v]
-        return cls([line.eigenvalue for line in lines], [line.multiplicity for line in lines],
-                   u, v, axes, h_terms, k_terms)
 
     def v_values(self):
-        """Each line's v as an int, or None for a line without one."""
+        """Each line's v as an int, or None when the lines have no v."""
         if self.v is None:
             return itertools.repeat(None, len(self))
-        values = self.v.tolist()
-        if self.v.min(initial=0) < 0:
-            values = [None if key < 0 else key for key in values]
-        return values
+        return self.v.tolist()
 
     def __len__(self) -> int:
         return len(self.u)
@@ -177,7 +133,7 @@ class SpectralLines(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         k = range(len(self))[k]
-        v = None if self.v is None or self.v[k] < 0 else int(self.v[k])
+        v = None if self.v is None else int(self.v[k])
         return self._line(int(self.u[k]), v, complex(self.eigenvalues[k]),
                           int(self.multiplicities[k]))
 
@@ -191,48 +147,11 @@ class SpectralLines(Sequence):
         axes = self.axes
         labels = (() if not axes else (axes[0][u],) if len(axes) == 1
                   else (axes[0][u], axes[1][v]))
-        return SpectralLine(
-            u=u, v=v, labels=labels, eigenvalue=eigenvalue, multiplicity=multiplicity,
-            h_class_terms=None if self.h_terms is None else tuple(self.h_terms[u].tolist()),
-            k_class_terms=None if self.k_terms is None else tuple(self.k_terms[v].tolist()),
-        )
+        return SpectralLine(u=u, v=v, labels=labels, eigenvalue=eigenvalue,
+                            multiplicity=multiplicity)
 
     def __repr__(self):
         return f"<SpectralLines: {len(self)} lines>"
-
-
-def _keyed(keys: list, values: list, name: str, same=operator.eq) -> dict:
-    """``{key: value}`` over the lines; ValueError when a line has no key
-    or the lines of one key disagree on its value under ``same``."""
-    table = {}
-    for key, value in zip(keys, values):
-        if key is None:
-            raise ValueError(f"a line without a {name} carries no second label or K terms")
-        if not same(table.setdefault(key, value), value):
-            raise ValueError(f"the lines with {name} = {key} disagree: "
-                             f"{table[key]!r} and {value!r}")
-    return table
-
-
-def _axis(keys: list, labels: list, name: str) -> tuple:
-    """The label axis that gives each key its lines' label, and None to a
-    key no line holds."""
-    table = _keyed(keys, labels, name)
-    return tuple(table.get(key) for key in range(max(table, default=-1) + 1))
-
-
-def _term_rows(keys: list, terms: list, name: str) -> np.ndarray:
-    """The class-term rows that give each key its lines' terms, which
-    agree bit for bit; a row no line reads is zero."""
-    if None in terms:
-        raise ValueError("either every line records its class terms or none does")
-    table = _keyed(keys, [np.asarray(row, dtype=complex) for row in terms], name,
-                   lambda a, b: a.tobytes() == b.tobytes())
-    width = len(next(iter(table.values()), ()))
-    rows = np.zeros((max(table, default=-1) + 1, width), dtype=complex)
-    for key, row in table.items():
-        rows[key] = row
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +178,9 @@ def _kronecker_rows(factors: KroneckerFactors, pairs: np.ndarray) -> np.ndarray:
 class Spectrum:
     """A full labeled spectrum; total multiplicity covers the whole space.
 
-    ``lines`` holds the lines as columns (``SpectralLines``); the
-    constructor takes hand-built ``SpectralLine`` objects too and turns
-    them into columns.  ``eigenvalues``, ``multiplicities``, ``u`` and
-    ``v`` read the columns.
+    ``lines`` holds the lines as columns, a ``SpectralLines``, and
+    anything else raises TypeError.  ``eigenvalues``, ``multiplicities``,
+    ``u`` and ``v`` read the columns.
 
     A spectrum claims N vectors in one form, or none: ``vectors``, an
     (N, n) complex array (the normal route), or ``factors``, Kronecker
@@ -285,7 +203,8 @@ class Spectrum:
 
     def __post_init__(self):
         if not isinstance(self.lines, SpectralLines):
-            self.lines = SpectralLines.of(self.lines)
+            raise TypeError("a spectrum holds its lines as a SpectralLines, got "
+                            f"{type(self.lines).__name__}")
         if self.vectors is not None and self.factors is not None:
             raise ValueError("a spectrum claims its vectors as `vectors` or as "
                              "`factors`, not both")
@@ -355,22 +274,6 @@ class Spectrum:
 
 # member pairs ``_chain_cells`` compares in one block
 _PAIR_BLOCK = 1 << 16
-
-
-def chain_groups(values: Sequence[complex], tol: float) -> list:
-    """Partition indices of ``values`` by chaining pairs within ``tol``.
-
-    Two indices chain when ``abs(a - b) <= tol``; groups are the connected
-    components, listed by smallest index, each in ascending order.
-    Non-finite values chain with nothing (their differences are never <= a
-    finite ``tol``).  See ``_chain_labels`` for the method.
-    """
-    values = np.asarray(values, dtype=complex).ravel()
-    labels = _chain_labels(values, tol, _value_order(values))
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(_run_starts(labels[order]))[1:]
-    groups = [part.tolist() for part in np.split(order, cuts)] if labels.size else []
-    return sorted(groups, key=lambda group: group[0])
 
 
 def _value_order(values: np.ndarray) -> np.ndarray:
@@ -693,8 +596,7 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
 
     Raises HypothesesViolated unless both invariance conditions hold;
     ``force=True`` computes anyway and marks the result unverified by the
-    formula's hypotheses.  Lines (u, v) run u major and record their class
-    terms: ``h_terms[u, i]`` is lambda_ui and ``k_terms[v, i]`` sigma_vi.
+    formula's hypotheses.  Lines (u, v) run u major.
     """
     return _split_route(group, color, irreps_h, irreps_k, eigenvectors, force)
 
@@ -733,8 +635,7 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
         eig += _cmul(lam[:, np.newaxis], sigma[:, i])
     u, v = np.divmod(np.arange(eig.size), len(sigma))
     lines = SpectralLines(eig.ravel(), np.repeat(np.square(irreps_h._degrees), len(sigma)), u, v,
-                          axes=(irreps_h.labels(), irreps_k.labels()),
-                          h_terms=h_terms, k_terms=sigma)
+                          axes=(irreps_h.labels(), irreps_k.labels()))
     factors = None
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns; line

@@ -700,6 +700,24 @@ def test_oversized_dense_jobs_fail_before_any_computation(tmp_path, capsys, monk
                        "dense arrays, over the budget of 1073741824 bytes\n")
 
 
+def test_built_in_irreps_over_the_budget_exit_4(tmp_path, capsys):
+    """The normal route on C6000 without vectors passes the job estimate,
+    which counts the irrep stacks only, but the stacks and the character
+    table would peak near 1.15 GB: the built-in irreps refuse first."""
+    from cayleyspec import cli
+    from cayleyspec.groups import DENSE_BYTE_BUDGET
+
+    payload = {"group": {"type": "cyclic", "n": 6000},
+               "connection": {"mode": "set", "elements": [1, 5999]},
+               "options": {"eigenvectors": False}}
+    assert cli._dense_bytes(cli.Job(payload), "normal", False, False, False) <= DENSE_BYTE_BUDGET
+    code, out, err = run(capsys, "spectrum", "--config", write_config(tmp_path, payload))
+    assert code == 4 and out == ""
+    assert err == ("error: the built-in irreps of <CyclicGroup order=6000> needs an estimated "
+                   f"{16 * 6000 * 12000} bytes of dense arrays, over the budget of "
+                   "1073741824 bytes\n")
+
+
 def test_describe_reports_the_dense_estimate(tmp_path, capsys):
     family = write_config(tmp_path, {
         "group": {"type": "metacyclic", "m": 61, "l": 10, "r": 3},

@@ -30,7 +30,7 @@ from cayleyspec import (
     MetacyclicGroup,
     PermutationGroup,
     SemidirectProductGroup,
-    SpectralLine,
+    SpectralLines,
     Spectrum,
     SplitExtensionGroup,
     UnitaryIrrep,
@@ -1031,12 +1031,13 @@ def test_permutation_routes_agree_and_certify(case):
     assert report.passed and report.complete, report
     decomposition = block_diagonalize(group, color, irrep_set)
     assert decomposition.reconstruction_deviation <= 1e-9
-    blocks = Spectrum(n=group.order, method="blocks", lines=[
-        SpectralLine(u=u, v=v, labels=(block.label,), eigenvalue=complex(value),
-                     multiplicity=block.degree)
-        for u, (block, eigs) in enumerate(zip(decomposition.blocks,
-                                              decomposition.block_eigenvalues))
-        for v, value in enumerate(np.linalg.eigvals(block.matrix) if eigs is None else eigs)])
+    values = [np.linalg.eigvals(block.matrix) if eigs is None else eigs
+              for block, eigs in zip(decomposition.blocks, decomposition.block_eigenvalues)]
+    counts = [len(eigs) for eigs in values]
+    blocks = Spectrum(n=group.order, method="blocks", lines=SpectralLines(
+        np.concatenate([np.asarray(eigs, dtype=complex) for eigs in values]),
+        np.repeat([block.degree for block in decomposition.blocks], counts),
+        np.repeat(np.arange(len(counts)), counts)))
     same, pair = compare_spectra(normal, blocks, tol=1e-8)
     assert same, pair
 

@@ -1,11 +1,13 @@
 import cmath
 import random
+import time
 
 import numpy as np
 import pytest
 
 from cayleyspec import (
     AbelianProductGroup,
+    CapacityExceeded,
     ColorFunction,
     CyclicGroup,
     DihedralGroup,
@@ -294,3 +296,27 @@ def test_an_irrep_sweep_compares_the_element_tuples_once_per_set():
     assert np.array([line.eigenvalue for line in spec.lines]).tobytes() == \
         np.array([line.eigenvalue for line in expect.lines]).tobytes()
     assert spec.vectors.tobytes() == expect.vectors.tobytes()
+
+
+@pytest.mark.parametrize("group", [
+    CyclicGroup(12), AbelianProductGroup([2, 6]), DihedralGroup(6), MetacyclicGroup(7, 3, 2),
+    MetacyclicGroup(13, 4, 5)], ids=repr)
+def test_built_in_irreps_hold_what_their_estimate_counts(group):
+    """The stacks hold n^2 entries and the characters one row of n per
+    irrep: 16 n (n + count) bytes, the estimate checked before building."""
+    irrep_set, n = builtin_irreps(group), group.order
+    held = sum(stack.nbytes for stack in irrep_set.stacks.values()) + irrep_set.characters.nbytes
+    assert held == 16 * n * (n + len(irrep_set))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: irreps_metacyclic(1009, 9, 337), lambda: irreps_cyclic(6000),
+    lambda: irreps_abelian([2, 3000]), lambda: irreps_dihedral(5000)],
+    ids=["M(1009, 9, 337)", "C6000", "C2 x C3000", "D5000"])
+def test_built_in_irreps_over_the_budget_raise_before_building(build):
+    """The n = 9081 family's irreps would peak at 1.3 GB; each of these is
+    over the 1 GiB budget and raises at once."""
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="the built-in irreps of"):
+        build()
+    assert time.perf_counter() - start < 1

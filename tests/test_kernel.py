@@ -35,7 +35,7 @@ from cayleyspec import (
     is_generating_set,
 )
 from cayleyspec import spectra
-from cayleyspec.spectra import ConditionWitness, chain_groups
+from cayleyspec.spectra import ConditionWitness, _chain_labels, _value_order
 
 # -- oracles: the per-element loops the kernel paths replaced ----------------
 
@@ -903,6 +903,16 @@ def _edge_values(tol):
     values += [complex(float("nan"), 0), complex(float("inf"), 0), complex(float("inf"), 0)]
     values += [complex(1e6, -1e6), complex(1e6 + tol, -1e6)]
     return values
+
+
+def chain_groups(values, tol):
+    """The partition ``_chain_labels`` gives, in ``chain_oracle``'s form:
+    groups listed by smallest index, each in ascending order."""
+    values = np.asarray(values, dtype=complex).ravel()
+    groups = {}
+    for index, label in enumerate(_chain_labels(values, tol, _value_order(values)).tolist()):
+        groups.setdefault(label, []).append(index)
+    return list(groups.values())
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.1, 1.0, 0.0, -1.0])

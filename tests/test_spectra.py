@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from cayleyspec import (
     PermutationGroup,
     SemidirectProductGroup,
     SpectralLine,
+    SpectralLines,
     Spectrum,
     SplitExtensionGroup,
     UnitaryIrrep,
@@ -41,6 +43,8 @@ from cayleyspec import (
     spectrum_normal,
     spectrum_split,
 )
+from cayleyspec.irreps import _character_gather
+from test_columns import edited_lines, grid_oracle
 from test_kernel import chain_oracle, class_color_values, groups_strategy
 
 
@@ -218,10 +222,6 @@ def test_split_order_42_lines():
     assert got == expect
     assert spec.total_multiplicity == 42
 
-    line = next(l for l in spec.lines if l.labels == ("A2", "chi_1"))
-    assert np.allclose(line.h_class_terms, [1, 2, -3])
-    assert np.allclose(line.k_class_terms, [-1, 0, 1])
-
     adj = adjacency_matrix(group, color)
     report = certify(adj, spec, color, tol=1e-9)
     assert report.passed
@@ -229,20 +229,23 @@ def test_split_order_42_lines():
 
 
 def test_split_representative_independence():
-    # sigma_vi, summed at any member h of the H-class C_i, is the class term
+    # sum_i lambda_ui * sigma_vi gives each line's eigenvalue whichever
+    # member h of each H-class C_i its sigma_vi is summed at
     group, color, d3 = order_42_fixture()
-    irreps_k = irreps_cyclic(7)
-    spec = spectrum_split(group, color, builtin_irreps(d3), irreps_k)
+    irreps_h, irreps_k = builtin_irreps(d3), irreps_cyclic(7)
+    spec = spectrum_split(group, color, irreps_h, irreps_k)
     assert spec.total_multiplicity == 42
     h_group = group.h_group
+    classes = h_group.conjugacy_classes()
     for line in spec.lines:
-        rho_v = irreps_k[line.v]
-        for cls, term in zip(h_group.conjugacy_classes(), line.k_class_terms):
-            for h in cls.members:
-                a = h_group.index(h)
-                redo = sum(color((a, b)) * rho_v.character(b)
-                           for b in range(7)) / rho_v.degree
-                assert abs(redo - term) <= 1e-10
+        rho_u, rho_v = irreps_h[line.u], irreps_k[line.v]
+        lam = [cls.size * rho_u.character(cls.representative) / rho_u.degree
+               for cls in classes]
+        sigma = [[sum(color((h_group.index(h), b)) * rho_v.character(b) for b in range(7))
+                  for h in cls.members] for cls in classes]
+        for picks in itertools.product(*sigma):
+            redo = sum(x * y for x, y in zip(lam, picks))
+            assert abs(redo - line.eigenvalue) <= 1e-10
 
 
 def line_order_cases():
@@ -265,9 +268,7 @@ def signed_zero_spectrum():
     """Lines whose eigenvalues differ only in the signs of their zeros."""
     values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
               1 + 0j, complex(1.0, -0.0), complex(-0.0, 2.0), 2j]
-    return Spectrum(n=len(values), method="normal", lines=[
-        SpectralLine(u=k, v=None, labels=(f"z{k}",), eigenvalue=value, multiplicity=1)
-        for k, value in enumerate(values)])
+    return spectrum_of([(value, 1) for value in values])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -277,17 +278,15 @@ def test_multiset_and_compare_ignore_line_order(seed):
     assert repr(cluster_eigenvalues(pair)) == repr(cluster_eigenvalues(pair[::-1]))
     cases = line_order_cases()
     for spec, other in zip(cases, cases[1:2] + cases[:1] + cases[2:]):
-        lines = list(spec.lines)
-        rng.shuffle(lines)
-        shuffled = Spectrum(n=spec.n, method=spec.method, lines=lines)
+        order = list(range(len(spec.lines)))
+        rng.shuffle(order)
+        shuffled = replace(spec, lines=edited_lines(spec, order))
         assert repr(shuffled.multiset()) == repr(spec.multiset())
         assert compare_spectra(shuffled, spec) == (True, None)
         assert compare_spectra(shuffled, other) == compare_spectra(spec, other)
         # a spectrum that differs in one line gives the same witness pair
-        moved = list(other.lines)
-        k = rng.randrange(len(moved))
-        moved[k] = replace(moved[k], eigenvalue=moved[k].eigenvalue + 0.5)
-        moved = Spectrum(n=other.n, method=other.method, lines=moved)
+        moved = replace(other, lines=edited_lines(
+            other, shifts=[(rng.randrange(len(other.lines)), 0.5)]))
         expect = compare_spectra(spec, moved)
         assert expect[0] is False
         assert repr(compare_spectra(shuffled, moved)) == repr(expect)
@@ -313,9 +312,10 @@ def compare_oracle(first, second, tol):
 
 def spectrum_of(pairs):
     """A spectrum without vectors whose lines hold (eigenvalue, multiplicity)."""
-    return Spectrum(n=sum(max(count, 0) for _, count in pairs), method="normal", lines=[
-        SpectralLine(u=k, v=None, labels=(f"z{k}",), eigenvalue=value, multiplicity=count)
-        for k, (value, count) in enumerate(pairs)])
+    values, counts = [value for value, _ in pairs], [count for _, count in pairs]
+    return Spectrum(n=sum(max(count, 0) for count in counts), method="normal",
+                    lines=SpectralLines(values, counts, np.arange(len(pairs)),
+                                        axes=([f"z{k}" for k in range(len(pairs))],)))
 
 
 def test_lines_of_multiplicity_at_most_zero_bridge_nothing():
@@ -340,12 +340,9 @@ def test_compare_spectra_witness_pairs_match_all_pairs_chaining(seed):
     rng = random.Random(seed)
     cases = line_order_cases()
     for spec in cases:
-        lines = list(spec.lines)
-        for _ in range(3):
-            k = rng.randrange(len(lines))
-            shift = rng.choice([0.5, 1e-9 * rng.random(), 2e-9, -1j])
-            lines[k] = replace(lines[k], eigenvalue=lines[k].eigenvalue + shift)
-        moved = Spectrum(n=spec.n, method=spec.method, lines=lines)
+        shifts = [(rng.randrange(len(spec.lines)),
+                   rng.choice([0.5, 1e-9 * rng.random(), 2e-9, -1j])) for _ in range(3)]
+        moved = replace(spec, lines=edited_lines(spec, shifts=shifts))
         for tol in (1e-9, 1e-10):
             found = compare_spectra(spec, moved, tol=tol)
             assert repr(found) == repr(compare_oracle(spec, moved, tol))
@@ -500,8 +497,8 @@ def spectrum_arrays(spectrum):
     """Every line column and factor array as (shape, dtype, C order, bytes),
     with the label axes and the scalar fields."""
     lines, factors = spectrum.lines, spectrum.factors
-    arrays = (lines.eigenvalues, lines.multiplicities, lines.u, lines.v, lines.h_terms,
-              lines.k_terms, factors.h_rows, factors.k_rows, factors.pairs)
+    arrays = (lines.eigenvalues, lines.multiplicities, lines.u, lines.v,
+              factors.h_rows, factors.k_rows, factors.pairs)
     return ([(a.shape, a.dtype.str, a.flags.c_contiguous, a.tobytes()) for a in arrays]
             + [lines.axes, spectrum.n, spectrum.theorem_verified])
 
@@ -634,6 +631,10 @@ def test_normal_route_claims_the_p_matrix_rows(group, rng, data):
 
 
 # -- the H terms against the comprehension they replaced ---------------------
+#
+# A full-support color makes every sigma_vi nonzero, so each H term enters
+# every eigenvalue of its row; there a last bit of a term may round away in
+# the sum, so a probe color per H-class makes each term an eigenvalue whole.
 
 
 def h_terms_oracle(h_group, irreps_h):
@@ -644,6 +645,28 @@ def h_terms_oracle(h_group, irreps_h):
     h_chars = irreps_h.characters[:, reps]
     return np.array([tuple(cls.size * c / d for cls, c in zip(h_classes, chars))
                      for d, chars in zip(irreps_h.degrees(), h_chars.tolist())], dtype=complex)
+
+
+def oracle_eigenvalues(group, color, irreps_h, irreps_k):
+    """The eigenvalue bytes of ``grid_oracle`` on the comprehension's H terms."""
+    h_group = group.h_group
+    reps = [h_group.index(cls.representative) for cls in h_group.conjugacy_classes()]
+    lines = grid_oracle(h_terms_oracle(h_group, irreps_h),
+                        color.vector.reshape(group.l, group.m)[reps],
+                        _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
+                        [d * d for d in irreps_h.degrees()])
+    return np.array([line.eigenvalue for line in lines], dtype=complex).tobytes()
+
+
+def oracle_colors(group, rng):
+    """A full-support color, then for each H-class the indicator of its
+    representative h: sigma_vi is 1 on that class and 0 on the others, so
+    eigenvalue (u, v) is lambda_ui plus zeros."""
+    h_group = group.h_group
+    return [ColorFunction(group, {g: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                  for g in group.elements()})] + [
+        color_from_set(group, [(h_group.index(cls.representative), 0)])
+        for cls in h_group.conjugacy_classes()]
 
 
 def rotated_irreps(irrep_set, rng):
@@ -666,22 +689,20 @@ def rotated_irreps(irrep_set, rng):
 @example(SemidirectProductGroup(7, DihedralGroup(3), [6, 1]), random.Random(2), True)
 @example(SemidirectProductGroup(11, DihedralGroup(5), [10, 1]), random.Random(3), True)
 def test_h_terms_equal_the_class_comprehension(group, rng, rotate):
-    """The split route's H rows are the comprehension's values bit for bit,
-    on built-in irreps and on rotated user tables of H; a dihedral
-    complement brings classes of size 2 and irreps of degree 2."""
+    """The split route's eigenvalues are those of the comprehension's H
+    terms bit for bit, on built-in irreps and on rotated user tables of H;
+    a dihedral complement brings classes of size 2 and irreps of degree 2."""
     try:
         irreps_h = builtin_irreps(group.h_group)
     except IrrepsUnavailable:
         assume(False)
     if rotate:
         irreps_h = rotated_irreps(irreps_h, rng)
-    expect = h_terms_oracle(group.h_group, irreps_h)
-    picks = rng.sample(group.elements(), rng.randint(0, min(6, group.order)))
-    color = ColorFunction(group, {g: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                                  for g in picks})
-    spec = spectrum_split(group, color, irreps_h, irreps_cyclic(group.m),
-                          eigenvectors=False, force=True)
-    assert spec.lines.h_terms.tobytes() == expect.tobytes()
+    irreps_k = irreps_cyclic(group.m)
+    for color in oracle_colors(group, rng):
+        spec = spectrum_split(group, color, irreps_h, irreps_k, eigenvectors=False, force=True)
+        assert spec.eigenvalues.tobytes() == \
+            oracle_eigenvalues(group, color, irreps_h, irreps_k)
 
 
 def a4_complement_irreps(rng):
@@ -724,11 +745,11 @@ def test_h_terms_equal_the_class_comprehension_on_a_degree_three_complement(seed
     rng = random.Random(seed)
     a4, irreps_h = a4_complement_irreps(rng)
     group = SplitExtensionGroup(3, a4, [1] * a4.order)
-    color = ColorFunction(group, {g: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                                  for g in rng.sample(group.elements(), 8)})
-    spec = spectrum_split(group, color, irreps_h, irreps_cyclic(3), eigenvectors=False,
-                          force=True)
-    assert spec.lines.h_terms.tobytes() == h_terms_oracle(a4, irreps_h).tobytes()
+    irreps_k = irreps_cyclic(3)
+    for color in oracle_colors(group, rng):
+        spec = spectrum_split(group, color, irreps_h, irreps_k, eigenvectors=False, force=True)
+        assert spec.eigenvalues.tobytes() == \
+            oracle_eigenvalues(group, color, irreps_h, irreps_k)
 
 
 # -- a color of another group ------------------------------------------------

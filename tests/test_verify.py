@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cayleyspec import groups as groups_module
 from cayleyspec import verify as verify_module
 from test_cayley import formed
+from test_columns import edited_lines
 from test_kernel import groups_strategy, random_complex_color
 from cayleyspec import (
     AbelianProductGroup,
@@ -25,7 +26,7 @@ from cayleyspec import (
     KroneckerFactors,
     MetacyclicGroup,
     SemidirectProductGroup,
-    SpectralLine,
+    SpectralLines,
     SplitExtensionGroup,
     Spectrum,
     adjacency_matrix,
@@ -89,9 +90,7 @@ def test_verify_eigenpairs_pass():
 def test_verify_eigenpairs_detects_perturbation():
     group, color, spec = prism_case()
     adj = adjacency_matrix(group, color)
-    lines = list(spec.lines)
-    lines[0] = dataclasses.replace(lines[0], eigenvalue=lines[0].eigenvalue + 0.1)
-    bad = explicit(spec, lines=lines)
+    bad = explicit(spec, lines=edited_lines(spec, shifts=[(0, 0.1)]))
     report = verify_eigenpairs(adj, bad, tol=1e-9)
     assert not report.passed
     # |A x - (lambda + d) x|_inf = d * |x|_inf = 0.1/sqrt(6) for a unit
@@ -104,7 +103,7 @@ def test_verify_zero_color_standard_basis():
     group = CyclicGroup(4)
     color = ColorFunction(group, {})
     adj = adjacency_matrix(group, color)
-    lines = [SpectralLine(u=0, v=None, labels=("zero",), eigenvalue=0j, multiplicity=4)]
+    lines = SpectralLines([0j], [4], [0], axes=(("zero",),))
     spec = Spectrum(n=4, method="normal", lines=lines, vectors=np.eye(4, dtype=complex))
     report = certify(adj, spec, color, tol=1e-9)
     assert report.passed
@@ -121,7 +120,7 @@ def test_verify_basis_completeness():
 
     # duplicated eigenvector: Gram deviation 1
     rows = spec.vector_rows(0, 6)
-    lines = [dataclasses.replace(spec.lines[0], multiplicity=2)] + spec.lines[1:]
+    lines = edited_lines(spec, multiplicities=[(0, 2)])
     broken = explicit(spec, with_row(rows, 1, rows[0]), lines=lines)
     gram, complete = verify_basis(broken)
     assert abs(gram - 1) <= 1e-12
@@ -137,12 +136,10 @@ def test_complete_requires_one_vector_per_claimed_multiplicity():
     spec = spectrum_split(group, color, builtin_irreps(CyclicGroup(3)),
                           irreps_cyclic(7))
     adj = adjacency_matrix(group, color)
-    lines = list(spec.lines)
-    other = next(i for i, line in enumerate(lines)
-                 if abs(line.eigenvalue - lines[0].eigenvalue) > 1e-3)
+    values = spec.eigenvalues.tolist()
+    other = next(i for i, value in enumerate(values) if abs(value - values[0]) > 1e-3)
     # multiplicities still sum to n and every vector is a true eigenvector
-    lines[0] = dataclasses.replace(lines[0], multiplicity=2)
-    lines[other] = dataclasses.replace(lines[other], multiplicity=0)
+    lines = edited_lines(spec, multiplicities=[(0, 2), (other, 0)])
     for claimed in (explicit(spec, lines=lines), dataclasses.replace(spec, lines=lines)):
         assert not compare_spectra(claimed, spec)[0]
         gram, complete = verify_basis(claimed)
@@ -159,8 +156,7 @@ def test_a_negative_multiplicity_owns_no_vectors():
     color = color_from_set(group, conn.elements)
     spec = spectrum_metacyclic(7, 3, 2, layers_from_set(group, conn.elements))
     adj = adjacency_matrix(group, color)
-    lines = list(spec.lines)
-    lines[4] = dataclasses.replace(lines[4], multiplicity=-1)
+    lines = edited_lines(spec, multiplicities=[(4, -1)])
     for claimed in (dataclasses.replace(spec, lines=lines), explicit(spec, lines=lines)):
         report = certify(adj, claimed, color)
         assert not report.passed and not report.complete
@@ -192,8 +188,8 @@ def test_a_non_square_adjacency_is_a_dimension_mismatch(shape):
 
 def test_compare_spectra():
     def flat(values):
-        lines = [SpectralLine(u=i, v=None, labels=(str(i),), eigenvalue=complex(v),
-                              multiplicity=1) for i, v in enumerate(values)]
+        lines = SpectralLines(values, [1] * len(values), np.arange(len(values)),
+                              axes=([str(i) for i in range(len(values))],))
         return Spectrum(n=len(values), method="normal", lines=lines)
 
     same, witness = compare_spectra(flat([1 + 1e-12, 2]), flat([1, 2]), tol=1e-9)
@@ -391,9 +387,7 @@ def whole_gram_deviation(spec):
 
 def duplicated(spec, index):
     """``spec`` with the first vector of line ``index`` stacked twice."""
-    lines = list(spec.lines)
-    line = lines[index]
-    lines[index] = dataclasses.replace(line, multiplicity=line.multiplicity + 1)
+    lines = edited_lines(spec, multiplicities=[(index, spec.multiplicities[index] + 1)])
     start, stop = spec._vector_offsets()[index:index + 2]
     rows = spec.vector_rows(0, spec.n)
     return explicit(spec, with_row(rows, stop, rows[start]), lines=lines)
@@ -691,11 +685,9 @@ def test_closed_form_gram_deviation_equals_the_blocked_form(group, seed, noise):
         assert structured_gram(case) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
-def with_lines(spec, edit):
-    """``spec`` with its lines passed through ``edit``; the factors are kept."""
-    lines = list(spec.lines)
-    edit(lines)
-    out = dataclasses.replace(spec, lines=lines)
+def with_lines(spec, **changes):
+    """``spec`` with ``edited_lines(spec, **changes)``; the factors are kept."""
+    out = dataclasses.replace(spec, lines=edited_lines(spec, **changes))
     assert out.factors is spec.factors is not None
     return out
 
@@ -881,11 +873,7 @@ def test_factored_claims_stay_far_below_an_n_squared_basis():
 
 def test_a_wrong_eigenvalue_fails_on_the_structured_path():
     group, color, spec, adj = family_case(31, 5, 2)
-
-    def shift(lines):
-        lines[7] = dataclasses.replace(lines[7], eigenvalue=lines[7].eigenvalue + 0.1)
-
-    bad = with_lines(spec, shift)
+    bad = with_lines(spec, shifts=[(7, 0.1)])
     report = certify(adj, bad, color)
     dense = dense_certify(adj, bad, color)
     assert report.structured and not report.passed
@@ -897,8 +885,7 @@ def test_a_wrong_eigenvalue_fails_on_the_structured_path():
 def test_a_duplicated_or_missing_vector_is_incomplete_on_the_dense_path():
     group, color, spec, adj = family_case(31, 5, 2)
     rows = spec.vector_rows(0, spec.n)
-    lines = list(spec.lines)
-    lines[3] = dataclasses.replace(lines[3], multiplicity=2)
+    lines = edited_lines(spec, multiplicities=[(3, 2)])
     duplicate = explicit(spec, with_row(rows, 3, rows[3]), lines=lines)
     drop = explicit(spec, np.delete(rows, 3, axis=0))
     for bad, count in ((duplicate, 156), (drop, 154)):
@@ -972,11 +959,7 @@ def test_certify_on_the_beta_table_catches_a_wrong_eigenvalue_or_vector():
     group, color, spec, adj = family_case(31, 5, 2)
     report = certify(adj, spec, color)
     assert report.structured and report.passed and not formed(adj)
-
-    def shift(lines):
-        lines[7] = dataclasses.replace(lines[7], eigenvalue=lines[7].eigenvalue + 1e-6)
-
-    wrong_value = with_lines(spec, shift)
+    wrong_value = with_lines(spec, shifts=[(7, 1e-6)])
     k_rows = spec.factors.k_rows.copy()
     k_rows[3, 5] += 1e-6
     changed_vector = dataclasses.replace(
@@ -1001,8 +984,7 @@ def test_factors_of_another_grid_take_the_dense_path():
     # a unitary basis of the 31 x 5 grid: DFT rows of orders 31 and 5
     dft = lambda size: np.fft.fft(np.eye(size)) / np.sqrt(size)
     pairs = np.stack(np.divmod(np.arange(155), 5), axis=1)
-    other = Spectrum(n=155, method="split", lines=[
-        SpectralLine(u=0, v=0, labels=(), eigenvalue=0j, multiplicity=155)],
+    other = Spectrum(n=155, method="split", lines=SpectralLines([0j], [155], [0], [0]),
         factors=KroneckerFactors(h_rows=dft(31), k_rows=dft(5), pairs=pairs))
     assert verify_basis(other).structured
     report = certify(adj, other, color)
@@ -1152,11 +1134,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     bound, _, correlation = both_paths(adj, spec)
     assert bound.max() <= tolerance and correlation.max() <= tolerance
     t = rng.randrange(len(spec.lines))
-
-    def shift(lines):
-        lines[t] = dataclasses.replace(lines[t], eigenvalue=lines[t].eigenvalue + 1e6 * tolerance)
-
-    bound, _, correlation = both_paths(adj, with_lines(spec, shift))
+    bound, _, correlation = both_paths(adj, with_lines(spec, shifts=[(t, 1e6 * tolerance)]))
     assert bound.max() > tolerance and correlation.max() > tolerance
     k_rows = np.array(spec.factors.k_rows)
     k_rows[rng.randrange(group.m), rng.randrange(group.m)] += 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cayleyspec import DihedralGroup, cayley, cli, irreps_cyclic, verify
-from cayleyspec.spectra import SpectralLine, Spectrum
+from cayleyspec.spectra import SpectralLines, Spectrum
 
 
 def oracle(spectrum, include_vectors, verification=None):
@@ -103,21 +103,18 @@ def test_edge_values_are_spelled_as_the_encoder_spells_them():
     # the last line claims three vectors, but only two are left for it
     vectors = np.asfortranarray(
         np.vstack([padded, [[0.5, -0.5, 1 / 3, -0.0]], padded[::-1, ::-1][:3]]))
-    lines = [
-        SpectralLine(0, None, (0,), 2.5 - 1j, len(padded)),
-        SpectralLine(1, 0, (1,), 0.0, 0),
-        SpectralLine(2, 1, (2,), 1 / 3, 1),
-        SpectralLine(3, None, (3,), -0.0, 1),
-        SpectralLine(4, 2, (4,), 1e-05j, 3),
-    ]
-    spectrum = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False,
-                        vectors=vectors)
-    text = written(spectrum, True)
-    assert text == oracle(spectrum, True)
-    assert text.count('"eigenvectors"') == len(lines)
-    assert "NaN,\n            1.0\n" in text and "NaN,\n            2.0\n" in text
-    assert written(spectrum, False) == oracle(spectrum, False)
-    # no claim, no vector slot on any line
-    bare = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False)
-    assert written(bare, True) == oracle(bare, True) == written(spectrum, False)
-    assert '"eigenvectors"' not in written(bare, True)
+    values, counts = [2.5 - 1j, 0.0, 1 / 3, -0.0, 1e-05j], [len(padded), 0, 1, 1, 3]
+    # lines without a v, as on the normal route, and lines with one
+    for v in (None, [3, 0, 1, 0, 2]):
+        lines = SpectralLines(values, counts, np.arange(5), v, axes=(range(5),))
+        spectrum = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False,
+                            vectors=vectors)
+        text = written(spectrum, True)
+        assert text == oracle(spectrum, True)
+        assert text.count('"eigenvectors"') == len(lines)
+        assert "NaN,\n            1.0\n" in text and "NaN,\n            2.0\n" in text
+        assert written(spectrum, False) == oracle(spectrum, False)
+        # no claim, no vector slot on any line
+        bare = Spectrum(n=n, method="normal", lines=lines, theorem_verified=False)
+        assert written(bare, True) == oracle(bare, True) == written(spectrum, False)
+        assert '"eigenvectors"' not in written(bare, True)
