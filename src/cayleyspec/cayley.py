@@ -9,7 +9,7 @@ of m-by-m circulants indexed by coset pairs, and block (i, j) depends only
 on the l*l*m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``.
 
 The adjacency and the connection-set checks (the group's class labels,
-plus one conjugation gather for a witness) run on the group's integer
+plus a conjugation sweep that stops at a witness) run on the group's integer
 kernel (``mul_idx``/``inv_idx``); they never touch irreps.  On a split
 extension the adjacency is the beta table itself, l*l*m kernel products:
 its n x n matrix is copied from the table only when something reads it
@@ -34,8 +34,9 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     _block_len,
-    _conjugation_orbits,
     _first_conjugator,
+    _intern,
+    _memoized,
     check_dense_bytes,
     is_generating_set,
 )
@@ -62,6 +63,16 @@ class ColorFunction:
                 vector[i] = c
         vector.flags.writeable = False
         self.vector = vector
+
+    @classmethod
+    def _of_vector(cls, group: FiniteGroup, vector: np.ndarray) -> ColorFunction:
+        """The color whose values over the canonical indices are the
+        complex ``vector``, which it takes over and makes read-only."""
+        color = cls.__new__(cls)
+        color.group = group
+        vector.flags.writeable = False
+        color.vector = vector
+        return color
 
     def __call__(self, g) -> complex:
         return self.vector.item(self.group.index(g))
@@ -109,8 +120,8 @@ class ColorFunction:
         rep = labels[differ].min()
         g = differ[labels[differ] == rep][0]
         elems = group.elements()
-        return (elems[rep], elems[_first_conjugator(group, rep, g)], elems[g],
-                self.vector.item(rep), self.vector.item(g))
+        x, _ = _first_conjugator(group, rep, np.arange(group.order) == g)
+        return (elems[rep], elems[x], elems[g], self.vector.item(rep), self.vector.item(g))
 
     def __repr__(self):
         return (f"<ColorFunction on {self.group!r} with support "
@@ -148,8 +159,10 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     """Structural flags of a connection set, with the first failure witnesses.
 
     Witnesses follow index order: the first member whose inverse is
-    missing, and for conjugation the first member, then the first
-    conjugator ``x`` in element order, with ``x s x^{-1}`` outside the set.
+    missing, and for conjugation the first member whose class leaves the
+    set, then the first conjugator ``x`` in element order with
+    ``x s x^{-1}`` outside it, from a sweep that stops at the first block
+    of conjugators holding one.
     """
     indices = sorted({group.index(g) for g in subset})
     elems = group.elements()
@@ -171,10 +184,8 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     escaping = member_idx[leaves[labels[member_idx]]]
     if escaping.size:
         seed = escaping[0]
-        orbit, first = next(_conjugation_orbits(group, [seed], np.arange(group.order)))
-        # k is where the first conjugator that leaves the set takes the seed
-        k = np.argmin(np.where(in_set[orbit], group.order, first))
-        witnesses["conjugation_closed"] = (elems[first[k]], elems[seed], elems[orbit[k]])
+        x, conjugate = _first_conjugator(group, seed, ~in_set)
+        witnesses["conjugation_closed"] = (elems[x], elems[seed], elems[conjugate])
     generates, closure_size = is_generating_set(group, indices=member_idx)
     return ConnectionSet(
         elements=tuple(members),
@@ -236,10 +247,10 @@ class AdjacencyMatrix:
     def is_hermitian(self) -> bool:
         if self.blocks is None:
             return bool(np.array_equal(self.matrix, self.matrix.conj().T))
-        # A^H is the grid of conj(beta_ji(-c))
+        # A^H is the grid of conj(beta_ji(-c)), conjugated in the rolled copy
         beta = self.blocks.beta_values
-        return bool(np.array_equal(
-            beta, np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2).conj()))
+        mirrored = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
+        return bool(np.array_equal(beta, np.conj(mirrored, out=mirrored)))
 
     def __repr__(self):
         held = "dense" if self.blocks is None else f"grid l={self.blocks.l} m={self.blocks.m}"
@@ -321,13 +332,20 @@ def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no block decomposition")
     _check_color_group(group, color)
-    l, m = group.l, group.m
-    coset = np.arange(l)[:, None, None] * m
-    # beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has index j*m + c
-    values = color.vector[group.mul_idx(
-        coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])]
+    values = color.vector[_memoized(group, "beta_index", lambda: _beta_index(group))]
     values.flags.writeable = False
     return BlockDecomposition(group=group, beta_values=values)
+
+
+def _beta_index(group: SplitExtensionGroup) -> np.ndarray:
+    """The (l, l, m) indices of ``h_j k^c h_i^{-1}`` (read-only), from the
+    kernel alone: beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has
+    index j*m + c."""
+    l, m = group.l, group.m
+    coset = np.arange(l)[:, None, None] * m
+    index = group.mul_idx(coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])
+    index.flags.writeable = False
+    return index
 
 
 def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:
@@ -351,7 +369,7 @@ def nonnormal_family(m: int, l: int, r: int):
     """
     if not 1 < r < m or l < 1:
         raise InvalidAction(f"family needs 1 < r < m and l >= 1, got r={r}, m={m}, l={l}")
-    group = MetacyclicGroup(m, l, r)
+    group = _intern(MetacyclicGroup(m, l, r))
     subset = {(0, b) for b in range(1, m)}
     subset.add((1 % l, 0))
     subset.add(((l - 1) % l, 0))

@@ -375,9 +375,10 @@ def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
     factored = method in ("split", "metacyclic")
     total = 0
     if not factored:
-        # the irrep stacks hold n*n entries over all irreps; the P matrix
-        # is built when vectors are
-        total += square
+        # the irrep stacks hold n*n entries over all irreps and their
+        # characters one row per irrep, as irreps._check_builtin_bytes
+        # counts them; the P matrix is built when vectors are
+        total += 16 * n * (n + _irrep_count(job))
         if do_verify or job.options["eigenvectors"] or method == "blocks":
             total += irreps.p_matrix_bytes(n)
     carried = isinstance(group, groups.SplitExtensionGroup) and not edges
@@ -395,6 +396,18 @@ def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
         # permutation and inverse
         total += (square if factored else 0) + 2 * square
     return total
+
+
+def _irrep_count(job: Job) -> int:
+    """How many irreps a non-factored route reads: the user's tables, or
+    the built-in ones counted without building a matrix; 0 when there are
+    none, as the route then stops before it allocates."""
+    if job.user_irreps is not None:
+        return len(job.user_irreps)
+    try:
+        return len(irreps.builtin_degrees(job.group))
+    except IrrepsUnavailable:
+        return 0
 
 
 def _spectrum_payload(spectrum: spectra.Spectrum, verification=None) -> dict:

@@ -47,11 +47,27 @@ The orbits on the normal part K are one more label array,
 ``_k_orbit_labels``: on the split kinds ``_orbit_labels`` over b -> u b
 on Z_m for the units of H's generators, O(m log m); on a permutation
 group, the class labels at K's indices.
+
+The groups the library builds for itself (``construct_group``, and the
+metacyclic and cyclic groups of the spectrum, family and irrep
+functions) are interned by ``signature()`` (``_intern``): an equal
+group already built is returned in place of the new one, so its lazy
+index arrays are built once.  The new group is built, and so validated,
+before the lookup.  The ``_INTERN_HELD`` most recently interned groups
+whose complement table fits ``_BLOCK_BYTES`` are held, each with a memo
+(``_memoized``: built-in irreps, the beta index table, the split grid's
+pairs) of at most ``_MEMO_ENTRIES`` products of at most ``_BLOCK_BYTES``
+each; any other interned group stays shared only while a caller holds
+it, and memoizes nothing.  A group built directly with its class is
+never interned.  Interned groups are shared, so nothing may change them:
+``elements()`` is a list that callers must not mutate.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -73,6 +89,10 @@ DENSE_BYTE_BUDGET = 1 << 30
 # arrays in the kernel sweeps, stacked complex vectors or Gram rows in
 # certification
 _BLOCK_BYTES = 1 << 23
+# interned groups held after their callers drop them, most recent first
+_INTERN_HELD = 8
+# products one memo keeps, each of at most ``_BLOCK_BYTES``
+_MEMO_ENTRIES = 8
 
 
 def check_dense_bytes(estimate: int, what: str) -> None:
@@ -224,6 +244,7 @@ class FiniteGroup:
         return _read_only(_orbit_labels(self._conjugation_perms(), self.order))
 
     _split_idx: Optional[tuple] = None  # K's and H's indices, ascending, on a split
+    _memo: Optional[dict] = None  # products built once, on a held interned group
 
     @cached_property
     def _k_orbit_labels(self) -> np.ndarray:
@@ -299,9 +320,9 @@ def _conjugation_orbits(group, seeds, conjugators):
     least seed in its orbit, and the least member when the seeds are
     closed under the action.
 
-    The class partition comes from ``FiniteGroup._class_labels``; this
-    sweep serves the witnesses, one seed each (the first conjugators of
-    one orbit), and the H-classes of a permutation group's complement.
+    The class partition comes from ``FiniteGroup._class_labels`` and the
+    single witnesses from ``_first_conjugator``; this sweep serves the
+    H-classes of condition B, with their first conjugators.
     """
     conjugators = np.asarray(conjugators, dtype=np.int64)
     inverses = group.inv_idx[conjugators]
@@ -315,11 +336,24 @@ def _conjugation_orbits(group, seeds, conjugators):
         yield members, conjugators[first]
 
 
-def _first_conjugator(group, source: int, target: int) -> int:
-    """The first index x, in element order, with ``x g_source x^{-1} =
-    g_target``: one gather over all conjugators from ``source``."""
-    members, first = next(_conjugation_orbits(group, [source], np.arange(group.order)))
-    return int(first[np.searchsorted(members, target)])
+def _first_conjugator(group, source: int, wanted: np.ndarray) -> tuple:
+    """The first index x, in element order, whose conjugate
+    ``x g_source x^{-1}`` has an index i with ``wanted[i]``, as ``(x, i)``;
+    None when no conjugate is wanted.
+
+    The conjugators are swept in blocks that double from 64, and the sweep
+    stops at the first block that holds one: a witness of a set that
+    conjugation leaves at once costs a few kernel products, not n.
+    """
+    n, lo, step = group.order, 0, 64
+    while lo < n:
+        x = np.arange(lo, min(lo + step, n), dtype=np.int64)
+        conjugates = group.mul_idx(group.mul_idx(x, source), group.inv_idx[x])
+        hits = np.flatnonzero(wanted[conjugates])
+        if hits.size:
+            return lo + int(hits[0]), int(conjugates[hits[0]])
+        lo, step = lo + step, min(2 * step, _block_len(4))
+    return None
 
 
 class CyclicGroup(FiniteGroup):
@@ -823,6 +857,70 @@ class PermutationGroup(FiniteGroup):
         return ("permutation", self.degree, tuple(self.elements()))
 
 
+# -- interning and memos ----------------------------------------------------
+
+# every interned group by signature, while anything holds it
+_interned = weakref.WeakValueDictionary()
+# the ones held regardless, least recently interned first
+_held: OrderedDict = OrderedDict()
+
+
+def _intern(group: FiniteGroup) -> FiniteGroup:
+    """The interned group equal to ``group``, which is built and so
+    validated already: an earlier one with its signature, or ``group``
+    itself.  A group that becomes held starts an empty memo.  Permutation
+    groups are returned as they are: their signature leaves out the split
+    structure."""
+    if isinstance(group, PermutationGroup):
+        return group
+    key = group.signature()
+    shared = _held.get(key)
+    if shared is not None:
+        _held.move_to_end(key)
+        return shared
+    shared = _interned.get(key)
+    if shared is None:
+        shared = _interned[key] = group
+    # a split kind's complement table is l x l int64 (``_kernel``)
+    if not isinstance(shared, SplitExtensionGroup) or 8 * shared.l ** 2 <= _BLOCK_BYTES:
+        shared._memo = {}
+        _held[key] = shared
+        if len(_held) > _INTERN_HELD:
+            _release(_held.popitem(last=False)[1])
+    return shared
+
+
+def _release(group: FiniteGroup) -> None:
+    """Drop a group's memo as it stops being held.  Its built-in irreps
+    refer back to it, so a memo kept past that would leave the group to
+    the cycle collector; a group that is not held memoizes nothing."""
+    group._memo = None
+
+
+def _clear_interned() -> None:
+    """Forget every interned group, and so every memo."""
+    for group in _held.values():
+        _release(group)
+    _held.clear()
+    _interned.clear()
+
+
+def _memoized(owner, key, build):
+    """``build()``, kept in ``owner._memo`` (when the owner has one) for the
+    next call with ``key``.  A product is kept when its ``nbytes`` are at
+    most ``_BLOCK_BYTES`` and the memo holds fewer than ``_MEMO_ENTRIES``;
+    the products are read-only."""
+    memo = owner._memo
+    if memo is None:
+        return build()
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if value.nbytes <= _BLOCK_BYTES and len(memo) < _MEMO_ENTRIES:
+            memo[key] = value
+    return value
+
+
 # -- module-level operations -------------------------------------------------
 
 
@@ -832,7 +930,9 @@ def construct_group(config: Mapping) -> FiniteGroup:
     Checks the description's shape: a mapping of a known type with exactly
     its fields, and lists where lists belong.  The constructors check the
     values: a malformed one (their ValueError) raises ConfigError here, and
-    InvalidAction and CapacityExceeded pass through.
+    InvalidAction and CapacityExceeded pass through.  The group is built
+    before it is interned (``_intern``), so an equal group already shared
+    never stands in for a malformed description.
     """
     if not isinstance(config, Mapping):
         raise ConfigError(f"group description must be a mapping, got {config!r}")
@@ -866,16 +966,16 @@ def construct_group(config: Mapping) -> FiniteGroup:
 
     try:
         if kind == "cyclic":
-            return CyclicGroup(need("n"))
+            return _intern(CyclicGroup(need("n")))
         if kind == "dihedral":
-            return DihedralGroup(need("n"))
+            return _intern(DihedralGroup(need("n")))
         if kind == "abelian":
-            return AbelianProductGroup(listed("orders", need("orders")))
+            return _intern(AbelianProductGroup(listed("orders", need("orders"))))
         if kind == "metacyclic":
-            return MetacyclicGroup(need("m"), need("l"), need("r"))
+            return _intern(MetacyclicGroup(need("m"), need("l"), need("r")))
         if kind == "semidirect":
-            return SemidirectProductGroup(need("m"), construct_group(need("h")),
-                                          listed("action", need("action")))
+            return _intern(SemidirectProductGroup(need("m"), construct_group(need("h")),
+                                                  listed("action", need("action"))))
         # permutation
         gens = [listed(f"generators[{i}]", g)
                 for i, g in enumerate(listed("generators", need("generators")))]

@@ -36,6 +36,8 @@ from .groups import (
     MetacyclicGroup,
     SplitExtensionGroup,
     _block_len,
+    _intern,
+    _memoized,
     check_dense_bytes,
 )
 
@@ -169,7 +171,13 @@ class IrrepSet:
     ``trusted`` marks sets whose construction is proven (built-ins) or that
     already passed ``validate_irrep_set``; untrusted sets are re-validated
     before they feed spectrum or basis computations.
+
+    A built-in set carries a memo (``groups._memoized``) of the products
+    read from it, its P matrix and the split route's K rows; a set built
+    from per-irrep objects carries none.
     """
+
+    _memo = None
 
     def __init__(self, group: FiniteGroup, irreps: Iterable[UnitaryIrrep],
                  trusted: bool = False):
@@ -197,6 +205,7 @@ class IrrepSet:
         irrep_set = cls.__new__(cls)
         degrees = [d for d, stack in stacks.items() for _ in range(len(stack))]
         irrep_set._set_columns(group, labels, degrees, stacks, True, {})
+        irrep_set._memo = {}
         return irrep_set
 
     def _set_columns(self, group, labels, degrees, stacks, trusted, loose):
@@ -246,6 +255,11 @@ class IrrepSet:
     def labels(self) -> list:
         return list(self._labels)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stacks and the character table."""
+        return self.characters.nbytes + sum(stack.nbytes for stack in self.stacks.values())
+
     def degrees(self) -> list:
         return self._degrees.tolist()
 
@@ -261,10 +275,12 @@ def _check_builtin_bytes(group: FiniteGroup, count: int) -> None:
 
 
 def irreps_cyclic(n: int) -> IrrepSet:
-    """Characters chi_v(k^s) = e^{2 pi i v s / n}, ordered by v."""
-    group = CyclicGroup(n)
+    """Characters chi_v(k^s) = e^{2 pi i v s / n}, ordered by v; built once
+    per interned C_n while they fit the memo."""
+    group = _intern(CyclicGroup(n))
     _check_builtin_bytes(group, group.order)
-    return IrrepSet._built(group, [f"chi_{v}" for v in range(n)], {1: _cyclic_stack(n)})
+    return _memoized(group, "irreps", lambda: IrrepSet._built(
+        group, [f"chi_{v}" for v in range(n)], {1: _cyclic_stack(n)}))
 
 
 def _cyclic_stack(n: int) -> np.ndarray:
@@ -389,7 +405,7 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup,
 
 def irreps_metacyclic(m: int, l: int, r: int) -> IrrepSet:
     """Irreps of the split metacyclic group C_m x| C_l with h k h^{-1} = k^r."""
-    return _cyclic_complement_irreps(MetacyclicGroup(m, l, r))
+    return builtin_irreps(_intern(MetacyclicGroup(m, l, r)))
 
 
 def builtin_degrees(group: FiniteGroup) -> list:
@@ -404,9 +420,14 @@ def builtin_degrees(group: FiniteGroup) -> list:
 
 
 def builtin_irreps(group: FiniteGroup) -> IrrepSet:
-    """The built-in irrep system for this group kind, or IrrepsUnavailable."""
+    """The built-in irrep system for this group kind, or IrrepsUnavailable;
+    kept in an interned group's memo while it fits."""
     if isinstance(group, CyclicGroup):
         return irreps_cyclic(group.m)
+    return _memoized(group, "irreps", lambda: _builtin_irreps(group))
+
+
+def _builtin_irreps(group: FiniteGroup) -> IrrepSet:
     if isinstance(group, AbelianProductGroup):
         return irreps_abelian(group.orders)
     if isinstance(group, DihedralGroup) and group.n >= 3:
@@ -663,6 +684,10 @@ class PMatrix:
     def n(self) -> int:
         return int(self.matrix.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        return self.matrix.nbytes
+
     def column_span(self, label: str) -> range:
         columns = [c for c, (lbl, _, _) in enumerate(self.column_labels) if lbl == label]
         if not columns:
@@ -696,13 +721,19 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients.
 
     The result and one degree's scaled stack are the only large arrays
-    it allocates.
+    it allocates.  A built-in set keeps its P matrix in its memo while it
+    fits, so the trust and size checks run on every call and the matrix
+    is built once.
     """
     ensure_trusted(group, irrep_set)
     n = group.order
     _check_complete(irrep_set, n)
-    squares = np.square(irrep_set._degrees)
     check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
+    return _memoized(irrep_set, "p_matrix", lambda: _p_matrix(irrep_set, n))
+
+
+def _p_matrix(irrep_set: IrrepSet, n: int) -> PMatrix:
+    squares = np.square(irrep_set._degrees)
     offsets = np.cumsum(squares) - squares
     p_mat = np.zeros((n, n), dtype=complex)
     for positions, stack in _degree_batches(irrep_set):

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import ColorFunction, _check_color_group, adjacency_matrix, color_from_set
+from .cayley import ColorFunction, _check_color_group, adjacency_matrix
 from .errors import (
     CapacityExceeded,
     HypothesesViolated,
@@ -54,6 +54,8 @@ from .groups import (
     _conjugation_orbits,
     _first_conjugator,
     _integer,
+    _intern,
+    _memoized,
 )
 from .irreps import (
     FourierBlock,
@@ -97,7 +99,8 @@ class SpectralLines(Sequence):
 
     ``eigenvalues`` (complex), ``multiplicities`` (int64) and ``u`` hold
     one entry per line; so does ``v``, or it is None when the lines have
-    no v (the normal route).  u and v are non-negative.  Labels are held
+    no v (the normal route).  u and v are non-negative integers, each
+    within its label axis when it has one.  Labels are held
     per axis: line k's labels are ``(axes[0][u[k]],)``, plus
     ``(axes[1][v[k]],)`` when there is a second axis, or ``()`` when
     there is none.
@@ -109,8 +112,8 @@ class SpectralLines(Sequence):
     def __init__(self, eigenvalues, multiplicities, u, v=None, axes: tuple = ()):
         self.eigenvalues = _frozen(eigenvalues, complex)
         self.multiplicities = _frozen(multiplicities, np.int64)
-        self.u = _frozen(u, np.int64)
-        self.v = None if v is None else _frozen(v, np.int64)
+        self.u = _label_column(u, "u")
+        self.v = None if v is None else _label_column(v, "v")
         self.axes = tuple(tuple(axis) for axis in axes)
         columns = (self.eigenvalues, self.multiplicities, self.u, self.v)
         if any(c is not None and c.shape != (len(self.u),) for c in columns):
@@ -119,6 +122,9 @@ class SpectralLines(Sequence):
             raise ValueError("a line's u and v must be non-negative")
         if len(self.axes) > 1 + (v is not None):
             raise ValueError("lines carry at most one label axis, or two when they have a v")
+        for name, column, axis in zip("uv", (self.u, self.v), self.axes):
+            if column.max(initial=-1) >= len(axis):
+                raise ValueError(f"a line's {name} indexes past its {len(axis)} labels")
 
     def v_values(self):
         """Each line's v as an int, or None when the lines have no v."""
@@ -152,6 +158,17 @@ class SpectralLines(Sequence):
 
     def __repr__(self):
         return f"<SpectralLines: {len(self)} lines>"
+
+
+def _label_column(values, name: str) -> np.ndarray:
+    """``values`` as a read-only int64 column; ValueError unless each
+    value is an integer (an integer-valued float counts, no other)."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "iu" and column.size and not (
+            column.dtype.kind == "f" and np.isfinite(column).all()
+            and (column == np.round(column)).all()):
+        raise ValueError(f"a line's {name} must be integers, got {column.dtype} values")
+    return _frozen(column, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,8 +521,12 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
         raise InvalidAction(f"group kind {group.kind!r} has no distinguished split structure")
     _check_color_group(group, color)
     k_idx, h_idx = group._split_idx
-    # table[i, j] = alpha(h_i k_j), read from one kernel gather
-    products = group.mul_idx(h_idx[:, None], k_idx[None, :])
+    # table[i, j] = alpha(h_i k_j): on a split kind h_a k^b has index
+    # a*m + b, elsewhere one kernel gather finds the products
+    if isinstance(group, SplitExtensionGroup):
+        products = np.arange(group.order).reshape(group.l, group.m)
+    else:
+        products = group.mul_idx(h_idx[:, None], k_idx[None, :])
     table = color.vector[products]
 
     def witness(triple, i, j, base_i, base_j):
@@ -528,7 +549,7 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
     witness_a = None
     if rows.size:
         i, j = rows[0], min(others[bad[rows[0]]].tolist(), key=labels.item)
-        g = _first_conjugator(group, k_idx[labels[j]], k_idx[j])
+        g, _ = _first_conjugator(group, k_idx[labels[j]], np.arange(group.order) == k_idx[j])
         witness_a = witness((h_idx[i], g, k_idx[labels[j]]), i, j, i, labels[j])
     # condition B: the first violation in the order H-class, k, class member;
     # classes and conjugators as positions in H
@@ -638,18 +659,15 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
                           axes=(irreps_h.labels(), irreps_k.labels()))
     factors = None
     if eigenvectors:
-        # coefficient vectors of each factor are its P-matrix columns; line
-        # (u, v) claims the pairs (p, q) of its H-span and K-column q = v,
-        # p major, and lines run u major: sort the grid by (u, v, p); K's
+        # coefficient vectors of each factor are its P-matrix columns; K's
         # columns, as rows in C order, are its characters times sqrt(1/m)
         p_h = build_p_matrix(h_group, irreps_h)
         _check_complete(irreps_k, m)
-        k_rows = irreps_k.stacks[1][:, :, 0, 0] * sqrt(1 / m)
-        h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h.degrees()))
-        p, q = np.divmod(np.arange(l * m), m)
-        order = np.lexsort((p, q, h_irrep[p]))
-        factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=_frozen(k_rows),
-                                   pairs=_frozen(np.stack((p[order], q[order]), axis=1), np.int64))
+        k_rows = _memoized(irreps_k, "k_rows",
+                           lambda: _frozen(irreps_k.stacks[1][:, :, 0, 0] * sqrt(1 / m)))
+        pairs = _memoized(group, ("pairs", irreps_h._degrees.tobytes()),
+                          lambda: _grid_pairs(irreps_h, m))
+        factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=k_rows, pairs=pairs)
     return Spectrum(
         n=group.order,
         method="split",
@@ -657,6 +675,16 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
         theorem_verified=report.passed,
         factors=factors,
     )
+
+
+def _grid_pairs(irreps_h: IrrepSet, m: int) -> np.ndarray:
+    """The (p, q) pairs of the split grid in line order (read-only): line
+    (u, v) claims the pairs of its H-span and K-column q = v, p major, and
+    lines run u major, so the grid is sorted by (u, v, p)."""
+    h_irrep = np.repeat(np.arange(len(irreps_h)), np.square(irreps_h._degrees))
+    p, q = np.divmod(np.arange(len(h_irrep) * m), m)
+    order = np.lexsort((p, q, h_irrep[p]))
+    return _frozen(np.stack((p[order], q[order]), axis=1), np.int64)
 
 
 def _over_degrees(sums: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -680,12 +708,15 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     ``layers[t]`` lists the K-exponents s with h^t k^s in the connection
     set; every layer must be closed under s -> r*s mod m.
     """
-    group = MetacyclicGroup(m, l, r)
+    group = _intern(MetacyclicGroup(m, l, r))
     m, l, r = group.m, group.l, group.r
     if len(layers) != l:
         raise InvalidAction(f"expected {l} layers, got {len(layers)}")
-    color = color_from_set(group, [(t, _integer(s, f"layers[{t}]") % m)
-                                   for t, layer in enumerate(layers) for s in layer])
+    # h^t k^s has index t*m + s
+    vector = np.zeros(group.order, dtype=complex)
+    vector[[t * m + _integer(s, f"layers[{t}]") % m
+            for t, layer in enumerate(layers) for s in layer]] = 1.0
+    color = ColorFunction._of_vector(group, vector)
     # the first exponent, by layer and then by value, whose image leaves its layer
     indicators = color.vector.real.reshape(l, m)
     escapes = np.argwhere(indicators > indicators[:, np.arange(m) * r % m])

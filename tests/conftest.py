@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from cayleyspec import groups
+
 
 def pytest_terminal_summary(terminalreporter):
     # repeat the acceptance verdicts after the test report so they are
@@ -13,3 +17,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"ACCEPTANCE criterion {number}: {results[number]}"
         )
+
+
+@pytest.fixture(autouse=True)
+def no_interned_groups():
+    """Every test starts with no interned group and no memo, so none reads
+    what an earlier one built."""
+    groups._clear_interned()

@@ -693,7 +693,7 @@ def test_oversized_dense_jobs_fail_before_any_computation(tmp_path, capsys, monk
     n = 9081
     # the edge list and the real part of the matrix read
     for argv, estimate in ((["--config", family, "--edges", "none.txt"], (16 + 8) * n * n),
-                           (["--config", cyclic], 72 * 10000 ** 2)):
+                           (["--config", cyclic], 88 * 10000 ** 2)):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 4 and out == ""
         assert err == (f"error: this verify job needs an estimated {estimate} bytes of "
@@ -701,21 +701,27 @@ def test_oversized_dense_jobs_fail_before_any_computation(tmp_path, capsys, monk
 
 
 def test_built_in_irreps_over_the_budget_exit_4(tmp_path, capsys):
-    """The normal route on C6000 without vectors passes the job estimate,
-    which counts the irrep stacks only, but the stacks and the character
-    table would peak near 1.15 GB: the built-in irreps refuse first."""
+    """The normal route on C6000 without vectors: the stacks and the
+    character table would peak near 1.15 GB.  The job estimate counts
+    both, as the built-in irreps do, so ``describe`` reports the estimate
+    that ``spectrum`` exits 4 on, before any irrep is built."""
     from cayleyspec import cli
-    from cayleyspec.groups import DENSE_BYTE_BUDGET
+    from cayleyspec.errors import CapacityExceeded
 
     payload = {"group": {"type": "cyclic", "n": 6000},
                "connection": {"mode": "set", "elements": [1, 5999]},
                "options": {"eigenvectors": False}}
-    assert cli._dense_bytes(cli.Job(payload), "normal", False, False, False) <= DENSE_BYTE_BUDGET
-    code, out, err = run(capsys, "spectrum", "--config", write_config(tmp_path, payload))
+    config = write_config(tmp_path, payload)
+    estimate = 16 * 6000 * 12000
+    code, out, _ = run(capsys, "describe", "--config", config)
+    assert code == 0 and json.loads(out)["dense_bytes"]["spectrum"] == estimate
+    code, out, err = run(capsys, "spectrum", "--config", config)
     assert code == 4 and out == ""
-    assert err == ("error: the built-in irreps of <CyclicGroup order=6000> needs an estimated "
-                   f"{16 * 6000 * 12000} bytes of dense arrays, over the budget of "
-                   "1073741824 bytes\n")
+    assert err == (f"error: this spectrum job needs an estimated {estimate} bytes of "
+                   "dense arrays, over the budget of 1073741824 bytes\n")
+    with pytest.raises(CapacityExceeded, match=f"the built-in irreps of <CyclicGroup "
+                       f"order=6000> needs an estimated {estimate} bytes"):
+        irreps_cyclic(6000)
 
 
 def test_describe_reports_the_dense_estimate(tmp_path, capsys):
@@ -731,8 +737,9 @@ def test_describe_reports_the_dense_estimate(tmp_path, capsys):
             # vectors written as JSON: the factors' rows and np.unique's arrays;
             # certification on the beta table holds none
             (family, {"spectrum": 3 * square(610), "verify": 3 * square(610)}),
-            # irrep stacks and the P matrix; verify adds the adjacency and its real part
-            (cyclic, {"spectrum": 3 * square(6), "verify": 4.5 * square(6)})):
+            # irrep stacks, characters and the P matrix; verify adds the
+            # adjacency and its real part
+            (cyclic, {"spectrum": 4 * square(6), "verify": 5.5 * square(6)})):
         code, out, _ = run(capsys, "describe", "--config", config)
         assert code == 0
         assert json.loads(out)["dense_bytes"] == expect

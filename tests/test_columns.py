@@ -201,6 +201,34 @@ def test_lines_the_columns_cannot_hold_are_refused(u, v, axes):
         SpectralLines([1], [1], u, v, axes)
 
 
+@pytest.mark.parametrize("u, v, axes", [
+    ([0, 1], None, (("a",),)),
+    ([0], [2], (("a",), ("x", "y"))),
+], ids=["u past its axis", "v past its axis"])
+def test_lines_past_their_labels_are_refused_at_construction(u, v, axes):
+    """Viewing such a line would raise IndexError; the columns refuse it."""
+    with pytest.raises(ValueError, match="indexes past its"):
+        SpectralLines([1] * len(u), [1] * len(u), u, v, axes)
+
+
+@pytest.mark.parametrize("u, v", [
+    ([1.5], None), ([0], [1.5]), ([np.nan], None), ([1j], None), ([None], None),
+], ids=["float u", "float v", "NaN u", "complex u", "object u"])
+def test_lines_with_non_integral_u_or_v_are_refused(u, v):
+    """A u or v column that is not integral is no longer cast to int."""
+    with pytest.raises(ValueError, match="must be integers"):
+        SpectralLines([1], [1], u, v)
+
+
+def test_integral_and_empty_u_and_v_columns_stay_valid():
+    lines = SpectralLines([1, 2], [1, 1], [0.0, 1.0], np.array([1, 0], dtype=np.uint8),
+                          axes=(("a", "b"), ("x", "y")))
+    assert lines.u.dtype == lines.v.dtype == np.int64
+    assert [line.labels for line in lines] == [("a", "y"), ("b", "x")]
+    empty = SpectralLines([], [], [], [], axes=((), ()))
+    assert len(empty) == 0 and empty.u.dtype == empty.v.dtype == np.int64
+
+
 def test_a_spectrum_refuses_a_list_of_lines():
     """Lines are held only as columns: a list of ``SpectralLine`` objects,
     which a spectrum's own iteration gives, is not taken back."""

@@ -468,6 +468,42 @@ def test_generation_and_classification_match_oracles(case):
     assert classify_connection_set(group, subset) == classify_oracle(group, subset)
 
 
+def wide_conjugation_witness(group, subset):
+    """The conjugation witness as one n-wide gather finds it: the seed's
+    orbit under every conjugator, and the least first conjugator of the
+    members outside the set."""
+    from cayleyspec.groups import _conjugation_orbits
+
+    in_set = np.zeros(group.order, dtype=bool)
+    in_set[[group.index(g) for g in subset]] = True
+    labels = group._class_labels
+    leaves = np.zeros(group.order, dtype=bool)
+    leaves[labels[~in_set]] = True
+    escaping = np.flatnonzero(in_set & leaves[labels])
+    if not escaping.size:
+        return None
+    seed = escaping[0]
+    orbit, first = next(_conjugation_orbits(group, [seed], np.arange(group.order)))
+    k = np.argmin(np.where(in_set[orbit], group.order, first))
+    elems = group.elements()
+    return elems[first[k]], elems[seed], elems[orbit[k]]
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_and_subset())
+# conjugation by K fixes k, so the first conjugator that leaves the set
+# lies past K: in the second block of the sweep, and in its third
+@example((MetacyclicGroup(67, 3, 29), [(0, 1), (1, 0)]))
+@example((DihedralGroup(300), [(0, 1)]))
+@example((DihedralGroup(80), [(0, b) for b in range(1, 80)] + [(1, 0)]))
+def test_conjugation_witness_matches_the_n_wide_scan(case):
+    """The sweep that stops at its first block leaving the set finds the
+    n-wide gather's witness, bit for bit."""
+    group, subset = case
+    got = classify_connection_set(group, subset).witnesses.get("conjugation_closed")
+    assert got == wide_conjugation_witness(group, subset)
+
+
 def test_classification_in_small_blocks(monkeypatch):
     from cayleyspec import groups as groups_module
 
