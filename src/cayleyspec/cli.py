@@ -205,7 +205,9 @@ class Job:
                 )
             values[g] = complex(value[0], value[1])
         color = cayley.ColorFunction(self.group, values)
-        return mode, color, sorted(values, key=self.group.index)
+        # a zero weight draws no edge, so the connection set is the support
+        support = [g for g, value in values.items() if value != 0]
+        return mode, color, sorted(support, key=self.group.index)
 
     @staticmethod
     def _parse_options(raw) -> dict:

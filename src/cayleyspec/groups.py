@@ -18,10 +18,11 @@ objects, so elements can key dictionaries directly.
 Every kind also carries an integer kernel over canonical indices (the
 positions in ``elements()``): ``inv_idx`` maps each index to the index of
 the inverse, and ``mul_idx(I, J)`` multiplies whole index arrays at once,
-with numpy broadcasting.  The kernel is built lazily, per instance, from
-arithmetic on the encoding (mixed-radix digits, an l x l table of the
-complement plus the unit arrays, composed image arrays); no kind ever
-stores an n x n multiplication table.  Bulk work (adjacency, closure and
+with numpy broadcasting.  The kernel is arithmetic on the encoding:
+mixed-radix digits, composed image arrays (built lazily, per instance),
+and on the split kinds the complement's own kernel plus the two unit
+arrays of its action on K.  No kind ever stores a multiplication table,
+of the group or of a complement.  Bulk work (adjacency, closure and
 conjugation sweeps) runs on the kernel in blocks whose index temporaries
 stay within ``_BLOCK_BYTES``.
 
@@ -37,11 +38,11 @@ homomorphism G -> Sym(G), so the classes are the orbits of the
 conjugations by any generating set of G; each kind names a few
 generators (``_generator_idx``), and ``_orbit_labels`` takes the orbits
 of their conjugation permutations (``_conjugation_perms``: two kernel
-products each, or on the split kinds written from H's table and the
-units): per permutation the minimum over its cycles by doubling, then
-pointer jumping, repeated until the labels stop changing.  That is
-O(n log n) per generator and round, where one n-wide gather per class
-costs O(n) per class.
+products each, or on the split kinds written from the units and H's
+conjugations, two products over l): per permutation the minimum over
+its cycles by doubling, then pointer jumping, repeated until the labels
+stop changing.  That is O(n log n) per generator and round, where one
+n-wide gather per class costs O(n) per class.
 
 The orbits on the normal part K are one more label array,
 ``_k_orbit_labels``: on the split kinds ``_orbit_labels`` over b -> u b
@@ -54,13 +55,15 @@ functions) are interned by ``signature()`` (``_intern``): an equal
 group already built is returned in place of the new one, so its lazy
 index arrays are built once.  The new group is built, and so validated,
 before the lookup.  The ``_INTERN_HELD`` most recently interned groups
-whose complement table fits ``_BLOCK_BYTES`` are held, each with a memo
-(``_memoized``: built-in irreps, the beta index table, the split grid's
-pairs) of at most ``_MEMO_ENTRIES`` products of at most ``_BLOCK_BYTES``
-each; any other interned group stays shared only while a caller holds
-it, and memoizes nothing.  A group built directly with its class is
-never interned.  Interned groups are shared, so nothing may change them:
-``elements()`` is a list that callers must not mutate.
+are held, each with a memo (``_memoized``: built-in irreps, the beta
+index table, the split grid's pairs) of at most ``_MEMO_ENTRIES``
+products of at most ``_BLOCK_BYTES`` each.  A held group keeps only
+arrays of O(n) entries besides its memo, so holding one of any order up
+to the capacity costs a few MB.  An older interned group stays shared
+only while a caller holds it, and memoizes nothing.  A group built
+directly with its class is never interned.  Interned groups are shared,
+so nothing may change them: ``elements()`` is a list that callers must
+not mutate.
 """
 
 from __future__ import annotations
@@ -504,14 +507,13 @@ class SplitExtensionGroup(FiniteGroup):
         for u in self.units:
             if gcd(u, m) != 1:
                 raise InvalidAction(f"conjugation exponent {u} is not a unit mod {m}")
-        if h_group.index(h_group.identity) != 0:
+        if h_group.elements()[0] != h_group.identity:
             raise InvalidAction("complement enumeration must start at the identity")
-        self._h_elts = h_group.elements()
-        self._inv_units = tuple(pow(u, -1, m) for u in self.units)
-        self._h_inv_index = tuple(
-            h_group.index(h_group.inv(h)) for h in self._h_elts
-        )
-        self._kernel_arrays: Optional[tuple] = None
+        # a product's K side: the units and their inverses mod m (its H
+        # side is H's own kernel)
+        self._unit_array = _read_only(np.array(self.units, dtype=np.int64))
+        self._inv_unit_array = _read_only(
+            np.array([pow(u, -1, m) for u in self.units], dtype=np.int64))
         # k^b has index b, and h_a has index a*m
         self._split_idx = (_read_only(np.arange(m, dtype=np.int64)),
                            _read_only(np.arange(self.l, dtype=np.int64) * m))
@@ -523,36 +525,22 @@ class SplitExtensionGroup(FiniteGroup):
     def mul(self, x, y):
         a1, b1 = x
         a2, b2 = y
-        a3 = self.h_group.index(
-            self.h_group.mul(self._h_elts[a1], self._h_elts[a2])
-        )
-        return (a3, (b1 * self._inv_units[a2] + b2) % self.m)
+        a3 = int(self.h_group.mul_idx(a1, a2))
+        return (a3, int(b1 * self._inv_unit_array[a2] + b2) % self.m)
 
     def inv(self, x):
         a, b = x
-        return (self._h_inv_index[a], (-b * self.units[a]) % self.m)
-
-    def _kernel(self) -> tuple:
-        """H's l x l index table and the unit arrays, built on first use."""
-        if self._kernel_arrays is None:
-            a = np.arange(self.l, dtype=np.int64)
-            self._kernel_arrays = (
-                self.h_group.mul_idx(a[:, None], a[None, :]),
-                np.array(self.units, dtype=np.int64),
-                np.array(self._inv_units, dtype=np.int64),
-            )
-        return self._kernel_arrays
+        return (int(self.h_group.inv_idx[a]), (-b * self.units[a]) % self.m)
 
     def mul_idx(self, left, right):
-        h_table, _, inv_units = self._kernel()
         a1, b1 = np.divmod(np.asarray(left, dtype=np.int64), self.m)
         a2, b2 = np.divmod(np.asarray(right, dtype=np.int64), self.m)
-        return h_table[a1, a2] * self.m + (b1 * inv_units[a2] + b2) % self.m
+        return (self.h_group.mul_idx(a1, a2) * self.m
+                + (b1 * self._inv_unit_array[a2] + b2) % self.m)
 
     def _inverse_indices(self):
-        _, units, _ = self._kernel()
         a, b = np.divmod(np.arange(self.order, dtype=np.int64), self.m)
-        return self.h_group.inv_idx[a] * self.m + (-b * units[a]) % self.m
+        return self.h_group.inv_idx[a] * self.m + (-b * self._unit_array[a]) % self.m
 
     def _enumerate(self):
         return [(a, b) for a in range(self.l) for b in range(self.m)]
@@ -562,16 +550,16 @@ class SplitExtensionGroup(FiniteGroup):
         return np.concatenate([[1 % self.m], self.h_group._generator_idx() * self.m]) % self.order
 
     def _conjugation_perms(self):
-        # written from H's table and the units, with no kernel products:
-        # k h_a k^b k^{-1} = h_a k^(b + u_a^{-1} - 1), and for x in H,
-        # x h_a k^b x^{-1} = (x h_a x^{-1}) k^(u_x b)
-        h_table, units, inv_units = self._kernel()
+        # written from H's conjugations and the units, with no products
+        # over all n: k h_a k^b k^{-1} = h_a k^(b + u_a^{-1} - 1), and for
+        # x in H, x h_a k^b x^{-1} = (x h_a x^{-1}) k^(u_x b)
+        h = self.h_group
         a, b = np.divmod(np.arange(self.order, dtype=np.int64), self.m)
-        perms = [a * self.m + (b + inv_units[a] - 1) % self.m]
-        h_inv = self.h_group.inv_idx
-        for x in dict.fromkeys(self.h_group._generator_idx().tolist()):
-            h_conjugate = h_table[h_table[x], h_inv[x]]
-            perms.append(h_conjugate[a] * self.m + units[x] * b % self.m)
+        perms = [a * self.m + (b + self._inv_unit_array[a] - 1) % self.m]
+        every_h = np.arange(self.l, dtype=np.int64)
+        for x in dict.fromkeys(h._generator_idx().tolist()):
+            h_conjugate = h.mul_idx(h.mul_idx(x, every_h), h.inv_idx[x])
+            perms.append(h_conjugate[a] * self.m + self._unit_array[x] * b % self.m)
         return perms
 
     @cached_property
@@ -868,8 +856,10 @@ _held: OrderedDict = OrderedDict()
 def _intern(group: FiniteGroup) -> FiniteGroup:
     """The interned group equal to ``group``, which is built and so
     validated already: an earlier one with its signature, or ``group``
-    itself.  A group that becomes held starts an empty memo.  Permutation
-    groups are returned as they are: their signature leaves out the split
+    itself.  The result becomes the most recently held group, and starts
+    an empty memo when it was not held; the least recently interned
+    group beyond ``_INTERN_HELD`` is released.  Permutation groups are
+    returned as they are: their signature leaves out the split
     structure."""
     if isinstance(group, PermutationGroup):
         return group
@@ -881,12 +871,10 @@ def _intern(group: FiniteGroup) -> FiniteGroup:
     shared = _interned.get(key)
     if shared is None:
         shared = _interned[key] = group
-    # a split kind's complement table is l x l int64 (``_kernel``)
-    if not isinstance(shared, SplitExtensionGroup) or 8 * shared.l ** 2 <= _BLOCK_BYTES:
-        shared._memo = {}
-        _held[key] = shared
-        if len(_held) > _INTERN_HELD:
-            _release(_held.popitem(last=False)[1])
+    shared._memo = {}
+    _held[key] = shared
+    if len(_held) > _INTERN_HELD:
+        _release(_held.popitem(last=False)[1])
     return shared
 
 

@@ -668,16 +668,6 @@ def compare_spectra(first: Spectrum, second: Spectrum,
     return False, (surplus[0], deficit[0])
 
 
-def regular_rep_matrix(group: FiniteGroup, g) -> np.ndarray:
-    """Permutation matrix of left translation by g: M[a, b] = [g g_b = g_a]."""
-    n = group.order
-    columns = np.arange(n, dtype=np.int64)
-    out = np.zeros((n, n), dtype=complex)
-    out[group.mul_idx(group.index(g), columns), columns] = 1.0
-    out.flags.writeable = False
-    return out
-
-
 def verify_block_reconstruction(group: FiniteGroup, color: ColorFunction,
                                 irrep_set: IrrepSet) -> float:
     """Max deviation between the regular-representation adjacency and its

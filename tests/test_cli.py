@@ -194,6 +194,23 @@ def test_describe(tmp_path, capsys):
     assert payload["connection"]["generates"] is True
 
 
+def test_describe_classifies_a_color_by_its_support(tmp_path, capsys):
+    """Zero weights draw no edges: on C6 with weights 0 at 1 and 3 and 1
+    at 2, the connection set is {2}, which closes to the even residues."""
+    config = write_config(tmp_path, {
+        "group": {"type": "cyclic", "n": 6},
+        "connection": {"mode": "color", "entries": [
+            {"element": 1, "value": [0, 0]},
+            {"element": 2, "value": [1, 0]},
+            {"element": 3, "value": [-0.0, 0.0]}]}})
+    code, out, err = run(capsys, "describe", "--config", config)
+    assert code == 0, err
+    connection = json.loads(out)["connection"]
+    assert connection == {"size": 1, "inverse_closed": False, "contains_identity": False,
+                          "generates": False, "closure_size": 3,
+                          "conjugation_closed": True}
+
+
 def test_builtin_degrees_equal_the_built_irreps():
     from test_kernel import every_kind
 

@@ -29,6 +29,7 @@ from cayleyspec import (
     build_p_matrix,
     builtin_irreps,
     certify,
+    classify_connection_set,
     cli,
     construct_group,
     irreps_cyclic,
@@ -244,27 +245,32 @@ def test_only_a_few_groups_are_held():
     assert len(groups_module._interned) == groups_module._INTERN_HELD
 
 
-def test_a_dropped_group_with_a_large_complement_table_is_not_retained():
-    """The complement of C_1 x| C_2048 has a 34 MB index table, over the
-    block budget, so the group is shared only while its caller holds it:
-    dropping it frees the table.  Only the held complement C_2048, with
-    its element list, stays."""
-    config = {"type": "semidirect", "m": 1, "h": {"type": "cyclic", "n": 2048},
+def test_a_large_complement_is_held_without_a_table():
+    """C_1 x| C_2048 multiplies through C_2048's own arithmetic: classifying
+    {h, h^-1} peaks far below the 8 l^2 bytes (34 MB) an l x l complement
+    table would take, and the group is held like any other, retaining
+    only arrays of O(l) entries after its caller drops it."""
+    l = 2048
+    config = {"type": "semidirect", "m": 1, "h": {"type": "cyclic", "n": l},
               "action": [0]}
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         group = construct_group(config)
-        assert is_generating_set(group, indices=[group.m]) == (True, 2048)
-        assert tracemalloc.get_traced_memory()[1] - before > 8 * 2048 ** 2
-        del group
+        connection = classify_connection_set(group, [(1, 0), (l - 1, 0)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+        assert (connection.generates, connection.closure_size) == (True, l)
+        assert connection.inverse_closed and connection.conjugation_closed
+        del group, connection
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= groups_module._BLOCK_BYTES // 8, retained
-    assert len(groups_module._interned) == 1  # the complement
+    assert peak < 8 * l ** 2 // 16, peak
+    assert retained <= groups_module._BLOCK_BYTES // 2, retained
+    assert [group.signature() for group in groups_module._held.values()] == [
+        ("cyclic", l), ("semidirect", 1, ("cyclic", l), (0,))]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

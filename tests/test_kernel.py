@@ -214,6 +214,16 @@ def s4():
     )
 
 
+def s3_on_c7():
+    """S3 acting on C7 by 6 on its odd permutations and 1 on the even ones:
+    a split kind over a permutation complement, which ``groups_strategy``
+    never draws, so its products go through a permutation kernel."""
+    s3 = PermutationGroup([(1, 2, 0), (1, 0, 2)])
+    odd = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2
+           for p in s3.elements()]
+    return SplitExtensionGroup(7, s3, [6 if o else 1 for o in odd])
+
+
 def every_kind():
     return [
         CyclicGroup(1),
@@ -228,6 +238,7 @@ def every_kind():
         SemidirectProductGroup(5, AbelianProductGroup([2, 2]), [4, 1]),
         SemidirectProductGroup(7, DihedralGroup(3), [6, 1]),
         SemidirectProductGroup(8, DihedralGroup(2), [3, 7]),
+        s3_on_c7(),
         s4(),
         PermutationGroup([(1, 2, 0, 4, 3)]),
     ]
@@ -332,6 +343,20 @@ def test_kernel_agrees_on_random_groups(group):
     expect = [[group.index(group.mul(a, b)) for b in elems] for a in elems]
     assert np.array_equal(table, expect)
     assert np.array_equal(group.inv_idx, [group.index(group.inv(a)) for a in elems])
+
+
+def test_split_extension_over_a_permutation_complement():
+    """``mul``/``inv`` on S3 x| C7 against products written from the
+    permutations: h_a k^b h_c k^d = (h_a h_c) k^(b u_c^-1 + d), and
+    u^-1 = u for u = 1, 6.  ``every_kind`` checks the kernel against them."""
+    group = s3_on_c7()
+    perms = group.h_group.elements()
+    for a, b in group.elements():
+        h_inv = perms.index(tuple(sorted(range(3), key=perms[a].__getitem__)))
+        assert group.inv((a, b)) == (h_inv, -b * group.units[a] % 7)
+        for c, d in group.elements():
+            h = perms.index(tuple(perms[a][x] for x in perms[c]))
+            assert group.mul((a, b), (c, d)) == (h, (b * group.units[c] + d) % 7)
 
 
 def test_permutation_kernel_in_small_blocks(monkeypatch):
@@ -797,9 +822,9 @@ def test_k_orbit_labels_match_the_all_seeds_sweep_at_the_edges(group):
 
 @pytest.mark.parametrize("group", [
     SemidirectProductGroup(9, DihedralGroup(3), [8, 1]), DihedralGroup(1), DihedralGroup(2),
-    MetacyclicGroup(9, 3, 4)], ids=repr)
+    MetacyclicGroup(9, 3, 4), s3_on_c7()], ids=repr)
 def test_split_conjugation_permutations_match_the_kernel_and_the_sweep(group):
-    """The permutations written from H's table and the units are the
+    """The permutations written from H's conjugations and the units are the
     kernel's x g x^{-1}, generator by generator, and their orbits are the
     all-seeds sweep's classes."""
     from cayleyspec.groups import FiniteGroup

@@ -41,7 +41,6 @@ from cayleyspec import (
     irreps_cyclic,
     layers_from_set,
     nonnormal_family,
-    regular_rep_matrix,
     spectrum_metacyclic,
     spectrum_normal,
     spectrum_split,
@@ -218,6 +217,15 @@ def test_trace_identities_identity_color():
     adj = adjacency_matrix(group, color)
     assert np.trace(adj.matrix) == 5
     assert trace_identities(adj, color) == (0, 0)
+
+
+def regular_rep_matrix(group, g) -> np.ndarray:
+    """Permutation matrix of left translation by g: M[a, b] = [g g_b = g_a]."""
+    n = group.order
+    columns = np.arange(n, dtype=np.int64)
+    out = np.zeros((n, n), dtype=complex)
+    out[group.mul_idx(group.index(g), columns), columns] = 1.0
+    return out
 
 
 def test_regular_rep_homomorphism():
