@@ -54,10 +54,7 @@ class ColorFunction:
         self.group = group
         vector = np.zeros(group.order, dtype=complex)
         for g, v in values.items():
-            try:
-                i = group.index(g)
-            except KeyError:
-                raise ConfigError(f"color assigns {g!r}, which is not in the group") from None
+            i = _element_index(group, g, "color assigns")
             c = complex(v)
             if c != 0:
                 vector[i] = c
@@ -126,6 +123,14 @@ class ColorFunction:
     def __repr__(self):
         return (f"<ColorFunction on {self.group!r} with support "
                 f"{np.count_nonzero(self.vector)}>")
+
+
+def _element_index(group: FiniteGroup, g, role: str) -> int:
+    """``group.index(g)``, or ConfigError after ``role`` if g is not an element."""
+    try:
+        return group.index(g)
+    except KeyError:
+        raise ConfigError(f"{role} {g!r}, which is not in the group") from None
 
 
 def _check_color_group(group: FiniteGroup, color: ColorFunction) -> None:
@@ -349,14 +354,16 @@ def _beta_index(group: SplitExtensionGroup) -> np.ndarray:
 
 
 def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:
-    """Split a connection set into per-coset exponent layers S_0, ..., S_{l-1}."""
+    """Split a connection set into per-coset exponent layers S_0, ..., S_{l-1}.
+
+    h^a k^b has index a*m + b, so the sorted indices run by layer, then exponent."""
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no layer structure")
     layers = [[] for _ in range(group.l)]
-    for g in subset:
-        a, b = g
+    for index in sorted({_element_index(group, g, "connection set holds") for g in subset}):
+        a, b = divmod(index, group.m)
         layers[a].append(b)
-    return [sorted(layer) for layer in layers]
+    return layers
 
 
 def nonnormal_family(m: int, l: int, r: int):

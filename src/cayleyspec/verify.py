@@ -23,40 +23,42 @@ table, built from ``mul_idx`` and ``inv_idx`` alone
 scale is the grid's row-sum norm, and ``certify`` reads the trace
 identities off the table.
 
-Both factored checks first take each K row's DFT ``F_v = fft(K[v])``
-and split it into its top entry ``D_v``, at ``p_v``, and a remainder
+Both factored checks read the claim once, as a ``_Claim`` that
+``certify`` hands to both: it splits each K row's DFT ``F_v =
+fft(K[v])`` into its top entry ``D_v``, at ``p_v``, and a remainder
 ``E_v``.  The split route, and so the metacyclic one, claims the
 characters of K = C_m times sqrt(1/m), whose DFT has one nonzero, so
 ``E_v`` is rounding.  The Fourier rule holds when every ``p_v`` is
 distinct and every remainder term is at or below the rounding floor
 ``max(sqrt(n), 4) eps`` times the check's scale.  Then each residual is
 reported as an upper bound read off the table at ``p_v``, O(n*l) work
-after the FFTs, and G_K comes from
-``|D|`` and ``|E|`` without a GEMM.  This holds O(n*m) beyond the adjacency: the
-factors, the beta table, and per chunk of K rows at most
-``groups._BLOCK_BYTES`` in each of a few temporaries.  Nothing here
-assumes the vectors are eigenvectors or the rows characters, and no
-irrep is touched.  A check whose K rows fail the rule is made densely,
-as below, within the byte budget; over it, ``CapacityExceeded`` names
-the part of the rule that failed.
+after the FFTs, and G_K comes from ``|D|`` and ``|E|`` without a GEMM.
+This holds O(n*m) beyond the adjacency: the factors, the beta table,
+and per chunk of K rows at most ``groups._BLOCK_BYTES`` in each of a
+few temporaries.  Nothing here assumes the vectors are eigenvectors or
+the rows characters, and no irrep is touched.  A check whose K rows
+fail the rule is made densely, as below, within the byte budget; over
+it, ``CapacityExceeded`` names the part of the rule that failed.
 
 Every other input takes the dense path for the residuals and traces,
 whatever its entries: a dense matrix (an edge list read back, a raw
 array, ``AdjacencyMatrix(matrix=...)``, a kind that is not a split
 extension), factors of another (l, m), that ``_checked_factors``
 rejects or whose K rows fail the rule, or explicit vectors; its results
-agree to rounding.  It first
-checks the n x n arrays it would allocate against
-``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``, plus in
+agree to rounding.  It first checks the n x n arrays it would allocate
+against ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``, plus in
 ``certify`` the factor rows the basis check will stack beside a formed
-matrix), and forms the matrix of an adjacency that carries its beta
-table.  Beyond the n x n adjacency and the claimed vectors, it holds one
-block at a time: ``groups._BLOCK_BYTES`` of vectors (or of Gram rows)
-plus about twice that in GEMM output and residual temporaries, whatever
-n and the number of lines.  While it computes residuals against a real adjacency (every
+matrix, as the claim's Gram result says), and forms the matrix of an
+adjacency that carries its beta table.  Beyond the n x n
+adjacency and the claimed vectors, it holds one block at a time:
+``groups._BLOCK_BYTES`` of vectors (or of Gram rows) plus about twice
+that in GEMM output and residual temporaries, whatever n and the number
+of lines.  While it computes residuals against a real adjacency (every
 indicator color gives one) it also holds one float64 copy of the
 adjacency's real part, so each residual block is a real GEMM at half the
 flops of the complex one.  The trace identities come from the matrix.
+On either path the color must live on a group of order n, and on the
+group itself when the adjacency carries that group's beta table.
 
 Without accepted factors that pass the rule, the Gram deviation comes
 from the upper triangle of the claimed vectors' Hermitian Gram matrix;
@@ -65,14 +67,14 @@ factors are first stacked into their rows, within the byte budget.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import groups, spectra
-from .cayley import AdjacencyMatrix, ColorFunction
+from .cayley import AdjacencyMatrix, ColorFunction, _check_color_group
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
@@ -204,7 +206,7 @@ def dense_certify_bytes(n: int, carried: bool) -> int:
 
 
 def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
-                      _basis_next: bool = False) -> VerificationReport:
+                      _claim: Optional[_Claim] = None) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
     The structured path (see the module docstring) runs when the
@@ -219,9 +221,9 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     (a NaN or inf there counts as nonzero), the GEMM runs on a float64 copy
     of its real part.  The dense path first checks its n x n arrays
     against the byte budget; the message names the failed part of the
-    Fourier rule when that sent it there.  With ``_basis_next`` (from
-    ``certify``) it also counts the factor rows ``verify_basis`` will
-    stack while a matrix formed from a carried table stays cached.
+    Fourier rule when that sent it there.  Given ``certify``'s claim, it
+    also counts the factor rows ``verify_basis`` will stack while a matrix
+    formed from a carried table stays cached.
     """
     # an adjacency from ``adjacency_matrix`` on a split extension carries
     # its beta table, built from ``mul_idx``/``inv_idx``
@@ -246,16 +248,18 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     offsets = spectrum._vector_offsets()
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(spectrum.eigenvalues, counts)
-    factors = _checked_factors(spectrum)
+    claim = _Claim(spectrum) if _claim is None else _claim
+    factors = claim.factors
     column_max = failed = None
     if (factors is not None and beta is not None
             and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),)):
         scale = _grid_scale(beta)
-        column_max, failed = _structured_residuals(beta, factors, column_eigenvalues, scale)
+        column_max, failed = _structured_residuals(
+            beta, factors, claim.rows, column_eigenvalues, scale)
     structured = column_max is not None
     if not structured:
-        stacked = (_basis_next and beta is not None and spectrum.factors is not None
-                   and _factor_gram(spectrum)[0] is None) * 16 * spectrum.vector_count() * n
+        stacked = (_claim is not None and beta is not None and spectrum.factors is not None
+                   and claim.gram[0] is None) * 16 * spectrum.vector_count() * n
         check_dense_bytes(dense_certify_bytes(n, beta is not None) + stacked,
                           _dense_what(f"dense certification of order {n}", failed))
         if beta is not None:
@@ -299,7 +303,7 @@ def _dense_residuals(matrix: np.ndarray, spectrum: Spectrum,
     return scale, column_max
 
 
-def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
+def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors, rows: _FourierRows,
                           eigenvalues: np.ndarray, scale: float) -> tuple:
     """``(column_max, None)``: the max-abs residual of each vector
     ``kron(H[u], K[v])``, bounded from the beta table; or ``(None, failed)``
@@ -313,8 +317,8 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
     ``g = contracted[i, u] - eigenvalue * H[u, i]`` and ``F_v = fft(K[v])``.
 
     Split ``F_v`` into its top entry ``D_v``, at position ``p_v``, and a
-    remainder ``E_v`` (``_fourier_rows``).  Then each vector's max-abs
-    residual is at most the largest over i of
+    remainder ``E_v`` (``rows``, from ``_fourier_split``).  Then each
+    vector's max-abs residual is at most the largest over i of
     ``|g[p_v]| |D_v| / m + (max |contracted[i, u]| + |eigenvalue| |H[u, i]|)
     |E_v|_2 / sqrt(m)``, whatever the rows hold (``_fourier_bounds``), and
     that bound is reported, at O(n*l) cost after the FFTs.  The rule asks
@@ -322,9 +326,8 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors,
     below the rounding floor ``_rounding_floor(n) scale``; the bound then exceeds
     the residual by at most twice that.  A non-finite term fails the rule.
     """
-    h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
-    l, m = len(h_rows), len(k_rows)
-    rows = _fourier_rows(k_rows)
+    h_rows, pairs = factors.h_rows, factors.pairs
+    l, m = len(h_rows), len(factors.k_rows)
     if not _distinct(rows.tops):
         return None, _SHARED_TOP
     # the eigenvalue claimed for the vector of each pair
@@ -369,25 +372,6 @@ class _FourierRows(NamedTuple):
     peaks: np.ndarray       # D_v
     rest_norms: np.ndarray  # |E_v|_2
     rest_max: float         # max |E_v| over every row and entry
-
-
-# the K-row arrays the running ``certify`` call has split, with their
-# splits: its residual and basis checks split each array once, and no
-# split outlives the call
-_certify_splits = contextvars.ContextVar("certify_splits", default=None)
-
-
-def _fourier_rows(k_rows: np.ndarray) -> _FourierRows:
-    """``_fourier_split(k_rows)``, taken once per array in a ``certify``
-    call: its list holds each array it keys, so no other takes its id."""
-    splits = _certify_splits.get()
-    for rows, split in splits or ():
-        if rows is k_rows:
-            return split
-    split = _fourier_split(k_rows)
-    if splits is not None:
-        splits.append((k_rows, split))
-    return split
 
 
 def _fourier_split(k_rows: np.ndarray) -> _FourierRows:
@@ -478,7 +462,7 @@ class BasisCheck(tuple):
         return check
 
 
-def verify_basis(spectrum: Spectrum) -> BasisCheck:
+def verify_basis(spectrum: Spectrum, *, _claim: Optional[_Claim] = None) -> BasisCheck:
     """Gram deviation of the claimed eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
@@ -487,7 +471,7 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     ``_checked_factors`` accepts the spectrum, the Gram matrix is
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
     from G_H and G_K in closed form.  G_K is read off the K rows' Fourier
-    split (``_fourier_rows``, ``_fourier_gram``): its diagonal exactly, and
+    split (``_fourier_split``, ``_fourier_gram``): its diagonal exactly, and
     off it the bound ``(2 max|D| max|E| + max |E|_2^2) / m``, an upper
     bound whenever the top positions are distinct.  That runs when they
     are and the bound is at or below the rounding floor ``_rounding_floor(n)``.
@@ -499,7 +483,8 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     when that sent them there.
     """
     count, n = spectrum.vector_count(), spectrum.n
-    gram_deviation, failed = _factor_gram(spectrum)
+    claim = _Claim(spectrum) if _claim is None else _claim
+    gram_deviation, failed = claim.gram
     structured = gram_deviation is not None
     if not structured:
         if spectrum.factors is not None:
@@ -510,19 +495,28 @@ def verify_basis(spectrum: Spectrum) -> BasisCheck:
     return BasisCheck(gram_deviation, complete, count, structured)
 
 
-def _factor_gram(spectrum: Spectrum) -> tuple:
-    """``(gram_deviation, None)`` from the Kronecker factors when
-    ``_checked_factors`` accepts them and their K rows pass the Fourier
-    rule; ``(None, failed)``, naming the failed part, when they do not;
-    ``(None, None)`` without accepted factors."""
-    factors = _checked_factors(spectrum)
-    if factors is None:
-        return None, None
-    rows = _fourier_rows(factors.k_rows)
-    gram_deviation, off_k = _fourier_gram(factors.h_rows, rows)
-    failed = (_SHARED_TOP if not _distinct(rows.tops) else _above_floor(
-        "the off-diagonal K Gram bound", off_k, _rounding_floor(spectrum.n)))
-    return (None if failed else gram_deviation), failed
+class _Claim:
+    """A spectrum's claim as one certification call reads it: the factors
+    ``_checked_factors`` accepts, their K rows' ``_fourier_split`` and, on
+    first read, the factor-Gram result.  ``certify`` hands one claim to
+    both of its checks; a claim lives for one call."""
+
+    def __init__(self, spectrum: Spectrum):
+        self.n, self.factors = spectrum.n, _checked_factors(spectrum)
+        self.rows = None if self.factors is None else _fourier_split(self.factors.k_rows)
+
+    @cached_property
+    def gram(self) -> tuple:
+        """``(gram_deviation, None)`` from the accepted factors when their
+        K rows pass the Fourier rule; ``(None, failed)``, naming the failed
+        part, when they do not; ``(None, None)`` without accepted factors."""
+        if self.factors is None:
+            return None, None
+        if not _distinct(self.rows.tops):
+            return None, _SHARED_TOP
+        gram_deviation, off_k = _fourier_gram(self.factors.h_rows, self.rows)
+        failed = _above_floor("the off-diagonal K Gram bound", off_k, _rounding_floor(self.n))
+        return (None if failed else gram_deviation), failed
 
 
 def _upper_gram_deviation(stacked: np.ndarray) -> float:
@@ -577,16 +571,20 @@ def _fourier_gram(h_rows: np.ndarray, rows: _FourierRows) -> tuple:
 def trace_identities(adjacency, color: ColorFunction) -> tuple:
     """Deviations |tr A - n alpha(e)| and |tr A^2 - n sum_g alpha(g) alpha(g^{-1})|."""
     matrix = _square_matrix(adjacency)
-    _check_color_order(color, len(matrix))
+    _check_color(adjacency, color, len(matrix))
     return _trace_deviations(complex(np.trace(matrix)),
                              complex(np.einsum("ij,ji->", matrix, matrix)), color)
 
 
-def _check_color_order(color: ColorFunction, n: int) -> None:
+def _check_color(adjacency, color: ColorFunction, n: int) -> None:
+    """DimensionMismatch unless the color's group has order n; InvalidAction
+    unless it is the group of a beta table the adjacency carries."""
     if color.group.order != n:
         raise DimensionMismatch(
             f"color lives on a group of order {color.group.order}, adjacency has n={n}"
         )
+    if isinstance(adjacency, AdjacencyMatrix) and adjacency.blocks is not None:
+        _check_color_group(adjacency.blocks.group, color)
 
 
 def _trace_deviations(trace: complex, trace_sq: complex, color: ColorFunction) -> tuple:
@@ -618,17 +616,14 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     When the residuals ran on the structured path, the trace identities
     come from the beta table the adjacency carries; otherwise from
     ``trace_identities`` on its matrix.  The residual and basis checks
-    share the Fourier split of the K rows (``_fourier_rows``), and a dense
-    check budgets a formed matrix with the factor rows stacked beside it.
+    read one ``_Claim``, and a dense check budgets a formed matrix with
+    the factor rows stacked beside it.
     """
-    token = _certify_splits.set([])
-    try:
-        report = verify_eigenpairs(adjacency, spectrum, tol=tol, _basis_next=True)
-        basis = verify_basis(spectrum)
-    finally:
-        _certify_splits.reset(token)
+    claim = _Claim(spectrum)
+    report = verify_eigenpairs(adjacency, spectrum, tol=tol, _claim=claim)
+    basis = verify_basis(spectrum, _claim=claim)
     if report.structured:
-        _check_color_order(color, report.n)
+        _check_color(adjacency, color, report.n)
         trace_dev, trace_sq_dev = _trace_deviations(
             *_beta_traces(adjacency.blocks.beta_values), color)
     else:

@@ -317,6 +317,24 @@ def test_family_layers_and_rejection():
             nonnormal_family(*bad)
 
 
+@pytest.mark.parametrize("outside", [(-1, 0), (0, 9), (3, 0), (0, 1.5), "h"])
+def test_layers_from_set_refuses_what_a_color_refuses(outside):
+    """A member that is not an element of M(7, 3, 2) raises ConfigError,
+    as in a color, instead of landing in a layer by Python's
+    negative indexing, keeping an exponent of m or more, or raising
+    IndexError.  Elements in any order and repeated give the sorted
+    layers."""
+    group = MetacyclicGroup(7, 3, 2)
+    with pytest.raises(ConfigError, match="which is not in the group"):
+        color_from_set(group, [(0, 1), outside])
+    with pytest.raises(ConfigError) as caught:
+        layers_from_set(group, [(0, 1), outside])
+    assert str(caught.value) == f"connection set holds {outside!r}, which is not in the group"
+    shuffled = [(2, 0), (0, 4), (1, 0), (0, 1), (0, 4), (0, 2)]
+    assert layers_from_set(group, shuffled) == [[1, 2, 4], [0], [0]]
+    assert layers_from_set(group, []) == [[], [], []]
+
+
 def test_edge_list_round_trip(tmp_path):
     group, conn = nonnormal_family(7, 3, 2)
     color = color_from_set(group, conn.elements)

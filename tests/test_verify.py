@@ -23,6 +23,7 @@ from cayleyspec import (
     CyclicGroup,
     DihedralGroup,
     DimensionMismatch,
+    InvalidAction,
     KroneckerFactors,
     MetacyclicGroup,
     SemidirectProductGroup,
@@ -217,6 +218,29 @@ def test_trace_identities_identity_color():
     adj = adjacency_matrix(group, color)
     assert np.trace(adj.matrix) == 5
     assert trace_identities(adj, color) == (0, 0)
+
+
+def test_a_color_of_another_group_of_the_same_order_is_refused():
+    """On M(7, 3, 2), C21's indicator of {1, 2, 4, 7, 14} has the same
+    vector as the indicator of {k, k^2, k^4, h, h^2}, but its inverses are
+    C21's.  Against an adjacency that carries its beta table, on either
+    path, the color must live on that table's group; a dense matrix
+    carries no group, so only its order is checked."""
+    group = MetacyclicGroup(7, 3, 2)
+    subset = [(0, 1), (0, 2), (0, 4), (1, 0), (2, 0)]
+    color = color_from_set(group, subset)
+    spec = spectrum_metacyclic(7, 3, 2, layers_from_set(group, subset))
+    adj = adjacency_matrix(group, color)
+    other = color_from_set(CyclicGroup(21), [1, 2, 4, 7, 14])
+    assert np.array_equal(other.vector, color.vector)
+    for claim in (spec, explicit(spec)):
+        assert certify(adj, claim, color).passed
+        with pytest.raises(InvalidAction, match="the color lives on"):
+            certify(adj, claim, other)
+    with pytest.raises(InvalidAction, match="the color lives on"):
+        trace_identities(adj, other)
+    dense_adj = AdjacencyMatrix(adj.matrix.copy())
+    assert trace_identities(dense_adj, other) == trace_identities(adj.matrix, other)
 
 
 def regular_rep_matrix(group, g) -> np.ndarray:
@@ -1084,7 +1108,7 @@ def both_paths(adj, spec):
         [line.eigenvalue for line in spec.lines], np.diff(spec._vector_offsets()))
     contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
     bound, remainder = verify_module._fourier_bounds(
-        contracted, h_rows, grid, verify_module._fourier_rows(k_rows))
+        contracted, h_rows, grid, verify_module._fourier_split(k_rows))
     correlation = correlation_residuals(contracted, factors, grid)
     return bound[pairs[:, 0], pairs[:, 1]], remainder[pairs[:, 0], pairs[:, 1]], correlation
 
@@ -1127,7 +1151,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     # moved rows are not unit, and the two sides round each |K[v]|^2 in
     # their own order, by up to two ulps of it
     for case, ulps in ((factors, 1), (moved, 4)):
-        rows = verify_module._fourier_rows(case.k_rows)
+        rows = verify_module._fourier_split(case.k_rows)
         assert verify_module._distinct(rows.tops) or case is moved
         if verify_module._distinct(rows.tops):
             deviation, _ = verify_module._fourier_gram(case.h_rows, rows)
@@ -1285,11 +1309,39 @@ def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
     report = certify(adj, claim, color)
     assert report.passed and report.structured
     assert len(splits) == 1 and checks == ["verify_eigenpairs", "verify_basis"]
-    assert verify_module._certify_splits.get() is None
     k_rows[3] = k_rows[4]
     report = certify(adj, claim, color)
     assert len(splits) == 2 and not report.passed
     assert report.gram_deviation > 0.5
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["claimed", "row-3-over-row-4"])
+def test_certify_reads_the_claim_once(monkeypatch, copied):
+    """One ``certify`` call accepts the factors, splits the K rows and
+    takes the factor Gram at most once each, on the structured path and,
+    with K row 3 copied over row 4, on the dense one.  Each public check
+    runs once."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    claim = spec
+    if copied:
+        k_rows = np.array(spec.factors.k_rows)
+        k_rows[4] = k_rows[3]
+        claim = with_k_rows(spec, k_rows)
+    calls = {}
+    for name in ("_checked_factors", "_fourier_split", "_fourier_gram",
+                 "verify_eigenpairs", "verify_basis"):
+        original = getattr(verify_module, name)
+
+        def counted(*args, original=original, name=name, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(verify_module, name, counted)
+    report = certify(adj, claim, color)
+    assert report.structured is not copied and report.passed is not copied
+    assert calls["verify_eigenpairs"] == calls["verify_basis"] == 1
+    for name in ("_checked_factors", "_fourier_split", "_fourier_gram"):
+        assert calls.get(name, 0) <= 1, (name, calls)
 
 
 def test_a_dense_check_budgets_the_formed_matrix_with_the_stacked_rows(monkeypatch):
