@@ -35,7 +35,7 @@ from .groups import (
     SplitExtensionGroup,
     _block_len,
     _first_conjugator,
-    _intern,
+    _intern_new,
     _memoized,
     check_dense_bytes,
     is_generating_set,
@@ -376,7 +376,7 @@ def nonnormal_family(m: int, l: int, r: int):
     """
     if not 1 < r < m or l < 1:
         raise InvalidAction(f"family needs 1 < r < m and l >= 1, got r={r}, m={m}, l={l}")
-    group = _intern(MetacyclicGroup(m, l, r))
+    group = _intern_new(MetacyclicGroup, m, l, r)
     subset = {(0, b) for b in range(1, m)}
     subset.add((1 % l, 0))
     subset.add(((l - 1) % l, 0))

@@ -53,11 +53,13 @@ The groups the library builds for itself (``construct_group``, and the
 metacyclic and cyclic groups of the spectrum, family and irrep
 functions) are interned by ``signature()`` (``_intern``): an equal
 group already built is returned in place of the new one, so its lazy
-index arrays are built once.  The new group is built, and so validated,
-before the lookup.  The ``_INTERN_HELD`` most recently interned groups
-are held, each with a memo (``_memoized``: built-in irreps, the beta
-index table, the split grid's pairs) of at most ``_MEMO_ENTRIES``
-products of at most ``_BLOCK_BYTES`` each.  A held group keeps only
+index arrays are built once.  The split kinds check their arguments and
+form the signature first (``_intern_new``), and build only a new group;
+the other kinds are built, and so validated, before the lookup.  The
+``_INTERN_HELD`` most recently interned groups are held, each with a
+memo (``_memoized``: built-in irreps, the beta index table, the split
+grid's pairs) of at most ``_MEMO_ENTRIES`` products of at most
+``_BLOCK_BYTES`` each.  A held group keeps only
 arrays of O(n) entries besides its memo, so holding one of any order up
 to the capacity costs a few MB.  An older interned group stays shared
 only while a caller holds it, and memoizes nothing.  A group built
@@ -602,6 +604,14 @@ class MetacyclicGroup(SplitExtensionGroup):
     kind = "metacyclic"
 
     def __init__(self, m: int, l: int, r: int):
+        _, m, l, r = self._signature_of(m, l, r)
+        super().__init__(m, CyclicGroup(l), (pow(r, a, m) for a in range(l)))
+        self.r = r
+
+    @staticmethod
+    def _signature_of(m, l, r) -> tuple:
+        """The signature of ``MetacyclicGroup(m, l, r)``, from the arguments
+        checked as the constructor checks them."""
         m, l = _integer(m, "m", least=1), _integer(l, "l", least=1)
         r = _integer(r, "r") % m
         if gcd(r, m) != 1:
@@ -610,8 +620,7 @@ class MetacyclicGroup(SplitExtensionGroup):
             raise InvalidAction(
                 f"r^l must be 1 mod m: r={r}, l={l}, m={m} gives {pow(r, l, m)}"
             )
-        super().__init__(m, CyclicGroup(l), (pow(r, a, m) for a in range(l)))
-        self.r = r
+        return ("metacyclic", m, l, r)
 
     def signature(self):
         return ("metacyclic", self.m, self.l, self.r)
@@ -623,9 +632,14 @@ class DihedralGroup(SplitExtensionGroup):
     kind = "dihedral"
 
     def __init__(self, n: int):
-        n = _integer(n, "n", least=1)
+        _, n = self._signature_of(n)
         super().__init__(n, CyclicGroup(2), [1, (n - 1) % n])
         self.n = n
+
+    @staticmethod
+    def _signature_of(n) -> tuple:
+        """The signature of ``DihedralGroup(n)``, from its checked argument."""
+        return ("dihedral", _integer(n, "n", least=1))
 
     def signature(self):
         return ("dihedral", self.n)
@@ -675,13 +689,21 @@ class SemidirectProductGroup(SplitExtensionGroup):
     kind = "semidirect"
 
     def __init__(self, m: int, h_group: FiniteGroup, generator_images: Sequence[int]):
-        m = _integer(m, "m", least=1)
-        images = [_integer(e, f"action[{i}]") for i, e in enumerate(generator_images)]
-        _validate_action_images(h_group, images, m)
+        _, m, _, images = self._signature_of(m, h_group, generator_images)
         units = (prod(pow(img, e, m) for img, e in zip(images, h_group.generator_exponents(h))) % m
                  for h in h_group.elements())
         super().__init__(m, h_group, units)
-        self.generator_images = tuple(img % m for img in images)
+        self.generator_images = images
+
+    @staticmethod
+    def _signature_of(m, h_group: FiniteGroup, generator_images) -> tuple:
+        """The signature of ``SemidirectProductGroup(m, h_group,
+        generator_images)``, from the arguments checked as the constructor
+        checks them; the images are reduced mod m."""
+        m = _integer(m, "m", least=1)
+        images = [_integer(e, f"action[{i}]") for i, e in enumerate(generator_images)]
+        _validate_action_images(h_group, images, m)
+        return ("semidirect", m, h_group.signature(), tuple(img % m for img in images))
 
     def signature(self):
         return ("semidirect", self.m, self.h_group.signature(), self.generator_images)
@@ -863,14 +885,26 @@ def _intern(group: FiniteGroup) -> FiniteGroup:
     structure."""
     if isinstance(group, PermutationGroup):
         return group
-    key = group.signature()
+    return _shared(group.signature(), lambda: group)
+
+
+def _intern_new(kind, *args) -> FiniteGroup:
+    """``_intern(kind(*args))`` for a split kind, which builds the group only
+    when none with its signature is shared: ``kind._signature_of(*args)``
+    checks the arguments as the constructor does and gives the signature."""
+    return _shared(kind._signature_of(*args), lambda: kind(*args))
+
+
+def _shared(key: tuple, build) -> FiniteGroup:
+    """The interned group of signature ``key``, from ``build()`` when there
+    is none; see ``_intern``."""
     shared = _held.get(key)
     if shared is not None:
         _held.move_to_end(key)
         return shared
     shared = _interned.get(key)
     if shared is None:
-        shared = _interned[key] = group
+        shared = _interned[key] = build()
     shared._memo = {}
     _held[key] = shared
     if len(_held) > _INTERN_HELD:
@@ -918,9 +952,10 @@ def construct_group(config: Mapping) -> FiniteGroup:
     Checks the description's shape: a mapping of a known type with exactly
     its fields, and lists where lists belong.  The constructors check the
     values: a malformed one (their ValueError) raises ConfigError here, and
-    InvalidAction and CapacityExceeded pass through.  The group is built
-    before it is interned (``_intern``), so an equal group already shared
-    never stands in for a malformed description.
+    InvalidAction and CapacityExceeded pass through.  The values are
+    checked before the interned groups are read (``_intern``,
+    ``_intern_new``), so an equal group already shared never stands in for
+    a malformed description.
     """
     if not isinstance(config, Mapping):
         raise ConfigError(f"group description must be a mapping, got {config!r}")
@@ -956,14 +991,14 @@ def construct_group(config: Mapping) -> FiniteGroup:
         if kind == "cyclic":
             return _intern(CyclicGroup(need("n")))
         if kind == "dihedral":
-            return _intern(DihedralGroup(need("n")))
+            return _intern_new(DihedralGroup, need("n"))
         if kind == "abelian":
             return _intern(AbelianProductGroup(listed("orders", need("orders"))))
         if kind == "metacyclic":
-            return _intern(MetacyclicGroup(need("m"), need("l"), need("r")))
+            return _intern_new(MetacyclicGroup, need("m"), need("l"), need("r"))
         if kind == "semidirect":
-            return _intern(SemidirectProductGroup(need("m"), construct_group(need("h")),
-                                                  listed("action", need("action"))))
+            return _intern_new(SemidirectProductGroup, need("m"), construct_group(need("h")),
+                               listed("action", need("action")))
         # permutation
         gens = [listed(f"generators[{i}]", g)
                 for i, g in enumerate(listed("generators", need("generators")))]

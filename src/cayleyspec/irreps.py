@@ -37,6 +37,7 @@ from .groups import (
     SplitExtensionGroup,
     _block_len,
     _intern,
+    _intern_new,
     _memoized,
     check_dense_bytes,
 )
@@ -405,7 +406,7 @@ def _cyclic_complement_irreps(group: SplitExtensionGroup,
 
 def irreps_metacyclic(m: int, l: int, r: int) -> IrrepSet:
     """Irreps of the split metacyclic group C_m x| C_l with h k h^{-1} = k^r."""
-    return builtin_irreps(_intern(MetacyclicGroup(m, l, r)))
+    return builtin_irreps(_intern_new(MetacyclicGroup, m, l, r))
 
 
 def builtin_degrees(group: FiniteGroup) -> list:

@@ -25,6 +25,9 @@ split path), so an independent residual check can certify every claim:
 Every route holds its lines as ``SpectralLines`` columns: eigenvalues,
 multiplicities, u, v and the label axes.  The class terms lambda_ui and
 sigma_vi are the split path's intermediates; its lines keep only their sums.
+The split path takes every sigma_vi from one FFT over K and every sum from
+one GEMM over the H classes (``_split_grid``); the normal path sums its
+characters in element order (``irreps._character_sums``).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .groups import (
     _conjugation_orbits,
     _first_conjugator,
     _integer,
-    _intern,
+    _intern_new,
     _memoized,
 )
 from .irreps import (
@@ -625,7 +628,13 @@ def spectrum_split(group: SplitExtensionGroup, color: ColorFunction,
 def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: IrrepSet,
                  irreps_k: IrrepSet, eigenvectors: bool, force: bool) -> Spectrum:
     """``spectrum_split``, also run by ``spectrum_metacyclic``: a call of the
-    public name would be traced, and its lines counted, a second time."""
+    public name would be traced, and its lines counted, a second time.
+
+    The eigenvalue grid is ``_split_grid`` on the H terms, the H-class
+    representative rows of alpha and K's exponents (``_k_exponents``):
+    K's irreps enter only through those, so a line of a user K table,
+    listed and keyed in any order, has the bits of the built-in line with
+    its exponent."""
     if not isinstance(group, SplitExtensionGroup):
         raise InvalidAction(
             f"group kind {group.kind!r} is not a split extension with cyclic "
@@ -645,18 +654,11 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
     sizes = np.bincount(labels, minlength=l)[reps].astype(complex)
     h_terms = _over_degrees(_cmul(sizes, irreps_h.characters[:, reps]),
                             irreps_h._degrees[:, None])
-    # sigma[v, i] sums row i, alpha(h k^b) over b with h the representative
-    # of C_i, against chi_v; eig[u, v] adds the class terms in class order
-    # from zeros, as Python's sum does, one (u, v) plane a class: which NaN
-    # a numpy sum of two NaNs keeps depends on the shape of its loop
-    sigma = np.array([_character_sums(row, len(irreps_k), _character_gather(irreps_k))
-                      for row in color.vector.reshape(l, m)[reps]]).T
-    eig = np.zeros((len(h_terms), len(sigma)), dtype=complex)
-    for i, lam in enumerate(h_terms.T):
-        eig += _cmul(lam[:, np.newaxis], sigma[:, i])
-    u, v = np.divmod(np.arange(eig.size), len(sigma))
-    lines = SpectralLines(eig.ravel(), np.repeat(np.square(irreps_h._degrees), len(sigma)), u, v,
-                          axes=(irreps_h.labels(), irreps_k.labels()))
+    # row i holds alpha(h k^b) over b, with h the representative of C_i
+    eig = _split_grid(h_terms, color.vector.reshape(l, m)[reps], _k_exponents(irreps_k, m))
+    u, v = np.divmod(np.arange(eig.size), eig.shape[1])
+    lines = SpectralLines(eig.ravel(), np.repeat(np.square(irreps_h._degrees), eig.shape[1]),
+                          u, v, axes=(irreps_h.labels(), irreps_k.labels()))
     factors = None
     if eigenvectors:
         # coefficient vectors of each factor are its P-matrix columns; K's
@@ -675,6 +677,32 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
         theorem_verified=report.passed,
         factors=factors,
     )
+
+
+def _k_exponents(irreps_k: IrrepSet, m: int) -> np.ndarray:
+    """Each K irrep's exponent e_v, with chi_v(k) = omega^{e_v} and
+    omega = e^{2 pi i / m}, read off the trusted set's characters at the
+    generator k (index 1).  A validated character lies within 1e-10 of its
+    root, and the roots lie 2 pi / m apart, so rounding the angle finds
+    e_v; the table's element order does not enter."""
+    if m == 1:
+        return np.zeros(len(irreps_k), dtype=np.int64)
+    turns = np.angle(irreps_k.characters[:, 1]) * (m / (2 * math.pi))
+    return np.rint(turns).astype(np.int64) % m
+
+
+def _split_grid(h_terms: np.ndarray, rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The split eigenvalues eig[u, v] = sum_i h_terms[u, i] sigma[v, i]
+    over the H classes, with sigma[v, i] = sum_b rows[i, b] omega^{e_v b}.
+
+    The K axis is one FFT of the (classes, m) rows: ``fft`` sums against
+    omega^{-jb}, so sigma[v, i] is entry (-e_v) mod m of row i's transform.
+    The H axis is one GEMM.  ``+ 0j`` turns a -0.0 into 0.0, as a sum
+    started at 0 does.  A non-finite row gives non-finite eigenvalues
+    without a warning, as in ``_over_degrees``."""
+    with np.errstate(invalid="ignore"):
+        transform = np.fft.fft(rows, axis=-1)
+        return h_terms @ transform[:, -exponents % rows.shape[1]] + 0j
 
 
 def _grid_pairs(irreps_h: IrrepSet, m: int) -> np.ndarray:
@@ -708,7 +736,7 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     ``layers[t]`` lists the K-exponents s with h^t k^s in the connection
     set; every layer must be closed under s -> r*s mod m.
     """
-    group = _intern(MetacyclicGroup(m, l, r))
+    group = _intern_new(MetacyclicGroup, m, l, r)
     m, l, r = group.m, group.l, group.r
     if len(layers) != l:
         raise InvalidAction(f"expected {l} layers, got {len(layers)}")

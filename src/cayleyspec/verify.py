@@ -130,6 +130,19 @@ def _square_matrix(adjacency) -> np.ndarray:
     return matrix
 
 
+def _adjacency_n(adjacency) -> int:
+    """The order of ``adjacency``, read from a carried table or from the
+    shape of its array, without forming or copying a matrix;
+    DimensionMismatch unless that shape is square."""
+    if isinstance(adjacency, AdjacencyMatrix):
+        shape = (adjacency.n,) * 2 if adjacency.blocks is not None else adjacency.matrix.shape
+    else:
+        shape = np.shape(adjacency)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"adjacency must be square, got {shape}")
+    return int(shape[0])
+
+
 def _block_columns(n: int) -> int:
     """Complex length-n vectors that fit one certification block."""
     return max(1, groups._BLOCK_BYTES // (16 * max(1, n)))
@@ -613,17 +626,18 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
             tol: float = 1e-9) -> VerificationReport:
     """Full certification: residuals, basis, completeness, trace identities.
 
-    When the residuals ran on the structured path, the trace identities
-    come from the beta table the adjacency carries; otherwise from
-    ``trace_identities`` on its matrix.  The residual and basis checks
+    The color is checked against the adjacency's shape first, before any
+    dense work.  When the residuals ran on the structured path, the trace
+    identities come from the beta table the adjacency carries; otherwise
+    from ``trace_identities`` on its matrix.  The residual and basis checks
     read one ``_Claim``, and a dense check budgets a formed matrix with
     the factor rows stacked beside it.
     """
+    _check_color(adjacency, color, _adjacency_n(adjacency))
     claim = _Claim(spectrum)
     report = verify_eigenpairs(adjacency, spectrum, tol=tol, _claim=claim)
     basis = verify_basis(spectrum, _claim=claim)
     if report.structured:
-        _check_color(adjacency, color, report.n)
         trace_dev, trace_sq_dev = _trace_deviations(
             *_beta_traces(adjacency.blocks.beta_values), color)
     else:

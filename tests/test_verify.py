@@ -243,6 +243,35 @@ def test_a_color_of_another_group_of_the_same_order_is_refused():
     assert trace_identities(dense_adj, other) == trace_identities(adj.matrix, other)
 
 
+@pytest.mark.parametrize("form", ["carried", "dense", "array"])
+def test_certify_refuses_a_wrong_color_before_any_check(monkeypatch, form):
+    """A color of another order, or of another group against a carried
+    beta table, is refused from the adjacency's shape alone: neither the
+    residual nor the basis check runs, and a carried table forms no matrix."""
+    group = MetacyclicGroup(7, 3, 2)
+    subset = [(0, 1), (0, 2), (0, 4), (1, 0), (2, 0)]
+    spec = spectrum_metacyclic(7, 3, 2, layers_from_set(group, subset))
+    adj = adjacency_matrix(group, color_from_set(group, subset))
+    if form != "carried":
+        adj = AdjacencyMatrix(adj.matrix.copy()) if form == "dense" else adj.matrix.copy()
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a check ran on a wrong color")
+
+    monkeypatch.setattr(verify_module, "verify_eigenpairs", forbidden)
+    monkeypatch.setattr(verify_module, "verify_basis", forbidden)
+    with pytest.raises(DimensionMismatch, match="group of order 22"):
+        certify(adj, spec, color_from_set(CyclicGroup(22), [1, 21]))
+    if form == "carried":
+        adj = adjacency_matrix(group, color_from_set(group, subset))
+        with pytest.raises(InvalidAction, match="the color lives on"):
+            certify(adj, spec, color_from_set(CyclicGroup(21), [1, 2, 4, 7, 14]))
+        assert vars(adj)["_matrix"] is None
+    assert calls == []
+
+
 def regular_rep_matrix(group, g) -> np.ndarray:
     """Permutation matrix of left translation by g: M[a, b] = [g g_b = g_a]."""
     n = group.order
