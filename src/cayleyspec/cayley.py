@@ -52,12 +52,12 @@ class ColorFunction:
 
     def __init__(self, group: FiniteGroup, values: Mapping):
         self.group = group
+        items = list(values.items())
+        indices = _element_indices(group, [g for g, _ in items], "color assigns")
+        entries = np.array([complex(v) for _, v in items], dtype=complex)
+        nonzero = entries != 0
         vector = np.zeros(group.order, dtype=complex)
-        for g, v in values.items():
-            i = _element_index(group, g, "color assigns")
-            c = complex(v)
-            if c != 0:
-                vector[i] = c
+        vector[indices[nonzero]] = entries[nonzero]
         vector.flags.writeable = False
         self.vector = vector
 
@@ -133,6 +133,15 @@ def _element_index(group: FiniteGroup, g, role: str) -> int:
         raise ConfigError(f"{role} {g!r}, which is not in the group") from None
 
 
+def _element_indices(group: FiniteGroup, elements: list, role: str) -> np.ndarray:
+    """``_element_index`` of each of ``elements``, as int64, in one array
+    pass where the kind has one (``_indices``)."""
+    indices = group._indices(elements)
+    if indices is None:
+        indices = np.array([_element_index(group, g, role) for g in elements], dtype=np.int64)
+    return indices
+
+
 def _check_color_group(group: FiniteGroup, color: ColorFunction) -> None:
     """InvalidAction unless ``color``, read by ``group``'s indices, lives on it."""
     if color.group is not group and color.group != group:
@@ -169,7 +178,7 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     ``x s x^{-1}`` outside it, from a sweep that stops at the first block
     of conjugators holding one.
     """
-    indices = sorted({group.index(g) for g in subset})
+    indices = sorted(set(_element_indices(group, list(subset), "connection set holds").tolist()))
     elems = group.elements()
     members = [elems[i] for i in indices]
     witnesses = {}
@@ -360,7 +369,7 @@ def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no layer structure")
     layers = [[] for _ in range(group.l)]
-    for index in sorted({_element_index(group, g, "connection set holds") for g in subset}):
+    for index in sorted(set(_element_indices(group, list(subset), "connection set holds").tolist())):
         a, b = divmod(index, group.m)
         layers[a].append(b)
     return layers

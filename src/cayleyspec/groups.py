@@ -220,6 +220,12 @@ class FiniteGroup:
         except (KeyError, TypeError):
             raise KeyError(f"{g!r} is not an element of {self!r}") from None
 
+    def _indices(self, elements: list) -> Optional[np.ndarray]:
+        """``index`` of each of ``elements`` in one array pass, on the kinds
+        that have one; None here, and where a kind's pass meets an element
+        it cannot read."""
+        return None
+
     def contains(self, g) -> bool:
         try:
             self.index(g)
@@ -581,6 +587,22 @@ class SplitExtensionGroup(FiniteGroup):
         if not (isinstance(a, int) and isinstance(b, int)
                 and 0 <= a < self.l and 0 <= b < self.m):
             raise KeyError(f"{g!r} is not an element of {self!r}")
+        return a * self.m + b
+
+    def _indices(self, elements: list) -> Optional[np.ndarray]:
+        # a*m + b over all pairs at once, when every element unpacks into
+        # two Python ints (bools too, as in ``index``) in range
+        try:
+            a, b = zip(*elements, strict=True)
+            kinds = set(map(type, a))
+            kinds.update(map(type, b))
+            if not kinds <= {int, bool}:
+                return None
+            a, b = np.fromiter(a, np.int64, len(a)), np.fromiter(b, np.int64, len(b))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if not ((0 <= a) & (a < self.l) & (0 <= b) & (b < self.m)).all():
+            return None
         return a * self.m + b
 
     def coerce_element(self, raw):

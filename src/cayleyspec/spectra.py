@@ -740,10 +740,20 @@ def spectrum_metacyclic(m: int, l: int, r: int, layers: Sequence[Sequence[int]],
     m, l, r = group.m, group.l, group.r
     if len(layers) != l:
         raise InvalidAction(f"expected {l} layers, got {len(layers)}")
-    # h^t k^s has index t*m + s
+    exponents, ends = [], []
+    for layer in layers:
+        exponents.extend(layer)
+        ends.append(len(exponents))
+    layer_of = np.repeat(np.arange(l), np.diff(ends, prepend=0))
+    if not all(issubclass(kind, (int, np.integer)) and kind is not bool
+               for kind in set(map(type, exponents))):
+        # ``_integer`` refuses the first exponent that is not an integer
+        for t, s in zip(layer_of.tolist(), exponents):
+            _integer(s, f"layers[{t}]")
+    # h^t k^s has index t*m + s, with s mod m taken as Python takes it
     vector = np.zeros(group.order, dtype=complex)
-    vector[[t * m + _integer(s, f"layers[{t}]") % m
-            for t, layer in enumerate(layers) for s in layer]] = 1.0
+    residues = np.fromiter(map(int, exponents), dtype=object, count=len(exponents)) % m
+    vector[layer_of * m + residues.astype(np.int64)] = 1.0
     color = ColorFunction._of_vector(group, vector)
     # the first exponent, by layer and then by value, whose image leaves its layer
     indicators = color.vector.real.reshape(l, m)

@@ -26,13 +26,18 @@ identities off the table.
 Both factored checks read the claim once, as a ``_Claim`` that
 ``certify`` hands to both: it splits each K row's DFT ``F_v =
 fft(K[v])`` into its top entry ``D_v``, at ``p_v``, and a remainder
-``E_v``.  The split route, and so the metacyclic one, claims the
-characters of K = C_m times sqrt(1/m), whose DFT has one nonzero, so
-``E_v`` is rounding.  The Fourier rule holds when every ``p_v`` is
-distinct and every remainder term is at or below the rounding floor
-``max(sqrt(n), 4) eps`` times the check's scale.  Then each residual is
-reported as an upper bound read off the table at ``p_v``, O(n*l) work
-after the FFTs, and G_K comes from ``|D|`` and ``|E|`` without a GEMM.
+``E_v``.  What depends on the factors' bytes alone (their structure
+check, that split and the factor-Gram result) is kept across calls
+(``_keep``) and reused only for factors equal to the kept copies in
+shape, dtype and every bit: at most ``groups._MEMO_ENTRIES`` claims,
+within ``groups._BLOCK_BYTES`` in all.  The split route, and so the
+metacyclic one, claims the characters of K = C_m times sqrt(1/m), whose
+DFT has one nonzero, so ``E_v`` is rounding.  The Fourier rule holds
+when every ``p_v`` is distinct and every remainder term is at or below
+the rounding floor ``max(sqrt(n), 4) eps`` times the check's scale.
+Then each residual is reported as an upper bound read off the table at
+``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|`` and
+``|E|`` without a GEMM.
 This holds O(n*m) beyond the adjacency: the factors, the beta table,
 and per chunk of K rows at most ``groups._BLOCK_BYTES`` in each of a
 few temporaries.  Nothing here assumes the vectors are eigenvectors or
@@ -67,8 +72,9 @@ factors are first stacked into their rows, within the byte budget.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,7 +82,7 @@ import numpy as np
 from . import groups, spectra
 from .cayley import AdjacencyMatrix, ColorFunction, _check_color_group
 from .errors import DimensionMismatch
-from .groups import FiniteGroup, check_dense_bytes
+from .groups import FiniteGroup, _read_only, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
 from .spectra import KroneckerFactors, Spectrum, _clusters
 
@@ -407,7 +413,7 @@ def _fourier_split(k_rows: np.ndarray) -> _FourierRows:
         sizes[chunk, top] = 0.0
         rest_norms[lo:lo + step] = np.sqrt(np.einsum("vc,vc->v", sizes, sizes))
         rest_max = float(np.max(sizes, initial=rest_max))
-    return _FourierRows(tops, peaks, rest_norms, rest_max)
+    return _FourierRows(_read_only(tops), _read_only(peaks), _read_only(rest_norms), rest_max)
 
 
 def _distinct(tops: np.ndarray) -> bool:
@@ -509,27 +515,123 @@ def verify_basis(spectrum: Spectrum, *, _claim: Optional[_Claim] = None) -> Basi
 
 
 class _Claim:
-    """A spectrum's claim as one certification call reads it: the factors
-    ``_checked_factors`` accepts, their K rows' ``_fourier_split`` and, on
-    first read, the factor-Gram result.  ``certify`` hands one claim to
-    both of its checks; a claim lives for one call."""
+    """A spectrum's claim as certification reads it: the factors
+    ``_checked_factors`` accepts and what is derived from their bytes
+    alone (``_Derived``).  ``certify`` hands one claim to both of its
+    checks.  The derived part is first looked up among the claims kept
+    across calls (``_find_kept``), whose structure was checked when they
+    were kept; ``spectrum.n`` and the multiplicities are checked on every
+    call."""
 
     def __init__(self, spectrum: Spectrum):
-        self.n, self.factors = spectrum.n, _checked_factors(spectrum)
-        self.rows = None if self.factors is None else _fourier_split(self.factors.k_rows)
+        self.n, factors = spectrum.n, spectrum.factors
+        self.factors = self._derived = None
+        if (factors is None or spectrum.total_multiplicity < self.n
+                or len(factors.h_rows) * len(factors.k_rows) != self.n):
+            return
+        derived = _find_kept(factors)
+        if derived is None:
+            if _checked_factors(spectrum) is None:
+                return
+            derived = _Derived(factors)
+            _keep(derived, factors)
+        self.factors, self._derived = factors, derived
 
-    @cached_property
+    @property
+    def rows(self) -> Optional[_FourierRows]:
+        return None if self._derived is None else self._derived.rows
+
+    @property
     def gram(self) -> tuple:
         """``(gram_deviation, None)`` from the accepted factors when their
         K rows pass the Fourier rule; ``(None, failed)``, naming the failed
         part, when they do not; ``(None, None)`` without accepted factors."""
-        if self.factors is None:
+        if self._derived is None:
             return None, None
-        if not _distinct(self.rows.tops):
-            return None, _SHARED_TOP
-        gram_deviation, off_k = _fourier_gram(self.factors.h_rows, self.rows)
-        failed = _above_floor("the off-diagonal K Gram bound", off_k, _rounding_floor(self.n))
-        return (None if failed else gram_deviation), failed
+        return self._derived.gram(self.factors.h_rows)
+
+
+class _Derived:
+    """What certification derives from accepted factors' bytes alone: the
+    K rows' ``_fourier_split`` (read-only) and, once read, the factor-Gram
+    result.  Once kept (``_keep``), it also holds private read-only copies
+    of the three arrays, in C order."""
+
+    def __init__(self, factors: KroneckerFactors):
+        self.n = len(factors.h_rows) * len(factors.k_rows)
+        self.rows = _fourier_split(factors.k_rows)
+        self.copies = None
+        self._gram = None
+
+    def gram(self, h_rows: np.ndarray) -> tuple:
+        """``_Claim.gram`` for factors whose H rows are ``h_rows``."""
+        if self._gram is None:
+            if not _distinct(self.rows.tops):
+                self._gram = None, _SHARED_TOP
+            else:
+                gram_deviation, off_k = _fourier_gram(h_rows, self.rows)
+                failed = _above_floor("the off-diagonal K Gram bound", off_k,
+                                      _rounding_floor(self.n))
+                self._gram = (None if failed else gram_deviation), failed
+        return self._gram
+
+    def holds(self, arrays: tuple) -> bool:
+        """Whether ``arrays`` equal the kept copies in shape, dtype and
+        every bit: -0.0 against 0.0, or another NaN payload, differs."""
+        return all(a.shape == c.shape and a.dtype == c.dtype
+                   for a, c in zip(arrays, self.copies)) and all(
+            np.array_equal(_bits(a), _bits(c)) for a, c in zip(arrays, self.copies))
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``values``, in C order, as the widest unsigned integers
+    that divide its item size (8 bytes at most)."""
+    values = np.ascontiguousarray(values)
+    return values.view(f"u{math.gcd(values.dtype.itemsize, 8)}")
+
+
+# factored claims kept across calls, least recently used first: at most
+# ``groups._MEMO_ENTRIES``, whose copies and splits hold at most
+# ``groups._BLOCK_BYTES`` in all
+_kept: list = []
+_kept_lock = threading.Lock()
+
+
+def _find_kept(factors: KroneckerFactors) -> Optional[_Derived]:
+    """The kept claim whose copies equal ``factors`` bit for bit, made the
+    most recently used; None when there is none."""
+    arrays = factors.h_rows, factors.k_rows, factors.pairs
+    with _kept_lock:
+        for derived in reversed(_kept):
+            if derived.holds(arrays):
+                _kept.remove(derived)
+                _kept.append(derived)
+                return derived
+    return None
+
+
+def _keep(derived: _Derived, factors: KroneckerFactors) -> None:
+    """Keep ``derived`` with private copies of ``factors``, evicting the
+    least recently used claims to stay within ``groups._MEMO_ENTRIES``
+    and ``groups._BLOCK_BYTES``; a claim larger than that is not kept, and
+    nothing is copied."""
+    arrays = factors.h_rows, factors.k_rows, factors.pairs
+    nbytes = sum(a.nbytes for a in arrays + derived.rows[:3])
+    if nbytes > groups._BLOCK_BYTES:
+        return
+    derived.copies = tuple(_read_only(np.array(a, order="C")) for a in arrays)
+    derived.nbytes = nbytes
+    with _kept_lock:
+        while _kept and (len(_kept) >= groups._MEMO_ENTRIES or
+                         sum(kept.nbytes for kept in _kept) + nbytes > groups._BLOCK_BYTES):
+            _kept.pop(0)
+        _kept.append(derived)
+
+
+def _clear_kept() -> None:
+    """Forget every kept claim."""
+    with _kept_lock:
+        _kept.clear()
 
 
 def _upper_gram_deviation(stacked: np.ndarray) -> float:

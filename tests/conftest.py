@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from cayleyspec import groups
+from cayleyspec import groups, verify
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -20,7 +20,8 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(autouse=True)
-def no_interned_groups():
-    """Every test starts with no interned group and no memo, so none reads
-    what an earlier one built."""
+def nothing_kept():
+    """Every test starts with no interned group, no memo and no kept
+    claim, so none reads what an earlier one built or certified."""
     groups._clear_interned()
+    verify._clear_kept()

@@ -24,7 +24,7 @@ from cayleyspec import (
     nonnormal_family,
     read_edge_list,
 )
-from cayleyspec.cayley import EDGE_LIST_HEADER
+from cayleyspec.cayley import EDGE_LIST_HEADER, _element_indices
 from test_kernel import groups_strategy, random_complex_color
 
 
@@ -60,20 +60,68 @@ def test_color_function_validates_membership():
     assert f.support() == {2}
 
 
-def test_color_function_looks_each_key_up_once(monkeypatch):
-    """One ``index`` call per key, on a split kind whose ``index`` checks
-    each pair in Python; a key outside the group keeps its message."""
+def test_color_function_indexes_a_split_kind_in_one_pass(monkeypatch):
+    """A split kind indexes every key in one array pass, with no ``index``
+    call; a cyclic kind looks each key up once.  A key outside the group
+    keeps its message."""
     group, conn = nonnormal_family(31, 5, 2)
+    cyclic = CyclicGroup(12)
     calls = []
-    index = group.index
-    monkeypatch.setattr(group, "index", lambda g: calls.append(g) or index(g))
+    for kind in (group, cyclic):
+        index = kind.index
+        monkeypatch.setattr(kind, "index", lambda g, index=index: calls.append(g) or index(g))
     color = color_from_set(group, conn.elements)
-    assert sorted(calls) == sorted(conn.elements)
-    assert color.support() == set(conn.elements)
-    for kind, outside in ((group, (5, 0)), (group, "h"), (CyclicGroup(4), 7)):
+    assert calls == [] and color.support() == set(conn.elements)
+    assert color_from_set(cyclic, [1, 5, 11]).support() == {1, 5, 11}
+    assert calls == [1, 5, 11]
+    for kind, outside in ((group, (5, 0)), (group, "h"), (cyclic, 12)):
         with pytest.raises(ConfigError) as caught:
             ColorFunction(kind, {outside: 1.0})
         assert str(caught.value) == f"color assigns {outside!r}, which is not in the group"
+
+
+@st.composite
+def split_group_and_elements(draw):
+    """A split kind from ``groups_strategy()`` and a list of would-be
+    elements: all pairs of the group, or a mix with pairs out of range,
+    of the wrong arity, as lists, or holding bools, floats, numpy ints,
+    strings or ints beyond int64."""
+    group = draw(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)))
+    valid = st.sampled_from(group.elements())
+    ints = st.integers(-2, max(group.l, group.m) + 1)
+    part = st.one_of(ints, st.booleans(), st.floats(allow_nan=True), ints.map(np.int64),
+                     st.just("1"), st.integers(2 ** 63, 2 ** 64))
+    odd = st.one_of(valid.map(list), st.tuples(part, part), st.lists(part, max_size=3),
+                    ints, st.text(max_size=2), st.none())
+    return group, draw(st.one_of(st.lists(valid, max_size=8),
+                                 st.lists(st.one_of(valid, odd), max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_group_and_elements())
+def test_a_split_kind_indexes_a_set_as_index_does(case):
+    """The one-pass indices of a split kind equal ``index`` of each
+    element, and a refusal names the first element ``index`` refuses.  A
+    list of pairs of Python ints in range takes the array pass."""
+    group, elements = case
+    expected, refused = [], []
+    for g in elements:
+        try:
+            expected.append(group.index(g))
+        except KeyError:
+            refused.append(g)
+            break
+    one_pass = group._indices(elements)
+    assert one_pass is None or one_pass.tolist() == expected and not refused
+    if not refused and elements and all(
+            type(g) is tuple and len(g) == 2 and set(map(type, g)) == {int} for g in elements):
+        assert one_pass is not None
+    if not refused:
+        assert _element_indices(group, elements, "set holds").tolist() == expected
+    else:
+        with pytest.raises(ConfigError) as caught:
+            _element_indices(group, elements, "set holds")
+        assert str(caught.value) == f"set holds {refused[0]!r}, which is not in the group"
 
 
 def test_forming_the_adjacency_checks_the_byte_budget(tmp_path, monkeypatch):

@@ -780,3 +780,25 @@ def test_a_color_of_another_group_is_refused(other):
     assert check_split_hypotheses(group, same).passed
     assert adjacency_matrix(group, same).matrix.tobytes() == \
         adjacency_matrix(twin, same).matrix.tobytes()
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5, "2"], ids=["bool", "float", "fraction", "string"])
+@pytest.mark.parametrize("at", [0, -1], ids=["layer-0", "layer-l-1"])
+def test_a_layer_exponent_that_is_not_an_integer_is_refused(bad, at):
+    """The layer indicator reads every exponent in one conversion, and a
+    bool, a float (integral or not) or a string is refused with
+    ``_integer``'s message naming its layer, also after a numpy integer
+    and an int beyond int64 in an earlier layer.  Those two are read as
+    Python reads them, mod m."""
+    group, conn = nonnormal_family(7, 3, 2)
+    layers = layers_from_set(group, conn.elements)
+    wide = [[np.int8(-6), 2 + 7 * 2 ** 70, 3, np.uint64(4), 5, 6], [np.int64(7)], [0]]
+    expected = spectrum_metacyclic(7, 3, 2, layers)
+    assert spectrum_metacyclic(7, 3, 2, wide).lines.eigenvalues.tobytes() == \
+        expected.lines.eigenvalues.tobytes()
+    edited = [list(layer) for layer in wide]
+    edited[at].append(bad)
+    t = at % 3
+    with pytest.raises(ValueError) as caught:
+        spectrum_metacyclic(7, 3, 2, edited)
+    assert str(caught.value) == f"group field 'layers[{t}]' must be an integer, got {bad!r}"

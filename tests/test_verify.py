@@ -1318,10 +1318,11 @@ def test_rule_failing_k_rows_are_certified_as_a_dense_copy(group, seed, edit):
         assert repr(report) == repr(dense_certify(adj, claim, color))
 
 
-def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
+def test_certify_splits_the_k_rows_once_and_afresh_when_they_change(monkeypatch):
     """One ``certify`` call takes the K rows' Fourier split once for both
     checks, which each still run; a K row changed between two calls is
-    split afresh, so the second call fails."""
+    split afresh, so the second call fails.  A third call on the changed
+    bytes reuses their kept split and gives the same report."""
     group, color, spec, adj = family_case(7, 3, 2)
     factors = spec.factors
     k_rows = factors.k_rows.copy()
@@ -1342,6 +1343,166 @@ def test_certify_splits_the_k_rows_once_and_keeps_no_split(monkeypatch):
     report = certify(adj, claim, color)
     assert len(splits) == 2 and not report.passed
     assert report.gram_deviation > 0.5
+    assert repr(certify(adj, claim, color)) == repr(report) and len(splits) == 2
+
+
+BIT_EDITS = K_ROW_EDITS + ("one-ulp", "signed-zero", "nan-payload", "h-rows-ulp", "pairs-swap")
+
+
+def bit_edited_pair(k_rows, edit, rng):
+    """``(base, edited)`` copies of ``k_rows``: ``edited`` is ``base`` under
+    one of the K row edits of ``BIT_EDITS``.  Besides ``K_ROW_EDITS``, one
+    float part goes one ulp up, a zero part changes sign, or a NaN part
+    changes payload; for that one ``base`` holds a NaN of numpy's payload
+    at the spot."""
+    if edit in K_ROW_EDITS:
+        return np.array(k_rows), edited_k_rows(k_rows, edit, rng)
+    base = np.array(k_rows)
+    parts = base.view(np.float64).reshape(-1)
+    if edit == "signed-zero":
+        # the trivial character's imaginary parts are zeros
+        spots = np.flatnonzero(parts == 0)
+        at = spots[rng.integers(spots.size)]
+    else:
+        at = rng.integers(parts.size)
+    if edit == "nan-payload":
+        parts[at] = np.nan
+    edited = np.array(base)
+    changed = edited.view(np.float64).reshape(-1)
+    if edit == "one-ulp":
+        changed[at] = np.nextafter(changed[at], np.inf)
+    elif edit == "signed-zero":
+        changed[at] = -changed[at]
+    else:
+        changed.view(np.uint64)[at] += 1
+    return base, edited
+
+
+def bit_edited_factors(factors, edit, rng):
+    """``(base, edited)``, each a tuple of fresh ``(h_rows, k_rows,
+    pairs)``: ``edited`` is ``base`` under one of ``BIT_EDITS``, which
+    edit the K rows but for one H row part going one ulp up and the first
+    two pairs swapping places."""
+    base = [np.array(factors.h_rows), np.array(factors.k_rows), np.array(factors.pairs)]
+    edited = [np.array(array) for array in base]
+    if edit == "h-rows-ulp":
+        # the H rows keep the claim's layout, a transpose
+        at = rng.integers(len(edited[0]), size=2)
+        edited[0].real[tuple(at)] = np.nextafter(edited[0].real[tuple(at)], np.inf)
+    elif edit == "pairs-swap":
+        edited[2][:2] = edited[2][1::-1].copy()
+    else:
+        base[1], edited[1] = bit_edited_pair(factors.k_rows, edit, rng)
+    return tuple(base), tuple(edited)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.integers(0, 2 ** 32), st.sampled_from(BIT_EDITS))
+def test_a_kept_claim_is_reused_for_its_own_bits_only(group, seed, edit):
+    """``certify`` gives the same report, by ``repr``, with the claim memo
+    cold, warm or cleared.  A claim that differs from a kept one in any
+    bit is split afresh, also a writable claim mutated after a hit.  At
+    most ``_MEMO_ENTRIES`` claims are kept, holding at most
+    ``_BLOCK_BYTES`` in read-only copies that share no memory with any
+    caller's array."""
+    color = block_color(group, random.Random(seed), [0, 1, -0.5j, 0.25 - 3j])
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(group.m))
+    base_arrays, edited_arrays = bit_edited_factors(spec.factors, edit,
+                                                    np.random.default_rng(seed))
+    writable_arrays = tuple(np.array(array) for array in base_arrays)
+    base, edited, writable = (dataclasses.replace(spec, factors=KroneckerFactors(*arrays))
+                              for arrays in (base_arrays, edited_arrays, writable_arrays))
+    differs = int(any(a.tobytes() != b.tobytes() for a, b in zip(base_arrays, edited_arrays)))
+    adj = adjacency_matrix(group, color)
+    splits = []
+
+    def certified(claim):
+        """The report's repr, and the number of splits its call took."""
+        before = len(splits)
+        return repr(certify(adj, claim, color)), len(splits) - before
+
+    with pytest.MonkeyPatch.context() as patch:
+        split = verify_module._fourier_split
+        patch.setattr(verify_module, "_fourier_split", lambda rows: splits.append(1) or split(rows))
+        verify_module._clear_kept()
+        cold_edited, _ = certified(edited)
+        verify_module._clear_kept()
+        cold, took = certified(base)
+        assert took == 1
+        assert certified(base) == (cold, 0)
+        assert certified(writable) == (cold, 0)
+        for array, changed in zip(writable_arrays, edited_arrays):
+            array[...] = changed
+        assert certified(writable) == (cold_edited, differs)
+        assert certified(edited) == (cold_edited, 0)
+        verify_module._clear_kept()
+        assert certified(base) == (cold, 1)
+        assert certified(edited) == (cold_edited, differs)
+    kept = verify_module._kept
+    assert 0 < len(kept) <= groups_module._MEMO_ENTRIES
+    assert sum(derived.nbytes for derived in kept) <= groups_module._BLOCK_BYTES
+    callers = [array for claim in (spec, base, edited, writable)
+               for array in (claim.factors.h_rows, claim.factors.k_rows, claim.factors.pairs)]
+    for derived in kept:
+        for copy in derived.copies + derived.rows[:3]:
+            assert not copy.flags.writeable
+            assert not any(np.may_share_memory(copy, array) for array in callers)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_the_same_bytes_under_another_dtype_are_another_claim():
+    """H rows holding a kept claim's bytes as big-endian complex are
+    another claim, which ``_checked_factors`` rejects: the report is that
+    of the claim certified cold, not the kept claim's."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    swapped = dataclasses.replace(spec, factors=dataclasses.replace(
+        spec.factors, h_rows=spec.factors.h_rows.view(">c16")))
+    cold = certify(adj, swapped, color)
+    assert not cold.structured and not cold.passed
+    verify_module._clear_kept()
+    assert certify(adj, spec, color).passed
+    assert repr(certify(adj, swapped, color)) == repr(cold)
+
+
+@pytest.mark.parametrize("bound", ["bytes", "entries"])
+def test_kept_claims_stay_within_the_memo_bounds(monkeypatch, bound):
+    """Three claims of one size, with room for two by ``_BLOCK_BYTES`` or
+    by ``_MEMO_ENTRIES``: the least recently used is evicted first.  A
+    claim larger than ``_BLOCK_BYTES`` is never kept (nothing is copied),
+    so every call splits it afresh."""
+    group, color, spec, adj = family_case(31, 5, 2)
+    claims = [spec] + [with_k_rows(spec, bit_edited_pair(spec.factors.k_rows, "one-ulp",
+                                                         np.random.default_rng(seed))[1])
+                       for seed in (1, 2)]
+    certify(adj, spec, color)
+    size = verify_module._kept[0].nbytes
+    splits = []
+    split = verify_module._fourier_split
+    monkeypatch.setattr(verify_module, "_fourier_split",
+                        lambda rows: splits.append(1) or split(rows))
+
+    def splits_taken(*order):
+        before = len(splits)
+        for index in order:
+            assert certify(adj, claims[index], color).structured
+        return len(splits) - before
+
+    verify_module._clear_kept()
+    if bound == "bytes":
+        monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 2 * size)
+    else:
+        monkeypatch.setattr(groups_module, "_MEMO_ENTRIES", 2)
+    assert splits_taken(0, 1, 0, 2) == 3
+    assert [derived.copies[1].tobytes() for derived in verify_module._kept] == [
+        claims[index].factors.k_rows.tobytes() for index in (0, 2)]
+    assert splits_taken(0, 2) == 0 and splits_taken(1) == 1 and splits_taken(2, 1) == 0
+    assert splits_taken(0) == 1
+    monkeypatch.setattr(groups_module, "_BLOCK_BYTES", size - 1)
+    verify_module._clear_kept()
+    assert splits_taken(0, 0, 1) == 3 and verify_module._kept == []
 
 
 @pytest.mark.parametrize("copied", [False, True], ids=["claimed", "row-3-over-row-4"])
