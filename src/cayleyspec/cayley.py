@@ -37,6 +37,7 @@ from .groups import (
     _first_conjugator,
     _intern_new,
     _memoized,
+    _sorted_unique,
     check_dense_bytes,
     is_generating_set,
 )
@@ -178,11 +179,10 @@ def classify_connection_set(group: FiniteGroup, subset: Iterable) -> ConnectionS
     ``x s x^{-1}`` outside it, from a sweep that stops at the first block
     of conjugators holding one.
     """
-    indices = sorted(set(_element_indices(group, list(subset), "connection set holds").tolist()))
+    member_idx = _sorted_unique(_element_indices(group, list(subset), "connection set holds"))
     elems = group.elements()
-    members = [elems[i] for i in indices]
+    members = [elems[i] for i in member_idx.tolist()]
     witnesses = {}
-    member_idx = np.array(indices, dtype=np.int64)
     in_set = np.zeros(group.order, dtype=bool)
     in_set[member_idx] = True
     inverses = group.inv_idx[member_idx]
@@ -368,11 +368,11 @@ def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:
     h^a k^b has index a*m + b, so the sorted indices run by layer, then exponent."""
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no layer structure")
-    layers = [[] for _ in range(group.l)]
-    for index in sorted(set(_element_indices(group, list(subset), "connection set holds").tolist())):
-        a, b = divmod(index, group.m)
-        layers[a].append(b)
-    return layers
+    a, b = np.divmod(_sorted_unique(
+        _element_indices(group, list(subset), "connection set holds")), group.m)
+    ends = np.searchsorted(a, np.arange(1, group.l + 1)).tolist()
+    exponents = b.tolist()
+    return [exponents[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def nonnormal_family(m: int, l: int, r: int):

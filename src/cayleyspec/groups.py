@@ -49,23 +49,26 @@ The orbits on the normal part K are one more label array,
 on Z_m for the units of H's generators, O(m log m); on a permutation
 group, the class labels at K's indices.
 
-The groups the library builds for itself (``construct_group``, and the
-metacyclic and cyclic groups of the spectrum, family and irrep
-functions) are interned by ``signature()`` (``_intern``): an equal
-group already built is returned in place of the new one, so its lazy
-index arrays are built once.  The split kinds check their arguments and
+The groups the library builds for itself (``construct_group``, the
+metacyclic groups of the spectrum and family functions, and the groups
+of the built-in irrep functions) are interned by ``signature()``
+(``_intern``): an equal group already built is returned in place of the
+new one, so its lazy index arrays are built once.  The split kinds check their arguments and
 form the signature first (``_intern_new``), and build only a new group;
 the other kinds are built, and so validated, before the lookup.  The
 ``_INTERN_HELD`` most recently interned groups are held, each with a
-memo (``_memoized``: built-in irreps, the beta index table, the split
-grid's pairs) of at most ``_MEMO_ENTRIES`` products of at most
-``_BLOCK_BYTES`` each.  A held group keeps only
-arrays of O(n) entries besides its memo, so holding one of any order up
-to the capacity costs a few MB.  An older interned group stays shared
-only while a caller holds it, and memoizes nothing.  A group built
-directly with its class is never interned.  Interned groups are shared,
-so nothing may change them: ``elements()`` is a list that callers must
-not mutate.
+memo of at most ``_MEMO_ENTRIES`` products of at most ``_BLOCK_BYTES``
+each.  That memo is the one place the library keeps what it reuses
+across calls, and ``_memoized`` is its one door: the group's built-in
+irreps and their P matrix, the beta index table, the split grid's pairs,
+and the factored claim ``verify.certify`` last read for a color on the
+group.  A held group keeps only arrays of O(n) entries besides its memo,
+so holding one of any order up to the capacity costs a few MB.  An older
+interned group stays shared only while a caller holds it, and memoizes
+nothing; nor does a group built directly with its class, which is never
+interned.  ``_clear_interned`` forgets every group and so every memo.
+Interned groups are shared, so nothing may change them: ``elements()``
+is a list that callers must not mutate.
 """
 
 from __future__ import annotations
@@ -942,25 +945,29 @@ def _release(group: FiniteGroup) -> None:
 
 
 def _clear_interned() -> None:
-    """Forget every interned group, and so every memo."""
+    """Forget every interned group, and so every memo and kept claim."""
     for group in _held.values():
         _release(group)
     _held.clear()
     _interned.clear()
 
 
-def _memoized(owner, key, build):
-    """``build()``, kept in ``owner._memo`` (when the owner has one) for the
-    next call with ``key``.  A product is kept when its ``nbytes`` are at
-    most ``_BLOCK_BYTES`` and the memo holds fewer than ``_MEMO_ENTRIES``;
+def _memoized(owner: FiniteGroup, key, build, holds=None):
+    """``build()``, kept in the memo of ``owner`` for the next call with
+    ``key`` while ``owner`` is a held interned group; any other group
+    memoizes nothing.  With ``holds``, a kept product is reused only when
+    ``holds(product)``, and is otherwise built afresh and replaced.  A
+    product is kept when it is not None, its ``nbytes`` are at most
+    ``_BLOCK_BYTES`` and the memo has room among its ``_MEMO_ENTRIES``;
     the products are read-only."""
     memo = owner._memo
     if memo is None:
         return build()
     value = memo.get(key)
-    if value is None:
+    if value is None or holds is not None and not holds(value):
         value = build()
-        if value.nbytes <= _BLOCK_BYTES and len(memo) < _MEMO_ENTRIES:
+        if (value is not None and value.nbytes <= _BLOCK_BYTES
+                and (key in memo or len(memo) < _MEMO_ENTRIES)):
             memo[key] = value
     return value
 

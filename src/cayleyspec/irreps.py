@@ -14,6 +14,11 @@ read-only ``UnitaryIrrep`` views on demand.  A user table is a
 ``UnitaryIrrep`` given as a per-element dict, stored with its elements
 sorted (the canonical order of every group kind), and ``IrrepSet`` stacks
 such irreps into columns.  Every consumer reads the columns row for row.
+
+The built-in constructions run on the library's interned groups
+(``groups._intern``), so a held group keeps its built-in set and that
+set's P matrix in its own memo (``groups._memoized``).  A user table
+reads and writes no memo.
 """
 
 from __future__ import annotations
@@ -173,12 +178,12 @@ class IrrepSet:
     already passed ``validate_irrep_set``; untrusted sets are re-validated
     before they feed spectrum or basis computations.
 
-    A built-in set carries a memo (``groups._memoized``) of the products
-    read from it, its P matrix and the split route's K rows; a set built
-    from per-irrep objects carries none.
+    A built-in set keeps its P matrix in the memo of its own group
+    (``groups._memoized``), as that group keeps the set; a set built from
+    per-irrep objects never reads or writes a memo.
     """
 
-    _memo = None
+    _builtin = False
 
     def __init__(self, group: FiniteGroup, irreps: Iterable[UnitaryIrrep],
                  trusted: bool = False):
@@ -206,7 +211,7 @@ class IrrepSet:
         irrep_set = cls.__new__(cls)
         degrees = [d for d, stack in stacks.items() for _ in range(len(stack))]
         irrep_set._set_columns(group, labels, degrees, stacks, True, {})
-        irrep_set._memo = {}
+        irrep_set._builtin = True
         return irrep_set
 
     def _set_columns(self, group, labels, degrees, stacks, trusted, loose):
@@ -307,7 +312,7 @@ def irreps_abelian(orders: Sequence[int]) -> IrrepSet:
     order, so a row is the Kronecker product of factor-table rows, built
     by ``_cmul`` from ones in factor order, as each entry always was.
     """
-    group = AbelianProductGroup(orders)
+    group = _intern(AbelianProductGroup(orders))
     n, orders = group.order, group.orders
     _check_builtin_bytes(group, n)
     digits = np.arange(n, dtype=np.int64)[:, None] // group._strides % orders
@@ -341,7 +346,7 @@ def irreps_dihedral(n: int) -> IrrepSet:
     # reflection, then the orbits {j, -j}
     linear = ["A1", "A2"] if n % 2 else ["A1", "A2", "B1", "B2"]
     return _cyclic_complement_irreps(
-        DihedralGroup(n), linear + [f"E{j}" for j in range(1, (n + 1) // 2)])
+        _intern_new(DihedralGroup, n), linear + [f"E{j}" for j in range(1, (n + 1) // 2)])
 
 
 def _induction_orbits(group: SplitExtensionGroup) -> dict:
@@ -722,15 +727,17 @@ def build_p_matrix(group: FiniteGroup, irrep_set: IrrepSet) -> PMatrix:
     """Assemble the unitary change of basis from matrix coefficients.
 
     The result and one degree's scaled stack are the only large arrays
-    it allocates.  A built-in set keeps its P matrix in its memo while it
-    fits, so the trust and size checks run on every call and the matrix
-    is built once.
+    it allocates.  A built-in set's P matrix is kept in the memo of the
+    set's group while it fits, so the trust and size checks run on every
+    call and the matrix is built once.
     """
     ensure_trusted(group, irrep_set)
     n = group.order
     _check_complete(irrep_set, n)
     check_dense_bytes(p_matrix_bytes(n), f"the P matrix of order {n}")
-    return _memoized(irrep_set, "p_matrix", lambda: _p_matrix(irrep_set, n))
+    if not irrep_set._builtin:
+        return _p_matrix(irrep_set, n)
+    return _memoized(irrep_set.group, "p_matrix", lambda: _p_matrix(irrep_set, n))
 
 
 def _p_matrix(irrep_set: IrrepSet, n: int) -> PMatrix:

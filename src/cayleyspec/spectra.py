@@ -665,8 +665,7 @@ def _split_route(group: SplitExtensionGroup, color: ColorFunction, irreps_h: Irr
         # columns, as rows in C order, are its characters times sqrt(1/m)
         p_h = build_p_matrix(h_group, irreps_h)
         _check_complete(irreps_k, m)
-        k_rows = _memoized(irreps_k, "k_rows",
-                           lambda: _frozen(irreps_k.stacks[1][:, :, 0, 0] * sqrt(1 / m)))
+        k_rows = _frozen(irreps_k.stacks[1][:, :, 0, 0] * sqrt(1 / m))
         pairs = _memoized(group, ("pairs", irreps_h._degrees.tobytes()),
                           lambda: _grid_pairs(irreps_h, m))
         factors = KroneckerFactors(h_rows=p_h.matrix.T, k_rows=k_rows, pairs=pairs)

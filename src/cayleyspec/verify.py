@@ -27,12 +27,14 @@ Both factored checks read the claim once, as a ``_Claim`` that
 ``certify`` hands to both: it splits each K row's DFT ``F_v =
 fft(K[v])`` into its top entry ``D_v``, at ``p_v``, and a remainder
 ``E_v``.  What depends on the factors' bytes alone (their structure
-check, that split and the factor-Gram result) is kept across calls
-(``_keep``) and reused only for factors equal to the kept copies in
-shape, dtype and every bit: at most ``groups._MEMO_ENTRIES`` claims,
-within ``groups._BLOCK_BYTES`` in all.  The split route, and so the
-metacyclic one, claims the characters of K = C_m times sqrt(1/m), whose
-DFT has one nonzero, so ``E_v`` is rounding.  The Fourier rule holds
+check, that split and the factor-Gram result) is kept in the memo of the
+color's group (``groups._memoized``), keyed by the factors' shapes and
+dtypes, and reused only for factors equal to the kept copies in every
+bit; a claim of other bits is read afresh and replaces it.  A group that
+is not a held interned group keeps nothing, and ``verify_basis`` called
+on its own reads no memo.  The split route, and so the metacyclic one,
+claims the characters of K = C_m times sqrt(1/m), whose DFT has one
+nonzero, so ``E_v`` is rounding.  The Fourier rule holds
 when every ``p_v`` is distinct and every remainder term is at or below
 the rounding floor ``max(sqrt(n), 4) eps`` times the check's scale.
 Then each residual is reported as an upper bound read off the table at
@@ -73,7 +75,6 @@ factors are first stacked into their rows, within the byte budget.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -82,7 +83,7 @@ import numpy as np
 from . import groups, spectra
 from .cayley import AdjacencyMatrix, ColorFunction, _check_color_group
 from .errors import DimensionMismatch
-from .groups import FiniteGroup, _read_only, check_dense_bytes
+from .groups import FiniteGroup, _memoized, _read_only, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
 from .spectra import KroneckerFactors, Spectrum, _clusters
 
@@ -225,7 +226,7 @@ def dense_certify_bytes(n: int, carried: bool) -> int:
 
 
 def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
-                      _claim: Optional[_Claim] = None) -> VerificationReport:
+                      _claim: tuple = ()) -> VerificationReport:
     """Residual-check every claimed eigenpair against the adjacency.
 
     The structured path (see the module docstring) runs when the
@@ -240,9 +241,11 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     (a NaN or inf there counts as nonzero), the GEMM runs on a float64 copy
     of its real part.  The dense path first checks its n x n arrays
     against the byte budget; the message names the failed part of the
-    Fourier rule when that sent it there.  Given ``certify``'s claim, it
-    also counts the factor rows ``verify_basis`` will stack while a matrix
-    formed from a carried table stays cached.
+    Fourier rule when that sent it there.  Given ``certify``'s claim, as
+    ``(claim,)``, it also counts the factor rows ``verify_basis`` will
+    stack while a matrix formed from a carried table stays cached; called
+    on its own, it reads the claim through the memo of the carried
+    table's group.
     """
     # an adjacency from ``adjacency_matrix`` on a split extension carries
     # its beta table, built from ``mul_idx``/``inv_idx``
@@ -267,18 +270,18 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     offsets = spectrum._vector_offsets()
     counts = np.diff(offsets)
     column_eigenvalues = np.repeat(spectrum.eigenvalues, counts)
-    claim = _Claim(spectrum) if _claim is None else _claim
-    factors = claim.factors
+    claim, = _claim or (_read_claim(spectrum, None if blocks is None else blocks.group),)
     column_max = failed = None
-    if (factors is not None and beta is not None
-            and beta.shape == (len(factors.h_rows),) * 2 + (len(factors.k_rows),)):
+    if (claim is not None and beta is not None
+            and beta.shape == (len(factored.h_rows),) * 2 + (len(factored.k_rows),)):
         scale = _grid_scale(beta)
         column_max, failed = _structured_residuals(
-            beta, factors, claim.rows, column_eigenvalues, scale)
+            beta, factored, claim.rows, column_eigenvalues, scale)
     structured = column_max is not None
     if not structured:
-        stacked = (_claim is not None and beta is not None and spectrum.factors is not None
-                   and claim.gram[0] is None) * 16 * spectrum.vector_count() * n
+        stacked = (bool(_claim) and beta is not None and factored is not None and (
+            claim is None or claim.gram(factored.h_rows)[0] is None)
+        ) * 16 * spectrum.vector_count() * n
         check_dense_bytes(dense_certify_bytes(n, beta is not None) + stacked,
                           _dense_what(f"dense certification of order {n}", failed))
         if beta is not None:
@@ -481,7 +484,7 @@ class BasisCheck(tuple):
         return check
 
 
-def verify_basis(spectrum: Spectrum, *, _claim: Optional[_Claim] = None) -> BasisCheck:
+def verify_basis(spectrum: Spectrum, *, _claim: tuple = ()) -> BasisCheck:
     """Gram deviation of the claimed eigenvectors and the completeness flag.
 
     Returns ``(gram_deviation, complete)`` where completeness means the
@@ -499,11 +502,13 @@ def verify_basis(spectrum: Spectrum, *, _claim: Optional[_Claim] = None) -> Basi
     formed: each row block from its diagonal block rightwards, never the
     whole matrix.  Factors are first stacked into their rows, within the
     byte budget; the message names the failed part of the Fourier rule
-    when that sent them there.
+    when that sent them there.  ``certify`` hands its claim over as
+    ``(claim,)``; called on its own, this reads the claim afresh.
     """
     count, n = spectrum.vector_count(), spectrum.n
-    claim = _Claim(spectrum) if _claim is None else _claim
-    gram_deviation, failed = claim.gram
+    claim, = _claim or (_read_claim(spectrum),)
+    gram_deviation, failed = (None, None) if claim is None else claim.gram(
+        spectrum.factors.h_rows)
     structured = gram_deviation is not None
     if not structured:
         if spectrum.factors is not None:
@@ -514,57 +519,49 @@ def verify_basis(spectrum: Spectrum, *, _claim: Optional[_Claim] = None) -> Basi
     return BasisCheck(gram_deviation, complete, count, structured)
 
 
+def _read_claim(spectrum: Spectrum, group: Optional[FiniteGroup] = None) -> Optional[_Claim]:
+    """The claim of the spectrum's factors when ``_checked_factors``
+    accepts them, else None.  With a ``group``, the claim is read through
+    its memo, keyed by the factors' shapes and dtypes: a kept claim, whose
+    structure was checked when it was kept, serves factors equal to its
+    copies in every bit, and any other claim is read afresh and replaces
+    it.  ``spectrum.n`` and the multiplicities are checked on every call."""
+    factors, n = spectrum.factors, spectrum.n
+    if (factors is None or spectrum.total_multiplicity < n
+            or len(factors.h_rows) * len(factors.k_rows) != n):
+        return None
+    arrays = factors.h_rows, factors.k_rows, factors.pairs
+
+    def read():
+        return None if _checked_factors(spectrum) is None else _Claim(arrays)
+
+    if group is None:
+        return read()
+    key = ("claim",) + tuple((a.shape, a.dtype.str) for a in arrays)
+    return _memoized(group, key, read, lambda kept: kept.holds(arrays))
+
+
 class _Claim:
-    """A spectrum's claim as certification reads it: the factors
-    ``_checked_factors`` accepts and what is derived from their bytes
-    alone (``_Derived``).  ``certify`` hands one claim to both of its
-    checks.  The derived part is first looked up among the claims kept
-    across calls (``_find_kept``), whose structure was checked when they
-    were kept; ``spectrum.n`` and the multiplicities are checked on every
-    call."""
-
-    def __init__(self, spectrum: Spectrum):
-        self.n, factors = spectrum.n, spectrum.factors
-        self.factors = self._derived = None
-        if (factors is None or spectrum.total_multiplicity < self.n
-                or len(factors.h_rows) * len(factors.k_rows) != self.n):
-            return
-        derived = _find_kept(factors)
-        if derived is None:
-            if _checked_factors(spectrum) is None:
-                return
-            derived = _Derived(factors)
-            _keep(derived, factors)
-        self.factors, self._derived = factors, derived
-
-    @property
-    def rows(self) -> Optional[_FourierRows]:
-        return None if self._derived is None else self._derived.rows
-
-    @property
-    def gram(self) -> tuple:
-        """``(gram_deviation, None)`` from the accepted factors when their
-        K rows pass the Fourier rule; ``(None, failed)``, naming the failed
-        part, when they do not; ``(None, None)`` without accepted factors."""
-        if self._derived is None:
-            return None, None
-        return self._derived.gram(self.factors.h_rows)
-
-
-class _Derived:
     """What certification derives from accepted factors' bytes alone: the
-    K rows' ``_fourier_split`` (read-only) and, once read, the factor-Gram
-    result.  Once kept (``_keep``), it also holds private read-only copies
-    of the three arrays, in C order."""
+    K rows' ``_fourier_split`` (read-only) and, once read, the
+    factor-Gram result.  A claim that fits ``groups._BLOCK_BYTES`` also
+    holds private read-only copies of the factors' three arrays, in C
+    order, against which a memo checks the next caller's bits (``holds``);
+    a larger one copies nothing, and no memo keeps it."""
 
-    def __init__(self, factors: KroneckerFactors):
-        self.n = len(factors.h_rows) * len(factors.k_rows)
-        self.rows = _fourier_split(factors.k_rows)
+    def __init__(self, arrays: tuple):
+        self.n = len(arrays[0]) * len(arrays[1])
+        self.rows = _fourier_split(arrays[1])
+        self.nbytes = sum(a.nbytes for a in arrays + self.rows[:3])
         self.copies = None
+        if self.nbytes <= groups._BLOCK_BYTES:
+            self.copies = tuple(_read_only(np.array(a, order="C")) for a in arrays)
         self._gram = None
 
     def gram(self, h_rows: np.ndarray) -> tuple:
-        """``_Claim.gram`` for factors whose H rows are ``h_rows``."""
+        """``(gram_deviation, None)`` from factors whose H rows are
+        ``h_rows`` when the K rows pass the Fourier rule; ``(None, failed)``,
+        naming the failed part, when they do not."""
         if self._gram is None:
             if not _distinct(self.rows.tops):
                 self._gram = None, _SHARED_TOP
@@ -576,11 +573,10 @@ class _Derived:
         return self._gram
 
     def holds(self, arrays: tuple) -> bool:
-        """Whether ``arrays`` equal the kept copies in shape, dtype and
-        every bit: -0.0 against 0.0, or another NaN payload, differs."""
-        return all(a.shape == c.shape and a.dtype == c.dtype
-                   for a, c in zip(arrays, self.copies)) and all(
-            np.array_equal(_bits(a), _bits(c)) for a, c in zip(arrays, self.copies))
+        """Whether ``arrays``, of the shapes and dtypes that key this kept
+        claim, equal its copies in every bit: -0.0 against 0.0, or another
+        NaN payload, differs."""
+        return all(np.array_equal(_bits(a), _bits(c)) for a, c in zip(arrays, self.copies))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -588,50 +584,6 @@ def _bits(values: np.ndarray) -> np.ndarray:
     that divide its item size (8 bytes at most)."""
     values = np.ascontiguousarray(values)
     return values.view(f"u{math.gcd(values.dtype.itemsize, 8)}")
-
-
-# factored claims kept across calls, least recently used first: at most
-# ``groups._MEMO_ENTRIES``, whose copies and splits hold at most
-# ``groups._BLOCK_BYTES`` in all
-_kept: list = []
-_kept_lock = threading.Lock()
-
-
-def _find_kept(factors: KroneckerFactors) -> Optional[_Derived]:
-    """The kept claim whose copies equal ``factors`` bit for bit, made the
-    most recently used; None when there is none."""
-    arrays = factors.h_rows, factors.k_rows, factors.pairs
-    with _kept_lock:
-        for derived in reversed(_kept):
-            if derived.holds(arrays):
-                _kept.remove(derived)
-                _kept.append(derived)
-                return derived
-    return None
-
-
-def _keep(derived: _Derived, factors: KroneckerFactors) -> None:
-    """Keep ``derived`` with private copies of ``factors``, evicting the
-    least recently used claims to stay within ``groups._MEMO_ENTRIES``
-    and ``groups._BLOCK_BYTES``; a claim larger than that is not kept, and
-    nothing is copied."""
-    arrays = factors.h_rows, factors.k_rows, factors.pairs
-    nbytes = sum(a.nbytes for a in arrays + derived.rows[:3])
-    if nbytes > groups._BLOCK_BYTES:
-        return
-    derived.copies = tuple(_read_only(np.array(a, order="C")) for a in arrays)
-    derived.nbytes = nbytes
-    with _kept_lock:
-        while _kept and (len(_kept) >= groups._MEMO_ENTRIES or
-                         sum(kept.nbytes for kept in _kept) + nbytes > groups._BLOCK_BYTES):
-            _kept.pop(0)
-        _kept.append(derived)
-
-
-def _clear_kept() -> None:
-    """Forget every kept claim."""
-    with _kept_lock:
-        _kept.clear()
 
 
 def _upper_gram_deviation(stacked: np.ndarray) -> float:
@@ -732,11 +684,11 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     dense work.  When the residuals ran on the structured path, the trace
     identities come from the beta table the adjacency carries; otherwise
     from ``trace_identities`` on its matrix.  The residual and basis checks
-    read one ``_Claim``, and a dense check budgets a formed matrix with
-    the factor rows stacked beside it.
+    read one ``_Claim``, kept in the memo of the color's group, and a dense
+    check budgets a formed matrix with the factor rows stacked beside it.
     """
     _check_color(adjacency, color, _adjacency_n(adjacency))
-    claim = _Claim(spectrum)
+    claim = (_read_claim(spectrum, color.group),)
     report = verify_eigenpairs(adjacency, spectrum, tol=tol, _claim=claim)
     basis = verify_basis(spectrum, _claim=claim)
     if report.structured:

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from cayleyspec import groups, verify
+from cayleyspec import groups
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -21,7 +21,6 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def nothing_kept():
-    """Every test starts with no interned group, no memo and no kept
-    claim, so none reads what an earlier one built or certified."""
+    """Every test starts with no interned group, and so no memo and no
+    kept claim, so none reads what an earlier one built or certified."""
     groups._clear_interned()
-    verify._clear_kept()

@@ -24,7 +24,8 @@ from cayleyspec import (
     nonnormal_family,
     read_edge_list,
 )
-from cayleyspec.cayley import EDGE_LIST_HEADER, _element_indices
+from cayleyspec.cayley import EDGE_LIST_HEADER, ConnectionSet, _element_indices
+from cayleyspec.groups import _first_conjugator, is_generating_set
 from test_kernel import groups_strategy, random_complex_color
 
 
@@ -381,6 +382,83 @@ def test_layers_from_set_refuses_what_a_color_refuses(outside):
     shuffled = [(2, 0), (0, 4), (1, 0), (0, 1), (0, 4), (0, 2)]
     assert layers_from_set(group, shuffled) == [[1, 2, 4], [0], [0]]
     assert layers_from_set(group, []) == [[], [], []]
+
+
+def classify_by_lists(group, subset):
+    """``classify_connection_set`` as once spelled, its indices turned
+    into a list, a set and a sorted list."""
+    indices = sorted(set(_element_indices(group, list(subset), "connection set holds").tolist()))
+    elems = group.elements()
+    members = [elems[i] for i in indices]
+    witnesses = {}
+    member_idx = np.array(indices, dtype=np.int64)
+    in_set = np.zeros(group.order, dtype=bool)
+    in_set[member_idx] = True
+    inverses = group.inv_idx[member_idx]
+    missing = np.flatnonzero(~in_set[inverses])
+    if missing.size:
+        witnesses["inverse_closed"] = (members[missing[0]], elems[inverses[missing[0]]])
+    labels = group._class_labels
+    leaves = np.zeros(group.order, dtype=bool)
+    leaves[labels[~in_set]] = True
+    escaping = member_idx[leaves[labels[member_idx]]]
+    if escaping.size:
+        x, conjugate = _first_conjugator(group, escaping[0], ~in_set)
+        witnesses["conjugation_closed"] = (elems[x], elems[escaping[0]], elems[conjugate])
+    generates, closure_size = is_generating_set(group, indices=member_idx)
+    return ConnectionSet(tuple(members), missing.size == 0,
+                         bool(in_set[group.index(group.identity)]), generates, closure_size,
+                         "conjugation_closed" not in witnesses, witnesses)
+
+
+def layers_by_lists(group, subset):
+    """``layers_from_set`` as once spelled, one ``divmod`` per index."""
+    layers = [[] for _ in range(group.l)]
+    for index in sorted(set(_element_indices(group, list(subset), "connection set holds").tolist())):
+        a, b = divmod(index, group.m)
+        layers[a].append(b)
+    return layers
+
+
+@st.composite
+def raw_connection_sets(draw):
+    """A group and a list of its elements, repeated and in any order; on
+    a split kind some pairs hold a bool for a 0 or 1 exponent, and one
+    entry may lie outside the group."""
+    group = draw(groups_strategy())
+    elems = group.elements()
+    picks = draw(st.lists(st.integers(0, group.order - 1), max_size=12))
+    picks += draw(st.lists(st.sampled_from(picks), max_size=4)) if picks else []
+    subset = [elems[i] for i in draw(st.permutations(picks))]
+    if isinstance(group, SplitExtensionGroup):
+        subset = [tuple(bool(x) if x in (0, 1) and draw(st.booleans()) else x for x in g)
+                  for g in subset]
+        if draw(st.integers(0, 4)) == 0:
+            subset.insert(draw(st.integers(0, len(subset))), (group.l, 0))
+    return group, subset
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_connection_sets())
+def test_array_index_pass_matches_the_list_spelling(case):
+    """Deduplicating and sorting the indices in numpy, and splitting the
+    layers with one ``np.divmod``, leaves the connection set, its
+    witnesses, the layers and every ``ConfigError`` as they were."""
+    group, subset = case
+    assert outcome(classify_connection_set, group, subset) == outcome(
+        classify_by_lists, group, subset)
+    if isinstance(group, SplitExtensionGroup):
+        layers = outcome(layers_from_set, group, subset)
+        assert layers == outcome(layers_by_lists, group, subset)
+        if isinstance(layers, list):
+            assert all(type(b) is int for layer in layers for b in layer)
 
 
 def test_edge_list_round_trip(tmp_path):

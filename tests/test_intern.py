@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from cayleyspec import (
     CyclicGroup,
     DihedralGroup,
+    IrrepSet,
     IrrepsUnavailable,
     MetacyclicGroup,
     SplitExtensionGroup,
@@ -190,6 +191,12 @@ def test_a_malformed_field_is_refused_after_an_equal_group_is_cached(cached, mal
 
 
 def test_memoized_products_are_read_only_and_built_once():
+    """Every product a memo keeps is read-only and within ``_BLOCK_BYTES``,
+    and each lives in the memo of its own group: the beta index table,
+    the grid pairs and the certified claim in G's, the irreps of C_31 in
+    C_31's, and the irreps of H = C_5 and their P matrix in C_5's.  The K
+    rows are the characters of C_31 times sqrt(1/31), formed afresh by
+    each spectrum with the same bits."""
     group, connection = nonnormal_family(31, 5, 2)
     color = ColorFunction(group, {g: 1 for g in connection.elements})
     layers = [[] for _ in range(5)]
@@ -198,31 +205,86 @@ def test_memoized_products_are_read_only_and_built_once():
     first = spectrum_metacyclic(31, 5, 2, layers)
     second = spectrum_metacyclic(31, 5, 2, layers)
     for name in ("h_rows", "k_rows", "pairs"):
-        shared = getattr(first.factors, name)
+        shared, other = getattr(first.factors, name), getattr(second.factors, name)
         # H's rows are a transposed view of its P matrix
-        assert np.shares_memory(getattr(second.factors, name), shared)
+        assert np.shares_memory(other, shared) is (name != "k_rows")
+        assert other.tobytes() == shared.tobytes()
         assert not shared.flags.writeable
-    adjacency_matrix(group, color)
+    adjacency = adjacency_matrix(group, color)
     assert adjacency_matrix(group, color).blocks.beta_values.flags.writeable is False
+    assert certify(adjacency, first, color).structured
     irreps_k = irreps_cyclic(31)
     assert irreps_cyclic(31) is irreps_k
-    p_h = build_p_matrix(group.h_group, builtin_irreps(group.h_group))
+    irreps_h = builtin_irreps(group.h_group)
+    p_h = build_p_matrix(group.h_group, irreps_h)
     assert build_p_matrix(group.h_group, builtin_irreps(group.h_group)) is p_h
-    memos = [group._memo, irreps_k._memo, irreps_k.group._memo,
-             builtin_irreps(group.h_group)._memo]
-    products = [value for memo in memos for value in memo.values()]
-    assert {"beta_index", "irreps", "k_rows", "p_matrix"} <= {
-        key for memo in memos for key in memo if isinstance(key, str)}
-    assert len(products) == 5  # the four named and the grid pairs
-    for value in products:
+    memos = {"G": group._memo, "C_31": irreps_k.group._memo, "C_5": irreps_h.group._memo}
+    assert {name: sorted(str(key[0]) if isinstance(key, tuple) else key for key in memo)
+            for name, memo in memos.items()} == {
+        "G": ["beta_index", "claim", "pairs"], "C_31": ["irreps"], "C_5": ["irreps", "p_matrix"]}
+    for value in (value for memo in memos.values() for value in memo.values()):
         arrays = ([value.matrix] if hasattr(value, "matrix") else
                   [value.characters, *value.stacks.values()] if hasattr(value, "stacks")
+                  else [*value.copies, *value.rows[:3]] if hasattr(value, "copies")
                   else [value])
         for array in arrays:
             assert not array.flags.writeable
             assert array.nbytes <= groups_module._BLOCK_BYTES
             with pytest.raises(ValueError):
                 array.reshape(-1)[:1] = 0
+
+
+BUILT_IN_KINDS = [
+    {"type": "cyclic", "n": 12},
+    {"type": "abelian", "orders": [2, 3, 4]},
+    {"type": "dihedral", "n": 7},
+    {"type": "dihedral", "n": 2},
+    {"type": "metacyclic", "m": 7, "l": 3, "r": 2},
+    {"type": "semidirect", "m": 9, "h": {"type": "cyclic", "n": 6}, "action": [2]},
+]
+
+
+@pytest.mark.parametrize("config", BUILT_IN_KINDS,
+                         ids=[f"{c['type']}-{i}" for i, c in enumerate(BUILT_IN_KINDS)])
+def test_built_in_irreps_live_on_the_interned_group(config):
+    """Each kind's built-in irreps are made on the very group
+    ``construct_group`` returns, so the set and its P matrix share that
+    group's memo: a second call finds both."""
+    group = construct_group(config)
+    irrep_set = builtin_irreps(group)
+    assert irrep_set.group is construct_group(dict(config)) is group
+    assert builtin_irreps(construct_group(dict(config))) is irrep_set
+    p_matrix = build_p_matrix(group, irrep_set)
+    assert group._memo["p_matrix"] is p_matrix
+    assert build_p_matrix(group, builtin_irreps(group)) is p_matrix
+
+
+@pytest.mark.parametrize("config", [BUILT_IN_KINDS[2], BUILT_IN_KINDS[4]],
+                         ids=["dihedral", "metacyclic"])
+def test_a_user_table_leaves_the_memo_unchanged(config):
+    """A user table over an interned group never reads or writes its
+    memo: its P matrix is built from its own stacks on every call, even
+    when the built-in set's P matrix is kept, and the memo holds the same
+    products afterwards."""
+    group = construct_group(config)
+    builtin = builtin_irreps(group)
+    kept = build_p_matrix(group, builtin)
+    # the same irreps, listed in reverse, as the user's own table
+    user = IrrepSet(group, list(reversed(builtin.irreps)))
+    before = dict(group._memo)
+    first = build_p_matrix(group, user)
+    assert dict(group._memo) == before
+    assert all(group._memo[key] is value for key, value in before.items())
+    assert first is not kept and build_p_matrix(group, user) is not first
+    assert first.column_labels == tuple(
+        (rho.label, i, j) for rho in user for j in range(rho.degree) for i in range(rho.degree))
+    squares = np.square(user.degrees())
+    offsets = np.cumsum(squares) - squares
+    for k, rho in enumerate(user):
+        d = rho.degree
+        columns = first.matrix[:, offsets[k]:offsets[k] + d * d]
+        expected = (rho.stack * np.sqrt(d / group.order)).transpose(0, 2, 1).reshape(group.order, -1)
+        assert np.array_equal(columns, expected)
 
 
 def test_products_over_the_block_budget_are_not_kept():

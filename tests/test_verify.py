@@ -13,6 +13,7 @@ from cayleyspec import groups as groups_module
 from cayleyspec import verify as verify_module
 from test_cayley import formed
 from test_columns import edited_lines
+from test_intern import config_of
 from test_kernel import groups_strategy, random_complex_color
 from cayleyspec import (
     AbelianProductGroup,
@@ -1324,6 +1325,7 @@ def test_certify_splits_the_k_rows_once_and_afresh_when_they_change(monkeypatch)
     split afresh, so the second call fails.  A third call on the changed
     bytes reuses their kept split and gives the same report."""
     group, color, spec, adj = family_case(7, 3, 2)
+    assert group is construct_group({"type": "metacyclic", "m": 7, "l": 3, "r": 2})
     factors = spec.factors
     k_rows = factors.k_rows.copy()
     claim = Spectrum(n=spec.n, method=spec.method, lines=spec.lines,
@@ -1396,18 +1398,33 @@ def bit_edited_factors(factors, edit, rng):
     return tuple(base), tuple(edited)
 
 
+def kept_claims(group) -> list:
+    """The claims kept in the memo of ``group``."""
+    return [value for key, value in group._memo.items()
+            if isinstance(key, tuple) and key[0] == "claim"]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
        st.integers(0, 2 ** 32), st.sampled_from(BIT_EDITS))
 def test_a_kept_claim_is_reused_for_its_own_bits_only(group, seed, edit):
-    """``certify`` gives the same report, by ``repr``, with the claim memo
-    cold, warm or cleared.  A claim that differs from a kept one in any
-    bit is split afresh, also a writable claim mutated after a hit.  At
-    most ``_MEMO_ENTRIES`` claims are kept, holding at most
-    ``_BLOCK_BYTES`` in read-only copies that share no memory with any
-    caller's array."""
-    color = block_color(group, random.Random(seed), [0, 1, -0.5j, 0.25 - 3j])
+    """On the group ``construct_group`` interns, ``certify`` gives the same
+    report, by ``repr``, with the claim memo cold, warm or cleared.  A
+    claim that differs from the kept one in any bit is split afresh, also
+    a writable claim mutated after a hit, and replaces the kept one.  The
+    memo keeps one claim, holding at most ``_BLOCK_BYTES`` in read-only
+    copies that share no memory with any caller's array."""
+    config = config_of(group)
+
+    def interned_case():
+        """The color and adjacency on the group built afresh, with an empty memo."""
+        groups_module._clear_interned()
+        group = construct_group(config)
+        color = block_color(group, random.Random(seed), [0, 1, -0.5j, 0.25 - 3j])
+        return group, color, adjacency_matrix(group, color)
+
+    group, color, adj = interned_case()
     spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(group.m))
     base_arrays, edited_arrays = bit_edited_factors(spec.factors, edit,
                                                     np.random.default_rng(seed))
@@ -1415,7 +1432,6 @@ def test_a_kept_claim_is_reused_for_its_own_bits_only(group, seed, edit):
     base, edited, writable = (dataclasses.replace(spec, factors=KroneckerFactors(*arrays))
                               for arrays in (base_arrays, edited_arrays, writable_arrays))
     differs = int(any(a.tobytes() != b.tobytes() for a, b in zip(base_arrays, edited_arrays)))
-    adj = adjacency_matrix(group, color)
     splits = []
 
     def certified(claim):
@@ -1426,9 +1442,9 @@ def test_a_kept_claim_is_reused_for_its_own_bits_only(group, seed, edit):
     with pytest.MonkeyPatch.context() as patch:
         split = verify_module._fourier_split
         patch.setattr(verify_module, "_fourier_split", lambda rows: splits.append(1) or split(rows))
-        verify_module._clear_kept()
+        group, color, adj = interned_case()
         cold_edited, _ = certified(edited)
-        verify_module._clear_kept()
+        group, color, adj = interned_case()
         cold, took = certified(base)
         assert took == 1
         assert certified(base) == (cold, 0)
@@ -1437,18 +1453,19 @@ def test_a_kept_claim_is_reused_for_its_own_bits_only(group, seed, edit):
             array[...] = changed
         assert certified(writable) == (cold_edited, differs)
         assert certified(edited) == (cold_edited, 0)
-        verify_module._clear_kept()
+        assert certified(base) == (cold, differs)
+        group, color, adj = interned_case()
         assert certified(base) == (cold, 1)
         assert certified(edited) == (cold_edited, differs)
-    kept = verify_module._kept
-    assert 0 < len(kept) <= groups_module._MEMO_ENTRIES
-    assert sum(derived.nbytes for derived in kept) <= groups_module._BLOCK_BYTES
+    kept = kept_claims(group)
+    assert len(kept) == 1 and kept[0].nbytes <= groups_module._BLOCK_BYTES
+    assert [copy.tobytes() for copy in kept[0].copies] == [
+        array.tobytes() for array in edited_arrays]
     callers = [array for claim in (spec, base, edited, writable)
                for array in (claim.factors.h_rows, claim.factors.k_rows, claim.factors.pairs)]
-    for derived in kept:
-        for copy in derived.copies + derived.rows[:3]:
-            assert not copy.flags.writeable
-            assert not any(np.may_share_memory(copy, array) for array in callers)
+    for copy in kept[0].copies + kept[0].rows[:3]:
+        assert not copy.flags.writeable
+        assert not any(np.may_share_memory(copy, array) for array in callers)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -1462,23 +1479,25 @@ def test_the_same_bytes_under_another_dtype_are_another_claim():
         spec.factors, h_rows=spec.factors.h_rows.view(">c16")))
     cold = certify(adj, swapped, color)
     assert not cold.structured and not cold.passed
-    verify_module._clear_kept()
+    assert kept_claims(group) == []
     assert certify(adj, spec, color).passed
+    assert len(kept_claims(group)) == 1
     assert repr(certify(adj, swapped, color)) == repr(cold)
 
 
 @pytest.mark.parametrize("bound", ["bytes", "entries"])
 def test_kept_claims_stay_within_the_memo_bounds(monkeypatch, bound):
-    """Three claims of one size, with room for two by ``_BLOCK_BYTES`` or
-    by ``_MEMO_ENTRIES``: the least recently used is evicted first.  A
-    claim larger than ``_BLOCK_BYTES`` is never kept (nothing is copied),
-    so every call splits it afresh."""
+    """The memo of the color's group keeps one claim of a shape, and a
+    claim of other bits replaces it.  A claim larger than ``_BLOCK_BYTES``
+    is never kept (nothing is copied), nor is one that finds the memo
+    holding ``_MEMO_ENTRIES`` products, so every call splits it afresh."""
     group, color, spec, adj = family_case(31, 5, 2)
     claims = [spec] + [with_k_rows(spec, bit_edited_pair(spec.factors.k_rows, "one-ulp",
                                                          np.random.default_rng(seed))[1])
                        for seed in (1, 2)]
     certify(adj, spec, color)
-    size = verify_module._kept[0].nbytes
+    [kept] = kept_claims(group)
+    size = kept.nbytes
     splits = []
     split = verify_module._fourier_split
     monkeypatch.setattr(verify_module, "_fourier_split",
@@ -1490,19 +1509,39 @@ def test_kept_claims_stay_within_the_memo_bounds(monkeypatch, bound):
             assert certify(adj, claims[index], color).structured
         return len(splits) - before
 
-    verify_module._clear_kept()
+    assert splits_taken(0, 1, 1, 0, 2, 2) == 3
+    assert [claim.copies[1].tobytes() for claim in kept_claims(group)] == [
+        claims[2].factors.k_rows.tobytes()]
+    held = len(group._memo) - 1
+    groups_module._clear_interned()
     if bound == "bytes":
-        monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 2 * size)
+        monkeypatch.setattr(groups_module, "_BLOCK_BYTES", size - 1)
+        factors = spec.factors
+        arrays = factors.h_rows, factors.k_rows, factors.pairs
+        assert verify_module._Claim(arrays).copies is None
     else:
-        monkeypatch.setattr(groups_module, "_MEMO_ENTRIES", 2)
-    assert splits_taken(0, 1, 0, 2) == 3
-    assert [derived.copies[1].tobytes() for derived in verify_module._kept] == [
-        claims[index].factors.k_rows.tobytes() for index in (0, 2)]
-    assert splits_taken(0, 2) == 0 and splits_taken(1) == 1 and splits_taken(2, 1) == 0
-    assert splits_taken(0) == 1
-    monkeypatch.setattr(groups_module, "_BLOCK_BYTES", size - 1)
-    verify_module._clear_kept()
-    assert splits_taken(0, 0, 1) == 3 and verify_module._kept == []
+        monkeypatch.setattr(groups_module, "_MEMO_ENTRIES", held)
+    group, color, _, adj = family_case(31, 5, 2)
+    assert splits_taken(0, 0, 1) == 3 and kept_claims(group) == []
+    assert len(group._memo) == held
+
+
+def test_a_group_built_by_its_class_certifies_cold_on_every_call():
+    """A group built by its class memoizes nothing, so every ``certify``
+    call on a color of it reads the claim afresh, with the same report."""
+    group = MetacyclicGroup(31, 5, 2)
+    color = color_from_set(group, nonnormal_family(31, 5, 2)[1].elements)
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(31))
+    adj = adjacency_matrix(group, color)
+    splits = []
+    split = verify_module._fourier_split
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "_fourier_split",
+                      lambda rows: splits.append(1) or split(rows))
+        reports = [repr(certify(adj, spec, color)) for _ in range(3)]
+    assert len(splits) == 3 and len(set(reports)) == 1
+    assert "structured=True" in reports[0]
+    assert group._memo is None
 
 
 @pytest.mark.parametrize("copied", [False, True], ids=["claimed", "row-3-over-row-4"])
