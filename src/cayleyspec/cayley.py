@@ -6,14 +6,19 @@ row i lists the out-edges of vertex i.  For split extensions vertex
 ``a*m + b`` is ``h_a k^b``, so
 ``g_{j,b} g_{i,a}^{-1} = h_j k^{b-a} h_i^{-1}``: the matrix is an l x l grid
 of m-by-m circulants indexed by coset pairs, and block (i, j) depends only
-on the l*l*m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``.
+on the m values ``beta_ij(c) = alpha(h_j k^c h_i^{-1})``, which lie in the
+coset ``h_j h_i^{-1} K`` since K is normal.  So block row i is zero but at
+``h_j = t h_i`` for the cosets t in T, those the color's support meets:
+T = {1, h, h^{-1}} on the paper's family.
 
 The adjacency and the connection-set checks (the group's class labels,
 plus a conjugation sweep that stops at a witness) run on the group's integer
 kernel (``mul_idx``/``inv_idx``); they never touch irreps.  On a split
-extension the adjacency is the beta table itself, l*l*m kernel products:
-its n x n matrix is copied from the table only when something reads it
-(the edge-list export, dense certification).
+extension the adjacency is the block-sparse beta table itself, |T|*l*m
+kernel products: its n x n matrix is filled in from it only when
+something reads it (the edge-list export, dense certification).  Its
+kernel indices are one entry of the group's memo, for the coset set T of
+the last color read; a color that meets other cosets replaces it.
 On the other kinds the matrix is gathered in row blocks within the
 kernel's block budget, n*n products.  Either way the n x n matrix is
 checked against ``groups.DENSE_BYTE_BUDGET`` before it is allocated.
@@ -37,6 +42,7 @@ from .groups import (
     _first_conjugator,
     _intern_new,
     _memoized,
+    _read_only,
     _sorted_unique,
     check_dense_bytes,
     is_generating_set,
@@ -261,10 +267,10 @@ class AdjacencyMatrix:
     def is_hermitian(self) -> bool:
         if self.blocks is None:
             return bool(np.array_equal(self.matrix, self.matrix.conj().T))
-        # A^H is the grid of conj(beta_ji(-c)), conjugated in the rolled copy
-        beta = self.blocks.beta_values
-        mirrored = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
-        return bool(np.array_equal(beta, np.conj(mirrored, out=mirrored)))
+        # A^H is the grid of conj(beta_ji(-c)): each held block against its
+        # mirror, which is zero where the mirror's coset t^{-1} is not held
+        mirrored = self.blocks.mirrored()
+        return bool(np.array_equal(self.blocks.values, np.conj(mirrored, out=mirrored)))
 
     def __repr__(self):
         held = "dense" if self.blocks is None else f"grid l={self.blocks.l} m={self.blocks.m}"
@@ -275,10 +281,10 @@ def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatri
     """A[i, j] = alpha(g_j * g_i^{-1}), from the integer kernel alone.
 
     On a split extension every entry is a value of the beta table
-    (``A[i*m + a, j*m + b] = beta_ij(b - a)``), so the result holds
-    ``beta_blocks(group, color)``, l*l*m kernel products, and its
-    ``matrix`` is ``blocks.assemble()``, one strided copy made on first
-    read.  Other kinds fill rows in blocks, each one gather of alpha at
+    (``A[i*m + a, j*m + b] = beta_ij(b - a)``) or zero, so the result
+    holds ``beta_blocks(group, color)``, |T|*l*m kernel products, and its
+    ``matrix`` is ``blocks.assemble()``, filled in on first read.  Other
+    kinds fill rows in blocks, each one gather of alpha at
     ``mul_idx(j, inv_idx[i])``.
     """
     _check_color_group(group, color)
@@ -299,15 +305,21 @@ def adjacency_matrix(group: FiniteGroup, color: ColorFunction) -> AdjacencyMatri
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The l x l grid of K-graph blocks of a split-extension color graph.
+    """The l x l grid of K-graph blocks of a split-extension color graph,
+    held block-sparse.
 
     Block (i, j) is the adjacency of the K-graph of ``beta_ij``, where
-    ``beta_ij(k^c) = alpha(h_j * k^c * h_i^{-1})``; ``beta_values[i, j, c]``
-    is that value, in one read-only (l, l, m) array.
+    ``beta_ij(k^c) = alpha(h_j * k^c * h_i^{-1})``, whose values lie in the
+    coset ``h_j h_i^{-1} K``.  For each coset t_s of T, block row i holds
+    the block at ``j = columns[i, s]``, the index of ``t_s h_i`` in H, and
+    ``values[i, s, c] = beta_ij(c)``: (l, |T|) and read-only (l, |T|, m)
+    arrays.  Every other block is zero.  ``h_0 = e``, so ``columns[0]``
+    lists T.
     """
 
     group: SplitExtensionGroup
-    beta_values: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
 
     @property
     def l(self) -> int:
@@ -317,49 +329,92 @@ class BlockDecomposition:
     def m(self) -> int:
         return self.group.m
 
+    @property
+    def cosets(self) -> np.ndarray:
+        return self.columns[0]
+
+    @property
+    def beta_values(self) -> np.ndarray:
+        """The dense read-only (l, l, m) table ``beta_values[i, j, c]``, the
+        zero blocks filled in, checked against the byte budget first."""
+        l, m = self.l, self.m
+        check_dense_bytes(16 * l * l * m, f"the ({l}, {l}, {m}) beta table")
+        dense = np.zeros((l, l, m), dtype=complex)
+        dense[np.arange(l)[:, None], self.columns] = self.values
+        dense.flags.writeable = False
+        return dense
+
     def beta(self, i: int, j: int) -> dict:
         """beta_ij as a map from K exponents to colors (zeros omitted)."""
-        return {
-            c: v for c, v in enumerate(self.beta_values[i, j].tolist()) if v != 0
-        }
+        held = np.flatnonzero(self.columns[i] == j)
+        if not held.size:
+            return {}
+        return {c: v for c, v in enumerate(self.values[i, held[0]].tolist()) if v != 0}
 
     def assemble(self) -> np.ndarray:
         """The adjacency; block (i, j) is the circulant ``[a, b] -> beta_ij(b - a)``.
 
         Row a of block (i, j) is ``beta_ij`` doubled and read from position
-        m - a, a window of the doubled table.  The n x n result is the only
-        large allocation: it is filled by one strided copy from those
-        windows, with no index arrays.
+        m - a, a window of the doubled table.  The n x n result, zeros
+        first, is the only large allocation: the |T| blocks of each block
+        row are copied into it from those windows, with index arrays of
+        l*|T| entries.
         """
         l, m = self.l, self.m
-        doubled = np.concatenate((self.beta_values, self.beta_values), axis=-1)
-        # windows[i, j, s] = doubled[i, j, s:s + m]
+        doubled = np.concatenate((self.values, self.values), axis=-1)
+        # windows[i, s, t] = doubled[i, s, t:t + m]
         windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
-        out = np.empty((l * m, l * m), dtype=complex)
-        # (i, j, a, b) -> (i, a, j, b): row i*m + a, column j*m + b
-        out.reshape(l, m, l, m)[...] = windows[:, :, m:0:-1].transpose(0, 2, 1, 3)
+        out = np.zeros((l * m, l * m), dtype=complex)
+        # (i, s, a, b) -> row i*m + a, column columns[i, s]*m + b
+        out.reshape(l, m, l, m)[np.arange(l)[:, None], :, self.columns] = windows[:, :, m:0:-1]
         return out
+
+    def mirrored(self) -> np.ndarray:
+        """A new (l, |T|, m) array: at [i, s], ``beta_ji(-c)`` for
+        ``j = columns[i, s]``, the block that faces block (i, j) across the
+        diagonal.  Its coset is ``t_s^{-1}``, at row j; where that coset is
+        not in T the block is zero."""
+        cosets = self.cosets
+        position = np.full(self.l, -1)
+        position[cosets] = np.arange(len(cosets))
+        partner = position[self.group.h_group.inv_idx[cosets]]
+        paired = np.flatnonzero(partner >= 0)
+        # facing[i, s] = beta_ji at j = columns[i, s], held at coset t_s^{-1}
+        facing = self.values[self.columns[:, paired], partner[paired]]
+        mirrored = np.zeros(self.values.shape, dtype=complex)
+        mirrored[:, paired, 0] = facing[:, :, 0]
+        mirrored[:, paired, 1:] = facing[:, :, :0:-1]
+        return mirrored
 
 
 def beta_blocks(group: FiniteGroup, color: ColorFunction) -> BlockDecomposition:
-    """Decompose the color graph of a split extension into K-blocks."""
+    """Decompose the color graph of a split extension into its nonzero
+    K-blocks: |T|*l*m kernel products, for the cosets T that the color's
+    support meets (a NaN value counts as support)."""
     if not isinstance(group, SplitExtensionGroup):
         raise ValueError(f"group kind {group.kind!r} has no block decomposition")
     _check_color_group(group, color)
-    values = color.vector[_memoized(group, "beta_index", lambda: _beta_index(group))]
+    cosets = np.flatnonzero(color.vector.reshape(group.l, group.m).any(axis=1))
+    table = _memoized(group, "beta_index", lambda: _BetaIndex(group, cosets),
+                      lambda kept: np.array_equal(kept.columns[0], cosets))
+    values = color.vector[table.index]
     values.flags.writeable = False
-    return BlockDecomposition(group=group, beta_values=values)
+    return BlockDecomposition(group=group, columns=table.columns, values=values)
 
 
-def _beta_index(group: SplitExtensionGroup) -> np.ndarray:
-    """The (l, l, m) indices of ``h_j k^c h_i^{-1}`` (read-only), from the
-    kernel alone: beta_ij(c) = alpha(h_j k^c h_i^{-1}), and h_j k^c has
-    index j*m + c."""
-    l, m = group.l, group.m
-    coset = np.arange(l)[:, None, None] * m
-    index = group.mul_idx(coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])
-    index.flags.writeable = False
-    return index
+class _BetaIndex:
+    """The kernel indices of a block-sparse beta table for one coset set T:
+    ``columns`` (l, |T|), the H index of ``t * h_i``, and ``index``
+    (l, |T|, m), the index of ``h_j k^c h_i^{-1}`` at ``j = columns[i, s]``,
+    both read-only and from the kernel alone (h_j k^c has index j*m + c)."""
+
+    def __init__(self, group: SplitExtensionGroup, cosets: np.ndarray):
+        l, m = group.l, group.m
+        rows = np.arange(l, dtype=np.int64)
+        self.columns = _read_only(group.h_group.mul_idx(cosets[None, :], rows[:, None]))
+        self.index = _read_only(group.mul_idx(self.columns[:, :, None] * m + np.arange(m),
+                                              group.inv_idx[rows * m][:, None, None]))
+        self.nbytes = self.columns.nbytes + self.index.nbytes
 
 
 def layers_from_set(group: SplitExtensionGroup, subset: Iterable) -> list:

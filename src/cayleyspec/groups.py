@@ -60,7 +60,8 @@ the other kinds are built, and so validated, before the lookup.  The
 memo of at most ``_MEMO_ENTRIES`` products of at most ``_BLOCK_BYTES``
 each.  That memo is the one place the library keeps what it reuses
 across calls, and ``_memoized`` is its one door: the group's built-in
-irreps and their P matrix, the beta index table, the split grid's pairs,
+irreps and their P matrix, the beta index table (one entry, for the
+cosets the last color read met), the split grid's pairs,
 and the factored claim ``verify.certify`` last read for a color on the
 group.  A held group keeps only arrays of O(n) entries besides its memo,
 so holding one of any order up to the capacity costs a few MB.  An older

@@ -20,8 +20,11 @@ residuals and the traces come from that table: the structured path.  An
 adjacency from ``adjacency_matrix`` on a split extension carries its
 table, built from ``mul_idx`` and ``inv_idx`` alone
 (``cayley.beta_blocks``), and its n x n matrix is never formed.  The
-scale is the grid's row-sum norm, and ``certify`` reads the trace
-identities off the table.
+table is block-sparse: block row i holds only the |T| blocks of the
+cosets T that the color's support meets (three on the paper's family),
+so the structured path reads |T|*l*m values, never a dense (l, l, m)
+table.  The scale is the grid's row-sum norm, and ``certify`` reads the
+trace identities off the table.
 
 Both factored checks read the claim once, as a ``_Claim`` that
 ``certify`` hands to both: it splits each K row's DFT ``F_v =
@@ -38,14 +41,16 @@ nonzero, so ``E_v`` is rounding.  The Fourier rule holds
 when every ``p_v`` is distinct and every remainder term is at or below
 the rounding floor ``max(sqrt(n), 4) eps`` times the check's scale.
 Then each residual is reported as an upper bound read off the table at
-``p_v``, O(n*l) work after the FFTs, and G_K comes from ``|D|`` and
-``|E|`` without a GEMM.
+``p_v``: |T|*l inverse FFTs of length m, a contraction of |T|*l*n
+products, then O(n*l) work a chunk of block rows at a time, and G_K
+comes from ``|D|`` and ``|E|`` without a GEMM.
 This holds O(n*m) beyond the adjacency: the factors, the beta table,
-and per chunk of K rows at most ``groups._BLOCK_BYTES`` in each of a
-few temporaries.  Nothing here assumes the vectors are eigenvectors or
-the rows characters, and no irrep is touched.  A check whose K rows
-fail the rule is made densely, as below, within the byte budget; over
-it, ``CapacityExceeded`` names the part of the rule that failed.
+and per chunk of block rows or of K rows at most ``groups._BLOCK_BYTES``
+in each of a few temporaries.  Nothing here assumes the vectors are
+eigenvectors or the rows characters, and no irrep is touched.  A check
+whose K rows fail the rule is made densely, as below, within the byte
+budget; over it, ``CapacityExceeded`` names the part of the rule that
+failed.
 
 Every other input takes the dense path for the residuals and traces,
 whatever its entries: a dense matrix (an edge list read back, a raw
@@ -81,7 +86,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import groups, spectra
-from .cayley import AdjacencyMatrix, ColorFunction, _check_color_group
+from .cayley import AdjacencyMatrix, BlockDecomposition, ColorFunction, _check_color_group
 from .errors import DimensionMismatch
 from .groups import FiniteGroup, _memoized, _read_only, check_dense_bytes
 from .irreps import IrrepSet, _character_sums
@@ -188,33 +193,43 @@ def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
     return factors
 
 
-def _grid_scale(beta: np.ndarray) -> float:
-    """``max(1, |A|_inf)`` of the circulant grid of ``beta``, with the bits
-    of the dense path's row sums.
+def _grid_scale(blocks: BlockDecomposition) -> float:
+    """``max(1, |A|_inf)`` of the circulant grid of ``blocks``, with the
+    bits of the dense path's row sums.
 
-    Each row of block row i holds the magnitudes ``|beta_ij(c)|`` over j
-    and c.  When they are integers with sums below 2**53 (every 0/1
-    color), every order of summation is exact, so each block row's sum is
-    taken over the table.  Otherwise the rows are laid out as in the
-    matrix, a block of rows at a time, and summed as the dense path sums
-    them.
+    Each row of block row i holds the magnitudes ``|beta_ij(c)|`` over the
+    held blocks j and c, and zeros.  When they are integers with sums below
+    2**53 (every 0/1 color), every order of summation is exact, so each
+    block row's sum is taken over the table.  Otherwise the rows are laid
+    out as in the matrix, zero blocks included, a block of rows at a time,
+    and summed as the dense path sums them.
     """
-    l, m = beta.shape[1], beta.shape[2]
-    magnitudes = np.abs(beta)
+    l, m, columns = blocks.l, blocks.m, blocks.columns
+    magnitudes = np.abs(blocks.values)
     sums = magnitudes.sum(axis=(1, 2))
     if np.array_equal(magnitudes, np.floor(magnitudes)) and sums.max(initial=0.0) < 2.0 ** 53:
         return max(1.0, float(sums.max(initial=0.0)))
     doubled = np.concatenate((magnitudes, magnitudes), axis=-1)
-    # windows[i, j, s] = doubled[i, j, s:s + m]
+    # windows[i, s, t] = doubled[i, s, t:t + m]
     windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
-    step = max(1, groups._BLOCK_BYTES // (8 * l * m))
+    # a chunk is `count` whole block rows, or `span` rows of one block row,
+    # within an eighth of the block budget, so that it stays in a core's
+    # cache while it is laid out, summed and zeroed again
+    step = max(1, groups._BLOCK_BYTES // (64 * l * m))
+    span, count = min(m, step), min(l, max(1, step // m))
+    # one zeroed buffer: each chunk writes its held blocks, then zeros them
+    buffer = np.zeros((count, span, l, m))
     largest = 0.0
-    for i in range(l):
-        for a0 in range(0, m, step):
-            a1 = min(m, a0 + step)
-            # rows i*m + a for a0 <= a < a1, as the matrix holds them
-            rows = windows[i, :, m - a0:m - a1:-1].transpose(1, 0, 2).reshape(a1 - a0, l * m)
-            largest = float(np.max(np.sum(rows, axis=1), initial=largest))
+    for i0 in range(0, l, count):
+        i1 = min(l, i0 + count)
+        held = np.arange(i1 - i0)[:, None], slice(None), columns[i0:i1]
+        for a0 in range(0, m, span):
+            a1 = min(m, a0 + span)
+            # rows i*m + a for i0 <= i < i1 and a0 <= a < a1, as the matrix holds them
+            rows = buffer[:i1 - i0, :a1 - a0]
+            rows[held] = windows[i0:i1, :, m - a0:m - a1:-1]
+            largest = float(np.max(np.sum(rows.reshape(-1, l * m), axis=1), initial=largest))
+            rows[held] = 0.0
     return max(1.0, largest)
 
 
@@ -250,8 +265,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     # an adjacency from ``adjacency_matrix`` on a split extension carries
     # its beta table, built from ``mul_idx``/``inv_idx``
     blocks = adjacency.blocks if isinstance(adjacency, AdjacencyMatrix) else None
-    beta = None if blocks is None else blocks.beta_values
-    if beta is None:
+    if blocks is None:
         matrix = _square_matrix(adjacency)
         n = len(matrix)
     else:
@@ -272,19 +286,19 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     column_eigenvalues = np.repeat(spectrum.eigenvalues, counts)
     claim, = _claim or (_read_claim(spectrum, None if blocks is None else blocks.group),)
     column_max = failed = None
-    if (claim is not None and beta is not None
-            and beta.shape == (len(factored.h_rows),) * 2 + (len(factored.k_rows),)):
-        scale = _grid_scale(beta)
+    if (claim is not None and blocks is not None
+            and (blocks.l, blocks.m) == (len(factored.h_rows), len(factored.k_rows))):
+        scale = _grid_scale(blocks)
         column_max, failed = _structured_residuals(
-            beta, factored, claim.rows, column_eigenvalues, scale)
+            blocks, factored, claim.rows, column_eigenvalues, scale)
     structured = column_max is not None
     if not structured:
-        stacked = (bool(_claim) and beta is not None and factored is not None and (
+        stacked = (bool(_claim) and blocks is not None and factored is not None and (
             claim is None or claim.gram(factored.h_rows)[0] is None)
         ) * 16 * spectrum.vector_count() * n
-        check_dense_bytes(dense_certify_bytes(n, beta is not None) + stacked,
+        check_dense_bytes(dense_certify_bytes(n, blocks is not None) + stacked,
                           _dense_what(f"dense certification of order {n}", failed))
-        if beta is not None:
+        if blocks is not None:
             matrix = adjacency.matrix
         scale, column_max = _dense_residuals(matrix, spectrum, column_eigenvalues)
     residuals = np.zeros(len(counts))
@@ -325,8 +339,8 @@ def _dense_residuals(matrix: np.ndarray, spectrum: Spectrum,
     return scale, column_max
 
 
-def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors, rows: _FourierRows,
-                          eigenvalues: np.ndarray, scale: float) -> tuple:
+def _structured_residuals(blocks: BlockDecomposition, factors: KroneckerFactors,
+                          rows: _FourierRows, eigenvalues: np.ndarray, scale: float) -> tuple:
     """``(column_max, None)``: the max-abs residual of each vector
     ``kron(H[u], K[v])``, bounded from the beta table; or ``(None, failed)``
     when the claim fails the Fourier rule, with ``failed`` naming the part
@@ -334,9 +348,14 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors, rows: _Fo
 
     Block row i of ``A v`` is ``sum_j H[u, j] C_ij K[v]``, and ``C_ij x`` is
     the circular correlation ``sum_c beta_ij(c) x[a + c]``, whose DFT is
-    ``fft(x) * m * ifft(beta_ij)``.  With ``contracted[i, u] = sum_j H[u, j]
-    m ifft(beta_ij)``, block i of the residual is ``ifft(g F_v)``, where
+    ``fft(x) * m * ifft(beta_ij)``.  Only the |T| held blocks of row i
+    enter: with ``contracted[i, u] = sum_s H[u, columns[i, s]] m
+    ifft(values[i, s])``, block i of the residual is ``ifft(g F_v)``, where
     ``g = contracted[i, u] - eigenvalue * H[u, i]`` and ``F_v = fft(K[v])``.
+    That is |T|*l FFTs, and one batched matmul per chunk of rows i with
+    each temporary within ``groups._BLOCK_BYTES``; each chunk is reduced
+    at once and the maxima over i are kept running, so no more than one
+    chunk of the (l, l, m) contraction is ever held.
 
     Split ``F_v`` into its top entry ``D_v``, at position ``p_v``, and a
     remainder ``E_v`` (``rows``, from ``_fourier_split``).  Then each
@@ -355,9 +374,22 @@ def _structured_residuals(beta: np.ndarray, factors: KroneckerFactors, rows: _Fo
     # the eigenvalue claimed for the vector of each pair
     grid_eigenvalues = np.empty((l, m), dtype=complex)
     grid_eigenvalues[pairs[:, 0], pairs[:, 1]] = eigenvalues
-    # contracted[i, u] = sum_j H[u, j] * m * ifft(beta_ij)
-    contracted = np.matmul(h_rows, m * np.fft.ifft(beta, axis=-1))
-    bound, remainder = _fourier_bounds(contracted, h_rows, grid_eigenvalues, rows)
+    columns, values = blocks.columns, blocks.values
+    step = max(1, groups._BLOCK_BYTES // (16 * l * max(m, columns.shape[1])))
+    bound = remainder = None
+    for lo in range(0, l, step):
+        # transforms[i, s] = m * ifft(beta_ij) at j = columns[i, s]
+        transforms = np.fft.ifft(values[lo:lo + step], axis=-1)
+        transforms *= m
+        # held[i, u, s] = H[u, columns[i, s]]
+        held = h_rows.T[columns[lo:lo + step]].transpose(0, 2, 1)
+        chunk = _fourier_bounds(np.matmul(held, transforms), h_rows[:, lo:lo + step],
+                                grid_eigenvalues, rows)
+        if bound is None:
+            bound, remainder = chunk
+        else:
+            np.maximum(bound, chunk[0], out=bound)
+            np.maximum(remainder, chunk[1], out=remainder)
     failed = _above_floor("a remainder term", np.max(remainder),
                           _rounding_floor(l * m) * scale)
     if failed:
@@ -429,8 +461,9 @@ def _fourier_bounds(contracted: np.ndarray, h_rows: np.ndarray,
                     grid_eigenvalues: np.ndarray, rows: _FourierRows) -> tuple:
     """``(bound, remainder)``, each (l, m): for the vector of each pair
     (u, v), the Fourier bound on its max-abs residual and the largest
-    remainder term in it (see ``_structured_residuals``).  Each temporary
-    of a chunk of K rows holds at most ``_BLOCK_BYTES``."""
+    remainder term in it (see ``_structured_residuals``), over the block
+    rows i of ``contracted``, whose H entries ``h_rows[:, i]`` holds.  Each
+    temporary of a chunk of K rows holds at most ``_BLOCK_BYTES``."""
     l, m = grid_eigenvalues.shape
     # h_cols[i, u] = H[u, i]; reach[i, u] = max |contracted[i, u]|
     h_cols = h_rows.T[:, :, None]
@@ -663,17 +696,20 @@ def _trace_deviations(trace: complex, trace_sq: complex, color: ColorFunction) -
             float(abs(trace_sq - n * pair_sum)))
 
 
-def _beta_traces(beta: np.ndarray) -> tuple:
-    """tr A and tr A^2 of the circulant grid of ``beta``.
+def _beta_traces(blocks: BlockDecomposition) -> tuple:
+    """tr A and tr A^2 of the circulant grid of ``blocks``.
 
-    ``tr A = m sum_i beta_ii(0)`` and
-    ``tr A^2 = m sum_ij sum_c beta_ij(c) beta_ji(-c)``.
+    ``tr A = m sum_i beta_ii(0)``, over the diagonal blocks, held when T
+    holds the identity coset, and ``tr A^2 = m sum_ij sum_c beta_ij(c)
+    beta_ji(-c)``, over the held blocks (i, t h_i), each against its
+    mirror (``BlockDecomposition.mirrored``): a block that is not held
+    adds only zeros, or a NaN that a held block's product with its zero
+    mirror adds too.
     """
-    m = beta.shape[-1]
-    # negated[j, i, c] = beta_ji(-c)
-    negated = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
-    return (complex(m * np.trace(beta[:, :, 0])),
-            complex(m * np.einsum("ijc,ijc->", beta, negated)))
+    m, values = blocks.m, blocks.values
+    diagonal = values[blocks.columns == np.arange(blocks.l)[:, None]]
+    return (complex(m * np.sum(diagonal[:, 0])),
+            complex(m * np.einsum("isc,isc->", values, blocks.mirrored())))
 
 
 def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
@@ -692,8 +728,7 @@ def certify(adjacency, spectrum: Spectrum, color: ColorFunction,
     report = verify_eigenpairs(adjacency, spectrum, tol=tol, _claim=claim)
     basis = verify_basis(spectrum, _claim=claim)
     if report.structured:
-        trace_dev, trace_sq_dev = _trace_deviations(
-            *_beta_traces(adjacency.blocks.beta_values), color)
+        trace_dev, trace_sq_dev = _trace_deviations(*_beta_traces(adjacency.blocks), color)
     else:
         trace_dev, trace_sq_dev = trace_identities(adjacency, color)
     report.gram_deviation, report.complete = basis

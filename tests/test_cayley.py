@@ -268,7 +268,7 @@ def test_split_adjacency_forms_its_matrix_on_first_read():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the beta table is l*l*m entries; the matrix would be 68 MiB
+    # the beta table is |T|*l*m entries; the matrix would be 68 MiB
     assert not formed(adjacency) and peak < 1 << 20
     assert (n, hermitian) == (2110, True)
     matrix = adjacency.matrix

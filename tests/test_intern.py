@@ -27,6 +27,7 @@ from cayleyspec import (
     MetacyclicGroup,
     SplitExtensionGroup,
     adjacency_matrix,
+    beta_blocks,
     build_p_matrix,
     builtin_irreps,
     certify,
@@ -45,7 +46,7 @@ from cayleyspec import groups as groups_module
 from cayleyspec.cayley import ColorFunction
 from cayleyspec.errors import ConfigError
 from cayleyspec.irreps import builtin_degrees
-from test_kernel import class_color_values, groups_strategy
+from test_kernel import class_color_values, dense_beta_index, groups_strategy
 
 
 def config_of(group) -> dict:
@@ -226,12 +227,32 @@ def test_memoized_products_are_read_only_and_built_once():
         arrays = ([value.matrix] if hasattr(value, "matrix") else
                   [value.characters, *value.stacks.values()] if hasattr(value, "stacks")
                   else [*value.copies, *value.rows[:3]] if hasattr(value, "copies")
+                  else [value.columns, value.index] if hasattr(value, "index")
                   else [value])
         for array in arrays:
             assert not array.flags.writeable
             assert array.nbytes <= groups_module._BLOCK_BYTES
             with pytest.raises(ValueError):
                 array.reshape(-1)[:1] = 0
+
+
+def test_the_beta_index_takes_one_memo_slot():
+    """Colors on other coset sets replace their group's one beta index
+    entry, through its ``holds`` test, and each table still equals the
+    dense gather; a set seen before is rebuilt with the same bits."""
+    group = construct_group({"type": "metacyclic", "m": 7, "l": 3, "r": 2})
+    tables = []
+    for support in ([(0, 1)], [(1, 0), (2, 0)], [(0, 1), (1, 3), (2, 5)], [(0, 1)], []):
+        color = ColorFunction(group, {g: 1.0 for g in support})
+        blocks = beta_blocks(group, color)
+        assert blocks.beta_values.tobytes() == color.vector[dense_beta_index(group)].tobytes()
+        assert [key for key in group._memo if "beta" in str(key)] == ["beta_index"]
+        kept = group._memo["beta_index"]
+        assert kept.columns is blocks.columns
+        assert kept.columns[0].tolist() == sorted({a for a, _ in support})
+        tables.append(blocks)
+    assert tables[3].columns.tobytes() == tables[0].columns.tobytes()
+    assert tables[4].values.shape == (3, 0, 7)
 
 
 BUILT_IN_KINDS = [

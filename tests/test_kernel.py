@@ -62,6 +62,25 @@ def kernel_gather_oracle(group, color):
     return color.vector[group.mul_idx(columns[None, :], group.inv_idx[:, None])]
 
 
+def dense_beta_index(group):
+    """The (l, l, m) indices of ``h_j k^c h_i^{-1}`` over every block pair:
+    the dense gather that the block-sparse table replaced."""
+    l, m = group.l, group.m
+    coset = np.arange(l)[:, None, None] * m
+    return group.mul_idx(coset.reshape(1, l, 1) + np.arange(m), group.inv_idx[coset])
+
+
+def coset_color(group, rng):
+    """A random complex color on a random set of cosets h_t K, NaN and
+    infinite parts among its values; the other cosets stay empty."""
+    values = {}
+    for t in rng.sample(range(group.l), rng.randint(0, group.l)):
+        for b in rng.sample(range(group.m), rng.randint(1, group.m)):
+            values[(t, b)] = (rng.choice(SPECIAL_VALUES) if rng.random() < 0.2
+                              else complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    return ColorFunction(group, values)
+
+
 def beta_oracle(group, color, i, j):
     """beta_ij(k^c) = alpha(h_j k^c h_i^{-1}) for c = 0..m-1."""
     h_i_inv = group.inv((i, 0))
@@ -447,6 +466,35 @@ def test_beta_blocks_assemble_the_adjacency_on_random_inputs(case, rng):
             beta = beta_oracle(group, color, i, j)
             assert decomposition.beta(i, j) == {c: v for c, v in enumerate(beta) if v != 0}
             assert decomposition.beta_values[i, j].tobytes() == np.array(beta).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.randoms(use_true_random=False))
+def test_block_sparse_beta_fills_in_to_the_dense_gather(group, rng):
+    """The block-sparse table of a color on a random set of cosets, filled
+    in, equals the dense gather of alpha at every (l, l, m) index bit for
+    bit, and the blocks it holds are exactly the dense table's nonzero
+    blocks (a NaN counts as nonzero): |T| per block row, at t h_i."""
+    l, m = group.l, group.m
+    color = coset_color(group, rng)
+    blocks = beta_blocks(group, color)
+    dense = color.vector[dense_beta_index(group)]
+    assert blocks.beta_values.tobytes() == dense.tobytes()
+    assert not blocks.values.flags.writeable and not blocks.columns.flags.writeable
+    met = np.flatnonzero((color.vector != 0).reshape(l, m).any(axis=1))
+    assert blocks.cosets.tolist() == met.tolist()
+    assert blocks.values.shape == (l, len(met), m)
+    held = np.zeros((l, l), dtype=bool)
+    held[np.arange(l)[:, None], blocks.columns] = True
+    assert held.sum() == l * len(met)
+    assert np.array_equal(held, (dense != 0).any(axis=-1))
+    for i in range(l):
+        for j in range(l):
+            # by repr, so that NaN values compare
+            assert repr(blocks.beta(i, j)) == repr(
+                {c: v for c, v in enumerate(dense[i, j].tolist()) if v != 0})
 
 
 # -- generation and classification --------------------------------------------

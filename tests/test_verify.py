@@ -625,7 +625,7 @@ def test_structured_path_runs_on_the_ladder_rungs(case, monkeypatch):
                                 [0, 1, -2.5, 1j, complex(0.5, -1.25)])
     for c in (color, complex_color):
         matrix = adjacency_matrix(group, c).matrix
-        trace, trace_sq = verify_module._beta_traces(beta_blocks(group, c).beta_values)
+        trace, trace_sq = verify_module._beta_traces(beta_blocks(group, c))
         assert abs(trace - np.trace(matrix)) <= 1e-12 * spec.n
         assert abs(trace_sq - np.einsum("ij,ji->", matrix, matrix)) <= 1e-12 * spec.n
 
@@ -807,11 +807,22 @@ def test_the_real_flag_reads_every_row_block(monkeypatch):
         assert report.per_line_residuals == dense.per_line_residuals
 
 
+def every_block(group, beta):
+    """The block table of the dense (l, l, m) ``beta`` with every coset
+    held: ``columns[i, t] = t h_i``, the table |T| = l gives."""
+    l = group.l
+    columns = group.h_group.mul_idx(np.arange(l)[None, :], np.arange(l)[:, None])
+    return BlockDecomposition(group=group, columns=columns,
+                              values=beta[np.arange(l)[:, None], columns])
+
+
 def test_a_block_circulant_change_fails_on_the_structured_path():
+    """A change in a block of a coset outside T = {1, h, h^-1}, held in a
+    table of every coset."""
     group, color, spec, adj = family_case(31, 5, 2)
     beta = np.array(beta_blocks(group, color).beta_values)
     beta[1, 3, 4] += 0.25
-    changed = AdjacencyMatrix(blocks=BlockDecomposition(group=group, beta_values=beta))
+    changed = AdjacencyMatrix(blocks=every_block(group, beta))
     report = certify(changed, spec, color)
     dense = dense_certify(changed, spec, color)
     assert report.structured and not report.passed and not dense.passed
@@ -1167,7 +1178,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     adj = adjacency_matrix(group, color)
     # sqrt(n) eps, not the rule's floor, which is at least four ulps
     sqrt_n_eps = np.sqrt(n) * np.finfo(float).eps
-    floor = sqrt_n_eps * verify_module._grid_scale(adj.blocks.beta_values)
+    floor = sqrt_n_eps * verify_module._grid_scale(adj.blocks)
     bound, remainder, correlation = both_paths(adj, spec)
     assert (np.isfinite(bound) == np.isfinite(correlation)).all()
     if np.isfinite(correlation).all():
@@ -1192,7 +1203,7 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     color = block_color(group, rng, [0, 1, -0.5j, 0.25 - 3j])
     spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(group.m))
     adj = adjacency_matrix(group, color)
-    tolerance = 1e-9 * verify_module._grid_scale(adj.blocks.beta_values)
+    tolerance = 1e-9 * verify_module._grid_scale(adj.blocks)
     bound, _, correlation = both_paths(adj, spec)
     assert bound.max() <= tolerance and correlation.max() <= tolerance
     t = rng.randrange(len(spec.lines))
@@ -1202,6 +1213,161 @@ def test_the_fourier_bound_holds_the_correlation_residual(group, rng):
     k_rows[rng.randrange(group.m), rng.randrange(group.m)] += 1e-6
     bound, _, correlation = both_paths(adj, with_k_rows(spec, k_rows))
     assert bound.max() > tolerance or not correlation.max() > tolerance
+
+
+# -- the block-sparse table against the dense one -------------------------------
+
+
+def dense_bounds(beta, factors, rows, grid_eigenvalues):
+    """``(bound, remainder)`` from the dense (l, l, m) ``beta``: every
+    block transformed and contracted at once, as before the table was
+    block-sparse."""
+    m = beta.shape[-1]
+    contracted = np.matmul(factors.h_rows, m * np.fft.ifft(beta, axis=-1))
+    return verify_module._fourier_bounds(contracted, factors.h_rows, grid_eigenvalues, rows)
+
+
+def dense_grid_scale(beta):
+    """``max(1, |A|_inf)`` from the dense ``beta``: integer magnitudes
+    summed over the table, other rows laid out as the matrix holds them."""
+    l, m = beta.shape[1], beta.shape[2]
+    magnitudes = np.abs(beta)
+    sums = magnitudes.sum(axis=(1, 2))
+    if np.array_equal(magnitudes, np.floor(magnitudes)) and sums.max(initial=0.0) < 2.0 ** 53:
+        return max(1.0, float(sums.max(initial=0.0)))
+    doubled = np.concatenate((magnitudes, magnitudes), axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
+    rows = windows[:, :, m:0:-1].transpose(0, 2, 1, 3).reshape(l * m, l * m)
+    return max(1.0, float(np.max(np.sum(rows, axis=1), initial=0.0)))
+
+
+def dense_traces(beta):
+    """tr A and tr A^2 from the dense ``beta``, every block pair summed."""
+    m = beta.shape[-1]
+    negated = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
+    return (complex(m * np.trace(beta[:, :, 0])),
+            complex(m * np.einsum("ijc,ijc->", beta, negated)))
+
+
+def dense_is_hermitian(beta):
+    mirrored = np.roll(beta[:, :, ::-1], 1, axis=-1).transpose(1, 0, 2)
+    return bool(np.array_equal(beta, np.conj(mirrored)))
+
+
+def same_float(a, b) -> bool:
+    return np.array_equal(np.array([a]), np.array([b]), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda group: isinstance(group, SplitExtensionGroup)),
+       st.sampled_from(["one", "some", "every"]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_block_sparse_certificate_equals_the_dense_contraction(group, held, integer, rng):
+    """On a color that meets |T| = 1, 1 < |T| < l or |T| = l cosets, with
+    two block rows a chunk so that the running maxima cross chunks: the
+    Fourier bounds of ``_structured_residuals`` agree with the dense
+    contraction to rounding, the scale equals the dense one bit for bit,
+    the traces do on integer colors and agree to rounding otherwise, and
+    ``is_hermitian`` agrees, on the color and on its Hermitian part."""
+    l, m = group.l, group.m
+    count = {"one": 1, "some": rng.randint(2, l - 1) if l > 2 else l, "every": l}[held]
+    values = {}
+    for t in rng.sample(range(l), count):
+        for b in rng.sample(range(m), rng.randint(1, m)):
+            # nonzero, so that the color meets exactly `count` cosets
+            values[(t, b)] = (rng.choice([-3, -2, -1, 1, 2, 3]) if integer
+                              else complex("nan") if rng.random() < 0.03
+                              else complex(rng.uniform(0.25, 2), rng.uniform(-2, 2))
+                              * rng.choice([1, -1, 1j, -1j]))
+    color = ColorFunction(group, values)
+    blocks = beta_blocks(group, color)
+    assert blocks.values.shape == (l, count, m)
+    beta = blocks.beta_values
+    spec = spectrum_split(group, color, builtin_irreps(group.h_group), irreps_cyclic(m),
+                          force=True)
+    factors, pairs = spec.factors, spec.factors.pairs
+    rows = verify_module._fourier_split(factors.k_rows)
+    eigenvalues = np.repeat(spec.eigenvalues, np.diff(spec._vector_offsets()))
+    grid = np.empty((l, m), dtype=complex)
+    grid[pairs[:, 0], pairs[:, 1]] = eigenvalues
+    bound, remainder = dense_bounds(beta, factors, rows, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups_module, "_BLOCK_BYTES", 2 * 16 * l * max(m, count))
+        # an infinite scale lifts the rounding floor: only a NaN fails the rule
+        column_max, failed = verify_module._structured_residuals(
+            blocks, factors, rows, eigenvalues, np.inf)
+        scale = verify_module._grid_scale(blocks)
+    if failed is None:
+        expect = bound[pairs[:, 0], pairs[:, 1]]
+        assert np.allclose(column_max, expect, rtol=1e-12,
+                           atol=1e-12 * max(1.0, np.abs(expect).max(initial=0.0)))
+    else:
+        assert np.isnan(remainder).any()
+    assert same_float(scale, dense_grid_scale(beta))
+    traces, expect = verify_module._beta_traces(blocks), dense_traces(beta)
+    for got, want in zip(traces, expect):
+        if integer:
+            assert same_float(got, want)
+        elif not np.isnan(want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want), m * np.abs(beta).sum())
+        else:
+            assert np.isnan(got)
+    alpha, reversed_alpha = color.vector, color.vector[group.inv_idx]
+    hermitian_part = ColorFunction(group, dict(zip(
+        group.elements(), ((alpha + reversed_alpha.conj()) / 2).tolist())))
+    for c in (color, hermitian_part):
+        c_blocks = beta_blocks(group, c)
+        assert AdjacencyMatrix(blocks=c_blocks).is_hermitian == \
+            dense_is_hermitian(c_blocks.beta_values)
+
+
+@pytest.mark.parametrize("budget", [None, 14 * 64 * 3 * 7, 64 * 3 * 7])
+def test_the_scale_zeroes_each_chunk_it_lays_out(budget, monkeypatch):
+    """``_grid_scale`` on a non-integer color whose block rows hold other
+    columns (T = {1, h}), laid out in one chunk, two block rows a chunk and
+    one row a chunk: the bits of the dense row sums each time."""
+    group = construct_group({"type": "metacyclic", "m": 7, "l": 3, "r": 2})
+    blocks = beta_blocks(group, ColorFunction(group, {(1, 0): 0.5, (1, 3): 0.7, (0, 1): 0.3}))
+    if budget is not None:
+        monkeypatch.setattr(groups_module, "_BLOCK_BYTES", budget)
+    assert same_float(verify_module._grid_scale(blocks), dense_grid_scale(blocks.beta_values))
+
+
+def test_the_structured_path_reads_no_dense_table(monkeypatch):
+    """``certify`` on the n = 610 family (T = {1, h, h^-1}) neither fills in
+    the dense beta table nor assembles the matrix; it transforms the 3 l
+    held blocks and contracts them a chunk of block rows at a time, here
+    three rows, to the bits of one chunk of every row."""
+    group, color, spec, adj = family_case(61, 10, 3)
+    whole = certify(adj, spec, color)
+
+    def refused(*args):
+        raise AssertionError("the structured path read a dense table")
+
+    monkeypatch.setattr(BlockDecomposition, "beta_values", property(refused))
+    monkeypatch.setattr(BlockDecomposition, "assemble", refused)
+    transformed, contracted = [], []
+    ifft, bounds = np.fft.ifft, verify_module._fourier_bounds
+
+    def recorded_ifft(values, *args, **kwargs):
+        transformed.append(np.shape(values))
+        return ifft(values, *args, **kwargs)
+
+    def recorded_bounds(chunk, *rest):
+        contracted.append(chunk.shape)
+        return bounds(chunk, *rest)
+
+    monkeypatch.setattr(np.fft, "ifft", recorded_ifft)
+    monkeypatch.setattr(verify_module, "_fourier_bounds", recorded_bounds)
+    monkeypatch.setattr(groups_module, "_BLOCK_BYTES", 3 * 16 * 10 * 61)
+    report = certify(adjacency_matrix(group, color), spec, color)
+    assert report.structured and report.passed and not formed(adj)
+    assert transformed == [(3, 3, 61)] * 3 + [(1, 3, 61)]
+    assert contracted == [(3, 10, 61)] * 3 + [(1, 10, 61)]
+    assert report.per_line_residuals == whole.per_line_residuals
+    assert (report.scale, report.trace_deviation, report.trace_sq_deviation) == \
+        (whole.scale, whole.trace_deviation, whole.trace_sq_deviation)
 
 
 def mixed_by_a_unitary(k_rows):
