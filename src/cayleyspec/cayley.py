@@ -449,7 +449,7 @@ def nonnormal_family(m: int, l: int, r: int):
 
 def _check_adjacency_bytes(n: int) -> None:
     """Raise CapacityExceeded before an n x n adjacency over the budget is formed."""
-    check_dense_bytes(16 * n * n, f"the {n} x {n} adjacency")
+    check_dense_bytes(adjacency_bytes(n), f"the {n} x {n} adjacency")
 
 
 def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:
@@ -466,8 +466,9 @@ def export_edge_list(adjacency: AdjacencyMatrix, path) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def edge_list_bytes(n: int) -> int:
-    """Bytes of the dense matrix ``read_edge_list`` fills."""
+def adjacency_bytes(n: int) -> int:
+    """Bytes of one dense n x n complex matrix: a formed adjacency, or the
+    one ``read_edge_list`` fills."""
     return 16 * n * n
 
 
@@ -477,7 +478,7 @@ def read_edge_list(path, n: int) -> np.ndarray:
     Each ``i j`` pair may appear once; a repeat names both lines.  The
     n x n result must fit the dense byte budget.
     """
-    check_dense_bytes(edge_list_bytes(n), f"an edge list of {n} vertices")
+    check_dense_bytes(adjacency_bytes(n), f"an edge list of {n} vertices")
     out = np.zeros((n, n), dtype=complex)
     first_line = {}
     with open(path, "r", encoding="utf-8") as handle:

@@ -370,22 +370,19 @@ def _dense_bytes(job: Job, method: str, do_verify: bool, edges: bool,
     certification of a factored spectrum against the beta table."""
     group = job.group
     n = group.order
-    square = 16 * n * n
+    square = cayley.adjacency_bytes(n)  # any one n x n complex array
     factored = method in ("split", "metacyclic")
     total = 0
     if not factored:
-        # the irrep stacks hold n*n entries over all irreps and their
-        # characters one row per irrep, as irreps._check_builtin_bytes
-        # counts them; the P matrix is built when vectors are
-        total += 16 * n * (n + _irrep_count(job))
+        # the irreps, as their stage checks them; the P matrix is built
+        # when vectors are
+        total += irreps.builtin_irreps_bytes(n, _irrep_count(job))
         if do_verify or job.options["eigenvectors"] or method == "blocks":
             total += irreps.p_matrix_bytes(n)
     carried = isinstance(group, groups.SplitExtensionGroup) and not edges
     if do_verify:
-        if edges:
-            total += cayley.edge_list_bytes(n)
-        elif not carried:
-            total += square  # the gathered adjacency
+        if not carried:
+            total += square  # the edge list read back, or the gathered adjacency
         if not (factored and carried):
             total += verify.dense_certify_bytes(n, carried)
     if job.options["export_graph"]:

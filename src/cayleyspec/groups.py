@@ -27,10 +27,11 @@ conjugation sweeps) runs on the kernel in blocks whose index temporaries
 stay within ``_BLOCK_BYTES``.
 
 Generation (``is_generating_set``) closes the set under multiplication
-by doubling over the n elements, except on the split kinds: there it
-walks the l cosets of K, keeping one lift per coset reached, and
-Schreier's lemma gives the closure's part in K = C_m from the gcd of the
-exponents of t_x s t_{xs}^{-1}, in O(l |S|) kernel products.
+by doubling over the n elements (``_closure_mask``, which also closes a
+permutation group's designated K and H), except on the split kinds:
+there it walks the l cosets of K, keeping one lift per coset reached,
+and Schreier's lemma gives the closure's part in K = C_m from the gcd of
+the exponents of t_x s t_{xs}^{-1}, in O(l |S|) kernel products.
 
 Conjugacy classes are one label array per group, ``labels[i]`` the least
 index in g_i's class (``FiniteGroup._class_labels``).  Conjugation is a
@@ -44,10 +45,15 @@ its cycles by doubling, then pointer jumping, repeated until the labels
 stop changing.  That is O(n log n) per generator and round, where one
 n-wide gather per class costs O(n) per class.
 
-The orbits on the normal part K are one more label array,
-``_k_orbit_labels``: on the split kinds ``_orbit_labels`` over b -> u b
-on Z_m for the units of H's generators, O(m log m); on a permutation
-group, the class labels at K's indices.
+A designated split adds two label arrays over positions in its parts.
+The orbits of G on K are ``_k_orbit_labels``: on the split kinds
+``_orbit_labels`` over b -> u b on Z_m for the units of H's generators,
+O(m log m); on a permutation group, the class labels at K's indices.
+The H-classes are ``_h_class_labels``: H's own class labels on the
+split kinds, and on a permutation group ``_orbit_labels`` of conjugation
+by the complement generators.  Witnesses alone gather conjugates, from
+one source: ``_first_conjugator`` stops at the first conjugator, in
+element order or a given set's order, that carries it where wanted.
 
 The groups the library builds for itself (``construct_group``, the
 metacyclic groups of the spectrum and family functions, and the groups
@@ -324,49 +330,26 @@ def _orbit_labels(perms, n: int) -> np.ndarray:
             return labels
 
 
-def _conjugation_orbits(group, seeds, conjugators):
-    """Orbits of the index array ``seeds`` under conjugation by ``conjugators``.
-
-    Each seed that no earlier orbit reached costs one kernel gather
-    ``x s x^{-1}`` over all conjugators x.  Yields one ``(members, first)``
-    pair of index arrays per orbit, in seed order: the members ascending,
-    and for each member the first conjugator, in the given order, that
-    carries the orbit's seed s to it.  With ascending seeds, s is the
-    least seed in its orbit, and the least member when the seeds are
-    closed under the action.
-
-    The class partition comes from ``FiniteGroup._class_labels`` and the
-    single witnesses from ``_first_conjugator``; this sweep serves the
-    H-classes of condition B, with their first conjugators.
-    """
-    conjugators = np.asarray(conjugators, dtype=np.int64)
-    inverses = group.inv_idx[conjugators]
-    reached = np.zeros(group.order, dtype=bool)
-    for s in np.asarray(seeds, dtype=np.int64).tolist():
-        if reached[s]:
-            continue
-        members, first = np.unique(
-            group.mul_idx(group.mul_idx(conjugators, s), inverses), return_index=True)
-        reached[members] = True
-        yield members, conjugators[first]
-
-
-def _first_conjugator(group, source: int, wanted: np.ndarray) -> tuple:
-    """The first index x, in element order, whose conjugate
-    ``x g_source x^{-1}`` has an index i with ``wanted[i]``, as ``(x, i)``;
-    None when no conjugate is wanted.
+def _first_conjugator(group, source: int, wanted: np.ndarray,
+                      conjugators: Optional[np.ndarray] = None) -> tuple:
+    """The first conjugator x whose conjugate ``x g_source x^{-1}`` has an
+    index i with ``wanted[i]``, as ``(x, i)``; None when no conjugate is
+    wanted.  The conjugators are the index array ``conjugators``, in its
+    order, or by default every index in element order.
 
     The conjugators are swept in blocks that double from 64, and the sweep
     stops at the first block that holds one: a witness of a set that
     conjugation leaves at once costs a few kernel products, not n.
     """
-    n, lo, step = group.order, 0, 64
-    while lo < n:
-        x = np.arange(lo, min(lo + step, n), dtype=np.int64)
+    if conjugators is None:
+        conjugators = np.arange(group.order, dtype=np.int64)
+    lo, step = 0, 64
+    while lo < conjugators.size:
+        x = conjugators[lo:lo + step]
         conjugates = group.mul_idx(group.mul_idx(x, source), group.inv_idx[x])
         hits = np.flatnonzero(wanted[conjugates])
         if hits.size:
-            return lo + int(hits[0]), int(conjugates[hits[0]])
+            return int(x[hits[0]]), int(conjugates[hits[0]])
         lo, step = lo + step, min(2 * step, _block_len(4))
     return None
 
@@ -583,6 +566,11 @@ class SplitExtensionGroup(FiniteGroup):
         perms = [b * u % self.m for u in units if u != 1 % self.m]
         return _read_only(_orbit_labels(perms, self.m))
 
+    @property
+    def _h_class_labels(self) -> np.ndarray:
+        # h_a sits at position a of H, so these are H's own class labels
+        return self.h_group._class_labels
+
     def index(self, g) -> int:
         try:
             a, b = g
@@ -793,26 +781,36 @@ class PermutationGroup(FiniteGroup):
             self._install_split(normal_generators, complement_generators)
 
     def _install_split(self, normal_generators, complement_generators):
-        n_gens = [self.coerce_element(g) for g in normal_generators]
-        c_gens = [self.coerce_element(g) for g in complement_generators]
-        k_part = _perm_closure(n_gens, self.degree)
-        h_part = _perm_closure(c_gens, self.degree)
-        for g in self.generators:
-            g_inv = self.inv(g)
-            for k in k_part:
-                if _compose(_compose(g, k), g_inv) not in k_part:
-                    raise InvalidAction(
-                        f"designated normal part is not normal: conjugating "
-                        f"{k} by generator {g} escapes it"
-                    )
-        if len(k_part) * len(h_part) != self.order:
-            raise InvalidAction(
-                f"|K|*|H| = {len(k_part)}*{len(h_part)} != group order {self.order}"
-            )
-        if k_part & h_part != {self.identity}:
+        n_gens, c_gens = ([self.index(self.coerce_element(g)) for g in gens]
+                          for gens in (normal_generators, complement_generators))
+        k_part, h_part = (_closure_mask(self, _sorted_unique(np.array(gens, dtype=np.int64)))
+                          for gens in (n_gens, c_gens))
+        k_idx = np.flatnonzero(k_part)
+        # row r conjugates K by the r-th generator: the first escape is in
+        # the first row that leaves K, at its K member of least index
+        gens = self._generator_idx()
+        conjugates = self.mul_idx(self.mul_idx(gens[:, None], k_idx), self.inv_idx[gens, None])
+        escapes = np.argwhere(~k_part[conjugates])
+        if escapes.size:
+            r, j = escapes[0]
+            raise InvalidAction(f"designated normal part is not normal: conjugating "
+                                f"{self._elements[k_idx[j]]} by generator "
+                                f"{self.generators[r]} escapes it")
+        k_size, h_size = k_idx.size, int(np.count_nonzero(h_part))
+        if k_size * h_size != self.order:
+            raise InvalidAction(f"|K|*|H| = {k_size}*{h_size} != group order {self.order}")
+        if np.count_nonzero(k_part & h_part) != 1:
             raise InvalidAction("normal part and complement overlap beyond identity")
-        self._split_idx = tuple(_read_only(np.array(sorted(map(self.index, part)), dtype=np.int64))
-                                for part in (k_part, h_part))
+        self._split_idx = (_read_only(k_idx), _read_only(np.flatnonzero(h_part)))
+        self._complement_idx = tuple(dict.fromkeys(c_gens))
+
+    @cached_property
+    def _h_class_labels(self) -> np.ndarray:
+        """The H-class labels (see the module docstring), read-only."""
+        h_idx = self._split_idx[1]
+        perms = [np.searchsorted(h_idx, self.mul_idx(self.mul_idx(x, h_idx), self.inv_idx[x]))
+                 for x in self._complement_idx]
+        return _read_only(_orbit_labels(perms, h_idx.size))
 
     @property
     def identity(self):
@@ -1089,7 +1087,15 @@ def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,
         return False, 0
     if isinstance(group, SplitExtensionGroup):
         size = _split_closure_size(group, gens)
-        return size == group.order, size
+    else:
+        size = int(np.count_nonzero(_closure_mask(group, gens)))
+    return size == group.order, size
+
+
+def _closure_mask(group: FiniteGroup, gens: np.ndarray) -> np.ndarray:
+    """The mask of the subgroup that the ascending distinct indices ``gens``
+    generate (the identity alone for none), grown by doubling and closed
+    by breadth-first search as ``is_generating_set`` describes."""
     reached = np.zeros(group.order, dtype=bool)
     members = [np.array([group.index(group.identity)], dtype=np.int64)]
     reached[members[0]] = True
@@ -1106,12 +1112,10 @@ def is_generating_set(group: FiniteGroup, subset: Iterable = (), *,
             members.append(fresh)
             power = int(group.mul_idx(power, power))
     frontier = np.concatenate(members)
-    size = frontier.size
     kept = np.array(kept, dtype=np.int64)
     while frontier.size:
         frontier = _fresh_products(group, frontier, kept, reached)
-        size += frontier.size
-    return size == group.order, size
+    return reached
 
 
 def _split_closure_size(group: SplitExtensionGroup, gens: np.ndarray) -> int:

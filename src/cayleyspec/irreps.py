@@ -275,9 +275,9 @@ class IrrepSet:
 
 def _check_builtin_bytes(group: FiniteGroup, count: int) -> None:
     """CapacityExceeded when ``count`` built-in irreps of ``group`` are over
-    the budget: their stacks hold n^2 entries and their characters count*n."""
-    n = group.order
-    check_dense_bytes(16 * n * (n + count), f"the built-in irreps of {group!r}")
+    the budget (``builtin_irreps_bytes``)."""
+    check_dense_bytes(builtin_irreps_bytes(group.order, count),
+                      f"the built-in irreps of {group!r}")
 
 
 def irreps_cyclic(n: int) -> IrrepSet:
@@ -705,6 +705,12 @@ def _degree_batches(irrep_set: IrrepSet):
     """Per degree, ascending: the positions of its irreps in the set, and
     their stored read-only (K, n, d, d) stack."""
     return zip(irrep_set.positions.values(), irrep_set.stacks.values())
+
+
+def builtin_irreps_bytes(n: int, count: int) -> int:
+    """Bytes of ``count`` built-in irreps of order n: n*n stack entries and
+    count*n characters."""
+    return 16 * n * (n + count)
 
 
 def p_matrix_bytes(n: int) -> int:

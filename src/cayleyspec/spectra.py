@@ -54,7 +54,6 @@ from .groups import (
     FiniteGroup,
     MetacyclicGroup,
     SplitExtensionGroup,
-    _conjugation_orbits,
     _first_conjugator,
     _integer,
     _intern_new,
@@ -517,8 +516,11 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
     alpha(h * g k g^{-1}) == alpha(h k); each K column of alpha(h k) is
     compared with its orbit's least member, from the K-orbit labels.
     Condition B ranges over (h', h, k) in H x H x K and asks
-    alpha(h' h h'^{-1} * k) == alpha(h k).  Witnesses carry the violating
-    triple and both alpha values; only they read the elements.
+    alpha(h' h h'^{-1} * k) == alpha(h k); on every kind, each H row of
+    alpha(h k) is compared with its H-class's least member, from the H-class
+    labels, and the witness conjugator is the first in H's order.  Witnesses
+    carry the violating triple and both alpha values; only they read the
+    elements.
     """
     if group._split_idx is None:
         raise InvalidAction(f"group kind {group.kind!r} has no distinguished split structure")
@@ -554,30 +556,19 @@ def check_split_hypotheses(group: FiniteGroup, color: ColorFunction) -> Hypothes
         i, j = rows[0], min(others[bad[rows[0]]].tolist(), key=labels.item)
         g, _ = _first_conjugator(group, k_idx[labels[j]], np.arange(group.order) == k_idx[j])
         witness_a = witness((h_idx[i], g, k_idx[labels[j]]), i, j, i, labels[j])
-    # condition B: the first violation in the order H-class, k, class member;
-    # classes and conjugators as positions in H
-    if isinstance(group, SplitExtensionGroup):
-        # h' h h'^{-1} stays in H, and (a, 0) sits at position a; only the
-        # first H-class whose rows differ is swept, with its conjugators
-        h_group = group.h_group
-        labels = h_group._class_labels
-        rows = np.flatnonzero((table != table[labels]).any(axis=1))
-        h_classes = _conjugation_orbits(
-            h_group, np.sort(labels[rows])[:1], np.arange(h_group.order))
-    else:
-        h_pos = np.empty(group.order, dtype=np.int64)
-        h_pos[h_idx] = np.arange(h_idx.size)
-        h_classes = ((h_pos[members], h_pos[first]) for members, first
-                     in _conjugation_orbits(group, h_idx, h_idx))
+    # condition B: the first violation in the order H-class, k, class member
+    # (positions in H); a least member is compared with itself too
+    labels = group._h_class_labels
+    rows = np.flatnonzero((table != table[labels]).any(axis=1))
     witness_b = None
-    for members, first in h_classes:
-        bad = np.flatnonzero((table[members] != table[members[0]]).T)
-        if bad.size:
-            j, p = divmod(int(bad[0]), members.size)
-            base_i, i = int(members[0]), int(members[p])
-            witness_b = witness((h_idx[first[p]], h_idx[base_i], k_idx[j]),
-                                i, j, base_i, j)
-            break
+    if rows.size:
+        base = labels[rows].min()
+        members = np.flatnonzero(labels == base)
+        bad = np.flatnonzero((table[members] != table[base]).T)
+        j, p = divmod(int(bad[0]), members.size)
+        i = members[p]
+        x, _ = _first_conjugator(group, h_idx[base], np.arange(group.order) == h_idx[i], h_idx)
+        witness_b = witness((x, h_idx[base], k_idx[j]), i, j, base, j)
     return HypothesisReport(
         condition_a=witness_a is None,
         condition_b=witness_b is None,

@@ -12,7 +12,7 @@ The claimed vectors are read through ``Spectrum.vector_rows``: the
 normal route claims them as one array (``Spectrum.vectors``), the split
 route, run by the metacyclic one, as Kronecker factors (``Spectrum.factors``).
 
-One rule covers a factored claim, at every n.  When ``_checked_factors``
+One rule covers a factored claim, at every n.  When ``_read_claim``
 accepts the spectrum's Kronecker factors and their K rows pass the
 Fourier rule below, the Gram deviation comes from the two factor Grams,
 and if the adjacency carries a beta table of the factors' (l, m), the
@@ -55,7 +55,7 @@ failed.
 Every other input takes the dense path for the residuals and traces,
 whatever its entries: a dense matrix (an edge list read back, a raw
 array, ``AdjacencyMatrix(matrix=...)``, a kind that is not a split
-extension), factors of another (l, m), that ``_checked_factors``
+extension), factors of another (l, m), that ``_read_claim``
 rejects or whose K rows fail the rule, or explicit vectors; its results
 agree to rounding.  It first checks the n x n arrays it would allocate
 against ``groups.DENSE_BYTE_BUDGET`` (``dense_certify_bytes``, plus in
@@ -171,14 +171,11 @@ def _gram_rows(count: int) -> int:
 
 
 def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
-    """The spectrum's Kronecker factors, when certification may use them.
-
-    That needs factor rows of lengths l and m (l*m = n), pairs that cover
-    the grid of l H rows by m K rows once each, and multiplicities that
-    claim all n vectors.  Otherwise None.
-    """
+    """The spectrum's Kronecker factors when, in O(1), their shapes and
+    dtypes admit them: complex rows of lengths l and m (l*m = n), n integer
+    pairs, and multiplicities that claim all n vectors.  Otherwise None."""
     factors, n = spectrum.factors, spectrum.n
-    if factors is None:
+    if factors is None or spectrum.total_multiplicity < n:
         return None
     h_rows, k_rows, pairs = factors.h_rows, factors.k_rows, factors.pairs
     l, m = len(h_rows), len(k_rows)
@@ -186,11 +183,14 @@ def _checked_factors(spectrum: Spectrum) -> Optional[KroneckerFactors]:
             or pairs.shape != (n, 2) or pairs.dtype.kind not in "iu"
             or h_rows.dtype != complex or k_rows.dtype != complex):
         return None
-    if spectrum.total_multiplicity < n or pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
-        return None
-    if not np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(n)):
-        return None
     return factors
+
+
+def _covers_grid(pairs: np.ndarray, l: int, m: int) -> bool:
+    """Whether ``pairs`` cover the grid of l H rows by m K rows once each."""
+    if pairs.min(initial=0) < 0 or not (pairs < (l, m)).all():
+        return False
+    return np.array_equal(np.sort(pairs[:, 0] * m + pairs[:, 1]), np.arange(l * m))
 
 
 def _grid_scale(blocks: BlockDecomposition) -> float:
@@ -245,7 +245,7 @@ def verify_eigenpairs(adjacency, spectrum: Spectrum, tol: float = 1e-9, *,
     """Residual-check every claimed eigenpair against the adjacency.
 
     The structured path (see the module docstring) runs when the
-    adjacency carries a beta table of the (l, m) that ``_checked_factors``
+    adjacency carries a beta table of the (l, m) that ``_read_claim``
     accepts and the K rows pass the Fourier rule: the residuals come from
     the table (``_structured_residuals``) and the scale from its
     magnitudes (``_grid_scale``).  Every other input
@@ -523,7 +523,7 @@ def verify_basis(spectrum: Spectrum, *, _claim: tuple = ()) -> BasisCheck:
     Returns ``(gram_deviation, complete)`` where completeness means the
     spectrum claims n vectors and its multiplicities sum to n; the
     result's ``vector_count`` is the number of claimed vectors.  When
-    ``_checked_factors`` accepts the spectrum, the Gram matrix is
+    ``_read_claim`` accepts the spectrum, the Gram matrix is
     ``G_H (x) G_K`` up to the order of the pairs, and its deviation comes
     from G_H and G_K in closed form.  G_K is read off the K rows' Fourier
     split (``_fourier_split``, ``_fourier_gram``): its diagonal exactly, and
@@ -554,19 +554,18 @@ def verify_basis(spectrum: Spectrum, *, _claim: tuple = ()) -> BasisCheck:
 
 def _read_claim(spectrum: Spectrum, group: Optional[FiniteGroup] = None) -> Optional[_Claim]:
     """The claim of the spectrum's factors when ``_checked_factors``
-    accepts them, else None.  With a ``group``, the claim is read through
-    its memo, keyed by the factors' shapes and dtypes: a kept claim, whose
-    structure was checked when it was kept, serves factors equal to its
-    copies in every bit, and any other claim is read afresh and replaces
-    it.  ``spectrum.n`` and the multiplicities are checked on every call."""
-    factors, n = spectrum.factors, spectrum.n
-    if (factors is None or spectrum.total_multiplicity < n
-            or len(factors.h_rows) * len(factors.k_rows) != n):
+    passes them, on every call, and their pairs cover the grid, else None.
+    With a ``group``, the claim is read through its memo, keyed by the
+    factors' shapes and dtypes: a kept claim, whose pairs were checked when
+    it was kept, serves factors equal to its copies in every bit, and any
+    other claim is read afresh (``_covers_grid`` included) and replaces it."""
+    factors = _checked_factors(spectrum)
+    if factors is None:
         return None
     arrays = factors.h_rows, factors.k_rows, factors.pairs
 
     def read():
-        return None if _checked_factors(spectrum) is None else _Claim(arrays)
+        return _Claim(arrays) if _covers_grid(factors.pairs, *map(len, arrays[:2])) else None
 
     if group is None:
         return read()

@@ -7,6 +7,7 @@ results, byte for byte where the arithmetic is unchanged.
 """
 
 import random
+import re
 from math import gcd
 
 import numpy as np
@@ -545,8 +546,6 @@ def wide_conjugation_witness(group, subset):
     """The conjugation witness as one n-wide gather finds it: the seed's
     orbit under every conjugator, and the least first conjugator of the
     members outside the set."""
-    from cayleyspec.groups import _conjugation_orbits
-
     in_set = np.zeros(group.order, dtype=bool)
     in_set[[group.index(g) for g in subset]] = True
     labels = group._class_labels
@@ -556,7 +555,7 @@ def wide_conjugation_witness(group, subset):
     if not escaping.size:
         return None
     seed = escaping[0]
-    orbit, first = next(_conjugation_orbits(group, [seed], np.arange(group.order)))
+    orbit, first = next(sweep_orbits(group, [seed], np.arange(group.order)))
     k = np.argmin(np.where(in_set[orbit], group.order, first))
     elems = group.elements()
     return elems[first[k]], elems[seed], elems[orbit[k]]
@@ -634,13 +633,16 @@ def test_split_generation_walks_the_cosets(monkeypatch):
     def refuse(*args):
         raise AssertionError("the split path ran the elementwise closure")
 
+    # built first: a permutation group closes its designated split
+    # elementwise as it is built
+    kinds = every_kind() + [SemidirectProductGroup(15, DihedralGroup(4), [14, 4])]
     monkeypatch.setattr(groups_module, "_fresh_products", refuse)
     family = [(0, b) for b in range(1, 1009)] + [(1, 0), (8, 0)]
     cases = [(MetacyclicGroup(1009, 9, 337), family, (True, 9081)),
              (DihedralGroup(5000), [(0, 2), (1, 0)], (False, 5000)),
              (MetacyclicGroup(1009, 9, 337), [(0, 1), (3, 0)], (False, 3027)),
              (SemidirectProductGroup(1, CyclicGroup(64), [0]), [(1, 0)], (True, 64))]
-    for group in every_kind() + [SemidirectProductGroup(15, DihedralGroup(4), [14, 4])]:
+    for group in kinds:
         if isinstance(group, SplitExtensionGroup):
             subset = random.Random(group.order).sample(group.elements(), min(5, group.order))
             cases.append((group, subset, generating_oracle(group, subset)))
@@ -934,6 +936,70 @@ def test_split_witnesses_on_a_permutation_group_with_nonabelian_complement():
             if report.witness_b is not None:
                 conjugators.add(report.witness_b.triple[0])
     assert len(conjugators) > 1
+
+
+def left_regular(group, normal=None, complement=None):
+    """The left-regular permutation image of a split kind: g becomes
+    ``tuple(mul_idx(g, arange(n)))``.  The designated split is the image of
+    ``normal`` and ``complement`` (index lists), by default k and the
+    generators of H."""
+    everything = np.arange(group.order)
+    h_gens = (group.h_group._generator_idx() * group.m).tolist()
+    normal = [1 % group.m] if normal is None else normal
+    complement = h_gens if complement is None else complement
+
+    def images(indices):
+        return [tuple(group.mul_idx(g, everything).tolist()) for g in indices]
+
+    return PermutationGroup(images(group._generator_idx().tolist()),
+                            normal_generators=images(normal),
+                            complement_generators=images(complement))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda g: isinstance(g, SplitExtensionGroup)),
+       st.randoms(use_true_random=False))
+@example(SemidirectProductGroup(7, DihedralGroup(3), [6, 1]), random.Random(3))
+@example(DihedralGroup(1), random.Random(1))
+def test_split_permutation_images_match_the_oracles(group, rng):
+    """Condition B's permutation path, on the left-regular image of a split
+    kind: the reports and the orbits on K match the element loops."""
+    image = left_regular(group)
+    k_members, _ = image.split_parts()
+    assert conjugation_orbits_on_k(image) == [
+        list(cls.members) for cls in conjugation_orbits_oracle(image, k_members, image.elements())]
+    cases = [{}, class_color_values(image, rng)]
+    cases += [random_color_values(image, rng, share) for share in (0.1, 0.5, 1.0)]
+    for values in cases:
+        report = check_split_hypotheses(image, ColorFunction(image, values))
+        assert report == hypotheses_oracle(image, dict_color_oracle(values))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups_strategy().filter(lambda g: isinstance(g, SplitExtensionGroup)))
+@example(DihedralGroup(4))  # a non-normal swap, both order mismatches and an overlap
+@example(DihedralGroup(1))
+def test_invalid_split_permutation_images_raise(group):
+    """A non-normal K (H and K swapped under a nontrivial action), |K|*|H|
+    != n (H dropped, or grown by k) and overlapping parts of the right
+    orders (H replaced by the subgroup of order l in K) each raise
+    InvalidAction."""
+    from cayleyspec.errors import InvalidAction
+
+    m, l = group.m, group.l
+    h_gens = (group.h_group._generator_idx() * m).tolist()
+    cases = []
+    if any(u != 1 % m for u in group.units):
+        cases.append(("not normal", h_gens, [1 % m]))
+    if l > 1:
+        cases.append(("|K|*|H|", None, []))
+    if m > 1:
+        cases.append(("|K|*|H|", None, h_gens + [1]))
+    if 1 < l and m % l == 0:
+        cases.append(("overlap", None, [m // l]))
+    for message, normal, complement in cases:
+        with pytest.raises(InvalidAction, match=re.escape(message)):
+            left_regular(group, normal, complement)
 
 
 @pytest.mark.parametrize("group", every_kind(), ids=repr)

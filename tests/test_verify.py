@@ -1723,7 +1723,7 @@ def test_certify_reads_the_claim_once(monkeypatch, copied):
         k_rows[4] = k_rows[3]
         claim = with_k_rows(spec, k_rows)
     calls = {}
-    for name in ("_checked_factors", "_fourier_split", "_fourier_gram",
+    for name in ("_checked_factors", "_covers_grid", "_fourier_split", "_fourier_gram",
                  "verify_eigenpairs", "verify_basis"):
         original = getattr(verify_module, name)
 
@@ -1735,8 +1735,23 @@ def test_certify_reads_the_claim_once(monkeypatch, copied):
     report = certify(adj, claim, color)
     assert report.structured is not copied and report.passed is not copied
     assert calls["verify_eigenpairs"] == calls["verify_basis"] == 1
-    for name in ("_checked_factors", "_fourier_split", "_fourier_gram"):
+    for name in ("_checked_factors", "_covers_grid", "_fourier_split", "_fourier_gram"):
         assert calls.get(name, 0) <= 1, (name, calls)
+
+
+def test_the_pair_checks_run_only_when_a_claim_is_read_afresh(monkeypatch):
+    """The O(1) acceptance test runs on every ``certify`` call, before the
+    memo is read; the O(n) pair checks only when no kept claim serves."""
+    groups_module._clear_interned()
+    group, color, spec, adj = family_case(31, 5, 2)
+    calls = []
+    for name in ("_checked_factors", "_covers_grid"):
+        original = getattr(verify_module, name)
+        monkeypatch.setattr(verify_module, name, lambda *args, original=original, name=name: (
+            calls.append(name) or original(*args)))
+    reports = [repr(certify(adj, spec, color)) for _ in range(3)]
+    assert len(set(reports)) == 1 and "structured=True" in reports[0]
+    assert calls == ["_checked_factors", "_covers_grid", "_checked_factors", "_checked_factors"]
 
 
 def test_a_dense_check_budgets_the_formed_matrix_with_the_stacked_rows(monkeypatch):
